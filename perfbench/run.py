@@ -20,7 +20,8 @@ check counts in `failed`. The last stdout line is the result object
 `{"correct", "attempted", "failed", "metrics"}`; the line before it gives
 the host, the workload's sample counts and any failure messages. Sample
 i of a run at workload seed N simulates scenario seed N + i * 1000003
-(`--set seed=...`); the tracer replays sample 0.
+(`--set seed=...`), except on a panel workload (see `scenario_seed`); the
+tracer replays sample 0.
 """
 
 import argparse
@@ -248,15 +249,36 @@ def check_run(w, run, counters, reference):
     return failed, errors
 
 
-def scenario_seed(seed, i):
-    """Scenario seed of sample `i` of a run at workload seed `seed`. Each
-    sample simulates fresh worlds, so a run's medians average over worlds as
-    well as over host noise; sample 0 uses the workload seed itself."""
-    return seed + i * SEED_STRIDE
+def scenario_seed(w, seed, i):
+    """Scenario seed of sample `i` of a run at workload seed `seed`.
+
+    Each sample simulates fresh worlds, so a run's medians average over
+    worlds as well as over host noise; sample 0 uses the workload seed
+    itself. A workload with a `panel` of P instead cycles through P fixed
+    worlds (the default seed and the next P - 1 strides), starting where the
+    workload seed points: its worlds differ so much in cost that a run's
+    handful of fresh worlds would set its figures more than the code does."""
+    panel = w.get("panel")
+    if panel is None:
+        return seed + i * SEED_STRIDE
+    base = WORKLOADS["default_seed"]
+    return base + (seed - base + i) % panel * SEED_STRIDE
+
+
+def pooled(w, samples, value):
+    """A run's figure for `value(sample)`: the median over its samples, or on
+    a panel workload the mean over the panel's worlds of each world's
+    median, so every world weighs the same."""
+    if w.get("panel") is None:
+        return statistics.median(value(s) for s in samples)
+    by_world = {}
+    for s in samples:
+        by_world.setdefault(s["scenario_seed"], []).append(value(s))
+    return statistics.fmean(statistics.median(v) for v in by_world.values())
 
 
 class Runs:
-    """Checked CLI runs of one workload, sample `i` at `scenario_seed(seed, i)`."""
+    """Checked CLI runs of one workload, sample `i` at `scenario_seed(w, seed, i)`."""
 
     def __init__(self, name, w, seed, binary, deadline):
         self.name, self.w, self.seed, self.binary = name, w, seed, binary
@@ -279,8 +301,9 @@ class Runs:
         return path, ref
 
     def once(self, i):
-        seed = scenario_seed(self.seed, i)
+        seed = scenario_seed(self.w, self.seed, i)
         run = run_cli(self.binary, self.w, seed, self.workdir, self.deadline)
+        run["scenario_seed"] = seed
         counters = counter_totals(self.binary, self.workdir) if run["exit"] == 0 else None
         ref_path, ref = self.reference(seed)
         failed, errors = check_run(self.w, run, counters, ref)
@@ -296,9 +319,11 @@ class Runs:
 
     def measure(self, seconds):
         """Runs samples 0, 1, ... until `seconds` have passed and at least
-        MIN_SAMPLES ran."""
+        MIN_SAMPLES ran; on a panel workload, in whole rounds of the panel."""
         deadline = time.perf_counter() + seconds
-        while len(self.samples) < MIN_SAMPLES or time.perf_counter() < deadline:
+        rounds = self.w.get("panel", 1)
+        while (len(self.samples) < MIN_SAMPLES or time.perf_counter() < deadline
+               or len(self.samples) % rounds):
             self.samples.append(self.once(len(self.samples)))
 
 
@@ -307,21 +332,23 @@ def end_to_end(w, samples):
     if not samples:
         return {}
 
-    def median(key):
-        return statistics.median(s[key] for s in samples)
+    def pool(key):
+        return pooled(w, samples, lambda s: s[key])
 
-    setup = [sum(r.get("setup_ms", 0.0) for r in sidecar_records(s["sidecar"])
-                 if r.get("type") == "task") / 1e3 for s in samples]
+    def setup_s(s):
+        return sum(r.get("setup_ms", 0.0) for r in sidecar_records(s["sidecar"])
+                   if r.get("type") == "task") / 1e3
+
     manifest = sidecar_records(samples[0]["sidecar"])[0]["scenarios"][0]
     client_hours = (manifest["n_clients"] * float(w["set"]["horizon_hours"])
                     * manifest["repetitions"] * w["seeds"] * len(w["schemes"]))
     return {
-        "wall_s": median("wall_s"),
-        "cpu_s": median("cpu_s"),
-        "setup_s": statistics.median(setup),
-        "peak_rss_mib": median("peak_rss_mib"),
-        "first_record_s": median("first_record_s"),
-        "client_hours_per_s": statistics.median(client_hours / s["wall_s"] for s in samples),
+        "wall_s": pool("wall_s"),
+        "cpu_s": pool("cpu_s"),
+        "setup_s": pooled(w, samples, setup_s),
+        "peak_rss_mib": pool("peak_rss_mib"),
+        "first_record_s": pool("first_record_s"),
+        "client_hours_per_s": pooled(w, samples, lambda s: client_hours / s["wall_s"]),
     }
 
 
@@ -475,7 +502,7 @@ def main():
     warm = runs.once(0)
     if a.trace:
         started = time.perf_counter()
-        t, out_dir, err = run_tracer(tracer, w, a.seed, deadline)
+        t, out_dir, err = run_tracer(tracer, w, warm["scenario_seed"], deadline)
         runs.measure(max(0.0, a.seconds - (time.perf_counter() - started)))
         n_jobs = len(w["schemes"]) * w["seeds"]
         runs.attempted += n_jobs
@@ -497,6 +524,7 @@ def main():
     print(json.dumps({
         "workload": a.workload, "seed": a.seed, "trace": a.trace,
         "samples": len(runs.samples),
+        "scenario_seeds": sorted({s["scenario_seed"] for s in runs.samples}),
         "sample_wall_s": [round(s["wall_s"], 4) for s in runs.samples],
         "host": {"nproc": os.cpu_count(), "threads": w["threads"], "git_rev": git_rev(),
                  "source_digest": source_digest()},
