@@ -37,6 +37,8 @@ pub struct Dslam {
     fabric: Fabric,
     /// Active (powered) state per line.
     line_active: Vec<bool>,
+    /// Number of `true` entries in `line_active`.
+    n_active: usize,
     /// Aggregate line-card power (awake cards × card watts).
     cards_meter: TimeWeighted,
     /// Aggregate modem power (active lines × modem watts).
@@ -61,6 +63,7 @@ impl Dslam {
             power,
             fabric,
             line_active: vec![false; n_lines],
+            n_active: 0,
             cards_meter: TimeWeighted::new(t0.as_millis(), 0.0),
             modems_meter: TimeWeighted::new(t0.as_millis(), 0.0),
             started: t0,
@@ -78,6 +81,7 @@ impl Dslam {
     pub fn line_powering_on(&mut self, t: SimTime, line: usize) -> crate::kswitch::PortLoc {
         assert!(!self.line_active[line], "line {line} already active");
         self.line_active[line] = true;
+        self.n_active += 1;
         let loc = self.fabric.on_wake(line);
         self.update_meters(t);
         loc
@@ -87,6 +91,7 @@ impl Dslam {
     pub fn line_powering_off(&mut self, t: SimTime, line: usize) {
         assert!(self.line_active[line], "line {line} already inactive");
         self.line_active[line] = false;
+        self.n_active -= 1;
         self.fabric.on_sleep(line);
         self.update_meters(t);
     }
@@ -101,10 +106,26 @@ impl Dslam {
     }
 
     fn update_meters(&mut self, t: SimTime) {
+        #[cfg(debug_assertions)]
+        self.assert_counts();
         let awake = self.fabric.awake_cards() as f64;
-        let modems = self.line_active.iter().filter(|&&a| a).count() as f64;
+        let modems = self.n_active as f64;
         self.cards_meter.set(t.as_millis(), awake * self.power.line_card_w);
         self.modems_meter.set(t.as_millis(), modems * self.power.isp_modem_w);
+    }
+
+    /// Checks the incremental active-line and per-card counts against a
+    /// recount from the line states and the fabric's current mapping.
+    #[cfg(debug_assertions)]
+    fn assert_counts(&self) {
+        let mut per_card = vec![0usize; self.cfg.n_cards];
+        for (line, _) in self.line_active.iter().enumerate().filter(|(_, &a)| a) {
+            per_card[self.fabric.location(line).card] += 1;
+        }
+        assert_eq!(self.n_active, per_card.iter().sum::<usize>(), "active-line count drifted");
+        assert_eq!(self.fabric.active_per_card(), per_card, "per-card active counts drifted");
+        let awake = per_card.iter().filter(|&&a| a > 0).count();
+        assert_eq!(self.fabric.awake_cards(), awake, "awake-card count drifted");
     }
 
     /// Number of line cards currently awake.
@@ -114,7 +135,7 @@ impl Dslam {
 
     /// Number of active lines.
     pub fn active_lines(&self) -> usize {
-        self.line_active.iter().filter(|&&a| a).count()
+        self.n_active
     }
 
     /// Finalizes meters at the simulation horizon.

@@ -15,6 +15,12 @@
 //! happens only when a line *wakes* (§5.1: "switching operations happen
 //! only when the gateway is being woken-up"). A waking line may swap
 //! positions with a sleeping line — sleeping lines carry nothing.
+//!
+//! Every fabric keeps its per-card active-line counts incrementally
+//! ([`CardCounts`]), so a wake or sleep costs O(1) bookkeeping and
+//! [`SwitchFabric::awake_cards`] is a field read. The counts stay exact
+//! because an *active* line never moves: the only remap of active lines is
+//! [`FullFabric::repack_all`], which recounts.
 
 use insomnia_simcore::SimRng;
 use serde::{Deserialize, Serialize};
@@ -44,11 +50,44 @@ pub trait SwitchFabric {
     fn on_sleep(&mut self, line: usize);
 
     /// Number of active lines per card.
-    fn active_per_card(&self) -> Vec<usize>;
+    fn active_per_card(&self) -> &[usize];
 
     /// Number of cards with at least one active line.
-    fn awake_cards(&self) -> usize {
-        self.active_per_card().iter().filter(|&&a| a > 0).count()
+    fn awake_cards(&self) -> usize;
+}
+
+/// Per-card active-line counts plus the number of cards with any active
+/// line, maintained one transition at a time.
+#[derive(Debug, Clone, Serialize, Deserialize)]
+struct CardCounts {
+    per_card: Vec<usize>,
+    awake: usize,
+}
+
+impl CardCounts {
+    fn new(n_cards: usize) -> Self {
+        CardCounts { per_card: vec![0; n_cards], awake: 0 }
+    }
+
+    /// One more active line on `card`.
+    fn inc(&mut self, card: usize) {
+        self.awake += usize::from(self.per_card[card] == 0);
+        self.per_card[card] += 1;
+    }
+
+    /// One fewer active line on `card`.
+    fn dec(&mut self, card: usize) {
+        self.per_card[card] -= 1;
+        self.awake -= usize::from(self.per_card[card] == 0);
+    }
+
+    /// Rebuilds the counts from the cards of every active line.
+    fn recount(&mut self, active_cards: impl Iterator<Item = usize>) {
+        self.per_card.fill(0);
+        for card in active_cards {
+            self.per_card[card] += 1;
+        }
+        self.awake = self.per_card.iter().filter(|&&a| a > 0).count();
     }
 }
 
@@ -75,22 +114,22 @@ pub fn random_mapping(
 /// No switching: the line→port map never changes.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct FixedFabric {
-    n_cards: usize,
     locs: Vec<PortLoc>,
     active: Vec<bool>,
+    counts: CardCounts,
 }
 
 impl FixedFabric {
     /// Builds from an explicit mapping (e.g. [`random_mapping`]).
     pub fn new(n_cards: usize, locs: Vec<PortLoc>) -> Self {
         let active = vec![false; locs.len()];
-        FixedFabric { n_cards, locs, active }
+        FixedFabric { locs, active, counts: CardCounts::new(n_cards) }
     }
 }
 
 impl SwitchFabric for FixedFabric {
     fn n_cards(&self) -> usize {
-        self.n_cards
+        self.counts.per_card.len()
     }
 
     fn location(&self, line: usize) -> PortLoc {
@@ -98,22 +137,24 @@ impl SwitchFabric for FixedFabric {
     }
 
     fn on_wake(&mut self, line: usize) -> PortLoc {
-        self.active[line] = true;
+        if !std::mem::replace(&mut self.active[line], true) {
+            self.counts.inc(self.locs[line].card);
+        }
         self.locs[line]
     }
 
     fn on_sleep(&mut self, line: usize) {
-        self.active[line] = false;
+        if std::mem::replace(&mut self.active[line], false) {
+            self.counts.dec(self.locs[line].card);
+        }
     }
 
-    fn active_per_card(&self) -> Vec<usize> {
-        let mut out = vec![0; self.n_cards];
-        for (l, &loc) in self.locs.iter().enumerate() {
-            if self.active[l] {
-                out[loc.card] += 1;
-            }
-        }
-        out
+    fn active_per_card(&self) -> &[usize] {
+        &self.counts.per_card
+    }
+
+    fn awake_cards(&self) -> usize {
+        self.counts.awake
     }
 }
 
@@ -134,12 +175,12 @@ struct SwitchGroup {
 /// The paper's k-switch fabric.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct KSwitchFabric {
-    n_cards: usize,
     k: usize,
     switches: Vec<SwitchGroup>,
     /// Per line: `(switch index, slot within switch)`.
     line_pos: Vec<(usize, usize)>,
     active: Vec<bool>,
+    counts: CardCounts,
 }
 
 impl KSwitchFabric {
@@ -182,7 +223,13 @@ impl KSwitchFabric {
             switches[sw].slots[slot] = Some(line);
             line_pos[line] = (sw, slot);
         }
-        KSwitchFabric { n_cards, k, switches, line_pos, active: vec![false; n_lines] }
+        KSwitchFabric {
+            k,
+            switches,
+            line_pos,
+            active: vec![false; n_lines],
+            counts: CardCounts::new(n_cards),
+        }
     }
 
     /// The switch size `k`.
@@ -193,7 +240,7 @@ impl KSwitchFabric {
 
 impl SwitchFabric for KSwitchFabric {
     fn n_cards(&self) -> usize {
-        self.n_cards
+        self.counts.per_card.len()
     }
 
     fn location(&self, line: usize) -> PortLoc {
@@ -203,6 +250,9 @@ impl SwitchFabric for KSwitchFabric {
     }
 
     fn on_wake(&mut self, line: usize) -> PortLoc {
+        if self.active[line] {
+            return self.location(line);
+        }
         let (sw, slot) = self.line_pos[line];
         // Find the deepest (highest-index) slot in this switch not held by
         // an active line: packing active lines onto the bottom cards lets
@@ -228,21 +278,23 @@ impl SwitchFabric for KSwitchFabric {
             }
         }
         self.active[line] = true;
-        self.location(line)
+        let loc = self.location(line);
+        self.counts.inc(loc.card);
+        loc
     }
 
     fn on_sleep(&mut self, line: usize) {
-        self.active[line] = false;
+        if std::mem::replace(&mut self.active[line], false) {
+            self.counts.dec(self.location(line).card);
+        }
     }
 
-    fn active_per_card(&self) -> Vec<usize> {
-        let mut out = vec![0; self.n_cards];
-        for (line, &active) in self.active.iter().enumerate() {
-            if active {
-                out[self.location(line).card] += 1;
-            }
-        }
-        out
+    fn active_per_card(&self) -> &[usize] {
+        &self.counts.per_card
+    }
+
+    fn awake_cards(&self) -> usize {
+        self.counts.awake
     }
 }
 
@@ -251,12 +303,12 @@ impl SwitchFabric for KSwitchFabric {
 /// Idealized full switch: any line to any port.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct FullFabric {
-    n_cards: usize,
     ports_per_card: usize,
     /// `port_line[card][port] = Some(line)`.
     port_line: Vec<Vec<Option<usize>>>,
     locs: Vec<PortLoc>,
     active: Vec<bool>,
+    counts: CardCounts,
 }
 
 impl FullFabric {
@@ -270,7 +322,13 @@ impl FullFabric {
             port_line[loc.card][loc.port] = Some(line);
             locs.push(loc);
         }
-        FullFabric { n_cards, ports_per_card, port_line, locs, active: vec![false; n_lines] }
+        FullFabric {
+            ports_per_card,
+            port_line,
+            locs,
+            active: vec![false; n_lines],
+            counts: CardCounts::new(n_cards),
+        }
     }
 
     /// Globally repacks all *active* lines onto the minimum number of cards
@@ -288,12 +346,14 @@ impl FullFabric {
             self.port_line[loc.card][loc.port] = Some(line);
             self.locs[line] = loc;
         }
+        let (locs, active) = (&self.locs, &self.active);
+        self.counts.recount((0..locs.len()).filter(|&l| active[l]).map(|l| locs[l].card));
     }
 }
 
 impl SwitchFabric for FullFabric {
     fn n_cards(&self) -> usize {
-        self.n_cards
+        self.counts.per_card.len()
     }
 
     fn location(&self, line: usize) -> PortLoc {
@@ -301,19 +361,18 @@ impl SwitchFabric for FullFabric {
     }
 
     fn on_wake(&mut self, line: usize) -> PortLoc {
+        if self.active[line] {
+            return self.locs[line];
+        }
         // Best-fit: the awake card with the most active lines that still has
-        // a non-active port; otherwise the lowest-index sleeping card.
-        let counts = self.active_per_card();
-        let candidate = (0..self.n_cards)
-            .filter(|&c| {
-                counts[c] > 0
-                    && (0..self.ports_per_card).any(|p| match self.port_line[c][p] {
-                        Some(other) => !self.active[other],
-                        None => true,
-                    })
-            })
+        // a non-active port; otherwise the lowest-index sleeping card. Active
+        // lines sit on distinct ports, so a card has a non-active port iff
+        // its active count is below its port count.
+        let counts = &self.counts.per_card;
+        let candidate = (0..counts.len())
+            .filter(|&c| counts[c] > 0 && counts[c] < self.ports_per_card)
             .max_by_key(|&c| counts[c])
-            .or_else(|| (0..self.n_cards).find(|&c| counts[c] == 0));
+            .or_else(|| counts.iter().position(|&a| a == 0));
         if let Some(card) = candidate {
             let cur = self.locs[line];
             if cur.card != card {
@@ -333,21 +392,22 @@ impl SwitchFabric for FullFabric {
             }
         }
         self.active[line] = true;
+        self.counts.inc(self.locs[line].card);
         self.locs[line]
     }
 
     fn on_sleep(&mut self, line: usize) {
-        self.active[line] = false;
+        if std::mem::replace(&mut self.active[line], false) {
+            self.counts.dec(self.locs[line].card);
+        }
     }
 
-    fn active_per_card(&self) -> Vec<usize> {
-        let mut out = vec![0; self.n_cards];
-        for (line, &active) in self.active.iter().enumerate() {
-            if active {
-                out[self.locs[line].card] += 1;
-            }
-        }
-        out
+    fn active_per_card(&self) -> &[usize] {
+        &self.counts.per_card
+    }
+
+    fn awake_cards(&self) -> usize {
+        self.counts.awake
     }
 }
 
@@ -395,11 +455,19 @@ impl SwitchFabric for Fabric {
         }
     }
 
-    fn active_per_card(&self) -> Vec<usize> {
+    fn active_per_card(&self) -> &[usize] {
         match self {
             Fabric::Fixed(f) => f.active_per_card(),
             Fabric::KSwitch(f) => f.active_per_card(),
             Fabric::Full(f) => f.active_per_card(),
+        }
+    }
+
+    fn awake_cards(&self) -> usize {
+        match self {
+            Fabric::Fixed(f) => f.awake_cards(),
+            Fabric::KSwitch(f) => f.awake_cards(),
+            Fabric::Full(f) => f.awake_cards(),
         }
     }
 }

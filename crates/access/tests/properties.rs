@@ -1,29 +1,71 @@
 //! Property-based tests of the switch fabrics and the gateway FSM.
 
 use insomnia_access::{
-    p_at_least, p_card_sleeps, Fabric, FullFabric, Gateway, GwState, KSwitchFabric, PowerModel,
-    SwitchFabric,
+    p_at_least, p_card_sleeps, random_mapping, Fabric, FixedFabric, FullFabric, Gateway, GwState,
+    KSwitchFabric, PowerModel, SwitchFabric,
 };
 use insomnia_simcore::{SimDuration, SimRng, SimTime};
 use proptest::prelude::*;
 use std::collections::HashSet;
 
-/// Replays a random wake/sleep sequence against a fabric and checks the
-/// structural invariants after every step.
-fn check_fabric(fabric: &mut dyn SwitchFabric, n_lines: usize, ops: &[(usize, bool)]) {
+/// Asserts that the fabric's incremental per-card and awake-card counts
+/// equal a recount from `location()` over the caller's own active set.
+fn assert_counts(fabric: &dyn SwitchFabric, active: &[bool]) {
+    let mut per_card = vec![0usize; fabric.n_cards()];
+    for (line, _) in active.iter().enumerate().filter(|(_, &a)| a) {
+        per_card[fabric.location(line).card] += 1;
+    }
+    assert_eq!(fabric.active_per_card(), per_card, "per-card active counts drifted");
+    let awake = per_card.iter().filter(|&&a| a > 0).count();
+    assert_eq!(fabric.awake_cards(), awake, "awake-card count drifted");
+}
+
+/// One step of a random fabric history.
+#[derive(Debug, Clone, Copy)]
+enum Op {
+    Wake(usize),
+    Sleep(usize),
+    /// A global repack (full switch only; a no-op elsewhere).
+    Repack,
+}
+
+/// Wakes and sleeps in equal measure, with a repack about one step in 17.
+fn op_strategy(n_lines: usize) -> impl Strategy<Value = Op> {
+    (0..n_lines, 0u8..17).prop_map(|(line, kind)| match kind {
+        0 => Op::Repack,
+        1..=8 => Op::Wake(line),
+        _ => Op::Sleep(line),
+    })
+}
+
+/// Replays a random wake/sleep/repack sequence against a fabric and checks
+/// the structural invariants after every step.
+fn check_fabric(fabric: &mut Fabric, n_lines: usize, ops: &[Op]) {
     let mut active = vec![false; n_lines];
     let mut locs_before: Vec<_> = (0..n_lines).map(|l| fabric.location(l)).collect();
-    for &(line, wake) in ops {
-        let line = line % n_lines;
-        if wake && !active[line] {
-            fabric.on_wake(line);
-            active[line] = true;
-        } else if !wake && active[line] {
-            fabric.on_sleep(line);
-            active[line] = false;
-        } else {
-            continue;
-        }
+    for &op in ops {
+        let line = match op {
+            Op::Wake(line) if !active[line] => {
+                fabric.on_wake(line);
+                active[line] = true;
+                line
+            }
+            Op::Sleep(line) if active[line] => {
+                fabric.on_sleep(line);
+                active[line] = false;
+                line
+            }
+            Op::Repack => {
+                let Fabric::Full(f) = fabric else { continue };
+                // A repack may move active lines; only the bijection and
+                // the counts must survive it.
+                f.repack_all();
+                assert_counts(fabric, &active);
+                locs_before = (0..n_lines).map(|l| fabric.location(l)).collect();
+                continue;
+            }
+            _ => continue,
+        };
         // Invariant 1: line→port is a bijection (no two lines share a port).
         let mut seen = HashSet::new();
         for l in 0..n_lines {
@@ -38,9 +80,9 @@ fn check_fabric(fabric: &mut dyn SwitchFabric, n_lines: usize, ops: &[(usize, bo
             }
         }
         locs_before = locs_after;
-        // Invariant 3: active-per-card sums to the number of active lines.
-        let per_card = fabric.active_per_card();
-        assert_eq!(per_card.iter().sum::<usize>(), active.iter().filter(|&&a| a).count());
+        // Invariant 3: the incremental counts match a recount (and so sum
+        // to the number of active lines).
+        assert_counts(fabric, &active);
     }
 }
 
@@ -52,19 +94,32 @@ proptest! {
     #[test]
     fn kswitch_invariants_hold(
         seed in any::<u64>(),
-        ops in prop::collection::vec((0usize..40, any::<bool>()), 1..200),
+        ops in prop::collection::vec(op_strategy(40), 1..200),
     ) {
         let mut rng = SimRng::new(seed);
         let mut f = Fabric::KSwitch(KSwitchFabric::new(40, 4, 12, 4, &mut rng));
         check_fabric(&mut f, 40, &ops);
     }
 
-    /// Same invariants for the full switch.
+    /// Same invariants for the full switch, with interleaved global
+    /// repacks.
     #[test]
     fn full_fabric_invariants_hold(
-        ops in prop::collection::vec((0usize..40, any::<bool>()), 1..200),
+        ops in prop::collection::vec(op_strategy(40), 1..200),
     ) {
         let mut f = Fabric::Full(FullFabric::new(40, 4, 12));
+        check_fabric(&mut f, 40, &ops);
+    }
+
+    /// Same invariants for fixed wiring (which trivially never moves a
+    /// line, but keeps the same incremental counts).
+    #[test]
+    fn fixed_fabric_invariants_hold(
+        seed in any::<u64>(),
+        ops in prop::collection::vec(op_strategy(40), 1..200),
+    ) {
+        let mut rng = SimRng::new(seed);
+        let mut f = Fabric::Fixed(FixedFabric::new(4, random_mapping(40, 4, 12, &mut rng)));
         check_fabric(&mut f, 40, &ops);
     }
 
@@ -96,6 +151,8 @@ proptest! {
         if let Fabric::Full(f) = &mut full {
             f.repack_all();
         }
+        assert_counts(&full, &active);
+        assert_counts(&k, &active);
         let n_active = active.iter().filter(|&&a| a).count();
         let optimum = n_active.div_ceil(12);
         prop_assert_eq!(full.awake_cards(), optimum);

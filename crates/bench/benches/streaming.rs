@@ -1,7 +1,9 @@
 //! Eager-vs-streaming benchmark: trace generation throughput (flows/s),
-//! driver event throughput (events/s), and the two hot-path microbenches
-//! behind them — queue backend (binary heap vs calendar) and k-way merge
-//! (binary heap vs loser tree) — on one reduced dense-metro shard.
+//! driver event throughput (events/s) — SOI over both world storages, then
+//! every non-Optimal scheme family over the streamed world — and the two
+//! hot-path microbenches behind them — queue backend (binary heap vs
+//! calendar) and k-way merge (binary heap vs loser tree) — on one reduced
+//! dense-metro shard.
 //!
 //! Run with `cargo bench -p insomnia-bench --bench streaming`. Besides the
 //! usual stderr table, the bench appends a snapshot to
@@ -18,6 +20,7 @@ use insomnia_core::{
     build_world_shard, build_world_shard_streaming, run_single, run_single_streaming,
     ScenarioConfig, SchemeSpec,
 };
+use insomnia_scenarios::parse_scheme;
 use insomnia_simcore::{EventQueue, SimRng, SimTime, SplitMix64};
 use insomnia_traffic::crawdad::{generate_eager, CrawdadConfig};
 use insomnia_traffic::merge::{LoserTree, PackedHeap, EXHAUSTED, HEAP_MIN_LANES};
@@ -25,6 +28,11 @@ use insomnia_traffic::FlowStream;
 use std::collections::BinaryHeap;
 use std::hint::black_box;
 use std::time::Instant;
+
+/// Schemes benched as `driver/<key>` rows: one per sleep policy, fabric and
+/// aggregation (Optimal excluded — it simulates no flows).
+const DRIVER_SCHEMES: [&str; 7] =
+    ["no-sleep", "soi", "soi+k", "soi+full", "bh2", "multi-doze", "adaptive-soi"];
 
 /// One dense-metro neighborhood (1600 clients / 200 gateways), 6-hour
 /// horizon so a full bench run stays in seconds.
@@ -380,6 +388,29 @@ fn main() {
         {
             rows.push(Row { name: name.into(), unit: "events/s", work: events, mean_s });
         }
+
+        // Per-scheme event throughput over the same streamed world: the
+        // wake/sleep-heavy schemes against the no-sleep baseline.
+        let (cfg, stream, stopo) = (&cfg, &stream, &stopo);
+        let mut runs: Vec<_> = DRIVER_SCHEMES
+            .iter()
+            .map(|key| {
+                let spec = parse_scheme(key).expect("bench scheme key parses");
+                move || {
+                    run_single_streaming(cfg, spec, stream.clone(), stopo, SimRng::new(1)).events
+                        as f64
+                }
+            })
+            .collect();
+        let mut fs: Vec<&mut dyn FnMut() -> f64> = runs.iter_mut().map(|f| f as _).collect();
+        for (key, (mean_s, events)) in DRIVER_SCHEMES.iter().zip(time_alternating(3, 3, &mut fs)) {
+            rows.push(Row {
+                name: format!("driver/{key}"),
+                unit: "events/s",
+                work: events,
+                mean_s,
+            });
+        }
     }
 
     // Queue-backend microbench: identical hold-model churn on both
@@ -462,12 +493,8 @@ fn main() {
         return; // partial runs never append a partial snapshot
     }
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_streaming.json");
-    match write_snapshot(
-        path,
-        &cfg,
-        "shard-major proto cache + merge backend by k + cached gap thresholds",
-        &rows,
-    ) {
+    match write_snapshot(path, &cfg, "O(1) wake/sleep transitions + per-scheme driver rows", &rows)
+    {
         Ok(()) => println!("appended snapshot to {path}"),
         Err(e) => eprintln!("could not write {path}: {e}"),
     }

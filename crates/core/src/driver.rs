@@ -231,6 +231,10 @@ struct World<'a> {
     route: Vec<usize>,
     /// Clients that decided to return home and wait for its wake.
     return_pending: Vec<bool>,
+    /// Per home gateway, the clients whose `return_pending` flipped on
+    /// since its last wake completed. An entry whose flag was cleared since
+    /// (a later BH2 move) is stale and skipped when the list drains.
+    return_waiters: Vec<Vec<u32>>,
     /// Flows parked at a waking gateway.
     pending: Vec<Vec<PendingFlow>>,
     /// Outstanding idle-check token per gateway.
@@ -471,6 +475,14 @@ impl World<'_> {
         }
     }
 
+    /// Marks `client` as waiting for its (waking) home gateway, queueing
+    /// it on the home's waiter list unless it already waits.
+    fn await_return(&mut self, client: usize, home: usize) {
+        if !std::mem::replace(&mut self.return_pending[client], true) {
+            self.return_waiters[home].push(client as u32);
+        }
+    }
+
     fn sample_index(&self, t: SimTime) -> usize {
         (t.as_millis() / self.cfg.sample_period.as_millis()) as usize
     }
@@ -638,6 +650,7 @@ pub fn run_single_source_threads(
         arrival_idx: 0,
         route: (0..topo.n_clients()).map(|c| topo.home_of(c)).collect(),
         return_pending: vec![false; topo.n_clients()],
+        return_waiters: vec![Vec::new(); n_gw],
         optimal_plan,
         optimal_tick_idx: 0,
         pending: vec![Vec::new(); n_gw],
@@ -784,12 +797,20 @@ fn handle(s: &mut Scheduler<Ev>, w: &mut World<'_>, now: SimTime, ev: Ev) {
             let gw = gw as usize;
             w.gateways[gw].complete_wake(now);
             // Clients that were waiting to return to this home gateway.
-            for c in 0..w.return_pending.len() {
-                if w.return_pending[c] && w.topo.home_of(c) == gw {
+            let mut waiters = std::mem::take(&mut w.return_waiters[gw]);
+            for c in waiters.drain(..) {
+                let c = c as usize;
+                if w.return_pending[c] {
                     w.route[c] = gw;
                     w.return_pending[c] = false;
                 }
             }
+            w.return_waiters[gw] = waiters;
+            debug_assert!(
+                (0..w.return_pending.len())
+                    .all(|c| !w.return_pending[c] || w.topo.home_of(c) != gw),
+                "a client homed at gateway {gw} still waits after its wake"
+            );
             let queued = std::mem::take(&mut w.pending[gw]);
             for f in queued {
                 let wireless = w.topo.rate_bps(f.client, gw).expect("pending flow client in range");
@@ -855,9 +876,16 @@ fn handle(s: &mut Scheduler<Ev>, w: &mut World<'_>, now: SimTime, ev: Ev) {
             }
             let idx = w.sample_index(now);
             if idx < w.powered_series.len() {
-                let powered = w.gateways.iter().filter(|g| g.is_powered()).count();
+                // Every wake start powers the gateway's line on and every
+                // sleep powers it off, so the DSLAM's active lines (one
+                // modem each) are the powered gateways.
+                let powered = w.dslam.active_lines();
+                debug_assert_eq!(
+                    powered,
+                    w.gateways.iter().filter(|g| g.is_powered()).count(),
+                    "powered gateways diverged from active DSLAM lines"
+                );
                 let cards = w.dslam.awake_cards();
-                let lines = w.dslam.active_lines();
                 w.powered_series[idx] = powered as f64;
                 w.cards_series[idx] = cards as f64;
                 // Multi-doze sleepers draw level-dependent watts, so sum
@@ -872,7 +900,7 @@ fn handle(s: &mut Scheduler<Ev>, w: &mut World<'_>, now: SimTime, ev: Ev) {
                 };
                 w.isp_w_series[idx] = w.cfg.power.shelf_w
                     + cards as f64 * w.cfg.power.line_card_w
-                    + lines as f64 * w.cfg.power.isp_modem_w;
+                    + powered as f64 * w.cfg.power.isp_modem_w;
             }
             let next = now + w.cfg.sample_period;
             if next < w.cfg.horizon() {
@@ -934,10 +962,10 @@ fn bh2_epoch(s: &mut Scheduler<Ev>, w: &mut World<'_>, now: SimTime, client: usi
                     w.stats.wakes_return_home += 1;
                     w.dslam.line_powering_on(now, home);
                     s.schedule_at(done, Ev::WakeDone { gw: home as u32 });
-                    w.return_pending[client] = true;
+                    w.await_return(client, home);
                 }
                 GwState::Waking => {
-                    w.return_pending[client] = true;
+                    w.await_return(client, home);
                 }
             }
         }
