@@ -11,12 +11,13 @@ use insomnia_access::{p_card_sleeps, p_card_sleeps_monte_carlo};
 use insomnia_bench::figures;
 use insomnia_bench::Harness;
 use insomnia_core::{
-    build_world, run_single, run_testbed, ScenarioConfig, SchemeSpec, SolverInput, TestbedConfig,
+    build_world, run_scheme, run_single_source_threads, run_testbed, ArrivalSource, ScenarioConfig,
+    SchemeSpec, ShardedWorld, SolverInput, TaskHooks, TestbedConfig,
 };
 use insomnia_dslphy::{
     fixed_length_lines, BundleConfig, BundleSim, CrosstalkExperiment, ServiceProfile,
 };
-use insomnia_simcore::{Scheduler, SimRng, SimTime};
+use insomnia_simcore::{default_threads, Scheduler, SimRng, SimTime};
 use insomnia_traffic::adsl::{self, AdslConfig};
 use insomnia_traffic::crawdad::{self, CrawdadConfig};
 use std::hint::black_box;
@@ -122,7 +123,18 @@ fn bench_fig06_to_08_schemes(c: &mut Criterion) {
         SchemeSpec::optimal(),
     ] {
         group.bench_function(spec.to_string(), |b| {
-            b.iter(|| black_box(run_single(&cfg, spec, &trace, &topo, SimRng::new(1))))
+            b.iter(|| {
+                let arrivals = ArrivalSource::Slice(&trace.flows);
+                let rng = SimRng::new(1);
+                black_box(run_single_source_threads(
+                    &cfg,
+                    spec,
+                    arrivals,
+                    &topo,
+                    rng,
+                    default_threads(),
+                ))
+            })
         });
     }
     group.finish();
@@ -130,9 +142,10 @@ fn bench_fig06_to_08_schemes(c: &mut Criterion) {
 
 fn bench_fig09_qos(c: &mut Criterion) {
     let cfg = small_scenario();
-    let (trace, topo) = build_world(&cfg);
-    let base = insomnia_core::run_scheme_on(&cfg, SchemeSpec::no_sleep(), &trace, &topo);
-    let soi = insomnia_core::run_scheme_on(&cfg, SchemeSpec::soi(), &trace, &topo);
+    let world = ShardedWorld::lazy(&cfg, cfg.seed);
+    let hooks = TaskHooks::observed(&|_| {});
+    let run = |spec| run_scheme(&cfg, spec, &world, cfg.seed, default_threads(), &hooks);
+    let (base, soi) = (run(SchemeSpec::no_sleep()), run(SchemeSpec::soi()));
     c.bench_function("fig09/completion_variation_cdf", |b| {
         b.iter(|| black_box(insomnia_core::completion_variation_cdf(&soi, &base)))
     });

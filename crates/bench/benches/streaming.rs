@@ -1,9 +1,8 @@
 //! Eager-vs-streaming benchmark: trace generation throughput (flows/s),
 //! driver event throughput (events/s) — SOI over both world storages, then
 //! every non-Optimal scheme family over the streamed world — and the two
-//! hot-path microbenches behind them — queue backend (binary heap vs
-//! calendar) and k-way merge (binary heap vs loser tree) — on one reduced
-//! dense-metro shard.
+//! hot-path microbenches behind them — event-queue hold churn and k-way
+//! merge (binary heap vs loser tree) — on one reduced dense-metro shard.
 //!
 //! Run with `cargo bench -p insomnia-bench --bench streaming`. Besides the
 //! usual stderr table, the bench appends a snapshot to
@@ -17,7 +16,7 @@
 //! likewise prebuilt outside the timed loop.
 
 use insomnia_core::{
-    build_world_shard, build_world_shard_streaming, run_single, run_single_streaming,
+    build_world_shard, build_world_shard_streaming, run_single_source_threads, ArrivalSource,
     ScenarioConfig, SchemeSpec,
 };
 use insomnia_scenarios::parse_scheme;
@@ -100,7 +99,7 @@ fn time_alternating(
     mins.into_iter().zip(works).collect()
 }
 
-/// Queue-backend microbench: the classic DES *hold model* — seed `live`
+/// Event-queue microbench: the classic DES *hold model* — seed `live`
 /// pending events, then `holds` cycles of pop-min + push a successor at a
 /// pseudorandom offset — on a prebuilt [`EventQueue`]. This isolates pure
 /// queue churn from everything else the driver does.
@@ -355,7 +354,7 @@ fn main() {
 
     // Driver event throughput: prebuilt trace vs prebuilt streamed world,
     // the stream cloned per run exactly like a repetition re-run — which
-    // is what `run_scheme_shards` does for multi-repetition lazy worlds:
+    // is what `run_scheme` does for multi-repetition worlds:
     // one prototype per shard, replay cache enabled, cloned per
     // repetition. The warm-up drain records; timed drains replay it, so
     // this row measures what repetitions 2..n actually pay (repetition 1's
@@ -369,15 +368,26 @@ fn main() {
             5,
             &mut [
                 &mut || {
-                    run_single(&cfg, SchemeSpec::soi(), &trace, &topo, SimRng::new(1)).events as f64
-                },
-                &mut || {
-                    run_single_streaming(
+                    let arrivals = ArrivalSource::Slice(&trace.flows);
+                    run_single_source_threads(
                         &cfg,
                         SchemeSpec::soi(),
-                        stream.clone(),
+                        arrivals,
+                        &topo,
+                        SimRng::new(1),
+                        1,
+                    )
+                    .events as f64
+                },
+                &mut || {
+                    let arrivals = ArrivalSource::Stream(Box::new(stream.clone()));
+                    run_single_source_threads(
+                        &cfg,
+                        SchemeSpec::soi(),
+                        arrivals,
                         &stopo,
                         SimRng::new(1),
+                        1,
                     )
                     .events as f64
                 },
@@ -397,7 +407,8 @@ fn main() {
             .map(|key| {
                 let spec = parse_scheme(key).expect("bench scheme key parses");
                 move || {
-                    run_single_streaming(cfg, spec, stream.clone(), stopo, SimRng::new(1)).events
+                    let arrivals = ArrivalSource::Stream(Box::new(stream.clone()));
+                    run_single_source_threads(cfg, spec, arrivals, stopo, SimRng::new(1), 1).events
                         as f64
                 }
             })
@@ -413,19 +424,12 @@ fn main() {
         }
     }
 
-    // Queue-backend microbench: identical hold-model churn on both
-    // backends, sized at calendar scale (the driver picks the calendar
-    // only past ~65k expected peak occupancy).
+    // Event-queue microbench: hold-model churn at 100k live events.
     if wanted("queue") {
         let (live, holds) = (100_000u64, 500_000u64);
-        let timed = time_alternating(
-            3,
-            2,
-            &mut [&mut || queue_hold(EventQueue::new(), live, holds), &mut || {
-                queue_hold(EventQueue::new_calendar(), live, holds)
-            }],
-        );
-        for (name, (mean_s, _)) in ["queue/binary_heap", "queue/calendar"].into_iter().zip(timed) {
+        let timed =
+            time_alternating(3, 2, &mut [&mut || queue_hold(EventQueue::new(), live, holds)]);
+        for (name, (mean_s, _)) in ["queue/binary_heap"].into_iter().zip(timed) {
             rows.push(Row { name: name.into(), unit: "holds/s", work: holds as f64, mean_s });
         }
     }
@@ -493,8 +497,7 @@ fn main() {
         return; // partial runs never append a partial snapshot
     }
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_streaming.json");
-    match write_snapshot(path, &cfg, "O(1) wake/sleep transitions + per-scheme driver rows", &rows)
-    {
+    match write_snapshot(path, &cfg, "one run path per concern", &rows) {
         Ok(()) => println!("appended snapshot to {path}"),
         Err(e) => eprintln!("could not write {path}: {e}"),
     }

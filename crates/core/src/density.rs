@@ -6,7 +6,7 @@
 //! (11:00–19:00).
 
 use crate::config::ScenarioConfig;
-use crate::driver::{run_single, RunResult};
+use crate::driver::{run_single_source_threads, ArrivalSource, RunResult};
 use crate::metrics::window_mean;
 use crate::schemes::SchemeSpec;
 use insomnia_simcore::SimRng;
@@ -44,7 +44,8 @@ pub fn density_sweep(cfg: &ScenarioConfig, densities: &[f64]) -> Vec<DensityPoin
                     binomial_topology(&home, cfg.trace.n_aps, mean, cfg.channel, &mut topo_rng)
                         .expect("valid density parameters");
                 let rng = master.fork_idx("density-run", hash_pair(mean, rep));
-                let r: RunResult = run_single(cfg, spec, &trace, &topo, rng);
+                let arrivals = ArrivalSource::Slice(&trace.flows);
+                let r: RunResult = run_single_source_threads(cfg, spec, arrivals, &topo, rng, 1);
                 acc += window_mean(&r.powered_gateways, r.sample_period_s, 11.0, 19.0);
             }
             DensityPoint { mean_available: mean, online_gateways: acc / cfg.repetitions as f64 }

@@ -1,11 +1,11 @@
 //! The trace-driven simulation driver (§5.1's methodology).
 //!
-//! One [`run_single`] call simulates one 24-hour day of one scheme over one
-//! trace + topology, producing per-second metric series, per-flow
-//! completion times, per-gateway online times and the energy breakdown.
-//! [`run_scheme`] repeats it `cfg.repetitions` times with independent
-//! algorithmic randomness and averages the series, exactly as the paper
-//! averages its 10 runs.
+//! One [`run_single_source_threads`] call simulates one 24-hour day of one
+//! scheme over one arrival feed + topology, producing per-second metric
+//! series, per-flow completion times, per-gateway online times and the
+//! energy breakdown. [`run_scheme`] repeats it `cfg.repetitions` times over
+//! every shard of a [`ShardedWorld`] with independent algorithmic randomness
+//! and averages the series, exactly as the paper averages its 10 runs.
 //!
 //! Event zoo: flow arrivals from the trace; flow departures from the
 //! processor-sharing engine; gateway wake completions; SoI idle checks;
@@ -24,8 +24,8 @@ use insomnia_access::{
     PowerLadder,
 };
 use insomnia_simcore::{
-    average_runs, default_threads, par_fold_indexed, par_map_indexed, retry_unwind, EventToken,
-    OnlineTimeHist, Scheduler, SimDuration, SimRng, SimTime,
+    average_runs, par_fold_indexed, par_map_indexed, retry_unwind, EventToken, OnlineTimeHist,
+    Scheduler, SimDuration, SimRng, SimTime,
 };
 use insomnia_telemetry::RunCounters;
 use insomnia_traffic::{FlowRecord, FlowStream, Trace};
@@ -156,7 +156,7 @@ pub struct DriverStats {
 ///
 /// The serialized form (versioned by [`CHECKPOINT_SCHEMA_VERSION`]) is the
 /// complete task payload: a deserialized `RunResult` folds into
-/// [`run_scheme_sharded`]'s accumulators bit-for-bit like the original, so
+/// [`SchemeFolder`]'s accumulators bit-for-bit like the original, so
 /// checkpoint replay and remote workers produce byte-identical aggregates.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct RunResult {
@@ -488,48 +488,13 @@ impl World<'_> {
     }
 }
 
-/// Simulates one day of one scheme over a materialized trace.
-/// Deterministic in `(cfg, spec, trace, topo, rng)`.
-pub fn run_single(
-    cfg: &ScenarioConfig,
-    spec: SchemeSpec,
-    trace: &Trace,
-    topo: &Topology,
-    rng: SimRng,
-) -> RunResult {
-    run_single_source(cfg, spec, ArrivalSource::Slice(&trace.flows), topo, rng)
-}
-
-/// Simulates one day of one scheme, pulling arrivals straight from a
-/// [`FlowStream`] — no flow vector ever exists; per-run trace memory is
-/// O(clients + active flows). Bit-identical to [`run_single`] over the
-/// stream's collected trace (asserted by `tests/streaming.rs`).
-pub fn run_single_streaming(
-    cfg: &ScenarioConfig,
-    spec: SchemeSpec,
-    stream: FlowStream,
-    topo: &Topology,
-    rng: SimRng,
-) -> RunResult {
-    run_single_source(cfg, spec, ArrivalSource::Stream(Box::new(stream)), topo, rng)
-}
-
-/// The driver proper, generic over the arrival feed. The Optimal scheme's
-/// pre-solve fan-out uses [`default_threads`]; see
-/// [`run_single_source_threads`] to cap it (results never depend on it).
-pub fn run_single_source(
-    cfg: &ScenarioConfig,
-    spec: SchemeSpec,
-    arrivals: ArrivalSource<'_>,
-    topo: &Topology,
-    rng: SimRng,
-) -> RunResult {
-    run_single_source_threads(cfg, spec, arrivals, topo, rng, default_threads())
-}
-
-/// [`run_single_source`] with an explicit thread cap for the Optimal
-/// scheme's pre-solve fan-out (every other scheme ignores it). The fan-out
-/// is index-addressed and the event loop consumes its outputs strictly in
+/// Simulates one day of one scheme over one arrival feed and topology —
+/// a materialized trace (`ArrivalSource::Slice(&trace.flows)`) or a
+/// [`FlowStream`] that never materializes one; both yield byte-identical
+/// runs (asserted by `tests/streaming.rs`). Deterministic in `(cfg, spec,
+/// arrivals, topo, rng)`. `solve_threads` caps the Optimal scheme's
+/// pre-solve fan-out (every other scheme ignores it); the fan-out is
+/// index-addressed and the event loop consumes its outputs strictly in
 /// tick order, so the result is byte-identical at any `solve_threads` —
 /// asserted by `tests/determinism.rs` at 1 vs 8.
 pub fn run_single_source_threads(
@@ -673,12 +638,7 @@ pub fn run_single_source_threads(
         rng,
     };
 
-    // Worst-case queue occupancy: one cursor arrival, plus per-gateway
-    // departure/idle/wake timers, plus one BH2 tick per client, plus the
-    // sampler and solver ticks. The hint picks the queue backend up front
-    // (the calendar queue only for very large worlds — every existing
-    // preset stays far below the threshold, on the binary heap).
-    let mut sched: Scheduler<Ev> = Scheduler::with_queue_hint(3 * n_gw + topo.n_clients() + 4);
+    let mut sched: Scheduler<Ev> = Scheduler::new();
     // Prime the arrival cursor: the Optimal demand sweep drains it
     // tick-by-tick, every other scheme fires it as front-lane `Arrival`
     // events one at a time.
@@ -1197,7 +1157,7 @@ impl SchemeResult {
         out
     }
 
-    /// Wraps one [`run_single`] outcome as a single-repetition
+    /// Wraps one [`run_single_source_threads`] outcome as a single-repetition
     /// [`SchemeResult`] — the adapter examples and tests use to feed the
     /// metric pipelines without the full runner. The online-time histogram
     /// inherits the completion sketch's cutoff (both default to the same
@@ -1227,7 +1187,7 @@ impl SchemeResult {
 }
 
 /// One finished `(repetition × shard)` task, reported to the progress
-/// observer of [`run_scheme_sharded_observed`] from the worker thread the
+/// observer [`TaskHooks::observe`] from the worker thread the
 /// moment its event loop drains — the shard-level heartbeat hour-long
 /// batches print to stderr keeps firing per completion (one slow early
 /// shard must not silence it), now carrying merge progress alongside.
@@ -1262,8 +1222,8 @@ pub struct TaskProgress {
     pub peak_heap: usize,
     /// Peak concurrently-active flow count of the finished task.
     pub peak_active_flows: usize,
-    /// World-build / stream-setup span of the task, milliseconds (0 for
-    /// prebuilt worlds; scheduling-dependent).
+    /// World-build / stream-setup span of the task, milliseconds (0 for a
+    /// world-prototype cache hit; scheduling-dependent).
     pub setup_ms: f64,
     /// Event-loop span of the task, milliseconds (scheduling-dependent).
     pub loop_ms: f64,
@@ -1313,119 +1273,51 @@ fn build_topology(
 /// One scenario's worlds: `cfg.shards` independent DSLAM neighborhoods,
 /// each a `(Trace, Topology)` pair with local client/gateway indices.
 ///
-/// Two storage models:
-///
-/// * **Eager** ([`build_sharded_world_seeded`]): every shard's
-///   `(Trace, Topology)` pair built up front and kept alive — fine for one
-///   neighborhood, O(world) memory at metro scale.
-/// * **Lazy** ([`ShardedWorld::lazy`]): only `(config, seed)` is stored;
-///   each `(repetition × shard)` task builds its shard *inside the worker*
-///   — streaming the trace, never materializing flows — and drops it on
-///   completion, so peak RSS is O(worker threads × shard), not O(world).
-///
-/// Both produce bit-identical results: shard builds are index-addressed
-/// pure functions of `(config, seed, shard)`.
+/// Only `(config, seed)` is stored: each `(repetition × shard)` task builds
+/// its shard *inside the worker* — streaming the trace, never materializing
+/// flows — and drops it on completion, so peak RSS is O(worker threads ×
+/// shard), not O(world). Shard builds are index-addressed pure functions of
+/// `(config, seed, shard)` ([`build_world_shard_streaming`]).
 #[derive(Debug, Clone)]
 pub struct ShardedWorld {
-    storage: WorldStorage,
-}
-
-#[derive(Debug, Clone)]
-enum WorldStorage {
-    Eager(Vec<(Trace, Topology)>),
-    Lazy { cfg: Box<ScenarioConfig>, seed: u64 },
+    cfg: Box<ScenarioConfig>,
+    seed: u64,
 }
 
 impl ShardedWorld {
-    /// Wraps a single prebuilt world as a one-shard [`ShardedWorld`].
-    pub fn single(trace: Trace, topo: Topology) -> Self {
-        ShardedWorld::eager(vec![(trace, topo)])
-    }
-
-    /// Wraps prebuilt per-shard worlds, in shard order.
-    pub fn eager(shards: Vec<(Trace, Topology)>) -> Self {
-        assert!(!shards.is_empty(), "a world needs at least one shard");
-        ShardedWorld { storage: WorldStorage::Eager(shards) }
-    }
-
     /// A deferred world: shard `s` is built on demand (and dropped after
     /// use) by whichever worker runs it, via the streaming generator. The
     /// config must validate; population counts are answered from it
     /// without building anything.
     pub fn lazy(cfg: &ScenarioConfig, seed: u64) -> Self {
         cfg.validate().expect("validated config");
-        ShardedWorld { storage: WorldStorage::Lazy { cfg: Box::new(cfg.clone()), seed } }
-    }
-
-    /// True when shards are built per-task instead of held in memory.
-    pub fn is_lazy(&self) -> bool {
-        matches!(self.storage, WorldStorage::Lazy { .. })
+        ShardedWorld { cfg: Box::new(cfg.clone()), seed }
     }
 
     /// Number of shards.
     pub fn n_shards(&self) -> usize {
-        match &self.storage {
-            WorldStorage::Eager(shards) => shards.len(),
-            WorldStorage::Lazy { cfg, .. } => cfg.shards.max(1),
-        }
+        self.cfg.shards.max(1)
     }
 
     /// Total clients across shards.
     pub fn n_clients(&self) -> usize {
-        match &self.storage {
-            WorldStorage::Eager(shards) => shards.iter().map(|(_, t)| t.n_clients()).sum(),
-            WorldStorage::Lazy { cfg, .. } => cfg.trace.n_clients,
-        }
+        self.cfg.trace.n_clients
     }
 
     /// Total gateways across shards.
     pub fn n_gateways(&self) -> usize {
-        match &self.storage {
-            WorldStorage::Eager(shards) => shards.iter().map(|(_, t)| t.n_gateways()).sum(),
-            WorldStorage::Lazy { cfg, .. } => cfg.trace.n_aps,
-        }
-    }
-
-    /// Total trace flows across shards. `None` for lazy worlds — the count
-    /// only exists once shards are generated; runners read it from the
-    /// per-shard run results instead ([`ShardSummary::n_flows`]).
-    pub fn n_flows(&self) -> Option<usize> {
-        match &self.storage {
-            WorldStorage::Eager(shards) => Some(shards.iter().map(|(t, _)| t.flows.len()).sum()),
-            WorldStorage::Lazy { .. } => None,
-        }
-    }
-
-    /// The materialized per-shard worlds of an eager [`ShardedWorld`].
-    ///
-    /// # Panics
-    /// Panics on a lazy world — it has no materialized shards by design;
-    /// build one with [`build_world_shard`] instead.
-    pub fn shards(&self) -> &[(Trace, Topology)] {
-        match &self.storage {
-            WorldStorage::Eager(shards) => shards,
-            WorldStorage::Lazy { .. } => {
-                panic!("lazy ShardedWorld holds no materialized shards (by design)")
-            }
-        }
+        self.cfg.trace.n_aps
     }
 
     /// `(clients, gateways)` of shard `s`, without building anything.
     fn shard_dims(&self, s: usize) -> (usize, usize) {
-        match &self.storage {
-            WorldStorage::Eager(shards) => {
-                let (_, topo) = &shards[s];
-                (topo.n_clients(), topo.n_gateways())
-            }
-            WorldStorage::Lazy { cfg, .. } => {
-                if cfg.shards <= 1 {
-                    (cfg.trace.n_clients, cfg.trace.n_aps)
-                } else {
-                    let span = shard_spans(cfg.trace.n_clients, cfg.trace.n_aps, cfg.shards)
-                        .expect("validated shard split")[s];
-                    (span.n_clients, span.n_gateways)
-                }
-            }
+        let cfg = &self.cfg;
+        if cfg.shards <= 1 {
+            (cfg.trace.n_clients, cfg.trace.n_aps)
+        } else {
+            let span = shard_spans(cfg.trace.n_clients, cfg.trace.n_aps, cfg.shards)
+                .expect("validated shard split")[s];
+            (span.n_clients, span.n_gateways)
         }
     }
 }
@@ -1496,20 +1388,6 @@ fn shard_trace_config(
 }
 
 type CrawdadTraceConfig = insomnia_traffic::CrawdadConfig;
-
-/// Builds every shard of the scenario from the master seed; shards build
-/// in parallel (the split is index-addressed, so the result is identical
-/// at any thread count).
-pub fn build_sharded_world_seeded(cfg: &ScenarioConfig, seed: u64) -> ShardedWorld {
-    let shards =
-        par_map_indexed(cfg.shards.max(1), default_threads(), |s| build_world_shard(cfg, seed, s));
-    ShardedWorld::eager(shards)
-}
-
-/// [`build_sharded_world_seeded`] with the scenario's own seed.
-pub fn build_sharded_world(cfg: &ScenarioConfig) -> ShardedWorld {
-    build_sharded_world_seeded(cfg, cfg.seed)
-}
 
 /// The one live repetition accumulator of the shard fold: shard runs of
 /// repetition `r` are absorbed in shard order (series summed sample-wise,
@@ -1587,43 +1465,6 @@ struct ShardAccum {
     mean_wake_count: f64,
 }
 
-/// Runs all repetitions of one scheme over a prebuilt world.
-///
-/// Repetitions are independent (each gets its own forked RNG stream), so
-/// they run on separate threads; results are folded in repetition order,
-/// keeping the aggregate bit-for-bit deterministic.
-pub fn run_scheme_on(
-    cfg: &ScenarioConfig,
-    spec: SchemeSpec,
-    trace: &Trace,
-    topo: &Topology,
-) -> SchemeResult {
-    run_scheme_seeded(cfg, spec, trace, topo, cfg.seed)
-}
-
-/// [`run_scheme_on`] with an explicit master seed for the repetition
-/// streams. Together with [`build_world_seeded`] this lets a batch runner
-/// fan a (scenario × scheme × seed) matrix across threads with fully
-/// deterministic per-job randomness. All inputs are `Send + Sync`
-/// (asserted at compile time below), so jobs can share worlds by
-/// reference.
-pub fn run_scheme_seeded(
-    cfg: &ScenarioConfig,
-    spec: SchemeSpec,
-    trace: &Trace,
-    topo: &Topology,
-    seed: u64,
-) -> SchemeResult {
-    run_scheme_shards(
-        cfg,
-        spec,
-        TaskWorlds::Refs(&[(trace, topo)]),
-        seed,
-        default_threads(),
-        &TaskHooks::observed(&|_| {}),
-    )
-}
-
 /// Panic payload of a `(repetition × shard)` task whose bounded retry
 /// budget is exhausted. Callers that `catch_unwind` around a scheme run
 /// downcast to this to report the failed span precisely (and exit nonzero)
@@ -1655,7 +1496,9 @@ pub type PersistFn<'a> = &'a (dyn Fn(usize, &RunResult) + Sync);
 /// core — all optional, all observation-or-replay only: no hook can change
 /// the bytes of a run that completes.
 pub struct TaskHooks<'a> {
-    /// Per-task completion heartbeat (see [`run_scheme_sharded_observed`]).
+    /// Per-task completion heartbeat, called from the worker thread the
+    /// moment each task's event loop drains. Observers must be cheap and
+    /// thread-safe; they cannot affect the result.
     pub observe: &'a (dyn Fn(TaskProgress) + Sync),
     /// Checkpoint replay: given a task index, returns a previously
     /// persisted [`RunResult`] to fold instead of simulating. The replayed
@@ -1677,8 +1520,8 @@ pub struct TaskHooks<'a> {
 }
 
 impl<'a> TaskHooks<'a> {
-    /// Plain observation, no durability: the hooks every pre-existing
-    /// entry point runs with (single attempt, no cache, no faults).
+    /// Plain observation, no durability: a single attempt per task, no
+    /// checkpoint replay or persistence, no faults, no cancel flag.
     pub fn observed(observe: &'a (dyn Fn(TaskProgress) + Sync)) -> Self {
         TaskHooks {
             observe,
@@ -1708,7 +1551,7 @@ fn payload_message(payload: &(dyn std::any::Any + Send)) -> String {
 /// reaches the cell first and cloned by every other.
 type ShardProto = Arc<OnceLock<(FlowStream, Topology)>>;
 
-/// A refcounted per-shard prototype cache for lazy worlds whose shards are
+/// A refcounted per-shard prototype cache for worlds whose shards are
 /// consumed more than once — by several repetitions of one scheme run, or,
 /// under the batch runner's shard-major schedule, by every scheme ×
 /// repetition touching one (scenario, seed) world.
@@ -1732,11 +1575,10 @@ struct ProtoSlot {
 
 impl WorldProtoCache {
     /// A cache for `world`'s shards, each consumed exactly
-    /// `consumers_per_shard` times. `None` unless the world is lazy
-    /// (prebuilt worlds already share by reference) and sharing can help
-    /// (at least two consumers per shard).
+    /// `consumers_per_shard` times. `None` unless sharing can help (at
+    /// least two consumers per shard).
     pub fn new(world: &ShardedWorld, consumers_per_shard: usize) -> Option<WorldProtoCache> {
-        if !world.is_lazy() || consumers_per_shard < 2 {
+        if consumers_per_shard < 2 {
             return None;
         }
         Some(WorldProtoCache {
@@ -1773,129 +1615,78 @@ impl WorldProtoCache {
     }
 }
 
-/// What a `(repetition × shard)` task simulates: borrowed prebuilt worlds,
-/// or a [`ShardedWorld`] whose lazy shards each task builds (streaming) and
-/// drops inside its worker.
-enum TaskWorlds<'a> {
-    Refs(&'a [(&'a Trace, &'a Topology)]),
-    World(&'a ShardedWorld),
-}
-
-impl TaskWorlds<'_> {
-    fn n_shards(&self) -> usize {
-        match self {
-            TaskWorlds::Refs(rs) => rs.len(),
-            TaskWorlds::World(w) => w.n_shards(),
-        }
-    }
-
-    fn n_gateways(&self) -> usize {
-        match self {
-            TaskWorlds::Refs(rs) => rs.iter().map(|(_, t)| t.n_gateways()).sum(),
-            TaskWorlds::World(w) => w.n_gateways(),
-        }
-    }
-
-    fn shard_dims(&self, s: usize) -> (usize, usize) {
-        match self {
-            TaskWorlds::Refs(rs) => {
-                let (_, topo) = rs[s];
-                (topo.n_clients(), topo.n_gateways())
+/// Runs one `(repetition × shard)` task of `world`. The shard is built
+/// here — in the worker, streaming — and dropped on return. Also returns
+/// the world-build / stream-setup wall-clock in milliseconds.
+///
+/// `proto` is this task's claim on the shard's [`WorldProtoCache`]
+/// slot, if a cache is active: every consumer of a shard drives the
+/// identical trace (the world-build RNG forks depend only on `(seed,
+/// shard)` — never the scheme or repetition), so the first consumer to
+/// reach the cell builds the stream once — replay cache enabled, and
+/// its recording published up front by draining a throwaway clone —
+/// and every other consumer clones the prototype and replays the
+/// recording instead of re-running the setup pass. The up-front drain
+/// keeps each consumer's own stream work counters deterministic: no
+/// consumer ever races the recording's publication. Cache hits report
+/// `setup_ms = 0` exactly (the one real build is the only setup span);
+/// `built` reports whether any of this task's attempts was the
+/// builder. Cacheless tasks (the giga/tera smokes' single-consumer
+/// worlds) keep the build-and-drop path untouched.
+fn run_task(
+    world: &ShardedWorld,
+    cfg: &ScenarioConfig,
+    spec: SchemeSpec,
+    shard: usize,
+    rng: SimRng,
+    proto: Option<&ShardProto>,
+    built: &mut bool,
+) -> (RunResult, f64) {
+    // Tasks already saturate the worker pool, so the per-run Optimal
+    // pre-solve fan-out is pinned to one thread here: parallelism
+    // lives at exactly one level, never nested (the result is
+    // byte-identical either way).
+    let single = move |arrivals: ArrivalSource<'_>, topo: &Topology| {
+        run_single_source_threads(cfg, spec, arrivals, topo, rng, 1)
+    };
+    let setup_start = std::time::Instant::now();
+    if let Some(slot) = proto {
+        let mut was_built = false;
+        let (stream_proto, topo) = slot.get_or_init(|| {
+            was_built = true;
+            let (mut s, t) = build_world_shard_streaming(&world.cfg, world.seed, shard);
+            if s.enable_replay_cache() {
+                // Publish the recording before any consumer runs: drain a
+                // throwaway clone so every consumer — this one included —
+                // replays.
+                let mut probe = s.clone();
+                while probe.next_flow().is_some() {}
             }
-            TaskWorlds::World(w) => w.shard_dims(s),
+            (s, t)
+        });
+        if was_built {
+            // Sticky across retry attempts: a task that built the
+            // prototype and then retried is still the builder.
+            *built = true;
         }
-    }
-
-    /// Runs one `(repetition × shard)` task. Lazy shards are built here —
-    /// in the worker, streaming — and dropped on return. Also returns the
-    /// world-build / stream-setup wall-clock in milliseconds (0 for
-    /// prebuilt worlds, where setup happened long before this task).
-    ///
-    /// `proto` is this task's claim on the shard's [`WorldProtoCache`]
-    /// slot, if a cache is active: every consumer of a shard drives the
-    /// identical trace (the world-build RNG forks depend only on `(seed,
-    /// shard)` — never the scheme or repetition), so the first consumer to
-    /// reach the cell builds the stream once — replay cache enabled, and
-    /// its recording published up front by draining a throwaway clone —
-    /// and every other consumer clones the prototype and replays the
-    /// recording instead of re-running the setup pass. The up-front drain
-    /// keeps each consumer's own stream work counters deterministic: no
-    /// consumer ever races the recording's publication. Cache hits report
-    /// `setup_ms = 0` exactly (the one real build is the only setup span);
-    /// `built` reports whether any of this task's attempts was the
-    /// builder. Cacheless tasks (the giga/tera smokes' single-consumer
-    /// worlds) keep the build-and-drop path untouched.
-    fn run_task(
-        &self,
-        cfg: &ScenarioConfig,
-        spec: SchemeSpec,
-        shard: usize,
-        rng: SimRng,
-        proto: Option<&ShardProto>,
-        built: &mut bool,
-    ) -> (RunResult, f64) {
-        // Tasks already saturate the worker pool, so the per-run Optimal
-        // pre-solve fan-out is pinned to one thread here: parallelism
-        // lives at exactly one level, never nested (the result is
-        // byte-identical either way).
-        let single = move |arrivals: ArrivalSource<'_>, topo: &Topology| {
-            run_single_source_threads(cfg, spec, arrivals, topo, rng, 1)
-        };
-        match self {
-            TaskWorlds::Refs(rs) => {
-                let (trace, topo) = rs[shard];
-                (single(ArrivalSource::Slice(&trace.flows), topo), 0.0)
-            }
-            TaskWorlds::World(w) => match &w.storage {
-                WorldStorage::Eager(shards) => {
-                    let (trace, topo) = &shards[shard];
-                    (single(ArrivalSource::Slice(&trace.flows), topo), 0.0)
-                }
-                WorldStorage::Lazy { cfg: world_cfg, seed } => {
-                    let setup_start = std::time::Instant::now();
-                    if let Some(slot) = proto {
-                        let mut was_built = false;
-                        let (stream_proto, topo) = slot.get_or_init(|| {
-                            was_built = true;
-                            let (mut s, t) = build_world_shard_streaming(world_cfg, *seed, shard);
-                            if s.enable_replay_cache() {
-                                // Publish the recording before any consumer
-                                // runs: drain a throwaway clone so every
-                                // consumer — this one included — replays.
-                                let mut probe = s.clone();
-                                while probe.next_flow().is_some() {}
-                            }
-                            (s, t)
-                        });
-                        if was_built {
-                            // Sticky across retry attempts: a task that
-                            // built the prototype and then retried is still
-                            // the builder.
-                            *built = true;
-                        }
-                        let stream = stream_proto.clone();
-                        // A panicking init leaves the cell empty (OnceLock
-                        // does not poison), so a retried builder rebuilds
-                        // safely; hits attribute zero setup — the one real
-                        // build is the only setup span of the shard.
-                        let setup_ms =
-                            if was_built { setup_start.elapsed().as_secs_f64() * 1e3 } else { 0.0 };
-                        (single(ArrivalSource::Stream(Box::new(stream)), topo), setup_ms)
-                    } else {
-                        let (stream, topo) = build_world_shard_streaming(world_cfg, *seed, shard);
-                        let setup_ms = setup_start.elapsed().as_secs_f64() * 1e3;
-                        (single(ArrivalSource::Stream(Box::new(stream)), &topo), setup_ms)
-                    }
-                }
-            },
-        }
+        let stream = stream_proto.clone();
+        // A panicking init leaves the cell empty (OnceLock does not
+        // poison), so a retried builder rebuilds safely; hits attribute
+        // zero setup — the one real build is the only setup span of the
+        // shard.
+        let setup_ms = if was_built { setup_start.elapsed().as_secs_f64() * 1e3 } else { 0.0 };
+        (single(ArrivalSource::Stream(Box::new(stream)), topo), setup_ms)
+    } else {
+        let (stream, topo) = build_world_shard_streaming(&world.cfg, world.seed, shard);
+        let setup_ms = setup_start.elapsed().as_secs_f64() * 1e3;
+        (single(ArrivalSource::Stream(Box::new(stream)), &topo), setup_ms)
     }
 }
 
 /// Shared completion/merge counters of one scheme run's `(repetition ×
 /// shard)` task pool — the state behind [`TaskProgress`] heartbeats
 /// (`finished` from the workers, `merged` echoed back by the folder). The
-/// per-run entry points keep one per call; the batch runner's shard-major
+/// whole-run [`run_scheme`] keeps one per call; the batch runner's
 /// scheduler keeps one per job and threads it through [`run_scheme_task`].
 pub struct SchemeProgress {
     finished: AtomicUsize,
@@ -1925,9 +1716,8 @@ impl SchemeProgress {
 /// `(repetition × shard)` task results **strictly in task order**
 /// (repetition-major, shard-minor) and finalizes into a [`SchemeResult`].
 ///
-/// Extracted from the shard-fold core so the batch runner's shard-major
-/// scheduler can keep one folder per job and feed them all from a single
-/// interleaved worker pool; [`run_scheme_shards`] drives the same folder
+/// The batch runner keeps one folder per job and feeds them all from a
+/// single interleaved worker pool; [`run_scheme`] drives the same folder
 /// through `par_fold_indexed`. Absorb order defines the bytes — the
 /// arithmetic is exactly the historical collect-then-merge, so aggregates
 /// are bit-identical at any thread count and under any task interleaving
@@ -1956,23 +1746,19 @@ pub struct SchemeFolder {
 }
 
 impl SchemeFolder {
-    /// A folder for one scheme run over `world` (the batch entry point).
+    /// A folder for one scheme run over `world`.
     pub fn new(cfg: &ScenarioConfig, spec: SchemeSpec, world: &ShardedWorld) -> SchemeFolder {
-        SchemeFolder::for_worlds(cfg, spec, &TaskWorlds::World(world))
-    }
-
-    fn for_worlds(cfg: &ScenarioConfig, spec: SchemeSpec, worlds: &TaskWorlds<'_>) -> SchemeFolder {
-        let n_shards = worlds.n_shards();
+        let n_shards = world.n_shards();
         SchemeFolder {
             spec,
             reps: cfg.repetitions,
             online_cutoff: cfg.online_cutoff,
             sample_period_s: cfg.sample_period.as_secs_f64(),
             n_shards,
-            n_gateways: worlds.n_gateways(),
-            // Shard dimensions up front: lazy worlds answer them from the
+            n_gateways: world.n_gateways(),
+            // Shard dimensions up front: the world answers them from the
             // span plan, and resolving each once keeps absorbs O(1).
-            shard_dims: (0..n_shards).map(|sh| worlds.shard_dims(sh)).collect(),
+            shard_dims: (0..n_shards).map(|sh| world.shard_dims(sh)).collect(),
             shard_acc: vec![ShardAccum::default(); n_shards],
             rep_acc: None,
             powered: Vec::new(),
@@ -2011,8 +1797,8 @@ impl SchemeFolder {
         let shard_gateways = self.shard_dims[sh].1;
         if rep == 0 {
             // Every repetition drives the same shard trace; read the flow
-            // count from the run so lazy worlds never have to materialize
-            // (or regenerate) one just to count it.
+            // count from the run so the world never has to materialize (or
+            // regenerate) one just to count it.
             sa.n_flows = run.completion.total_flows() as usize;
         }
         sa.energy_j += run.energy.total_j();
@@ -2091,14 +1877,13 @@ impl SchemeFolder {
 /// One `(repetition × shard)` task of a scheme run, end to end: the cancel
 /// check, checkpoint replay, bounded deterministic retry, RNG fork
 /// discipline, prototype-cache accounting and the completion heartbeat.
-/// Exactly the worker body of the shard-fold core; the batch runner's
-/// shard-major scheduler calls it through [`run_scheme_task`] from its own
-/// interleaved pool.
+/// Exactly the worker body of [`run_scheme`]; the batch runner calls it
+/// through [`run_scheme_task`] from its own interleaved pool.
 #[allow(clippy::too_many_arguments)]
 fn run_task_inner(
     cfg: &ScenarioConfig,
     spec: SchemeSpec,
-    worlds: &TaskWorlds<'_>,
+    world: &ShardedWorld,
     master: &SimRng,
     i: usize,
     cache: Option<&WorldProtoCache>,
@@ -2167,7 +1952,7 @@ fn run_task_inner(
         } else {
             master.fork_idx("rep", rep as u64).fork_idx("shard", sh as u64)
         };
-        worlds.run_task(cfg, spec, sh, rng, proto.as_ref(), &mut built)
+        run_task(world, cfg, spec, sh, rng, proto.as_ref(), &mut built)
     });
     let (retries, (mut result, setup_ms)) = match outcome {
         Ok(retried) => (retried.retries, retried.value),
@@ -2221,10 +2006,10 @@ fn run_task_inner(
 /// world, seed)` — the entry point of the batch runner's shard-major
 /// scheduler, which owns the cross-job task interleaving and the per-job
 /// [`SchemeFolder`]s itself. Task `i` encodes `(repetition, shard)` exactly
-/// as the per-run pool does (`i = rep * n_shards + shard`), the RNG stream
-/// is derived identically, and results must be absorbed into the job's
-/// folder strictly in `i` order — so a shard-major batch is byte-identical
-/// to the job-major one. `cache`, if any, must be this `world`'s
+/// as [`run_scheme`]'s pool does (`i = rep * n_shards + shard`), the RNG
+/// stream is derived identically, and results must be absorbed into the
+/// job's folder strictly in `i` order — so each batch job is byte-identical
+/// to the whole-run [`run_scheme`]. `cache`, if any, must be this `world`'s
 /// [`WorldProtoCache`], and every one of its consumers must call this (or
 /// be `skip`ped) exactly once.
 #[allow(clippy::too_many_arguments)]
@@ -2239,9 +2024,9 @@ pub fn run_scheme_task(
     progress: &SchemeProgress,
 ) -> RunResult {
     // Forks are id-based and non-mutating, so re-deriving the master per
-    // task reproduces the per-run pool's streams exactly.
+    // task reproduces the whole-run pool's streams exactly.
     let master = SimRng::new(seed);
-    run_task_inner(cfg, spec, &TaskWorlds::World(world), &master, i, cache, hooks, progress)
+    run_task_inner(cfg, spec, world, &master, i, cache, hooks, progress)
 }
 
 /// Runs all repetitions of one scheme over every shard of a
@@ -2251,106 +2036,44 @@ pub fn run_scheme_task(
 /// of shard `s` draws from `master.fork_idx("rep", r).fork_idx("shard", s)`
 /// (with the `"shard"` fork skipped for one-shard worlds, which keeps
 /// `shards = 1` byte-identical to the pre-shard driver). Results are
-/// absorbed online by a deterministic in-order folder ([`RepAccum`]) —
-/// shard order within each repetition, repetitions in order — so the
-/// aggregate never depends on thread count and no per-task result is
-/// retained past its fold.
-pub fn run_scheme_sharded(
-    cfg: &ScenarioConfig,
-    spec: SchemeSpec,
-    world: &ShardedWorld,
-    seed: u64,
-    max_threads: usize,
-) -> SchemeResult {
-    run_scheme_shards(
-        cfg,
-        spec,
-        TaskWorlds::World(world),
-        seed,
-        max_threads,
-        &TaskHooks::observed(&|_| {}),
-    )
-}
-
-/// [`run_scheme_sharded`] with a shard-level progress observer: `observe`
-/// is called from the worker thread the moment each `(repetition ×
-/// shard)` task's event loop drains, carrying task completion
-/// (`finished`) and a snapshot of the in-order merge's progress
-/// (`merged`, `fold_queue`). Observers must be cheap and thread-safe
-/// (the batch runner's prints one stderr line); they cannot affect the
-/// result, which stays bit-identical to the unobserved run.
-pub fn run_scheme_sharded_observed(
-    cfg: &ScenarioConfig,
-    spec: SchemeSpec,
-    world: &ShardedWorld,
-    seed: u64,
-    max_threads: usize,
-    observe: &(dyn Fn(TaskProgress) + Sync),
-) -> SchemeResult {
-    run_scheme_shards(
-        cfg,
-        spec,
-        TaskWorlds::World(world),
-        seed,
-        max_threads,
-        &TaskHooks::observed(observe),
-    )
-}
-
-/// [`run_scheme_sharded_observed`] with the full crash-safety hook set:
+/// absorbed **online, in task order** by a deterministic [`SchemeFolder`]
+/// on the calling thread ([`par_fold_indexed`]) — shard order within each
+/// repetition, repetitions in order — so the aggregate never depends on
+/// thread count and no task's [`RunResult`] outlives its fold: merge state
+/// is one live [`RepAccum`] plus `O(shards)` scalar summaries plus the
+/// folder's reorder window, which is what caps a 10⁸-client world's merge
+/// memory at O(shards × buckets).
+///
+/// `hooks` carries the progress observer and the crash-safety set:
 /// checkpoint replay (`cached`) and persistence (`persist`), bounded
 /// deterministic retry (`max_attempts`), fault injection and cooperative
-/// cancellation — see [`TaskHooks`]. A run that completes is byte-identical
-/// to [`run_scheme_sharded`] regardless of which hooks fired (replay feeds
-/// the same fold in the same order; retries replay the same RNG stream);
-/// only the omit-when-zero recovery counters record that anything happened.
-pub fn run_scheme_sharded_hooks(
+/// cancellation. A run that completes is byte-identical whichever hooks
+/// fired (replay feeds the same fold in the same order; retries replay the
+/// same RNG stream); only the omit-when-zero recovery counters record that
+/// anything happened.
+pub fn run_scheme(
     cfg: &ScenarioConfig,
     spec: SchemeSpec,
     world: &ShardedWorld,
-    seed: u64,
-    max_threads: usize,
-    hooks: &TaskHooks<'_>,
-) -> SchemeResult {
-    run_scheme_shards(cfg, spec, TaskWorlds::World(world), seed, max_threads, hooks)
-}
-
-/// The shard-fold core: `(repetition × shard)` tasks run on the worker
-/// pool and are absorbed **online, in task order** by a deterministic
-/// folder on the calling thread ([`par_fold_indexed`]). No task's
-/// [`RunResult`] outlives its fold: merge state is one live [`RepAccum`]
-/// plus `O(shards)` scalar summaries plus the folder's reorder window —
-/// never the historical O(repetitions × shards) result matrix, which is
-/// what caps a 10⁸-client world's merge memory at O(shards × buckets).
-/// Fold order equals the old collect-then-merge order exactly, so every
-/// aggregate is bit-identical to it (and to itself at any thread count).
-fn run_scheme_shards(
-    cfg: &ScenarioConfig,
-    spec: SchemeSpec,
-    worlds: TaskWorlds<'_>,
     seed: u64,
     max_threads: usize,
     hooks: &TaskHooks<'_>,
 ) -> SchemeResult {
     let master = SimRng::new(seed);
-    let n_shards = worlds.n_shards();
+    let n_shards = world.n_shards();
     let n_tasks = cfg.repetitions * n_shards;
     let progress = SchemeProgress::new(n_tasks, n_shards);
-    // Per-shard stream prototypes for multi-repetition lazy runs: built on
-    // first touch, replay-cached, cloned by every later repetition (see
-    // `TaskWorlds::run_task`). `None` — and cost-free — otherwise.
-    let cache = match &worlds {
-        TaskWorlds::World(w) => WorldProtoCache::new(w, cfg.repetitions),
-        TaskWorlds::Refs(_) => None,
-    };
-    let mut folder = SchemeFolder::for_worlds(cfg, spec, &worlds);
-    let worlds_ref = &worlds;
+    // Per-shard stream prototypes for multi-repetition runs: built on first
+    // touch, replay-cached, cloned by every later repetition (see
+    // `run_task`). `None` — and cost-free — otherwise.
+    let cache = WorldProtoCache::new(world, cfg.repetitions);
+    let mut folder = SchemeFolder::new(cfg, spec, world);
     let progress_ref = &progress;
 
     par_fold_indexed(
         n_tasks,
         max_threads,
-        |i| run_task_inner(cfg, spec, worlds_ref, &master, i, cache.as_ref(), hooks, progress_ref),
+        |i| run_task_inner(cfg, spec, world, &master, i, cache.as_ref(), hooks, progress_ref),
         |step, run| {
             progress.note_merged(step.index + 1);
             folder.absorb(step.index, run);
@@ -2360,15 +2083,8 @@ fn run_scheme_shards(
     folder.finish()
 }
 
-/// Convenience: build the world and run one scheme.
-pub fn run_scheme(cfg: &ScenarioConfig, spec: SchemeSpec) -> SchemeResult {
-    let (trace, topo) = build_world(cfg);
-    run_scheme_on(cfg, spec, &trace, &topo)
-}
-
 /// Compile-time guarantee that everything a batch job needs can cross
-/// thread boundaries (`run_scheme_seeded` borrows these from worker
-/// threads).
+/// thread boundaries (worker threads borrow these).
 const _: () = {
     const fn assert_send_sync<T: Send + Sync>() {}
     assert_send_sync::<ScenarioConfig>();
@@ -2391,11 +2107,28 @@ mod tests {
         cfg
     }
 
+    /// One day over a materialized trace.
+    fn run_slice(
+        cfg: &ScenarioConfig,
+        spec: SchemeSpec,
+        trace: &Trace,
+        topo: &Topology,
+        rng: SimRng,
+    ) -> RunResult {
+        run_single_source_threads(cfg, spec, ArrivalSource::Slice(&trace.flows), topo, rng, 1)
+    }
+
+    /// A whole scheme run over the lazy world `(cfg, seed)`, no hooks.
+    fn run_lazy(cfg: &ScenarioConfig, spec: SchemeSpec, seed: u64, threads: usize) -> SchemeResult {
+        let world = ShardedWorld::lazy(cfg, seed);
+        run_scheme(cfg, spec, &world, seed, threads, &TaskHooks::observed(&|_| {}))
+    }
+
     #[test]
     fn no_sleep_draws_constant_full_power() {
         let cfg = quick_cfg();
         let (trace, topo) = build_world(&cfg);
-        let r = run_single(&cfg, SchemeSpec::no_sleep(), &trace, &topo, SimRng::new(1));
+        let r = run_slice(&cfg, SchemeSpec::no_sleep(), &trace, &topo, SimRng::new(1));
         let base_user = cfg.power.no_sleep_user_w(10);
         let base_isp = cfg.power.no_sleep_isp_w(10, 4);
         for (u, i) in r.user_power_w.iter().zip(&r.isp_power_w) {
@@ -2411,8 +2144,8 @@ mod tests {
     fn soi_saves_energy_and_completes_flows() {
         let cfg = quick_cfg();
         let (trace, topo) = build_world(&cfg);
-        let base = run_single(&cfg, SchemeSpec::no_sleep(), &trace, &topo, SimRng::new(1));
-        let soi = run_single(&cfg, SchemeSpec::soi(), &trace, &topo, SimRng::new(1));
+        let base = run_slice(&cfg, SchemeSpec::no_sleep(), &trace, &topo, SimRng::new(1));
+        let soi = run_slice(&cfg, SchemeSpec::soi(), &trace, &topo, SimRng::new(1));
         assert!(
             soi.energy.total_j() < base.energy.total_j(),
             "SoI must beat no-sleep: {} vs {}",
@@ -2436,8 +2169,8 @@ mod tests {
         let mut cfg = quick_cfg();
         cfg.trace.horizon = SimTime::from_hours(6);
         let (trace, topo) = build_world(&cfg);
-        let soi = run_single(&cfg, SchemeSpec::soi(), &trace, &topo, SimRng::new(2));
-        let bh2 = run_single(&cfg, SchemeSpec::bh2_k_switch(), &trace, &topo, SimRng::new(2));
+        let soi = run_slice(&cfg, SchemeSpec::soi(), &trace, &topo, SimRng::new(2));
+        let bh2 = run_slice(&cfg, SchemeSpec::bh2_k_switch(), &trace, &topo, SimRng::new(2));
         let mean = |xs: &[f64]| xs.iter().sum::<f64>() / xs.len() as f64;
         let soi_gw = mean(&soi.powered_gateways);
         let bh2_gw = mean(&bh2.powered_gateways);
@@ -2453,9 +2186,9 @@ mod tests {
         let mut cfg = quick_cfg();
         cfg.trace.horizon = SimTime::from_hours(6);
         let (trace, topo) = build_world(&cfg);
-        let soi = run_single(&cfg, SchemeSpec::soi(), &trace, &topo, SimRng::new(3));
-        let bh2 = run_single(&cfg, SchemeSpec::bh2_k_switch(), &trace, &topo, SimRng::new(3));
-        let opt = run_single(&cfg, SchemeSpec::optimal(), &trace, &topo, SimRng::new(3));
+        let soi = run_slice(&cfg, SchemeSpec::soi(), &trace, &topo, SimRng::new(3));
+        let bh2 = run_slice(&cfg, SchemeSpec::bh2_k_switch(), &trace, &topo, SimRng::new(3));
+        let opt = run_slice(&cfg, SchemeSpec::optimal(), &trace, &topo, SimRng::new(3));
         let mean = |xs: &[f64]| xs.iter().sum::<f64>() / xs.len() as f64;
         assert!(mean(&opt.powered_gateways) <= mean(&bh2.powered_gateways) + 0.5);
         assert!(mean(&opt.powered_gateways) < mean(&soi.powered_gateways));
@@ -2466,8 +2199,8 @@ mod tests {
     fn determinism_same_seed_same_result() {
         let cfg = quick_cfg();
         let (trace, topo) = build_world(&cfg);
-        let a = run_single(&cfg, SchemeSpec::bh2_k_switch(), &trace, &topo, SimRng::new(7));
-        let b = run_single(&cfg, SchemeSpec::bh2_k_switch(), &trace, &topo, SimRng::new(7));
+        let a = run_slice(&cfg, SchemeSpec::bh2_k_switch(), &trace, &topo, SimRng::new(7));
+        let b = run_slice(&cfg, SchemeSpec::bh2_k_switch(), &trace, &topo, SimRng::new(7));
         assert_eq!(a.energy.total_j(), b.energy.total_j());
         assert_eq!(a.powered_gateways, b.powered_gateways);
         assert_eq!(a.completion.per_flow(), b.completion.per_flow());
@@ -2480,7 +2213,7 @@ mod tests {
         // energy (they use the same state, different paths).
         let cfg = quick_cfg();
         let (trace, topo) = build_world(&cfg);
-        let r = run_single(&cfg, SchemeSpec::soi(), &trace, &topo, SimRng::new(4));
+        let r = run_slice(&cfg, SchemeSpec::soi(), &trace, &topo, SimRng::new(4));
         let dt = r.sample_period_s;
         let series_j: f64 =
             r.user_power_w.iter().zip(&r.isp_power_w).map(|(u, i)| (u + i) * dt).sum();
@@ -2493,7 +2226,7 @@ mod tests {
     fn scheme_runner_averages_reps() {
         let mut cfg = quick_cfg();
         cfg.repetitions = 2;
-        let res = run_scheme(&cfg, SchemeSpec::soi());
+        let res = run_lazy(&cfg, SchemeSpec::soi(), cfg.seed, 0);
         assert_eq!(res.completion.len(), 2);
         assert_eq!(res.online_time.len(), 2);
         assert!(!res.powered_gateways.is_empty());
@@ -2517,37 +2250,38 @@ mod tests {
     fn one_shard_world_is_byte_identical_to_unsharded_build() {
         let cfg = sharded_cfg(1);
         let (trace, topo) = build_world_seeded(&cfg, 99);
-        let world = build_sharded_world_seeded(&cfg, 99);
+        let world = ShardedWorld::lazy(&cfg, 99);
         assert_eq!(world.n_shards(), 1);
-        let (st, stopo) = &world.shards()[0];
+        let (st, stopo) = build_world_shard(&cfg, 99, 0);
         assert_eq!(st.flows.len(), trace.flows.len());
         assert_eq!(st.home, trace.home);
         assert_eq!(st.total_bytes(), trace.total_bytes());
         for c in 0..topo.n_clients() {
             assert_eq!(stopo.reachable(c), topo.reachable(c));
         }
-        // And running through the sharded entry point reproduces the
-        // single-world runner exactly.
-        let a = run_scheme_seeded(&cfg, SchemeSpec::bh2_k_switch(), &trace, &topo, 7);
-        let b = run_scheme_sharded(&cfg, SchemeSpec::bh2_k_switch(), &world, 7, 4);
+        // And the whole-run entry point over the lazy one-shard world
+        // reproduces a single run over the materialized trace exactly
+        // (one repetition, whose stream is the unforked-by-shard `"rep"` 0).
+        let spec = SchemeSpec::bh2_k_switch();
+        let a = run_slice(&cfg, spec, &trace, &topo, SimRng::new(7).fork_idx("rep", 0));
+        let b = run_scheme(&cfg, spec, &world, 7, 4, &TaskHooks::observed(&|_| {}));
         assert_eq!(a.energy.total_j(), b.energy.total_j());
         assert_eq!(a.powered_gateways, b.powered_gateways);
-        for (ca, cb) in a.completion.iter().zip(&b.completion) {
-            assert_eq!(ca.per_flow(), cb.per_flow());
-            assert_eq!(ca.quantiles(&[0.5, 0.95]), cb.quantiles(&[0.5, 0.95]));
-        }
-        assert_eq!(a.mean_wake_count, b.mean_wake_count);
+        assert_eq!(a.completion.per_flow(), b.completion[0].per_flow());
+        assert_eq!(a.completion.quantiles(&[0.5, 0.95]), b.completion[0].quantiles(&[0.5, 0.95]));
+        let wakes = a.wake_counts.iter().sum::<u64>() as f64 / topo.n_gateways() as f64;
+        assert_eq!(wakes, b.mean_wake_count);
     }
 
     #[test]
     fn sharded_runs_are_thread_count_invariant() {
         let cfg = sharded_cfg(4);
-        let world = build_sharded_world_seeded(&cfg, 5);
+        let world = ShardedWorld::lazy(&cfg, 5);
         assert_eq!(world.n_shards(), 4);
         assert_eq!(world.n_clients(), 136);
         assert_eq!(world.n_gateways(), 20);
-        let serial = run_scheme_sharded(&cfg, SchemeSpec::soi(), &world, 5, 1);
-        let parallel = run_scheme_sharded(&cfg, SchemeSpec::soi(), &world, 5, 8);
+        let serial = run_lazy(&cfg, SchemeSpec::soi(), 5, 1);
+        let parallel = run_lazy(&cfg, SchemeSpec::soi(), 5, 8);
         assert_eq!(serial.energy.total_j(), parallel.energy.total_j());
         assert_eq!(serial.powered_gateways, parallel.powered_gateways);
         for (ca, cb) in serial.completion.iter().zip(&parallel.completion) {
@@ -2564,8 +2298,8 @@ mod tests {
     #[test]
     fn merged_shards_sum_series_and_concatenate_vectors() {
         let cfg = sharded_cfg(4);
-        let world = build_sharded_world_seeded(&cfg, 11);
-        let r = run_scheme_sharded(&cfg, SchemeSpec::no_sleep(), &world, 11, 0);
+        let r = run_lazy(&cfg, SchemeSpec::no_sleep(), 11, 0);
+        let n_flows: usize = (0..4).map(|s| build_world_shard(&cfg, 11, s).0.flows.len()).sum();
         // No-sleep powers every gateway of every shard, all day.
         for p in &r.powered_gateways {
             assert!((p - 20.0).abs() < 1e-9, "all 20 gateways across 4 shards powered, got {p}");
@@ -2576,17 +2310,11 @@ mod tests {
             20,
             "per-gateway samples concatenate in shard order"
         );
-        assert_eq!(r.completion[0].total_flows() as usize, world.n_flows().unwrap());
-        assert_eq!(
-            r.completion[0].per_flow().expect("small world retains samples").len(),
-            world.n_flows().unwrap()
-        );
+        assert_eq!(r.completion[0].total_flows() as usize, n_flows);
+        assert_eq!(r.completion[0].per_flow().expect("small world retains samples").len(), n_flows);
         assert_eq!(r.shard_summaries.len(), 4);
         assert_eq!(r.shard_summaries.iter().map(|s| s.n_clients).sum::<usize>(), 136);
-        assert_eq!(
-            r.shard_summaries.iter().map(|s| s.n_flows).sum::<usize>(),
-            world.n_flows().unwrap()
-        );
+        assert_eq!(r.shard_summaries.iter().map(|s| s.n_flows).sum::<usize>(), n_flows);
         // Four shards mean four DSLAM shelves in the energy ledger.
         let shelf_j = cfg.power.shelf_w * cfg.horizon().as_secs_f64();
         assert!((r.energy.shelf_j - 4.0 * shelf_j).abs() < 1.0);
@@ -2595,9 +2323,9 @@ mod tests {
     #[test]
     fn observed_runs_report_every_task_and_change_nothing() {
         let cfg = sharded_cfg(4);
-        let world = build_sharded_world_seeded(&cfg, 21);
+        let world = ShardedWorld::lazy(&cfg, 21);
         let seen = std::sync::Mutex::new(Vec::new());
-        let observed = run_scheme_sharded_observed(&cfg, SchemeSpec::soi(), &world, 21, 2, &|p| {
+        let observe = |p: TaskProgress| {
             seen.lock().unwrap().push((
                 p.rep,
                 p.shard,
@@ -2607,8 +2335,10 @@ mod tests {
                 p.fold_queue,
                 p.events,
             ));
-        });
-        let plain = run_scheme_sharded(&cfg, SchemeSpec::soi(), &world, 21, 2);
+        };
+        let hooks = TaskHooks::observed(&observe);
+        let observed = run_scheme(&cfg, SchemeSpec::soi(), &world, 21, 2, &hooks);
+        let plain = run_lazy(&cfg, SchemeSpec::soi(), 21, 2);
         assert_eq!(observed.energy.total_j(), plain.energy.total_j());
         assert_eq!(observed.powered_gateways, plain.powered_gateways);
         let seen = seen.into_inner().unwrap();
@@ -2634,11 +2364,9 @@ mod tests {
     #[test]
     fn streaming_cutoff_drops_per_flow_but_keeps_quantiles_close() {
         let mut cfg = sharded_cfg(1);
-        let exact =
-            run_scheme_sharded(&cfg, SchemeSpec::soi(), &build_sharded_world_seeded(&cfg, 9), 9, 2);
+        let exact = run_lazy(&cfg, SchemeSpec::soi(), 9, 2);
         cfg.completion_cutoff = 0;
-        let streamed =
-            run_scheme_sharded(&cfg, SchemeSpec::soi(), &build_sharded_world_seeded(&cfg, 9), 9, 2);
+        let streamed = run_lazy(&cfg, SchemeSpec::soi(), 9, 2);
         let e = exact.pooled_completion();
         let s = streamed.pooled_completion();
         assert!(e.per_flow().is_some() && e.is_exact());
@@ -2657,9 +2385,8 @@ mod tests {
     #[test]
     fn shards_decorrelate_but_preserve_population() {
         let cfg = sharded_cfg(2);
-        let world = build_sharded_world_seeded(&cfg, 3);
-        let (a, _) = &world.shards()[0];
-        let (b, _) = &world.shards()[1];
+        let (a, _) = build_world_shard(&cfg, 3, 0);
+        let (b, _) = build_world_shard(&cfg, 3, 1);
         assert_ne!(a.total_bytes(), b.total_bytes(), "shards draw independent streams");
         assert_eq!(a.n_clients() + b.n_clients(), 136);
     }
@@ -2697,7 +2424,7 @@ mod tests {
     fn run_result_wire_form_roundtrips_exactly() {
         let cfg = quick_cfg();
         let (trace, topo) = build_world(&cfg);
-        let r = run_single(&cfg, SchemeSpec::soi(), &trace, &topo, SimRng::new(5));
+        let r = run_slice(&cfg, SchemeSpec::soi(), &trace, &topo, SimRng::new(5));
         let wire = r.to_value();
         let back = RunResult::from_value(&wire).expect("wire form deserializes");
         // The rebuilt result re-serializes to the identical tree: every
@@ -2712,7 +2439,7 @@ mod tests {
     fn rep_and_shard_accums_have_wire_forms() {
         let cfg = quick_cfg();
         let (trace, topo) = build_world(&cfg);
-        let run = run_single(&cfg, SchemeSpec::soi(), &trace, &topo, SimRng::new(6));
+        let run = run_slice(&cfg, SchemeSpec::soi(), &trace, &topo, SimRng::new(6));
         let acc = RepAccum::start(run, cfg.online_cutoff);
         let back = RepAccum::from_value(&acc.to_value()).expect("RepAccum wire form");
         assert_eq!(back.to_value(), acc.to_value());
@@ -2726,14 +2453,14 @@ mod tests {
     fn transient_fault_with_retry_changes_no_bytes() {
         let mut cfg = sharded_cfg(2);
         cfg.repetitions = 2;
-        let world = build_sharded_world_seeded(&cfg, 11);
-        let plain = run_scheme_sharded(&cfg, SchemeSpec::soi(), &world, 11, 2);
+        let world = ShardedWorld::lazy(&cfg, 11);
+        let plain = run_lazy(&cfg, SchemeSpec::soi(), 11, 2);
         // Task 1's first attempt panics (injected); the retry replays the
         // identical RNG stream, so every deterministic byte matches.
         let fault = |task: usize, attempt: u64| task == 1 && attempt == 0;
         let obs = |_: TaskProgress| {};
         let hooks = TaskHooks { max_attempts: 2, fault: Some(&fault), ..TaskHooks::observed(&obs) };
-        let retried = run_scheme_sharded_hooks(&cfg, SchemeSpec::soi(), &world, 11, 2, &hooks);
+        let retried = run_scheme(&cfg, SchemeSpec::soi(), &world, 11, 2, &hooks);
         assert_results_identical(&plain, &retried);
         assert_eq!(retried.counters.tasks_retried, 1);
         assert_eq!(retried.counters.faults_injected, 1);
@@ -2744,7 +2471,7 @@ mod tests {
     fn cached_replay_folds_byte_identically_and_counts_resumes() {
         let mut cfg = sharded_cfg(2);
         cfg.repetitions = 2;
-        let world = build_sharded_world_seeded(&cfg, 13);
+        let world = ShardedWorld::lazy(&cfg, 13);
         let store: std::sync::Mutex<std::collections::BTreeMap<usize, RunResult>> =
             std::sync::Mutex::new(std::collections::BTreeMap::new());
         let persist = |i: usize, r: &RunResult| {
@@ -2752,7 +2479,7 @@ mod tests {
         };
         let obs = |_: TaskProgress| {};
         let hooks = TaskHooks { persist: Some(&persist), ..TaskHooks::observed(&obs) };
-        let first = run_scheme_sharded_hooks(&cfg, SchemeSpec::soi(), &world, 13, 2, &hooks);
+        let first = run_scheme(&cfg, SchemeSpec::soi(), &world, 13, 2, &hooks);
         let n_tasks = cfg.repetitions * 2;
         assert_eq!(store.lock().unwrap().len(), n_tasks, "one persisted record per task");
 
@@ -2767,7 +2494,7 @@ mod tests {
             }
         };
         let hooks = TaskHooks { cached: Some(&cached), ..TaskHooks::observed(&obs) };
-        let resumed = run_scheme_sharded_hooks(&cfg, SchemeSpec::soi(), &world, 13, 2, &hooks);
+        let resumed = run_scheme(&cfg, SchemeSpec::soi(), &world, 13, 2, &hooks);
         assert_results_identical(&first, &resumed);
         assert_eq!(resumed.counters.tasks_resumed, n_tasks.div_ceil(2) as u64);
     }
@@ -2775,12 +2502,12 @@ mod tests {
     #[test]
     fn exhausted_retries_raise_a_task_failure_span() {
         let cfg = sharded_cfg(2);
-        let world = build_sharded_world_seeded(&cfg, 17);
+        let world = ShardedWorld::lazy(&cfg, 17);
         let fault = |task: usize, _attempt: u64| task == 1;
         let obs = |_: TaskProgress| {};
         let hooks = TaskHooks { max_attempts: 2, fault: Some(&fault), ..TaskHooks::observed(&obs) };
         let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            run_scheme_sharded_hooks(&cfg, SchemeSpec::soi(), &world, 17, 1, &hooks)
+            run_scheme(&cfg, SchemeSpec::soi(), &world, 17, 1, &hooks)
         }))
         .expect_err("budget exhausted");
         let failure = err.downcast_ref::<TaskFailure>().expect("TaskFailure payload");
@@ -2791,12 +2518,12 @@ mod tests {
     #[test]
     fn cancel_flag_raises_task_cancelled() {
         let cfg = sharded_cfg(2);
-        let world = build_sharded_world_seeded(&cfg, 19);
+        let world = ShardedWorld::lazy(&cfg, 19);
         let cancel = std::sync::atomic::AtomicBool::new(true);
         let obs = |_: TaskProgress| {};
         let hooks = TaskHooks { cancel: Some(&cancel), ..TaskHooks::observed(&obs) };
         let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            run_scheme_sharded_hooks(&cfg, SchemeSpec::soi(), &world, 19, 1, &hooks)
+            run_scheme(&cfg, SchemeSpec::soi(), &world, 19, 1, &hooks)
         }))
         .expect_err("cancelled before the first task");
         assert!(err.downcast_ref::<TaskCancelled>().is_some(), "TaskCancelled payload");

@@ -28,13 +28,10 @@ pub use config::{
 };
 pub use density::{density_sweep, DensityPoint};
 pub use driver::{
-    build_sharded_world, build_sharded_world_seeded, build_world, build_world_seeded,
-    build_world_shard, build_world_shard_streaming, run_scheme, run_scheme_on, run_scheme_seeded,
-    run_scheme_sharded, run_scheme_sharded_hooks, run_scheme_sharded_observed, run_scheme_task,
-    run_single, run_single_source, run_single_source_threads, run_single_streaming, ArrivalSource,
-    DriverStats, RunResult, SchemeFolder, SchemeProgress, SchemeResult, ShardSummary, ShardedWorld,
-    TaskCancelled, TaskFailure, TaskHooks, TaskProgress, WorldProtoCache,
-    CHECKPOINT_SCHEMA_VERSION,
+    build_world, build_world_seeded, build_world_shard, build_world_shard_streaming, run_scheme,
+    run_scheme_task, run_single_source_threads, ArrivalSource, DriverStats, RunResult,
+    SchemeFolder, SchemeProgress, SchemeResult, ShardSummary, ShardedWorld, TaskCancelled,
+    TaskFailure, TaskHooks, TaskProgress, WorldProtoCache, CHECKPOINT_SCHEMA_VERSION,
 };
 pub use extrapolate::WorldModel;
 pub use insomnia_telemetry::RunCounters;

@@ -7,7 +7,7 @@
 //! (the oscillation metric the paper minimized when picking thresholds).
 
 use crate::config::ScenarioConfig;
-use crate::driver::{run_single, RunResult};
+use crate::driver::{run_single_source_threads, ArrivalSource, RunResult};
 use crate::metrics::{savings_percent_series, window_mean};
 use crate::schemes::SchemeSpec;
 use insomnia_simcore::{SimDuration, SimRng};
@@ -29,8 +29,10 @@ pub struct SensitivityPoint {
 }
 
 fn measure(cfg: &ScenarioConfig, trace: &Trace, topo: &Topology, value: f64) -> SensitivityPoint {
+    let arrivals = ArrivalSource::Slice(&trace.flows);
+    let spec = SchemeSpec::bh2_k_switch();
     let r: RunResult =
-        run_single(cfg, SchemeSpec::bh2_k_switch(), trace, topo, SimRng::new(cfg.seed));
+        run_single_source_threads(cfg, spec, arrivals, topo, SimRng::new(cfg.seed), 1);
     let base = cfg.power.no_sleep_user_w(topo.n_gateways())
         + cfg.power.no_sleep_isp_w(topo.n_gateways(), cfg.dslam.n_cards);
     let savings = savings_percent_series(

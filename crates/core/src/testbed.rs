@@ -10,7 +10,7 @@
 //! gateways, and the driver's SoI/BH2 machinery as-is.
 
 use crate::config::ScenarioConfig;
-use crate::driver::run_single;
+use crate::driver::{run_single_source_threads, ArrivalSource};
 use crate::schemes::SchemeSpec;
 use insomnia_simcore::{SimRng, SimTime};
 use insomnia_traffic::{ApId, ClientId, Session, Trace};
@@ -150,7 +150,8 @@ pub fn run_testbed(scenario: &ScenarioConfig, cfg: &TestbedConfig) -> TestbedRes
         {
             let rng =
                 master.fork_idx(if is_bh2 { "testbed-bh2" } else { "testbed-soi" }, rep as u64);
-            let r = run_single(&run_cfg, spec, &trace, &topo, rng);
+            let arrivals = ArrivalSource::Slice(&trace.flows);
+            let r = run_single_source_threads(&run_cfg, spec, arrivals, &topo, rng, 1);
             let per_min: Vec<f64> = r
                 .powered_gateways
                 .chunks(60)

@@ -7,25 +7,22 @@
 //! worker through the streaming trace generator (no flow vector is ever
 //! materialized) and drops it on completion, so the batch's peak RSS is
 //! O(worker threads × shard), not O(world) — the property the memory-gated
-//! giga-metro CI smoke enforces. By default the `(repetition × shard)`
-//! tasks of every job execute **shard-major** ([`ExecOrder::ShardMajor`]):
-//! one flat pool runs all scheme tasks touching one (seed, shard) back to
-//! back off a refcounted world-prototype cache, so the per-shard stream
-//! setup pass runs once for the whole batch instead of once per scheme.
-//! [`ExecOrder::JobMajor`] keeps the historical one-job-per-worker pool
-//! (an atomic job cursor over the matrix; each job fans its tasks over its
-//! own slice of the thread budget). Both orders fold each job's results
-//! strictly in task order and release JSONL lines strictly in job order,
-//! so every output byte is identical either way.
+//! giga-metro CI smoke enforces. The `(repetition × shard)` tasks of every
+//! job execute **shard-major**: one flat pool runs all scheme tasks
+//! touching one (seed, shard) back to back off a refcounted world-prototype
+//! cache, so the per-shard stream setup pass runs once for the whole batch
+//! instead of once per scheme. Each job's results fold strictly in task
+//! order and JSONL lines release strictly in job order, so every job is
+//! byte-identical to a whole-run [`insomnia_core::run_scheme`] of it.
 //!
 //! Determinism: job `k` of scenario `s` derives its RNG master from the
 //! scenario's configured seed via the same fork discipline the driver
 //! uses (`SimRng::fork_idx`), so results depend only on the spec — never
-//! on thread count, completion order, or world storage (lazy shard builds
-//! are index-addressed pure functions of `(config, seed, shard)`). JSONL
-//! output is streamed through a reorder buffer that releases lines
-//! strictly in job order, making the byte stream identical at 1 and N
-//! threads (asserted by `tests/scenarios.rs`).
+//! on thread count or completion order (shard builds are index-addressed
+//! pure functions of `(config, seed, shard)`). JSONL output is streamed
+//! through a reorder buffer that releases lines strictly in job order,
+//! making the byte stream identical at 1 and N threads (asserted by
+//! `tests/scenarios.rs`).
 //!
 //! Telemetry — wall-clock spans, deterministic work counters, the
 //! shard-level heartbeat — flows through [`Telemetry`] sinks and never
@@ -38,9 +35,9 @@ use crate::checkpoint::{CheckpointWriter, WriteFaults};
 use crate::faults::{FaultPlan, ResolvedFaults};
 use crate::schemes::scheme_key;
 use insomnia_core::{
-    completion_quantiles, online_time_quantiles, run_scheme_sharded_hooks, run_scheme_task,
-    summarize, RunResult, ScenarioConfig, SchemeFolder, SchemeProgress, SchemeResult, SchemeSpec,
-    ShardedWorld, TaskCancelled, TaskFailure, TaskHooks, WorldProtoCache,
+    completion_quantiles, online_time_quantiles, run_scheme_task, summarize, RunResult,
+    ScenarioConfig, SchemeFolder, SchemeProgress, SchemeResult, SchemeSpec, ShardedWorld,
+    TaskCancelled, TaskFailure, TaskHooks, WorldProtoCache,
 };
 use insomnia_simcore::{par_fold_grouped, SimError, SimResult, SimRng};
 use insomnia_telemetry::{
@@ -48,10 +45,10 @@ use insomnia_telemetry::{
     TaskRecord, Telemetry, TelemetryRecord, TELEMETRY_SCHEMA_VERSION,
 };
 use serde::{Deserialize, Serialize, Value};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::io::Write;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Mutex, OnceLock};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
 /// One expanded batch: named scenarios × schemes × seed indices.
@@ -64,10 +61,10 @@ pub struct BatchRun {
     /// Number of seeds per (scenario, scheme) cell. Seed index `k` maps to
     /// an independent RNG stream forked from the scenario's master seed.
     pub seeds: usize,
-    /// Total thread budget, 0 = one per available core. Scheme jobs spawn
-    /// `cfg.repetitions` internal threads each (the driver parallelizes
-    /// repetitions), so the number of concurrent jobs is the budget
-    /// divided by the widest scenario's repetition count.
+    /// Total thread budget, 0 = one per available core. Every job's
+    /// `(repetition × shard)` tasks share one flat pool of
+    /// `min(budget, tasks)` workers; per-task inner parallelism is pinned
+    /// to one thread, so the budget is the number of live workers.
     pub threads: usize,
 }
 
@@ -323,43 +320,6 @@ impl BatchRun {
             std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
         }
     }
-
-    /// Concurrent scheme jobs: each job internally fans `repetitions ×
-    /// shards` runs over its per-job thread slice, so divide the budget by
-    /// the widest job to keep total live threads near the budget.
-    fn job_threads(&self) -> usize {
-        let widest =
-            self.scenarios.iter().map(|(_, c)| c.repetitions * c.shards.max(1)).max().unwrap_or(1);
-        (self.thread_budget() / widest.max(1)).max(1)
-    }
-
-    /// Thread slice each concurrent job may use for its internal
-    /// (repetition × shard) fan-out.
-    fn threads_per_job(&self) -> usize {
-        (self.thread_budget() / self.job_threads().max(1)).max(1)
-    }
-}
-
-/// Execution order of the batch's `(scenario × scheme × seed) ×
-/// (repetition × shard)` task matrix. The order is pure scheduling: both
-/// variants fold each job's results strictly in task order and release
-/// JSONL lines strictly in job order, so the output bytes are identical.
-/// Only wall-clock, peak RSS and the world-prototype cache counters
-/// differ.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ExecOrder {
-    /// Interleave jobs so every scheme task touching one `(seed,
-    /// repetition, shard)` runs back to back, served from a refcounted
-    /// per-shard world-prototype cache: the stream setup pass runs once
-    /// per shard for the whole batch instead of once per scheme. The
-    /// default.
-    #[default]
-    ShardMajor,
-    /// The historical order: each worker runs one whole job at a time and
-    /// every job rebuilds its own shards. No cross-scheme prototype reuse;
-    /// useful as a determinism cross-check and for single-scheme batches
-    /// (where shard-major has nothing to share).
-    JobMajor,
 }
 
 /// Crash-safety controls of one batch run: checkpointing, resume replay,
@@ -385,34 +345,15 @@ pub struct RunControl {
     /// task's RNG stream from scratch, so a retried run is byte-identical
     /// to an untroubled one.
     pub max_attempts: usize,
-    /// Task-matrix scheduling order; byte-neutral (see [`ExecOrder`]).
-    pub exec_order: ExecOrder,
 }
 
 impl Default for RunControl {
     fn default() -> Self {
-        RunControl {
-            checkpoint: None,
-            resume: None,
-            faults: None,
-            cancel: None,
-            max_attempts: 1,
-            exec_order: ExecOrder::ShardMajor,
-        }
+        RunControl { checkpoint: None, resume: None, faults: None, cancel: None, max_attempts: 1 }
     }
 }
 
-/// What one worker hands the collector per job.
-enum JobOutcome {
-    /// The job's JSONL record plus its telemetry sidecar record.
-    Done(Box<(JobRecord, JobTelemetryRecord)>),
-    /// A task exhausted its retry budget; the message names the span.
-    Failed(String),
-    /// The cancel flag stopped the job before it finished.
-    Cancelled,
-}
-
-/// Per-job slice of the run-wide control state, handed to [`run_job`].
+/// Per-job slice of the run-wide control state, handed to [`run_job_task`].
 struct JobControl<'a> {
     writer: Option<&'a CheckpointWriter>,
     cache: Option<&'a Mutex<BTreeMap<(usize, usize), RunResult>>>,
@@ -424,7 +365,7 @@ struct JobControl<'a> {
     task_base: usize,
 }
 
-/// Per-job bookkeeping of the shard-major pool: the job's coordinates and
+/// Per-job bookkeeping of the task pool: the job's coordinates and
 /// config plus the pieces shared between worker threads (progress atomics,
 /// lazily stamped start time). The deterministic fold state lives on the
 /// collector as one [`SchemeFolder`] per job.
@@ -446,18 +387,18 @@ struct JobState<'a> {
     started: OnceLock<Instant>,
 }
 
-/// Panic payload the shard-major worker wraps around a task abort
-/// ([`TaskCancelled`] or [`TaskFailure`]) so the collector can name the
-/// failed job exactly like the job-major path does.
+/// Panic payload a worker wraps around a task abort ([`TaskCancelled`],
+/// [`TaskFailure`] or any other panic) so the collector can name the job
+/// whose task failed.
 struct BatchTaskAbort {
     job: usize,
     inner: Box<dyn std::any::Any + Send>,
 }
 
-/// One `(repetition × shard)` task of a shard-major job: assembles the
-/// same observe/resume/persist/fault hooks [`run_job`] wires for a whole
-/// job, then runs the single task against the job's world — consuming one
-/// reference of the world's prototype cache if one is active.
+/// One `(repetition × shard)` task of a job: wires the run-wide control
+/// state into the task's observe/resume/persist/fault hooks, then runs the
+/// single task against the job's world — consuming one reference of the
+/// world's prototype cache if one is active.
 fn run_job_task(
     js: &JobState<'_>,
     i: usize,
@@ -467,6 +408,12 @@ fn run_job_task(
     jc: &JobControl<'_>,
 ) -> RunResult {
     let j = js.j;
+    // Shard-level task reports, straight from the worker thread the moment
+    // each (repetition × shard) event loop drains (so one slow early shard
+    // never silences progress), carrying merge progress, the task's phase
+    // timings and its deterministic counters. The human sink renders the
+    // classic heartbeat for sharded jobs only; the sidecar records every
+    // task. The result JSONL is untouched either way.
     let observe = move |p: insomnia_core::TaskProgress| {
         {
             let mut ph = phases.lock().expect("phase lock");
@@ -492,6 +439,8 @@ fn run_job_task(
             counters: p.counters,
         }));
     };
+    // The closures must be bound to locals (not temporaries) because
+    // `TaskHooks` borrows them for the whole task.
     let n_shards = js.n_shards;
     let base = jc.task_base;
     let cached_fn;
@@ -599,8 +548,6 @@ pub fn run_batch_controlled<W: Write>(
     batch.validate()?;
     let wall_start = Instant::now();
     let n_jobs = batch.n_jobs();
-    let threads = batch.job_threads().min(n_jobs.max(1));
-    let threads_per_job = batch.threads_per_job();
 
     tel.emit(&TelemetryRecord::Manifest(ManifestRecord {
         version: TELEMETRY_SCHEMA_VERSION,
@@ -639,15 +586,11 @@ pub fn run_batch_controlled<W: Write>(
             torn_tail_task: f.torn_tail_task,
         });
     }
-    let exec_order = ctl.exec_order;
     let writer = ctl.checkpoint;
     let resuming = ctl.resume.is_some();
     let cache = Mutex::new(ctl.resume.unwrap_or_default());
     let cancel = ctl.cancel;
     let max_attempts = ctl.max_attempts.max(1);
-    // Raised on the first failed/cancelled job so idle workers stop
-    // claiming new jobs instead of burning through a doomed batch.
-    let abort = AtomicBool::new(false);
 
     // Task-level phase spans accumulate from worker threads as tasks
     // finish (world-build = per-task stream setup, event-loop = the run
@@ -661,345 +604,213 @@ pub fn run_batch_controlled<W: Write>(
     let mut counters = RunCounters::default();
     let mut tasks_total = 0u64;
 
-    // Phase 2: the task matrix, under the configured execution order.
-    // Either way the collector releases JSONL lines strictly in job order
-    // and a failed or cancelled job stalls the release point permanently —
-    // the JSONL stays a valid in-order prefix.
+    // Phase 2: the task matrix. The collector releases JSONL lines
+    // strictly in job order and a failed or cancelled job stalls the
+    // release point permanently — the JSONL stays a valid in-order prefix.
     let mut records: Vec<Option<JobRecord>> = Vec::new();
     records.resize_with(n_jobs, || None);
     let mut first_failure: Option<(usize, String)> = None;
     let mut cancelled = false;
 
-    match exec_order {
-        ExecOrder::JobMajor => {
-            // Workers claim whole jobs off an atomic cursor and send
-            // finished records through a channel to the reorder buffer.
-            let (tx, rx) = mpsc::channel::<(usize, JobOutcome)>();
-            let cursor = AtomicUsize::new(0);
-            std::thread::scope(|scope| -> SimResult<()> {
-                for _ in 0..threads {
-                    let tx = tx.clone();
-                    let cursor = &cursor;
-                    let worlds = &worlds;
-                    let phases = &phases;
-                    let bases = &bases;
-                    let writer = writer.as_ref();
-                    let cache = &cache;
-                    let faults = faults.as_ref();
-                    let cancel = cancel.as_deref();
-                    let abort = &abort;
-                    scope.spawn(move || loop {
-                        if abort.load(Ordering::Relaxed)
-                            || cancel.is_some_and(|c| c.load(Ordering::Relaxed))
-                        {
-                            break;
-                        }
-                        let j = cursor.fetch_add(1, Ordering::Relaxed);
-                        if j >= n_jobs {
-                            break;
-                        }
-                        let jc = JobControl {
-                            writer,
-                            cache: resuming.then_some(cache),
-                            faults,
-                            cancel,
-                            max_attempts,
-                            task_base: bases[j],
-                        };
-                        // Panic isolation: a job that dies — retry budget
-                        // spent or cancel flag raised — must not poison the
-                        // pool. The payload is typed, so the collector can
-                        // tell "task rep 1 shard 3 kept failing" from an
-                        // interrupt.
-                        let outcome =
-                            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                                run_job(batch, worlds, j, threads_per_job, tel, phases, &jc)
-                            }));
-                        let outcome = match outcome {
-                            Ok(rec) => JobOutcome::Done(Box::new(rec)),
-                            Err(payload) => {
-                                abort.store(true, Ordering::Relaxed);
-                                if payload.downcast_ref::<TaskCancelled>().is_some() {
-                                    JobOutcome::Cancelled
-                                } else if let Some(f) = payload.downcast_ref::<TaskFailure>() {
-                                    let (si, ci, ki) = job_coords(batch, j);
-                                    JobOutcome::Failed(format!(
-                                        "job {j} ({} / {} seed {ki}): repetition {} shard {} \
-                                         failed after {} attempt(s): {}",
-                                        batch.scenarios[si].0,
-                                        scheme_key(batch.schemes[ci]),
-                                        f.rep,
-                                        f.shard,
-                                        f.attempts,
-                                        f.message,
-                                    ))
-                                } else {
-                                    let msg = payload
-                                        .downcast_ref::<&str>()
-                                        .map(|s| s.to_string())
-                                        .or_else(|| payload.downcast_ref::<String>().cloned())
-                                        .unwrap_or_else(|| "non-string panic payload".into());
-                                    JobOutcome::Failed(format!("job {j} panicked: {msg}"))
-                                }
-                            }
-                        };
-                        if tx.send((j, outcome)).is_err() {
-                            break;
-                        }
-                    });
-                }
-                drop(tx);
-
-                // Reorder buffer: write line `k` only once lines `0..k`
-                // are out and none of them failed.
-                let mut pending: BTreeMap<usize, (JobRecord, JobTelemetryRecord)> = BTreeMap::new();
-                let mut bad_jobs: BTreeSet<usize> = BTreeSet::new();
-                let mut next = 0usize;
-                for (j, outcome) in rx {
-                    match outcome {
-                        JobOutcome::Done(rec) => {
-                            pending.insert(j, *rec);
-                        }
-                        JobOutcome::Failed(msg) => {
-                            bad_jobs.insert(j);
-                            if first_failure.as_ref().is_none_or(|(fj, _)| j < *fj) {
-                                first_failure = Some((j, msg));
-                            }
-                        }
-                        JobOutcome::Cancelled => {
-                            bad_jobs.insert(j);
-                            cancelled = true;
-                        }
+    // Per-job state shared by the workers (progress atomics, start
+    // stamp); the deterministic fold state — one folder per job —
+    // lives on the collector below.
+    let jobs: Vec<JobState<'_>> = (0..n_jobs)
+        .map(|j| {
+            let (si, ci, ki) = job_coords(batch, j);
+            let (name, cfg) = &batch.scenarios[si];
+            let spec = batch.schemes[ci];
+            let n_shards = cfg.shards.max(1);
+            JobState {
+                j,
+                name,
+                cfg,
+                spec,
+                scheme: scheme_key(spec),
+                seed_index: ki,
+                world_idx: si * batch.seeds + ki,
+                world: &worlds[si * batch.seeds + ki],
+                seed: job_seed(cfg.seed, ki),
+                n_shards,
+                progress: SchemeProgress::new(cfg.repetitions * n_shards, n_shards),
+                started: OnceLock::new(),
+            }
+        })
+        .collect();
+    // One refcounted prototype cache per (scenario, seed) world:
+    // each shard has exactly `schemes × repetitions` consumers, so
+    // the stream setup pass runs once per shard for the whole
+    // batch and the prototype drops the moment its last consumer
+    // claims it.
+    let caches: Vec<Option<WorldProtoCache>> = worlds
+        .iter()
+        .enumerate()
+        .map(|(w, world)| {
+            let reps = batch.scenarios[w / batch.seeds].1.repetitions;
+            WorldProtoCache::new(world, batch.schemes.len() * reps)
+        })
+        .collect();
+    // The execution plan: for every (scenario, seed, repetition,
+    // shard), all scheme tasks back to back — consecutive
+    // consumers of one prototype. Within each job the task index
+    // increases monotonically along the plan (repetitions outer,
+    // shards inner), which is exactly the per-group fold order
+    // par_fold_grouped requires.
+    let mut plan: Vec<(usize, usize)> = Vec::with_capacity(bases[n_jobs]);
+    for (si, (_, cfg)) in batch.scenarios.iter().enumerate() {
+        let n_shards = cfg.shards.max(1);
+        for ki in 0..batch.seeds {
+            for r in 0..cfg.repetitions {
+                for sh in 0..n_shards {
+                    for ci in 0..batch.schemes.len() {
+                        let j = (si * batch.schemes.len() + ci) * batch.seeds + ki;
+                        plan.push((j, r * n_shards + sh));
                     }
-                    while !bad_jobs.contains(&next) {
-                        let Some((rec, telemetry)) = pending.remove(&next) else { break };
+                }
+            }
+        }
+    }
+    debug_assert_eq!(plan.len(), bases[n_jobs]);
+
+    let mut folders: Vec<Option<SchemeFolder>> =
+        jobs.iter().map(|js| Some(SchemeFolder::new(js.cfg, js.spec, js.world))).collect();
+    let mut pending: BTreeMap<usize, (JobRecord, JobTelemetryRecord)> = BTreeMap::new();
+    let mut next = 0usize;
+    // JSONL write errors can't abort mid-fold (the fold closure
+    // has no return channel); remember the first and surface it
+    // once the pool drains.
+    let mut io_err: Option<SimError> = None;
+
+    // One flat pool over the whole matrix: tasks are the unit of
+    // scheduling (the driver pins per-task inner parallelism, so
+    // the budget applies directly).
+    let pool = batch.thread_budget().min(plan.len().max(1));
+    let jobs = &jobs;
+    let caches = &caches;
+    let plan_ref = &plan;
+    let writer_ref = writer.as_ref();
+    let cancel_ref = cancel.as_deref();
+    let faults_ref = faults.as_ref();
+    let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        par_fold_grouped(
+            plan_ref,
+            pool,
+            |pos| {
+                let (j, i) = plan_ref[pos];
+                let js = &jobs[j];
+                js.started.get_or_init(Instant::now);
+                let jc = JobControl {
+                    writer: writer_ref,
+                    cache: resuming.then_some(&cache),
+                    faults: faults_ref,
+                    cancel: cancel_ref,
+                    max_attempts,
+                    task_base: bases[j],
+                };
+                // Tag aborts with the job so the collector can name
+                // the failed span.
+                match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    run_job_task(js, i, caches[js.world_idx].as_ref(), tel, &phases, &jc)
+                })) {
+                    Ok(r) => r,
+                    Err(inner) => std::panic::panic_any(BatchTaskAbort { job: j, inner }),
+                }
+            },
+            |j, step, run| {
+                let js = &jobs[j];
+                js.progress.note_merged(step.index + 1);
+                let folder = folders[j].as_mut().expect("one fold per task");
+                folder.absorb(step.index, run);
+                if step.index + 1 != folder.n_tasks() {
+                    return;
+                }
+                // Last task of the job: finalize it, then release
+                // every finished job in job order.
+                let result = folders[j].take().expect("folder finalized once").finish();
+                let wall_ms =
+                    js.started.get().map(|t| t.elapsed().as_secs_f64() * 1_000.0).unwrap_or(0.0);
+                let telemetry = JobTelemetryRecord {
+                    job: j,
+                    scenario: js.name.to_string(),
+                    scheme: js.scheme.clone(),
+                    seed_index: js.seed_index,
+                    wall_ms,
+                    fold_ms: result.fold_ms,
+                    shards: js.n_shards,
+                    counters: result.counters,
+                };
+                let rec = make_record(
+                    js.name,
+                    js.cfg,
+                    js.spec,
+                    js.seed_index,
+                    js.seed,
+                    js.world,
+                    &result,
+                );
+                pending.insert(j, (rec, telemetry));
+                while let Some((rec, telemetry)) = pending.remove(&next) {
+                    if io_err.is_none() {
                         let write_start = Instant::now();
-                        let line = serde_json::to_string(&rec).map_err(|e| {
-                            SimError::InvalidInput(format!("serialize record: {e}"))
-                        })?;
-                        writeln!(out, "{line}")
-                            .map_err(|e| SimError::InvalidInput(format!("write JSONL: {e}")))?;
-                        write_phase.add(write_start.elapsed().as_secs_f64() * 1_000.0);
-                        // Jobs release in job order, so the counter merge
-                        // order is fixed — though merge() is
-                        // order-invariant anyway.
-                        counters.merge(&telemetry.counters);
-                        fold_phase.add(telemetry.fold_ms);
-                        tel.emit(&TelemetryRecord::Job(telemetry));
-                        records[next] = Some(rec);
-                        next += 1;
+                        let written = serde_json::to_string(&rec)
+                            .map_err(|e| SimError::InvalidInput(format!("serialize record: {e}")))
+                            .and_then(|line| {
+                                writeln!(out, "{line}").map_err(|e| {
+                                    SimError::InvalidInput(format!("write JSONL: {e}"))
+                                })
+                            });
+                        match written {
+                            Ok(()) => {
+                                write_phase.add(write_start.elapsed().as_secs_f64() * 1_000.0)
+                            }
+                            Err(e) => io_err = Some(e),
+                        }
                     }
+                    counters.merge(&telemetry.counters);
+                    fold_phase.add(telemetry.fold_ms);
+                    tel.emit(&TelemetryRecord::Job(telemetry));
+                    records[next] = Some(rec);
+                    next += 1;
                 }
-                Ok(())
-            })?;
-        }
-        ExecOrder::ShardMajor => {
-            // Per-job state shared by the workers (progress atomics, start
-            // stamp); the deterministic fold state — one folder per job —
-            // lives on the collector below.
-            let jobs: Vec<JobState<'_>> = (0..n_jobs)
-                .map(|j| {
+            },
+        )
+    }));
+    if let Err(payload) = outcome {
+        match payload.downcast::<BatchTaskAbort>() {
+            Ok(abort) => {
+                let j = abort.job;
+                if abort.inner.downcast_ref::<TaskCancelled>().is_some() {
+                    cancelled = true;
+                } else if let Some(f) = abort.inner.downcast_ref::<TaskFailure>() {
                     let (si, ci, ki) = job_coords(batch, j);
-                    let (name, cfg) = &batch.scenarios[si];
-                    let spec = batch.schemes[ci];
-                    let n_shards = cfg.shards.max(1);
-                    JobState {
+                    first_failure = Some((
                         j,
-                        name,
-                        cfg,
-                        spec,
-                        scheme: scheme_key(spec),
-                        seed_index: ki,
-                        world_idx: si * batch.seeds + ki,
-                        world: &worlds[si * batch.seeds + ki],
-                        seed: job_seed(cfg.seed, ki),
-                        n_shards,
-                        progress: SchemeProgress::new(cfg.repetitions * n_shards, n_shards),
-                        started: OnceLock::new(),
-                    }
-                })
-                .collect();
-            // One refcounted prototype cache per (scenario, seed) world:
-            // each shard has exactly `schemes × repetitions` consumers, so
-            // the stream setup pass runs once per shard for the whole
-            // batch and the prototype drops the moment its last consumer
-            // claims it.
-            let caches: Vec<Option<WorldProtoCache>> = worlds
-                .iter()
-                .enumerate()
-                .map(|(w, world)| {
-                    let reps = batch.scenarios[w / batch.seeds].1.repetitions;
-                    WorldProtoCache::new(world, batch.schemes.len() * reps)
-                })
-                .collect();
-            // The execution plan: for every (scenario, seed, repetition,
-            // shard), all scheme tasks back to back — consecutive
-            // consumers of one prototype. Within each job the task index
-            // increases monotonically along the plan (repetitions outer,
-            // shards inner), which is exactly the per-group fold order
-            // par_fold_grouped requires.
-            let mut plan: Vec<(usize, usize)> = Vec::with_capacity(bases[n_jobs]);
-            for (si, (_, cfg)) in batch.scenarios.iter().enumerate() {
-                let n_shards = cfg.shards.max(1);
-                for ki in 0..batch.seeds {
-                    for r in 0..cfg.repetitions {
-                        for sh in 0..n_shards {
-                            for ci in 0..batch.schemes.len() {
-                                let j = (si * batch.schemes.len() + ci) * batch.seeds + ki;
-                                plan.push((j, r * n_shards + sh));
-                            }
-                        }
-                    }
+                        format!(
+                            "job {j} ({} / {} seed {ki}): repetition {} shard {} \
+                             failed after {} attempt(s): {}",
+                            batch.scenarios[si].0,
+                            scheme_key(batch.schemes[ci]),
+                            f.rep,
+                            f.shard,
+                            f.attempts,
+                            f.message,
+                        ),
+                    ));
+                } else {
+                    let msg = abort
+                        .inner
+                        .downcast_ref::<&str>()
+                        .map(|s| s.to_string())
+                        .or_else(|| abort.inner.downcast_ref::<String>().cloned())
+                        .unwrap_or_else(|| "non-string panic payload".into());
+                    first_failure = Some((j, format!("job {j} panicked: {msg}")));
                 }
             }
-            debug_assert_eq!(plan.len(), bases[n_jobs]);
-
-            let mut folders: Vec<Option<SchemeFolder>> =
-                jobs.iter().map(|js| Some(SchemeFolder::new(js.cfg, js.spec, js.world))).collect();
-            let mut pending: BTreeMap<usize, (JobRecord, JobTelemetryRecord)> = BTreeMap::new();
-            let mut next = 0usize;
-            // JSONL write errors can't abort mid-fold (the fold closure
-            // has no return channel); remember the first and surface it
-            // once the pool drains.
-            let mut io_err: Option<SimError> = None;
-
-            // One flat pool over the whole matrix: tasks are the unit of
-            // scheduling (the driver pins per-task inner parallelism, so
-            // the budget applies directly).
-            let pool = batch.thread_budget().min(plan.len().max(1));
-            let jobs = &jobs;
-            let caches = &caches;
-            let plan_ref = &plan;
-            let writer_ref = writer.as_ref();
-            let cancel_ref = cancel.as_deref();
-            let faults_ref = faults.as_ref();
-            let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                par_fold_grouped(
-                    plan_ref,
-                    pool,
-                    |pos| {
-                        let (j, i) = plan_ref[pos];
-                        let js = &jobs[j];
-                        js.started.get_or_init(Instant::now);
-                        let jc = JobControl {
-                            writer: writer_ref,
-                            cache: resuming.then_some(&cache),
-                            faults: faults_ref,
-                            cancel: cancel_ref,
-                            max_attempts,
-                            task_base: bases[j],
-                        };
-                        // Tag aborts with the job so the collector can name
-                        // the failed span exactly like the job-major path.
-                        match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                            run_job_task(js, i, caches[js.world_idx].as_ref(), tel, &phases, &jc)
-                        })) {
-                            Ok(r) => r,
-                            Err(inner) => std::panic::panic_any(BatchTaskAbort { job: j, inner }),
-                        }
-                    },
-                    |j, step, run| {
-                        let js = &jobs[j];
-                        js.progress.note_merged(step.index + 1);
-                        let folder = folders[j].as_mut().expect("one fold per task");
-                        folder.absorb(step.index, run);
-                        if step.index + 1 != folder.n_tasks() {
-                            return;
-                        }
-                        // Last task of the job: finalize it, then release
-                        // every finished job in job order — the same
-                        // reorder discipline as the job-major collector.
-                        let result = folders[j].take().expect("folder finalized once").finish();
-                        let wall_ms = js
-                            .started
-                            .get()
-                            .map(|t| t.elapsed().as_secs_f64() * 1_000.0)
-                            .unwrap_or(0.0);
-                        let telemetry = JobTelemetryRecord {
-                            job: j,
-                            scenario: js.name.to_string(),
-                            scheme: js.scheme.clone(),
-                            seed_index: js.seed_index,
-                            wall_ms,
-                            fold_ms: result.fold_ms,
-                            shards: js.n_shards,
-                            counters: result.counters,
-                        };
-                        let rec = make_record(
-                            js.name,
-                            js.cfg,
-                            js.spec,
-                            js.seed_index,
-                            js.seed,
-                            js.world,
-                            &result,
-                        );
-                        pending.insert(j, (rec, telemetry));
-                        while let Some((rec, telemetry)) = pending.remove(&next) {
-                            if io_err.is_none() {
-                                let write_start = Instant::now();
-                                let written = serde_json::to_string(&rec)
-                                    .map_err(|e| {
-                                        SimError::InvalidInput(format!("serialize record: {e}"))
-                                    })
-                                    .and_then(|line| {
-                                        writeln!(out, "{line}").map_err(|e| {
-                                            SimError::InvalidInput(format!("write JSONL: {e}"))
-                                        })
-                                    });
-                                match written {
-                                    Ok(()) => write_phase
-                                        .add(write_start.elapsed().as_secs_f64() * 1_000.0),
-                                    Err(e) => io_err = Some(e),
-                                }
-                            }
-                            counters.merge(&telemetry.counters);
-                            fold_phase.add(telemetry.fold_ms);
-                            tel.emit(&TelemetryRecord::Job(telemetry));
-                            records[next] = Some(rec);
-                            next += 1;
-                        }
-                    },
-                )
-            }));
-            if let Err(payload) = outcome {
-                match payload.downcast::<BatchTaskAbort>() {
-                    Ok(abort) => {
-                        let j = abort.job;
-                        if abort.inner.downcast_ref::<TaskCancelled>().is_some() {
-                            cancelled = true;
-                        } else if let Some(f) = abort.inner.downcast_ref::<TaskFailure>() {
-                            let (si, ci, ki) = job_coords(batch, j);
-                            first_failure = Some((
-                                j,
-                                format!(
-                                    "job {j} ({} / {} seed {ki}): repetition {} shard {} \
-                                     failed after {} attempt(s): {}",
-                                    batch.scenarios[si].0,
-                                    scheme_key(batch.schemes[ci]),
-                                    f.rep,
-                                    f.shard,
-                                    f.attempts,
-                                    f.message,
-                                ),
-                            ));
-                        } else {
-                            let msg = abort
-                                .inner
-                                .downcast_ref::<&str>()
-                                .map(|s| s.to_string())
-                                .or_else(|| abort.inner.downcast_ref::<String>().cloned())
-                                .unwrap_or_else(|| "non-string panic payload".into());
-                            first_failure = Some((j, format!("job {j} panicked: {msg}")));
-                        }
-                    }
-                    Err(payload) => std::panic::resume_unwind(payload),
-                }
-            }
-            if let Some(e) = io_err {
-                return Err(e);
-            }
+            Err(payload) => std::panic::resume_unwind(payload),
         }
+    }
+    if let Some(e) = io_err {
+        return Err(e);
     }
 
     // Close the checkpoint before reporting: whatever happened above, the
@@ -1051,9 +862,6 @@ pub fn run_batch_controlled<W: Write>(
 }
 
 /// Phase-1 world construction: one lazy handle per (scenario, seed) pair.
-/// Worlds are deliberately *not* prebuilt — holding every shard's trace
-/// and topology alive for the whole batch is exactly the O(world) memory
-/// ceiling the streaming pipeline removes.
 fn build_worlds(batch: &BatchRun) -> Vec<ShardedWorld> {
     let n_worlds = batch.scenarios.len() * batch.seeds;
     (0..n_worlds)
@@ -1063,100 +871,6 @@ fn build_worlds(batch: &BatchRun) -> Vec<ShardedWorld> {
             ShardedWorld::lazy(cfg, job_seed(cfg.seed, ki))
         })
         .collect()
-}
-
-/// Decodes job index `j` into (scenario, scheme, seed) and runs it on a
-/// `max_threads`-wide slice of the pool, timing the run. The [`JobControl`]
-/// slice threads the run-wide crash-safety state into the task hooks:
-/// checkpoint persistence, resume replay, fault injection, cancellation
-/// and the retry budget.
-fn run_job(
-    batch: &BatchRun,
-    worlds: &[ShardedWorld],
-    j: usize,
-    max_threads: usize,
-    tel: &Telemetry,
-    phases: &Mutex<TaskPhases>,
-    jc: &JobControl<'_>,
-) -> (JobRecord, JobTelemetryRecord) {
-    let (si, ci, ki) = job_coords(batch, j);
-    let (name, cfg) = &batch.scenarios[si];
-    let spec = batch.schemes[ci];
-    let world = &worlds[si * batch.seeds + ki];
-    let seed = job_seed(cfg.seed, ki);
-    let started = Instant::now();
-    // Shard-level task reports, straight from the worker thread the
-    // moment each (repetition × shard) event loop drains (so one slow
-    // early shard never silences progress), carrying merge progress
-    // (`merged shards: k/n` + the folder-queue depth — how far completion
-    // ran ahead of the deterministic in-order merge), the task's phase
-    // timings and its deterministic counters. The human sink renders the
-    // classic heartbeat for sharded jobs only; the sidecar records every
-    // task. The result JSONL is untouched either way.
-    let scheme = scheme_key(spec);
-    let observe = move |p: insomnia_core::TaskProgress| {
-        {
-            let mut ph = phases.lock().expect("phase lock");
-            if p.setup_ms > 0.0 {
-                ph.world_build.add(p.setup_ms);
-            }
-            ph.event_loop.add(p.loop_ms);
-        }
-        tel.emit(&TelemetryRecord::Task(TaskRecord {
-            job: j,
-            scenario: name.clone(),
-            scheme: scheme.clone(),
-            seed_index: ki,
-            rep: p.rep,
-            shard: p.shard,
-            n_shards: p.n_shards,
-            setup_ms: p.setup_ms,
-            loop_ms: p.loop_ms,
-            finished: p.finished,
-            total: p.total,
-            merged: p.merged,
-            fold_queue: p.fold_queue,
-            counters: p.counters,
-        }));
-    };
-    // Assemble the task hooks. The closures must be bound to locals (not
-    // temporaries) because `TaskHooks` borrows them for the whole run.
-    let n_shards_decode = cfg.shards.max(1);
-    let base = jc.task_base;
-    let cached_fn;
-    let persist_fn;
-    let fault_fn;
-    let mut hooks = TaskHooks {
-        max_attempts: jc.max_attempts,
-        cancel: jc.cancel,
-        ..TaskHooks::observed(&observe)
-    };
-    if let Some(cache) = jc.cache {
-        cached_fn = move |i: usize| cache.lock().expect("resume cache").remove(&(j, i));
-        hooks.cached = Some(&cached_fn);
-    }
-    if let Some(writer) = jc.writer {
-        persist_fn = move |i: usize, r: &RunResult| {
-            writer.write_task(base + i, j, i, i / n_shards_decode, i % n_shards_decode, r);
-        };
-        hooks.persist = Some(&persist_fn);
-    }
-    if let Some(f) = jc.faults {
-        fault_fn = move |i: usize, attempt: u64| f.should_panic(base + i, attempt);
-        hooks.fault = Some(&fault_fn);
-    }
-    let result = run_scheme_sharded_hooks(cfg, spec, world, seed, max_threads, &hooks);
-    let telemetry = JobTelemetryRecord {
-        job: j,
-        scenario: name.clone(),
-        scheme: scheme_key(spec),
-        seed_index: ki,
-        wall_ms: started.elapsed().as_secs_f64() * 1_000.0,
-        fold_ms: result.fold_ms,
-        shards: world.n_shards(),
-        counters: result.counters,
-    };
-    (make_record(name, cfg, spec, ki, seed, world, &result), telemetry)
 }
 
 fn make_record(

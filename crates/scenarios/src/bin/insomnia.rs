@@ -9,8 +9,8 @@
 
 use insomnia_scenarios::{
     check_rss_budget, compare_jsonl, load_checkpoint, manifest_for, parse_scheme_list,
-    peak_rss_mib, run_batch_controlled, BatchRun, CheckpointWriter, ExecOrder, FaultPlan,
-    ProfileReport, Registry, RunControl, ScenarioSpec, Telemetry,
+    peak_rss_mib, run_batch_controlled, BatchRun, CheckpointWriter, FaultPlan, ProfileReport,
+    Registry, RunControl, ScenarioSpec, Telemetry,
 };
 use insomnia_simcore::{SimError, SimResult};
 use std::io::Write;
@@ -85,7 +85,6 @@ USAGE:
                  [--shards N] [--out FILE] [--set dotted.key=value]...
                  [--quick] [--max-rss-mib N] [--telemetry FILE] [--quiet]
                  [--checkpoint FILE [--resume]] [--retries N] [--faults FILE]
-                 [--exec-order shard-major|job-major]
         Expand the (scenario x scheme x seed) matrix, run it in parallel,
         stream one JSON line per job (stdout, or FILE with --out) and print
         the aggregated summary table. Per-job wall-clock and event-count
@@ -126,8 +125,9 @@ SCHEME KEYS:
 
 OPTIONS:
     --seeds N      seeds per (scenario, scheme) cell        [default: 1]
-    --threads N    total thread budget, including each job's internal
-                   repetition x shard threads (0 = all cores) [default: 0]
+    --threads N    worker threads of the one task pool every job's
+                   (repetition x shard) tasks share; the pool runs
+                   min(N, tasks) workers (0 = all cores)     [default: 0]
     --shards N     override the scenario's shard count (N independent
                    DSLAM neighborhoods; 1 = the paper's single DSLAM)
     --quick        force repetitions <= 2 for fast smoke runs
@@ -153,14 +153,32 @@ OPTIONS:
     --faults FILE  deterministic fault injection from a [faults] TOML
                    table (panic_tasks, random_panics, io_error_tasks,
                    torn_tail_task) — the chaos-test harness
-    --exec-order ORDER  task scheduling order: shard-major (default —
-                   all schemes of one (seed, shard) run consecutively,
-                   sharing one world prototype per shard) or job-major
-                   (one job's tasks at a time). Byte-neutral: only
-                   wall-clock, peak RSS and cache counters differ
     --counters     profile: print only the deterministic counter totals
     --tol REL      compare: per-metric relative tolerance   [default: 0]
 ";
+
+/// Value-taking flags of `run` and `sweep` (one list: `sweep` hands its
+/// arguments on to `cmd_run`, which parses them again).
+const RUN_VALUED: &[&str] = &[
+    "scenario",
+    "spec",
+    "schemes",
+    "seeds",
+    "threads",
+    "shards",
+    "out",
+    "set",
+    "param",
+    "values",
+    "max-rss-mib",
+    "telemetry",
+    "checkpoint",
+    "retries",
+    "faults",
+];
+
+/// Bare switches of `run` and `sweep`.
+const RUN_SWITCHES: &[&str] = &["quick", "quiet", "resume"];
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -311,28 +329,7 @@ fn cmd_run(args: &[String], sweep: Option<(&str, &[&str])>) -> SimResult<()> {
     // The config phase starts here: flag parsing, spec resolution and
     // world configs, up to the moment the batch runner takes over.
     let config_start = Instant::now();
-    let flags = Flags::parse(
-        args,
-        &[
-            "scenario",
-            "spec",
-            "schemes",
-            "seeds",
-            "threads",
-            "shards",
-            "out",
-            "set",
-            "param",
-            "values",
-            "max-rss-mib",
-            "telemetry",
-            "checkpoint",
-            "retries",
-            "faults",
-            "exec-order",
-        ],
-        &["quick", "quiet", "resume"],
-    )?;
+    let flags = Flags::parse(args, RUN_VALUED, RUN_SWITCHES)?;
     if sweep.is_none() && (flags.get("param").is_some() || flags.get("values").is_some()) {
         return Err(SimError::InvalidInput(
             "--param/--values belong to the `sweep` subcommand (plain `run` would ignore them)"
@@ -430,17 +427,6 @@ fn cmd_run(args: &[String], sweep: Option<(&str, &[&str])>) -> SimResult<()> {
         let text = std::fs::read_to_string(path)
             .map_err(|e| SimError::InvalidInput(format!("read {path}: {e}")))?;
         ctl.faults = Some(FaultPlan::from_toml(&text)?);
-    }
-    if let Some(order) = flags.get("exec-order") {
-        ctl.exec_order = match order {
-            "shard-major" => ExecOrder::ShardMajor,
-            "job-major" => ExecOrder::JobMajor,
-            other => {
-                return Err(SimError::InvalidInput(format!(
-                    "--exec-order expects `shard-major` or `job-major`, got `{other}`"
-                )))
-            }
-        };
     }
     if let Some(path) = &checkpoint_path {
         let manifest = manifest_for(&batch);
@@ -600,28 +586,7 @@ fn cmd_compare(args: &[String]) -> SimResult<()> {
 }
 
 fn cmd_sweep(args: &[String]) -> SimResult<()> {
-    let flags = Flags::parse(
-        args,
-        &[
-            "scenario",
-            "spec",
-            "schemes",
-            "seeds",
-            "threads",
-            "shards",
-            "out",
-            "set",
-            "param",
-            "values",
-            "max-rss-mib",
-            "telemetry",
-            "checkpoint",
-            "retries",
-            "faults",
-            "exec-order",
-        ],
-        &["quick", "quiet", "resume"],
-    )?;
+    let flags = Flags::parse(args, RUN_VALUED, RUN_SWITCHES)?;
     let param = flags
         .get("param")
         .ok_or_else(|| SimError::InvalidInput("sweep needs --param dotted.key".into()))?

@@ -511,7 +511,7 @@ pub fn load_checkpoint(path: &Path) -> SimResult<LoadedCheckpoint> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use insomnia_core::{run_scheme_sharded_hooks, ScenarioConfig, SchemeSpec, ShardedWorld};
+    use insomnia_core::{run_scheme, ScenarioConfig, SchemeSpec, ShardedWorld};
 
     /// Known-answer CRC-32 vectors (IEEE reflected; same answers as zlib).
     #[test]
@@ -549,7 +549,7 @@ mod tests {
             persist: Some(&persist),
             ..insomnia_core::TaskHooks::observed(&obs)
         };
-        run_scheme_sharded_hooks(&cfg, SchemeSpec::soi(), &world, 7, 1, &hooks);
+        run_scheme(&cfg, SchemeSpec::soi(), &world, 7, 1, &hooks);
         store.into_inner().unwrap().expect("at least one task persisted")
     }
 

@@ -45,8 +45,8 @@ pub mod schemes;
 pub mod spec;
 
 pub use batch::{
-    run_batch, run_batch_controlled, run_batch_telemetry, BatchRun, BatchSummary, ExecOrder,
-    JobRecord, OnlineRecord, QuantileRecord, RunControl, ShardRecord, SummaryRow,
+    run_batch, run_batch_controlled, run_batch_telemetry, BatchRun, BatchSummary, JobRecord,
+    OnlineRecord, QuantileRecord, RunControl, ShardRecord, SummaryRow,
 };
 pub use checkpoint::{
     crc32, load_checkpoint, manifest_for, CheckpointWriteStats, CheckpointWriter, LoadedCheckpoint,

@@ -37,21 +37,6 @@ impl<E> Scheduler<E> {
         }
     }
 
-    /// Creates a scheduler whose queue backend is picked from an expected
-    /// peak-occupancy hint: the calendar queue for very large worlds, the
-    /// binary heap otherwise (see [`EventQueue::with_hint`]). The two
-    /// backends deliver in the identical `(time, lane, seq)` order, so the
-    /// hint affects throughput only, never results.
-    pub fn with_queue_hint(expected_peak: usize) -> Self {
-        Scheduler { queue: EventQueue::with_hint(expected_peak), ..Scheduler::new() }
-    }
-
-    /// Which queue backend this scheduler runs on (`"heap"` or
-    /// `"calendar"`).
-    pub fn queue_backend(&self) -> &'static str {
-        self.queue.backend_name()
-    }
-
     /// Current simulation time.
     pub fn now(&self) -> SimTime {
         self.now

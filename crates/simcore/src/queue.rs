@@ -15,24 +15,13 @@
 //! (`lane << 63 | seq`), so the total order is a plain `(time, key)`
 //! comparison.
 //!
-//! Two backends implement that contract, picked by
-//! [`EventQueue::with_hint`]:
-//!
-//! * **Binary heap** (default): entries are 24-byte `(time, key, slot)`
-//!   records in a `BinaryHeap`; event payloads live in a slab indexed by
-//!   `slot`, so sift operations move small Copy records regardless of the
-//!   event type's size.
-//! * **Calendar queue**: the classic multi-bucket scheduler — entries hash
-//!   into `(time / width) & mask` buckets, pop-min scans the current
-//!   window and falls back to a global sweep when the wheel is sparse,
-//!   and the wheel resizes (and re-derives its width from the live span)
-//!   as occupancy grows. O(1) amortized push/pop at high occupancy where
-//!   a heap pays O(log n); slower below a few thousand entries, which is
-//!   why the hint threshold selects it only for very large worlds.
+//! Entries are 24-byte `(time, key, slot)` records in a `BinaryHeap`; event
+//! payloads live in a slab indexed by `slot`, so sift operations move small
+//! Copy records regardless of the event type's size.
 //!
 //! Cancellation is O(1) and eager about payloads: [`EventQueue::cancel`]
 //! drops the event payload immediately and bumps the slot's generation so
-//! the backend entry is recognized as stale and *purged* when it surfaces
+//! the heap entry is recognized as stale and *purged* when it surfaces
 //! (pop or peek). Nothing accumulates for the lifetime of the run — the
 //! historical implementation kept every cancelled-but-unpopped sequence
 //! number in a `HashSet` forever (and hashed on every pop); the slab
@@ -56,14 +45,7 @@ pub struct EventToken {
 const LANE_FRONT: u8 = 0;
 const LANE_NORMAL: u8 = 1;
 
-/// Queue occupancy (from [`EventQueue::with_hint`]) at which the calendar
-/// backend starts beating the binary heap by enough to matter. Below it the
-/// heap's cache-resident sift is faster; the microbench
-/// (`cargo bench -p insomnia-bench --bench streaming`) tracks the
-/// crossover.
-const CALENDAR_HINT_THRESHOLD: usize = 1 << 16;
-
-/// A scheduled entry as the backends see it: 24 bytes, `Copy`, payload-free
+/// A scheduled heap entry: 24 bytes, `Copy`, payload-free
 /// (the event itself lives in the slab at `slot`). `key` packs
 /// `(lane << 63) | seq`, so ascending `(time, key)` is exactly the
 /// `(time, lane, seq)` delivery order.
@@ -102,182 +84,22 @@ impl Ord for Entry {
 }
 
 /// One slab cell: the event payload while scheduled, plus a generation
-/// stamp that invalidates stale tokens and backend entries in O(1).
+/// stamp that invalidates stale tokens and heap entries in O(1).
 struct Slot<E> {
     generation: u32,
     event: Option<E>,
 }
 
-/// The classic calendar queue over payload-free [`Entry`] records. Buckets
-/// are kept sorted *descending* by `(time, key)`, so each bucket's minimum
-/// is a `Vec::pop` away; pop-min walks the bucket wheel window by window
-/// (the standard scan) with a global-sweep fallback once per empty cycle,
-/// which keeps sparse queues from spinning.
-struct CalendarQueue {
-    buckets: Vec<Vec<Entry>>,
-    /// Bucket width in milliseconds (power of anything; ≥ 1).
-    width_ms: u64,
-    /// Scan cursor: the bucket whose window starts at `window_start`.
-    cur: usize,
-    /// Start of the cursor bucket's current time window, ms.
-    window_start: u64,
-    /// Entries stored, stale ones included.
-    count: usize,
-}
-
-impl CalendarQueue {
-    fn new(hint: usize) -> CalendarQueue {
-        let n = (hint.max(8) * 2).next_power_of_two();
-        CalendarQueue {
-            buckets: vec![Vec::new(); n],
-            width_ms: 64,
-            cur: 0,
-            window_start: 0,
-            count: 0,
-        }
-    }
-
-    #[inline]
-    fn mask(&self) -> usize {
-        self.buckets.len() - 1
-    }
-
-    #[inline]
-    fn bucket_of(&self, t_ms: u64) -> usize {
-        ((t_ms / self.width_ms) as usize) & self.mask()
-    }
-
-    fn push(&mut self, e: Entry) {
-        let t = e.time.as_millis();
-        if self.count == 0 || t < self.window_start {
-            // Empty wheel, or a push behind the cursor (the scheduler never
-            // schedules in the past, but the queue contract does not depend
-            // on it): rewind the scan to the entry's window.
-            self.window_start = t - (t % self.width_ms);
-            self.cur = self.bucket_of(t);
-        }
-        let idx = self.bucket_of(t);
-        let b = &mut self.buckets[idx];
-        // Descending by (time, key): the bucket minimum stays at the tail.
-        let pos = b.partition_point(|x| x.rank() > e.rank());
-        b.insert(pos, e);
-        self.count += 1;
-        if self.count > self.buckets.len() * 2 {
-            self.resize();
-        }
-    }
-
-    /// Advances the cursor to the bucket holding the global minimum and
-    /// returns its index. The windowed scan visits `(year, bucket)` windows
-    /// in increasing time order, so the first in-window hit is the global
-    /// minimum; a full fruitless cycle means the next event is more than a
-    /// wheel-span ahead, and one linear sweep jumps straight to it.
-    fn advance_to_min(&mut self) -> Option<usize> {
-        if self.count == 0 {
-            return None;
-        }
-        let n = self.buckets.len();
-        for _ in 0..n {
-            let window_end = self.window_start + self.width_ms;
-            if let Some(last) = self.buckets[self.cur].last() {
-                if last.time.as_millis() < window_end {
-                    return Some(self.cur);
-                }
-            }
-            self.cur = (self.cur + 1) & (n - 1);
-            self.window_start = window_end;
-        }
-        let mut best: Option<usize> = None;
-        let mut best_rank: Option<(SimTime, u64)> = None;
-        for (i, b) in self.buckets.iter().enumerate() {
-            if let Some(last) = b.last() {
-                let r = last.rank();
-                if best_rank.is_none_or(|br| r < br) {
-                    best = Some(i);
-                    best_rank = Some(r);
-                }
-            }
-        }
-        let i = best.expect("non-empty wheel has a minimum");
-        let t = self.buckets[i].last().expect("checked above").time.as_millis();
-        self.cur = i;
-        self.window_start = t - (t % self.width_ms);
-        Some(i)
-    }
-
-    fn pop(&mut self) -> Option<Entry> {
-        let i = self.advance_to_min()?;
-        let e = self.buckets[i].pop().expect("advance_to_min found an entry");
-        self.count -= 1;
-        Some(e)
-    }
-
-    fn peek(&mut self) -> Option<Entry> {
-        let i = self.advance_to_min()?;
-        self.buckets[i].last().copied()
-    }
-
-    /// Doubles the wheel and re-derives the bucket width from the live
-    /// span, aiming at O(1) entries per bucket. Deterministic: depends only
-    /// on queue contents.
-    fn resize(&mut self) {
-        let entries: Vec<Entry> = self.buckets.iter_mut().flat_map(std::mem::take).collect();
-        let min_t = entries.iter().map(|e| e.time.as_millis()).min().unwrap_or(0);
-        let max_t = entries.iter().map(|e| e.time.as_millis()).max().unwrap_or(0);
-        let n = (entries.len() * 2).next_power_of_two().max(self.buckets.len() * 2);
-        self.width_ms = ((max_t - min_t) / entries.len().max(1) as u64).max(1);
-        self.buckets = vec![Vec::new(); n];
-        for e in &entries {
-            let idx = self.bucket_of(e.time.as_millis());
-            self.buckets[idx].push(*e);
-        }
-        for b in &mut self.buckets {
-            b.sort_unstable_by_key(|e| std::cmp::Reverse(e.rank()));
-        }
-        self.window_start = min_t - (min_t % self.width_ms);
-        self.cur = self.bucket_of(min_t);
-    }
-}
-
-/// The ordered-entry store behind an [`EventQueue`].
-enum Backend {
-    Heap(BinaryHeap<Entry>),
-    Calendar(CalendarQueue),
-}
-
-impl Backend {
-    fn push(&mut self, e: Entry) {
-        match self {
-            Backend::Heap(h) => h.push(e),
-            Backend::Calendar(c) => c.push(e),
-        }
-    }
-
-    fn pop(&mut self) -> Option<Entry> {
-        match self {
-            Backend::Heap(h) => h.pop(),
-            Backend::Calendar(c) => c.pop(),
-        }
-    }
-
-    fn peek(&mut self) -> Option<Entry> {
-        match self {
-            Backend::Heap(h) => h.peek().copied(),
-            Backend::Calendar(c) => c.peek(),
-        }
-    }
-}
-
 /// Priority queue of simulation events ordered by `(time, lane, insertion
-/// order)`, over a heap or calendar backend (see the module docs).
+/// order)` (see the module docs).
 pub struct EventQueue<E> {
-    backend: Backend,
+    heap: BinaryHeap<Entry>,
     slots: Vec<Slot<E>>,
     free: Vec<u32>,
     next_seq: u64,
     /// Scheduled − delivered − cancelled: the deliverable entries.
     live: usize,
-    /// Cancelled entries whose stale backend entry has not surfaced yet.
+    /// Cancelled entries whose stale heap entry has not surfaced yet.
     cancelled_unpurged: usize,
     /// Stale entries reaped so far (see [`EventQueue::cancelled_purged`]).
     cancelled_purged: u64,
@@ -290,51 +112,16 @@ impl<E> Default for EventQueue<E> {
 }
 
 impl<E> EventQueue<E> {
-    /// Creates an empty queue on the binary-heap backend.
+    /// Creates an empty queue.
     pub fn new() -> Self {
-        EventQueue::with_backend(Backend::Heap(BinaryHeap::new()))
-    }
-
-    /// Creates an empty queue, picking the backend from an expected
-    /// peak-occupancy hint: the calendar queue above
-    /// `CALENDAR_HINT_THRESHOLD` (65 536) pending events, the binary heap
-    /// below it. The two are delivery-order equivalent (property-tested);
-    /// only throughput differs, so the hint can be rough.
-    pub fn with_hint(expected_peak: usize) -> Self {
-        if expected_peak >= CALENDAR_HINT_THRESHOLD {
-            Self::new_calendar_sized(expected_peak)
-        } else {
-            Self::new()
-        }
-    }
-
-    /// Creates an empty queue on the calendar backend regardless of size —
-    /// the microbench/property-test entry point.
-    pub fn new_calendar() -> Self {
-        Self::new_calendar_sized(8)
-    }
-
-    fn new_calendar_sized(hint: usize) -> Self {
-        EventQueue::with_backend(Backend::Calendar(CalendarQueue::new(hint)))
-    }
-
-    fn with_backend(backend: Backend) -> Self {
         EventQueue {
-            backend,
+            heap: BinaryHeap::new(),
             slots: Vec::new(),
             free: Vec::new(),
             next_seq: 0,
             live: 0,
             cancelled_unpurged: 0,
             cancelled_purged: 0,
-        }
-    }
-
-    /// Which backend this queue runs on: `"heap"` or `"calendar"`.
-    pub fn backend_name(&self) -> &'static str {
-        match self.backend {
-            Backend::Heap(_) => "heap",
-            Backend::Calendar(_) => "calendar",
         }
     }
 
@@ -373,7 +160,7 @@ impl<E> EventQueue<E> {
             }
         };
         let generation = self.slots[slot as usize].generation;
-        self.backend.push(Entry { time, key, slot, generation });
+        self.heap.push(Entry { time, key, slot, generation });
         self.live += 1;
         EventToken { slot, generation }
     }
@@ -381,7 +168,7 @@ impl<E> EventQueue<E> {
     /// Cancels a previously scheduled event. Cancelling an already-delivered
     /// or already-cancelled event is a no-op (the token's generation no
     /// longer matches). The payload is dropped immediately; the stale
-    /// backend entry is purged when it next surfaces in [`pop`] or
+    /// heap entry is purged when it next surfaces in [`pop`] or
     /// [`peek_time`], so no dead state outlives the drain.
     ///
     /// [`pop`]: EventQueue::pop
@@ -397,7 +184,7 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// Reaps one stale backend entry: frees its slab slot and counts the
+    /// Reaps one stale heap entry: frees its slab slot and counts the
     /// purge.
     #[inline]
     fn purge_stale(&mut self, entry: Entry) {
@@ -409,7 +196,7 @@ impl<E> EventQueue<E> {
     /// Removes and returns the earliest non-cancelled event.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
         loop {
-            let Some(entry) = self.backend.pop() else {
+            let Some(entry) = self.heap.pop() else {
                 // A drained queue must have reaped every cancellation — the
                 // guarantee that long horizons accumulate no dead state.
                 debug_assert_eq!(
@@ -434,9 +221,9 @@ impl<E> EventQueue<E> {
     /// Time of the earliest pending (non-cancelled) event without removing it.
     pub fn peek_time(&mut self) -> Option<SimTime> {
         // Drop stale heads so peek reflects the next deliverable event.
-        while let Some(entry) = self.backend.peek() {
+        while let Some(entry) = self.heap.peek().copied() {
             if self.slots[entry.slot as usize].generation != entry.generation {
-                let e = self.backend.pop().expect("peeked entry exists");
+                let e = self.heap.pop().expect("peeked entry exists");
                 self.purge_stale(e);
             } else {
                 return Some(entry.time);
@@ -456,7 +243,7 @@ impl<E> EventQueue<E> {
         self.live == 0
     }
 
-    /// Stale (cancelled-then-surfaced) backend entries reaped so far —
+    /// Stale (cancelled-then-surfaced) heap entries reaped so far —
     /// observability for the no-dead-state guarantee; a fully drained queue
     /// has purged exactly as many entries as were cancelled before
     /// delivery.
@@ -582,53 +369,5 @@ mod tests {
         }
         assert_eq!(q.slots.len(), 1, "one live event at a time needs one slot");
         assert_eq!(q.cancelled_purged(), 0);
-    }
-
-    #[test]
-    fn hint_selects_backend() {
-        let small: EventQueue<u8> = EventQueue::with_hint(1_000);
-        assert_eq!(small.backend_name(), "heap");
-        let large: EventQueue<u8> = EventQueue::with_hint(1 << 17);
-        assert_eq!(large.backend_name(), "calendar");
-    }
-
-    #[test]
-    fn calendar_backend_orders_and_cancels_like_the_heap() {
-        let mut q = EventQueue::new_calendar();
-        assert_eq!(q.backend_name(), "calendar");
-        q.push(t(5), "normal-early");
-        q.push(t(5), "normal-late");
-        q.push_front(t(5), "front");
-        let tok = q.push(t(2), "dead");
-        q.push(t(1), "first");
-        q.cancel(tok);
-        assert_eq!(q.pop(), Some((t(1), "first")));
-        assert_eq!(q.peek_time(), Some(t(5)));
-        assert_eq!(q.pop(), Some((t(5), "front")));
-        assert_eq!(q.pop(), Some((t(5), "normal-early")));
-        assert_eq!(q.pop(), Some((t(5), "normal-late")));
-        assert_eq!(q.pop(), None);
-        assert_eq!(q.cancelled_purged(), 1);
-    }
-
-    #[test]
-    fn calendar_resizes_through_growth_and_sparse_horizons() {
-        let mut q = EventQueue::new_calendar();
-        // Dense cluster + far-future stragglers force both the windowed
-        // scan, the sparse global sweep, and at least one resize.
-        for i in 0..200u64 {
-            q.push(SimTime::from_millis(i % 17), i);
-        }
-        for i in 0..8u64 {
-            q.push(SimTime::from_hours(10 + i), 1_000 + i);
-        }
-        let mut last = SimTime::ZERO;
-        let mut n = 0;
-        while let Some((time, _)) = q.pop() {
-            assert!(time >= last);
-            last = time;
-            n += 1;
-        }
-        assert_eq!(n, 208);
     }
 }

@@ -65,55 +65,6 @@ proptest! {
         prop_assert_eq!(got, expect);
     }
 
-    /// The calendar backend is observationally equivalent to the binary
-    /// heap under a random interleaving of schedule / front-lane schedule /
-    /// cancel / pop operations, including same-time two-lane ties: both
-    /// queues see the identical op sequence and must produce the identical
-    /// delivery sequence, lengths, and purge accounting.
-    #[test]
-    fn queue_backends_are_equivalent_under_interleavings(
-        ops in prop::collection::vec((0u8..8, 0u64..50, any::<usize>()), 1..400),
-    ) {
-        let mut heap = EventQueue::new();
-        let mut cal = EventQueue::new_calendar();
-        let mut heap_toks = Vec::new();
-        let mut cal_toks = Vec::new();
-        for (i, &(op, t, idx)) in ops.iter().enumerate() {
-            // op 0-3: normal push, 4-5: front-lane push, 6: cancel, 7: pop.
-            // Times land in 0..50 ms so same-instant ties are common.
-            match op {
-                0..=3 => {
-                    heap_toks.push(heap.push(SimTime::from_millis(t), i));
-                    cal_toks.push(cal.push(SimTime::from_millis(t), i));
-                }
-                4 | 5 => {
-                    heap_toks.push(heap.push_front(SimTime::from_millis(t), i));
-                    cal_toks.push(cal.push_front(SimTime::from_millis(t), i));
-                }
-                6 => {
-                    if !heap_toks.is_empty() {
-                        let k = idx % heap_toks.len();
-                        heap.cancel(heap_toks[k]);
-                        cal.cancel(cal_toks[k]);
-                    }
-                }
-                _ => {
-                    prop_assert_eq!(heap.pop(), cal.pop(), "pop diverged at op {}", i);
-                }
-            }
-            prop_assert_eq!(heap.len(), cal.len(), "len diverged at op {}", i);
-            prop_assert_eq!(heap.peek_time(), cal.peek_time(), "peek diverged at op {}", i);
-        }
-        loop {
-            let (h, c) = (heap.pop(), cal.pop());
-            prop_assert_eq!(h, c, "drain diverged");
-            if h.is_none() {
-                break;
-            }
-        }
-        prop_assert_eq!(heap.cancelled_purged(), cal.cancelled_purged());
-    }
-
     /// Welford matches the naive two-pass computation.
     #[test]
     fn welford_matches_naive(xs in prop::collection::vec(-1e6f64..1e6, 2..200)) {

@@ -242,9 +242,9 @@ impl ProfileReport {
             for (name, v) in rows {
                 out.push_str(&format!("{name:<22} {v}\n"));
             }
-            // Shard-major runs that reused prototype worlds across schemes
-            // get a note quantifying the skipped setup passes; runs without
-            // the cache (single scheme, eager worlds, job-major order, any
+            // Runs that reused prototype worlds across schemes or
+            // repetitions get a note quantifying the skipped setup passes;
+            // runs without the cache (one scheme at one repetition, any
             // legacy sidecar) render exactly as before.
             if c.proto_cache_builds > 0 || c.proto_cache_hits > 0 {
                 out.push_str(&format!(

@@ -11,13 +11,15 @@
 //! ```
 
 use insomnia::core::{
-    build_world, run_single, summarize, ScenarioConfig, SchemeResult, SchemeSpec,
+    build_world, run_single_source_threads, summarize, ArrivalSource, ScenarioConfig, SchemeResult,
+    SchemeSpec,
 };
 use insomnia::simcore::SimRng;
 
 fn run(cfg: &ScenarioConfig, spec: SchemeSpec, label: &str) {
     let (trace, topo) = build_world(cfg);
-    let r = run_single(cfg, spec, &trace, &topo, SimRng::new(cfg.seed));
+    let arrivals = ArrivalSource::Slice(&trace.flows);
+    let r = run_single_source_threads(cfg, spec, arrivals, &topo, SimRng::new(cfg.seed), 1);
     let result = SchemeResult::from_single(spec, r);
     let base_user = cfg.power.no_sleep_user_w(topo.n_gateways());
     let base_isp = cfg.power.no_sleep_isp_w(topo.n_gateways(), cfg.dslam.n_cards);

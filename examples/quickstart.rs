@@ -6,10 +6,10 @@
 //! ```
 
 use insomnia::core::{
-    build_world, run_single, savings_percent_series, summarize, ScenarioConfig, SchemeResult,
-    SchemeSpec,
+    build_world, run_single_source_threads, savings_percent_series, summarize, ArrivalSource,
+    ScenarioConfig, SchemeResult, SchemeSpec,
 };
-use insomnia::simcore::SimRng;
+use insomnia::simcore::{default_threads, SimRng};
 
 fn main() {
     // The §5.1 evaluation scenario: 272 clients, 40 gateways, 24 hours,
@@ -40,7 +40,9 @@ fn main() {
         SchemeSpec::bh2_k_switch(),
         SchemeSpec::optimal(),
     ] {
-        let run = run_single(&cfg, spec, &trace, &topo, SimRng::new(cfg.seed));
+        let arrivals = ArrivalSource::Slice(&trace.flows);
+        let rng = SimRng::new(cfg.seed);
+        let run = run_single_source_threads(&cfg, spec, arrivals, &topo, rng, default_threads());
         // Wrap the single run in the aggregate container the metrics expect.
         let result = SchemeResult::from_single(spec, run);
         let s = summarize(&result, base_user, base_isp);

@@ -2,21 +2,40 @@
 //! the whole stack — the property every simulation result in
 //! EXPERIMENTS.md relies on.
 
-use insomnia::access::{PowerLadder, PowerState};
+use insomnia::access::{joules_to_kwh, PowerLadder, PowerState};
 use insomnia::core::{
-    build_sharded_world_seeded, build_world, run_scheme_sharded, run_single,
-    run_single_source_threads, ArrivalSource, CompletionStats, ScenarioConfig, SchemeSpec,
+    build_world, build_world_shard, run_scheme, run_single_source_threads, ArrivalSource,
+    CompletionStats, RunCounters, RunResult, ScenarioConfig, SchemeResult, SchemeSpec,
+    ShardedWorld, TaskHooks,
 };
 use insomnia::dslphy::{BundleConfig, CrosstalkExperiment};
 use insomnia::scenarios::{
-    parse_scheme_list, run_batch, run_batch_controlled, BatchRun, ExecOrder, Registry, RunControl,
+    parse_scheme_list, run_batch, run_batch_controlled, BatchRun, Registry, RunControl,
 };
-use insomnia::simcore::{OnlineTimeHist, Scheduler, SimDuration, SimRng, SimTime};
+use insomnia::simcore::{OnlineTimeHist, SimDuration, SimRng, SimTime};
 use insomnia::telemetry::{CounterTotals, ProfileReport, Telemetry};
 use insomnia::traffic::crawdad::{self, CrawdadConfig};
-use insomnia::traffic::FlowStream;
+use insomnia::traffic::{FlowStream, Trace};
+use insomnia::wireless::Topology;
 use std::io::Write;
 use std::sync::{Arc, Mutex};
+
+/// One day over a materialized trace.
+fn run_slice(
+    cfg: &ScenarioConfig,
+    spec: SchemeSpec,
+    trace: &Trace,
+    topo: &Topology,
+    rng: SimRng,
+) -> RunResult {
+    run_single_source_threads(cfg, spec, ArrivalSource::Slice(&trace.flows), topo, rng, 1)
+}
+
+/// A whole scheme run over the lazy world `(cfg, cfg.seed)`, no hooks.
+fn run_lazy(cfg: &ScenarioConfig, spec: SchemeSpec, threads: usize) -> SchemeResult {
+    let world = ShardedWorld::lazy(cfg, cfg.seed);
+    run_scheme(cfg, spec, &world, cfg.seed, threads, &TaskHooks::observed(&|_| {}))
+}
 
 #[test]
 fn trace_generation_is_bit_stable() {
@@ -38,8 +57,8 @@ fn full_simulation_is_bit_stable() {
     cfg.trace.horizon = SimTime::from_hours(4);
     let (trace, topo) = build_world(&cfg);
     for spec in [SchemeSpec::soi(), SchemeSpec::bh2_k_switch(), SchemeSpec::optimal()] {
-        let a = run_single(&cfg, spec, &trace, &topo, SimRng::new(99));
-        let b = run_single(&cfg, spec, &trace, &topo, SimRng::new(99));
+        let a = run_slice(&cfg, spec, &trace, &topo, SimRng::new(99));
+        let b = run_slice(&cfg, spec, &trace, &topo, SimRng::new(99));
         assert_eq!(a.powered_gateways, b.powered_gateways, "{spec}");
         assert_eq!(a.awake_cards, b.awake_cards, "{spec}");
         assert_eq!(a.completion.per_flow(), b.completion.per_flow(), "{spec}");
@@ -107,8 +126,8 @@ fn different_seeds_differ() {
     let mut cfg = ScenarioConfig::smoke();
     cfg.trace.horizon = SimTime::from_hours(14);
     let (trace, topo) = build_world(&cfg);
-    let a = run_single(&cfg, SchemeSpec::bh2_k_switch(), &trace, &topo, SimRng::new(1));
-    let b = run_single(&cfg, SchemeSpec::bh2_k_switch(), &trace, &topo, SimRng::new(2));
+    let a = run_slice(&cfg, SchemeSpec::bh2_k_switch(), &trace, &topo, SimRng::new(1));
+    let b = run_slice(&cfg, SchemeSpec::bh2_k_switch(), &trace, &topo, SimRng::new(2));
     // BH2's randomized choices must actually differ across seeds.
     assert_ne!(a.energy.total_j(), b.energy.total_j());
 }
@@ -208,9 +227,8 @@ fn run_counters_are_byte_identical_across_thread_counts() {
     // results: their merged sums/maxes — and the serialized form the CI
     // drift gate `cmp`s — must not depend on the thread count.
     let cfg = dense_metro_reduced(4);
-    let world = build_sharded_world_seeded(&cfg, cfg.seed);
-    let r1 = run_scheme_sharded(&cfg, SchemeSpec::soi(), &world, cfg.seed, 1);
-    let r8 = run_scheme_sharded(&cfg, SchemeSpec::soi(), &world, cfg.seed, 8);
+    let r1 = run_lazy(&cfg, SchemeSpec::soi(), 1);
+    let r8 = run_lazy(&cfg, SchemeSpec::soi(), 8);
     assert_eq!(r1.counters, r8.counters, "counters must be thread-count invariant");
     assert_eq!(
         serde_json::to_string(&r1.counters).unwrap(),
@@ -243,59 +261,72 @@ impl Write for SharedBuf {
 }
 
 #[test]
-fn shard_major_and_job_major_batches_are_byte_identical() {
-    // A three-scheme batch over a sharded lazy world: the default
-    // shard-major order serves each shard's setup pass from the prototype
-    // cache across schemes, job-major rebuilds it per scheme. Neither the
-    // order nor the thread count may move a byte of the result JSONL, and
-    // within one order the sidecar counter totals must be thread-count
-    // invariant too.
+fn shard_major_batch_jobs_match_whole_scheme_runs() {
+    // A three-scheme batch over a sharded lazy world: the shard-major pool
+    // serves each shard's setup pass from the prototype cache across
+    // schemes and interleaves every job's tasks. Each job must still equal
+    // the whole-run `run_scheme` of its (scenario, scheme, seed) on the
+    // same lazy world, the thread count may not move a byte of the result
+    // JSONL, and the sidecar counter totals must be thread-count invariant.
+    let cfg = dense_metro_reduced(2);
+    let schemes = parse_scheme_list("no-sleep,soi,bh2").unwrap();
     let batch = |threads: usize| BatchRun {
-        scenarios: vec![("dense-metro-reduced".into(), dense_metro_reduced(2))],
-        schemes: parse_scheme_list("no-sleep,soi,bh2").unwrap(),
+        scenarios: vec![("dense-metro-reduced".into(), cfg.clone())],
+        schemes: schemes.clone(),
         seeds: 1,
         threads,
     };
-    let run = |threads: usize, order: ExecOrder| -> (Vec<u8>, CounterTotals) {
+    let run = |threads: usize| {
         let sidecar = SharedBuf::default();
         let tel = Telemetry::quiet().with_jsonl(Box::new(sidecar.clone()));
         let mut out = Vec::new();
-        let ctl = RunControl { exec_order: order, ..RunControl::default() };
-        run_batch_controlled(&batch(threads), &mut out, &tel, ctl).unwrap();
+        let summary =
+            run_batch_controlled(&batch(threads), &mut out, &tel, RunControl::default()).unwrap();
         let text = String::from_utf8(sidecar.0.lock().unwrap().clone()).unwrap();
-        let totals = ProfileReport::from_jsonl(&text).unwrap().counter_totals().unwrap();
-        (out, totals)
+        let report = ProfileReport::from_jsonl(&text).unwrap();
+        (out, summary, report)
     };
-    let (sm1, ct_sm1) = run(1, ExecOrder::ShardMajor);
-    let (sm8, ct_sm8) = run(8, ExecOrder::ShardMajor);
-    let (jm1, ct_jm1) = run(1, ExecOrder::JobMajor);
-    let (jm8, ct_jm8) = run(8, ExecOrder::JobMajor);
-    assert_eq!(sm1, sm8, "shard-major JSONL must be thread-count invariant");
-    assert_eq!(jm1, jm8, "job-major JSONL must be thread-count invariant");
-    assert_eq!(sm1, jm1, "execution order must be byte-neutral on the result JSONL");
+    let (out1, summary1, report1) = run(1);
+    let (out8, _, report8) = run(8);
+    assert_eq!(out1, out8, "shard-major JSONL must be thread-count invariant");
 
     let json = |t: &CounterTotals| serde_json::to_string(t).unwrap();
-    assert_eq!(json(&ct_sm1), json(&ct_sm8), "shard-major drift payload thread-invariant");
-    assert_eq!(json(&ct_jm1), json(&ct_jm8), "job-major drift payload thread-invariant");
+    let (ct1, ct8) = (report1.counter_totals().unwrap(), report8.counter_totals().unwrap());
+    assert_eq!(json(&ct1), json(&ct8), "drift payload must be thread-count invariant");
 
-    // Shard-major built each of the 2 shard prototypes once and served the
-    // other two schemes from the cache; job-major has nothing to share.
-    assert_eq!(ct_sm1.counters.proto_cache_builds, 2);
-    assert_eq!(ct_sm1.counters.proto_cache_hits, 4, "(schemes - 1) x shards x reps");
-    assert_eq!(ct_jm1.counters.proto_cache_builds, 0);
-    assert_eq!(ct_jm1.counters.proto_cache_hits, 0);
+    // Each of the 2 shard prototypes was built once and served the other
+    // two schemes from the cache.
+    assert_eq!(ct1.counters.proto_cache_builds, 2);
+    assert_eq!(ct1.counters.proto_cache_hits, 4, "(schemes - 1) x shards x reps");
 
-    // Across orders, only the scheduling-dependent *work* counters may
-    // move (cache hits replay the prototype's recording instead of
-    // re-merging); every simulation counter matches exactly.
-    let neutral = |mut t: CounterTotals| {
-        t.counters.proto_cache_builds = 0;
-        t.counters.proto_cache_hits = 0;
-        t.counters.stream_refills = 0;
-        t.counters.merge_pops = 0;
-        t
+    // Job by job against the whole-run reference. Only the prototype-cache
+    // counters and the stream work they save (cache hits replay the
+    // prototype's recording instead of re-merging) may differ.
+    let neutral = |c: &RunCounters| {
+        let mut c = *c;
+        c.proto_cache_builds = 0;
+        c.proto_cache_hits = 0;
+        c.stream_refills = 0;
+        c.merge_pops = 0;
+        c
     };
-    assert_eq!(json(&neutral(ct_sm1)), json(&neutral(ct_jm1)));
+    let seed = summary1.records[0].seed;
+    let world = ShardedWorld::lazy(&cfg, seed);
+    for threads in [1, 8] {
+        for (j, &spec) in schemes.iter().enumerate() {
+            let whole =
+                run_scheme(&cfg, spec, &world, seed, threads, &TaskHooks::observed(&|_| {}));
+            let rec = &summary1.records[j];
+            assert_eq!(rec.seed, seed);
+            assert_eq!(rec.energy_kwh, joules_to_kwh(whole.energy.total_j()), "{spec}");
+            assert_eq!(rec.mean_wake_count, whole.mean_wake_count, "{spec}");
+            let n_flows: usize = whole.shard_summaries.iter().map(|s| s.n_flows).sum();
+            assert_eq!(rec.n_flows, n_flows, "{spec}");
+            let job = &report1.jobs[j];
+            assert_eq!(job.job, j);
+            assert_eq!(neutral(&job.counters), neutral(&whole.counters), "{spec} @ {threads}");
+        }
+    }
 }
 
 #[test]
@@ -304,8 +335,7 @@ fn merged_shard_quantiles_are_merge_order_invariant() {
     // the same quantiles the driver's fold reports — the property that
     // makes the merged result independent of scheduling.
     let cfg = dense_metro_reduced(4);
-    let world = build_sharded_world_seeded(&cfg, cfg.seed);
-    let result = run_scheme_sharded(&cfg, SchemeSpec::soi(), &world, cfg.seed, 4);
+    let result = run_lazy(&cfg, SchemeSpec::soi(), 4);
     let per_rep = &result.completion[0];
     assert!(per_rep.per_flow().is_none(), "cutoff 0 must not retain per-flow samples");
     let rep_online = &result.online_time[0];
@@ -314,11 +344,11 @@ fn merged_shard_quantiles_are_merge_order_invariant() {
 
     // Re-run each shard in isolation and merge forwards and backwards.
     let rng = |s: u64| SimRng::new(cfg.seed).fork_idx("rep", 0).fork_idx("shard", s);
-    let shard_runs: Vec<_> = world
-        .shards()
-        .iter()
-        .enumerate()
-        .map(|(s, (trace, topo))| run_single(&cfg, SchemeSpec::soi(), trace, topo, rng(s as u64)))
+    let shard_runs: Vec<_> = (0..cfg.shards)
+        .map(|s| {
+            let (trace, topo) = build_world_shard(&cfg, cfg.seed, s);
+            run_slice(&cfg, SchemeSpec::soi(), &trace, &topo, rng(s as u64))
+        })
         .collect();
     let shard_online: Vec<OnlineTimeHist> = shard_runs
         .iter()
@@ -388,27 +418,14 @@ fn explicit_two_state_ladder_is_byte_identical_to_legacy_binary() {
 }
 
 #[test]
-fn doze_schemes_on_the_calendar_queue_are_thread_count_invariant() {
-    // The new sleep policies at calendar-queue scale: a single dense-metro
-    // neighborhood big enough that the scheduler's occupancy hint picks
-    // the calendar backend, run through the batch runner at 1 vs 8
-    // threads. Multi-doze's descent ticks and adaptive-SOI's per-gateway
-    // timeouts must be as thread-count invariant as every other timer.
-    // One giant neighborhood, DSLAM scaled to carry every line. The shape
-    // threads the needle between two hard bounds: the queue hint
-    // (3·gateways + clients + 4) must clear the calendar threshold while
-    // clients × gateways stays under the topology pair budget — which
-    // pins the density near 28 clients per gateway.
-    let mut cfg = Registry::builtin().resolve("dense-metro").unwrap();
-    cfg.trace.n_aps = 2_152;
-    cfg.trace.n_clients = 28 * cfg.trace.n_aps;
-    cfg.dslam.n_cards = 216;
-    cfg.shards = 1;
-    cfg.trace.horizon = SimTime::from_secs_f64(1_800.0);
-    cfg.completion_cutoff = 0;
-    cfg.online_cutoff = 0;
-    // An explicit three-level ladder with dwells short enough that the
-    // half-hour overnight window sees real descents.
+fn doze_schemes_are_thread_count_invariant() {
+    // The multi-state sleep policies on two dense-metro neighborhoods, run
+    // through the batch runner at 1 vs 8 threads. Multi-doze's descent
+    // ticks and adaptive-SOI's per-gateway timeouts must be as
+    // thread-count invariant as every other timer. An explicit three-level
+    // ladder with dwells short enough that the overnight window sees real
+    // descents.
+    let mut cfg = dense_metro_reduced(2);
     cfg.power_states = Some(PowerLadder::new(vec![
         PowerState {
             watts: cfg.power.gateway_sleep_w + 1.0,
@@ -428,13 +445,6 @@ fn doze_schemes_on_the_calendar_queue_are_thread_count_invariant() {
     ]));
     cfg.validate().unwrap();
 
-    // The worlds this test runs really sit on the calendar backend.
-    let world = build_sharded_world_seeded(&cfg, cfg.seed);
-    let (_, topo) = &world.shards()[0];
-    let hint = 3 * topo.n_gateways() + topo.n_clients() + 4;
-    let probe: Scheduler<u32> = Scheduler::with_queue_hint(hint);
-    assert_eq!(probe.queue_backend(), "calendar", "hint {hint} must select the calendar queue");
-
     let batch = |threads: usize| BatchRun {
         scenarios: vec![("doze-metro".into(), cfg.clone())],
         schemes: parse_scheme_list("multi-doze,adaptive-soi").unwrap(),
@@ -449,8 +459,8 @@ fn doze_schemes_on_the_calendar_queue_are_thread_count_invariant() {
 
     // The run actually exercised the ladder: overnight re-sleeps descend
     // doze levels, and the counters ride the same order-invariant fold.
-    let r1 = run_scheme_sharded(&cfg, SchemeSpec::multi_doze(), &world, cfg.seed, 1);
-    let r8 = run_scheme_sharded(&cfg, SchemeSpec::multi_doze(), &world, cfg.seed, 8);
+    let r1 = run_lazy(&cfg, SchemeSpec::multi_doze(), 1);
+    let r8 = run_lazy(&cfg, SchemeSpec::multi_doze(), 8);
     assert_eq!(r1.counters, r8.counters);
     assert!(r1.counters.doze_ticks > 0, "multi-doze must deliver descent ticks");
     assert_eq!(r1.counters.delivered(), r1.events, "doze ticks counted as delivered events");

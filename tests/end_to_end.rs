@@ -2,9 +2,12 @@
 //! paper's qualitative orderings asserted end to end.
 
 use insomnia::core::{
-    build_world, run_single, summarize, ScenarioConfig, SchemeResult, SchemeSpec,
+    build_world, run_single_source_threads, summarize, ArrivalSource, RunResult, ScenarioConfig,
+    SchemeResult, SchemeSpec,
 };
 use insomnia::simcore::{SimRng, SimTime};
+use insomnia::traffic::Trace;
+use insomnia::wireless::Topology;
 
 fn mini_cfg() -> ScenarioConfig {
     let mut cfg = ScenarioConfig::smoke();
@@ -13,7 +16,18 @@ fn mini_cfg() -> ScenarioConfig {
     cfg
 }
 
-fn wrap(run: insomnia::core::RunResult, spec: SchemeSpec) -> SchemeResult {
+/// One day over a materialized trace.
+fn run_slice(
+    cfg: &ScenarioConfig,
+    spec: SchemeSpec,
+    trace: &Trace,
+    topo: &Topology,
+    rng: SimRng,
+) -> RunResult {
+    run_single_source_threads(cfg, spec, ArrivalSource::Slice(&trace.flows), topo, rng, 1)
+}
+
+fn wrap(run: RunResult, spec: SchemeSpec) -> SchemeResult {
     SchemeResult::from_single(spec, run)
 }
 
@@ -21,7 +35,7 @@ fn wrap(run: insomnia::core::RunResult, spec: SchemeSpec) -> SchemeResult {
 fn scheme_energy_ordering_matches_the_paper() {
     let cfg = mini_cfg();
     let (trace, topo) = build_world(&cfg);
-    let energy = |spec| run_single(&cfg, spec, &trace, &topo, SimRng::new(11)).energy.total_j();
+    let energy = |spec| run_slice(&cfg, spec, &trace, &topo, SimRng::new(11)).energy.total_j();
     let no_sleep = energy(SchemeSpec::no_sleep());
     let soi = energy(SchemeSpec::soi());
     let soi_k = energy(SchemeSpec::soi_k_switch());
@@ -44,7 +58,7 @@ fn isp_switching_helps_only_with_aggregation_at_peak() {
     let cfg = mini_cfg();
     let (trace, topo) = build_world(&cfg);
     let cards = |spec| {
-        let r = run_single(&cfg, spec, &trace, &topo, SimRng::new(3));
+        let r = run_slice(&cfg, spec, &trace, &topo, SimRng::new(3));
         r.awake_cards.iter().sum::<f64>() / r.awake_cards.len() as f64
     };
     let soi = cards(SchemeSpec::soi());
@@ -63,11 +77,11 @@ fn wake_stalls_stretch_completion_times() {
     cfg.trace.horizon = SimTime::from_hours(16);
     let (trace, topo) = build_world(&cfg);
     let base = wrap(
-        run_single(&cfg, SchemeSpec::no_sleep(), &trace, &topo, SimRng::new(5)),
+        run_slice(&cfg, SchemeSpec::no_sleep(), &trace, &topo, SimRng::new(5)),
         SchemeSpec::no_sleep(),
     );
     let soi =
-        wrap(run_single(&cfg, SchemeSpec::soi(), &trace, &topo, SimRng::new(5)), SchemeSpec::soi());
+        wrap(run_slice(&cfg, SchemeSpec::soi(), &trace, &topo, SimRng::new(5)), SchemeSpec::soi());
     let cdf = insomnia::core::completion_variation_cdf(&soi, &base);
     assert!(!cdf.is_empty());
     // Most flows are unaffected...
@@ -86,9 +100,9 @@ fn fairness_backup_reduces_extremes() {
     cfg.trace.horizon = SimTime::from_hours(16);
     let (trace, topo) = build_world(&cfg);
     let soi =
-        wrap(run_single(&cfg, SchemeSpec::soi(), &trace, &topo, SimRng::new(7)), SchemeSpec::soi());
+        wrap(run_slice(&cfg, SchemeSpec::soi(), &trace, &topo, SimRng::new(7)), SchemeSpec::soi());
     let bh2 = wrap(
-        run_single(&cfg, SchemeSpec::bh2_k_switch(), &trace, &topo, SimRng::new(7)),
+        run_slice(&cfg, SchemeSpec::bh2_k_switch(), &trace, &topo, SimRng::new(7)),
         SchemeSpec::bh2_k_switch(),
     );
     let cdf = insomnia::core::online_time_variation_cdf(&bh2, &soi);
@@ -109,7 +123,7 @@ fn summaries_are_internally_consistent() {
     let base_user = cfg.power.no_sleep_user_w(topo.n_gateways());
     let base_isp = cfg.power.no_sleep_isp_w(topo.n_gateways(), cfg.dslam.n_cards);
     let r = wrap(
-        run_single(&cfg, SchemeSpec::bh2_k_switch(), &trace, &topo, SimRng::new(9)),
+        run_slice(&cfg, SchemeSpec::bh2_k_switch(), &trace, &topo, SimRng::new(9)),
         SchemeSpec::bh2_k_switch(),
     );
     let s = summarize(&r, base_user, base_isp);

@@ -6,14 +6,40 @@
 //! flow, and sharded worlds build their shards lazily inside each
 //! `(repetition × shard)` worker. All of it is justified by one promise —
 //! **bit-identical results** — which these tests enforce across every
-//! preset config, both driver entry points, and both world storages.
+//! preset config, both arrival sources (materialized slice and stream), and
+//! lazy worlds against per-shard runs over materialized shards.
 
+use insomnia::access::EnergyBreakdown;
 use insomnia::core::{
-    build_world_shard, build_world_shard_streaming, run_scheme_sharded, run_single,
-    run_single_streaming, RunResult, ScenarioConfig, SchemeSpec, ShardedWorld,
+    build_world_shard, build_world_shard_streaming, run_scheme, run_single_source_threads,
+    ArrivalSource, RunResult, ScenarioConfig, SchemeSpec, ShardedWorld, TaskHooks,
 };
 use insomnia::scenarios::Registry;
-use insomnia::simcore::{SimRng, SimTime};
+use insomnia::simcore::{average_runs, SimRng, SimTime};
+use insomnia::traffic::{FlowStream, Trace};
+use insomnia::wireless::Topology;
+
+/// One day over a materialized trace.
+fn run_slice(
+    cfg: &ScenarioConfig,
+    spec: SchemeSpec,
+    trace: &Trace,
+    topo: &Topology,
+    rng: SimRng,
+) -> RunResult {
+    run_single_source_threads(cfg, spec, ArrivalSource::Slice(&trace.flows), topo, rng, 1)
+}
+
+/// One day pulling arrivals straight from a stream.
+fn run_stream(
+    cfg: &ScenarioConfig,
+    spec: SchemeSpec,
+    stream: FlowStream,
+    topo: &Topology,
+    rng: SimRng,
+) -> RunResult {
+    run_single_source_threads(cfg, spec, ArrivalSource::Stream(Box::new(stream)), topo, rng, 1)
+}
 
 /// Every registry preset, reduced to a 2-hour horizon so debug-mode tests
 /// stay fast; shard 0 of each preset is its genuine per-shard population
@@ -82,18 +108,20 @@ fn streamed_driver_is_bit_identical_to_slice_driver() {
         SchemeSpec::optimal(),
     ] {
         let (trace, topo) = build_world_shard(&cfg, seed, 0);
-        let eager = run_single(&cfg, spec, &trace, &topo, SimRng::new(7));
+        let eager = run_slice(&cfg, spec, &trace, &topo, SimRng::new(7));
         let (stream, stopo) = build_world_shard_streaming(&cfg, seed, 0);
-        let streamed = run_single_streaming(&cfg, spec, stream, &stopo, SimRng::new(7));
+        let streamed = run_stream(&cfg, spec, stream, &stopo, SimRng::new(7));
         assert_runs_identical(&format!("{spec}"), &eager, &streamed);
     }
 }
 
 #[test]
 fn lazy_worlds_reproduce_eager_sharded_runs() {
-    // 4 dense-metro-class neighborhoods, run once with every shard's
-    // (Trace, Topology) held in memory and once building each shard inside
-    // the worker via the stream — byte-identical results either way.
+    // 4 dense-metro-class neighborhoods, run once as a whole scheme run over
+    // the lazy world (each shard streamed inside its worker, the prototype
+    // cache replaying repetition 1) and once by hand: every (repetition ×
+    // shard) day over the materialized shard with the same RNG fork, folded
+    // with the runner's arithmetic — byte-identical results either way.
     let mut cfg = ScenarioConfig::default();
     cfg.trace.n_clients = 544;
     cfg.trace.n_aps = 80;
@@ -102,30 +130,75 @@ fn lazy_worlds_reproduce_eager_sharded_runs() {
     cfg.shards = 4;
     cfg.validate().unwrap();
     let seed = 31;
-    let eager_world = insomnia::core::build_sharded_world_seeded(&cfg, seed);
-    let lazy_world = ShardedWorld::lazy(&cfg, seed);
-    assert!(lazy_world.is_lazy() && !eager_world.is_lazy());
-    assert_eq!(lazy_world.n_shards(), 4);
-    assert_eq!(lazy_world.n_clients(), eager_world.n_clients());
-    assert_eq!(lazy_world.n_gateways(), eager_world.n_gateways());
-    assert_eq!(lazy_world.n_flows(), None, "lazy worlds never count flows up front");
+    let world = ShardedWorld::lazy(&cfg, seed);
+    assert_eq!(world.n_shards(), 4);
+    let shards: Vec<(Trace, Topology)> = (0..4).map(|s| build_world_shard(&cfg, seed, s)).collect();
+    assert_eq!(world.n_clients(), shards.iter().map(|(_, t)| t.n_clients()).sum::<usize>());
+    assert_eq!(world.n_gateways(), shards.iter().map(|(_, t)| t.n_gateways()).sum::<usize>());
+    let k = cfg.repetitions as f64;
     for spec in [SchemeSpec::soi(), SchemeSpec::bh2_k_switch()] {
-        let a = run_scheme_sharded(&cfg, spec, &eager_world, seed, 4);
-        let b = run_scheme_sharded(&cfg, spec, &lazy_world, seed, 4);
-        assert_eq!(a.powered_gateways, b.powered_gateways, "{spec}");
-        assert_eq!(a.energy.total_j(), b.energy.total_j(), "{spec}");
-        assert_eq!(a.mean_wake_count, b.mean_wake_count, "{spec}");
-        assert_eq!(a.events, b.events, "{spec}");
-        for (ca, cb) in a.completion.iter().zip(&b.completion) {
-            assert_eq!(ca.per_flow(), cb.per_flow(), "{spec}");
-            assert_eq!(ca.quantiles(&[0.5, 0.95]), cb.quantiles(&[0.5, 0.95]), "{spec}");
+        let lazy = run_scheme(&cfg, spec, &world, seed, 4, &TaskHooks::observed(&|_| {}));
+        // runs[rep][shard], each on the runner's fork of the master seed.
+        let runs: Vec<Vec<RunResult>> = (0..cfg.repetitions)
+            .map(|r| {
+                let rep_rng = SimRng::new(seed).fork_idx("rep", r as u64);
+                shards
+                    .iter()
+                    .enumerate()
+                    .map(|(s, (trace, topo))| {
+                        run_slice(&cfg, spec, trace, topo, rep_rng.fork_idx("shard", s as u64))
+                    })
+                    .collect()
+            })
+            .collect();
+
+        let mut energy = EnergyBreakdown::default();
+        let mut powered = Vec::new();
+        for rep in &runs {
+            let mut acc = rep[0].energy;
+            let mut series = rep[0].powered_gateways.clone();
+            for run in &rep[1..] {
+                acc = acc.plus(&run.energy);
+                for (a, v) in series.iter_mut().zip(&run.powered_gateways) {
+                    *a += v;
+                }
+            }
+            energy = energy.plus(&acc);
+            powered.push(series);
         }
-        assert_eq!(a.shard_summaries.len(), b.shard_summaries.len());
-        for (sa, sb) in a.shard_summaries.iter().zip(&b.shard_summaries) {
-            assert_eq!(sa.n_clients, sb.n_clients, "{spec}");
-            assert_eq!(sa.n_gateways, sb.n_gateways, "{spec}");
-            assert_eq!(sa.n_flows, sb.n_flows, "{spec}");
-            assert_eq!(sa.energy_j, sb.energy_j, "{spec}");
+        let energy = EnergyBreakdown {
+            user_j: energy.user_j / k,
+            modems_j: energy.modems_j / k,
+            cards_j: energy.cards_j / k,
+            shelf_j: energy.shelf_j / k,
+        };
+        assert_eq!(lazy.energy, energy, "{spec}");
+        assert_eq!(lazy.powered_gateways, average_runs(&powered), "{spec}");
+        let events: u64 = runs.iter().flatten().map(|r| r.events).sum();
+        assert_eq!(lazy.events, events, "{spec}");
+        for (r, rep) in runs.iter().enumerate() {
+            let flows: Vec<Option<f64>> =
+                rep.iter().flat_map(|run| run.completion.per_flow().unwrap().to_vec()).collect();
+            assert_eq!(lazy.completion[r].per_flow().unwrap().to_vec(), flows, "{spec} rep {r}");
+        }
+
+        assert_eq!(lazy.shard_summaries.len(), 4);
+        for (s, sum) in lazy.shard_summaries.iter().enumerate() {
+            let (trace, topo) = &shards[s];
+            assert_eq!(sum.n_clients, topo.n_clients(), "{spec}");
+            assert_eq!(sum.n_gateways, topo.n_gateways(), "{spec}");
+            assert_eq!(sum.n_flows, trace.flows.len(), "{spec}");
+            let (mut energy_j, mut gateways, mut wakes) = (0.0, 0.0, 0.0);
+            for rep in &runs {
+                let run = &rep[s];
+                energy_j += run.energy.total_j();
+                gateways +=
+                    run.powered_gateways.iter().sum::<f64>() / run.powered_gateways.len() as f64;
+                wakes += run.wake_counts.iter().sum::<u64>() as f64 / topo.n_gateways() as f64;
+            }
+            assert_eq!(sum.energy_j, energy_j / k, "{spec} shard {s}");
+            assert_eq!(sum.mean_gateways, gateways / k, "{spec} shard {s}");
+            assert_eq!(sum.mean_wake_count, wakes / k, "{spec} shard {s}");
         }
     }
 }
@@ -145,7 +218,7 @@ fn scheduler_heap_stays_bounded_by_active_flows_plus_timers() {
     let n_gw = topo.n_gateways();
     let n_clients = topo.n_clients();
     for spec in [SchemeSpec::soi(), SchemeSpec::bh2_k_switch()] {
-        let r = run_single(&cfg, spec, &trace, &topo, SimRng::new(3));
+        let r = run_slice(&cfg, spec, &trace, &topo, SimRng::new(3));
         let timers = 3 * n_gw + n_clients + 3;
         assert!(
             r.peak_heap <= r.peak_active_flows + timers,
@@ -175,9 +248,9 @@ fn optimal_consumes_the_same_cursor_window() {
     cfg.trace.horizon = SimTime::from_hours(4);
     let seed = 5;
     let (trace, topo) = build_world_shard(&cfg, seed, 0);
-    let a = run_single(&cfg, SchemeSpec::optimal(), &trace, &topo, SimRng::new(1));
+    let a = run_slice(&cfg, SchemeSpec::optimal(), &trace, &topo, SimRng::new(1));
     let (stream, stopo) = build_world_shard_streaming(&cfg, seed, 0);
-    let b = run_single_streaming(&cfg, SchemeSpec::optimal(), stream, &stopo, SimRng::new(1));
+    let b = run_stream(&cfg, SchemeSpec::optimal(), stream, &stopo, SimRng::new(1));
     assert_runs_identical("optimal", &a, &b);
     assert_eq!(a.completion.completed(), 0, "optimal does not simulate flows");
 }
