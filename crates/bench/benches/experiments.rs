@@ -12,7 +12,7 @@ use insomnia_bench::figures;
 use insomnia_bench::Harness;
 use insomnia_core::{
     build_world, run_scheme, run_single_source_threads, run_testbed, ArrivalSource, ScenarioConfig,
-    SchemeSpec, ShardedWorld, SolverInput, TaskHooks, TestbedConfig,
+    SchemeSpec, ShardedWorld, SolverInput, TestbedConfig,
 };
 use insomnia_dslphy::{
     fixed_length_lines, BundleConfig, BundleSim, CrosstalkExperiment, ServiceProfile,
@@ -143,8 +143,7 @@ fn bench_fig06_to_08_schemes(c: &mut Criterion) {
 fn bench_fig09_qos(c: &mut Criterion) {
     let cfg = small_scenario();
     let world = ShardedWorld::lazy(&cfg, cfg.seed);
-    let hooks = TaskHooks::observed(&|_| {});
-    let run = |spec| run_scheme(&cfg, spec, &world, cfg.seed, default_threads(), &hooks);
+    let run = |spec| run_scheme(&cfg, spec, &world, cfg.seed, default_threads());
     let (base, soi) = (run(SchemeSpec::no_sleep()), run(SchemeSpec::soi()));
     c.bench_function("fig09/completion_variation_cdf", |b| {
         b.iter(|| black_box(insomnia_core::completion_variation_cdf(&soi, &base)))

@@ -9,8 +9,7 @@ use insomnia_access::{p_card_sleeps, PowerModel};
 use insomnia_core::{
     build_world, completion_variation_cdf, density_sweep, hourly_means, isp_share_percent_series,
     online_time_variation_cdf, run_scheme, run_testbed, savings_percent_series, summarize,
-    FigureData, ScenarioConfig, SchemeResult, SchemeSpec, ShardedWorld, TaskHooks, TestbedConfig,
-    WorldModel,
+    FigureData, ScenarioConfig, SchemeResult, SchemeSpec, ShardedWorld, TestbedConfig, WorldModel,
 };
 use insomnia_dslphy::{sample_attenuations, AttenuationConfig, BundleConfig, CrosstalkExperiment};
 use insomnia_simcore::{Cdf, SimRng, SimTime};
@@ -86,8 +85,7 @@ pub fn run_main(h: &Harness) -> MainRuns {
     let cfg = &h.scenario;
     let world = ShardedWorld::lazy(cfg, cfg.seed);
     let threads = insomnia_simcore::default_threads();
-    let hooks = TaskHooks::observed(&|_| {});
-    let run = |spec| run_scheme(cfg, spec, &world, cfg.seed, threads, &hooks);
+    let run = |spec| run_scheme(cfg, spec, &world, cfg.seed, threads);
     MainRuns {
         no_sleep: run(SchemeSpec::no_sleep()),
         soi: run(SchemeSpec::soi()),
@@ -490,8 +488,7 @@ pub fn doze_table(h: &Harness) -> FigureData {
     let cfg = &h.scenario;
     let world = ShardedWorld::lazy(cfg, cfg.seed);
     let threads = insomnia_simcore::default_threads();
-    let hooks = TaskHooks::observed(&|_| {});
-    let run = |spec| run_scheme(cfg, spec, &world, cfg.seed, threads, &hooks);
+    let run = |spec| run_scheme(cfg, spec, &world, cfg.seed, threads);
     let base_user_w = cfg.power.no_sleep_user_w(world.n_gateways());
     let base_isp_w =
         cfg.power.no_sleep_isp_w_sharded(world.n_gateways(), cfg.dslam.n_cards, world.n_shards());

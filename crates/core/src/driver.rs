@@ -24,14 +24,13 @@ use insomnia_access::{
     PowerLadder,
 };
 use insomnia_simcore::{
-    average_runs, par_fold_indexed, par_map_indexed, retry_unwind, EventToken, OnlineTimeHist,
-    Scheduler, SimDuration, SimRng, SimTime,
+    average_runs, par_fold_grouped, par_map_indexed, EventToken, OnlineTimeHist, Scheduler,
+    SimDuration, SimRng, SimTime,
 };
 use insomnia_telemetry::RunCounters;
 use insomnia_traffic::{FlowRecord, FlowStream, Trace};
 use insomnia_wireless::{binomial_topology, overlap_topology, shard_spans, LoadWindow, Topology};
 use serde::{Deserialize, Serialize};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 /// Simulation events.
@@ -1186,69 +1185,13 @@ impl SchemeResult {
     }
 }
 
-/// One finished `(repetition × shard)` task, reported to the progress
-/// observer [`TaskHooks::observe`] from the worker thread the
-/// moment its event loop drains — the shard-level heartbeat hour-long
-/// batches print to stderr keeps firing per completion (one slow early
-/// shard must not silence it), now carrying merge progress alongside.
-///
-/// Tasks complete in scheduling order but are *merged* strictly in task
-/// order (repetition-major, shard-minor) by the deterministic folder, so
-/// `finished` can run ahead of `merged`; the difference is the folder's
-/// reorder-queue depth, `fold_queue` (bounded by the fold's claim
-/// window, O(worker threads)).
-#[derive(Debug, Clone, Copy)]
-pub struct TaskProgress {
-    /// Repetition index of the finished task.
-    pub rep: usize,
-    /// Shard index of the finished task.
-    pub shard: usize,
-    /// Shards per repetition.
-    pub n_shards: usize,
-    /// Tasks finished so far, including this one (each task reports a
-    /// unique value; completion order is scheduling-dependent).
-    pub finished: usize,
-    /// Total `(repetition × shard)` tasks of the scheme run.
-    pub total: usize,
-    /// Tasks absorbed by the in-order folder when this one finished
-    /// (monotone across reports, `<= finished`).
-    pub merged: usize,
-    /// Finished-but-not-yet-merged results at that moment — completion
-    /// running ahead of the deterministic merge.
-    pub fold_queue: usize,
-    /// Scheduler events the finished task delivered.
-    pub events: u64,
-    /// Peak scheduler-heap occupancy of the finished task's event loop.
-    pub peak_heap: usize,
-    /// Peak concurrently-active flow count of the finished task.
-    pub peak_active_flows: usize,
-    /// World-build / stream-setup span of the task, milliseconds (0 for a
-    /// world-prototype cache hit; scheduling-dependent).
-    pub setup_ms: f64,
-    /// Event-loop span of the task, milliseconds (scheduling-dependent).
-    pub loop_ms: f64,
-    /// Deterministic work counters of the task's run.
-    pub counters: RunCounters,
-}
-
-/// Builds the scenario's trace and topology from the master seed. Shared
-/// across schemes and repetitions (the paper uses one real trace and one
+/// Builds the scenario's whole trace and topology from the master seed,
+/// as one unsharded world whatever `cfg.shards` says. Shared across
+/// schemes and repetitions (the paper uses one real trace and one
 /// topology; randomness lives in the algorithms).
 pub fn build_world(cfg: &ScenarioConfig) -> (Trace, Topology) {
-    build_world_seeded(cfg, cfg.seed)
-}
-
-/// [`build_world`] with an explicit master seed — the per-job entry point
-/// the batch runner uses so a (scenario × seed) job matrix gets independent
-/// worlds without cloning configs.
-pub fn build_world_seeded(cfg: &ScenarioConfig, seed: u64) -> (Trace, Topology) {
-    let master = SimRng::new(seed);
-    let mut trace_rng = master.fork("trace");
-    let trace = insomnia_traffic::crawdad::generate(&cfg.trace, &mut trace_rng);
-    let mut topo_rng = master.fork("topology");
-    let home: Vec<usize> = trace.home.iter().map(|ap| ap.index()).collect();
-    let topo = build_topology(cfg, &home, cfg.trace.n_aps, &mut topo_rng);
-    (trace, topo)
+    let whole = ScenarioConfig { shards: 1, ..cfg.clone() };
+    build_world_shard(&whole, cfg.seed, 0)
 }
 
 /// Builds the client↔gateway reachability graph for one (shard's) home
@@ -1322,46 +1265,42 @@ impl ShardedWorld {
     }
 }
 
-/// Builds shard `shard` of the scenario's world from the master seed.
-///
-/// A `shards = 1` config delegates to [`build_world_seeded`] (same RNG
-/// labels, byte-identical world); with more shards, shard `s` draws from
-/// `master.fork_idx("shard-trace", s)` / `fork_idx("shard-topology", s)`,
-/// so shards are decorrelated and each is independent of how many others
-/// exist or who builds them. Batch runners flatten (world × shard) build
-/// tasks onto one pool through this entry point.
+/// Builds shard `shard` of the scenario's world from the master seed —
+/// [`build_world_shard_streaming`] with the stream collected into a
+/// materialized [`Trace`] (the eager generator's exact flows).
 pub fn build_world_shard(cfg: &ScenarioConfig, seed: u64, shard: usize) -> (Trace, Topology) {
-    if cfg.shards <= 1 {
-        assert_eq!(shard, 0, "unsharded world has exactly one shard");
-        return build_world_seeded(cfg, seed);
-    }
-    let (shard_trace, master) = shard_trace_config(cfg, seed, shard);
-    let mut trace_rng = master.fork_idx("shard-trace", shard as u64);
-    let trace = insomnia_traffic::crawdad::generate(&shard_trace, &mut trace_rng);
-    let mut topo_rng = master.fork_idx("shard-topology", shard as u64);
-    let home: Vec<usize> = trace.home.iter().map(|ap| ap.index()).collect();
-    let topo = build_topology(cfg, &home, shard_trace.n_aps, &mut topo_rng);
-    (trace, topo)
+    let (stream, topo) = build_world_shard_streaming(cfg, seed, shard);
+    (stream.collect_trace(), topo)
 }
 
-/// [`build_world_shard`] on the streaming path: the shard's trace comes
-/// back as an unconsumed [`FlowStream`] (O(clients) state) instead of a
-/// materialized [`Trace`]. Collecting the stream yields exactly
-/// [`build_world_shard`]'s trace — same RNG labels, same draws — and the
-/// topology is byte-identical; `tests/streaming.rs` asserts both.
+/// Builds shard `shard` of the scenario's world from the master seed, its
+/// trace as an unconsumed [`FlowStream`] (O(clients) state) — the one
+/// world-build recipe every builder shares.
+///
+/// A `shards = 1` world draws its trace from `master.fork("trace")` and
+/// its topology from `master.fork("topology")`; with more shards, shard
+/// `s` draws from `master.fork_idx("shard-trace", s)` /
+/// `fork_idx("shard-topology", s)` over its span-sized population, so
+/// shards are decorrelated and each is independent of how many others
+/// exist or who builds them. Batch runners flatten (world × shard) tasks
+/// onto one pool through this entry point; `tests/streaming.rs` pins the
+/// collected trace to the eager generator's.
 pub fn build_world_shard_streaming(
     cfg: &ScenarioConfig,
     seed: u64,
     shard: usize,
 ) -> (FlowStream, Topology) {
     let master = SimRng::new(seed);
-    let (shard_trace, mut trace_rng, mut topo_rng) = if cfg.shards <= 1 {
+    let mut shard_trace = cfg.trace.clone();
+    let (mut trace_rng, mut topo_rng) = if cfg.shards <= 1 {
         assert_eq!(shard, 0, "unsharded world has exactly one shard");
-        (cfg.trace.clone(), master.fork("trace"), master.fork("topology"))
+        (master.fork("trace"), master.fork("topology"))
     } else {
-        let (shard_trace, master) = shard_trace_config(cfg, seed, shard);
+        let span = shard_spans(cfg.trace.n_clients, cfg.trace.n_aps, cfg.shards)
+            .expect("validated shard split")[shard];
+        shard_trace.n_clients = span.n_clients;
+        shard_trace.n_aps = span.n_gateways;
         (
-            shard_trace,
             master.fork_idx("shard-trace", shard as u64),
             master.fork_idx("shard-topology", shard as u64),
         )
@@ -1371,23 +1310,6 @@ pub fn build_world_shard_streaming(
     let topo = build_topology(cfg, &home, shard_trace.n_aps, &mut topo_rng);
     (stream, topo)
 }
-
-/// The per-shard trace config (span-sized population) plus the master RNG.
-fn shard_trace_config(
-    cfg: &ScenarioConfig,
-    seed: u64,
-    shard: usize,
-) -> (CrawdadTraceConfig, SimRng) {
-    let spans = shard_spans(cfg.trace.n_clients, cfg.trace.n_aps, cfg.shards)
-        .expect("validated shard split");
-    let span = spans[shard];
-    let mut shard_trace = cfg.trace.clone();
-    shard_trace.n_clients = span.n_clients;
-    shard_trace.n_aps = span.n_gateways;
-    (shard_trace, SimRng::new(seed))
-}
-
-type CrawdadTraceConfig = insomnia_traffic::CrawdadConfig;
 
 /// The one live repetition accumulator of the shard fold: shard runs of
 /// repetition `r` are absorbed in shard order (series summed sample-wise,
@@ -1465,87 +1387,6 @@ struct ShardAccum {
     mean_wake_count: f64,
 }
 
-/// Panic payload of a `(repetition × shard)` task whose bounded retry
-/// budget is exhausted. Callers that `catch_unwind` around a scheme run
-/// downcast to this to report the failed span precisely (and exit nonzero)
-/// instead of reprinting an anonymous panic.
-#[derive(Debug)]
-pub struct TaskFailure {
-    /// Repetition index of the failed task.
-    pub rep: usize,
-    /// Shard index of the failed task.
-    pub shard: usize,
-    /// Attempts made (all panicked).
-    pub attempts: usize,
-    /// The final attempt's panic message.
-    pub message: String,
-}
-
-/// Panic payload a worker raises when [`TaskHooks::cancel`] is set before
-/// its task starts: the cooperative interrupt path (SIGINT) aborts the
-/// fold without simulating further tasks. Already-persisted checkpoint
-/// records stay valid, so the run can resume later.
-#[derive(Debug)]
-pub struct TaskCancelled;
-
-/// Checkpoint persistence callback: `(task index, freshly simulated
-/// result)`, invoked from the worker before the result is folded.
-pub type PersistFn<'a> = &'a (dyn Fn(usize, &RunResult) + Sync);
-
-/// Control hooks a crash-safe batch runner threads through the shard-fold
-/// core — all optional, all observation-or-replay only: no hook can change
-/// the bytes of a run that completes.
-pub struct TaskHooks<'a> {
-    /// Per-task completion heartbeat, called from the worker thread the
-    /// moment each task's event loop drains. Observers must be cheap and
-    /// thread-safe; they cannot affect the result.
-    pub observe: &'a (dyn Fn(TaskProgress) + Sync),
-    /// Checkpoint replay: given a task index, returns a previously
-    /// persisted [`RunResult`] to fold instead of simulating. The replayed
-    /// result is marked in `counters.tasks_resumed` (telemetry only).
-    pub cached: Option<&'a (dyn Fn(usize) -> Option<RunResult> + Sync)>,
-    /// Checkpoint persistence: called from the worker with each freshly
-    /// simulated task's result, in completion order, before it is folded.
-    pub persist: Option<PersistFn<'a>>,
-    /// Total attempts per task (clamped to ≥ 1; 1 = no retry). Retries
-    /// re-derive the identical RNG stream — the attempt number must never
-    /// leak into fork labels — so a transient panic cannot change bytes.
-    pub max_attempts: usize,
-    /// Deterministic fault injection: `fault(task, attempt)` returning
-    /// `true` makes that attempt panic before simulating (chaos tests).
-    pub fault: Option<&'a (dyn Fn(usize, u64) -> bool + Sync)>,
-    /// Cooperative cancel flag: workers raise [`TaskCancelled`] instead of
-    /// starting a task once it reads `true`.
-    pub cancel: Option<&'a std::sync::atomic::AtomicBool>,
-}
-
-impl<'a> TaskHooks<'a> {
-    /// Plain observation, no durability: a single attempt per task, no
-    /// checkpoint replay or persistence, no faults, no cancel flag.
-    pub fn observed(observe: &'a (dyn Fn(TaskProgress) + Sync)) -> Self {
-        TaskHooks {
-            observe,
-            cached: None,
-            persist: None,
-            max_attempts: 1,
-            fault: None,
-            cancel: None,
-        }
-    }
-}
-
-/// Best-effort panic-payload text (matches std's unwind reporting for
-/// `&str`/`String` payloads).
-fn payload_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
-}
-
 /// One shard's shared world prototype: the stream (replay cache enabled,
 /// recording pre-published) plus topology, built once by whichever consumer
 /// reaches the cell first and cloned by every other.
@@ -1558,7 +1399,7 @@ type ShardProto = Arc<OnceLock<(FlowStream, Topology)>>;
 ///
 /// Each shard slot hands out one shared [`ShardProto`] and counts down its
 /// configured consumers; the slot drops its own reference at the last
-/// [`acquire`](Self::acquire) (or [`skip`](Self::skip)), so a prototype's
+/// [`claim`](Self::claim) (or [`skip`](Self::skip)), so a prototype's
 /// O(clients) state lives exactly from first claim to last consumer's
 /// drop. With shard-major scheduling a shard's consumers run consecutively,
 /// so at most O(worker threads) prototypes are ever live — the same
@@ -1588,127 +1429,57 @@ impl WorldProtoCache {
         })
     }
 
-    /// Claims shard `shard`'s prototype for one consumer. The returned cell
-    /// is initialized by the first claimant to reach `get_or_init`; the
-    /// slot's own reference drops with the last claim, leaving the
-    /// in-flight clones as the only owners.
-    fn acquire(&self, shard: usize) -> ShardProto {
+    /// Claims shard `shard`'s prototype for one task. Take it exactly once
+    /// per task — outside any retry loop — so the refcount stays exact:
+    /// the slot's own reference drops with the last claim, leaving the
+    /// in-flight claims as the only owners.
+    pub fn claim(&self, shard: usize) -> ProtoClaim {
         let mut slot = self.slots[shard].lock().expect("proto slot lock");
-        slot.remaining = slot.remaining.saturating_sub(1);
         let proto = slot.proto.get_or_insert_with(Default::default).clone();
-        if slot.remaining == 0 {
-            slot.proto = None;
-        }
-        proto
+        slot.release();
+        ProtoClaim { proto, built: false }
     }
 
     /// Releases one consumer's claim without touching the prototype — the
     /// checkpoint-replay path, where a resumed task never simulates. Keeps
     /// the refcount exact so a partially resumed run still frees each
     /// shard's prototype at its true last consumer.
-    fn skip(&self, shard: usize) {
-        let mut slot = self.slots[shard].lock().expect("proto slot lock");
-        slot.remaining = slot.remaining.saturating_sub(1);
-        if slot.remaining == 0 {
-            slot.proto = None;
+    pub fn skip(&self, shard: usize) {
+        self.slots[shard].lock().expect("proto slot lock").release();
+    }
+}
+
+impl ProtoSlot {
+    /// Counts one consumer off; the last one drops the slot's reference.
+    fn release(&mut self) {
+        self.remaining = self.remaining.saturating_sub(1);
+        if self.remaining == 0 {
+            self.proto = None;
         }
     }
 }
 
-/// Runs one `(repetition × shard)` task of `world`. The shard is built
-/// here — in the worker, streaming — and dropped on return. Also returns
-/// the world-build / stream-setup wall-clock in milliseconds.
-///
-/// `proto` is this task's claim on the shard's [`WorldProtoCache`]
-/// slot, if a cache is active: every consumer of a shard drives the
-/// identical trace (the world-build RNG forks depend only on `(seed,
-/// shard)` — never the scheme or repetition), so the first consumer to
-/// reach the cell builds the stream once — replay cache enabled, and
-/// its recording published up front by draining a throwaway clone —
-/// and every other consumer clones the prototype and replays the
-/// recording instead of re-running the setup pass. The up-front drain
-/// keeps each consumer's own stream work counters deterministic: no
-/// consumer ever races the recording's publication. Cache hits report
-/// `setup_ms = 0` exactly (the one real build is the only setup span);
-/// `built` reports whether any of this task's attempts was the
-/// builder. Cacheless tasks (the giga/tera smokes' single-consumer
-/// worlds) keep the build-and-drop path untouched.
-fn run_task(
-    world: &ShardedWorld,
-    cfg: &ScenarioConfig,
-    spec: SchemeSpec,
-    shard: usize,
-    rng: SimRng,
-    proto: Option<&ShardProto>,
-    built: &mut bool,
-) -> (RunResult, f64) {
-    // Tasks already saturate the worker pool, so the per-run Optimal
-    // pre-solve fan-out is pinned to one thread here: parallelism
-    // lives at exactly one level, never nested (the result is
-    // byte-identical either way).
-    let single = move |arrivals: ArrivalSource<'_>, topo: &Topology| {
-        run_single_source_threads(cfg, spec, arrivals, topo, rng, 1)
-    };
-    let setup_start = std::time::Instant::now();
-    if let Some(slot) = proto {
-        let mut was_built = false;
-        let (stream_proto, topo) = slot.get_or_init(|| {
-            was_built = true;
-            let (mut s, t) = build_world_shard_streaming(&world.cfg, world.seed, shard);
-            if s.enable_replay_cache() {
-                // Publish the recording before any consumer runs: drain a
-                // throwaway clone so every consumer — this one included —
-                // replays.
-                let mut probe = s.clone();
-                while probe.next_flow().is_some() {}
-            }
-            (s, t)
-        });
-        if was_built {
-            // Sticky across retry attempts: a task that built the
-            // prototype and then retried is still the builder.
-            *built = true;
-        }
-        let stream = stream_proto.clone();
-        // A panicking init leaves the cell empty (OnceLock does not
-        // poison), so a retried builder rebuilds safely; hits attribute
-        // zero setup — the one real build is the only setup span of the
-        // shard.
-        let setup_ms = if was_built { setup_start.elapsed().as_secs_f64() * 1e3 } else { 0.0 };
-        (single(ArrivalSource::Stream(Box::new(stream)), topo), setup_ms)
-    } else {
-        let (stream, topo) = build_world_shard_streaming(&world.cfg, world.seed, shard);
-        let setup_ms = setup_start.elapsed().as_secs_f64() * 1e3;
-        (single(ArrivalSource::Stream(Box::new(stream)), &topo), setup_ms)
-    }
+/// One task's claim on its shard's [`WorldProtoCache`] slot. It records
+/// whether any attempt holding it built the prototype — sticky across
+/// retries, since a builder attempt that panics after the build never
+/// returns — and writes the task's one build-or-hit attribution.
+pub struct ProtoClaim {
+    proto: ShardProto,
+    built: bool,
 }
 
-/// Shared completion/merge counters of one scheme run's `(repetition ×
-/// shard)` task pool — the state behind [`TaskProgress`] heartbeats
-/// (`finished` from the workers, `merged` echoed back by the folder). The
-/// whole-run [`run_scheme`] keeps one per call; the batch runner's
-/// scheduler keeps one per job and threads it through [`run_scheme_task`].
-pub struct SchemeProgress {
-    finished: AtomicUsize,
-    merged: AtomicUsize,
-    total: usize,
-    n_shards: usize,
-}
-
-impl SchemeProgress {
-    /// Progress state for a run of `total` tasks over `n_shards` shards.
-    pub fn new(total: usize, n_shards: usize) -> SchemeProgress {
-        SchemeProgress {
-            finished: AtomicUsize::new(0),
-            merged: AtomicUsize::new(0),
-            total,
-            n_shards,
+impl ProtoClaim {
+    /// Adds the task's prototype use to `counters`: a build if any of its
+    /// attempts built the prototype, else a hit. Per-task attribution is
+    /// scheduling-dependent (whoever reaches the cell first builds), but
+    /// the totals are exact: one build per shard, every other consumer a
+    /// hit.
+    pub fn attribute(&self, counters: &mut RunCounters) {
+        if self.built {
+            counters.proto_cache_builds += 1;
+        } else {
+            counters.proto_cache_hits += 1;
         }
-    }
-
-    /// Records that the in-order folder has absorbed tasks `0..merged`.
-    pub fn note_merged(&self, merged: usize) {
-        self.merged.store(merged, Ordering::Relaxed);
     }
 }
 
@@ -1718,7 +1489,7 @@ impl SchemeProgress {
 ///
 /// The batch runner keeps one folder per job and feeds them all from a
 /// single interleaved worker pool; [`run_scheme`] drives the same folder
-/// through `par_fold_indexed`. Absorb order defines the bytes — the
+/// through a one-group `par_fold_grouped`. Absorb order defines the bytes — the
 /// arithmetic is exactly the historical collect-then-merge, so aggregates
 /// are bit-identical at any thread count and under any task interleaving
 /// that preserves per-job order.
@@ -1874,212 +1645,114 @@ impl SchemeFolder {
     }
 }
 
-/// One `(repetition × shard)` task of a scheme run, end to end: the cancel
-/// check, checkpoint replay, bounded deterministic retry, RNG fork
-/// discipline, prototype-cache accounting and the completion heartbeat.
-/// Exactly the worker body of [`run_scheme`]; the batch runner calls it
-/// through [`run_scheme_task`] from its own interleaved pool.
-#[allow(clippy::too_many_arguments)]
-fn run_task_inner(
-    cfg: &ScenarioConfig,
-    spec: SchemeSpec,
-    world: &ShardedWorld,
-    master: &SimRng,
-    i: usize,
-    cache: Option<&WorldProtoCache>,
-    hooks: &TaskHooks<'_>,
-    progress: &SchemeProgress,
-) -> RunResult {
-    let n_shards = progress.n_shards;
-    let (rep, sh) = (i / n_shards, i % n_shards);
-    if let Some(cancel) = hooks.cancel {
-        if cancel.load(Ordering::Relaxed) {
-            std::panic::panic_any(TaskCancelled);
-        }
-    }
-    // Checkpoint replay: a cached result folds exactly like a fresh one
-    // (same index, same bytes); only the resumed-task telemetry counter
-    // records the difference.
-    if let Some(cached) = hooks.cached {
-        if let Some(mut result) = cached(i) {
-            result.counters.tasks_resumed += 1;
-            // A replayed task never touches the prototype; release its
-            // claim so the shard still frees at its true last consumer.
-            if let Some(cache) = cache {
-                cache.skip(sh);
-            }
-            let done = progress.finished.fetch_add(1, Ordering::Relaxed) + 1;
-            let merged_now = progress.merged.load(Ordering::Relaxed);
-            (hooks.observe)(TaskProgress {
-                rep,
-                shard: sh,
-                n_shards,
-                finished: done,
-                total: progress.total,
-                merged: merged_now,
-                fold_queue: done.saturating_sub(merged_now + 1),
-                events: result.events,
-                peak_heap: result.peak_heap,
-                peak_active_flows: result.peak_active_flows,
-                setup_ms: 0.0,
-                loop_ms: 0.0,
-                counters: result.counters,
-            });
-            return result;
-        }
-    }
-    let task_start = std::time::Instant::now();
-    // Claim the shard's prototype exactly once per task, *outside* the
-    // retry loop: a retried attempt must not decrement the refcount again.
-    let proto = cache.map(|c| c.acquire(sh));
-    // Bounded deterministic retry: every attempt re-derives the identical
-    // RNG stream (fork labels depend only on (rep, sh)), so a transient
-    // panic cannot change a single output byte.
-    let mut attempt = 0u64;
-    let mut injected = 0u64;
-    let mut built = false;
-    let outcome = retry_unwind(hooks.max_attempts, || {
-        let this_attempt = attempt;
-        attempt += 1;
-        if let Some(fault) = hooks.fault {
-            if fault(i, this_attempt) {
-                injected += 1;
-                panic!("injected worker fault (task {i}, attempt {this_attempt})");
-            }
-        }
-        let rng = if n_shards == 1 {
-            master.fork_idx("rep", rep as u64)
-        } else {
-            master.fork_idx("rep", rep as u64).fork_idx("shard", sh as u64)
-        };
-        run_task(world, cfg, spec, sh, rng, proto.as_ref(), &mut built)
-    });
-    let (retries, (mut result, setup_ms)) = match outcome {
-        Ok(retried) => (retried.retries, retried.value),
-        Err(payload) => std::panic::panic_any(TaskFailure {
-            rep,
-            shard: sh,
-            attempts: attempt as usize,
-            message: payload_message(payload.as_ref()),
-        }),
-    };
-    result.counters.tasks_retried += retries;
-    result.counters.faults_injected += injected;
-    if proto.is_some() {
-        // Per-task attribution is scheduling-dependent (whoever reaches
-        // the cell first builds), but the *totals* are exact: one build
-        // per shard, every other consumer a hit.
-        if built {
-            result.counters.proto_cache_builds += 1;
-        } else {
-            result.counters.proto_cache_hits += 1;
-        }
-    }
-    let loop_ms = (task_start.elapsed().as_secs_f64() * 1e3 - setup_ms).max(0.0);
-    if let Some(persist) = hooks.persist {
-        persist(i, &result);
-    }
-    // Report from the worker, at completion: heartbeats must keep flowing
-    // even while the in-order folder waits on a slow earlier task. Merge
-    // progress rides along as a snapshot.
-    let done = progress.finished.fetch_add(1, Ordering::Relaxed) + 1;
-    let merged_now = progress.merged.load(Ordering::Relaxed);
-    (hooks.observe)(TaskProgress {
-        rep,
-        shard: sh,
-        n_shards,
-        finished: done,
-        total: progress.total,
-        merged: merged_now,
-        fold_queue: done.saturating_sub(merged_now + 1),
-        events: result.events,
-        peak_heap: result.peak_heap,
-        peak_active_flows: result.peak_active_flows,
-        setup_ms,
-        loop_ms,
-        counters: result.counters,
-    });
-    result
-}
-
-/// Runs one `(repetition × shard)` task of the scheme run `(cfg, spec,
-/// world, seed)` — the entry point of the batch runner's shard-major
-/// scheduler, which owns the cross-job task interleaving and the per-job
-/// [`SchemeFolder`]s itself. Task `i` encodes `(repetition, shard)` exactly
-/// as [`run_scheme`]'s pool does (`i = rep * n_shards + shard`), the RNG
-/// stream is derived identically, and results must be absorbed into the
-/// job's folder strictly in `i` order — so each batch job is byte-identical
-/// to the whole-run [`run_scheme`]. `cache`, if any, must be this `world`'s
-/// [`WorldProtoCache`], and every one of its consumers must call this (or
-/// be `skip`ped) exactly once.
-#[allow(clippy::too_many_arguments)]
+/// Runs one attempt of `(repetition × shard)` task `i` of the scheme run
+/// `(cfg, spec, world, seed)`, where `i = rep * n_shards + shard`. Returns
+/// the task's result and its world-build / stream-setup wall-clock in
+/// milliseconds (scheduling-dependent; 0 for a prototype-cache hit).
+///
+/// Repetition `r` of shard `s` draws from `SimRng::new(seed).fork_idx("rep",
+/// r).fork_idx("shard", s)` (the `"shard"` fork skipped for one-shard
+/// worlds, which keeps `shards = 1` byte-identical to the pre-shard
+/// driver). The stream depends on nothing else — never the attempt — so a
+/// retried attempt is byte-identical, and results absorbed into a
+/// [`SchemeFolder`] strictly in `i` order reproduce [`run_scheme`] exactly.
+///
+/// The shard is built here, in the worker, streaming, and dropped on
+/// return. With a `claim` on the world's [`WorldProtoCache`] (every
+/// consumer of a shard drives the identical trace: the world-build RNG
+/// forks depend only on `(seed, shard)`), the first consumer to reach the
+/// cell builds the stream once — replay cache enabled, its recording
+/// published up front by draining a throwaway clone — and every other
+/// consumer clones the prototype and replays the recording instead of
+/// re-running the setup pass. The up-front drain keeps each consumer's own
+/// stream work counters deterministic: no consumer ever races the
+/// recording's publication. Cacheless tasks (the giga/tera smokes'
+/// single-consumer worlds) keep the build-and-drop path.
 pub fn run_scheme_task(
     cfg: &ScenarioConfig,
     spec: SchemeSpec,
     world: &ShardedWorld,
     seed: u64,
     i: usize,
-    cache: Option<&WorldProtoCache>,
-    hooks: &TaskHooks<'_>,
-    progress: &SchemeProgress,
-) -> RunResult {
+    claim: Option<&mut ProtoClaim>,
+) -> (RunResult, f64) {
+    let n_shards = world.n_shards();
+    let (rep, sh) = (i / n_shards, i % n_shards);
     // Forks are id-based and non-mutating, so re-deriving the master per
-    // task reproduces the whole-run pool's streams exactly.
-    let master = SimRng::new(seed);
-    run_task_inner(cfg, spec, world, &master, i, cache, hooks, progress)
+    // task reproduces a whole-run pool's streams exactly.
+    let rep_rng = SimRng::new(seed).fork_idx("rep", rep as u64);
+    let rng = if n_shards == 1 { rep_rng } else { rep_rng.fork_idx("shard", sh as u64) };
+    // Tasks already saturate the worker pool, so the per-run Optimal
+    // pre-solve fan-out is pinned to one thread here: parallelism lives at
+    // exactly one level, never nested (the result is byte-identical either
+    // way).
+    let single = move |stream: FlowStream, topo: &Topology| {
+        run_single_source_threads(cfg, spec, ArrivalSource::Stream(Box::new(stream)), topo, rng, 1)
+    };
+    let setup_start = std::time::Instant::now();
+    let Some(claim) = claim else {
+        let (stream, topo) = build_world_shard_streaming(&world.cfg, world.seed, sh);
+        let setup_ms = setup_start.elapsed().as_secs_f64() * 1e3;
+        return (single(stream, &topo), setup_ms);
+    };
+    let mut was_built = false;
+    let (stream_proto, topo) = claim.proto.get_or_init(|| {
+        was_built = true;
+        let (mut s, t) = build_world_shard_streaming(&world.cfg, world.seed, sh);
+        if s.enable_replay_cache() {
+            // Publish the recording before any consumer runs: drain a
+            // throwaway clone so every consumer — this one included —
+            // replays.
+            let mut probe = s.clone();
+            while probe.next_flow().is_some() {}
+        }
+        (s, t)
+    });
+    // A panicking init leaves the cell empty (OnceLock does not poison), so
+    // a retried builder rebuilds safely; hits attribute zero setup — the one
+    // real build is the only setup span of the shard.
+    claim.built |= was_built;
+    let setup_ms = if was_built { setup_start.elapsed().as_secs_f64() * 1e3 } else { 0.0 };
+    (single(stream_proto.clone(), topo), setup_ms)
 }
 
 /// Runs all repetitions of one scheme over every shard of a
 /// [`ShardedWorld`], on at most `max_threads` worker threads.
 ///
-/// The `(repetition × shard)` tasks are fully independent: repetition `r`
-/// of shard `s` draws from `master.fork_idx("rep", r).fork_idx("shard", s)`
-/// (with the `"shard"` fork skipped for one-shard worlds, which keeps
-/// `shards = 1` byte-identical to the pre-shard driver). Results are
-/// absorbed **online, in task order** by a deterministic [`SchemeFolder`]
-/// on the calling thread ([`par_fold_indexed`]) — shard order within each
-/// repetition, repetitions in order — so the aggregate never depends on
-/// thread count and no task's [`RunResult`] outlives its fold: merge state
-/// is one live [`RepAccum`] plus `O(shards)` scalar summaries plus the
-/// folder's reorder window, which is what caps a 10⁸-client world's merge
-/// memory at O(shards × buckets).
-///
-/// `hooks` carries the progress observer and the crash-safety set:
-/// checkpoint replay (`cached`) and persistence (`persist`), bounded
-/// deterministic retry (`max_attempts`), fault injection and cooperative
-/// cancellation. A run that completes is byte-identical whichever hooks
-/// fired (replay feeds the same fold in the same order; retries replay the
-/// same RNG stream); only the omit-when-zero recovery counters record that
-/// anything happened.
+/// The `(repetition × shard)` tasks ([`run_scheme_task`]) are fully
+/// independent. Results are absorbed **online, in task order** by a
+/// deterministic [`SchemeFolder`] on the calling thread (a one-group
+/// [`par_fold_grouped`]) — shard order within each repetition,
+/// repetitions in order — so the aggregate never depends on thread count
+/// and no task's [`RunResult`] outlives its fold: merge state is one live
+/// [`RepAccum`] plus `O(shards)` scalar summaries plus the fold's reorder
+/// window, which is what caps a 10⁸-client world's merge memory at
+/// O(shards × buckets). Multi-repetition runs share each shard's stream
+/// prototype through a [`WorldProtoCache`].
 pub fn run_scheme(
     cfg: &ScenarioConfig,
     spec: SchemeSpec,
     world: &ShardedWorld,
     seed: u64,
     max_threads: usize,
-    hooks: &TaskHooks<'_>,
 ) -> SchemeResult {
-    let master = SimRng::new(seed);
     let n_shards = world.n_shards();
-    let n_tasks = cfg.repetitions * n_shards;
-    let progress = SchemeProgress::new(n_tasks, n_shards);
-    // Per-shard stream prototypes for multi-repetition runs: built on first
-    // touch, replay-cached, cloned by every later repetition (see
-    // `run_task`). `None` — and cost-free — otherwise.
     let cache = WorldProtoCache::new(world, cfg.repetitions);
     let mut folder = SchemeFolder::new(cfg, spec, world);
-    let progress_ref = &progress;
-
-    par_fold_indexed(
-        n_tasks,
+    let tasks: Vec<(usize, usize)> = (0..folder.n_tasks()).map(|i| (0, i)).collect();
+    par_fold_grouped(
+        &tasks,
         max_threads,
-        |i| run_task_inner(cfg, spec, world, &master, i, cache.as_ref(), hooks, progress_ref),
-        |step, run| {
-            progress.note_merged(step.index + 1);
-            folder.absorb(step.index, run);
+        |i| {
+            let mut claim = cache.as_ref().map(|c| c.claim(i % n_shards));
+            let (mut run, _) = run_scheme_task(cfg, spec, world, seed, i, claim.as_mut());
+            if let Some(claim) = &claim {
+                claim.attribute(&mut run.counters);
+            }
+            run
         },
+        |_, step, run| folder.absorb(step.index, run),
     );
-
     folder.finish()
 }
 
@@ -2118,10 +1791,9 @@ mod tests {
         run_single_source_threads(cfg, spec, ArrivalSource::Slice(&trace.flows), topo, rng, 1)
     }
 
-    /// A whole scheme run over the lazy world `(cfg, seed)`, no hooks.
+    /// A whole scheme run over the lazy world `(cfg, seed)`.
     fn run_lazy(cfg: &ScenarioConfig, spec: SchemeSpec, seed: u64, threads: usize) -> SchemeResult {
-        let world = ShardedWorld::lazy(cfg, seed);
-        run_scheme(cfg, spec, &world, seed, threads, &TaskHooks::observed(&|_| {}))
+        run_scheme(cfg, spec, &ShardedWorld::lazy(cfg, seed), seed, threads)
     }
 
     #[test]
@@ -2249,7 +1921,7 @@ mod tests {
     #[test]
     fn one_shard_world_is_byte_identical_to_unsharded_build() {
         let cfg = sharded_cfg(1);
-        let (trace, topo) = build_world_seeded(&cfg, 99);
+        let (trace, topo) = build_world(&ScenarioConfig { seed: 99, ..cfg.clone() });
         let world = ShardedWorld::lazy(&cfg, 99);
         assert_eq!(world.n_shards(), 1);
         let (st, stopo) = build_world_shard(&cfg, 99, 0);
@@ -2264,7 +1936,7 @@ mod tests {
         // (one repetition, whose stream is the unforked-by-shard `"rep"` 0).
         let spec = SchemeSpec::bh2_k_switch();
         let a = run_slice(&cfg, spec, &trace, &topo, SimRng::new(7).fork_idx("rep", 0));
-        let b = run_scheme(&cfg, spec, &world, 7, 4, &TaskHooks::observed(&|_| {}));
+        let b = run_scheme(&cfg, spec, &world, 7, 4);
         assert_eq!(a.energy.total_j(), b.energy.total_j());
         assert_eq!(a.powered_gateways, b.powered_gateways);
         assert_eq!(a.completion.per_flow(), b.completion[0].per_flow());
@@ -2321,47 +1993,6 @@ mod tests {
     }
 
     #[test]
-    fn observed_runs_report_every_task_and_change_nothing() {
-        let cfg = sharded_cfg(4);
-        let world = ShardedWorld::lazy(&cfg, 21);
-        let seen = std::sync::Mutex::new(Vec::new());
-        let observe = |p: TaskProgress| {
-            seen.lock().unwrap().push((
-                p.rep,
-                p.shard,
-                p.finished,
-                p.total,
-                p.merged,
-                p.fold_queue,
-                p.events,
-            ));
-        };
-        let hooks = TaskHooks::observed(&observe);
-        let observed = run_scheme(&cfg, SchemeSpec::soi(), &world, 21, 2, &hooks);
-        let plain = run_lazy(&cfg, SchemeSpec::soi(), 21, 2);
-        assert_eq!(observed.energy.total_j(), plain.energy.total_j());
-        assert_eq!(observed.powered_gateways, plain.powered_gateways);
-        let seen = seen.into_inner().unwrap();
-        let n_tasks = cfg.repetitions * 4;
-        assert_eq!(seen.len(), n_tasks, "one report per (rep x shard) task");
-        assert!(seen.iter().all(|&(rep, sh, _, total, _, _, ev)| {
-            rep < cfg.repetitions && sh < 4 && total == n_tasks && ev > 0
-        }));
-        // Each task reports once, at completion, with a unique monotone
-        // `finished` counter; the merge snapshot stays in range (the
-        // folder can never absorb more than the total), and the reorder
-        // queue reports the completion-ahead-of-merge gap, which the
-        // fold's claim window keeps bounded.
-        let mut finished: Vec<usize> = seen.iter().map(|&(_, _, f, _, _, _, _)| f).collect();
-        finished.sort_unstable();
-        assert_eq!(finished, (1..=n_tasks).collect::<Vec<_>>(), "one report per task");
-        for &(_, _, f, _, m, queue, _) in &seen {
-            assert!(m <= n_tasks, "merge snapshot in range");
-            assert!(queue < n_tasks && queue <= f, "bounded completion/merge gap");
-        }
-    }
-
-    #[test]
     fn streaming_cutoff_drops_per_flow_but_keeps_quantiles_close() {
         let mut cfg = sharded_cfg(1);
         let exact = run_lazy(&cfg, SchemeSpec::soi(), 9, 2);
@@ -2389,35 +2020,6 @@ mod tests {
         let (b, _) = build_world_shard(&cfg, 3, 1);
         assert_ne!(a.total_bytes(), b.total_bytes(), "shards draw independent streams");
         assert_eq!(a.n_clients() + b.n_clients(), 136);
-    }
-
-    /// Bit-level equality of every deterministic field of two scheme runs
-    /// (recovery counters excluded — they record *how* a run got here).
-    fn assert_results_identical(a: &SchemeResult, b: &SchemeResult) {
-        assert_eq!(a.powered_gateways, b.powered_gateways);
-        assert_eq!(a.awake_cards, b.awake_cards);
-        assert_eq!(a.user_power_w, b.user_power_w);
-        assert_eq!(a.isp_power_w, b.isp_power_w);
-        assert_eq!(a.energy, b.energy);
-        assert_eq!(a.mean_wake_count.to_bits(), b.mean_wake_count.to_bits());
-        assert_eq!(a.events, b.events);
-        assert_eq!(a.completion.len(), b.completion.len());
-        for (ca, cb) in a.completion.iter().zip(&b.completion) {
-            assert_eq!(ca.to_value(), cb.to_value());
-        }
-        for (oa, ob) in a.online_time.iter().zip(&b.online_time) {
-            assert_eq!(oa.to_value(), ob.to_value());
-        }
-        let strip = |c: &RunCounters| {
-            let mut c = *c;
-            c.tasks_retried = 0;
-            c.faults_injected = 0;
-            c.tasks_resumed = 0;
-            c.proto_cache_builds = 0;
-            c.proto_cache_hits = 0;
-            c
-        };
-        assert_eq!(strip(&a.counters), strip(&b.counters));
     }
 
     #[test]
@@ -2449,22 +2051,78 @@ mod tests {
         assert_eq!(back.to_value(), sa.to_value());
     }
 
+    /// Bit-level equality of every deterministic field of two scheme runs
+    /// (recovery counters excluded — they record *how* a run got here).
+    fn assert_results_identical(a: &SchemeResult, b: &SchemeResult) {
+        assert_eq!(a.powered_gateways, b.powered_gateways);
+        assert_eq!(a.awake_cards, b.awake_cards);
+        assert_eq!(a.user_power_w, b.user_power_w);
+        assert_eq!(a.isp_power_w, b.isp_power_w);
+        assert_eq!(a.energy, b.energy);
+        assert_eq!(a.mean_wake_count.to_bits(), b.mean_wake_count.to_bits());
+        assert_eq!(a.events, b.events);
+        assert_eq!(a.completion.len(), b.completion.len());
+        for (ca, cb) in a.completion.iter().zip(&b.completion) {
+            assert_eq!(ca.to_value(), cb.to_value());
+        }
+        for (oa, ob) in a.online_time.iter().zip(&b.online_time) {
+            assert_eq!(oa.to_value(), ob.to_value());
+        }
+        let strip = |c: &RunCounters| {
+            let mut c = *c;
+            c.tasks_retried = 0;
+            c.faults_injected = 0;
+            c.tasks_resumed = 0;
+            c.proto_cache_builds = 0;
+            c.proto_cache_hits = 0;
+            c
+        };
+        assert_eq!(strip(&a.counters), strip(&b.counters));
+    }
+
+    /// Folds an SOI run over `world` task by task, the way a crash-safe
+    /// runner drives core: `task(i, cache)` yields task `i`'s result, which
+    /// is absorbed in task order.
+    fn fold_tasks(
+        cfg: &ScenarioConfig,
+        world: &ShardedWorld,
+        mut task: impl FnMut(usize, &WorldProtoCache) -> RunResult,
+    ) -> SchemeResult {
+        let cache = WorldProtoCache::new(world, cfg.repetitions).expect("two consumers per shard");
+        let mut folder = SchemeFolder::new(cfg, SchemeSpec::soi(), world);
+        for i in 0..folder.n_tasks() {
+            folder.absorb(i, task(i, &cache));
+        }
+        folder.finish()
+    }
+
     #[test]
     fn transient_fault_with_retry_changes_no_bytes() {
         let mut cfg = sharded_cfg(2);
         cfg.repetitions = 2;
         let world = ShardedWorld::lazy(&cfg, 11);
-        let plain = run_lazy(&cfg, SchemeSpec::soi(), 11, 2);
-        // Task 1's first attempt panics (injected); the retry replays the
-        // identical RNG stream, so every deterministic byte matches.
-        let fault = |task: usize, attempt: u64| task == 1 && attempt == 0;
-        let obs = |_: TaskProgress| {};
-        let hooks = TaskHooks { max_attempts: 2, fault: Some(&fault), ..TaskHooks::observed(&obs) };
-        let retried = run_scheme(&cfg, SchemeSpec::soi(), &world, 11, 2, &hooks);
+        let plain = run_scheme(&cfg, SchemeSpec::soi(), &world, 11, 2);
+        // Each task claims once, outside its attempts. Task 1's first
+        // attempt is thrown away, as a faulted one is; the retry re-derives
+        // the identical RNG stream, so every deterministic byte matches.
+        let retried = fold_tasks(&cfg, &world, |i, cache| {
+            let mut claim = cache.claim(i % world.n_shards());
+            let mut attempt =
+                || run_scheme_task(&cfg, SchemeSpec::soi(), &world, 11, i, Some(&mut claim)).0;
+            if i == 1 {
+                drop(attempt());
+            }
+            let mut run = attempt();
+            claim.attribute(&mut run.counters);
+            run
+        });
         assert_results_identical(&plain, &retried);
-        assert_eq!(retried.counters.tasks_retried, 1);
-        assert_eq!(retried.counters.faults_injected, 1);
-        assert_eq!(plain.counters.tasks_retried, 0);
+        // The discarded attempt built shard 1's prototype; the "built" flag
+        // is sticky, so the task still counts as that shard's one build.
+        let c = retried.counters;
+        assert_eq!((c.proto_cache_builds, c.proto_cache_hits), (2, 2));
+        let c = plain.counters;
+        assert_eq!((c.proto_cache_builds, c.proto_cache_hits), (2, 2));
     }
 
     #[test]
@@ -2472,60 +2130,40 @@ mod tests {
         let mut cfg = sharded_cfg(2);
         cfg.repetitions = 2;
         let world = ShardedWorld::lazy(&cfg, 13);
-        let store: std::sync::Mutex<std::collections::BTreeMap<usize, RunResult>> =
-            std::sync::Mutex::new(std::collections::BTreeMap::new());
-        let persist = |i: usize, r: &RunResult| {
-            store.lock().unwrap().insert(i, r.clone());
-        };
-        let obs = |_: TaskProgress| {};
-        let hooks = TaskHooks { persist: Some(&persist), ..TaskHooks::observed(&obs) };
-        let first = run_scheme(&cfg, SchemeSpec::soi(), &world, 13, 2, &hooks);
         let n_tasks = cfg.repetitions * 2;
-        assert_eq!(store.lock().unwrap().len(), n_tasks, "one persisted record per task");
-
-        // Replay half the tasks from the store (as a resume would, after
-        // a round-trip through the wire form), simulate the rest.
-        let cached = |i: usize| -> Option<RunResult> {
-            if i.is_multiple_of(2) {
-                let r = store.lock().unwrap().get(&i).cloned().expect("persisted");
-                Some(RunResult::from_value(&r.to_value()).expect("wire roundtrip"))
-            } else {
-                None
-            }
+        let claimed = |i: usize, cache: &WorldProtoCache| {
+            let mut claim = cache.claim(i % world.n_shards());
+            let (mut run, _) =
+                run_scheme_task(&cfg, SchemeSpec::soi(), &world, 13, i, Some(&mut claim));
+            claim.attribute(&mut run.counters);
+            run
         };
-        let hooks = TaskHooks { cached: Some(&cached), ..TaskHooks::observed(&obs) };
-        let resumed = run_scheme(&cfg, SchemeSpec::soi(), &world, 13, 2, &hooks);
+        let mut store = Vec::new();
+        let first = fold_tasks(&cfg, &world, |i, cache| {
+            let run = claimed(i, cache);
+            store.push(run.clone());
+            run
+        });
+        assert_eq!(store.len(), n_tasks, "one persisted record per task");
+
+        // Replay half the tasks from the store (as a resume does, after a
+        // round-trip through the wire form, releasing the task's claim
+        // with `skip`), simulate the rest.
+        let resumed = fold_tasks(&cfg, &world, |i, cache| {
+            if !i.is_multiple_of(2) {
+                return claimed(i, cache);
+            }
+            cache.skip(i % world.n_shards());
+            let mut r = RunResult::from_value(&store[i].to_value()).expect("wire roundtrip");
+            r.counters.proto_cache_builds = 0;
+            r.counters.proto_cache_hits = 0;
+            r.counters.tasks_resumed = 1;
+            r
+        });
         assert_results_identical(&first, &resumed);
-        assert_eq!(resumed.counters.tasks_resumed, n_tasks.div_ceil(2) as u64);
-    }
-
-    #[test]
-    fn exhausted_retries_raise_a_task_failure_span() {
-        let cfg = sharded_cfg(2);
-        let world = ShardedWorld::lazy(&cfg, 17);
-        let fault = |task: usize, _attempt: u64| task == 1;
-        let obs = |_: TaskProgress| {};
-        let hooks = TaskHooks { max_attempts: 2, fault: Some(&fault), ..TaskHooks::observed(&obs) };
-        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            run_scheme(&cfg, SchemeSpec::soi(), &world, 17, 1, &hooks)
-        }))
-        .expect_err("budget exhausted");
-        let failure = err.downcast_ref::<TaskFailure>().expect("TaskFailure payload");
-        assert_eq!((failure.rep, failure.shard, failure.attempts), (0, 1, 2));
-        assert!(failure.message.contains("injected worker fault"), "{}", failure.message);
-    }
-
-    #[test]
-    fn cancel_flag_raises_task_cancelled() {
-        let cfg = sharded_cfg(2);
-        let world = ShardedWorld::lazy(&cfg, 19);
-        let cancel = std::sync::atomic::AtomicBool::new(true);
-        let obs = |_: TaskProgress| {};
-        let hooks = TaskHooks { cancel: Some(&cancel), ..TaskHooks::observed(&obs) };
-        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            run_scheme(&cfg, SchemeSpec::soi(), &world, 19, 1, &hooks)
-        }))
-        .expect_err("cancelled before the first task");
-        assert!(err.downcast_ref::<TaskCancelled>().is_some(), "TaskCancelled payload");
+        let c = resumed.counters;
+        assert_eq!(c.tasks_resumed, n_tasks.div_ceil(2) as u64);
+        // Every task is attributed exactly once: a build, a hit or a resume.
+        assert_eq!(c.proto_cache_builds + c.proto_cache_hits + c.tasks_resumed, n_tasks as u64);
     }
 }

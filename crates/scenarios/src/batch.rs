@@ -36,10 +36,9 @@ use crate::faults::{FaultPlan, ResolvedFaults};
 use crate::schemes::scheme_key;
 use insomnia_core::{
     completion_quantiles, online_time_quantiles, run_scheme_task, summarize, RunResult,
-    ScenarioConfig, SchemeFolder, SchemeProgress, SchemeResult, SchemeSpec, ShardedWorld,
-    TaskCancelled, TaskFailure, TaskHooks, WorldProtoCache,
+    ScenarioConfig, SchemeFolder, SchemeResult, SchemeSpec, ShardedWorld, WorldProtoCache,
 };
-use insomnia_simcore::{par_fold_grouped, SimError, SimResult, SimRng};
+use insomnia_simcore::{par_fold_grouped, retry_unwind, SimError, SimResult, SimRng};
 use insomnia_telemetry::{
     JobTelemetryRecord, ManifestRecord, ManifestScenario, PhaseAccum, RunCounters, SummaryRecord,
     TaskRecord, Telemetry, TelemetryRecord, TELEMETRY_SCHEMA_VERSION,
@@ -47,7 +46,7 @@ use insomnia_telemetry::{
 use serde::{Deserialize, Serialize, Value};
 use std::collections::BTreeMap;
 use std::io::Write;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
@@ -353,22 +352,10 @@ impl Default for RunControl {
     }
 }
 
-/// Per-job slice of the run-wide control state, handed to [`run_job_task`].
-struct JobControl<'a> {
-    writer: Option<&'a CheckpointWriter>,
-    cache: Option<&'a Mutex<BTreeMap<(usize, usize), RunResult>>>,
-    faults: Option<&'a ResolvedFaults>,
-    cancel: Option<&'a AtomicBool>,
-    max_attempts: usize,
-    /// First global task ordinal of this job (fault plans and checkpoint
-    /// records address tasks run-wide, not per job).
-    task_base: usize,
-}
-
 /// Per-job bookkeeping of the task pool: the job's coordinates and
-/// config plus the pieces shared between worker threads (progress atomics,
-/// lazily stamped start time). The deterministic fold state lives on the
-/// collector as one [`SchemeFolder`] per job.
+/// config plus the pieces shared between worker threads (heartbeat
+/// atomics, lazily stamped start time). The deterministic fold state lives
+/// on the collector as one [`SchemeFolder`] per job.
 struct JobState<'a> {
     j: usize,
     name: &'a str,
@@ -381,91 +368,168 @@ struct JobState<'a> {
     world: &'a ShardedWorld,
     seed: u64,
     n_shards: usize,
-    progress: SchemeProgress,
+    /// `(repetition × shard)` tasks of the job.
+    n_tasks: usize,
+    /// First global task ordinal of the job (fault plans and checkpoint
+    /// records address tasks run-wide, not per job).
+    base: usize,
+    /// Tasks finished so far (each task reports a unique value; completion
+    /// order is scheduling-dependent).
+    finished: AtomicUsize,
+    /// Tasks absorbed by the job's in-order folder so far.
+    merged: AtomicUsize,
     /// Stamped by whichever worker claims the job's first task; read when
     /// the last task folds to report the job's wall-clock span.
     started: OnceLock<Instant>,
 }
 
-/// Panic payload a worker wraps around a task abort ([`TaskCancelled`],
-/// [`TaskFailure`] or any other panic) so the collector can name the job
-/// whose task failed.
-struct BatchTaskAbort {
-    job: usize,
-    inner: Box<dyn std::any::Any + Send>,
+/// Panic payload a worker raises to end the batch: the cooperative cancel
+/// (SIGINT) seen before a task starts, or a task whose retry budget ran
+/// out, carrying the run's [`SimError::TaskFailed`] text.
+enum TaskAbort {
+    Cancelled,
+    Failed(String),
 }
 
-/// One `(repetition × shard)` task of a job: wires the run-wide control
-/// state into the task's observe/resume/persist/fault hooks, then runs the
-/// single task against the job's world — consuming one reference of the
-/// world's prototype cache if one is active.
-fn run_job_task(
-    js: &JobState<'_>,
-    i: usize,
-    cache: Option<&WorldProtoCache>,
-    tel: &Telemetry,
-    phases: &Mutex<TaskPhases>,
-    jc: &JobControl<'_>,
-) -> RunResult {
-    let j = js.j;
-    // Shard-level task reports, straight from the worker thread the moment
-    // each (repetition × shard) event loop drains (so one slow early shard
-    // never silences progress), carrying merge progress, the task's phase
-    // timings and its deterministic counters. The human sink renders the
-    // classic heartbeat for sharded jobs only; the sidecar records every
-    // task. The result JSONL is untouched either way.
-    let observe = move |p: insomnia_core::TaskProgress| {
-        {
-            let mut ph = phases.lock().expect("phase lock");
-            if p.setup_ms > 0.0 {
-                ph.world_build.add(p.setup_ms);
-            }
-            ph.event_loop.add(p.loop_ms);
+/// Best-effort panic-payload text (matches std's unwind reporting for
+/// `&str`/`String` payloads).
+fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+    if let Some(s) = payload.downcast_ref::<&str>() {
+        (*s).to_string()
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        "non-string panic payload".to_string()
+    }
+}
+
+/// The run-wide state every task of the pool consults: crash-safety
+/// controls, the per-world prototype caches and the telemetry sinks.
+struct TaskPool<'a> {
+    /// One refcounted prototype cache per (scenario, seed) world.
+    caches: Vec<Option<WorldProtoCache>>,
+    /// Task results replayed from a loaded checkpoint, keyed `(job, task)`.
+    resume: Option<Mutex<BTreeMap<(usize, usize), RunResult>>>,
+    writer: Option<CheckpointWriter>,
+    faults: Option<ResolvedFaults>,
+    cancel: Option<Arc<AtomicBool>>,
+    max_attempts: usize,
+    tel: &'a Telemetry,
+    phases: Mutex<TaskPhases>,
+}
+
+impl TaskPool<'_> {
+    /// Runs task `i` (`= rep * n_shards + shard`) of job `js`, in order:
+    /// the cancel check, checkpoint replay, the prototype claim, bounded
+    /// deterministic retry with fault injection, then the recovery
+    /// counters, checkpoint persistence and the heartbeat record. Ends the
+    /// batch by panicking with a [`TaskAbort`].
+    ///
+    /// None of it can change a result byte: a replayed result folds at the
+    /// same index as a fresh one, and every retry re-derives the identical
+    /// RNG stream; only the omit-when-zero recovery counters record that
+    /// anything happened.
+    fn run(&self, js: &JobState<'_>, i: usize) -> RunResult {
+        js.started.get_or_init(Instant::now);
+        if self.cancel.as_ref().is_some_and(|c| c.load(Ordering::Relaxed)) {
+            std::panic::panic_any(TaskAbort::Cancelled);
         }
-        tel.emit(&TelemetryRecord::Task(TaskRecord {
-            job: j,
+        let (rep, sh) = (i / js.n_shards, i % js.n_shards);
+        let cache = self.caches[js.world_idx].as_ref();
+        let replayed = self
+            .resume
+            .as_ref()
+            .and_then(|r| r.lock().expect("resume cache lock").remove(&(js.j, i)));
+        if let Some(mut result) = replayed {
+            // The record's recovery and prototype counters describe the
+            // process that persisted it; this one only resumed the task.
+            let c = &mut result.counters;
+            (c.proto_cache_builds, c.proto_cache_hits) = (0, 0);
+            (c.tasks_retried, c.faults_injected) = (0, 0);
+            c.tasks_resumed = 1;
+            // A replayed task never touches the prototype; release its
+            // claim so the shard still frees at its true last consumer.
+            if let Some(cache) = cache {
+                cache.skip(sh);
+            }
+            self.report(js, i, &result, 0.0, 0.0);
+            return result;
+        }
+        let task_start = Instant::now();
+        // One claim per task, *outside* the retry loop: a retried attempt
+        // must not count the shard's consumer off twice.
+        let mut claim = cache.map(|c| c.claim(sh));
+        let ordinal = js.base + i;
+        let mut attempt = 0u64;
+        let mut injected = 0u64;
+        let outcome = retry_unwind(self.max_attempts, || {
+            let this_attempt = attempt;
+            attempt += 1;
+            if self.faults.as_ref().is_some_and(|f| f.should_panic(ordinal, this_attempt)) {
+                injected += 1;
+                panic!("injected worker fault (task {i}, attempt {this_attempt})");
+            }
+            run_scheme_task(js.cfg, js.spec, js.world, js.seed, i, claim.as_mut())
+        });
+        let (retries, (mut result, setup_ms)) = match outcome {
+            Ok(retried) => (retried.retries, retried.value),
+            Err(payload) => std::panic::panic_any(TaskAbort::Failed(format!(
+                "job {} ({} / {} seed {}): repetition {rep} shard {sh} failed after {attempt} \
+                 attempt(s): {}",
+                js.j,
+                js.name,
+                js.scheme,
+                js.seed_index,
+                panic_message(payload.as_ref()),
+            ))),
+        };
+        result.counters.tasks_retried += retries;
+        result.counters.faults_injected += injected;
+        if let Some(claim) = &claim {
+            claim.attribute(&mut result.counters);
+        }
+        let loop_ms = (task_start.elapsed().as_secs_f64() * 1e3 - setup_ms).max(0.0);
+        if let Some(writer) = &self.writer {
+            writer.write_task(ordinal, js.j, i, rep, sh, &result);
+        }
+        self.report(js, i, &result, setup_ms, loop_ms);
+        result
+    }
+
+    /// The task heartbeat, sent from the worker the moment the task
+    /// finishes (one slow early shard never silences it): the task's phase
+    /// spans plus one sidecar [`TaskRecord`] carrying the job's merge
+    /// progress as a snapshot. The human sink renders it for sharded jobs
+    /// only; the result JSONL is untouched either way.
+    fn report(&self, js: &JobState<'_>, i: usize, result: &RunResult, setup_ms: f64, loop_ms: f64) {
+        {
+            let mut ph = self.phases.lock().expect("phase lock");
+            if setup_ms > 0.0 {
+                ph.world_build.add(setup_ms);
+            }
+            ph.event_loop.add(loop_ms);
+        }
+        let finished = js.finished.fetch_add(1, Ordering::Relaxed) + 1;
+        let merged = js.merged.load(Ordering::Relaxed);
+        self.tel.emit(&TelemetryRecord::Task(TaskRecord {
+            job: js.j,
             scenario: js.name.to_string(),
             scheme: js.scheme.clone(),
             seed_index: js.seed_index,
-            rep: p.rep,
-            shard: p.shard,
-            n_shards: p.n_shards,
-            setup_ms: p.setup_ms,
-            loop_ms: p.loop_ms,
-            finished: p.finished,
-            total: p.total,
-            merged: p.merged,
-            fold_queue: p.fold_queue,
-            counters: p.counters,
+            rep: i / js.n_shards,
+            shard: i % js.n_shards,
+            n_shards: js.n_shards,
+            setup_ms,
+            loop_ms,
+            finished,
+            total: js.n_tasks,
+            merged,
+            // Finished-but-not-yet-merged results: completion running ahead
+            // of the deterministic merge.
+            fold_queue: finished.saturating_sub(merged + 1),
+            counters: result.counters,
         }));
-    };
-    // The closures must be bound to locals (not temporaries) because
-    // `TaskHooks` borrows them for the whole task.
-    let n_shards = js.n_shards;
-    let base = jc.task_base;
-    let cached_fn;
-    let persist_fn;
-    let fault_fn;
-    let mut hooks = TaskHooks {
-        max_attempts: jc.max_attempts,
-        cancel: jc.cancel,
-        ..TaskHooks::observed(&observe)
-    };
-    if let Some(cache) = jc.cache {
-        cached_fn = move |i: usize| cache.lock().expect("resume cache").remove(&(j, i));
-        hooks.cached = Some(&cached_fn);
     }
-    if let Some(writer) = jc.writer {
-        persist_fn = move |i: usize, r: &RunResult| {
-            writer.write_task(base + i, j, i, i / n_shards, i % n_shards, r);
-        };
-        hooks.persist = Some(&persist_fn);
-    }
-    if let Some(f) = jc.faults {
-        fault_fn = move |i: usize, attempt: u64| f.should_panic(base + i, attempt);
-        hooks.fault = Some(&fault_fn);
-    }
-    run_scheme_task(js.cfg, js.spec, js.world, js.seed, i, cache, &hooks, &js.progress)
 }
 
 /// Decodes job index `j` into `(scenario, scheme, seed)` coordinates.
@@ -577,7 +641,7 @@ pub fn run_batch_controlled<W: Write>(
     // Crash-safety state. The fault plan resolves against the batch's
     // global task ordinals; write-side faults (IO errors, torn tail) are
     // installed into the checkpoint writer, panic faults ride into the
-    // per-task hooks.
+    // task pool's retry loop.
     let bases = task_bases(batch);
     let faults = ctl.faults.as_ref().map(|p| p.resolve(bases[n_jobs]));
     if let (Some(writer), Some(f)) = (&ctl.checkpoint, &faults) {
@@ -586,19 +650,33 @@ pub fn run_batch_controlled<W: Write>(
             torn_tail_task: f.torn_tail_task,
         });
     }
-    let writer = ctl.checkpoint;
-    let resuming = ctl.resume.is_some();
-    let cache = Mutex::new(ctl.resume.unwrap_or_default());
-    let cancel = ctl.cancel;
-    let max_attempts = ctl.max_attempts.max(1);
-
-    // Task-level phase spans accumulate from worker threads as tasks
-    // finish (world-build = per-task stream setup, event-loop = the run
-    // proper); fold and write spans accumulate on the collector.
-    let phases = Mutex::new(TaskPhases {
-        world_build: PhaseAccum::new("world-build"),
-        event_loop: PhaseAccum::new("event-loop"),
-    });
+    let pool_state = TaskPool {
+        // One refcounted prototype cache per (scenario, seed) world: each
+        // shard has exactly `schemes × repetitions` consumers, so the
+        // stream setup pass runs once per shard for the whole batch and
+        // the prototype drops the moment its last consumer claims it.
+        caches: worlds
+            .iter()
+            .enumerate()
+            .map(|(w, world)| {
+                let reps = batch.scenarios[w / batch.seeds].1.repetitions;
+                WorldProtoCache::new(world, batch.schemes.len() * reps)
+            })
+            .collect(),
+        resume: ctl.resume.map(Mutex::new),
+        writer: ctl.checkpoint,
+        faults,
+        cancel: ctl.cancel,
+        max_attempts: ctl.max_attempts.max(1),
+        tel,
+        // Task-level phase spans accumulate from worker threads as tasks
+        // finish (world-build = per-task stream setup, event-loop = the
+        // run proper); fold and write spans accumulate on the collector.
+        phases: Mutex::new(TaskPhases {
+            world_build: PhaseAccum::new("world-build"),
+            event_loop: PhaseAccum::new("event-loop"),
+        }),
+    };
     let mut fold_phase = PhaseAccum::new("shard-fold");
     let mut write_phase = PhaseAccum::new("jsonl-write");
     let mut counters = RunCounters::default();
@@ -609,10 +687,10 @@ pub fn run_batch_controlled<W: Write>(
     // release point permanently — the JSONL stays a valid in-order prefix.
     let mut records: Vec<Option<JobRecord>> = Vec::new();
     records.resize_with(n_jobs, || None);
-    let mut first_failure: Option<(usize, String)> = None;
+    let mut first_failure: Option<String> = None;
     let mut cancelled = false;
 
-    // Per-job state shared by the workers (progress atomics, start
+    // Per-job state shared by the workers (heartbeat atomics, start
     // stamp); the deterministic fold state — one folder per job —
     // lives on the collector below.
     let jobs: Vec<JobState<'_>> = (0..n_jobs)
@@ -632,22 +710,12 @@ pub fn run_batch_controlled<W: Write>(
                 world: &worlds[si * batch.seeds + ki],
                 seed: job_seed(cfg.seed, ki),
                 n_shards,
-                progress: SchemeProgress::new(cfg.repetitions * n_shards, n_shards),
+                n_tasks: cfg.repetitions * n_shards,
+                base: bases[j],
+                finished: AtomicUsize::new(0),
+                merged: AtomicUsize::new(0),
                 started: OnceLock::new(),
             }
-        })
-        .collect();
-    // One refcounted prototype cache per (scenario, seed) world:
-    // each shard has exactly `schemes × repetitions` consumers, so
-    // the stream setup pass runs once per shard for the whole
-    // batch and the prototype drops the moment its last consumer
-    // claims it.
-    let caches: Vec<Option<WorldProtoCache>> = worlds
-        .iter()
-        .enumerate()
-        .map(|(w, world)| {
-            let reps = batch.scenarios[w / batch.seeds].1.repetitions;
-            WorldProtoCache::new(world, batch.schemes.len() * reps)
         })
         .collect();
     // The execution plan: for every (scenario, seed, repetition,
@@ -686,39 +754,19 @@ pub fn run_batch_controlled<W: Write>(
     // the budget applies directly).
     let pool = batch.thread_budget().min(plan.len().max(1));
     let jobs = &jobs;
-    let caches = &caches;
     let plan_ref = &plan;
-    let writer_ref = writer.as_ref();
-    let cancel_ref = cancel.as_deref();
-    let faults_ref = faults.as_ref();
+    let pool_ref = &pool_state;
     let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         par_fold_grouped(
             plan_ref,
             pool,
             |pos| {
                 let (j, i) = plan_ref[pos];
-                let js = &jobs[j];
-                js.started.get_or_init(Instant::now);
-                let jc = JobControl {
-                    writer: writer_ref,
-                    cache: resuming.then_some(&cache),
-                    faults: faults_ref,
-                    cancel: cancel_ref,
-                    max_attempts,
-                    task_base: bases[j],
-                };
-                // Tag aborts with the job so the collector can name
-                // the failed span.
-                match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    run_job_task(js, i, caches[js.world_idx].as_ref(), tel, &phases, &jc)
-                })) {
-                    Ok(r) => r,
-                    Err(inner) => std::panic::panic_any(BatchTaskAbort { job: j, inner }),
-                }
+                pool_ref.run(&jobs[j], i)
             },
             |j, step, run| {
                 let js = &jobs[j];
-                js.progress.note_merged(step.index + 1);
+                js.merged.store(step.index + 1, Ordering::Relaxed);
                 let folder = folders[j].as_mut().expect("one fold per task");
                 folder.absorb(step.index, run);
                 if step.index + 1 != folder.n_tasks() {
@@ -776,36 +824,9 @@ pub fn run_batch_controlled<W: Write>(
         )
     }));
     if let Err(payload) = outcome {
-        match payload.downcast::<BatchTaskAbort>() {
-            Ok(abort) => {
-                let j = abort.job;
-                if abort.inner.downcast_ref::<TaskCancelled>().is_some() {
-                    cancelled = true;
-                } else if let Some(f) = abort.inner.downcast_ref::<TaskFailure>() {
-                    let (si, ci, ki) = job_coords(batch, j);
-                    first_failure = Some((
-                        j,
-                        format!(
-                            "job {j} ({} / {} seed {ki}): repetition {} shard {} \
-                             failed after {} attempt(s): {}",
-                            batch.scenarios[si].0,
-                            scheme_key(batch.schemes[ci]),
-                            f.rep,
-                            f.shard,
-                            f.attempts,
-                            f.message,
-                        ),
-                    ));
-                } else {
-                    let msg = abort
-                        .inner
-                        .downcast_ref::<&str>()
-                        .map(|s| s.to_string())
-                        .or_else(|| abort.inner.downcast_ref::<String>().cloned())
-                        .unwrap_or_else(|| "non-string panic payload".into());
-                    first_failure = Some((j, format!("job {j} panicked: {msg}")));
-                }
-            }
+        match payload.downcast::<TaskAbort>().map(|abort| *abort) {
+            Ok(TaskAbort::Cancelled) => cancelled = true,
+            Ok(TaskAbort::Failed(msg)) => first_failure = Some(msg),
             Err(payload) => std::panic::resume_unwind(payload),
         }
     }
@@ -815,6 +836,7 @@ pub fn run_batch_controlled<W: Write>(
 
     // Close the checkpoint before reporting: whatever happened above, the
     // file on disk is a valid manifest + record prefix for `--resume`.
+    let TaskPool { writer, cancel, phases, .. } = pool_state;
     let ckpt_stats = writer.map(CheckpointWriter::finish);
 
     // Freeze the phase table and the run summary — also on the failure
@@ -845,7 +867,7 @@ pub fn run_batch_controlled<W: Write>(
         counters,
     }));
 
-    if let Some((_, msg)) = first_failure {
+    if let Some(msg) = first_failure {
         return Err(SimError::TaskFailed(msg));
     }
     if cancelled || cancel.is_some_and(|c| c.load(Ordering::Relaxed)) {
@@ -1031,6 +1053,7 @@ impl BatchSummary {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use insomnia_telemetry::SummaryRecord;
 
     fn tiny_batch(threads: usize) -> BatchRun {
         let mut cfg = ScenarioConfig::smoke();
@@ -1157,10 +1180,52 @@ mod tests {
         dir.join(name)
     }
 
-    fn run_controlled(batch: &BatchRun, ctl: RunControl) -> (SimResult<BatchSummary>, Vec<u8>) {
+    /// A `Write` handle over a shared buffer, so the boxed sidecar sink's
+    /// output can be read back after the run.
+    #[derive(Clone, Default)]
+    struct SharedBuf(Arc<Mutex<Vec<u8>>>);
+
+    impl Write for SharedBuf {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.0.lock().unwrap().extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// Runs `batch` under `ctl` with a JSONL telemetry sidecar: the outcome,
+    /// the result JSONL and the sidecar's closing summary record (emitted on
+    /// the failure and interrupt paths too).
+    fn run_controlled(
+        batch: &BatchRun,
+        ctl: RunControl,
+    ) -> (SimResult<BatchSummary>, Vec<u8>, SummaryRecord) {
+        let sidecar = SharedBuf::default();
+        let tel = Telemetry::quiet().with_jsonl(Box::new(sidecar.clone()));
         let mut buf = Vec::new();
-        let res = run_batch_controlled(batch, &mut buf, &Telemetry::quiet(), ctl);
-        (res, buf)
+        let res = run_batch_controlled(batch, &mut buf, &tel, ctl);
+        let text = String::from_utf8(sidecar.0.lock().unwrap().clone()).unwrap();
+        let last = text.lines().last().expect("sidecar written");
+        let TelemetryRecord::Summary(summary) = serde_json::from_str(last).unwrap() else {
+            panic!("the sidecar must end with the summary: {last}");
+        };
+        (res, buf, summary)
+    }
+
+    /// The counters a run's recovery history cannot touch: everything but
+    /// the retry/fault/resume tallies and the prototype-cache attribution.
+    fn deterministic(c: &RunCounters) -> RunCounters {
+        RunCounters {
+            tasks_retried: 0,
+            faults_injected: 0,
+            tasks_resumed: 0,
+            proto_cache_builds: 0,
+            proto_cache_hits: 0,
+            ..*c
+        }
     }
 
     #[test]
@@ -1170,14 +1235,15 @@ mod tests {
         let manifest = crate::checkpoint::manifest_for(&batch);
 
         // Uninterrupted reference run (no controls at all).
-        let (base, reference) = run_controlled(&batch, RunControl::default());
+        let (base, reference, ref_summary) = run_controlled(&batch, RunControl::default());
         base.unwrap();
+        assert_eq!(ref_summary.counters.tasks_resumed, 0);
 
         // Checkpointed run, then pretend it died: reload the sidecar and
         // keep only some tasks (as if the rest never flushed).
         let writer = CheckpointWriter::create(&path, &manifest).unwrap();
         let ctl = RunControl { checkpoint: Some(writer), ..RunControl::default() };
-        let (res, checkpointed) = run_controlled(&batch, ctl);
+        let (res, checkpointed, _) = run_controlled(&batch, ctl);
         res.unwrap();
         assert_eq!(checkpointed, reference, "checkpointing must not change a byte");
 
@@ -1193,9 +1259,11 @@ mod tests {
             resume: Some(loaded.tasks),
             ..RunControl::default()
         };
-        let (res, resumed) = run_controlled(&batch, ctl);
+        let (res, resumed, summary) = run_controlled(&batch, ctl);
         res.unwrap();
         assert_eq!(resumed, reference, "resume must be byte-identical");
+        assert_eq!(summary.counters.tasks_resumed, 3, "replayed tasks are counted");
+        assert_eq!(deterministic(&summary.counters), deterministic(&ref_summary.counters));
 
         // The re-simulated task appended, so a second load sees all four
         // again (the replayed three were not rewritten).
@@ -1205,17 +1273,63 @@ mod tests {
     }
 
     #[test]
+    fn resumed_runs_attribute_every_task_exactly_once() {
+        // Both schemes of a seed share one world, so the prototype cache
+        // is active: per world one task builds and the other hits.
+        let batch = tiny_batch(2);
+        let path = tmp_path("attribution.ckpt");
+        let manifest = crate::checkpoint::manifest_for(&batch);
+        let writer = CheckpointWriter::create(&path, &manifest).unwrap();
+        let ctl = RunControl { checkpoint: Some(writer), ..RunControl::default() };
+        let (res, reference, ref_summary) = run_controlled(&batch, ctl);
+        res.unwrap();
+        let c = ref_summary.counters;
+        assert_eq!((c.proto_cache_builds, c.proto_cache_hits), (2, 2));
+
+        // Lose a record that was a cache hit: on resume its world's builder
+        // replays, so the live task builds the prototype itself. The
+        // replayed records must not carry their original process's
+        // attributions into this one.
+        let mut loaded = crate::checkpoint::load_checkpoint(&path).unwrap();
+        let hit = *loaded
+            .tasks
+            .iter()
+            .find(|(_, r)| r.counters.proto_cache_hits == 1)
+            .expect("a cache-hit record")
+            .0;
+        loaded.tasks.remove(&hit);
+        let ctl = RunControl { resume: Some(loaded.tasks), ..RunControl::default() };
+        let (res, resumed, summary) = run_controlled(&batch, ctl);
+        res.unwrap();
+        assert_eq!(resumed, reference, "resume must be byte-identical");
+        let c = summary.counters;
+        assert_eq!(c.tasks_resumed, 3);
+        assert_eq!(
+            c.proto_cache_builds + c.proto_cache_hits + c.tasks_resumed,
+            summary.tasks,
+            "every task is one build, one hit or one resume: {c:?}"
+        );
+        assert_eq!((c.tasks_retried, c.faults_injected), (0, 0));
+        assert_eq!(deterministic(&c), deterministic(&ref_summary.counters));
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
     fn transient_faults_with_retry_change_no_bytes() {
         let batch = tiny_batch(2);
-        let (base, reference) = run_controlled(&batch, RunControl::default());
+        let (base, reference, ref_summary) = run_controlled(&batch, RunControl::default());
         base.unwrap();
 
         // Panic two of the four tasks once each; one retry recovers.
         let plan = FaultPlan { panic_tasks: vec![1, 2], ..FaultPlan::default() };
         let ctl = RunControl { faults: Some(plan), max_attempts: 2, ..RunControl::default() };
-        let (res, faulted) = run_controlled(&batch, ctl);
+        let (res, faulted, summary) = run_controlled(&batch, ctl);
         res.unwrap();
         assert_eq!(faulted, reference, "retried tasks must replay the identical stream");
+        let (c, r) = (summary.counters, ref_summary.counters);
+        assert_eq!((c.tasks_retried, c.faults_injected), (2, 2));
+        assert_eq!((r.tasks_retried, r.faults_injected), (0, 0));
+        assert_eq!(deterministic(&c), deterministic(&r));
     }
 
     #[test]
@@ -1234,18 +1348,24 @@ mod tests {
             max_attempts: 2,
             ..RunControl::default()
         };
-        let (res, out) = run_controlled(&batch, ctl);
+        let (res, out, summary) = run_controlled(&batch, ctl);
         let err = res.unwrap_err();
         let msg = err.to_string();
         assert!(msg.contains("task failed"), "{msg}");
+        assert!(msg.contains("job 1 (smoke / no-sleep seed 1)"), "job must be named: {msg}");
         assert!(msg.contains("repetition 0 shard 0"), "span must be named: {msg}");
         assert!(msg.contains("after 2 attempt(s)"), "{msg}");
-        assert!(msg.contains("injected worker fault"), "{msg}");
+        assert!(msg.contains("injected worker fault (task 0, attempt 1)"), "{msg}");
         // Jobs before the failure were written; nothing after.
         let lines: Vec<&str> =
             std::str::from_utf8(&out).unwrap().lines().filter(|l| !l.is_empty()).collect();
         assert_eq!(lines.len(), 1, "only job 0 precedes the failed job");
         assert!(lines[0].contains("no-sleep"));
+        // The summary still flushes: the two tasks that finished before the
+        // failure, and no recovery counts (the failed task never folds).
+        assert_eq!(summary.tasks, 2);
+        let c = summary.counters;
+        assert_eq!((c.tasks_retried, c.faults_injected, c.tasks_resumed), (0, 0, 0));
         // The checkpoint survives the failure and still loads. Shard-major
         // order visits seed 0 of *both* schemes before seed 1 of either,
         // so job 2's task checkpointed before job 1 failed — the JSONL
@@ -1260,9 +1380,18 @@ mod tests {
         let batch = tiny_batch(2);
         let cancel = Arc::new(AtomicBool::new(true));
         let ctl = RunControl { cancel: Some(cancel), ..RunControl::default() };
-        let (res, _) = run_controlled(&batch, ctl);
+        let (res, out, summary) = run_controlled(&batch, ctl);
         let err = res.unwrap_err();
         assert!(err.to_string().contains("interrupted"), "{err}");
+        assert_eq!(
+            err.to_string(),
+            "interrupted: batch stopped after 0 of 4 jobs were written",
+            "{err}"
+        );
+        // Cancelled before the first task: nothing simulated or written.
+        assert!(out.is_empty());
+        assert_eq!(summary.tasks, 0);
+        assert_eq!(summary.counters, RunCounters::default());
     }
 
     #[test]

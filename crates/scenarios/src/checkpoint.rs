@@ -511,7 +511,7 @@ pub fn load_checkpoint(path: &Path) -> SimResult<LoadedCheckpoint> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use insomnia_core::{run_scheme, ScenarioConfig, SchemeSpec, ShardedWorld};
+    use insomnia_core::{run_scheme_task, ScenarioConfig, SchemeSpec, ShardedWorld};
 
     /// Known-answer CRC-32 vectors (IEEE reflected; same answers as zlib).
     #[test]
@@ -535,22 +535,7 @@ mod tests {
     fn sample_result() -> RunResult {
         let cfg = ScenarioConfig::smoke();
         let world = ShardedWorld::lazy(&cfg, 7);
-        let obs = |_: insomnia_core::TaskProgress| {};
-        // A scheme run has no per-task RunResult accessor; capture one
-        // representative task result through the persist hook.
-        let store: Mutex<Option<RunResult>> = Mutex::new(None);
-        let persist = |_i: usize, r: &RunResult| {
-            let mut s = store.lock().unwrap();
-            if s.is_none() {
-                *s = Some(r.clone());
-            }
-        };
-        let hooks = insomnia_core::TaskHooks {
-            persist: Some(&persist),
-            ..insomnia_core::TaskHooks::observed(&obs)
-        };
-        run_scheme(&cfg, SchemeSpec::soi(), &world, 7, 1, &hooks);
-        store.into_inner().unwrap().expect("at least one task persisted")
+        run_scheme_task(&cfg, SchemeSpec::soi(), &world, 7, 0, None).0
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! Deterministic discrete-event simulation engine underpinning the
 //! reproduction of *Insomnia in the Access* (Goma et al., SIGCOMM 2011).
 //!
-//! The crate provides four things, deliberately nothing more:
+//! The crate provides five things, deliberately nothing more:
 //!
 //! * a millisecond-granular simulation clock ([`SimTime`], [`SimDuration`]),
 //! * a pending-event queue with stable FIFO tie-breaking and lazy
@@ -13,8 +13,11 @@
 //!   ([`Welford`], [`TimeWeighted`], [`Histogram`], [`Cdf`], [`BinSeries`]),
 //!   and
 //! * deterministic index-addressed fan-out ([`par_map_indexed`]) and its
-//!   streaming in-order sibling ([`par_fold_indexed`]) for the layers above
-//!   that run independent shards/repetitions/jobs in parallel.
+//!   streaming sibling ([`par_fold_grouped`]), which folds each group of
+//!   an interleaved task pool in index order, for the layers above that
+//!   run independent shards/repetitions/jobs in parallel, plus the
+//!   deterministic retry wrapper ([`retry_unwind`]) crash-safe runners
+//!   put around each task.
 //!
 //! ## Design notes
 //!
@@ -62,8 +65,7 @@ pub mod time;
 pub use engine::Scheduler;
 pub use error::{SimError, SimResult};
 pub use par::{
-    default_threads, par_fold_grouped, par_fold_indexed, par_map_indexed, retry_unwind, FoldStep,
-    Retried,
+    default_threads, par_fold_grouped, par_map_indexed, retry_unwind, FoldStep, Retried,
 };
 pub use queue::{EventQueue, EventToken};
 pub use rng::{SimRng, SplitMix64};

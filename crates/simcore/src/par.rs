@@ -54,7 +54,7 @@ pub fn par_map_indexed<T: Send, F: Fn(usize) -> T + Sync>(
     slots.into_iter().map(|s| s.expect("worker completed task")).collect()
 }
 
-/// One in-order delivery of [`par_fold_indexed`]: task `index`'s result is
+/// One in-order delivery of [`par_fold_grouped`]: task `index`'s result is
 /// being folded, with `queued` later results parked out of order behind it.
 ///
 /// `queued` is the folder-queue depth — how far completion order ran ahead
@@ -68,7 +68,7 @@ pub struct FoldStep {
     pub queued: usize,
 }
 
-/// Claim-side backpressure of [`par_fold_indexed`]: a counting gate that
+/// Claim-side backpressure of [`par_fold_grouped`]: a counting gate that
 /// caps how many task indices may be outstanding (claimed but not yet
 /// folded) at once. Without it, one slow early task would let the other
 /// workers run arbitrarily far ahead and park up to `n − 1` full results
@@ -125,130 +125,32 @@ impl Drop for GateCloseGuard<'_> {
     }
 }
 
-/// Runs `n` independent tasks on at most `max_threads` workers and folds
-/// every result **in index order** on the calling thread.
-///
-/// This is the streaming sibling of [`par_map_indexed`]: instead of an
-/// index-addressed result buffer that retains all `n` outputs, workers
-/// emit `(index, result)` pairs and a deterministic folder absorbs them
-/// strictly in order `0, 1, …, n-1` — results arriving early are parked in
-/// a reorder buffer whose depth is reported through [`FoldStep::queued`].
-/// A claim-side gate ([`FoldGate`]) caps outstanding (claimed-but-not-yet-
-/// folded) indices at `2 × workers`, so live state is the accumulator plus
-/// an O(workers) out-of-order window even when one early task runs
-/// arbitrarily longer than its successors — never O(n).
-///
-/// Because `fold` always observes the same `(index, result)` sequence, the
-/// final accumulator is bit-for-bit identical at any worker count — the
-/// same property [`par_map_indexed`] pins, without the O(n) buffer.
-/// With `max_threads <= 1` (or `n <= 1`) tasks run inline and fold
-/// immediately.
-pub fn par_fold_indexed<T: Send, F: Fn(usize) -> T + Sync>(
-    n: usize,
-    max_threads: usize,
-    f: F,
-    mut fold: impl FnMut(FoldStep, T),
-) {
-    let threads = max_threads.min(n).max(1);
-    if threads == 1 {
-        for i in 0..n {
-            fold(FoldStep { index: i, queued: 0 }, f(i));
-        }
-        return;
-    }
-    let cursor = AtomicUsize::new(0);
-    // 2 × workers outstanding claims: enough slack that the folder never
-    // starves workers (each worker's final over-the-end claim also burns
-    // a permit, and n folds release n permits), small enough that the
-    // reorder buffer stays O(workers).
-    let gate = FoldGate::new(2 * threads);
-    // A panicking task would leave a hole the in-order folder can never
-    // fold past — with everyone else parked on the gate, that's a
-    // deadlock, not a failure. Workers therefore catch the payload,
-    // close the gate (waking peers so every thread exits cleanly), and
-    // the panic is re-raised on the calling thread after the scope.
-    let panicked: std::sync::Mutex<Option<Box<dyn std::any::Any + Send>>> =
-        std::sync::Mutex::new(None);
-    let (tx, rx) = mpsc::channel::<(usize, T)>();
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            let tx = tx.clone();
-            let cursor = &cursor;
-            let gate = &gate;
-            let panicked = &panicked;
-            let f = &f;
-            scope.spawn(move || loop {
-                if !gate.acquire() {
-                    break;
-                }
-                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(i))) {
-                    Ok(v) => {
-                        if tx.send((i, v)).is_err() {
-                            break;
-                        }
-                    }
-                    Err(payload) => {
-                        let mut slot = panicked.lock().expect("panic slot lock");
-                        if slot.is_none() {
-                            *slot = Some(payload);
-                        }
-                        drop(slot);
-                        gate.close();
-                        break;
-                    }
-                }
-            });
-        }
-        drop(tx);
-        // Reorder buffer: fold result `k` only once results `0..k` folded.
-        // The guard closes the gate on every exit path (normal or a
-        // panicking `fold`), releasing any parked workers.
-        let _close = GateCloseGuard(&gate);
-        let mut pending: BTreeMap<usize, T> = BTreeMap::new();
-        let mut next = 0usize;
-        for (i, v) in rx {
-            pending.insert(i, v);
-            while let Some(v) = pending.remove(&next) {
-                fold(FoldStep { index: next, queued: pending.len() }, v);
-                next += 1;
-                gate.release();
-            }
-        }
-        debug_assert!(
-            panicked.lock().expect("panic slot lock").is_some()
-                || (pending.is_empty() && next == n),
-            "all results folded"
-        );
-    });
-    if let Some(payload) = panicked.into_inner().expect("panic slot lock") {
-        std::panic::resume_unwind(payload);
-    }
-}
-
 /// Runs an *interleaved* task pool on at most `max_threads` workers and
-/// feeds several per-group in-order folders from it — the multi-fold
-/// sibling of [`par_fold_indexed`].
+/// folds every result **in per-group index order** on the calling thread.
 ///
 /// `tasks[pos] = (group, index)` lists every task in execution order:
 /// workers claim positions left to right through one atomic cursor, so the
 /// caller chooses which tasks run near each other (e.g. every consumer of
 /// one expensive shared input, back to back) independently of how results
-/// are folded. Each group's results are folded **strictly in that group's
-/// listed index order**, so every per-group accumulator is bit-identical
+/// are folded. Instead of an index-addressed buffer that retains all
+/// outputs ([`par_map_indexed`]), workers emit results and each group's are
+/// folded **strictly in that group's listed index order** — early arrivals
+/// park in a reorder buffer whose depth is reported through
+/// [`FoldStep::queued`] — so every per-group accumulator is bit-identical
 /// at any worker count; only the cross-group interleaving of fold calls is
-/// scheduling-dependent.
+/// scheduling-dependent. One group listing `0..n` is the plain in-order
+/// fold of `n` tasks.
 ///
-/// Deadlock-freedom requires the **subsequence property** (debug-asserted
-/// up front): each group's indices must appear in increasing order along
-/// `tasks`. Then the globally oldest outstanding claimed position's
-/// same-group predecessors are all folded already, so its completion
-/// always folds immediately and returns a claim permit — the gate
-/// (`2 × workers` permits, exactly as in [`par_fold_indexed`]) can never
-/// wedge with every worker parked behind an unfoldable hole.
+/// A claim-side gate caps outstanding (claimed-but-not-yet-folded)
+/// positions at `2 × workers`, so live state is the accumulators plus an
+/// O(workers) out-of-order window even when one early task runs
+/// arbitrarily longer than its successors — never O(n). Deadlock-freedom
+/// requires the **subsequence property** (debug-asserted up front): each
+/// group's indices must appear in increasing order along `tasks`. Then the
+/// globally oldest outstanding claimed position's same-group predecessors
+/// are all folded already, so its completion always folds immediately and
+/// returns a claim permit — the gate can never wedge with every worker
+/// parked behind an unfoldable hole.
 ///
 /// `f(pos)` must depend only on `tasks[pos]` (and captured shared state).
 /// The fold callback receives the task's group, a [`FoldStep`] whose
@@ -256,8 +158,7 @@ pub fn par_fold_indexed<T: Send, F: Fn(usize) -> T + Sync>(
 /// parked across *all* groups, and the task's result. With
 /// `max_threads <= 1` (or one task) tasks run inline and fold in execution
 /// order — valid because, per group, execution order *is* index order.
-/// Worker panics propagate to the caller after the pool drains, exactly
-/// like [`par_fold_indexed`].
+/// Worker panics propagate to the caller after the pool drains.
 pub fn par_fold_grouped<T: Send, F: Fn(usize) -> T + Sync>(
     tasks: &[(usize, usize)],
     max_threads: usize,
@@ -287,7 +188,16 @@ pub fn par_fold_grouped<T: Send, F: Fn(usize) -> T + Sync>(
     }
     let n_groups = tasks.iter().map(|&(g, _)| g + 1).max().unwrap_or(0);
     let cursor = AtomicUsize::new(0);
+    // 2 × workers outstanding claims: enough slack that the folder never
+    // starves workers (each worker's final over-the-end claim also burns
+    // a permit, and n folds release n permits), small enough that the
+    // reorder buffer stays O(workers).
     let gate = FoldGate::new(2 * threads);
+    // A panicking task would leave a hole the in-order folder can never
+    // fold past — with everyone else parked on the gate, that's a
+    // deadlock, not a failure. Workers therefore catch the payload,
+    // close the gate (waking peers so every thread exits cleanly), and
+    // the panic is re-raised on the calling thread after the scope.
     let panicked: std::sync::Mutex<Option<Box<dyn std::any::Any + Send>>> =
         std::sync::Mutex::new(None);
     let (tx, rx) = mpsc::channel::<(usize, T)>();
@@ -327,7 +237,9 @@ pub fn par_fold_grouped<T: Send, F: Fn(usize) -> T + Sync>(
         drop(tx);
         // Per-group reorder buffers plus each group's expected index
         // sequence (its listed order). `parked` counts results waiting
-        // across all groups; the gate keeps it O(workers).
+        // across all groups; the gate keeps it O(workers). The guard closes
+        // the gate on every exit path (normal or a panicking `fold`),
+        // releasing any parked workers.
         let _close = GateCloseGuard(&gate);
         let mut pending: Vec<BTreeMap<usize, T>> = Vec::new();
         pending.resize_with(n_groups, BTreeMap::new);
@@ -431,16 +343,22 @@ mod tests {
         assert!(default_threads() >= 1);
     }
 
+    /// The one-group plan of a whole scheme run: tasks `0..n` in order.
+    fn single_group(n: usize) -> Vec<(usize, usize)> {
+        (0..n).map(|i| (0, i)).collect()
+    }
+
     #[test]
     fn fold_sees_every_result_in_index_order_at_any_width() {
+        let plan = single_group(100);
         let run = |threads: usize| {
             let mut order = Vec::new();
             let mut acc = 0u64;
-            par_fold_indexed(
-                100,
+            par_fold_grouped(
+                &plan,
                 threads,
                 |i| (i as u64) * 3 + 1,
-                |step, v| {
+                |_, step, v| {
                     order.push(step.index);
                     // A non-commutative fold: order changes the bits.
                     acc = acc.wrapping_mul(31).wrapping_add(v);
@@ -460,13 +378,11 @@ mod tests {
     #[test]
     fn fold_reports_a_bounded_queue_and_handles_tiny_inputs() {
         let mut seen = 0;
-        par_fold_indexed(0, 4, |_| unreachable!(), |_: FoldStep, _: u8| seen += 1);
-        assert_eq!(seen, 0);
-        par_fold_indexed(
-            1,
+        par_fold_grouped(
+            &single_group(1),
             4,
             |i| i,
-            |step, v| {
+            |_, step, v| {
                 assert_eq!((step.index, step.queued, v), (0, 0, 0));
                 seen += 1;
             },
@@ -474,7 +390,12 @@ mod tests {
         assert_eq!(seen, 1);
         // Queue depth is scheduling-dependent but always bounded by the
         // results still outstanding past the one being folded.
-        par_fold_indexed(64, 8, |i| i, |step, _| assert!(step.queued < 64 - step.index));
+        par_fold_grouped(
+            &single_group(64),
+            8,
+            |i| i,
+            |_, step, _| assert!(step.queued < 64 - step.index),
+        );
     }
 
     /// The interleaved plan the batch runner uses: groups' indices climb
@@ -598,12 +519,11 @@ mod tests {
     fn fold_propagates_worker_panics_instead_of_deadlocking() {
         // A panicking task leaves a hole the in-order folder could never
         // fold past; the gate must wake every parked worker and the panic
-        // must surface on the calling thread (the old behaviour of
-        // par_map_indexed via thread::scope), not hang the process.
+        // must surface on the calling thread, not hang the process.
         let result = std::panic::catch_unwind(|| {
             let mut folded = 0usize;
-            par_fold_indexed(
-                40,
+            par_fold_grouped(
+                &single_group(40),
                 4,
                 |i| {
                     if i == 17 {
@@ -611,7 +531,7 @@ mod tests {
                     }
                     i
                 },
-                |_, _| folded += 1,
+                |_, _, _| folded += 1,
             );
         });
         let payload = result.expect_err("the task panic must propagate");

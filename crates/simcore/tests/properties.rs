@@ -1,7 +1,7 @@
 //! Property-based tests of the simulation engine's invariants.
 
 use insomnia_simcore::{
-    par_fold_indexed, Cdf, EventQueue, OnlineTimeHist, QuantileSketch, SimRng, SimTime,
+    par_fold_grouped, Cdf, EventQueue, OnlineTimeHist, QuantileSketch, SimRng, SimTime,
     TimeWeighted, Welford,
 };
 use proptest::prelude::*;
@@ -276,39 +276,58 @@ proptest! {
         }
     }
 
-    /// par_fold_indexed delivers every task's result to the folder in
-    /// strict index order at any worker count, so a non-commutative fold
-    /// (here: an order-sensitive running hash plus an online histogram)
+    /// par_fold_grouped folds every group's results in strict listed index
+    /// order at any worker count: over a random number of groups and a
+    /// random interleaving of them (every group's indices climbing along
+    /// the plan — the subsequence property), a non-commutative per-group
+    /// fold (an order-sensitive running hash plus an online histogram)
     /// produces byte-identical state at 1 and 8 threads.
     #[test]
     fn par_fold_is_thread_count_invariant(
         values in prop::collection::vec(0u64..1_000_000, 1..150),
+        groups in 1usize..7,
+        seed in any::<u64>(),
     ) {
+        // Position `pos` goes to a random group as that group's next index.
+        let mut rng = SimRng::new(seed);
+        let mut next = vec![0usize; groups];
+        let plan: Vec<(usize, usize)> = values
+            .iter()
+            .map(|_| {
+                let g = rng.below(groups as u64) as usize;
+                next[g] += 1;
+                (g, next[g] - 1)
+            })
+            .collect();
         let run = |threads: usize| {
-            let mut order = Vec::new();
-            let mut hash = 0u64;
-            let mut hist = OnlineTimeHist::new(64);
-            par_fold_indexed(
-                values.len(),
+            let mut order = vec![Vec::new(); groups];
+            let mut hash = vec![0u64; groups];
+            let mut hist: Vec<OnlineTimeHist> = (0..groups).map(|_| OnlineTimeHist::new(64)).collect();
+            par_fold_grouped(
+                &plan,
                 threads,
-                |i| values[i],
-                |step, v| {
-                    order.push(step.index);
-                    hash = hash.wrapping_mul(0x0100_0000_01b3).wrapping_add(v);
-                    hist.record((v % 86_400) as f64);
+                |pos| values[pos],
+                |g, step, v| {
+                    order[g].push(step.index);
+                    hash[g] = hash[g].wrapping_mul(0x0100_0000_01b3).wrapping_add(v);
+                    hist[g].record((v % 86_400) as f64);
                 },
             );
             (order, hash, hist)
         };
         let (o1, h1, hist1) = run(1);
         let (o8, h8, hist8) = run(8);
-        prop_assert_eq!(&o1, &(0..values.len()).collect::<Vec<_>>(), "fold must walk 0..n");
+        for (g, order) in o1.iter().enumerate() {
+            prop_assert_eq!(order, &(0..next[g]).collect::<Vec<_>>(), "group {} must walk 0..n", g);
+        }
         prop_assert_eq!(o1, o8, "fold order depended on thread count");
-        prop_assert_eq!(h1, h8, "fold order leaked thread count into the accumulator");
-        prop_assert_eq!(hist1.gateways(), hist8.gateways());
-        prop_assert_eq!(hist1.sum_s(), hist8.sum_s());
-        for &q in &PROBE_QS {
-            prop_assert_eq!(hist1.quantile(q), hist8.quantile(q));
+        prop_assert_eq!(h1, h8, "fold order leaked thread count into the accumulators");
+        for (a, b) in hist1.iter().zip(&hist8) {
+            prop_assert_eq!(a.gateways(), b.gateways());
+            prop_assert_eq!(a.sum_s(), b.sum_s());
+            for &q in &PROBE_QS {
+                prop_assert_eq!(a.quantile(q), b.quantile(q));
+            }
         }
     }
 

@@ -6,7 +6,7 @@ use insomnia::access::{joules_to_kwh, PowerLadder, PowerState};
 use insomnia::core::{
     build_world, build_world_shard, run_scheme, run_single_source_threads, ArrivalSource,
     CompletionStats, RunCounters, RunResult, ScenarioConfig, SchemeResult, SchemeSpec,
-    ShardedWorld, TaskHooks,
+    ShardedWorld,
 };
 use insomnia::dslphy::{BundleConfig, CrosstalkExperiment};
 use insomnia::scenarios::{
@@ -34,7 +34,7 @@ fn run_slice(
 /// A whole scheme run over the lazy world `(cfg, cfg.seed)`, no hooks.
 fn run_lazy(cfg: &ScenarioConfig, spec: SchemeSpec, threads: usize) -> SchemeResult {
     let world = ShardedWorld::lazy(cfg, cfg.seed);
-    run_scheme(cfg, spec, &world, cfg.seed, threads, &TaskHooks::observed(&|_| {}))
+    run_scheme(cfg, spec, &world, cfg.seed, threads)
 }
 
 #[test]
@@ -314,8 +314,7 @@ fn shard_major_batch_jobs_match_whole_scheme_runs() {
     let world = ShardedWorld::lazy(&cfg, seed);
     for threads in [1, 8] {
         for (j, &spec) in schemes.iter().enumerate() {
-            let whole =
-                run_scheme(&cfg, spec, &world, seed, threads, &TaskHooks::observed(&|_| {}));
+            let whole = run_scheme(&cfg, spec, &world, seed, threads);
             let rec = &summary1.records[j];
             assert_eq!(rec.seed, seed);
             assert_eq!(rec.energy_kwh, joules_to_kwh(whole.energy.total_j()), "{spec}");

@@ -12,7 +12,7 @@
 use insomnia::access::EnergyBreakdown;
 use insomnia::core::{
     build_world_shard, build_world_shard_streaming, run_scheme, run_single_source_threads,
-    ArrivalSource, RunResult, ScenarioConfig, SchemeSpec, ShardedWorld, TaskHooks,
+    ArrivalSource, RunResult, ScenarioConfig, SchemeSpec, ShardedWorld,
 };
 use insomnia::scenarios::Registry;
 use insomnia::simcore::{average_runs, SimRng, SimTime};
@@ -137,7 +137,7 @@ fn lazy_worlds_reproduce_eager_sharded_runs() {
     assert_eq!(world.n_gateways(), shards.iter().map(|(_, t)| t.n_gateways()).sum::<usize>());
     let k = cfg.repetitions as f64;
     for spec in [SchemeSpec::soi(), SchemeSpec::bh2_k_switch()] {
-        let lazy = run_scheme(&cfg, spec, &world, seed, 4, &TaskHooks::observed(&|_| {}));
+        let lazy = run_scheme(&cfg, spec, &world, seed, 4);
         // runs[rep][shard], each on the runner's fork of the master seed.
         let runs: Vec<Vec<RunResult>> = (0..cfg.repetitions)
             .map(|r| {

@@ -137,3 +137,49 @@ fn sidecar_schema_smoke() {
     assert_eq!(totals.events, summary.events);
     assert_eq!(totals.counters, summary.counters);
 }
+
+#[test]
+fn task_records_report_every_task_once() {
+    // Two schemes over one two-shard world: the tasks of both jobs share
+    // one interleaved pool, and each job's heartbeat counts its own tasks.
+    let mut batch = smoke_batch();
+    batch.schemes = parse_scheme_list("no-sleep,soi").unwrap();
+    let cfg = &batch.scenarios[0].1;
+    let (reps, n_shards) = (cfg.repetitions, cfg.shards);
+    let n_tasks = reps * n_shards;
+
+    let mut plain = Vec::new();
+    run_batch(&batch, &mut plain).unwrap();
+    let sidecar = SharedBuf::default();
+    let tel = Telemetry::quiet().with_jsonl(Box::new(sidecar.clone()));
+    let mut observed = Vec::new();
+    run_batch_telemetry(&batch, &mut observed, &tel).unwrap();
+    assert_eq!(plain, observed, "observing tasks must change nothing");
+
+    let text = String::from_utf8(sidecar.0.lock().unwrap().clone()).unwrap();
+    for job in 0..batch.n_jobs() {
+        let tasks: Vec<_> = text
+            .lines()
+            .filter_map(|line| match serde_json::from_str(line).unwrap() {
+                TelemetryRecord::Task(t) if t.job == job => Some(t),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(tasks.len(), n_tasks, "job {job}: one record per (rep x shard) task");
+        assert!(tasks.iter().all(|t| {
+            t.rep < reps && t.shard < n_shards && t.total == n_tasks && t.counters.delivered() > 0
+        }));
+        // Each task reports once, at completion, with a unique `finished`
+        // count; the merge snapshot stays in range (the folder can never
+        // absorb more than the total), and the reorder queue reports the
+        // completion-ahead-of-merge gap, which the fold's claim window
+        // keeps bounded.
+        let mut finished: Vec<usize> = tasks.iter().map(|t| t.finished).collect();
+        finished.sort_unstable();
+        assert_eq!(finished, (1..=n_tasks).collect::<Vec<_>>(), "job {job}: one report per task");
+        for t in &tasks {
+            assert!(t.merged <= t.total, "merge snapshot in range");
+            assert!(t.fold_queue < n_tasks && t.fold_queue <= t.finished, "bounded gap");
+        }
+    }
+}
