@@ -497,7 +497,7 @@ fn main() {
         return; // partial runs never append a partial snapshot
     }
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_streaming.json");
-    match write_snapshot(path, &cfg, "one run path per concern", &rows) {
+    match write_snapshot(path, &cfg, "BH2 ticks on the monotone lane", &rows) {
         Ok(()) => println!("appended snapshot to {path}"),
         Err(e) => eprintln!("could not write {path}: {e}"),
     }

@@ -211,6 +211,20 @@ impl ScenarioConfig {
         {
             return Err(SimError::InvalidConfig("thresholds must be fractions".into()));
         }
+        // A zero epoch reschedules each BH2 tick at the same instant (the
+        // run never advances), and a zero load window has no rate to
+        // estimate. Durations are whole milliseconds, so this also catches
+        // negative and sub-millisecond inputs.
+        if self.bh2.epoch.is_zero() {
+            return Err(SimError::InvalidConfig(
+                "bh2 epoch must be at least 1 ms (got 0 ms)".into(),
+            ));
+        }
+        if self.bh2.load_window.is_zero() {
+            return Err(SimError::InvalidConfig(
+                "bh2 load window must be at least 1 ms (got 0 ms)".into(),
+            ));
+        }
         // Trace-generator preconditions: the scenario layer lets users set
         // these freely, and catching them here beats an assert in a worker
         // thread or NaN summary metrics after a full run.
@@ -377,6 +391,17 @@ mod tests {
         let mut cfg = ScenarioConfig::default();
         cfg.repetitions = 0;
         assert!(cfg.validate().is_err());
+
+        // A zero BH2 epoch hangs the run and a zero load window panics in
+        // the estimator; negative and sub-millisecond seconds round to 0 ms.
+        for secs in [0.0, -1.0, 0.0001] {
+            let mut cfg = ScenarioConfig::default();
+            cfg.bh2.epoch = SimDuration::from_secs_f64(secs);
+            assert!(cfg.validate().unwrap_err().to_string().contains("bh2 epoch"));
+            let mut cfg = ScenarioConfig::default();
+            cfg.bh2.load_window = SimDuration::from_secs_f64(secs);
+            assert!(cfg.validate().unwrap_err().to_string().contains("bh2 load window"));
+        }
     }
 
     #[test]

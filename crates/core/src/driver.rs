@@ -185,10 +185,12 @@ pub struct RunResult {
     /// Scheduler events delivered during the run (telemetry; summed when
     /// shards are merged).
     pub events: u64,
-    /// Largest scheduler-heap occupancy observed at any event delivery
-    /// (telemetry; max over shards when merged). With streaming arrivals
-    /// this stays O(active flows + timers + 1) — the old driver's value
-    /// was O(total trace flows).
+    /// Largest number of pending scheduler events observed at any event
+    /// delivery, counting the event being handled (telemetry; max over
+    /// shards when merged). Despite the name it counts pending events, on
+    /// the heap and the monotone lane alike, not heap entries. With streaming
+    /// arrivals this stays O(active flows + timers + 1) — the old driver's
+    /// value was O(total trace flows).
     pub peak_heap: usize,
     /// Largest number of concurrently active (arrived, not yet completed)
     /// flows (telemetry; max over shards when merged).
@@ -644,10 +646,20 @@ pub fn run_single_source_threads(
     if !is_optimal {
         world.schedule_next_arrival(&mut sched);
         if let Aggregation::Bh2 { .. } = spec.aggregation {
-            for c in 0..topo.n_clients() {
-                let offset =
-                    SimDuration::from_millis(world.rng.below(cfg.bh2.epoch.as_millis().max(1)));
-                sched.schedule_at(t0 + offset, Ev::Bh2Tick { client: c as u32 });
+            // BH2 ticks ride the scheduler's monotone lane, which must be
+            // fed in time order. Draw the offsets in client order (the RNG
+            // stream is unchanged) and push them sorted; the stable sort
+            // keeps client order within a tie, so every tick keeps the
+            // rank its old client-order heap push gave it.
+            let mut first: Vec<(SimTime, u32)> = (0..topo.n_clients() as u32)
+                .map(|c| {
+                    let offset = world.rng.below(cfg.bh2.epoch.as_millis().max(1));
+                    (t0 + SimDuration::from_millis(offset), c)
+                })
+                .collect();
+            first.sort_by_key(|&(at, _)| at);
+            for (at, client) in first {
+                sched.schedule_monotone(at, Ev::Bh2Tick { client });
             }
         }
     } else {
@@ -812,7 +824,9 @@ fn handle(s: &mut Scheduler<Ev>, w: &mut World<'_>, now: SimTime, ev: Ev) {
         }
         Ev::Bh2Tick { client } => {
             w.counters.bh2_ticks += 1;
-            s.schedule_at(now + w.cfg.bh2.epoch, Ev::Bh2Tick { client });
+            // `now` never decreases and the epoch is fixed, so the
+            // reschedules arrive in time order: the monotone lane holds them.
+            s.schedule_monotone(now + w.cfg.bh2.epoch, Ev::Bh2Tick { client });
             bh2_epoch(s, w, now, client as usize);
         }
         Ev::OptimalTick => {

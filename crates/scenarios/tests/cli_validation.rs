@@ -1,0 +1,54 @@
+//! Bad user input to `insomnia run` must end in a prompt error, never a
+//! hang or a panic. Each case runs the CLI under a wall-clock deadline and
+//! kills it on overrun, so a regression fails the test instead of stalling
+//! the suite.
+
+use std::process::{Command, Stdio};
+use std::time::{Duration, Instant};
+
+const DEADLINE: Duration = Duration::from_secs(60);
+
+/// Runs `insomnia run` on a short BH2 batch with `set` applied; returns the
+/// exit code and stderr, or panics if the CLI overruns the deadline.
+fn run_bh2_with(set: &str) -> (Option<i32>, String) {
+    let mut child = Command::new(env!("CARGO_BIN_EXE_insomnia"))
+        .args(["run", "--scenario", "paper-default", "--schemes", "bh2", "--quick"])
+        .args(["--set", "horizon_hours=0.1", "--set", set, "--quiet"])
+        .stdout(Stdio::null())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn insomnia");
+    let start = Instant::now();
+    let status = loop {
+        if let Some(status) = child.try_wait().expect("poll insomnia") {
+            break status;
+        }
+        if start.elapsed() > DEADLINE {
+            child.kill().expect("kill overrunning insomnia");
+            child.wait().unwrap();
+            panic!("`--set {set}` still running after {DEADLINE:?}");
+        }
+        std::thread::sleep(Duration::from_millis(20));
+    };
+    let mut stderr = String::new();
+    std::io::Read::read_to_string(&mut child.stderr.take().unwrap(), &mut stderr).unwrap();
+    (status.code(), stderr)
+}
+
+#[test]
+fn zero_bh2_durations_exit_with_a_config_error() {
+    for (set, field) in [
+        ("bh2.epoch_s=0", "bh2 epoch"),
+        ("bh2.epoch_s=-1", "bh2 epoch"),
+        ("bh2.epoch_s=0.0001", "bh2 epoch"),
+        ("bh2.load_window_s=0", "bh2 load window"),
+    ] {
+        let (code, stderr) = run_bh2_with(set);
+        assert_eq!(code, Some(1), "`--set {set}` must exit 1 (stderr: {stderr})");
+        assert!(
+            stderr.contains("invalid configuration") && stderr.contains(field),
+            "`--set {set}` must name `{field}`: {stderr}"
+        );
+        assert!(!stderr.contains("panicked"), "`--set {set}` panicked: {stderr}");
+    }
+}

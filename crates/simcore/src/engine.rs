@@ -47,9 +47,11 @@ impl<E> Scheduler<E> {
         self.delivered
     }
 
-    /// Total number of events ever pushed onto the heap (delivered,
-    /// cancelled and still-pending alike). A pure function of the delivered
-    /// sequence, so it is safe to report in deterministic telemetry.
+    /// Total number of events ever scheduled, on the heap and the monotone
+    /// lane together (delivered, cancelled and still-pending alike). A pure
+    /// function of the delivered sequence, so it is safe to report in
+    /// deterministic telemetry; moving an event kind to the lane leaves it
+    /// unchanged.
     pub fn scheduled(&self) -> u64 {
         self.scheduled
     }
@@ -61,7 +63,8 @@ impl<E> Scheduler<E> {
         self.cancelled
     }
 
-    /// Number of pending events.
+    /// Number of pending events, on the heap and the monotone lane
+    /// together.
     pub fn pending(&self) -> usize {
         self.queue.len()
     }
@@ -99,6 +102,24 @@ impl<E> Scheduler<E> {
         assert!(at >= self.now, "scheduled event at {at} before current time {}", self.now);
         self.scheduled += 1;
         self.queue.push_front(at, event)
+    }
+
+    /// Schedules `event` at `at` in the queue's *monotone lane*, an O(1)
+    /// FIFO beside the heap for events whose schedule times never decrease
+    /// (e.g. a fixed-period tick rescheduled at `now + period`). The event
+    /// is delivered exactly where a [`schedule_at`] at the same moment
+    /// would deliver it. It returns no token: lane events cannot be
+    /// cancelled.
+    ///
+    /// # Panics
+    /// Panics if `at` is before the current time or before the lane's last
+    /// scheduled time.
+    ///
+    /// [`schedule_at`]: Scheduler::schedule_at
+    pub fn schedule_monotone(&mut self, at: SimTime, event: E) {
+        assert!(at >= self.now, "scheduled event at {at} before current time {}", self.now);
+        self.scheduled += 1;
+        self.queue.push_monotone(at, event);
     }
 
     /// Cancels a pending event (no-op if already delivered/cancelled).
@@ -191,6 +212,15 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "before current time")]
+    fn monotone_schedule_in_the_past_panics() {
+        let mut s: Scheduler<Ev> = Scheduler::new();
+        s.schedule_at(SimTime::from_secs(5), Ev::Stop);
+        s.next_event();
+        s.schedule_monotone(SimTime::from_secs(1), Ev::Stop);
+    }
+
+    #[test]
     fn run_until_respects_horizon_and_allows_rescheduling() {
         let mut s: Scheduler<u32> = Scheduler::new();
         s.schedule_at(SimTime::from_secs(1), 0);
@@ -232,13 +262,15 @@ mod tests {
         s.schedule_at(SimTime::from_secs(1), 1);
         s.schedule_after(SimDuration::from_secs(2), 2);
         let tok = s.schedule_front(SimTime::from_secs(3), 3);
-        assert_eq!(s.scheduled(), 3);
+        s.schedule_monotone(SimTime::from_secs(4), 4);
+        assert_eq!(s.scheduled(), 4);
+        assert_eq!(s.pending(), 4, "monotone-lane events count as pending");
         assert_eq!(s.cancelled(), 0);
         s.cancel(tok);
         assert_eq!(s.cancelled(), 1);
         let mut world = ();
         s.run_until(&mut world, SimTime::from_hours(1), |_, _, _, _| {});
-        assert_eq!(s.delivered(), 2);
+        assert_eq!(s.delivered(), 3);
         // scheduled = delivered + cancelled + pending-at-horizon (0 here).
         assert_eq!(s.scheduled(), s.delivered() + s.cancelled());
     }

@@ -28,10 +28,22 @@
 //! generation check replaces the per-pop hashing, and
 //! [`EventQueue::cancelled_purged`] plus a drain-time debug assertion
 //! prove every cancelled entry is reaped.
+//!
+//! Beside the heap sits a *monotone lane*: a FIFO of `(time, key, event)`
+//! for events whose schedule times never decrease, such as a fixed-period
+//! tick that always reschedules itself at `now + period`. Its keys come
+//! from the same sequence counter and carry the normal-lane bit, so a lane
+//! entry ranks exactly where the same event would rank in the heap.
+//! Because both times and keys only grow along the FIFO, it stays sorted
+//! with O(1) push and pop; [`EventQueue::pop`] and
+//! [`EventQueue::peek_time`] deliver whichever of the two heads ranks
+//! lower by `(time, key)`, which is the order a heap-only queue would
+//! give. [`EventQueue::push_monotone`] panics on an out-of-order push.
+//! Lane events carry no token and cannot be cancelled.
 
 use crate::time::SimTime;
 use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, VecDeque};
 
 /// Opaque handle identifying a scheduled event, used for cancellation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -94,6 +106,8 @@ struct Slot<E> {
 /// order)` (see the module docs).
 pub struct EventQueue<E> {
     heap: BinaryHeap<Entry>,
+    /// The monotone lane, ascending in `(time, key)` front to back.
+    lane: VecDeque<(SimTime, u64, E)>,
     slots: Vec<Slot<E>>,
     free: Vec<u32>,
     next_seq: u64,
@@ -116,6 +130,7 @@ impl<E> EventQueue<E> {
     pub fn new() -> Self {
         EventQueue {
             heap: BinaryHeap::new(),
+            lane: VecDeque::new(),
             slots: Vec::new(),
             free: Vec::new(),
             next_seq: 0,
@@ -142,11 +157,35 @@ impl<E> EventQueue<E> {
         self.push_lane(time, LANE_FRONT, event)
     }
 
-    fn push_lane(&mut self, time: SimTime, lane: u8, event: E) -> EventToken {
+    /// Schedules `event` at `time` in the monotone lane. It ranks exactly
+    /// as a [`push`] at the same moment would, but costs an O(1) FIFO
+    /// append instead of a heap sift. The event cannot be cancelled.
+    ///
+    /// # Panics
+    /// Panics if `time` is earlier than the lane's last entry: the FIFO is
+    /// only sorted while its times never decrease.
+    ///
+    /// [`push`]: EventQueue::push
+    pub fn push_monotone(&mut self, time: SimTime, event: E) {
+        if let Some(&(tail, _, _)) = self.lane.back() {
+            assert!(time >= tail, "monotone lane push at {time} before its tail at {tail}");
+        }
+        let key = self.next_key(LANE_NORMAL);
+        self.lane.push_back((time, key, event));
+        self.live += 1;
+    }
+
+    /// Draws the next sequence number and packs it with `lane` into a key.
+    #[inline]
+    fn next_key(&mut self, lane: u8) -> u64 {
         let seq = self.next_seq;
         self.next_seq += 1;
         debug_assert!(seq < 1 << 63, "sequence space exhausted");
-        let key = ((lane as u64) << 63) | seq;
+        ((lane as u64) << 63) | seq
+    }
+
+    fn push_lane(&mut self, time: SimTime, lane: u8, event: E) -> EventToken {
+        let key = self.next_key(lane);
         let slot = match self.free.pop() {
             Some(s) => {
                 let cell = &mut self.slots[s as usize];
@@ -193,47 +232,57 @@ impl<E> EventQueue<E> {
         self.cancelled_purged += 1;
     }
 
+    /// Rank of the earliest live heap entry, purging stale heads on the way.
+    #[inline]
+    fn heap_head(&mut self) -> Option<(SimTime, u64)> {
+        while let Some(entry) = self.heap.peek().copied() {
+            if self.slots[entry.slot as usize].generation == entry.generation {
+                return Some(entry.rank());
+            }
+            self.heap.pop();
+            self.purge_stale(entry);
+        }
+        None
+    }
+
     /// Removes and returns the earliest non-cancelled event.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        loop {
-            let Some(entry) = self.heap.pop() else {
+        let heap = self.heap_head();
+        match self.lane.front() {
+            Some(&(time, key, _)) if heap.is_none_or(|h| (time, key) < h) => {
+                let (time, _, event) = self.lane.pop_front().expect("lane head exists");
+                self.live -= 1;
+                Some((time, event))
+            }
+            _ if heap.is_some() => {
+                let entry = self.heap.pop().expect("heap head exists");
+                let cell = &mut self.slots[entry.slot as usize];
+                let event = cell.event.take().expect("live slot holds its event");
+                cell.generation = cell.generation.wrapping_add(1);
+                self.free.push(entry.slot);
+                self.live -= 1;
+                Some((entry.time, event))
+            }
+            _ => {
                 // A drained queue must have reaped every cancellation — the
                 // guarantee that long horizons accumulate no dead state.
                 debug_assert_eq!(
                     self.cancelled_unpurged, 0,
                     "drained queue left cancelled entries unpurged"
                 );
-                return None;
-            };
-            let cell = &mut self.slots[entry.slot as usize];
-            if cell.generation != entry.generation {
-                self.purge_stale(entry);
-                continue;
+                None
             }
-            let event = cell.event.take().expect("live slot holds its event");
-            cell.generation = cell.generation.wrapping_add(1);
-            self.free.push(entry.slot);
-            self.live -= 1;
-            return Some((entry.time, event));
         }
     }
 
     /// Time of the earliest pending (non-cancelled) event without removing it.
     pub fn peek_time(&mut self) -> Option<SimTime> {
-        // Drop stale heads so peek reflects the next deliverable event.
-        while let Some(entry) = self.heap.peek().copied() {
-            if self.slots[entry.slot as usize].generation != entry.generation {
-                let e = self.heap.pop().expect("peeked entry exists");
-                self.purge_stale(e);
-            } else {
-                return Some(entry.time);
-            }
-        }
-        None
+        let lane = self.lane.front().map(|&(time, key, _)| (time, key));
+        self.heap_head().into_iter().chain(lane).min().map(|(time, _)| time)
     }
 
     /// Number of deliverable (scheduled, not delivered, not cancelled)
-    /// events.
+    /// events, heap and monotone lane together.
     pub fn len(&self) -> usize {
         self.live
     }
@@ -297,6 +346,38 @@ mod tests {
         assert_eq!(q.pop(), Some((t(5), "front-b")));
         assert_eq!(q.pop(), Some((t(5), "normal-early")));
         assert_eq!(q.pop(), Some((t(5), "normal-late")));
+    }
+
+    #[test]
+    fn monotone_lane_ranks_by_schedule_order_against_the_heap() {
+        let mut q = EventQueue::new();
+        q.push(t(5), "heap-before");
+        q.push_monotone(t(5), "lane");
+        q.push(t(5), "heap-after");
+        q.push_front(t(5), "front");
+        q.push_monotone(t(6), "lane-later");
+        q.push(t(1), "heap-earliest");
+        assert_eq!(q.len(), 6, "lane entries count as pending");
+        assert_eq!(q.peek_time(), Some(t(1)));
+        assert_eq!(q.pop(), Some((t(1), "heap-earliest")));
+        // The front lane beats a simultaneous monotone-lane event.
+        assert_eq!(q.pop(), Some((t(5), "front")));
+        assert_eq!(q.pop(), Some((t(5), "heap-before")));
+        // A lane event beats a later-scheduled simultaneous heap event.
+        assert_eq!(q.pop(), Some((t(5), "lane")));
+        assert_eq!(q.pop(), Some((t(5), "heap-after")));
+        assert_eq!(q.peek_time(), Some(t(6)));
+        assert_eq!(q.pop(), Some((t(6), "lane-later")));
+        assert_eq!(q.pop(), None);
+        assert!(q.is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "before its tail")]
+    fn out_of_order_monotone_push_panics() {
+        let mut q = EventQueue::new();
+        q.push_monotone(t(5), 0u8);
+        q.push_monotone(t(4), 1u8);
     }
 
     #[test]

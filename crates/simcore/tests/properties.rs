@@ -1,8 +1,8 @@
 //! Property-based tests of the simulation engine's invariants.
 
 use insomnia_simcore::{
-    par_fold_grouped, Cdf, EventQueue, OnlineTimeHist, QuantileSketch, SimRng, SimTime,
-    TimeWeighted, Welford,
+    par_fold_grouped, Cdf, EventQueue, OnlineTimeHist, QuantileSketch, Scheduler, SimDuration,
+    SimRng, SimTime, TimeWeighted, Welford,
 };
 use proptest::prelude::*;
 
@@ -63,6 +63,55 @@ proptest! {
         got.sort_unstable();
         expect.sort_unstable();
         prop_assert_eq!(got, expect);
+    }
+
+    /// The monotone lane is invisible in the delivered order: a random
+    /// interleaving of heap pushes (normal and front lane), monotone-lane
+    /// pushes at nondecreasing times, cancellations of heap tokens and
+    /// deliveries yields the same `(time, event)` sequence and the same
+    /// counts as a reference scheduler that puts every monotone push on
+    /// the heap with `schedule_at`. Millisecond steps of 0..3 make ties
+    /// between all three lanes common.
+    #[test]
+    fn monotone_lane_matches_heap_only_reference(
+        ops in prop::collection::vec((0u8..5, 0u64..3, any::<u64>()), 1..300),
+    ) {
+        let mut lane: Scheduler<usize> = Scheduler::new();
+        let mut reference: Scheduler<usize> = Scheduler::new();
+        let mut tokens = Vec::new();
+        let mut lane_tail = SimTime::ZERO;
+        let step = SimDuration::from_millis;
+        for (id, &(kind, dt, pick)) in ops.iter().enumerate() {
+            let at = lane.now() + step(dt);
+            match kind {
+                0 => tokens.push((lane.schedule_at(at, id), reference.schedule_at(at, id))),
+                1 => tokens.push((lane.schedule_front(at, id), reference.schedule_front(at, id))),
+                2 => {
+                    lane_tail = lane_tail.max(lane.now()) + step(dt);
+                    lane.schedule_monotone(lane_tail, id);
+                    reference.schedule_at(lane_tail, id);
+                }
+                3 if !tokens.is_empty() => {
+                    let (a, b) = tokens[(pick % tokens.len() as u64) as usize];
+                    lane.cancel(a);
+                    reference.cancel(b);
+                }
+                _ => prop_assert_eq!(lane.next_event(), reference.next_event()),
+            }
+            prop_assert_eq!(lane.pending(), reference.pending());
+            prop_assert_eq!(lane.peek_time(), reference.peek_time());
+        }
+        loop {
+            let next = lane.next_event();
+            prop_assert_eq!(next, reference.next_event());
+            prop_assert_eq!(lane.pending(), reference.pending());
+            if next.is_none() {
+                break;
+            }
+        }
+        prop_assert_eq!(lane.scheduled(), reference.scheduled());
+        prop_assert_eq!(lane.cancelled(), reference.cancelled());
+        prop_assert_eq!(lane.delivered(), reference.delivered());
     }
 
     /// Welford matches the naive two-pass computation.

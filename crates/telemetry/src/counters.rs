@@ -34,10 +34,11 @@ pub struct RunCounters {
     pub cancelled_idle_checks: u64,
     /// Doze-descent ticks cancelled by wakes.
     pub cancelled_doze_ticks: u64,
-    /// Events pushed onto the scheduler heap (delivered + cancelled +
-    /// still pending at the horizon).
+    /// Events scheduled, on the heap and the monotone lane together
+    /// (delivered + cancelled + still pending at the horizon).
     pub heap_pushes: u64,
-    /// Peak scheduler-heap occupancy at any delivery (max over merges).
+    /// Peak number of pending scheduler events, heap and monotone lane
+    /// together, at any delivery (max over merges).
     pub peak_heap: u64,
     /// Flows the arrival source would yield over the whole day.
     pub flows_total: u64,
