@@ -1304,6 +1304,17 @@ pub fn build_world_shard_streaming(
     seed: u64,
     shard: usize,
 ) -> (FlowStream, Topology) {
+    let (stream, topo, _) = build_world_shard_timed(cfg, seed, shard);
+    (stream, topo)
+}
+
+/// [`build_world_shard_streaming`] plus the wall-clock of its topology
+/// build, milliseconds.
+fn build_world_shard_timed(
+    cfg: &ScenarioConfig,
+    seed: u64,
+    shard: usize,
+) -> (FlowStream, Topology, f64) {
     let master = SimRng::new(seed);
     let mut shard_trace = cfg.trace.clone();
     let (mut trace_rng, mut topo_rng) = if cfg.shards <= 1 {
@@ -1320,9 +1331,10 @@ pub fn build_world_shard_streaming(
         )
     };
     let stream = FlowStream::new(&shard_trace, &mut trace_rng);
+    let topo_start = std::time::Instant::now();
     let home: Vec<usize> = stream.home().iter().map(|ap| ap.index()).collect();
     let topo = build_topology(cfg, &home, shard_trace.n_aps, &mut topo_rng);
-    (stream, topo)
+    (stream, topo, topo_start.elapsed().as_secs_f64() * 1e3)
 }
 
 /// The one live repetition accumulator of the shard fold: shard runs of
@@ -1659,10 +1671,19 @@ impl SchemeFolder {
     }
 }
 
+/// Wall-clock of one task's world build, milliseconds (scheduling-dependent;
+/// both 0 for a prototype-cache hit).
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct TaskSetup {
+    /// The whole world build: stream setup plus topology.
+    pub setup_ms: f64,
+    /// The topology part of `setup_ms`.
+    pub topology_ms: f64,
+}
+
 /// Runs one attempt of `(repetition × shard)` task `i` of the scheme run
 /// `(cfg, spec, world, seed)`, where `i = rep * n_shards + shard`. Returns
-/// the task's result and its world-build / stream-setup wall-clock in
-/// milliseconds (scheduling-dependent; 0 for a prototype-cache hit).
+/// the task's result and its world-build wall-clock ([`TaskSetup`]).
 ///
 /// Repetition `r` of shard `s` draws from `SimRng::new(seed).fork_idx("rep",
 /// r).fork_idx("shard", s)` (the `"shard"` fork skipped for one-shard
@@ -1689,7 +1710,7 @@ pub fn run_scheme_task(
     seed: u64,
     i: usize,
     claim: Option<&mut ProtoClaim>,
-) -> (RunResult, f64) {
+) -> (RunResult, TaskSetup) {
     let n_shards = world.n_shards();
     let (rep, sh) = (i / n_shards, i % n_shards);
     // Forks are id-based and non-mutating, so re-deriving the master per
@@ -1705,14 +1726,14 @@ pub fn run_scheme_task(
     };
     let setup_start = std::time::Instant::now();
     let Some(claim) = claim else {
-        let (stream, topo) = build_world_shard_streaming(&world.cfg, world.seed, sh);
-        let setup_ms = setup_start.elapsed().as_secs_f64() * 1e3;
-        return (single(stream, &topo), setup_ms);
+        let (stream, topo, topology_ms) = build_world_shard_timed(&world.cfg, world.seed, sh);
+        let setup = TaskSetup { setup_ms: setup_start.elapsed().as_secs_f64() * 1e3, topology_ms };
+        return (single(stream, &topo), setup);
     };
-    let mut was_built = false;
+    let mut built_topology_ms = None;
     let (stream_proto, topo) = claim.proto.get_or_init(|| {
-        was_built = true;
-        let (mut s, t) = build_world_shard_streaming(&world.cfg, world.seed, sh);
+        let (mut s, t, topology_ms) = build_world_shard_timed(&world.cfg, world.seed, sh);
+        built_topology_ms = Some(topology_ms);
         if s.enable_replay_cache() {
             // Publish the recording before any consumer runs: drain a
             // throwaway clone so every consumer — this one included —
@@ -1725,9 +1746,14 @@ pub fn run_scheme_task(
     // A panicking init leaves the cell empty (OnceLock does not poison), so
     // a retried builder rebuilds safely; hits attribute zero setup — the one
     // real build is the only setup span of the shard.
-    claim.built |= was_built;
-    let setup_ms = if was_built { setup_start.elapsed().as_secs_f64() * 1e3 } else { 0.0 };
-    (single(stream_proto.clone(), topo), setup_ms)
+    claim.built |= built_topology_ms.is_some();
+    let setup = match built_topology_ms {
+        Some(topology_ms) => {
+            TaskSetup { setup_ms: setup_start.elapsed().as_secs_f64() * 1e3, topology_ms }
+        }
+        None => TaskSetup::default(),
+    };
+    (single(stream_proto.clone(), topo), setup)
 }
 
 /// Runs all repetitions of one scheme over every shard of a

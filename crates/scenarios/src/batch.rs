@@ -36,7 +36,8 @@ use crate::faults::{FaultPlan, ResolvedFaults};
 use crate::schemes::scheme_key;
 use insomnia_core::{
     completion_quantiles, online_time_quantiles, run_scheme_task, summarize, RunResult,
-    ScenarioConfig, SchemeFolder, SchemeResult, SchemeSpec, ShardedWorld, WorldProtoCache,
+    ScenarioConfig, SchemeFolder, SchemeResult, SchemeSpec, ShardedWorld, TaskSetup,
+    WorldProtoCache,
 };
 use insomnia_simcore::{par_fold_grouped, retry_unwind, SimError, SimResult, SimRng};
 use insomnia_telemetry::{
@@ -452,7 +453,7 @@ impl TaskPool<'_> {
             if let Some(cache) = cache {
                 cache.skip(sh);
             }
-            self.report(js, i, &result, 0.0, 0.0);
+            self.report(js, i, &result, TaskSetup::default(), 0.0);
             return result;
         }
         let task_start = Instant::now();
@@ -471,7 +472,7 @@ impl TaskPool<'_> {
             }
             run_scheme_task(js.cfg, js.spec, js.world, js.seed, i, claim.as_mut())
         });
-        let (retries, (mut result, setup_ms)) = match outcome {
+        let (retries, (mut result, setup)) = match outcome {
             Ok(retried) => (retried.retries, retried.value),
             Err(payload) => std::panic::panic_any(TaskAbort::Failed(format!(
                 "job {} ({} / {} seed {}): repetition {rep} shard {sh} failed after {attempt} \
@@ -488,11 +489,11 @@ impl TaskPool<'_> {
         if let Some(claim) = &claim {
             claim.attribute(&mut result.counters);
         }
-        let loop_ms = (task_start.elapsed().as_secs_f64() * 1e3 - setup_ms).max(0.0);
+        let loop_ms = (task_start.elapsed().as_secs_f64() * 1e3 - setup.setup_ms).max(0.0);
         if let Some(writer) = &self.writer {
             writer.write_task(ordinal, js.j, i, rep, sh, &result);
         }
-        self.report(js, i, &result, setup_ms, loop_ms);
+        self.report(js, i, &result, setup, loop_ms);
         result
     }
 
@@ -501,11 +502,18 @@ impl TaskPool<'_> {
     /// spans plus one sidecar [`TaskRecord`] carrying the job's merge
     /// progress as a snapshot. The human sink renders it for sharded jobs
     /// only; the result JSONL is untouched either way.
-    fn report(&self, js: &JobState<'_>, i: usize, result: &RunResult, setup_ms: f64, loop_ms: f64) {
+    fn report(
+        &self,
+        js: &JobState<'_>,
+        i: usize,
+        result: &RunResult,
+        setup: TaskSetup,
+        loop_ms: f64,
+    ) {
         {
             let mut ph = self.phases.lock().expect("phase lock");
-            if setup_ms > 0.0 {
-                ph.world_build.add(setup_ms);
+            if setup.setup_ms > 0.0 {
+                ph.world_build.add(setup.setup_ms);
             }
             ph.event_loop.add(loop_ms);
         }
@@ -519,7 +527,8 @@ impl TaskPool<'_> {
             rep: i / js.n_shards,
             shard: i % js.n_shards,
             n_shards: js.n_shards,
-            setup_ms,
+            setup_ms: setup.setup_ms,
+            topology_ms: setup.topology_ms,
             loop_ms,
             finished,
             total: js.n_tasks,

@@ -45,6 +45,9 @@ pub struct ProfileReport {
     pub task_events_max: u64,
     /// Events summed over task records (mean = sum / n_tasks).
     task_events_sum: u64,
+    /// Topology-build time summed over task records, milliseconds (the
+    /// topology part of the `world-build` phase).
+    pub topology_ms: f64,
 }
 
 impl ProfileReport {
@@ -60,6 +63,7 @@ impl ProfileReport {
             task_events_min: u64::MAX,
             task_events_max: 0,
             task_events_sum: 0,
+            topology_ms: 0.0,
         };
         for (i, line) in text.lines().enumerate() {
             if line.trim().is_empty() {
@@ -75,6 +79,7 @@ impl ProfileReport {
                     report.task_events_min = report.task_events_min.min(ev);
                     report.task_events_max = report.task_events_max.max(ev);
                     report.task_events_sum += ev;
+                    report.topology_ms += t.topology_ms;
                 }
                 TelemetryRecord::Job(j) => report.jobs.push(j),
                 TelemetryRecord::Phase(p) => report.phases.push(p),
@@ -168,13 +173,16 @@ impl ProfileReport {
         let wall = self.summary.as_ref().map(|s| s.wall_ms).unwrap_or(0.0);
         let (events, flows) =
             self.summary.as_ref().map(|s| (s.events as f64, s.flows as f64)).unwrap_or((0.0, 0.0));
-        for p in &self.phases {
-            let busy_s = p.busy_ms / 1_000.0;
-            let share = if wall > 0.0 {
-                format!("{:.1}%", 100.0 * p.busy_ms / wall)
+        let share_of_wall = |ms: f64| {
+            if wall > 0.0 {
+                format!("{:.1}%", 100.0 * ms / wall)
             } else {
                 "-".to_string()
-            };
+            }
+        };
+        for p in &self.phases {
+            let busy_s = p.busy_ms / 1_000.0;
+            let share = share_of_wall(p.busy_ms);
             // Rates only where the phase does that work: the event loop
             // delivers events over arrived flows; world-build generates
             // the flows (stream setup replays every burst draw).
@@ -199,6 +207,17 @@ impl ProfileReport {
                 "{:<12} {:>10.2} {:>7} {:>12} {:>12} {:>7}  {}\n",
                 p.phase, busy_s, share, ev_rate, fl_rate, p.tasks, spread
             ));
+            // The topology build's part of world-build, from the task
+            // records (older sidecars carry none and render as before).
+            if p.phase == "world-build" && self.topology_ms > 0.0 && p.busy_ms > 0.0 {
+                out.push_str(&format!(
+                    "{:<12} {:>10.2} {:>7}  {:.1}% of world-build\n",
+                    "  topology",
+                    self.topology_ms / 1_000.0,
+                    share_of_wall(self.topology_ms),
+                    100.0 * self.topology_ms / p.busy_ms,
+                ));
+            }
         }
         if let Some(frac) = self.attributed_fraction() {
             out.push_str(&format!(
@@ -363,6 +382,7 @@ mod tests {
                 shard: 0,
                 n_shards: 2,
                 setup_ms: 5.0,
+                topology_ms: 2.0,
                 loop_ms: 20.0,
                 finished: 1,
                 total: 2,
@@ -422,6 +442,32 @@ mod tests {
         // No prototype-cache activity in this sidecar: the world-reuse note
         // must stay absent so legacy renders are unchanged.
         assert!(!rendered.contains("world-reuse"), "{rendered}");
+    }
+
+    #[test]
+    fn topology_share_renders_under_world_build() {
+        let mut report = ProfileReport::from_jsonl(&sidecar()).unwrap();
+        assert_eq!(report.topology_ms, 2.0);
+        // Without a world-build phase there is nothing to break down.
+        assert!(!report.render().contains("topology"));
+        report.phases.insert(
+            0,
+            PhaseRecord {
+                phase: "world-build".into(),
+                parent: "run".into(),
+                busy_ms: 5.0,
+                tasks: 1,
+                task_ms_min: 5.0,
+                task_ms_mean: 5.0,
+                task_ms_max: 5.0,
+            },
+        );
+        let rendered = report.render();
+        let lines: Vec<&str> = rendered.lines().collect();
+        let at = lines.iter().position(|l| l.starts_with("world-build")).expect("world-build row");
+        let row = lines[at + 1];
+        assert!(row.starts_with("  topology"), "{rendered}");
+        assert!(row.contains("4.0%") && row.ends_with("40.0% of world-build"), "{rendered}");
     }
 
     #[test]

@@ -45,7 +45,7 @@ pub struct ManifestRecord {
 }
 
 /// One finished `(repetition × shard)` task.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TaskRecord {
     /// Job index in the batch matrix.
     pub job: usize,
@@ -61,9 +61,12 @@ pub struct TaskRecord {
     pub shard: usize,
     /// Shards per repetition.
     pub n_shards: usize,
-    /// World-build / stream-setup span of the task, milliseconds
-    /// (0 for prebuilt worlds).
+    /// World-build span of the task (stream setup plus topology),
+    /// milliseconds (0 for prototype-cache hits).
     pub setup_ms: f64,
+    /// The topology part of `setup_ms`, milliseconds (0, and omitted from
+    /// the JSON, for prototype-cache hits).
+    pub topology_ms: f64,
     /// Event-loop span of the task, milliseconds.
     pub loop_ms: f64,
     /// Tasks of this job finished when this one completed
@@ -79,6 +82,56 @@ pub struct TaskRecord {
     pub fold_queue: usize,
     /// Deterministic counters of the task's event loop.
     pub counters: RunCounters,
+}
+
+// Hand-written so `topology_ms` is omitted when zero (cache hits) and
+// optional on input (sidecars written before it existed).
+impl Serialize for TaskRecord {
+    fn to_value(&self) -> Value {
+        let mut m: Vec<(String, Value)> = Vec::with_capacity(15);
+        let mut put = |k: &str, v: Value| m.push((k.to_string(), v));
+        put("job", self.job.to_value());
+        put("scenario", self.scenario.to_value());
+        put("scheme", self.scheme.to_value());
+        put("seed_index", self.seed_index.to_value());
+        put("rep", self.rep.to_value());
+        put("shard", self.shard.to_value());
+        put("n_shards", self.n_shards.to_value());
+        put("setup_ms", self.setup_ms.to_value());
+        if self.topology_ms > 0.0 {
+            put("topology_ms", self.topology_ms.to_value());
+        }
+        put("loop_ms", self.loop_ms.to_value());
+        put("finished", self.finished.to_value());
+        put("total", self.total.to_value());
+        put("merged", self.merged.to_value());
+        put("fold_queue", self.fold_queue.to_value());
+        put("counters", self.counters.to_value());
+        Value::Map(m)
+    }
+}
+
+impl Deserialize for TaskRecord {
+    fn from_value(v: &Value) -> Result<Self, Error> {
+        let m = v.as_map().ok_or_else(|| Error::expected("map", v))?;
+        Ok(TaskRecord {
+            job: serde::__field(m, "job")?,
+            scenario: serde::__field(m, "scenario")?,
+            scheme: serde::__field(m, "scheme")?,
+            seed_index: serde::__field(m, "seed_index")?,
+            rep: serde::__field(m, "rep")?,
+            shard: serde::__field(m, "shard")?,
+            n_shards: serde::__field(m, "n_shards")?,
+            setup_ms: serde::__field(m, "setup_ms")?,
+            topology_ms: serde::__field::<Option<f64>>(m, "topology_ms")?.unwrap_or(0.0),
+            loop_ms: serde::__field(m, "loop_ms")?,
+            finished: serde::__field(m, "finished")?,
+            total: serde::__field(m, "total")?,
+            merged: serde::__field(m, "merged")?,
+            fold_queue: serde::__field(m, "fold_queue")?,
+            counters: serde::__field(m, "counters")?,
+        })
+    }
 }
 
 /// One finished (scenario × scheme × seed) job.
@@ -231,6 +284,41 @@ mod tests {
         let TelemetryRecord::Phase(p) = back else { panic!("wrong variant") };
         assert_eq!(p.tasks, 4);
         assert_eq!(p.busy_ms, 123.5);
+    }
+
+    #[test]
+    fn task_topology_ms_is_omitted_when_zero() {
+        let task = |topology_ms: f64| {
+            TelemetryRecord::Task(TaskRecord {
+                job: 0,
+                scenario: "smoke".into(),
+                scheme: "soi".into(),
+                seed_index: 0,
+                rep: 0,
+                shard: 1,
+                n_shards: 2,
+                setup_ms: 4.0,
+                topology_ms,
+                loop_ms: 9.0,
+                finished: 1,
+                total: 2,
+                merged: 0,
+                fold_queue: 0,
+                counters: RunCounters::default(),
+            })
+        };
+        let hit = serde_json::to_string(&task(0.0)).unwrap();
+        assert!(!hit.contains("topology_ms"), "{hit}");
+        let TelemetryRecord::Task(back) = serde_json::from_str(&hit).unwrap() else {
+            panic!("wrong variant")
+        };
+        assert_eq!((back.setup_ms, back.topology_ms), (4.0, 0.0));
+        let built = serde_json::to_string(&task(1.5)).unwrap();
+        assert!(built.contains("\"setup_ms\":4.0,\"topology_ms\":1.5,\"loop_ms\""), "{built}");
+        let TelemetryRecord::Task(back) = serde_json::from_str(&built).unwrap() else {
+            panic!("wrong variant")
+        };
+        assert_eq!(back.topology_ms, 1.5);
     }
 
     #[test]

@@ -10,7 +10,7 @@
 
 use crate::channel::ChannelModel;
 use crate::degree::{household_degree_sequence, prescribed_degree_graph};
-use crate::topology::{Link, Topology};
+use crate::topology::{Link, Rows, Topology};
 use insomnia_simcore::{SimError, SimResult, SimRng};
 
 /// Builds the main-scenario topology: gateway overlap graph with mean degree
@@ -30,8 +30,8 @@ pub fn overlap_topology(
     if mean_networks_in_range < 1.0 {
         return Err(SimError::InvalidConfig("mean networks in range must be ≥ 1".into()));
     }
-    if n_gateways < 2 {
-        return Err(SimError::InvalidConfig("need at least two gateways".into()));
+    if n_gateways < 3 {
+        return Err(SimError::InvalidConfig("need at least three gateways".into()));
     }
     // A client sees its home plus the home's graph neighbors, so the gateway
     // graph needs mean degree (networks-in-range − 1), floored at the
@@ -40,17 +40,18 @@ pub fn overlap_topology(
     let degrees = household_degree_sequence(n_gateways, gw_mean, rng);
     let graph = prescribed_degree_graph(&degrees, rng)?;
 
-    let links = home
-        .iter()
-        .map(|&h| {
-            let mut ls = vec![Link { gateway: h, rate_bps: channel.home_bps }];
-            for nb in graph.neighbors(h) {
-                ls.push(Link { gateway: nb, rate_bps: channel.neighbor_bps });
-            }
-            ls
-        })
-        .collect();
-    Topology::new(n_gateways, home.to_vec(), links)
+    // An out-of-range home reaches no neighbours; `from_rows` rejects it.
+    let neighbors = |h: usize| if h < n_gateways { graph.neighbors(h) } else { &[] };
+    let mut rows =
+        Rows::with_capacity(home.len(), home.iter().map(|&h| 1 + neighbors(h).len()).sum());
+    for &h in home {
+        rows.links.push(Link { gateway: h, rate_bps: channel.home_bps });
+        for &nb in neighbors(h) {
+            rows.links.push(Link { gateway: nb as usize, rate_bps: channel.neighbor_bps });
+        }
+        rows.end_row();
+    }
+    Topology::from_rows(n_gateways, home.to_vec(), rows)
 }
 
 /// Builds the Fig. 10 density-sweep topology: each non-home gateway is in
@@ -77,19 +78,18 @@ pub fn binomial_topology(
         )));
     }
     let p = if n_gateways == 1 { 0.0 } else { (mean_in_range - 1.0) / (n_gateways as f64 - 1.0) };
-    let links = home
-        .iter()
-        .map(|&h| {
-            let mut ls = vec![Link { gateway: h, rate_bps: channel.home_bps }];
-            for g in 0..n_gateways {
-                if g != h && rng.chance(p) {
-                    ls.push(Link { gateway: g, rate_bps: channel.neighbor_bps });
-                }
+    let expected = (mean_in_range * home.len() as f64) as usize;
+    let mut rows = Rows::with_capacity(home.len(), expected);
+    for &h in home {
+        rows.links.push(Link { gateway: h, rate_bps: channel.home_bps });
+        for g in 0..n_gateways {
+            if g != h && rng.chance(p) {
+                rows.links.push(Link { gateway: g, rate_bps: channel.neighbor_bps });
             }
-            ls
-        })
-        .collect();
-    Topology::new(n_gateways, home.to_vec(), links)
+        }
+        rows.end_row();
+    }
+    Topology::from_rows(n_gateways, home.to_vec(), rows)
 }
 
 #[cfg(test)]
@@ -162,5 +162,16 @@ mod tests {
         assert!(binomial_topology(&home, 2, 3.0, ChannelModel::default(), &mut rng).is_err());
         let bad = ChannelModel { home_bps: 1.0, neighbor_bps: 2.0 };
         assert!(overlap_topology(&home, 2, 2.0, bad, &mut rng).is_err());
+    }
+
+    #[test]
+    fn overlap_rejects_fewer_than_three_gateways() {
+        let mut rng = SimRng::new(6);
+        for n in 0..3 {
+            let home = homes(6, n.max(1));
+            let err = overlap_topology(&home, n, 4.0, ChannelModel::default(), &mut rng);
+            assert!(matches!(err, Err(SimError::InvalidConfig(_))), "{n} gateways: {err:?}");
+        }
+        assert!(overlap_topology(&homes(6, 3), 3, 4.0, ChannelModel::default(), &mut rng).is_ok());
     }
 }

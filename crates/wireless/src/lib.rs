@@ -8,8 +8,6 @@
 //!   prescribed degree sequence, used for the gateway overlap graph,
 //! * [`builder`] — the paper's two topology settings: household overlap
 //!   (mean 5.6 networks in range) and binomial density sweeps (Fig. 10),
-//! * [`virtualnic`] — the FatVAP/THEMIS TDMA model of a single virtualized
-//!   radio (100 ms period, 60% to the selected gateway),
 //! * [`seqnum`] — passive load estimation from 802.11 MAC sequence numbers,
 //! * [`estimator`] — byte-based sliding-window load tracking,
 //! * [`shard`] — splitting one scenario's population into independent
@@ -25,7 +23,6 @@ pub mod estimator;
 pub mod seqnum;
 pub mod shard;
 pub mod topology;
-pub mod virtualnic;
 
 pub use builder::{binomial_topology, overlap_topology};
 pub use channel::ChannelModel;
@@ -36,4 +33,3 @@ pub use shard::{
     max_per_shard, min_per_shard, shard_spans, topology_pair_count, ShardSpan, MAX_TOPOLOGY_PAIRS,
 };
 pub use topology::{Link, Topology};
-pub use virtualnic::TdmaSchedule;

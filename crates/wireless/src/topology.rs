@@ -16,13 +16,16 @@ pub struct Link {
     pub rate_bps: f64,
 }
 
-/// Bipartite reachability between clients and gateways.
+/// Bipartite reachability between clients and gateways, stored as one
+/// flat link array with per-client offsets (CSR).
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Topology {
     n_gateways: usize,
-    /// `links[c]` lists the gateways client `c` can reach, sorted by index;
-    /// always contains the client's home gateway.
-    links: Vec<Vec<Link>>,
+    /// `links[off[c]..off[c + 1]]` lists the gateways client `c` can reach,
+    /// sorted by index; always contains the client's home gateway.
+    links: Vec<Link>,
+    /// Row offsets into `links`, one per client plus the end.
+    off: Vec<usize>,
     /// `home[c]` is client `c`'s own gateway.
     home: Vec<usize>,
 }
@@ -32,11 +35,25 @@ impl Topology {
     ///
     /// Each client's link list is sorted and must include its home gateway;
     /// duplicate gateway entries are rejected.
-    pub fn new(n_gateways: usize, home: Vec<usize>, mut links: Vec<Vec<Link>>) -> SimResult<Self> {
+    pub fn new(n_gateways: usize, home: Vec<usize>, links: Vec<Vec<Link>>) -> SimResult<Self> {
         if home.len() != links.len() {
             return Err(SimError::InvalidInput("home/links length mismatch".into()));
         }
-        for (c, ls) in links.iter_mut().enumerate() {
+        let mut rows = Rows::with_capacity(home.len(), links.iter().map(Vec::len).sum());
+        for ls in links {
+            rows.links.extend(ls);
+            rows.end_row();
+        }
+        Topology::from_rows(n_gateways, home, rows)
+    }
+
+    /// Validates and sorts every row of `rows` (client `c`'s row is its
+    /// link list), then takes them over without copying.
+    pub(crate) fn from_rows(n_gateways: usize, home: Vec<usize>, rows: Rows) -> SimResult<Self> {
+        let Rows { mut links, off } = rows;
+        assert_eq!(off.len(), home.len() + 1, "one row per client");
+        for (c, &h) in home.iter().enumerate() {
+            let ls = &mut links[off[c]..off[c + 1]];
             ls.sort_by_key(|l| l.gateway);
             if ls.windows(2).any(|w| w[0].gateway == w[1].gateway) {
                 return Err(SimError::InvalidInput(format!("client {c} has duplicate links")));
@@ -47,21 +64,21 @@ impl Topology {
             if ls.iter().any(|l| !(l.rate_bps > 0.0)) {
                 return Err(SimError::InvalidInput(format!("client {c} has non-positive rate")));
             }
-            if home[c] >= n_gateways {
+            if h >= n_gateways {
                 return Err(SimError::InvalidInput(format!("client {c} home out of range")));
             }
-            if !ls.iter().any(|l| l.gateway == home[c]) {
+            if !ls.iter().any(|l| l.gateway == h) {
                 return Err(SimError::InvalidInput(format!(
                     "client {c} cannot reach its own home gateway"
                 )));
             }
         }
-        Ok(Topology { n_gateways, links, home })
+        Ok(Topology { n_gateways, links, off, home })
     }
 
     /// Number of clients.
     pub fn n_clients(&self) -> usize {
-        self.links.len()
+        self.home.len()
     }
 
     /// Number of gateways.
@@ -76,15 +93,13 @@ impl Topology {
 
     /// Gateways reachable by client `c` (sorted by index, includes home).
     pub fn reachable(&self, c: usize) -> &[Link] {
-        &self.links[c]
+        &self.links[self.off[c]..self.off[c + 1]]
     }
 
     /// Wireless rate between client `c` and gateway `g`, if in range.
     pub fn rate_bps(&self, c: usize, g: usize) -> Option<f64> {
-        self.links[c]
-            .binary_search_by_key(&g, |l| l.gateway)
-            .ok()
-            .map(|i| self.links[c][i].rate_bps)
+        let ls = self.reachable(c);
+        ls.binary_search_by_key(&g, |l| l.gateway).ok().map(|i| ls[i].rate_bps)
     }
 
     /// True if client `c` can reach gateway `g`.
@@ -95,15 +110,32 @@ impl Topology {
     /// Mean number of gateways in range per client ("networks in range";
     /// the paper's scenario has 5.6).
     pub fn mean_degree(&self) -> f64 {
-        if self.links.is_empty() {
+        if self.home.is_empty() {
             return 0.0;
         }
-        self.links.iter().map(|l| l.len()).sum::<usize>() as f64 / self.links.len() as f64
+        self.links.len() as f64 / self.home.len() as f64
+    }
+}
+
+/// Per-client link rows being filled in client order: the flat arrays a
+/// [`Topology`] takes over.
+pub(crate) struct Rows {
+    /// Links of the finished rows plus the open one.
+    pub(crate) links: Vec<Link>,
+    off: Vec<usize>,
+}
+
+impl Rows {
+    /// Empty rows with room for `clients` rows of `links` links in total.
+    pub(crate) fn with_capacity(clients: usize, links: usize) -> Self {
+        let mut off = Vec::with_capacity(clients + 1);
+        off.push(0);
+        Rows { links: Vec::with_capacity(links), off }
     }
 
-    /// Clients that can reach gateway `g`.
-    pub fn clients_in_range_of(&self, g: usize) -> Vec<usize> {
-        (0..self.n_clients()).filter(|&c| self.in_range(c, g)).collect()
+    /// Closes the open row: the links pushed since the last call.
+    pub(crate) fn end_row(&mut self) {
+        self.off.push(self.links.len());
     }
 }
 
@@ -137,8 +169,7 @@ mod tests {
         assert_eq!(t.rate_bps(0, 2), None);
         assert!(t.in_range(1, 2));
         assert!((t.mean_degree() - 2.5).abs() < 1e-12);
-        assert_eq!(t.clients_in_range_of(1), vec![0, 1]);
-        assert_eq!(t.clients_in_range_of(2), vec![1]);
+        assert_eq!(t.reachable(0), &[link(0, 12.0), link(1, 6.0)]);
     }
 
     #[test]

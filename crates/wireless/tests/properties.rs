@@ -3,7 +3,7 @@
 use insomnia_simcore::SimRng;
 use insomnia_wireless::{
     binomial_topology, household_degree_sequence, overlap_topology, prescribed_degree_graph,
-    ChannelModel, LoadWindow, SeqCounter, SeqNumEstimator,
+    ChannelModel, Link, LoadWindow, SeqCounter, SeqNumEstimator, Topology,
 };
 use proptest::prelude::*;
 
@@ -50,6 +50,58 @@ proptest! {
                 }
             }
             prop_assert!(!t.reachable(c).is_empty());
+        }
+    }
+
+    /// The flat builders give every client the same sorted links as a
+    /// `Topology::new` over per-client lists drawn from the same RNG.
+    #[test]
+    fn flat_topologies_match_per_client_lists(
+        seed in any::<u64>(),
+        n_gw in 3usize..40,
+        clients_per_gw in 1usize..8,
+        mean in 1.0f64..7.0,
+    ) {
+        let channel = ChannelModel::default();
+        // Homes in a scrambled order, so rows are not filled gateway by gateway.
+        let home: Vec<usize> = (0..n_gw * clients_per_gw).map(|c| (c * 7 + 3) % n_gw).collect();
+        let per_client = |extra: &mut dyn FnMut(usize, &mut Vec<Link>)| -> Topology {
+            let links = home
+                .iter()
+                .map(|&h| {
+                    let mut ls = vec![Link { gateway: h, rate_bps: channel.home_bps }];
+                    extra(h, &mut ls);
+                    ls
+                })
+                .collect();
+            Topology::new(n_gw, home.clone(), links).unwrap()
+        };
+
+        let t = overlap_topology(&home, n_gw, mean, channel, &mut SimRng::new(seed)).unwrap();
+        let mut rng = SimRng::new(seed);
+        let degrees = household_degree_sequence(n_gw, (mean - 1.0).max(2.0), &mut rng);
+        let graph = prescribed_degree_graph(&degrees, &mut rng).unwrap();
+        let reference = per_client(&mut |h, ls| {
+            for &nb in graph.neighbors(h) {
+                ls.push(Link { gateway: nb as usize, rate_bps: channel.neighbor_bps });
+            }
+        });
+        for c in 0..home.len() {
+            prop_assert_eq!(t.reachable(c), reference.reachable(c), "overlap client {}", c);
+        }
+
+        let t = binomial_topology(&home, n_gw, mean, channel, &mut SimRng::new(seed)).unwrap();
+        let mut rng = SimRng::new(seed);
+        let p = (mean - 1.0) / (n_gw as f64 - 1.0);
+        let reference = per_client(&mut |h, ls| {
+            for g in 0..n_gw {
+                if g != h && rng.chance(p) {
+                    ls.push(Link { gateway: g, rate_bps: channel.neighbor_bps });
+                }
+            }
+        });
+        for c in 0..home.len() {
+            prop_assert_eq!(t.reachable(c), reference.reachable(c), "binomial client {}", c);
         }
     }
 

@@ -104,6 +104,13 @@ fn sidecar_schema_smoke() {
         if let TelemetryRecord::Task(t) = r {
             assert_eq!(t.n_shards, 2);
             merged.merge(&t.counters);
+            // The topology build is part of the world build; cache hits
+            // build nothing.
+            if t.setup_ms > 0.0 {
+                assert!(t.topology_ms > 0.0 && t.topology_ms <= t.setup_ms, "{t:?}");
+            } else {
+                assert_eq!(t.topology_ms, 0.0);
+            }
         }
     }
     merged.fold_absorptions = tasks;
@@ -130,6 +137,7 @@ fn sidecar_schema_smoke() {
     let rendered = report.render();
     assert!(rendered.contains("== phases"), "{rendered}");
     assert!(rendered.contains("event-loop"), "{rendered}");
+    assert!(rendered.contains("% of world-build"), "{rendered}");
     assert!(rendered.contains("== deterministic counters"), "{rendered}");
     let frac = report.attributed_fraction().expect("summary present");
     assert!(frac > 0.5, "named phases must cover the run, got {frac}");
