@@ -159,11 +159,6 @@ impl Dslam {
     pub fn shelf_energy_j(&self) -> f64 {
         self.power.shelf_w * (self.finished_at - self.started).as_secs_f64()
     }
-
-    /// Total ISP-side energy so far, joules.
-    pub fn total_energy_j(&self) -> f64 {
-        self.cards_energy_j() + self.modems_energy_j() + self.shelf_energy_j()
-    }
 }
 
 #[cfg(test)]
@@ -205,11 +200,6 @@ mod tests {
         assert!((d.cards_energy_j() - 98.0 * 100.0).abs() < 1e-6);
         assert!((d.modems_energy_j() - 1.0 * 100.0).abs() < 1e-6);
         assert!((d.shelf_energy_j() - 21.0 * 1_000.0).abs() < 1e-6);
-        assert!(
-            (d.total_energy_j() - (9_800.0 + 100.0 + 21_000.0)).abs() < 1e-6,
-            "total {}",
-            d.total_energy_j()
-        );
     }
 
     #[test]

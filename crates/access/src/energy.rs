@@ -45,28 +45,6 @@ impl EnergyBreakdown {
         }
     }
 
-    /// Fractional savings of `self` relative to a baseline (1 = everything
-    /// saved). Zero-baseline windows report zero savings.
-    pub fn savings_vs(&self, baseline: &EnergyBreakdown) -> f64 {
-        let base = baseline.total_j();
-        if base <= 0.0 {
-            0.0
-        } else {
-            (base - self.total_j()) / base
-        }
-    }
-
-    /// Share of the total *savings* attributable to the ISP side (Fig. 8's
-    /// y-axis). `None` when nothing was saved.
-    pub fn isp_share_of_savings(&self, baseline: &EnergyBreakdown) -> Option<f64> {
-        let saved = baseline.total_j() - self.total_j();
-        if saved <= 0.0 {
-            return None;
-        }
-        let isp_saved = baseline.isp_j() - self.isp_j();
-        Some(isp_saved / saved)
-    }
-
     /// Component-wise sum.
     pub fn plus(&self, other: &EnergyBreakdown) -> EnergyBreakdown {
         EnergyBreakdown {
@@ -107,30 +85,6 @@ mod tests {
         // 813 W × 3600 s.
         assert!((base.total_j() - 813.0 * 3_600.0).abs() < 1e-6);
         assert!((base.user_j - 360.0 * 3_600.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn savings_fraction() {
-        let p = PowerModel::default();
-        let base = EnergyBreakdown::no_sleep(&p, 40, 4, 100.0);
-        let half = EnergyBreakdown {
-            user_j: base.user_j / 2.0,
-            modems_j: base.modems_j / 2.0,
-            cards_j: base.cards_j / 2.0,
-            shelf_j: base.shelf_j / 2.0,
-        };
-        assert!((half.savings_vs(&base) - 0.5).abs() < 1e-12);
-        assert_eq!(base.savings_vs(&base), 0.0);
-    }
-
-    #[test]
-    fn isp_share_of_savings() {
-        let base = EnergyBreakdown { user_j: 100.0, modems_j: 0.0, cards_j: 100.0, shelf_j: 0.0 };
-        // Saved 50 user + 50 ISP ⇒ ISP share 0.5.
-        let spent = EnergyBreakdown { user_j: 50.0, modems_j: 0.0, cards_j: 50.0, shelf_j: 0.0 };
-        assert!((spent.isp_share_of_savings(&base).unwrap() - 0.5).abs() < 1e-12);
-        // Nothing saved ⇒ None.
-        assert_eq!(base.isp_share_of_savings(&base), None);
     }
 
     #[test]

@@ -43,13 +43,8 @@ impl Default for PowerModel {
 }
 
 impl PowerModel {
-    /// Total draw of the no-sleep baseline: every gateway, modem and card
-    /// permanently on (§5.1's baseline scheme).
-    pub fn no_sleep_total_w(&self, n_gateways: usize, n_cards: usize) -> f64 {
-        self.no_sleep_user_w(n_gateways) + self.no_sleep_isp_w(n_gateways, n_cards)
-    }
-
-    /// User-side share of the no-sleep draw.
+    /// User-side share of the no-sleep draw (§5.1's baseline scheme: every
+    /// gateway, modem and card permanently on).
     pub fn no_sleep_user_w(&self, n_gateways: usize) -> f64 {
         self.gateway_on_w * n_gateways as f64
     }
@@ -234,14 +229,8 @@ mod tests {
     fn paper_scenario_baseline_power() {
         // 40 gateways, 4 line cards: 360 + 40 + 392 + 21 = 813 W.
         let p = PowerModel::default();
-        let total = p.no_sleep_total_w(40, 4);
-        assert!((total - 813.0).abs() < 1e-9, "baseline {total} W");
         assert!((p.no_sleep_user_w(40) - 360.0).abs() < 1e-9);
         assert!((p.no_sleep_isp_w(40, 4) - 453.0).abs() < 1e-9);
-        assert!(
-            (p.no_sleep_user_w(40) + p.no_sleep_isp_w(40, 4) - total).abs() < 1e-9,
-            "user + ISP must equal total"
-        );
     }
 
     #[test]

@@ -2,7 +2,8 @@
 //! driver event throughput (events/s) — SOI over both world storages, then
 //! every non-Optimal scheme family over the streamed world — and the two
 //! hot-path microbenches behind them — event-queue hold churn and k-way
-//! merge (binary heap vs loser tree) — on one reduced dense-metro shard.
+//! merge (16-byte-entry vs packed binary heap) — on one reduced dense-metro
+//! shard.
 //!
 //! Run with `cargo bench -p insomnia-bench --bench streaming`. Besides the
 //! usual stderr table, the bench appends a snapshot to
@@ -22,7 +23,7 @@ use insomnia_core::{
 use insomnia_scenarios::parse_scheme;
 use insomnia_simcore::{EventQueue, SimRng, SimTime, SplitMix64};
 use insomnia_traffic::crawdad::{generate_eager, CrawdadConfig};
-use insomnia_traffic::merge::{LoserTree, PackedHeap, EXHAUSTED, HEAP_MIN_LANES};
+use insomnia_traffic::merge::{PackedHeap, EXHAUSTED};
 use insomnia_traffic::FlowStream;
 use std::collections::BinaryHeap;
 use std::hint::black_box;
@@ -134,25 +135,7 @@ fn merge_lanes(k: usize, per_lane: usize) -> Vec<Vec<SimTime>> {
         .collect()
 }
 
-/// Bursty variant: each lane emits tight ~32-entry runs separated by long
-/// jumps, so one lane keeps winning for stretches — the regime the loser
-/// tree's cached winner threshold was built for.
-fn merge_lanes_bursty(k: usize, per_lane: usize) -> Vec<Vec<SimTime>> {
-    let mut mix = SplitMix64::new(0xb417);
-    (0..k)
-        .map(|_| {
-            let mut t = mix.next_u64() % 1_000;
-            (0..per_lane)
-                .map(|i| {
-                    t += if i % 32 == 0 { 50_000 + mix.next_u64() % 200_000 } else { 2 };
-                    SimTime::from_millis(t)
-                })
-                .collect()
-        })
-        .collect()
-}
-
-/// K-way merge via the pre-loser-tree shape: a `BinaryHeap` of
+/// K-way merge via the historical unpacked shape: a `BinaryHeap` of
 /// `(Reverse(key), Reverse(lane))` entries paying one pop *and* one push
 /// per merged element.
 fn merge_heap(lanes: &[Vec<SimTime>]) -> f64 {
@@ -174,29 +157,9 @@ fn merge_heap(lanes: &[Vec<SimTime>]) -> f64 {
     merged as f64
 }
 
-/// The same merge through [`LoserTree`]: one leaf-to-root replay per
+/// The same merge through [`PackedHeap`] — the merge behind
+/// [`FlowStream`]: packed `u64` `(key, lane)` entries, one pop + push per
 /// merged element.
-fn merge_loser_tree(lanes: &[Vec<SimTime>]) -> f64 {
-    let mut pos = vec![0usize; lanes.len()];
-    let keys: Vec<SimTime> = lanes.iter().map(|l| l[0]).collect();
-    let mut tree = LoserTree::new(&keys);
-    let mut merged = 0u64;
-    let mut last = SimTime::ZERO;
-    while tree.winner_key() != EXHAUSTED {
-        let w = tree.winner();
-        debug_assert!(tree.winner_key() >= last);
-        last = tree.winner_key();
-        merged += 1;
-        pos[w] += 1;
-        tree.update(w, lanes[w].get(pos[w]).copied().unwrap_or(EXHAUSTED));
-    }
-    merged as f64
-}
-
-/// The same merge through [`PackedHeap`] — the wide-merge backend
-/// [`insomnia_traffic::merge::TournamentMerge`] picks past
-/// [`HEAP_MIN_LANES`] lanes: same packed `u64` entries as the tree, one
-/// pop + push per merged element.
 fn merge_packed_heap(lanes: &[Vec<SimTime>]) -> f64 {
     let mut pos = vec![0usize; lanes.len()];
     let keys: Vec<SimTime> = lanes.iter().map(|l| l[0]).collect();
@@ -434,52 +397,20 @@ fn main() {
         }
     }
 
-    // Merge microbench: the stream's historical 16-byte-entry heap merge,
-    // its loser tree, and the packed-entry heap backend, over identical
-    // sorted lanes (1600 lanes — one per dense-metro client).
+    // Merge microbench: the stream's historical 16-byte-entry heap merge
+    // and the packed-entry heap over identical sorted lanes (1600 lanes —
+    // one per dense-metro client).
     if wanted("merge") {
         let lanes = merge_lanes(1_600, 400);
         let timed = time_alternating(
             3,
             2,
-            &mut [&mut || merge_heap(&lanes), &mut || merge_loser_tree(&lanes), &mut || {
-                merge_packed_heap(&lanes)
-            }],
+            &mut [&mut || merge_heap(&lanes), &mut || merge_packed_heap(&lanes)],
         );
         for (name, (mean_s, merged)) in
-            ["merge/binary_heap", "merge/loser_tree", "merge/packed_heap"].into_iter().zip(timed)
+            ["merge/binary_heap", "merge/packed_heap"].into_iter().zip(timed)
         {
             rows.push(Row { name: name.into(), unit: "pops/s", work: merged, mean_s });
-        }
-        // Crossover sweep: identical total pops at several lane counts,
-        // interleaved and bursty lane shapes, to locate where the packed
-        // heap overtakes the tree — the measured basis of HEAP_MIN_LANES
-        // (asserted to sit inside the sweep).
-        const { assert!(HEAP_MIN_LANES >= 16 && HEAP_MIN_LANES <= 1_024) };
-        for k in [16usize, 64, 256, 1_024] {
-            let mixed = merge_lanes(k, 640_000 / k);
-            let bursty = merge_lanes_bursty(k, 640_000 / k);
-            let timed = time_alternating(
-                3,
-                2,
-                &mut [
-                    &mut || merge_loser_tree(&mixed),
-                    &mut || merge_packed_heap(&mixed),
-                    &mut || merge_loser_tree(&bursty),
-                    &mut || merge_packed_heap(&bursty),
-                ],
-            );
-            for (name, (mean_s, merged)) in [
-                format!("merge/loser_tree_k{k}"),
-                format!("merge/packed_heap_k{k}"),
-                format!("merge/loser_tree_bursty_k{k}"),
-                format!("merge/packed_heap_bursty_k{k}"),
-            ]
-            .into_iter()
-            .zip(timed)
-            {
-                rows.push(Row { name, unit: "pops/s", work: merged, mean_s });
-            }
         }
     }
 

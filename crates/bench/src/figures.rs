@@ -20,8 +20,7 @@ use insomnia_traffic::stats::{ap_utilization_percent_series, gap_histogram_paper
 ///
 /// Scenarios come from the `insomnia-scenarios` registry rather than
 /// bespoke config code, so the figure harness runs the exact same
-/// `paper-default` the CLI batch runner exposes — and any registry preset
-/// via [`Harness::from_preset`].
+/// `paper-default` the CLI batch runner exposes.
 #[derive(Debug, Clone)]
 pub struct Harness {
     /// The evaluation scenario.
@@ -32,7 +31,10 @@ impl Harness {
     /// The paper's full configuration (the `paper-default` registry
     /// preset, 10 repetitions).
     pub fn paper() -> Self {
-        Harness::from_preset("paper-default").expect("builtin preset resolves")
+        let scenario = insomnia_scenarios::Registry::builtin()
+            .resolve("paper-default")
+            .expect("builtin preset resolves");
+        Harness { scenario }
     }
 
     /// Reduced repetitions for quick regeneration (~10× faster, same
@@ -41,12 +43,6 @@ impl Harness {
         let mut h = Harness::paper();
         h.scenario.repetitions = 2;
         h
-    }
-
-    /// A harness over any scenario registry preset.
-    pub fn from_preset(name: &str) -> insomnia_simcore::SimResult<Self> {
-        let scenario = insomnia_scenarios::Registry::builtin().resolve(name)?;
-        Ok(Harness { scenario })
     }
 }
 

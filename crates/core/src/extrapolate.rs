@@ -40,13 +40,6 @@ impl WorldModel {
         let saved_w = self.subscribers * self.per_subscriber_w(power) * savings_fraction;
         insomnia_access::watts_to_twh_per_year(saved_w)
     }
-
-    /// Equivalent number of ~1.25 GW-average nuclear plants (the paper's
-    /// "3 nuclear power plants in the US" comparison point).
-    pub fn equivalent_nuclear_plants(&self, power: &PowerModel, savings_fraction: f64) -> f64 {
-        // A large US plant averages ≈ 11 TWh/year.
-        self.savings_twh_per_year(power, savings_fraction) / 11.0
-    }
 }
 
 #[cfg(test)]
@@ -69,13 +62,6 @@ mod tests {
         let margin = m.savings_twh_per_year(&PowerModel::default(), 0.80);
         assert!(margin > twh);
         assert!((margin - 41.7).abs() < 2.5, "got {margin:.1}");
-    }
-
-    #[test]
-    fn nuclear_plant_equivalents() {
-        let m = WorldModel::default();
-        let plants = m.equivalent_nuclear_plants(&PowerModel::default(), 0.66);
-        assert!((2.0..4.5).contains(&plants), "≈3 plants, got {plants:.1}");
     }
 
     #[test]

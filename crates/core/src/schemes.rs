@@ -162,11 +162,6 @@ impl SchemeSpec {
             sleep: SleepPolicy::Adaptive,
         }
     }
-
-    /// All schemes plotted in Fig. 6.
-    pub fn fig6_set() -> Vec<SchemeSpec> {
-        vec![Self::optimal(), Self::soi(), Self::soi_k_switch(), Self::bh2_k_switch()]
-    }
 }
 
 impl fmt::Display for SchemeSpec {
@@ -212,13 +207,6 @@ mod tests {
         assert_eq!(SchemeSpec::optimal().to_string(), "Optimal + full-switch");
         assert_eq!(SchemeSpec::multi_doze().to_string(), "Multi-doze");
         assert_eq!(SchemeSpec::adaptive_soi().to_string(), "Adaptive SoI");
-    }
-
-    #[test]
-    fn fig6_has_four_schemes() {
-        let set = SchemeSpec::fig6_set();
-        assert_eq!(set.len(), 4);
-        assert!(set.iter().all(|s| s.sleep_enabled()));
     }
 
     #[test]

@@ -60,12 +60,6 @@ impl AttenuationSamples {
             })
             .collect()
     }
-
-    /// Converts an attenuation difference to approximate loop distance,
-    /// using the paper's ADSL2+ rule of thumb: 1 dB ≈ 70 m (230 ft).
-    pub fn db_to_meters(db: f64) -> f64 {
-        db * 70.0
-    }
 }
 
 /// Samples a synthetic Fig. 15 dataset: per-card Gaussian attenuations with
@@ -117,14 +111,6 @@ mod tests {
         let mut rng = SimRng::new(3);
         let s = sample(&AttenuationConfig::default(), &mut rng);
         assert!(s.cards.iter().flatten().all(|&a| a >= 0.0));
-    }
-
-    #[test]
-    fn distance_conversion_uses_paper_rule() {
-        // 1 dB ≈ 70 m; one standard deviation ≈ one mile.
-        assert!((AttenuationSamples::db_to_meters(1.0) - 70.0).abs() < 1e-12);
-        let mile_m = AttenuationSamples::db_to_meters(23.0);
-        assert!((1_400.0..1_800.0).contains(&mile_m), "23 dB ≈ {mile_m} m ≈ 1 mile");
     }
 
     #[test]

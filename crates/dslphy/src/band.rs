@@ -1,4 +1,4 @@
-//! DMT tone plans: VDSL2 profile 17a and ADSL2+ downstream bands.
+//! DMT tone plans: VDSL2 profile 17a downstream bands.
 //!
 //! VDSL2 (ITU-T G.993.2) divides the spectrum into alternating downstream/
 //! upstream bands; with band plan 998 and profile 17a the downstream uses
@@ -32,11 +32,6 @@ impl Band {
         let hi = (self.hi_hz / TONE_SPACING_HZ).floor() as u32;
         lo..hi
     }
-
-    /// Number of tones in the band.
-    pub fn n_tones(&self) -> usize {
-        self.tones().count()
-    }
 }
 
 /// Center frequency of a tone index.
@@ -67,20 +62,9 @@ impl TonePlan {
         }
     }
 
-    /// ADSL2+ downstream (0.138–2.208 MHz), used by the evaluation's 6 Mbps
-    /// residential lines and the appendix attenuation analysis.
-    pub fn adsl2plus_down() -> Self {
-        TonePlan { name: "ADSL2+-DS", bands: vec![Band { lo_hz: 138_000.0, hi_hz: 2_208_000.0 }] }
-    }
-
     /// All downstream tone indices of this plan.
     pub fn tones(&self) -> Vec<u32> {
         self.bands.iter().flat_map(|b| b.tones()).collect()
-    }
-
-    /// Absolute capacity ceiling of the plan (all tones at max bit-loading).
-    pub fn max_rate_bps(&self) -> f64 {
-        self.tones().len() as f64 * f64::from(MAX_BITS_PER_TONE) * SYMBOL_RATE
     }
 }
 
@@ -108,18 +92,11 @@ mod tests {
     #[test]
     fn vdsl2_capacity_ceiling_is_plausible() {
         let p = TonePlan::vdsl2_17a_down();
-        let max = p.max_rate_bps();
+        // Absolute ceiling: every tone at max bit-loading.
+        let max = p.tones().len() as f64 * f64::from(MAX_BITS_PER_TONE) * SYMBOL_RATE;
         // ~2900 DS tones × 15 b × 4 kHz ≈ 175 Mbps: the right order for
         // profile 17a's headline ~150 Mbps aggregate.
         assert!((1.4e8..2.1e8).contains(&max), "ceiling {max}");
-    }
-
-    #[test]
-    fn adsl2plus_tone_count() {
-        let p = TonePlan::adsl2plus_down();
-        let n = p.tones().len();
-        // (2.208M − 138k) / 4312.5 ≈ 480 tones.
-        assert!((470..=485).contains(&n), "{n} tones");
     }
 
     #[test]
@@ -131,12 +108,5 @@ mod tests {
             let f = tone_freq_hz(t);
             assert!((138_000.0..143_000.0).contains(&f));
         }
-    }
-
-    #[test]
-    fn band_tone_count_matches_iterator() {
-        let b = Band { lo_hz: 138_000.0, hi_hz: 3_750_000.0 };
-        assert_eq!(b.n_tones(), b.tones().count());
-        assert!(b.n_tones() > 800);
     }
 }

@@ -65,11 +65,6 @@ impl Binder {
     pub fn position(&self, i: usize) -> (f64, f64) {
         self.positions[i]
     }
-
-    /// Sum of coupling weights from a set of disturbers into victim `i`.
-    pub fn coupling_sum(&self, victim: usize, disturbers: impl Iterator<Item = usize>) -> f64 {
-        disturbers.filter(|&d| d != victim).map(|d| self.coupling[victim][d]).sum()
-    }
 }
 
 fn distance(a: (f64, f64), b: (f64, f64)) -> f64 {
@@ -115,17 +110,11 @@ mod tests {
         let b = Binder::new();
         // An inner pair is closer to the binder center, so its mean coupling
         // to all others exceeds an outer pair's mean coupling.
-        let mean = |i: usize| b.coupling_sum(i, 0..BINDER_PAIRS) / (BINDER_PAIRS - 1) as f64;
+        let mean = |i: usize| {
+            (0..BINDER_PAIRS).map(|j| b.coupling(i, j)).sum::<f64>() / (BINDER_PAIRS - 1) as f64
+        };
         let outer_mean = mean(0);
         let inner_mean = mean(20);
         assert!(inner_mean > outer_mean, "inner {inner_mean} vs outer {outer_mean}");
-    }
-
-    #[test]
-    fn coupling_sum_skips_victim() {
-        let b = Binder::new();
-        let all: f64 = b.coupling_sum(3, 0..BINDER_PAIRS);
-        let without_self: f64 = b.coupling_sum(3, (0..BINDER_PAIRS).filter(|&x| x != 3));
-        assert!((all - without_self).abs() < 1e-12);
     }
 }

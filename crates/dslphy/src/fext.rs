@@ -19,7 +19,6 @@
 //!   reproduces the sync rates and per-line-speedup slope of the paper's
 //!   Fig. 14 (the physical testbed we substitute; see DESIGN.md).
 
-use crate::cable::CableModel;
 use serde::{Deserialize, Serialize};
 
 /// FEXT coupling parameters.
@@ -52,27 +51,6 @@ impl FextModel {
         let f_mhz = f_hz / 1e6;
         self.k * coupling * f_mhz * f_mhz * (shared_m / 1_000.0) * victim_h2
     }
-
-    /// Total linear FEXT PSD at the victim's receiver from a set of
-    /// disturbers, all transmitting at `tx_psd_mw_hz`.
-    ///
-    /// `disturbers` yields `(coupling, shared_m)` per active disturber.
-    #[allow(clippy::too_many_arguments)]
-    pub fn total_fext_mw_hz(
-        &self,
-        f_hz: f64,
-        cable: &CableModel,
-        victim_len_m: f64,
-        tx_psd_mw_hz: f64,
-        disturbers: impl Iterator<Item = (f64, f64)>,
-    ) -> f64 {
-        let victim_h2 = cable.h_squared(f_hz, victim_len_m);
-        disturbers
-            .map(|(coupling, shared_m)| {
-                tx_psd_mw_hz * self.transfer(f_hz, victim_h2, coupling, shared_m)
-            })
-            .sum()
-    }
 }
 
 /// Length over which a victim and disturber pair run side by side. All lines
@@ -84,6 +62,7 @@ pub fn shared_length_m(victim_len_m: f64, disturber_len_m: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cable::CableModel;
     use crate::units::dbm_hz_to_mw_hz;
 
     #[test]
@@ -104,16 +83,6 @@ mod tests {
     }
 
     #[test]
-    fn total_fext_sums_disturbers() {
-        let m = FextModel::default();
-        let cable = CableModel::default();
-        let tx = dbm_hz_to_mw_hz(-60.0);
-        let one = m.total_fext_mw_hz(5e6, &cable, 600.0, tx, std::iter::once((1.0, 600.0)));
-        let four = m.total_fext_mw_hz(5e6, &cable, 600.0, tx, std::iter::repeat_n((1.0, 600.0), 4));
-        assert!((four / one - 4.0).abs() < 1e-9);
-    }
-
-    #[test]
     fn shared_length_is_min() {
         assert_eq!(shared_length_m(600.0, 50.0), 50.0);
         assert_eq!(shared_length_m(100.0, 600.0), 100.0);
@@ -128,7 +97,7 @@ mod tests {
         let tx = dbm_hz_to_mw_hz(-60.0);
         let f = 1e6;
         let signal = tx * cable.h_squared(f, 600.0);
-        let fext = m.total_fext_mw_hz(f, &cable, 600.0, tx, std::iter::repeat_n((1.0, 600.0), 23));
+        let fext = 23.0 * tx * m.transfer(f, cable.h_squared(f, 600.0), 1.0, 600.0);
         assert!(fext < signal, "FEXT {fext} >= signal {signal}");
     }
 }

@@ -148,11 +148,6 @@ impl ResolvedFaults {
     pub fn should_panic(&self, ordinal: usize, attempt: u64) -> bool {
         attempt < self.panic_attempts && self.panics.contains(&ordinal)
     }
-
-    /// Ordinals that will panic at least once (tests and logging).
-    pub fn panic_ordinals(&self) -> impl Iterator<Item = usize> + '_ {
-        self.panics.iter().copied()
-    }
 }
 
 #[cfg(test)]
@@ -192,17 +187,17 @@ mod tests {
     #[test]
     fn random_panics_are_seeded_and_deterministic() {
         let plan = FaultPlan { random_panics: 3, seed: 42, ..FaultPlan::default() };
-        let a: Vec<usize> = plan.resolve(100).panic_ordinals().collect();
-        let b: Vec<usize> = plan.resolve(100).panic_ordinals().collect();
+        let a: Vec<usize> = plan.resolve(100).panics.into_iter().collect();
+        let b: Vec<usize> = plan.resolve(100).panics.into_iter().collect();
         assert_eq!(a, b, "same seed, same ordinals");
         assert_eq!(a.len(), 3);
         assert!(a.iter().all(|&o| o < 100));
         let c: Vec<usize> =
-            FaultPlan { seed: 43, ..plan.clone() }.resolve(100).panic_ordinals().collect();
+            FaultPlan { seed: 43, ..plan.clone() }.resolve(100).panics.into_iter().collect();
         assert_ne!(a, c, "different seed, different ordinals");
         // More random panics than tasks saturates instead of spinning.
         let all: Vec<usize> =
-            FaultPlan { random_panics: 10, ..plan }.resolve(4).panic_ordinals().collect();
+            FaultPlan { random_panics: 10, ..plan }.resolve(4).panics.into_iter().collect();
         assert_eq!(all, vec![0, 1, 2, 3]);
     }
 }

@@ -91,12 +91,18 @@ impl PowerStatesSpec {
             )));
         }
         let states = (0..watts.len())
-            .map(|i| PowerState {
-                watts: watts[i],
-                wake: SimDuration::from_secs_f64(wake_s[i]),
-                dwell: SimDuration::from_secs_f64(self.dwell_s.as_ref().map_or(0.0, |d| d[i])),
+            .map(|i| {
+                Ok(PowerState {
+                    watts: watts[i],
+                    wake: span("power_states.wake_s", wake_s[i], 1.0)?,
+                    dwell: span(
+                        "power_states.dwell_s",
+                        self.dwell_s.as_ref().map_or(0.0, |d| d[i]),
+                        1.0,
+                    )?,
+                })
             })
-            .collect();
+            .collect::<SimResult<_>>()?;
         Ok(PowerLadder::new(states))
     }
 }
@@ -251,6 +257,26 @@ const SPEC_KEYS: &[&str] = &[
     "bh2",
 ];
 
+/// Every legal key inside each nested section, checked like [`SPEC_KEYS`]:
+/// `bh2.epoch = 30` (for `bh2.epoch_s`) would otherwise run the default
+/// epoch without a word.
+const SECTION_KEYS: &[(&str, &[&str])] = &[
+    ("surge", &["start_h", "end_h", "intensity"]),
+    ("power_states", &["watts", "wake_s", "dwell_s"]),
+    ("adaptive_soi", &["gain", "alpha", "min_timeout_s", "max_timeout_s"]),
+    (
+        "bh2",
+        &[
+            "low_threshold",
+            "high_threshold",
+            "epoch_s",
+            "load_window_s",
+            "backup",
+            "literal_return_home",
+        ],
+    ),
+];
+
 /// Levenshtein edit distance (small strings only — key names).
 fn levenshtein(a: &str, b: &str) -> usize {
     let a: Vec<char> = a.chars().collect();
@@ -282,18 +308,28 @@ pub(crate) fn unknown_key_message(prefix: &str, key: &str, known: &[&str]) -> St
     }
 }
 
-/// Rejects unknown top-level keys/sections of a parsed spec document.
+/// Rejects unknown top-level keys/sections of a parsed spec document, and
+/// unknown keys inside its sections.
 fn check_spec_keys(doc: &Value, context: &str) -> SimResult<()> {
+    let unknown = |key: &str, shown: &str, known: &[&str]| {
+        SimError::InvalidInput(unknown_key_message(
+            &format!("{context}: unknown key `{shown}`"),
+            key,
+            known,
+        ))
+    };
     let Some(m) = doc.as_map() else {
         return Ok(());
     };
-    for (key, _) in m {
+    for (key, value) in m {
         if !SPEC_KEYS.contains(&key.as_str()) {
-            return Err(SimError::InvalidInput(unknown_key_message(
-                &format!("{context}: unknown key `{key}`"),
-                key,
-                SPEC_KEYS,
-            )));
+            return Err(unknown(key, key, SPEC_KEYS));
+        }
+        let section = SECTION_KEYS.iter().find(|(name, _)| name == key);
+        if let (Some(&(_, fields)), Some(inner)) = (section, value.as_map()) {
+            if let Some((field, _)) = inner.iter().find(|(f, _)| !fields.contains(&f.as_str())) {
+                return Err(unknown(field, &format!("{key}.{field}"), fields));
+            }
         }
     }
     Ok(())
@@ -365,7 +401,7 @@ impl ScenarioSpec {
         set(&mut t.n_clients, &self.n_clients);
         set(&mut t.n_aps, &self.n_aps);
         if let Some(h) = self.horizon_hours {
-            t.horizon = SimTime::from_secs_f64(h * 3_600.0);
+            t.horizon = SimTime::from_millis(span("horizon_hours", h, 3_600.0)?.as_millis());
         }
         set(&mut t.always_on_frac, &self.always_on_frac);
         set(&mut t.worker_frac, &self.worker_frac);
@@ -421,8 +457,8 @@ impl ScenarioSpec {
         set(&mut cfg.dslam.ports_per_card, &self.ports_per_card);
         set(&mut cfg.k_switch, &self.k_switch);
 
-        set_duration(&mut cfg.idle_timeout, &self.idle_timeout_s);
-        set_duration(&mut cfg.wake_time, &self.wake_time_s);
+        set_duration(&mut cfg.idle_timeout, &self.idle_timeout_s, "idle_timeout_s")?;
+        set_duration(&mut cfg.wake_time, &self.wake_time_s, "wake_time_s")?;
         if let Some(ps) = &self.power_states {
             cfg.power_states = Some(ps.to_ladder()?);
         }
@@ -430,12 +466,12 @@ impl ScenarioSpec {
             let p: &mut AdaptiveSoiParams = &mut cfg.adaptive;
             set(&mut p.gain, &a.gain);
             set(&mut p.alpha, &a.alpha);
-            set_duration(&mut p.min_timeout, &a.min_timeout_s);
-            set_duration(&mut p.max_timeout, &a.max_timeout_s);
+            set_duration(&mut p.min_timeout, &a.min_timeout_s, "adaptive_soi.min_timeout_s")?;
+            set_duration(&mut p.max_timeout, &a.max_timeout_s, "adaptive_soi.max_timeout_s")?;
         }
         set(&mut cfg.q_max_utilization, &self.q_max_utilization);
-        set_duration(&mut cfg.optimal_period, &self.optimal_period_s);
-        set_duration(&mut cfg.sample_period, &self.sample_period_s);
+        set_duration(&mut cfg.optimal_period, &self.optimal_period_s, "optimal_period_s")?;
+        set_duration(&mut cfg.sample_period, &self.sample_period_s, "sample_period_s")?;
         set(&mut cfg.shards, &self.shards);
         set(&mut cfg.repetitions, &self.repetitions);
         set(&mut cfg.seed, &self.seed);
@@ -446,8 +482,8 @@ impl ScenarioSpec {
             let p: &mut Bh2Params = &mut cfg.bh2;
             set(&mut p.low_threshold, &b.low_threshold);
             set(&mut p.high_threshold, &b.high_threshold);
-            set_duration(&mut p.epoch, &b.epoch_s);
-            set_duration(&mut p.load_window, &b.load_window_s);
+            set_duration(&mut p.epoch, &b.epoch_s, "bh2.epoch_s")?;
+            set_duration(&mut p.load_window, &b.load_window_s, "bh2.load_window_s")?;
             set(&mut p.backup, &b.backup);
             set(&mut p.literal_return_home, &b.literal_return_home);
         }
@@ -527,10 +563,25 @@ fn set<T: Clone>(dst: &mut T, src: &Option<T>) {
     }
 }
 
-fn set_duration(dst: &mut SimDuration, src: &Option<f64>) {
+fn set_duration(dst: &mut SimDuration, src: &Option<f64>, key: &str) -> SimResult<()> {
     if let Some(s) = src {
-        *dst = SimDuration::from_secs_f64(*s);
+        *dst = span(key, *s, 1.0)?;
     }
+    Ok(())
+}
+
+/// `value` spans of `unit_s` seconds each, as whole milliseconds. Rejects
+/// what [`SimDuration::from_secs_f64`] would silently clamp — NaN, negative
+/// spans and spans past `u64` milliseconds — with an error naming `key`.
+fn span(key: &str, value: f64, unit_s: f64) -> SimResult<SimDuration> {
+    let secs = value * unit_s;
+    if secs >= 0.0 && (secs * 1_000.0).round() < u64::MAX as f64 {
+        return Ok(SimDuration::from_secs_f64(secs));
+    }
+    let field = key.trim_end_matches("_s").trim_end_matches("_hours").replace(['.', '_'], " ");
+    Err(SimError::InvalidConfig(format!(
+        "{field} (`{key}`) must be a finite, non-negative span below 2^64 ms, got {value}"
+    )))
 }
 
 fn missing(field: &str) -> SimError {
@@ -722,6 +773,28 @@ epoch_s = 300.0
             ..Default::default()
         };
         assert!(spec.to_config().is_err());
+        // Durations that `from_secs_f64` would clamp are rejected by name.
+        for (key, doc) in [
+            ("horizon_hours", "horizon_hours = inf"),
+            ("horizon_hours", "horizon_hours = 1e30"),
+            ("idle_timeout_s", "idle_timeout_s = -1"),
+            ("wake_time_s", "wake_time_s = nan"),
+            ("optimal_period_s", "optimal_period_s = -inf"),
+            ("sample_period_s", "sample_period_s = 1e17"),
+            ("adaptive_soi.min_timeout_s", "adaptive_soi.min_timeout_s = -5"),
+            ("adaptive_soi.max_timeout_s", "adaptive_soi.max_timeout_s = inf"),
+            ("bh2.epoch_s", "bh2.epoch_s = -1"),
+            ("bh2.load_window_s", "bh2.load_window_s = nan"),
+            ("power_states.wake_s", "power_states.watts = [2.0]\npower_states.wake_s = [-1.0]"),
+            (
+                "power_states.dwell_s",
+                "power_states.watts = [2.0]\npower_states.wake_s = [1.0]\n\
+                 power_states.dwell_s = [inf]",
+            ),
+        ] {
+            let err = ScenarioSpec::from_toml(doc).unwrap().to_config().unwrap_err().to_string();
+            assert!(err.contains(&format!("`{key}`")), "{doc}: {err}");
+        }
     }
 
     #[test]
@@ -805,6 +878,20 @@ max_timeout_s = 120.0
         assert!(err.contains("did you mean `repetitions`?"), "{err}");
         // Known dotted keys still work.
         assert!(ScenarioSpec::default().with_override("bh2.backup = 2").is_ok());
+
+        // Keys inside a section are checked too, in TOML and overrides alike.
+        let err = ScenarioSpec::default().with_override("bh2.epoch = 30").unwrap_err().to_string();
+        assert!(err.contains("unknown key `bh2.epoch`"), "{err}");
+        assert!(err.contains("did you mean `epoch_s`?"), "{err}");
+        for doc in [
+            "[surge]\nstart = 19.0\n",
+            "[power_states]\nwatt = [6.0]\n",
+            "[adaptive_soi]\ngain_x = 3.0\n",
+            "[bh2]\nepoch = 30.0\n",
+        ] {
+            let err = ScenarioSpec::from_toml(doc).unwrap_err().to_string();
+            assert!(err.contains("unknown key"), "{doc}: {err}");
+        }
     }
 
     #[test]

@@ -52,3 +52,23 @@ fn zero_bh2_durations_exit_with_a_config_error() {
         assert!(!stderr.contains("panicked"), "`--set {set}` panicked: {stderr}");
     }
 }
+
+#[test]
+fn nested_key_typos_and_unrepresentable_durations_exit_with_an_error() {
+    for (set, needles) in [
+        ("bh2.epoch=30", ["unknown key `bh2.epoch`", "did you mean `epoch_s`?"]),
+        ("adaptive_soi.gain_x=3", ["unknown key `adaptive_soi.gain_x`", "invalid input"]),
+        ("horizon_hours=inf", ["invalid configuration", "`horizon_hours`"]),
+        ("horizon_hours=1e30", ["invalid configuration", "`horizon_hours`"]),
+        ("horizon_hours=nan", ["invalid configuration", "`horizon_hours`"]),
+        ("idle_timeout_s=-1", ["invalid configuration", "`idle_timeout_s`"]),
+        ("wake_time_s=-1", ["invalid configuration", "`wake_time_s`"]),
+    ] {
+        let (code, stderr) = run_bh2_with(set);
+        assert_eq!(code, Some(1), "`--set {set}` must exit 1 (stderr: {stderr})");
+        for needle in needles {
+            assert!(stderr.contains(needle), "`--set {set}` must report `{needle}`: {stderr}");
+        }
+        assert!(!stderr.contains("panicked"), "`--set {set}` panicked: {stderr}");
+    }
+}

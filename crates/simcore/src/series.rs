@@ -67,32 +67,6 @@ impl BinSeries {
     pub fn bin_means_or_zero(&self) -> Vec<f64> {
         self.bin_means().into_iter().map(|m| m.unwrap_or(0.0)).collect()
     }
-
-    /// Center time of each bin, in hours (for plotting daily series).
-    pub fn bin_centers_hours(&self) -> Vec<f64> {
-        (0..self.sums.len()).map(|i| (i as f64 + 0.5) * self.bin_ms as f64 / 3_600_000.0).collect()
-    }
-
-    /// Mean over a contiguous hour window `[from_h, to_h)` of the bin means,
-    /// ignoring empty bins. `None` if the window has no samples.
-    pub fn window_mean_hours(&self, from_h: f64, to_h: f64) -> Option<f64> {
-        let mut sum = 0.0;
-        let mut n = 0u64;
-        for (i, m) in self.bin_means().iter().enumerate() {
-            let center_h = (i as f64 + 0.5) * self.bin_ms as f64 / 3_600_000.0;
-            if center_h >= from_h && center_h < to_h {
-                if let Some(v) = m {
-                    sum += v;
-                    n += 1;
-                }
-            }
-        }
-        if n == 0 {
-            None
-        } else {
-            Some(sum / n as f64)
-        }
-    }
 }
 
 /// Averages aligned per-run series elementwise. All runs must have the same
@@ -146,22 +120,6 @@ mod tests {
     fn horizon_rounds_up_to_full_bins() {
         let s = BinSeries::new(2_500, 1_000);
         assert_eq!(s.len(), 3);
-    }
-
-    #[test]
-    fn bin_centers_in_hours() {
-        let s = BinSeries::new(7_200_000, 3_600_000); // 2 h, hourly bins
-        assert_eq!(s.bin_centers_hours(), vec![0.5, 1.5]);
-    }
-
-    #[test]
-    fn window_mean_selects_hours() {
-        let mut s = BinSeries::new(4 * 3_600_000, 3_600_000);
-        s.add(0, 1.0); // hour 0
-        s.add(3_600_000, 3.0); // hour 1
-        s.add(2 * 3_600_000, 5.0); // hour 2
-        assert_eq!(s.window_mean_hours(1.0, 3.0), Some(4.0));
-        assert_eq!(s.window_mean_hours(3.0, 4.0), None);
     }
 
     #[test]

@@ -83,11 +83,6 @@ impl SimTime {
     pub fn since(self, earlier: SimTime) -> SimDuration {
         SimDuration(self.0.saturating_sub(earlier.0))
     }
-
-    /// Checked addition of a duration.
-    pub fn checked_add(self, d: SimDuration) -> Option<SimTime> {
-        self.0.checked_add(d.0).map(SimTime)
-    }
 }
 
 impl SimDuration {
@@ -138,12 +133,6 @@ impl SimDuration {
     /// True if this is the zero duration.
     pub const fn is_zero(self) -> bool {
         self.0 == 0
-    }
-
-    /// Scales the duration by a non-negative factor, rounding to the nearest
-    /// millisecond.
-    pub fn mul_f64(self, k: f64) -> SimDuration {
-        SimDuration((self.0 as f64 * k.max(0.0)).round() as u64)
     }
 
     /// Saturating subtraction.
@@ -248,12 +237,6 @@ mod tests {
         assert_eq!(SimTime::from_hours(15).hour_of_day(), 15);
         assert_eq!((SimTime::from_hours(15) + SimDuration::from_mins(59)).hour_of_day(), 15);
         assert_eq!(SimTime::from_hours(16).hour_of_day(), 16);
-    }
-
-    #[test]
-    fn duration_scaling() {
-        assert_eq!(SimDuration::from_secs(10).mul_f64(1.5).as_millis(), 15_000);
-        assert_eq!(SimDuration::from_secs(10).mul_f64(-1.0), SimDuration::ZERO);
     }
 
     #[test]

@@ -111,26 +111,15 @@ impl DiurnalProfile {
     pub fn weight_at_hour(&self, hour: usize) -> f64 {
         self.hourly[hour % 24]
     }
-
-    /// Mean weight over the whole day.
-    pub fn daily_mean(&self) -> f64 {
-        self.hourly.iter().sum::<f64>() / 24.0
-    }
-
-    /// Hour (0..24) at which the profile peaks.
-    pub fn peak_hour(&self) -> usize {
-        self.hourly
-            .iter()
-            .enumerate()
-            .max_by(|a, b| a.1.partial_cmp(b.1).expect("finite weights"))
-            .map(|(h, _)| h)
-            .expect("24 entries")
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn peak_hour(p: &DiurnalProfile) -> usize {
+        (0..24).max_by(|&a, &b| p.weight_at_hour(a).total_cmp(&p.weight_at_hour(b))).unwrap()
+    }
 
     #[test]
     fn normalizes_to_unit_max() {
@@ -161,7 +150,7 @@ mod tests {
     #[test]
     fn office_peaks_in_working_hours() {
         let p = DiurnalProfile::office_building();
-        let peak = p.peak_hour();
+        let peak = peak_hour(&p);
         assert!((11..=18).contains(&peak), "office peak at {peak}");
         assert!(p.weight_at_hour(3) < 0.1, "office is empty at night");
         // The paper's measured peak window must actually be near the top.
@@ -171,7 +160,7 @@ mod tests {
     #[test]
     fn residential_peaks_in_the_evening() {
         let p = DiurnalProfile::residential();
-        let peak = p.peak_hour();
+        let peak = peak_hour(&p);
         assert!((19..=22).contains(&peak), "residential peak at {peak}");
         assert!(p.weight_at_hour(4) > 0.0, "always-on boxes never fully stop");
     }

@@ -39,28 +39,3 @@ pub struct FlowRecord {
     /// Traffic class.
     pub kind: FlowKind,
 }
-
-impl FlowRecord {
-    /// Transfer duration at a given sustained rate, in seconds.
-    pub fn duration_at_bps(&self, bps: f64) -> f64 {
-        debug_assert!(bps > 0.0);
-        self.bytes as f64 * 8.0 / bps
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn duration_scales_with_rate() {
-        let f = FlowRecord {
-            client: ClientId(0),
-            start: SimTime::ZERO,
-            bytes: 750_000, // 6 Mbit
-            kind: FlowKind::Web,
-        };
-        assert!((f.duration_at_bps(6_000_000.0) - 1.0).abs() < 1e-12);
-        assert!((f.duration_at_bps(3_000_000.0) - 2.0).abs() < 1e-12);
-    }
-}

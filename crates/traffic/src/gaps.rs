@@ -73,11 +73,6 @@ pub struct GapThresholds {
 }
 
 impl GapModel {
-    /// Samples one gap at full (peak) intensity.
-    pub fn sample_peak(&self, rng: &mut SimRng) -> SimDuration {
-        self.sample(rng, 1.0)
-    }
-
     /// Precomputes the cumulative mixture thresholds consumed by
     /// [`GapModel::sample_with`].
     pub fn thresholds(&self) -> GapThresholds {
@@ -122,19 +117,6 @@ impl GapModel {
         SimDuration::from_secs_f64(gap_s / intensity)
     }
 
-    /// Expected gap at peak intensity, seconds (used for rate calibration).
-    pub fn mean_peak_gap_s(&self) -> f64 {
-        let silence_mean = if self.silence_alpha > 1.0 {
-            60.0 + self.silence_scale_s * self.silence_alpha / (self.silence_alpha - 1.0)
-        } else {
-            f64::INFINITY
-        };
-        self.w_short * self.short_mean_s
-            + self.w_medium * self.medium_mean_s
-            + self.w_long * 40.0
-            + self.w_silence * silence_mean
-    }
-
     /// Checks that the mixture weights form a distribution.
     pub fn is_normalized(&self) -> bool {
         (self.w_short + self.w_medium + self.w_long + self.w_silence - 1.0).abs() < 1e-9
@@ -148,20 +130,6 @@ mod tests {
     #[test]
     fn default_is_a_distribution() {
         assert!(GapModel::default().is_normalized());
-    }
-
-    #[test]
-    fn mean_formula_matches_sampling() {
-        let m = GapModel::default();
-        let mut rng = SimRng::new(42);
-        let n = 200_000;
-        let sum: f64 = (0..n).map(|_| m.sample_peak(&mut rng).as_secs_f64()).sum();
-        let empirical = sum / n as f64;
-        let analytic = m.mean_peak_gap_s();
-        assert!(
-            (empirical - analytic).abs() / analytic < 0.05,
-            "empirical {empirical:.2}s vs analytic {analytic:.2}s"
-        );
     }
 
     #[test]
@@ -215,7 +183,7 @@ mod tests {
         let m = GapModel::default();
         let mut rng = SimRng::new(11);
         let n = 100_000;
-        let below = (0..n).filter(|_| m.sample_peak(&mut rng).as_secs_f64() < 60.0).count();
+        let below = (0..n).filter(|_| m.sample(&mut rng, 1.0).as_secs_f64() < 60.0).count();
         let frac = below as f64 / n as f64;
         // Count-wise (unweighted), the overwhelming majority of client-level
         // gaps are short; the idle-time-weighted AP-level fraction is

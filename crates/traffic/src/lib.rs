@@ -27,7 +27,6 @@ pub mod diurnal;
 pub mod flow;
 pub mod gaps;
 pub mod ids;
-pub mod io;
 pub mod merge;
 pub mod session;
 pub mod stats;

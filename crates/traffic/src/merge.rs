@@ -1,46 +1,17 @@
-//! Loser-tree tournament merge: the k-way merge core of [`crate::FlowStream`].
+//! Packed binary-heap k-way merge: the merge core of [`crate::FlowStream`].
 //!
-//! A classic k-way merge keeps a `BinaryHeap` of `(key, lane)` entries and
-//! pays a pop *and* a push — each O(log k) sift over 16-byte entries —
-//! per merged element. A **loser tree** stores, for each internal match of
-//! a fixed single-elimination bracket, the *loser* of that match; the
-//! overall winner sits at the root. Advancing the winner's lane then
-//! replays only the leaf-to-root path it came from: ⌈log₂ k⌉ comparisons,
-//! no allocation, no sift churn, and the path indices are known in advance
-//! (node `(k + leaf) / 2` upward), so the walk is branch-predictable where
-//! heap sift-down is not.
+//! A classic k-way merge keeps a `BinaryHeap` of `(key, lane)` pairs and
+//! pays a pop and a push per merged element. [`PackedHeap`] keeps the same
+//! heap but packs each entry into one `u64`: `key << shift | lane`, where
+//! `shift` is the lane-index width. Because every lane index fits in
+//! `shift` bits, the packed integer orders exactly like the pair
+//! `(key, lane)` — one register compare per sift rung, and entries half the
+//! size of a `(SimTime, usize)` pair. `cargo bench -p insomnia-bench --bench
+//! streaming` measures it against the unpacked `BinaryHeap` merge
+//! (`merge/binary_heap` vs `merge/packed_heap`).
 //!
-//! Two further twists keep the constant small:
-//!
-//! * Each bracket entry is one `u64`: `key << shift | leaf`, where `shift`
-//!   is the leaf-index width. Because every leaf index fits in `shift`
-//!   bits, the packed integer orders exactly like the pair `(key, leaf)` —
-//!   one register compare per rung, and the node array is half the size
-//!   (cache lines hold eight entries).
-//! * The winner's **path minimum is cached**: in a loser tree the losers
-//!   along the winner's root path are precisely the minima of the sibling
-//!   subtrees, so their minimum is the best of *every other lane*. While
-//!   the same lane keeps winning (bursty lanes do, for runs at a time) and
-//!   its next key stays below that threshold, [`LoserTree::update`] is a
-//!   single store — no walk at all. The cache is only ever consulted by
-//!   the lane that produced it, so it can never go stale.
-//!
-//! The tree is not uniformly the faster backend, though. Its win is the
-//! cached-threshold fast path, which pays off when one lane keeps winning
-//! for runs at a time — the regime of a small-k merge over bursty client
-//! cursors. On wide merges with heavy cross-lane interleaving (dense-metro
-//! shards put 1 600 lanes in the bracket) the cache rarely holds and every
-//! pop walks ⌈log₂ k⌉ *dependent* loads up the bracket, where a binary
-//! heap over the same packed `u64` entries ([`PackedHeap`]) resolves its
-//! sift with better locality. `cargo bench -p insomnia-bench --bench
-//! streaming` measures both backends across a lane-count sweep; the
-//! measured crossover is baked into [`TournamentMerge::for_lanes`], which
-//! is what [`crate::FlowStream`] constructs — either backend yields the
-//! byte-identical merged sequence (property-tested), so the choice is pure
-//! throughput.
-//!
-//! Ordering contract: leaf `i` ranks by `(key, i)`, so equal keys resolve
-//! to the lowest leaf index — exactly the tie-break a *stable* sort by key
+//! Ordering contract: lane `i` ranks by `(key, i)`, so equal keys resolve
+//! to the lowest lane index — exactly the tie-break a *stable* sort by key
 //! over lane-major input produces, which is what lets [`crate::FlowStream`]
 //! reproduce the eager generator's stable flow sort flow-for-flow.
 
@@ -48,141 +19,32 @@ use insomnia_simcore::SimTime;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-/// Key for an exhausted lane: later than every real key, so drained lanes
-/// sink to the bottom of the bracket. [`LoserTree::winner_key`] returning
-/// this means every lane is exhausted.
+/// Key for an exhausted lane: later than every real key.
+/// [`PackedHeap::winner_key`] returning this means every lane is exhausted.
 pub const EXHAUSTED: SimTime = SimTime::from_millis(u64::MAX);
 
 /// Packed sentinel for an exhausted lane: compares after every real packed
-/// entry (real keys are bounded by the constructor's assert).
+/// entry.
 const PACKED_EXHAUSTED: u64 = u64::MAX;
 
-/// A fixed-size k-lane tournament over [`SimTime`] keys.
+/// Min-heap over packed `(key, lane)` `u64` entries. Exhausted lanes are
+/// simply absent (never re-pushed), so an empty heap means every lane has
+/// drained. Keys must stay below `2^(64 − ⌈log₂ k⌉)` milliseconds
+/// (debug-asserted) — a horizon of centuries even at 10⁸ lanes — so the
+/// packed representation is exact.
 ///
-/// The lane count is padded to the next power of two with [`EXHAUSTED`]
-/// leaves; real lanes keep their index, so callers address lanes by the
-/// index they passed at construction. Keys must stay below
-/// `2^(64 − log₂ k)` milliseconds (asserted) — a horizon of centuries even
-/// at 10⁸ lanes — so the packed representation is exact.
-#[derive(Debug, Clone)]
-pub struct LoserTree {
-    /// `nodes[0]` is the overall winner; `nodes[1..k_pad]` hold each
-    /// internal match's loser, each packed as `key << shift | leaf`.
-    nodes: Vec<u64>,
-    /// Leaf count, a power of two.
-    k_pad: usize,
-    /// Bit width of a leaf index within a packed entry.
-    shift: u32,
-    /// `(leaf, path minimum)` of the current winner, when its last update
-    /// walked the full path: the smallest packed entry among every *other*
-    /// lane. Valid until that leaf loses (any walk that dethrones it
-    /// replaces the cache).
-    cached_threshold: Option<(u32, u64)>,
-}
-
-impl LoserTree {
-    /// Builds the bracket over the given initial lane keys (bottom-up, one
-    /// comparison per internal node). At least one lane is required.
-    pub fn new(keys: &[SimTime]) -> LoserTree {
-        assert!(!keys.is_empty(), "a tournament needs at least one lane");
-        let k_pad = keys.len().next_power_of_two();
-        let shift = k_pad.trailing_zeros();
-        let pack = |i: usize| {
-            let key = keys.get(i).copied().unwrap_or(EXHAUSTED);
-            pack_entry(key, i as u32, shift)
-        };
-        if k_pad == 1 {
-            return LoserTree { nodes: vec![pack(0)], k_pad, shift, cached_threshold: None };
-        }
-        let mut nodes = vec![0u64; k_pad];
-        // winners[i] = winner of the subtree rooted at internal node i;
-        // leaves occupy positions k_pad..2·k_pad.
-        let mut winners = vec![0u64; 2 * k_pad];
-        for (i, slot) in winners[k_pad..].iter_mut().enumerate() {
-            *slot = pack(i);
-        }
-        for i in (1..k_pad).rev() {
-            let (a, b) = (winners[2 * i], winners[2 * i + 1]);
-            let (win, lose) = if a < b { (a, b) } else { (b, a) };
-            winners[i] = win;
-            nodes[i] = lose;
-        }
-        nodes[0] = winners[1];
-        LoserTree { nodes, k_pad, shift, cached_threshold: None }
-    }
-
-    /// The current winning leaf (lowest `(key, leaf)` rank). Meaningful
-    /// only while [`LoserTree::winner_key`] is not [`EXHAUSTED`] (drained
-    /// lanes all pack to one sentinel and lose their leaf identity).
-    #[inline]
-    pub fn winner(&self) -> usize {
-        (self.nodes[0] & (self.k_pad as u64 - 1)) as usize
-    }
-
-    /// The winner's key; [`EXHAUSTED`] means every lane has drained.
-    #[inline]
-    pub fn winner_key(&self) -> SimTime {
-        unpack_key(self.nodes[0], self.shift)
-    }
-
-    /// Replaces leaf `w`'s key (its lane advanced — or drained, with
-    /// [`EXHAUSTED`]) and replays the single leaf-to-root path: ⌈log₂ k⌉
-    /// compares over the stored loser entries — or zero when `w` is the
-    /// cached winner and its new key still beats every other lane.
-    #[inline]
-    pub fn update(&mut self, w: usize, key: SimTime) {
-        let cur = pack_entry(key, w as u32, self.shift);
-        if let Some((leaf, threshold)) = self.cached_threshold {
-            if leaf == w as u32 && cur < threshold {
-                self.nodes[0] = cur;
-                return;
-            }
-        }
-        self.walk(w, cur);
-    }
-
-    /// The full leaf-to-root replay; refreshes the winner cache.
-    fn walk(&mut self, w: usize, mut cur: u64) {
-        let mut min_other = PACKED_EXHAUSTED;
-        let mut node = (self.k_pad + w) >> 1;
-        while node >= 1 {
-            let other = self.nodes[node];
-            if other < cur {
-                self.nodes[node] = cur;
-                cur = other;
-            }
-            min_other = min_other.min(self.nodes[node]);
-            node >>= 1;
-        }
-        self.nodes[0] = cur;
-        // `cur` survived every match iff leaf `w` is still the winner; the
-        // path losers are then the sibling subtrees' minima, so their
-        // minimum bounds every other lane.
-        self.cached_threshold = if cur & (self.k_pad as u64 - 1) == w as u64 {
-            Some((w as u32, min_other))
-        } else {
-            None
-        };
-    }
-}
-
-/// Binary-heap merge backend over the same packed `(key, lane)` `u64`
-/// entries as [`LoserTree`] — one register compare per sift rung, entries
-/// half the size of the historical `(SimTime, usize)` pairs. Exhausted
-/// lanes are simply absent (never re-pushed), so an empty heap means every
-/// lane has drained.
-///
-/// Unlike the tree, [`PackedHeap::update`] is only valid for the *current
-/// winner* (it pops the top and reinserts), which is exactly the only
-/// update a k-way merge ever makes.
+/// [`PackedHeap::update`] is only valid for the *current winner* (it pops
+/// the top and reinserts), which is exactly the only update a k-way merge
+/// ever makes.
 #[derive(Debug, Clone)]
 pub struct PackedHeap {
     /// Min-heap of live packed entries (`Reverse` flips `BinaryHeap`'s
     /// max-order).
     heap: BinaryHeap<Reverse<u64>>,
-    /// Leaf-index mask (`k_pad − 1`).
+    /// Lane-index mask (`k_pad − 1`, with `k_pad` the lane count rounded
+    /// up to a power of two).
     mask: u64,
-    /// Bit width of a leaf index within a packed entry.
+    /// Bit width of a lane index within a packed entry.
     shift: u32,
 }
 
@@ -219,7 +81,7 @@ impl PackedHeap {
     /// reinserts it under `key`, or retires the lane on [`EXHAUSTED`].
     #[inline]
     pub fn update(&mut self, w: usize, key: SimTime) {
-        debug_assert_eq!(w, self.winner(), "heap backend can only update the winner");
+        debug_assert_eq!(w, self.winner(), "only the winner can be updated");
         self.heap.pop();
         if key != EXHAUSTED {
             self.heap.push(Reverse(pack_entry(key, w as u32, self.shift)));
@@ -227,84 +89,16 @@ impl PackedHeap {
     }
 }
 
-/// Lane count at which [`TournamentMerge::for_lanes`] switches from the
-/// loser tree to the packed binary heap. The `merge/` lane sweep in
-/// `BENCH_streaming.json` measures both backends on two lane shapes: on
-/// *bursty* lanes (tight same-lane runs — the shape a narrow merge over
-/// few client cursors actually sees) the tree's cached threshold is 2–4×
-/// faster at every k, while on heavily *interleaved* lanes (the shape of a
-/// wide merge over thousands of clients, where consecutive flows almost
-/// never share a lane) the packed heap is ~2× faster at every k — a
-/// verdict the end-to-end `trace/flow_stream_drain` row confirms at
-/// dense-metro width. The constant therefore encodes where a shard's
-/// merge stops being burst-dominated, not a single-shape crossover.
-pub const HEAP_MIN_LANES: usize = 256;
-
-/// The k-way merge behind [`crate::FlowStream`]: a [`LoserTree`] for
-/// narrow merges, a [`PackedHeap`] for wide ones (see [`HEAP_MIN_LANES`]).
-/// Both backends rank lanes by the identical packed `(key, lane)` order,
-/// so the merged sequence is byte-identical either way — property-tested
-/// in this module — and the backend choice is invisible to callers.
-///
-/// Contract inherited from the heap backend: [`TournamentMerge::update`]
-/// may only target the current winner (the only update a merge makes).
-#[derive(Debug, Clone)]
-pub enum TournamentMerge {
-    /// Loser-tree backend (narrow merges).
-    Tree(LoserTree),
-    /// Packed binary-heap backend (wide merges).
-    Heap(PackedHeap),
-}
-
-impl TournamentMerge {
-    /// Picks the measured-faster backend for this lane count.
-    pub fn for_lanes(keys: &[SimTime]) -> TournamentMerge {
-        if keys.len() >= HEAP_MIN_LANES {
-            TournamentMerge::Heap(PackedHeap::new(keys))
-        } else {
-            TournamentMerge::Tree(LoserTree::new(keys))
-        }
-    }
-
-    /// The current winning lane; see [`LoserTree::winner`].
-    #[inline]
-    pub fn winner(&self) -> usize {
-        match self {
-            TournamentMerge::Tree(t) => t.winner(),
-            TournamentMerge::Heap(h) => h.winner(),
-        }
-    }
-
-    /// The winner's key; [`EXHAUSTED`] means every lane has drained.
-    #[inline]
-    pub fn winner_key(&self) -> SimTime {
-        match self {
-            TournamentMerge::Tree(t) => t.winner_key(),
-            TournamentMerge::Heap(h) => h.winner_key(),
-        }
-    }
-
-    /// Replaces the current winner `w`'s key (its lane advanced — or
-    /// drained, with [`EXHAUSTED`]).
-    #[inline]
-    pub fn update(&mut self, w: usize, key: SimTime) {
-        match self {
-            TournamentMerge::Tree(t) => t.update(w, key),
-            TournamentMerge::Heap(h) => h.update(w, key),
-        }
-    }
-}
-
-/// Packs `(key, leaf)` so that `u64` order equals the pair's lexicographic
+/// Packs `(key, lane)` so that `u64` order equals the pair's lexicographic
 /// order; [`EXHAUSTED`] maps to the all-ones sentinel.
 #[inline]
-fn pack_entry(key: SimTime, leaf: u32, shift: u32) -> u64 {
+fn pack_entry(key: SimTime, lane: u32, shift: u32) -> u64 {
     let ms = key.as_millis();
     if ms >= (PACKED_EXHAUSTED >> shift) {
         debug_assert_eq!(key, EXHAUSTED, "key overflows the packed-entry range");
         return PACKED_EXHAUSTED;
     }
-    (ms << shift) | u64::from(leaf)
+    (ms << shift) | u64::from(lane)
 }
 
 /// Inverse of [`pack_entry`] for the key half.
@@ -325,76 +119,63 @@ mod tests {
         SimTime::from_millis(ms)
     }
 
-    /// Drains the tournament over per-lane sorted runs, feeding each lane's
+    /// Drains the heap over per-lane sorted runs, feeding each lane's
     /// successor on every pop.
     fn drain(lanes: &[Vec<u64>]) -> Vec<(u64, usize)> {
         let mut pos = vec![0usize; lanes.len()];
         let keys: Vec<SimTime> =
             lanes.iter().map(|l| l.first().map_or(EXHAUSTED, |&ms| t(ms))).collect();
-        let mut tree = LoserTree::new(&keys);
+        let mut heap = PackedHeap::new(&keys);
         let mut out = Vec::new();
-        while tree.winner_key() != EXHAUSTED {
-            let w = tree.winner();
+        while heap.winner_key() != EXHAUSTED {
+            let w = heap.winner();
             out.push((lanes[w][pos[w]], w));
             pos[w] += 1;
-            tree.update(w, lanes[w].get(pos[w]).map_or(EXHAUSTED, |&ms| t(ms)));
+            heap.update(w, lanes[w].get(pos[w]).map_or(EXHAUSTED, |&ms| t(ms)));
         }
         out
     }
 
-    #[test]
-    fn merges_sorted_lanes_like_a_stable_sort() {
-        let lanes = vec![vec![1, 4, 4, 9], vec![2, 4, 8], vec![], vec![0, 4, 10, 11, 12], vec![4]];
-        let merged = drain(&lanes);
-        // Reference: stable sort by key over lane-major order.
+    /// Reference: stable sort by key over lane-major order.
+    fn stable_sort(lanes: &[Vec<u64>]) -> Vec<(u64, usize)> {
         let mut expect: Vec<(u64, usize)> = Vec::new();
         for (lane, run) in lanes.iter().enumerate() {
             expect.extend(run.iter().map(|&ms| (ms, lane)));
         }
         expect.sort_by_key(|&(ms, _)| ms);
-        assert_eq!(merged, expect, "equal keys must pop in lane order");
+        expect
+    }
+
+    #[test]
+    fn merges_sorted_lanes_like_a_stable_sort() {
+        let lanes = vec![vec![1, 4, 4, 9], vec![2, 4, 8], vec![], vec![0, 4, 10, 11, 12], vec![4]];
+        assert_eq!(drain(&lanes), stable_sort(&lanes), "equal keys must pop in lane order");
     }
 
     #[test]
     fn single_lane_and_power_of_two_padding_work() {
         assert_eq!(drain(&[vec![3, 5, 7]]), vec![(3, 0), (5, 0), (7, 0)]);
-        // 3 lanes pad to 4; the phantom leaf must never win.
+        // 3 lanes pad to a 2-bit lane field; the unused index must never win.
         let merged = drain(&[vec![5], vec![1, 6], vec![2]]);
         assert_eq!(merged, vec![(1, 1), (2, 2), (5, 0), (6, 1)]);
     }
 
     #[test]
     fn all_lanes_exhausted_reports_exhausted_winner() {
-        let tree = LoserTree::new(&[EXHAUSTED, EXHAUSTED, EXHAUSTED]);
-        assert_eq!(tree.winner_key(), EXHAUSTED);
-    }
-
-    /// [`drain`] over any backend through the [`TournamentMerge`] API.
-    fn drain_merge(lanes: &[Vec<u64>], mut m: TournamentMerge) -> Vec<(u64, usize)> {
-        let mut pos = vec![0usize; lanes.len()];
-        let mut out = Vec::new();
-        while m.winner_key() != EXHAUSTED {
-            let w = m.winner();
-            out.push((lanes[w][pos[w]], w));
-            pos[w] += 1;
-            m.update(w, lanes[w].get(pos[w]).map_or(EXHAUSTED, |&ms| t(ms)));
-        }
-        out
-    }
-
-    fn head_keys(lanes: &[Vec<u64>]) -> Vec<SimTime> {
-        lanes.iter().map(|l| l.first().map_or(EXHAUSTED, |&ms| t(ms))).collect()
+        let heap = PackedHeap::new(&[EXHAUSTED, EXHAUSTED, EXHAUSTED]);
+        assert_eq!(heap.winner_key(), EXHAUSTED);
     }
 
     #[test]
-    fn heap_and_tree_backends_merge_byte_identically() {
+    fn heap_merges_random_lanes_like_a_stable_sort() {
         use insomnia_simcore::SimRng;
         let mut rng = SimRng::new(0x6d65_7267);
         for trial in 0..60 {
-            // Lane counts straddle HEAP_MIN_LANES so both wrapper arms see
-            // randomized traffic; short lanes + small key steps force heavy
-            // cross-lane ties (the tie-break is the risky part).
-            let k = 1 + rng.range_u64(0, 2 * HEAP_MIN_LANES as u64) as usize;
+            // k spans 1..=512, so both narrow and wide merges (shards below
+            // and above 256 clients) see randomized traffic; short lanes +
+            // small key steps force heavy cross-lane ties (the tie-break is
+            // the risky part).
+            let k = 1 + rng.range_u64(0, 512) as usize;
             let lanes: Vec<Vec<u64>> = (0..k)
                 .map(|_| {
                     let n = rng.range_u64(0, 12) as usize;
@@ -407,45 +188,21 @@ mod tests {
                         .collect()
                 })
                 .collect();
-            let via_tree =
-                drain_merge(&lanes, TournamentMerge::Tree(LoserTree::new(&head_keys(&lanes))));
-            let via_heap =
-                drain_merge(&lanes, TournamentMerge::Heap(PackedHeap::new(&head_keys(&lanes))));
-            let mut expect: Vec<(u64, usize)> = Vec::new();
-            for (lane, run) in lanes.iter().enumerate() {
-                expect.extend(run.iter().map(|&ms| (ms, lane)));
-            }
-            expect.sort_by_key(|&(ms, _)| ms);
-            assert_eq!(via_tree, expect, "tree diverged from stable sort (trial {trial}, k {k})");
-            assert_eq!(via_heap, expect, "heap diverged from stable sort (trial {trial}, k {k})");
+            assert_eq!(drain(&lanes), stable_sort(&lanes), "trial {trial}, k {k}");
         }
     }
 
     #[test]
-    fn for_lanes_picks_the_backend_by_lane_count() {
-        let narrow = vec![t(1); HEAP_MIN_LANES - 1];
-        let wide = vec![t(1); HEAP_MIN_LANES];
-        assert!(matches!(TournamentMerge::for_lanes(&narrow), TournamentMerge::Tree(_)));
-        assert!(matches!(TournamentMerge::for_lanes(&wide), TournamentMerge::Heap(_)));
-    }
-
-    #[test]
     fn heap_backend_handles_empty_and_exhausted_lanes() {
-        // All-exhausted heads build an empty heap that reports EXHAUSTED.
-        let empty = PackedHeap::new(&[EXHAUSTED, EXHAUSTED, EXHAUSTED]);
-        assert_eq!(empty.winner_key(), EXHAUSTED);
-        // Mixed live/empty lanes drain like the tree does.
+        // Mixed live/empty lanes: empty lanes start absent and never win.
         let lanes = vec![vec![5], vec![], vec![1, 6], vec![2]];
-        let merged =
-            drain_merge(&lanes, TournamentMerge::Heap(PackedHeap::new(&head_keys(&lanes))));
-        assert_eq!(merged, vec![(1, 2), (2, 3), (5, 0), (6, 2)]);
+        assert_eq!(drain(&lanes), vec![(1, 2), (2, 3), (5, 0), (6, 2)]);
     }
 
     #[test]
-    fn winner_cache_survives_long_single_lane_runs() {
+    fn long_single_lane_runs_hand_off_exactly() {
         // Lane 0 emits a long tight run while lane 1 waits far in the
-        // future: every mid-run update takes the cached fast path, and the
-        // handoff at the end must still be exact.
+        // future; the handoff at the end must still be exact.
         let lanes = vec![(0..1_000u64).collect::<Vec<_>>(), vec![1_000, 1_001]];
         let merged = drain(&lanes);
         assert_eq!(merged.len(), 1_002);

@@ -31,11 +31,6 @@ impl Session {
     pub fn contains(&self, t: SimTime) -> bool {
         t >= self.start && t < self.end
     }
-
-    /// True if two sessions overlap in time.
-    pub fn overlaps(&self, other: &Session) -> bool {
-        self.start < other.end && other.start < self.end
-    }
 }
 
 /// Counts how many of the given sessions contain time `t`.
@@ -62,13 +57,6 @@ mod tests {
         assert!(sess.contains(SimTime::from_secs(10)));
         assert!(sess.contains(SimTime::from_secs(19)));
         assert!(!sess.contains(SimTime::from_secs(20)));
-    }
-
-    #[test]
-    fn overlap_detection() {
-        assert!(s(0, 0, 10).overlaps(&s(1, 5, 15)));
-        assert!(!s(0, 0, 10).overlaps(&s(1, 10, 20))); // touching, half-open
-        assert!(s(0, 0, 100).overlaps(&s(1, 40, 50))); // containment
     }
 
     #[test]

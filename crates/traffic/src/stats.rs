@@ -1,7 +1,6 @@
 //! Trace analyses behind Figs. 2, 3 and 4: utilization series, AP-level
-//! inter-burst gap histograms, presence and demand summaries.
+//! inter-burst gap histograms and per-client demands.
 
-use crate::ids::ClientId;
 use crate::trace::Trace;
 use insomnia_simcore::{BinSeries, Histogram, SimTime};
 
@@ -87,34 +86,11 @@ pub fn per_client_demand_bps(trace: &Trace, from: SimTime, to: SimTime) -> Vec<f
     bytes.into_iter().map(|b| b as f64 * 8.0 / span_s).collect()
 }
 
-/// Number of clients present (in an open session) sampled on a fixed grid.
-pub fn presence_series(trace: &Trace, bin_ms: u64) -> BinSeries {
-    let horizon_ms = trace.horizon.as_millis();
-    let mut series = BinSeries::new(horizon_ms, bin_ms);
-    let mut t = 0u64;
-    while t < horizon_ms {
-        let now = SimTime::from_millis(t);
-        let n = trace.sessions.iter().filter(|s| s.contains(now)).count();
-        series.add(t, n as f64);
-        t += bin_ms;
-    }
-    series
-}
-
-/// Per-client total bytes over the whole trace (heavy-hitter analyses).
-pub fn per_client_bytes(trace: &Trace) -> Vec<(ClientId, u64)> {
-    let mut bytes = vec![0u64; trace.n_clients()];
-    for f in &trace.flows {
-        bytes[f.client.index()] += f.bytes;
-    }
-    bytes.into_iter().enumerate().map(|(i, b)| (ClientId::from_index(i), b)).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::flow::{FlowKind, FlowRecord};
-    use crate::ids::ApId;
+    use crate::ids::{ApId, ClientId};
     use crate::session::Session;
 
     fn trace_with_flows(flows: Vec<(u32, u64, u64)>) -> Trace {
@@ -178,23 +154,5 @@ mod tests {
         let d = per_client_demand_bps(&t, SimTime::ZERO, SimTime::from_secs(60));
         assert!((d[0] - 100_000.0).abs() < 1e-6); // 6 Mbit over 60 s
         assert!((d[1] - 10_000.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn presence_series_counts_sessions() {
-        let mut t = trace_with_flows(vec![]);
-        t.sessions[1].end = SimTime::from_mins(30);
-        let s = presence_series(&t, 60_000 * 10);
-        let means = s.bin_means_or_zero();
-        assert_eq!(means[0], 2.0);
-        assert_eq!(means[5], 1.0); // after 30 min only client 0 remains
-    }
-
-    #[test]
-    fn per_client_bytes_sums() {
-        let t = trace_with_flows(vec![(0, 0, 100), (1, 5, 200), (0, 9, 50)]);
-        let b = per_client_bytes(&t);
-        assert_eq!(b[0], (ClientId(0), 150));
-        assert_eq!(b[1], (ClientId(1), 200));
     }
 }

@@ -22,17 +22,13 @@
 //!   lazily from its snapshot — a *batch* at a time (default
 //!   [`FlowStream::DEFAULT_BATCH`], tunable via
 //!   [`FlowStream::with_batch`]) so the RNG state and session table stay
-//!   cache-hot across consecutive draws — and a **k-way tournament** over
-//!   the per-client head flows yields them in global arrival order. The
-//!   merge backend is picked by client count ([`crate::merge`]): a loser
-//!   tree (cached-threshold fast path) for narrow merges, a binary heap
-//!   over the same packed `u64` entries for wide ones — the measured
-//!   crossover lives in [`crate::merge::HEAP_MIN_LANES`], and the yielded
-//!   sequence is byte-identical either way.
+//!   cache-hot across consecutive draws — and a **k-way merge** over the
+//!   per-client head flows ([`crate::merge::PackedHeap`]) yields them in
+//!   global arrival order.
 //!
 //! Equivalence to the eager generator is exact, not approximate: per
 //! client, bursts replay the identical draw sequence from the identical
-//! RNG state, and the tournament's `(start, client)` ordering reproduces
+//! RNG state, and the merge's `(start, client)` ordering reproduces
 //! the eager path's *stable* sort by start (ties broken by client index,
 //! then by generation order within a client — precisely the pre-sort
 //! vector order). Property tests in `tests/properties.rs` assert
@@ -46,7 +42,7 @@ use crate::diurnal::DiurnalProfile;
 use crate::flow::FlowRecord;
 use crate::gaps::{GapModel, GapThresholds};
 use crate::ids::{ApId, ClientId};
-use crate::merge::{TournamentMerge, EXHAUSTED};
+use crate::merge::{PackedHeap, EXHAUSTED};
 use crate::session::Session;
 use crate::trace::Trace;
 use insomnia_simcore::{SimDuration, SimRng, SimTime};
@@ -226,12 +222,11 @@ pub struct StreamStats {
     /// Lazy burst regenerations: replay steps that produced a flow from a
     /// cursor's RNG snapshot (one per flow primed or refilled).
     pub refills: u64,
-    /// Tournament-merge winner pops (one per yielded flow).
+    /// Merge winner pops (one per yielded flow).
     pub merge_pops: u64,
     /// Merge-entry insertions: one per flow entering a cursor buffer
-    /// (initial priming plus every batched refill) — the loser-tree
-    /// successor of the historical per-flow heap re-push, kept numerically
-    /// identical over a full drain.
+    /// (initial priming plus every batched refill), kept numerically
+    /// identical to the historical per-flow heap re-push over a full drain.
     pub heap_pushes: u64,
 }
 
@@ -241,14 +236,14 @@ pub struct StreamStats {
 /// master stream exactly where the eager generator would leave it) but
 /// retains only O(clients) state; iteration replays each client's bursts
 /// on demand — a batch at a time — and merges them by `(start, client)`
-/// through a loser tree. The yielded sequence is flow-for-flow identical
+/// through a [`PackedHeap`]. The yielded sequence is flow-for-flow identical
 /// to [`crate::crawdad::generate`]'s `flows` vector, and
 /// [`FlowStream::total_flows`] is known before the first flow is pulled —
 /// which is how driver-side accounting (`CompletionStats::new`) sizes
 /// itself without a materialized trace.
 ///
 /// `Clone` snapshots the whole replay position (cursors, buffers,
-/// tournament), so benches and tests can re-drain one prebuilt stream.
+/// merge heap), so benches and tests can re-drain one prebuilt stream.
 #[derive(Clone)]
 pub struct FlowStream {
     horizon: SimTime,
@@ -256,12 +251,10 @@ pub struct FlowStream {
     home: Vec<ApId>,
     sessions: Vec<Session>,
     cursors: Vec<ClientCursor>,
-    /// Tournament over the per-client buffered head-flow starts
-    /// ([`EXHAUSTED`] once a client drains). Leaf index = client index, so
-    /// ties reproduce the eager stable sort; the backend — loser tree for
-    /// narrow merges, packed heap for wide ones — is picked by lane count
-    /// and yields identical bytes either way ([`crate::merge`]).
-    tree: TournamentMerge,
+    /// Merge over the per-client buffered head-flow starts (a client
+    /// leaves it once drained). Lane index = client index, so ties
+    /// reproduce the eager stable sort.
+    merge: PackedHeap,
     /// Flows regenerated per cursor refill (the batched-refill knob).
     batch: usize,
     shared: Shared,
@@ -343,7 +336,7 @@ impl FlowStream {
             });
         }
 
-        // Prime each cursor's first batch and seed the tournament.
+        // Prime each cursor's first batch and seed the merge.
         let mut stats = StreamStats::default();
         let mut heads = vec![EXHAUSTED; cfg.n_clients];
         for (c, cur) in cursors.iter_mut().enumerate() {
@@ -352,14 +345,14 @@ impl FlowStream {
             stats.heap_pushes += n;
             heads[c] = cur.head_start();
         }
-        let tree = TournamentMerge::for_lanes(&heads);
+        let merge = PackedHeap::new(&heads);
         FlowStream {
             horizon: cfg.horizon,
             n_aps: cfg.n_aps,
             home,
             sessions,
             cursors,
-            tree,
+            merge,
             batch,
             shared,
             total_flows,
@@ -452,7 +445,7 @@ impl FlowStream {
             self.yielded += usize::from(flow.is_some());
             return flow;
         }
-        if self.tree.winner_key() == EXHAUSTED {
+        if self.merge.winner_key() == EXHAUSTED {
             // A full drain with recording enabled publishes here; clones
             // racing to publish are harmless (first `set` wins, the rest
             // recorded the identical sequence).
@@ -462,11 +455,11 @@ impl FlowStream {
             }
             return None;
         }
-        let w = self.tree.winner();
+        let w = self.merge.winner();
         self.stats.merge_pops += 1;
         let cur = &mut self.cursors[w];
         let flow = cur.buf[cur.pos];
-        debug_assert_eq!(flow.start, self.tree.winner_key());
+        debug_assert_eq!(flow.start, self.merge.winner_key());
         cur.pos += 1;
         // Successor key without the refill detour when the buffer still has
         // flows — the common case (batch − 1 in batch), and the record is
@@ -479,7 +472,7 @@ impl FlowStream {
             self.stats.heap_pushes += n;
             cur.head_start()
         };
-        self.tree.update(w, next_key);
+        self.merge.update(w, next_key);
         self.yielded += 1;
         if let Some(rec) = &mut self.recording {
             rec.push(flow);

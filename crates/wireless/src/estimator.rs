@@ -68,17 +68,6 @@ impl LoadWindow {
         debug_assert!(capacity_bps > 0.0);
         (self.rate_bps(now_ms) / capacity_bps).clamp(0.0, 1.0)
     }
-
-    /// Time of the most recent deposit, if any.
-    pub fn last_activity_ms(&self) -> Option<u64> {
-        self.deposits.back().map(|&(t, _)| t)
-    }
-
-    /// Clears all recorded activity (used when a gateway power-cycles).
-    pub fn reset(&mut self) {
-        self.deposits.clear();
-        self.sum_bytes = 0;
-    }
 }
 
 #[cfg(test)]
@@ -111,18 +100,6 @@ mod tests {
         assert_eq!(w.load_fraction(0, 6.0e6), 1.0);
         let mut empty = LoadWindow::new(1_000);
         assert_eq!(empty.load_fraction(0, 6.0e6), 0.0);
-    }
-
-    #[test]
-    fn last_activity_and_reset() {
-        let mut w = LoadWindow::new(1_000);
-        assert_eq!(w.last_activity_ms(), None);
-        w.add(5, 10);
-        w.add(7, 10);
-        assert_eq!(w.last_activity_ms(), Some(7));
-        w.reset();
-        assert_eq!(w.last_activity_ms(), None);
-        assert_eq!(w.bytes_in_window(7), 0);
     }
 
     #[test]
