@@ -327,6 +327,16 @@ impl ScenarioConfig {
         if self.sample_period.is_zero() || self.optimal_period.is_zero() {
             return Err(SimError::InvalidConfig("periods must be positive".into()));
         }
+        // No sample fits a horizon shorter than one period: every series
+        // would be empty and the summary metrics NaN after a full run.
+        if self.trace.horizon.as_millis() < self.sample_period.as_millis() {
+            return Err(SimError::InvalidConfig(format!(
+                "sample_period_s ({} s) exceeds the horizon ({} s): a run needs at least one \
+                 metric sample",
+                self.sample_period.as_secs_f64(),
+                self.trace.horizon.as_secs_f64(),
+            )));
+        }
         if let Some(ladder) = &self.power_states {
             ladder.validate().map_err(|e| SimError::InvalidConfig(format!("power_states: {e}")))?;
         }

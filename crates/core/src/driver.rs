@@ -259,8 +259,9 @@ struct World<'a> {
     /// Pre-solved Optimal plan: the gateways each re-solve tick wants
     /// online, indexed by tick number (empty for every other scheme). The
     /// solves run *before* the event loop on a thread fan-out — see
-    /// [`precompute_optimal_plan`].
-    optimal_plan: Vec<Vec<usize>>,
+    /// [`precompute_optimal_plan`] — or once per shard for every Optimal
+    /// consumer of a [`WorldProtoCache`].
+    optimal_plan: OptimalPlan,
     /// Index of the next [`Ev::OptimalTick`] into `optimal_plan`.
     optimal_tick_idx: usize,
     /// Arrived-but-not-completed flows (engine + wake-parked).
@@ -503,7 +504,22 @@ pub fn run_single_source_threads(
     spec: SchemeSpec,
     arrivals: ArrivalSource<'_>,
     topo: &Topology,
+    rng: SimRng,
+    solve_threads: usize,
+) -> RunResult {
+    run_single(cfg, spec, arrivals, topo, rng, None, solve_threads)
+}
+
+/// [`run_single_source_threads`] with an optional Optimal plan solved
+/// beforehand over the same `(cfg, topo, arrivals)`; `None` solves it here.
+/// Every other scheme ignores `plan`.
+fn run_single(
+    cfg: &ScenarioConfig,
+    spec: SchemeSpec,
+    arrivals: ArrivalSource<'_>,
+    topo: &Topology,
     mut rng: SimRng,
+    plan: Option<OptimalPlan>,
     solve_threads: usize,
 ) -> RunResult {
     cfg.validate().expect("validated config");
@@ -586,15 +602,19 @@ pub fn run_single_source_threads(
     // O(clients) state) and fan the pure solves out across threads. The
     // event loop then consumes the plan strictly by tick index, so the
     // wake/sleep application order — and every downstream byte — is
-    // independent of `solve_threads`.
-    let optimal_plan = if is_optimal {
-        let replay = match &arrivals {
-            ArrivalSource::Slice(flows) => ArrivalSource::Slice(flows),
-            ArrivalSource::Stream(stream) => ArrivalSource::Stream(stream.clone()),
-        };
-        precompute_optimal_plan(cfg, topo, replay, solve_threads)
-    } else {
-        Vec::new()
+    // independent of `solve_threads`. A plan handed in was solved the same
+    // way over the same inputs (the debug cross-check in `optimal_tick`
+    // re-solves every tick against the live sweep).
+    let optimal_plan = match (is_optimal, plan) {
+        (false, _) => OptimalPlan::default(),
+        (true, Some(plan)) => plan,
+        (true, None) => {
+            let replay = match &arrivals {
+                ArrivalSource::Slice(flows) => ArrivalSource::Slice(flows),
+                ArrivalSource::Stream(stream) => ArrivalSource::Stream(stream.clone()),
+            };
+            Arc::new(precompute_optimal_plan(cfg, topo, replay, solve_threads))
+        }
     };
 
     let n_samples = (horizon.as_millis() / cfg.sample_period.as_millis()) as usize;
@@ -840,12 +860,23 @@ fn handle(s: &mut Scheduler<Ev>, w: &mut World<'_>, now: SimTime, ev: Ev) {
         Ev::Sample => {
             w.counters.samples += 1;
             // Keep load windows fresh on busy gateways so BH2 sees current
-            // loads even mid-transfer.
-            for gw in 0..w.n_gateways() {
-                if w.engine.n_on(gw) > 0 {
-                    let moved = w.engine.advance(gw, now);
-                    w.deposit(now, gw, moved);
-                }
+            // loads even mid-transfer. Only the engine's busy list is swept,
+            // and its order is free: `advance(gw)` touches only `gw`'s flows
+            // and `deposit(gw)` only `gw_load[gw]` and `gateways[gw]`, and
+            // neither adds or removes a flow, so the list is stable here.
+            debug_assert!(
+                {
+                    let mut busy: Vec<usize> =
+                        w.engine.busy().iter().map(|&g| g as usize).collect();
+                    busy.sort_unstable();
+                    busy.into_iter().eq((0..w.n_gateways()).filter(|&g| w.engine.n_on(g) > 0))
+                },
+                "busy-gateway list diverged from the per-gateway flow recount"
+            );
+            for k in 0..w.engine.busy().len() {
+                let gw = w.engine.busy()[k] as usize;
+                let moved = w.engine.advance(gw, now);
+                w.deposit(now, gw, moved);
             }
             let idx = w.sample_index(now);
             if idx < w.powered_series.len() {
@@ -1413,10 +1444,27 @@ struct ShardAccum {
     mean_wake_count: f64,
 }
 
-/// One shard's shared world prototype: the stream (replay cache enabled,
-/// recording pre-published) plus topology, built once by whichever consumer
-/// reaches the cell first and cloned by every other.
-type ShardProto = Arc<OnceLock<(FlowStream, Topology)>>;
+/// Optimal's pre-solved plan: the gateways each re-solve tick wants online,
+/// indexed by tick number.
+type OptimalPlan = Arc<Vec<Vec<usize>>>;
+
+/// One shard's shared world prototype, built lazily by whichever consumer
+/// reaches each cell first and shared by every other.
+#[derive(Default)]
+struct ShardCells {
+    /// The stream (replay cache enabled, recording pre-published) plus
+    /// topology; consumers clone the stream.
+    world: OnceLock<(FlowStream, Topology)>,
+    /// Optimal's plan over `world`, solved by the shard's first Optimal
+    /// consumer. The plan is a pure function of the config, the topology
+    /// and the arrival stream — never of the RNG — so it is keyed by the
+    /// shard alone under the cache's one-config invariant (see
+    /// [`WorldProtoCache`]).
+    optimal_plan: OnceLock<OptimalPlan>,
+}
+
+/// A shard's cells, refcounted across its consumers.
+type ShardProto = Arc<ShardCells>;
 
 /// A refcounted per-shard prototype cache for worlds whose shards are
 /// consumed more than once — by several repetitions of one scheme run, or,
@@ -1431,6 +1479,11 @@ type ShardProto = Arc<OnceLock<(FlowStream, Topology)>>;
 /// so at most O(worker threads) prototypes are ever live — the same
 /// peak-RSS model as the build-and-drop path, minus the redundant setup
 /// passes.
+///
+/// Keying invariant: all consumers of one cache share one
+/// [`ScenarioConfig`] — one cache per [`run_scheme`] call, or one per
+/// (scenario, seed) world in a batch. A shard's cells are keyed by the
+/// shard index alone, and Optimal's plan depends on the config too.
 pub struct WorldProtoCache {
     slots: Vec<Mutex<ProtoSlot>>,
 }
@@ -1701,8 +1754,10 @@ pub struct TaskSetup {
 /// consumer clones the prototype and replays the recording instead of
 /// re-running the setup pass. The up-front drain keeps each consumer's own
 /// stream work counters deterministic: no consumer ever races the
-/// recording's publication. Cacheless tasks (the giga/tera smokes'
-/// single-consumer worlds) keep the build-and-drop path.
+/// recording's publication. The shard's first Optimal consumer likewise
+/// solves Optimal's plan once for every later one (later repetitions and
+/// retried attempts). Cacheless tasks (the giga/tera smokes' single-consumer
+/// worlds) keep the build-and-drop path and solve their own plan.
 pub fn run_scheme_task(
     cfg: &ScenarioConfig,
     spec: SchemeSpec,
@@ -1721,17 +1776,17 @@ pub fn run_scheme_task(
     // pre-solve fan-out is pinned to one thread here: parallelism lives at
     // exactly one level, never nested (the result is byte-identical either
     // way).
-    let single = move |stream: FlowStream, topo: &Topology| {
-        run_single_source_threads(cfg, spec, ArrivalSource::Stream(Box::new(stream)), topo, rng, 1)
+    let single = move |stream: FlowStream, topo: &Topology, plan: Option<OptimalPlan>| {
+        run_single(cfg, spec, ArrivalSource::Stream(Box::new(stream)), topo, rng, plan, 1)
     };
     let setup_start = std::time::Instant::now();
     let Some(claim) = claim else {
         let (stream, topo, topology_ms) = build_world_shard_timed(&world.cfg, world.seed, sh);
         let setup = TaskSetup { setup_ms: setup_start.elapsed().as_secs_f64() * 1e3, topology_ms };
-        return (single(stream, &topo), setup);
+        return (single(stream, &topo, None), setup);
     };
     let mut built_topology_ms = None;
-    let (stream_proto, topo) = claim.proto.get_or_init(|| {
+    let (stream_proto, topo) = claim.proto.world.get_or_init(|| {
         let (mut s, t, topology_ms) = build_world_shard_timed(&world.cfg, world.seed, sh);
         built_topology_ms = Some(topology_ms);
         if s.enable_replay_cache() {
@@ -1753,7 +1808,16 @@ pub fn run_scheme_task(
         }
         None => TaskSetup::default(),
     };
-    (single(stream_proto.clone(), topo), setup)
+    // Optimal's plan is shared the same way, solved after `setup` is taken
+    // so its time counts toward the task's event loop. A panicking solve
+    // leaves this cell empty too, and the retry re-solves.
+    let plan = (spec.aggregation == Aggregation::Optimal).then(|| {
+        Arc::clone(claim.proto.optimal_plan.get_or_init(|| {
+            let replay = ArrivalSource::Stream(Box::new(stream_proto.clone()));
+            Arc::new(precompute_optimal_plan(cfg, topo, replay, 1))
+        }))
+    });
+    (single(stream_proto.clone(), topo, plan), setup)
 }
 
 /// Runs all repetitions of one scheme over every shard of a
@@ -2120,16 +2184,17 @@ mod tests {
         assert_eq!(strip(&a.counters), strip(&b.counters));
     }
 
-    /// Folds an SOI run over `world` task by task, the way a crash-safe
+    /// Folds a `spec` run over `world` task by task, the way a crash-safe
     /// runner drives core: `task(i, cache)` yields task `i`'s result, which
     /// is absorbed in task order.
     fn fold_tasks(
         cfg: &ScenarioConfig,
+        spec: SchemeSpec,
         world: &ShardedWorld,
         mut task: impl FnMut(usize, &WorldProtoCache) -> RunResult,
     ) -> SchemeResult {
         let cache = WorldProtoCache::new(world, cfg.repetitions).expect("two consumers per shard");
-        let mut folder = SchemeFolder::new(cfg, SchemeSpec::soi(), world);
+        let mut folder = SchemeFolder::new(cfg, spec, world);
         for i in 0..folder.n_tasks() {
             folder.absorb(i, task(i, &cache));
         }
@@ -2145,7 +2210,7 @@ mod tests {
         // Each task claims once, outside its attempts. Task 1's first
         // attempt is thrown away, as a faulted one is; the retry re-derives
         // the identical RNG stream, so every deterministic byte matches.
-        let retried = fold_tasks(&cfg, &world, |i, cache| {
+        let retried = fold_tasks(&cfg, SchemeSpec::soi(), &world, |i, cache| {
             let mut claim = cache.claim(i % world.n_shards());
             let mut attempt =
                 || run_scheme_task(&cfg, SchemeSpec::soi(), &world, 11, i, Some(&mut claim)).0;
@@ -2179,7 +2244,7 @@ mod tests {
             run
         };
         let mut store = Vec::new();
-        let first = fold_tasks(&cfg, &world, |i, cache| {
+        let first = fold_tasks(&cfg, SchemeSpec::soi(), &world, |i, cache| {
             let run = claimed(i, cache);
             store.push(run.clone());
             run
@@ -2189,7 +2254,7 @@ mod tests {
         // Replay half the tasks from the store (as a resume does, after a
         // round-trip through the wire form, releasing the task's claim
         // with `skip`), simulate the rest.
-        let resumed = fold_tasks(&cfg, &world, |i, cache| {
+        let resumed = fold_tasks(&cfg, SchemeSpec::soi(), &world, |i, cache| {
             if !i.is_multiple_of(2) {
                 return claimed(i, cache);
             }
@@ -2205,5 +2270,59 @@ mod tests {
         assert_eq!(c.tasks_resumed, n_tasks.div_ceil(2) as u64);
         // Every task is attributed exactly once: a build, a hit or a resume.
         assert_eq!(c.proto_cache_builds + c.proto_cache_hits + c.tasks_resumed, n_tasks as u64);
+    }
+
+    #[test]
+    fn shared_optimal_plan_folds_like_cacheless_tasks() {
+        let mut cfg = sharded_cfg(2);
+        cfg.repetitions = 2;
+        let world = ShardedWorld::lazy(&cfg, 17);
+        let spec = SchemeSpec::optimal();
+        // `run_scheme` shares each shard's plan between its two
+        // repetitions; cacheless tasks each solve their own.
+        let shared = run_scheme(&cfg, spec, &world, 17, 2);
+        let mut folder = SchemeFolder::new(&cfg, spec, &world);
+        for i in 0..folder.n_tasks() {
+            folder.absorb(i, run_scheme_task(&cfg, spec, &world, 17, i, None).0);
+        }
+        let mut cacheless = folder.finish();
+        assert!(shared.counters.optimal_solves > 0, "the runs re-solve");
+        // The stream work counters record how the arrivals were produced:
+        // a cached prototype replays its recording, a cacheless task
+        // regenerates every flow. That split predates plan sharing, so
+        // take those two from the shared run; every other byte must match.
+        assert_ne!(shared.counters.stream_refills, cacheless.counters.stream_refills);
+        cacheless.counters.stream_refills = shared.counters.stream_refills;
+        cacheless.counters.merge_pops = shared.counters.merge_pops;
+        assert_results_identical(&shared, &cacheless);
+    }
+
+    #[test]
+    fn retry_after_a_panicked_plan_solve_changes_no_bytes() {
+        let mut cfg = sharded_cfg(2);
+        cfg.repetitions = 2;
+        let world = ShardedWorld::lazy(&cfg, 19);
+        let spec = SchemeSpec::optimal();
+        let plain = run_scheme(&cfg, spec, &world, 19, 2);
+        let retried = fold_tasks(&cfg, spec, &world, |i, cache| {
+            let mut claim = cache.claim(i % world.n_shards());
+            if i < world.n_shards() {
+                // Each shard's first consumer dies inside the plan solve;
+                // the cell stays empty, so the retry solves it again.
+                let died = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    claim.proto.optimal_plan.get_or_init(|| panic!("injected plan-solve fault"));
+                }));
+                assert!(died.is_err());
+                assert!(
+                    claim.proto.optimal_plan.get().is_none(),
+                    "a panicked solve stores nothing"
+                );
+            }
+            let (mut run, _) = run_scheme_task(&cfg, spec, &world, 19, i, Some(&mut claim));
+            assert!(claim.proto.optimal_plan.get().is_some(), "the plan is shared after a solve");
+            claim.attribute(&mut run.counters);
+            run
+        });
+        assert_results_identical(&plain, &retried);
     }
 }

@@ -42,7 +42,15 @@ pub struct FlowEngine {
     /// driver to drop stale departure events.
     generation: Vec<u64>,
     n_active: usize,
+    /// Gateways with at least one active flow, in no particular order.
+    busy: Vec<u32>,
+    /// Position of each gateway in `busy` ([`NOT_BUSY`] when idle), so a
+    /// gateway joins and leaves the list in O(1).
+    busy_pos: Vec<u32>,
 }
+
+/// `busy_pos` marker of a gateway with no active flows.
+const NOT_BUSY: u32 = u32::MAX;
 
 /// Completion threshold: a flow with less than half a byte left is done.
 const DONE_EPS_BYTES: f64 = 0.5;
@@ -56,6 +64,8 @@ impl FlowEngine {
             per_gw: vec![Vec::new(); n_gateways],
             generation: vec![0; n_gateways],
             n_active: 0,
+            busy: Vec::new(),
+            busy_pos: vec![NOT_BUSY; n_gateways],
         }
     }
 
@@ -67,6 +77,12 @@ impl FlowEngine {
     /// Total active flows.
     pub fn n_active(&self) -> usize {
         self.n_active
+    }
+
+    /// The gateways carrying at least one active flow, in an unspecified
+    /// order (exactly `{gw : n_on(gw) > 0}`).
+    pub fn busy(&self) -> &[u32] {
+        &self.busy
     }
 
     /// Current generation of a gateway's allocation.
@@ -113,6 +129,10 @@ impl FlowEngine {
                 self.flows.len() - 1
             }
         };
+        if self.per_gw[gw].is_empty() {
+            self.busy_pos[gw] = self.busy.len() as u32;
+            self.busy.push(gw as u32);
+        }
         self.per_gw[gw].push(id);
         self.n_active += 1;
         id
@@ -149,6 +169,13 @@ impl FlowEngine {
                 self.n_active -= 1;
             } else {
                 self.per_gw[gw].push(id);
+            }
+        }
+        if self.per_gw[gw].is_empty() && self.busy_pos[gw] != NOT_BUSY {
+            let pos = std::mem::replace(&mut self.busy_pos[gw], NOT_BUSY) as usize;
+            self.busy.swap_remove(pos);
+            if let Some(&moved) = self.busy.get(pos) {
+                self.busy_pos[moved as usize] = pos as u32;
             }
         }
         done

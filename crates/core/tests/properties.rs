@@ -148,4 +148,36 @@ proptest! {
         prop_assert_eq!(e.n_active(), 0, "engine failed to drain");
         prop_assert!((moved - offered).abs() < 1.0, "moved {} vs offered {}", moved, offered);
     }
+
+    /// The engine's busy-gateway list always equals the recount
+    /// `{gw : n_on(gw) > 0}` over random add / advance / complete
+    /// sequences — the set the driver's sampler sweeps.
+    #[test]
+    fn busy_list_matches_recount(
+        ops in prop::collection::vec((0u8..3, 0usize..6, 1u64..400_000, 1u64..30), 1..80),
+    ) {
+        let n_gw = 6;
+        let mut e = FlowEngine::new(n_gw);
+        let mut t = SimTime::ZERO;
+        for (i, &(op, gw, bytes, gap_ds)) in ops.iter().enumerate() {
+            match op {
+                0 => {
+                    e.add(t, gw, 0, i, t, bytes, 12.0e6);
+                    e.recompute(gw, t, 6.0e6);
+                }
+                1 => {
+                    t += SimDuration::from_millis(gap_ds * 100);
+                    e.advance(gw, t);
+                }
+                _ => {
+                    e.take_completed(gw);
+                    e.recompute(gw, t, 6.0e6);
+                }
+            }
+            let mut busy: Vec<usize> = e.busy().iter().map(|&g| g as usize).collect();
+            busy.sort_unstable();
+            let recount: Vec<usize> = (0..n_gw).filter(|&g| e.n_on(g) > 0).collect();
+            prop_assert_eq!(busy, recount);
+        }
+    }
 }

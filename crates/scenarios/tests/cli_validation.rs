@@ -72,3 +72,18 @@ fn nested_key_typos_and_unrepresentable_durations_exit_with_an_error() {
         assert!(!stderr.contains("panicked"), "`--set {set}` panicked: {stderr}");
     }
 }
+
+#[test]
+fn horizon_shorter_than_one_sample_exits_with_a_config_error() {
+    // Either override leaves no room for a single metric sample; the run
+    // must fail up front, not after simulating with empty series.
+    for set in ["horizon_hours=0.0001", "sample_period_s=100000"] {
+        let (code, stderr) = run_bh2_with(set);
+        assert_eq!(code, Some(1), "`--set {set}` must exit 1 (stderr: {stderr})");
+        for needle in ["invalid configuration", "sample_period_s", "horizon"] {
+            assert!(stderr.contains(needle), "`--set {set}` must report `{needle}`: {stderr}");
+        }
+        assert!(!stderr.contains("non-finite"), "`--set {set}` ran to a NaN record: {stderr}");
+        assert!(!stderr.contains("panicked"), "`--set {set}` panicked: {stderr}");
+    }
+}

@@ -48,6 +48,26 @@ pub struct ProfileReport {
     /// Topology-build time summed over task records, milliseconds (the
     /// topology part of the `world-build` phase).
     pub topology_ms: f64,
+    /// Event-loop load per scheme, in order of first appearance.
+    pub schemes: Vec<SchemeLoop>,
+}
+
+/// One scheme's event-loop load, folded from the task records of the tasks
+/// it simulated (checkpoint-resumed tasks ran no loop and are left out).
+#[derive(Debug, Clone, PartialEq)]
+pub struct SchemeLoop {
+    /// Machine scheme key.
+    pub scheme: String,
+    /// Simulated tasks.
+    pub tasks: u64,
+    /// Event-loop wall-clock summed over the tasks, milliseconds.
+    pub loop_ms: f64,
+    /// Events delivered, summed over the tasks.
+    pub events: u64,
+    /// Smallest per-task event-loop time, milliseconds.
+    pub task_ms_min: f64,
+    /// Largest per-task event-loop time, milliseconds.
+    pub task_ms_max: f64,
 }
 
 impl ProfileReport {
@@ -64,6 +84,7 @@ impl ProfileReport {
             task_events_max: 0,
             task_events_sum: 0,
             topology_ms: 0.0,
+            schemes: Vec::new(),
         };
         for (i, line) in text.lines().enumerate() {
             if line.trim().is_empty() {
@@ -80,6 +101,9 @@ impl ProfileReport {
                     report.task_events_max = report.task_events_max.max(ev);
                     report.task_events_sum += ev;
                     report.topology_ms += t.topology_ms;
+                    if t.counters.tasks_resumed == 0 {
+                        report.note_scheme_task(&t.scheme, t.loop_ms, ev);
+                    }
                 }
                 TelemetryRecord::Job(j) => report.jobs.push(j),
                 TelemetryRecord::Phase(p) => report.phases.push(p),
@@ -95,6 +119,30 @@ impl ProfileReport {
             );
         }
         Ok(report)
+    }
+
+    /// Folds one simulated task into its scheme's [`SchemeLoop`] row.
+    fn note_scheme_task(&mut self, scheme: &str, loop_ms: f64, events: u64) {
+        let at = match self.schemes.iter().position(|s| s.scheme == scheme) {
+            Some(at) => at,
+            None => {
+                self.schemes.push(SchemeLoop {
+                    scheme: scheme.to_string(),
+                    tasks: 0,
+                    loop_ms: 0.0,
+                    events: 0,
+                    task_ms_min: f64::INFINITY,
+                    task_ms_max: 0.0,
+                });
+                self.schemes.len() - 1
+            }
+        };
+        let row = &mut self.schemes[at];
+        row.tasks += 1;
+        row.loop_ms += loop_ms;
+        row.events += events;
+        row.task_ms_min = row.task_ms_min.min(loop_ms);
+        row.task_ms_max = row.task_ms_max.max(loop_ms);
     }
 
     /// The deterministic counter totals (the CI drift gate's payload).
@@ -232,6 +280,31 @@ impl ProfileReport {
                 "\n== per-task spread\nevents per task min/mean/max: {}/{}/{}\n",
                 self.task_events_min, mean, self.task_events_max,
             ));
+        }
+
+        if !self.schemes.is_empty() {
+            out.push_str("\n== per scheme\n");
+            out.push_str(&format!(
+                "{:<14} {:>6} {:>12} {:>12} {:>8}  {}\n",
+                "scheme", "tasks", "loop [ms]", "events", "Mev/s", "task ms min/max"
+            ));
+            for row in &self.schemes {
+                let rate = if row.loop_ms > 0.0 {
+                    format!("{:.2}", row.events as f64 / row.loop_ms / 1e3)
+                } else {
+                    "-".to_string()
+                };
+                out.push_str(&format!(
+                    "{:<14} {:>6} {:>12.1} {:>12} {:>8}  {:.1}/{:.1}\n",
+                    row.scheme,
+                    row.tasks,
+                    row.loop_ms,
+                    row.events,
+                    rate,
+                    row.task_ms_min,
+                    row.task_ms_max
+                ));
+            }
         }
 
         if let Some(s) = &self.summary {
@@ -439,6 +512,14 @@ mod tests {
         assert!(rendered.contains("peak RSS 24 MiB"), "{rendered}");
         assert!(rendered.contains("attributed: 80.0%"), "{rendered}");
         assert!(rendered.contains("fold_absorptions       2"), "{rendered}");
+        // One simulated soi task: 210 events over a 20 ms loop.
+        assert_eq!(report.schemes.len(), 1);
+        assert!(rendered.contains("== per scheme"), "{rendered}");
+        let row = rendered.lines().find(|l| l.starts_with("soi ")).expect("soi row");
+        assert_eq!(
+            row.split_whitespace().collect::<Vec<_>>(),
+            ["soi", "1", "20.0", "210", "0.01", "20.0/20.0"]
+        );
         // No prototype-cache activity in this sidecar: the world-reuse note
         // must stay absent so legacy renders are unchanged.
         assert!(!rendered.contains("world-reuse"), "{rendered}");

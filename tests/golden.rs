@@ -22,7 +22,10 @@
 //! `insomnia compare` (exit-code gate), so the goldens guard both the
 //! library path and the binary path.
 
-use insomnia::scenarios::{compare_jsonl, parse_scheme_list, run_batch, BatchRun, Registry};
+use insomnia::scenarios::{
+    compare_jsonl, parse_scheme_list, run_batch, BatchRun, JobRecord, Registry,
+};
+use std::collections::BTreeMap;
 
 /// Runs one preset exactly like `insomnia run --scenario <name>
 /// --schemes <schemes> --seeds 1 --quick` and compares the JSONL bytes
@@ -95,4 +98,63 @@ fn golden_no_wireless_sharing() {
 #[test]
 fn golden_paper_default_doze_schemes() {
     assert_schemes_match_golden("paper-default", "multi-doze,adaptive-soi", "paper-default-doze");
+}
+
+/// Physical sanity of the committed paper-preset goldens (the giga/tera
+/// smoke files excluded): byte equality alone would let a golden refreshed
+/// after a physics bug pass silently. Per seed, where the schemes are
+/// present, energy must order bh2 < soi < no-sleep; every sleeping scheme
+/// must save a share of energy strictly inside (0, 100) %, and no-sleep,
+/// the baseline, exactly 0 %.
+#[test]
+fn goldens_obey_physical_invariants() {
+    let dir = format!("{}/tests/golden", env!("CARGO_MANIFEST_DIR"));
+    let mut paths: Vec<_> = std::fs::read_dir(&dir)
+        .expect("golden directory")
+        .map(|e| e.expect("golden entry").path())
+        .filter(|p| {
+            let name = p.file_name().and_then(|n| n.to_str()).unwrap_or("");
+            name.ends_with(".jsonl") && !name.contains("smoke")
+        })
+        .collect();
+    paths.sort();
+    assert!(paths.len() >= 7, "expected every paper-preset golden, found {paths:?}");
+    for path in paths {
+        let text = std::fs::read_to_string(&path).expect("read golden");
+        let name = path.display();
+        // (scenario, seed index) -> scheme -> energy, kWh.
+        let mut energy: BTreeMap<(String, usize), BTreeMap<String, f64>> = BTreeMap::new();
+        for line in text.lines() {
+            let r: JobRecord =
+                serde_json::from_str(line).unwrap_or_else(|e| panic!("{name}: {e}: {line}"));
+            if r.scheme == "no-sleep" {
+                assert_eq!(r.mean_savings_pct, 0.0, "{name}: no-sleep is the baseline");
+            } else {
+                assert!(
+                    r.mean_savings_pct > 0.0 && r.mean_savings_pct < 100.0,
+                    "{name}: {} saves {} %",
+                    r.scheme,
+                    r.mean_savings_pct
+                );
+            }
+            energy.entry((r.scenario, r.seed_index)).or_default().insert(r.scheme, r.energy_kwh);
+        }
+        for ((scenario, seed), by_scheme) in &energy {
+            let order: Vec<(&str, f64)> = ["bh2", "soi", "no-sleep"]
+                .into_iter()
+                .filter_map(|s| by_scheme.get(s).map(|&e| (s, e)))
+                .collect();
+            for pair in order.windows(2) {
+                assert!(
+                    pair[0].1 < pair[1].1,
+                    "{name}: {scenario} seed {seed}: {} ({} kWh) must use less energy than {} \
+                     ({} kWh)",
+                    pair[0].0,
+                    pair[0].1,
+                    pair[1].0,
+                    pair[1].1
+                );
+            }
+        }
+    }
 }

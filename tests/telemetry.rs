@@ -139,6 +139,13 @@ fn sidecar_schema_smoke() {
     assert!(rendered.contains("event-loop"), "{rendered}");
     assert!(rendered.contains("% of world-build"), "{rendered}");
     assert!(rendered.contains("== deterministic counters"), "{rendered}");
+    // The per-scheme table folds every task of the one soi job.
+    assert!(rendered.contains("== per scheme"), "{rendered}");
+    assert_eq!(report.schemes.len(), 1, "{rendered}");
+    assert_eq!(report.schemes[0].scheme, "soi");
+    assert_eq!(report.schemes[0].tasks, tasks);
+    assert_eq!(report.schemes[0].events, summary.events);
+    assert!(rendered.lines().any(|l| l.starts_with("soi ")), "{rendered}");
     let frac = report.attributed_fraction().expect("summary present");
     assert!(frac > 0.5, "named phases must cover the run, got {frac}");
     let totals = report.counter_totals().unwrap();
