@@ -3,15 +3,11 @@
 //! Usage:
 //!   figures [--quick] [--csv DIR] [fig2 fig3 ... fig15 cards summary | all]
 //!   figures --from-jsonl out.jsonl [--csv DIR]
-//!   figures --telemetry run.telemetry.jsonl
 //!
 //! With `--quick` the main scenario runs 2 repetitions instead of 10.
 //! With `--from-jsonl` nothing is simulated: the energy / completion /
 //! online-time / shard tables are rebuilt from a finished `insomnia run`
 //! batch record — the only affordable path for giga/tera-metro outputs.
-//! With `--telemetry` the run's telemetry sidecar (from
-//! `insomnia run --telemetry`) is rendered as a phase-breakdown profile,
-//! same output as `insomnia profile`.
 
 use insomnia_bench::figures as fig;
 use insomnia_bench::Harness;
@@ -28,24 +24,6 @@ fn main() -> ExitCode {
     if args.iter().any(|a| a == "--from-jsonl") && from_jsonl.is_none() {
         eprintln!("figures: --from-jsonl needs a batch JSONL file path");
         return ExitCode::FAILURE;
-    }
-    let telemetry =
-        args.iter().position(|a| a == "--telemetry").and_then(|i| args.get(i + 1)).cloned();
-    if args.iter().any(|a| a == "--telemetry") && telemetry.is_none() {
-        eprintln!("figures: --telemetry needs a sidecar JSONL file path");
-        return ExitCode::FAILURE;
-    }
-    if let Some(path) = telemetry {
-        return match profile_from_sidecar(&path) {
-            Ok(rendered) => {
-                print!("{rendered}");
-                ExitCode::SUCCESS
-            }
-            Err(e) => {
-                eprintln!("figures: {e}");
-                ExitCode::FAILURE
-            }
-        };
     }
     if let Some(path) = from_jsonl {
         let outputs = match tables_from_jsonl(&path) {
@@ -135,12 +113,6 @@ fn main() -> ExitCode {
 
     emit(&outputs, csv_dir.as_deref());
     ExitCode::SUCCESS
-}
-
-/// Reads a telemetry sidecar and renders the phase-breakdown profile.
-fn profile_from_sidecar(path: &str) -> Result<String, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("read {path}: {e}"))?;
-    Ok(insomnia_telemetry::ProfileReport::from_jsonl(&text)?.render())
 }
 
 /// Reads a batch JSONL file and rebuilds its figure tables.

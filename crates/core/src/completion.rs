@@ -4,49 +4,75 @@
 //! times. Storing one `Option<f64>` per trace flow is fine for the §5.1
 //! building (2 × 10⁵ flows) but caps sharded worlds near the 10⁵-client
 //! `dense-metro` preset; a mega-city day generates 10⁸ flows. This module
-//! wraps the [`QuantileSketch`] in the flow-aware bookkeeping the driver
-//! needs:
+//! keeps exactly one store per run, chosen by the scenario's
+//! [`completion_cutoff`](crate::ScenarioConfig::completion_cutoff):
 //!
-//! * every completed flow streams into the sketch (exact below the
-//!   scenario's [`completion_cutoff`](crate::ScenarioConfig::completion_cutoff),
-//!   `O(buckets)` log-bucket counters above it),
-//! * the per-flow vector behind the Fig. 9a *pairing* (matching the same
-//!   trace flow across schemes) is retained only while the flow count fits
-//!   under the cutoff — exactly the runs where exact semantics are
-//!   promised,
+//! * while the flow count fits under the cutoff, the per-flow vector behind
+//!   the Fig. 9a *pairing* (matching the same trace flow across schemes) is
+//!   the store, and quantiles sort its completed entries exactly,
+//! * past it, a [`QuantileSketch`] is the store (exact while the completions
+//!   still fit under the cutoff, `O(buckets)` log-bucket counters above),
 //! * merging (across shards, then across repetitions) concatenates
-//!   per-flow vectors while they fit and degrades to sketch-only exactly
-//!   when a single run over the pooled samples would have.
+//!   per-flow vectors while the pooled flow count fits and otherwise moves
+//!   every completion into one sketch — the sketch a single run over the
+//!   pooled samples would have built.
 
 use insomnia_simcore::QuantileSketch;
 use serde::{Deserialize, Serialize};
 
 /// Completion-time statistics of one run (or a merge of runs).
 ///
-/// The serialized form is the exact private state (flow totals, sketch,
-/// per-flow samples while retained), so a checkpointed or remotely-computed
-/// `CompletionStats` resumes `absorb`ing bit-for-bit where it stopped.
+/// The serialized form is the exact private state (flow totals and the one
+/// store), so a checkpointed or remotely-computed `CompletionStats` resumes
+/// `absorb`ing bit-for-bit where it stopped.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct CompletionStats {
     /// Trace flows the run was driven by (completed or not).
     total_flows: u64,
-    /// Streaming sketch over completed-flow durations, seconds.
-    sketch: QuantileSketch,
+    /// Flows that completed by the horizon.
+    completed: u64,
+    /// Exact-mode cutoff: per-flow retention while `total_flows` fits under
+    /// it, exact sketch quantiles while `completed` does.
+    cutoff: usize,
+    store: Store,
+}
+
+/// Where completion times live; never both at once.
+#[derive(Debug, Clone, Serialize, Deserialize)]
+enum Store {
     /// Per-flow samples (`None` = unfinished by the horizon), indexed by
-    /// trace-flow position; retained only while `total_flows` fits under
-    /// the sketch cutoff.
-    per_flow: Option<Vec<Option<f64>>>,
+    /// trace-flow position.
+    PerFlow(Vec<Option<f64>>),
+    /// Completed-flow durations only, once per-flow retention ended.
+    Sketch(QuantileSketch),
+}
+
+impl Store {
+    /// The completions as a sketch; per-flow samples move into a fresh one.
+    fn into_sketch(self, cutoff: usize) -> QuantileSketch {
+        match self {
+            Store::Sketch(sketch) => sketch,
+            Store::PerFlow(samples) => {
+                let mut sketch = QuantileSketch::new(cutoff);
+                for secs in samples.into_iter().flatten() {
+                    sketch.push(secs);
+                }
+                sketch
+            }
+        }
+    }
 }
 
 impl CompletionStats {
     /// Accounting for a run over `n_flows` trace flows with the given
     /// exact-mode cutoff (`0` = sketch-only from the first sample).
     pub fn new(n_flows: usize, cutoff: usize) -> Self {
-        CompletionStats {
-            total_flows: n_flows as u64,
-            sketch: QuantileSketch::new(cutoff),
-            per_flow: (n_flows <= cutoff).then(|| vec![None; n_flows]),
-        }
+        let store = if n_flows <= cutoff {
+            Store::PerFlow(vec![None; n_flows])
+        } else {
+            Store::Sketch(QuantileSketch::new(cutoff))
+        };
+        CompletionStats { total_flows: n_flows as u64, completed: 0, cutoff, store }
     }
 
     /// Wraps an existing per-flow vector (tests and single-run adapters).
@@ -62,10 +88,9 @@ impl CompletionStats {
 
     /// Records the completion of trace flow `trace_idx` after `secs`.
     ///
-    /// Non-finite or negative durations are dropped from *both* views
-    /// (and are loud in debug builds): the sketch already ignores them,
-    /// and a per-flow entry the sketch never counted would silently skew
-    /// `completed_frac` against the Fig. 9a pairing.
+    /// Non-finite or negative durations are dropped (and are loud in debug
+    /// builds): a per-flow entry the sketch tier would never count would
+    /// silently skew `completed_frac` against the Fig. 9a pairing.
     pub fn record(&mut self, trace_idx: usize, secs: f64) {
         debug_assert!(
             secs.is_finite() && secs >= 0.0,
@@ -74,25 +99,35 @@ impl CompletionStats {
         if !secs.is_finite() || secs < 0.0 {
             return;
         }
-        self.sketch.push(secs);
-        if let Some(v) = &mut self.per_flow {
-            v[trace_idx] = Some(secs);
+        self.completed += 1;
+        match &mut self.store {
+            Store::PerFlow(samples) => samples[trace_idx] = Some(secs),
+            Store::Sketch(sketch) => sketch.push(secs),
         }
     }
 
     /// Merges another run's accounting into this one. Per-flow vectors
     /// concatenate in call order (shard order, then repetition order — the
     /// layout the Fig. 9a pairing relies on) while the combined flow count
-    /// fits under the cutoff; otherwise the merge is sketch-only.
+    /// fits under the smaller cutoff; otherwise every completion moves into
+    /// one sketch.
     pub fn absorb(&mut self, other: CompletionStats) {
         self.total_flows += other.total_flows;
-        self.sketch.merge(&other.sketch);
-        self.per_flow = match (self.per_flow.take(), other.per_flow) {
-            (Some(mut a), Some(b)) if self.total_flows <= self.sketch.cutoff() as u64 => {
+        self.completed += other.completed;
+        self.cutoff = self.cutoff.min(other.cutoff);
+        let mine = std::mem::replace(&mut self.store, Store::PerFlow(Vec::new()));
+        self.store = match (mine, other.store) {
+            (Store::PerFlow(mut a), Store::PerFlow(b))
+                if self.total_flows <= self.cutoff as u64 =>
+            {
                 a.extend(b);
-                Some(a)
+                Store::PerFlow(a)
             }
-            _ => None,
+            (mine, theirs) => {
+                let mut sketch = mine.into_sketch(self.cutoff);
+                sketch.merge(&theirs.into_sketch(self.cutoff));
+                Store::Sketch(sketch)
+            }
         };
     }
 
@@ -116,7 +151,7 @@ impl CompletionStats {
 
     /// Flows that completed by the horizon.
     pub fn completed(&self) -> u64 {
-        self.sketch.count()
+        self.completed
     }
 
     /// Completed fraction; `None` when the run drove no flows.
@@ -124,35 +159,46 @@ impl CompletionStats {
         if self.total_flows == 0 {
             None
         } else {
-            Some(self.completed() as f64 / self.total_flows as f64)
+            Some(self.completed as f64 / self.total_flows as f64)
         }
     }
 
-    /// True while quantiles are exact (raw samples below the cutoff).
+    /// True while quantiles are exact (every completion held raw).
     pub fn is_exact(&self) -> bool {
-        self.sketch.is_exact()
+        match &self.store {
+            Store::PerFlow(_) => true,
+            Store::Sketch(sketch) => sketch.is_exact(),
+        }
     }
 
-    /// The exact-mode cutoff the underlying sketch was built with.
+    /// The exact-mode cutoff.
     pub fn cutoff(&self) -> usize {
-        self.sketch.cutoff()
+        self.cutoff
     }
 
     /// Completion-time quantiles, seconds; `None` entries when no flow
     /// completed. See [`QuantileSketch::quantiles`] for the rank rule.
     pub fn quantiles(&self, qs: &[f64]) -> Vec<Option<f64>> {
-        self.sketch.quantiles(qs)
+        match &self.store {
+            Store::PerFlow(samples) => {
+                QuantileSketch::exact_quantiles(samples.iter().flatten().copied().collect(), qs)
+            }
+            Store::Sketch(sketch) => sketch.quantiles(qs),
+        }
     }
 
     /// Single quantile, seconds.
     pub fn quantile(&self, q: f64) -> Option<f64> {
-        self.sketch.quantile(q)
+        self.quantiles(&[q])[0]
     }
 
     /// Per-flow completion times when retained (small runs); `None` once
     /// the flow count crossed the cutoff and only the sketch survives.
     pub fn per_flow(&self) -> Option<&[Option<f64>]> {
-        self.per_flow.as_deref()
+        match &self.store {
+            Store::PerFlow(samples) => Some(samples),
+            Store::Sketch(_) => None,
+        }
     }
 }
 

@@ -24,8 +24,8 @@ use insomnia_access::{
     PowerLadder,
 };
 use insomnia_simcore::{
-    average_runs, par_fold_grouped, par_map_indexed, EventToken, OnlineTimeHist, Scheduler,
-    SimDuration, SimRng, SimTime,
+    average_runs, par_fold_grouped, EventToken, OnlineTimeHist, Scheduler, SimDuration, SimRng,
+    SimTime,
 };
 use insomnia_telemetry::RunCounters;
 use insomnia_traffic::{FlowRecord, FlowStream, Trace};
@@ -129,7 +129,7 @@ struct PendingFlow {
 /// upcoming distributed shard fan-out will version its worker records the
 /// same way. Bump whenever [`RunResult`] (or anything it embeds —
 /// [`CompletionStats`], sketches, counters) changes shape.
-pub const CHECKPOINT_SCHEMA_VERSION: u32 = 1;
+pub const CHECKPOINT_SCHEMA_VERSION: u32 = 2;
 
 /// Diagnostic counters of one run (wake causes and BH2 decision mix) —
 /// the observability needed to understand a scheme's equilibrium.
@@ -171,10 +171,10 @@ pub struct RunResult {
     pub isp_power_w: Vec<f64>,
     /// Energy breakdown over the whole day.
     pub energy: EnergyBreakdown,
-    /// Completion-time accounting: a streaming quantile sketch, plus the
-    /// raw per-flow samples while the run's flow count fits under
-    /// `cfg.completion_cutoff` (none complete when the scheme does not
-    /// simulate flows, e.g. Optimal).
+    /// Completion-time accounting: the raw per-flow samples while the run's
+    /// flow count fits under `cfg.completion_cutoff`, a streaming quantile
+    /// sketch past it (none complete when the scheme does not simulate
+    /// flows, e.g. Optimal).
     pub completion: CompletionStats,
     /// Powered seconds per gateway (Fig. 9b fairness input).
     pub gateway_online_s: Vec<f64>,
@@ -182,23 +182,13 @@ pub struct RunResult {
     pub wake_counts: Vec<u64>,
     /// Wake-cause and decision counters.
     pub stats: DriverStats,
-    /// Scheduler events delivered during the run (telemetry; summed when
-    /// shards are merged).
+    /// Scheduler events delivered during the run (telemetry; equals
+    /// `counters.delivered()`).
     pub events: u64,
-    /// Largest number of pending scheduler events observed at any event
-    /// delivery, counting the event being handled (telemetry; max over
-    /// shards when merged). Despite the name it counts pending events, on
-    /// the heap and the monotone lane alike, not heap entries. With streaming
-    /// arrivals this stays O(active flows + timers + 1) — the old driver's
-    /// value was O(total trace flows).
-    pub peak_heap: usize,
-    /// Largest number of concurrently active (arrived, not yet completed)
-    /// flows (telemetry; max over shards when merged).
-    pub peak_active_flows: usize,
     /// Deterministic work counters of the run — per-kind delivered events,
-    /// cancellations, heap traffic, flow totals and streaming-generator
-    /// work. A pure function of the delivered sequence, byte-identical at
-    /// any thread count (`counters.delivered() == events`).
+    /// cancellations, heap traffic, peak pending events and active flows,
+    /// flow totals and streaming-generator work. A pure function of the
+    /// delivered sequence, byte-identical at any thread count.
     pub counters: RunCounters,
 }
 
@@ -266,10 +256,9 @@ struct World<'a> {
     optimal_tick_idx: usize,
     /// Arrived-but-not-completed flows (engine + wake-parked).
     active_flows: usize,
-    peak_active: usize,
-    peak_heap: usize,
-    /// Per-kind delivered/cancelled tallies (the rest of [`RunCounters`]
-    /// is filled from the scheduler and arrival source at finalize).
+    /// Per-kind delivered/cancelled tallies and the pending-event and
+    /// active-flow peaks (the rest of [`RunCounters`] is filled from the
+    /// scheduler and arrival source at finalize).
     counters: RunCounters,
     completion: CompletionStats,
     powered_series: Vec<f64>,
@@ -647,8 +636,6 @@ fn run_single(
         sleep_draw_w,
         departure_token: vec![None; n_gw],
         active_flows: 0,
-        peak_active: 0,
-        peak_heap: 0,
         counters: RunCounters::default(),
         completion: CompletionStats::new(total_flows, cfg.completion_cutoff),
         powered_series: vec![0.0; n_samples],
@@ -710,8 +697,6 @@ fn run_single(
     // completion ledger.
     let mut counters = world.counters;
     counters.heap_pushes = sched.scheduled();
-    counters.peak_heap = world.peak_heap as u64;
-    counters.peak_active_flows = world.peak_active as u64;
     counters.flows_total = total_flows as u64;
     counters.flows_completed = world.completion.completed();
     if let ArrivalSource::Stream(stream) = &world.arrivals {
@@ -721,6 +706,26 @@ fn run_single(
     }
     debug_assert_eq!(counters.delivered(), sched.delivered(), "every delivered event counted");
     debug_assert_eq!(counters.cancelled(), sched.cancelled(), "every cancel site counted");
+    let gateway_online_s: Vec<f64> = world.gateways.iter().map(|g| g.online_seconds()).collect();
+    // Conservation laws: every arrival completed or is still active at the
+    // horizon; flow-simulating schemes fire every trace flow as an arrival
+    // and Optimal fires none; no gateway is online past the horizon (the
+    // online meter sums one f64 term per state interval, hence a 10⁻⁹
+    // relative rounding slack).
+    debug_assert_eq!(
+        counters.arrivals,
+        counters.flows_completed + world.active_flows as u64,
+        "arrivals = completed + active at the horizon"
+    );
+    debug_assert_eq!(
+        counters.arrivals,
+        if is_optimal { 0 } else { counters.flows_total },
+        "arrivals vs trace flows"
+    );
+    debug_assert!(
+        gateway_online_s.iter().all(|&s| s <= horizon.as_secs_f64() * (1.0 + 1e-9)),
+        "a gateway was online longer than the horizon"
+    );
     RunResult {
         sample_period_s: cfg.sample_period.as_secs_f64(),
         powered_gateways: world.powered_series,
@@ -729,12 +734,10 @@ fn run_single(
         isp_power_w: world.isp_w_series,
         energy,
         completion: world.completion,
-        gateway_online_s: world.gateways.iter().map(|g| g.online_seconds()).collect(),
+        gateway_online_s,
         wake_counts: world.gateways.iter().map(|g| g.wake_count()).collect(),
         stats: world.stats,
         events: sched.delivered(),
-        peak_heap: world.peak_heap,
-        peak_active_flows: world.peak_active,
         counters,
     }
 }
@@ -743,7 +746,7 @@ fn handle(s: &mut Scheduler<Ev>, w: &mut World<'_>, now: SimTime, ev: Ev) {
     // Heap-occupancy telemetry: count the event being handled plus what is
     // still queued. With streaming arrivals this peaks at O(active flows +
     // timers + 1), which `tests/streaming.rs` asserts.
-    w.peak_heap = w.peak_heap.max(s.pending() + 1);
+    w.counters.peak_heap = w.counters.peak_heap.max(s.pending() as u64 + 1);
     match ev {
         Ev::Arrival => {
             w.counters.arrivals += 1;
@@ -754,7 +757,7 @@ fn handle(s: &mut Scheduler<Ev>, w: &mut World<'_>, now: SimTime, ev: Ev) {
                 w.observe_arrival_gap(now, gw);
             }
             w.active_flows += 1;
-            w.peak_active = w.peak_active.max(w.active_flows);
+            w.counters.peak_active_flows = w.counters.peak_active_flows.max(w.active_flows as u64);
             w.start_or_queue(
                 s,
                 now,
@@ -1012,7 +1015,7 @@ fn optimal_solver_input(
 /// on gateway state, RNG draws or solver outputs. This replays the exact
 /// cursor sweep [`optimal_tick`] performs, snapshots one [`SolverInput`]
 /// per tick, and fans the (pure) solves out over at most `threads` workers
-/// via the index-addressed [`par_map_indexed`] — output `k` is tick `k`'s
+/// as one in-order [`par_fold_grouped`] group — plan entry `k` is tick `k`'s
 /// online set regardless of which worker produced it, so the plan is
 /// byte-identical at any thread count.
 ///
@@ -1049,7 +1052,15 @@ fn precompute_optimal_plan(
         }
         inputs.push(optimal_solver_input(cfg, topo, &mut client_load, tick));
     }
-    par_map_indexed(inputs.len(), threads, |i| solve(&inputs[i]).online)
+    let tasks: Vec<(usize, usize)> = (0..inputs.len()).map(|i| (0, i)).collect();
+    let mut plan = Vec::with_capacity(inputs.len());
+    par_fold_grouped(
+        &tasks,
+        threads,
+        |i| solve(&inputs[i]).online,
+        |_, _, online| plan.push(online),
+    );
+    plan
 }
 
 /// One Optimal re-solve tick (§5.1): sweep demand, apply the pre-solved
@@ -1139,12 +1150,9 @@ pub struct SchemeResult {
     pub online_time: Vec<OnlineTimeHist>,
     /// Mean wake cycles per gateway per day.
     pub mean_wake_count: f64,
-    /// Scheduler events delivered, summed over repetitions and shards
-    /// (telemetry — reported to stderr by the batch runner, never JSONL).
-    pub events: u64,
     /// Deterministic work counters, merged over every `(repetition ×
     /// shard)` task (order-invariant — byte-identical at any thread
-    /// count; `counters.delivered() == events`).
+    /// count; `counters.delivered()` is the scheduler events delivered).
     pub counters: RunCounters,
     /// Wall-clock the deterministic in-order folder spent absorbing task
     /// results, milliseconds (scheduling-dependent; sidecar telemetry
@@ -1222,7 +1230,6 @@ impl SchemeResult {
             completion: vec![run.completion],
             online_time: vec![online],
             mean_wake_count: run.wake_counts.iter().sum::<u64>() as f64 / n_gw as f64,
-            events: run.events,
             counters,
             fold_ms: 0.0,
             shard_summaries: Vec::new(),
@@ -1386,7 +1393,6 @@ struct RepAccum {
     completion: CompletionStats,
     online: OnlineTimeHist,
     wake_total: u64,
-    events: u64,
 }
 
 impl RepAccum {
@@ -1405,7 +1411,6 @@ impl RepAccum {
             completion: run.completion,
             online,
             wake_total: run.wake_counts.iter().sum(),
-            events: run.events,
         }
     }
 
@@ -1429,7 +1434,6 @@ impl RepAccum {
             self.online.record(s);
         }
         self.wake_total += run.wake_counts.iter().sum::<u64>();
-        self.events += run.events;
     }
 }
 
@@ -1590,7 +1594,6 @@ pub struct SchemeFolder {
     completions: Vec<CompletionStats>,
     online_time: Vec<OnlineTimeHist>,
     wakes: f64,
-    events: u64,
     counters: RunCounters,
     fold_ms: f64,
 }
@@ -1619,7 +1622,6 @@ impl SchemeFolder {
             completions: Vec::new(),
             online_time: Vec::new(),
             wakes: 0.0,
-            events: 0,
             counters: RunCounters::default(),
             fold_ms: 0.0,
         }
@@ -1674,7 +1676,6 @@ impl SchemeFolder {
             self.completions.push(acc.completion);
             self.online_time.push(acc.online);
             self.wakes += acc.wake_total as f64 / self.n_gateways as f64;
-            self.events += acc.events;
         }
         self.fold_ms += fold_start.elapsed().as_secs_f64() * 1e3;
     }
@@ -1716,7 +1717,6 @@ impl SchemeFolder {
             completion: self.completions,
             online_time: self.online_time,
             mean_wake_count: self.wakes / k,
-            events: self.events,
             counters: self.counters,
             fold_ms: self.fold_ms,
             shard_summaries,
@@ -1901,6 +1901,40 @@ mod tests {
     }
 
     #[test]
+    fn every_scheme_conserves_flows_and_bounds_online_time() {
+        let cfg = ScenarioConfig::smoke();
+        let (trace, topo) = build_world(&cfg);
+        let horizon_s = cfg.horizon().as_secs_f64();
+        for spec in [
+            SchemeSpec::no_sleep(),
+            SchemeSpec::soi(),
+            SchemeSpec::soi_k_switch(),
+            SchemeSpec::soi_full_switch(),
+            SchemeSpec::bh2_k_switch(),
+            SchemeSpec::bh2_no_backup_k_switch(),
+            SchemeSpec::bh2_full_switch(),
+            SchemeSpec::optimal(),
+            SchemeSpec::multi_doze(),
+            SchemeSpec::adaptive_soi(),
+        ] {
+            let r = run_slice(&cfg, spec, &trace, &topo, SimRng::new(4));
+            let c = &r.counters;
+            assert_eq!(c.flows_total, trace.flows.len() as u64, "{spec}");
+            assert_eq!(c.flows_total, r.completion.total_flows(), "{spec}");
+            assert_eq!(c.flows_completed, r.completion.completed(), "{spec}");
+            // Arrivals = completed + still active at the horizon, and the
+            // flows still active can never outnumber the active peak.
+            let active_at_horizon = c.arrivals.checked_sub(c.flows_completed).expect("arrivals");
+            assert!(active_at_horizon <= c.peak_active_flows, "{spec}");
+            let fired = if spec.aggregation == Aggregation::Optimal { 0 } else { c.flows_total };
+            assert_eq!(c.arrivals, fired, "{spec}");
+            for &online in &r.gateway_online_s {
+                assert!((0.0..=horizon_s).contains(&online), "{spec}: online {online} s");
+            }
+        }
+    }
+
+    #[test]
     fn no_sleep_draws_constant_full_power() {
         let cfg = quick_cfg();
         let (trace, topo) = build_world(&cfg);
@@ -2006,7 +2040,7 @@ mod tests {
         assert_eq!(res.completion.len(), 2);
         assert_eq!(res.online_time.len(), 2);
         assert!(!res.powered_gateways.is_empty());
-        assert!(res.events > 0, "telemetry counts the event loop");
+        assert!(res.counters.delivered() > 0, "telemetry counts the event loop");
         assert_eq!(res.shard_summaries.len(), 1);
         assert_eq!(res.shard_summaries[0].n_gateways, 10);
     }
@@ -2068,7 +2102,7 @@ mod tests {
             assert_eq!(oa.per_gateway(), ob.per_gateway(), "fold order fixes gateway order");
             assert_eq!(oa.quantiles(&[0.5, 0.95]), ob.quantiles(&[0.5, 0.95]));
         }
-        assert_eq!(serial.events, parallel.events);
+        assert_eq!(serial.counters.delivered(), parallel.counters.delivered());
     }
 
     #[test]
@@ -2164,7 +2198,6 @@ mod tests {
         assert_eq!(a.isp_power_w, b.isp_power_w);
         assert_eq!(a.energy, b.energy);
         assert_eq!(a.mean_wake_count.to_bits(), b.mean_wake_count.to_bits());
-        assert_eq!(a.events, b.events);
         assert_eq!(a.completion.len(), b.completion.len());
         for (ca, cb) in a.completion.iter().zip(&b.completion) {
             assert_eq!(ca.to_value(), cb.to_value());

@@ -296,7 +296,6 @@ mod tests {
                 .map(|rep| OnlineTimeHist::from_samples(&rep, 1_000))
                 .collect(),
             mean_wake_count: 0.0,
-            events: 0,
             counters: Default::default(),
             fold_ms: 0.0,
             shard_summaries: Vec::new(),

@@ -1,9 +1,13 @@
-//! Property-based tests of the BH2 rule, the solver, and the flow engine.
+//! Property-based tests of the BH2 rule, the solver, the flow engine and
+//! completion accounting.
 
 use insomnia_core::flows::FlowEngine;
-use insomnia_core::{decide, solve, Bh2Decision, Bh2Params, SolverInput, VisibleGateway};
-use insomnia_simcore::{SimDuration, SimRng, SimTime};
+use insomnia_core::{
+    decide, solve, Bh2Decision, Bh2Params, CompletionStats, SolverInput, VisibleGateway,
+};
+use insomnia_simcore::{QuantileSketch, SimDuration, SimRng, SimTime};
 use proptest::prelude::*;
+use serde::{Deserialize, Serialize};
 
 fn arb_gateways() -> impl Strategy<Value = Vec<VisibleGateway>> {
     // Distinct gateway ids (their index), random loads.
@@ -16,8 +20,110 @@ fn arb_gateways() -> impl Strategy<Value = Vec<VisibleGateway>> {
     })
 }
 
+/// One run's per-flow completions: unfinished flows (`None`), exact zeros
+/// and positive durations.
+fn arb_run() -> impl Strategy<Value = Vec<Option<f64>>> {
+    prop::collection::vec((0u8..4, 0f64..50.0), 0..12).prop_map(|flows| {
+        flows
+            .into_iter()
+            .map(|(tag, secs)| match tag {
+                0 => None,
+                1 => Some(0.0),
+                _ => Some(secs),
+            })
+            .collect()
+    })
+}
+
+/// Folds per-run stats the way the driver does — shard runs absorbed in
+/// order into one stats per repetition, then the repetitions pooled —
+/// optionally rebuilding the accumulator from its wire form after fold
+/// step `roundtrip_at`.
+fn fold_runs(
+    runs: &[CompletionStats],
+    shards: usize,
+    roundtrip_at: Option<usize>,
+) -> CompletionStats {
+    let mut reps = Vec::new();
+    let mut step = 0;
+    for shard_runs in runs.chunks(shards) {
+        let mut acc = shard_runs[0].clone();
+        for (i, run) in shard_runs.iter().enumerate() {
+            if i > 0 {
+                acc.absorb(run.clone());
+            }
+            if roundtrip_at == Some(step) {
+                acc = CompletionStats::from_value(&acc.to_value()).expect("wire form");
+            }
+            step += 1;
+        }
+        reps.push(acc);
+    }
+    CompletionStats::pooled(&reps)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// Completion accounting keeps one store yet answers like one sketch
+    /// over every completion: exact while the pooled completions fit under
+    /// the smallest cutoff, per-flow while the pooled flows do — including
+    /// the tier no preset reaches, `total_flows > cutoff ≥ completed` —
+    /// and a wire-form round trip mid-fold changes nothing.
+    #[test]
+    fn completion_fold_answers_like_one_sketch_over_every_completion(
+        runs in prop::collection::vec(arb_run(), 1..7),
+        shards in 1usize..4,
+        anchor in 0u8..7,
+        jitter in 0usize..3,
+        bumps in prop::collection::vec(0usize..3, 7),
+        min_at in 0usize..7,
+        roundtrip_at in 0usize..7,
+    ) {
+        let total: usize = runs.iter().map(Vec::len).sum();
+        let completions: Vec<f64> = runs.iter().flatten().flatten().copied().collect();
+        let done = completions.len();
+        // The smallest run cutoff, on either side of the pooled completion
+        // and flow counts (anchor 4 lands between them).
+        let cutoff = match anchor {
+            0 => done.saturating_sub(jitter),
+            1 => done + jitter,
+            2 => total.saturating_sub(jitter),
+            3 => total + jitter,
+            4 => done + (total - done) / 2,
+            5 => 0,
+            _ => jitter,
+        };
+        let min_at = min_at % runs.len();
+        let stats: Vec<CompletionStats> = runs
+            .iter()
+            .enumerate()
+            .map(|(i, run)| {
+                let bump = if i == min_at { 0 } else { bumps[i] };
+                CompletionStats::from_samples(run.clone(), cutoff + bump)
+            })
+            .collect();
+        let direct = fold_runs(&stats, shards, None);
+        let resumed = fold_runs(&stats, shards, Some(roundtrip_at % stats.len()));
+
+        let mut reference = QuantileSketch::new(cutoff);
+        for &secs in &completions {
+            reference.push(secs);
+        }
+        let qs = [0.0, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99, 1.0];
+        let concatenated: Vec<Option<f64>> = runs.concat();
+        for pooled in [&direct, &resumed] {
+            prop_assert_eq!(pooled.quantiles(&qs), reference.quantiles(&qs));
+            prop_assert_eq!(pooled.is_exact(), done <= cutoff);
+            prop_assert_eq!(pooled.cutoff(), cutoff);
+            prop_assert_eq!((pooled.total_flows(), pooled.completed()), (total as u64, done as u64));
+            prop_assert_eq!(
+                pooled.per_flow().map(<[Option<f64>]>::to_vec),
+                (total <= cutoff).then(|| concatenated.clone())
+            );
+        }
+        prop_assert_eq!(resumed.to_value(), direct.to_value());
+    }
 
     /// BH2 only ever moves to gateways that were offered as candidates, and
     /// only inside the (low, high) load band.

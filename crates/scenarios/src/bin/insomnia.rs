@@ -82,7 +82,7 @@ USAGE:
 
     insomnia run [--scenario NAME[,NAME...]] [--spec FILE]
                  --schemes KEY[,KEY...] [--seeds N] [--threads N]
-                 [--shards N] [--out FILE] [--set dotted.key=value]...
+                 [--out FILE] [--set dotted.key=value]...
                  [--quick] [--max-rss-mib N] [--telemetry FILE] [--quiet]
                  [--checkpoint FILE [--resume]] [--retries N] [--faults FILE]
         Expand the (scenario x scheme x seed) matrix, run it in parallel,
@@ -128,8 +128,6 @@ OPTIONS:
     --threads N    worker threads of the one task pool every job's
                    (repetition x shard) tasks share; the pool runs
                    min(N, tasks) workers (0 = all cores)     [default: 0]
-    --shards N     override the scenario's shard count (N independent
-                   DSLAM neighborhoods; 1 = the paper's single DSLAM)
     --quick        force repetitions <= 2 for fast smoke runs
     --set K=V      override a spec key (repeatable), e.g. --set n_clients=68
     --max-rss-mib N  fail the run if peak resident memory (VmHWM from
@@ -165,7 +163,6 @@ const RUN_VALUED: &[&str] = &[
     "schemes",
     "seeds",
     "threads",
-    "shards",
     "out",
     "set",
     "param",
@@ -376,13 +373,6 @@ fn cmd_run(args: &[String], sweep: Option<(&str, &[&str])>) -> SimResult<()> {
             .map_err(|e| SimError::InvalidConfig(format!("scenario `{name}`: {e}")))?;
         if flags.has("quick") {
             cfg.repetitions = cfg.repetitions.min(2);
-        }
-        if let Some(n) = flags.get("shards") {
-            cfg.shards = n.parse().map_err(|_| {
-                SimError::InvalidInput(format!("--shards expects a positive integer, got `{n}`"))
-            })?;
-            cfg.validate()
-                .map_err(|e| SimError::InvalidConfig(format!("scenario `{name}`: {e}")))?;
         }
         scenarios.push((name.clone(), cfg));
     }

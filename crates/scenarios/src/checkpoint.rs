@@ -437,10 +437,11 @@ pub struct LoadedCheckpoint {
     pub dropped_tail: bool,
 }
 
-/// Loads a checkpoint file: verifies every frame's CRC, tolerates exactly
-/// one torn *final* line (dropped; its task re-simulates), and fails loud
-/// on any interior corruption — a flipped byte mid-file must surface as an
-/// error, never as silently different results.
+/// Loads a checkpoint file: verifies every frame's CRC, refuses a manifest
+/// of another [`CHECKPOINT_SCHEMA_VERSION`], tolerates exactly one torn
+/// *final* line (dropped; its task re-simulates), and fails loud on any
+/// interior corruption — a flipped byte mid-file must surface as an error,
+/// never as silently different results.
 pub fn load_checkpoint(path: &Path) -> SimResult<LoadedCheckpoint> {
     let raw = std::fs::read(path)
         .map_err(|e| SimError::InvalidInput(format!("read checkpoint {}: {e}", path.display())))?;
@@ -477,10 +478,12 @@ pub fn load_checkpoint(path: &Path) -> SimResult<LoadedCheckpoint> {
             }
         };
         if idx == 0 {
-            manifest = Some(
-                Manifest::from_value(&body)
-                    .map_err(|e| SimError::InvalidInput(format!("checkpoint manifest: {e}")))?,
-            );
+            let m = Manifest::from_value(&body)
+                .map_err(|e| SimError::InvalidInput(format!("checkpoint manifest: {e}")))?;
+            // Task records of another schema need not parse as this
+            // binary's `RunResult`: refuse on the version before reading one.
+            m.verify_against(&Manifest { version: CHECKPOINT_SCHEMA_VERSION, ..m.clone() })?;
+            manifest = Some(m);
             continue;
         }
         if body.get("type").and_then(Value::as_str) != Some("task") {
@@ -637,6 +640,48 @@ mod tests {
         assert!(loaded.dropped_tail);
         assert_eq!(loaded.tasks.len(), 1);
         assert!(loaded.tasks.contains_key(&(0, 0)));
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn an_old_schema_is_rejected_by_version_before_its_task_records() {
+        let dir = std::env::temp_dir().join(format!("insomnia-ckpt-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("old-schema.ckpt");
+        let old = Manifest { version: 1, ..sample_manifest() };
+        // A version-1 task record: today's result with the old completion
+        // shape (sketch plus per-flow copy, no `completed`) and the
+        // since-removed peak fields.
+        let v1_completion = serde_json::from_str::<Value>(
+            r#"{"total_flows":2,"sketch":{"cutoff":8,"count":1,"exact":[1.5],"buckets":[]},
+                "per_flow":[1.5,null]}"#,
+        )
+        .unwrap();
+        let Value::Map(mut result) = sample_result().to_value() else { panic!("map") };
+        for (key, value) in &mut result {
+            if key == "completion" {
+                *value = v1_completion.clone();
+            }
+        }
+        result.push(("peak_heap".into(), 9usize.to_value()));
+        result.push(("peak_active_flows".into(), 5usize.to_value()));
+        let record = Value::Map(vec![
+            ("type".into(), "task".to_value()),
+            ("ordinal".into(), 0usize.to_value()),
+            ("job".into(), 0usize.to_value()),
+            ("task".into(), 0usize.to_value()),
+            ("rep".into(), 0usize.to_value()),
+            ("shard".into(), 0usize.to_value()),
+            ("result".into(), Value::Map(result)),
+        ]);
+        let text = format!("{}\n{}\n", frame(&old.to_value()).unwrap(), frame(&record).unwrap());
+        std::fs::write(&path, text).unwrap();
+        let err = load_checkpoint(&path).unwrap_err().to_string();
+        assert!(
+            err.contains(&format!("schema version 1 vs {CHECKPOINT_SCHEMA_VERSION}")),
+            "unexpected error: {err}"
+        );
+        assert!(err.contains("re-run without --resume"), "{err}");
         std::fs::remove_file(&path).ok();
     }
 

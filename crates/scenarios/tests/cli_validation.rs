@@ -11,9 +11,15 @@ const DEADLINE: Duration = Duration::from_secs(60);
 /// Runs `insomnia run` on a short BH2 batch with `set` applied; returns the
 /// exit code and stderr, or panics if the CLI overruns the deadline.
 fn run_bh2_with(set: &str) -> (Option<i32>, String) {
+    run_bh2_args(&["--set", set])
+}
+
+/// [`run_bh2_with`] with arbitrary extra arguments.
+fn run_bh2_args(extra: &[&str]) -> (Option<i32>, String) {
     let mut child = Command::new(env!("CARGO_BIN_EXE_insomnia"))
         .args(["run", "--scenario", "paper-default", "--schemes", "bh2", "--quick"])
-        .args(["--set", "horizon_hours=0.1", "--set", set, "--quiet"])
+        .args(["--set", "horizon_hours=0.1", "--quiet"])
+        .args(extra)
         .stdout(Stdio::null())
         .stderr(Stdio::piped())
         .spawn()
@@ -26,7 +32,7 @@ fn run_bh2_with(set: &str) -> (Option<i32>, String) {
         if start.elapsed() > DEADLINE {
             child.kill().expect("kill overrunning insomnia");
             child.wait().unwrap();
-            panic!("`--set {set}` still running after {DEADLINE:?}");
+            panic!("`{}` still running after {DEADLINE:?}", extra.join(" "));
         }
         std::thread::sleep(Duration::from_millis(20));
     };
@@ -86,4 +92,15 @@ fn horizon_shorter_than_one_sample_exits_with_a_config_error() {
         assert!(!stderr.contains("non-finite"), "`--set {set}` ran to a NaN record: {stderr}");
         assert!(!stderr.contains("panicked"), "`--set {set}` panicked: {stderr}");
     }
+}
+
+#[test]
+fn the_removed_shards_flag_is_an_unknown_flag() {
+    // `--set shards=N` is the one way to override the shard count.
+    let (code, stderr) = run_bh2_args(&["--shards", "2"]);
+    assert_eq!(code, Some(1), "`--shards` must exit 1 (stderr: {stderr})");
+    assert!(stderr.contains("unknown flag --shards"), "{stderr}");
+    let (code, stderr) = run_bh2_with("shards=0");
+    assert_eq!(code, Some(1), "`--set shards=0` must exit 1 (stderr: {stderr})");
+    assert!(stderr.contains("invalid configuration"), "{stderr}");
 }

@@ -12,9 +12,8 @@
 //! * the statistics primitives every experiment reports through
 //!   ([`Welford`], [`TimeWeighted`], [`Histogram`], [`Cdf`], [`BinSeries`]),
 //!   and
-//! * deterministic index-addressed fan-out ([`par_map_indexed`]) and its
-//!   streaming sibling ([`par_fold_grouped`]), which folds each group of
-//!   an interleaved task pool in index order, for the layers above that
+//! * deterministic fan-out ([`par_fold_grouped`]), which folds each group
+//!   of an interleaved task pool in index order, for the layers above that
 //!   run independent shards/repetitions/jobs in parallel, plus the
 //!   deterministic retry wrapper ([`retry_unwind`]) crash-safe runners
 //!   put around each task.
@@ -64,9 +63,7 @@ pub mod time;
 
 pub use engine::Scheduler;
 pub use error::{SimError, SimResult};
-pub use par::{
-    default_threads, par_fold_grouped, par_map_indexed, retry_unwind, FoldStep, Retried,
-};
+pub use par::{default_threads, par_fold_grouped, retry_unwind, FoldStep, Retried};
 pub use queue::{EventQueue, EventToken};
 pub use rng::{SimRng, SplitMix64};
 pub use series::{average_runs, downsample_mean, BinSeries};

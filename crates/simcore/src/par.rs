@@ -1,58 +1,15 @@
-//! Deterministic index-addressed parallelism.
+//! Deterministic index-ordered parallelism.
 //!
-//! The workspace vendors no rayon, so every fan-out (batch jobs, world
-//! builds, repetitions × shards inside one scheme run) uses the same
-//! primitive: an atomic cursor over `0..n`, a scoped worker pool, and an
-//! index-addressed result buffer. Results are placed by index, never by
-//! completion order, so the output is bit-for-bit identical at any worker
-//! count — the property the batch runner's JSONL determinism test pins.
+//! The workspace vendors no rayon, so every fan-out (batch jobs, repetitions
+//! × shards inside one scheme run, Optimal's pre-solves) uses the same
+//! primitive: an atomic cursor over the task list, a scoped worker pool, and
+//! a fold that consumes results in index order, never in completion order,
+//! so the output is bit-for-bit identical at any worker count — the
+//! property the batch runner's JSONL determinism test pins.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
-
-/// Runs `n` independent tasks on at most `max_threads` workers and returns
-/// the results in index order.
-///
-/// `f(i)` must depend only on `i` (and captured shared state): the mapping
-/// from index to result is what makes the output thread-count invariant.
-/// With `max_threads <= 1` (or `n <= 1`) the tasks run inline on the
-/// calling thread, which keeps small jobs free of spawn overhead.
-pub fn par_map_indexed<T: Send, F: Fn(usize) -> T + Sync>(
-    n: usize,
-    max_threads: usize,
-    f: F,
-) -> Vec<T> {
-    let threads = max_threads.min(n).max(1);
-    if threads == 1 {
-        return (0..n).map(f).collect();
-    }
-    let cursor = AtomicUsize::new(0);
-    let (tx, rx) = mpsc::channel::<(usize, T)>();
-    let mut slots: Vec<Option<T>> = Vec::new();
-    slots.resize_with(n, || None);
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            let tx = tx.clone();
-            let cursor = &cursor;
-            let f = &f;
-            scope.spawn(move || loop {
-                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                if tx.send((i, f(i))).is_err() {
-                    break;
-                }
-            });
-        }
-        drop(tx);
-        for (i, v) in rx {
-            slots[i] = Some(v);
-        }
-    });
-    slots.into_iter().map(|s| s.expect("worker completed task")).collect()
-}
 
 /// One in-order delivery of [`par_fold_grouped`]: task `index`'s result is
 /// being folded, with `queued` later results parked out of order behind it.
@@ -132,13 +89,11 @@ impl Drop for GateCloseGuard<'_> {
 /// workers claim positions left to right through one atomic cursor, so the
 /// caller chooses which tasks run near each other (e.g. every consumer of
 /// one expensive shared input, back to back) independently of how results
-/// are folded. Instead of an index-addressed buffer that retains all
-/// outputs ([`par_map_indexed`]), workers emit results and each group's are
-/// folded **strictly in that group's listed index order** — early arrivals
-/// park in a reorder buffer whose depth is reported through
-/// [`FoldStep::queued`] — so every per-group accumulator is bit-identical
-/// at any worker count; only the cross-group interleaving of fold calls is
-/// scheduling-dependent. One group listing `0..n` is the plain in-order
+/// are folded. Workers emit results and each group's are folded
+/// **strictly in that group's listed index order** — early arrivals park in
+/// a reorder buffer whose depth is reported through [`FoldStep::queued`] —
+/// so every per-group accumulator is bit-identical at any worker count;
+/// only the cross-group interleaving of fold calls is scheduling-dependent. One group listing `0..n` is the plain in-order
 /// fold of `n` tasks.
 ///
 /// A claim-side gate caps outstanding (claimed-but-not-yet-folded)
@@ -273,7 +228,7 @@ pub fn par_fold_grouped<T: Send, F: Fn(usize) -> T + Sync>(
 }
 
 /// The machine's available parallelism (1 when undetectable) — the default
-/// worker budget for [`par_map_indexed`] call sites.
+/// worker budget for [`par_fold_grouped`] call sites.
 pub fn default_threads() -> usize {
     std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
 }
@@ -320,23 +275,6 @@ pub fn retry_unwind<T>(
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn results_are_in_index_order_at_any_width() {
-        let serial: Vec<usize> = par_map_indexed(100, 1, |i| i * i);
-        for threads in [2, 3, 8, 200] {
-            let parallel = par_map_indexed(100, threads, |i| i * i);
-            assert_eq!(serial, parallel, "threads = {threads}");
-        }
-        assert_eq!(serial[7], 49);
-    }
-
-    #[test]
-    fn empty_and_single_inputs_work() {
-        let none: Vec<u8> = par_map_indexed(0, 4, |_| unreachable!());
-        assert!(none.is_empty());
-        assert_eq!(par_map_indexed(1, 4, |i| i + 1), vec![1]);
-    }
 
     #[test]
     fn default_threads_is_positive() {

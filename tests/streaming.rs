@@ -175,7 +175,7 @@ fn lazy_worlds_reproduce_eager_sharded_runs() {
         assert_eq!(lazy.energy, energy, "{spec}");
         assert_eq!(lazy.powered_gateways, average_runs(&powered), "{spec}");
         let events: u64 = runs.iter().flatten().map(|r| r.events).sum();
-        assert_eq!(lazy.events, events, "{spec}");
+        assert_eq!(lazy.counters.delivered(), events, "{spec}");
         for (r, rep) in runs.iter().enumerate() {
             let flows: Vec<Option<f64>> =
                 rep.iter().flat_map(|run| run.completion.per_flow().unwrap().to_vec()).collect();
@@ -219,23 +219,19 @@ fn scheduler_heap_stays_bounded_by_active_flows_plus_timers() {
     let n_clients = topo.n_clients();
     for spec in [SchemeSpec::soi(), SchemeSpec::bh2_k_switch()] {
         let r = run_slice(&cfg, spec, &trace, &topo, SimRng::new(3));
-        let timers = 3 * n_gw + n_clients + 3;
+        let (peak_heap, peak_active) = (r.counters.peak_heap, r.counters.peak_active_flows);
+        let timers = (3 * n_gw + n_clients + 3) as u64;
         assert!(
-            r.peak_heap <= r.peak_active_flows + timers,
-            "{spec}: peak heap {} exceeds active {} + timers {}",
-            r.peak_heap,
-            r.peak_active_flows,
-            timers
+            peak_heap <= peak_active + timers,
+            "{spec}: peak heap {peak_heap} exceeds active {peak_active} + timers {timers}"
         );
-        let total = r.completion.total_flows() as usize;
+        let total = r.completion.total_flows();
         assert!(total > 1_000, "{spec}: want a flow-heavy run, got {total}");
         assert!(
-            r.peak_heap < total / 4,
-            "{spec}: peak heap {} is not O(active) against {} trace flows",
-            r.peak_heap,
-            total
+            peak_heap < total / 4,
+            "{spec}: peak heap {peak_heap} is not O(active) against {total} trace flows"
         );
-        assert!(r.peak_active_flows > 0 && r.peak_heap > 0);
+        assert!(peak_active > 0 && peak_heap > 0);
     }
 }
 
