@@ -2,7 +2,7 @@
 # Regenerates every committed golden under tests/golden/ after an
 # *intentional* semantics change. Run from anywhere; writes in-repo.
 #
-#   scripts/refresh-goldens.sh            # paper presets + doze schemes (~10 s)
+#   scripts/refresh-goldens.sh            # paper presets, doze + zoo schemes (~30 s)
 #   scripts/refresh-goldens.sh --scale    # also giga/tera smoke + counters (~5 min)
 #
 # Review the resulting diff before committing: every changed golden is a
@@ -24,6 +24,20 @@ done
 ./target/release/insomnia run --scenario paper-default \
   --schemes multi-doze,adaptive-soi --seeds 1 --quick \
   --out tests/golden/paper-default-doze.jsonl
+
+# The five schemes no other golden runs (k-switch and full-switch fabrics,
+# BH2 without a backup, Optimal), plus the work counters of all ten
+# schemes on the same command.
+./target/release/insomnia run --scenario paper-default \
+  --schemes soi+k,soi+full,bh2-nb,bh2+full,optimal --seeds 1 --quick \
+  --out tests/golden/paper-default-zoo.jsonl
+./target/release/insomnia run --scenario paper-default \
+  --schemes no-sleep,soi,soi+k,soi+full,bh2,bh2-nb,bh2+full,optimal,multi-doze,adaptive-soi \
+  --seeds 1 --quick --telemetry /tmp/paper-default-zoo.telemetry.jsonl \
+  --out /dev/null
+./target/release/insomnia profile --counters \
+  /tmp/paper-default-zoo.telemetry.jsonl \
+  > tests/golden/paper-default-zoo.counters.json
 
 # The scale smokes CI replays (reduced horizons; deterministic at any
 # thread count, so no --threads pin is needed).

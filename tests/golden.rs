@@ -10,7 +10,12 @@
 //! or in the sketch's exact-below-cutoff promise — trips it.
 //!
 //! `tests/golden/paper-default-doze.jsonl` extends the same freeze to the
-//! PR 8 sleep policies (`multi-doze,adaptive-soi`) on paper-default.
+//! PR 8 sleep policies (`multi-doze,adaptive-soi`) on paper-default, and
+//! `tests/golden/paper-default-zoo.jsonl` to the five schemes no other
+//! golden runs (`soi+k,soi+full,bh2-nb,bh2+full,optimal`): the k-switch and
+//! full-switch fabrics, BH2 without a backup, and Optimal. Its sibling
+//! `paper-default-zoo.counters.json` pins the `insomnia profile --counters`
+//! work counts of all ten schemes on the same command; CI checks it.
 //!
 //! Refreshing after an *intentional* semantics change (see README):
 //!
@@ -98,6 +103,15 @@ fn golden_no_wireless_sharing() {
 #[test]
 fn golden_paper_default_doze_schemes() {
     assert_schemes_match_golden("paper-default", "multi-doze,adaptive-soi", "paper-default-doze");
+}
+
+#[test]
+fn golden_paper_default_zoo_schemes() {
+    assert_schemes_match_golden(
+        "paper-default",
+        "soi+k,soi+full,bh2-nb,bh2+full,optimal",
+        "paper-default-zoo",
+    );
 }
 
 /// Physical sanity of the committed paper-preset goldens (the giga/tera
