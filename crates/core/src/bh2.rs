@@ -18,6 +18,8 @@
 //!   stays) home.
 //!
 //! The rule is a pure function for testability; the driver owns all state.
+//! It allocates nothing: in-band candidates are counted and drawn from by
+//! walking `others` in place.
 
 use crate::config::Bh2Params;
 use insomnia_simcore::SimRng;
@@ -55,15 +57,14 @@ pub fn decide(
     others: &[VisibleGateway],
     rng: &mut SimRng,
 ) -> Bh2Decision {
-    let candidates: Vec<&VisibleGateway> = others
-        .iter()
-        .filter(|g| g.load > params.low_threshold && g.load < params.high_threshold)
-        .collect();
+    let in_band =
+        |g: &&VisibleGateway| g.load > params.low_threshold && g.load < params.high_threshold;
+    let candidates = || others.iter().filter(in_band);
 
     if at_home {
         // Home is lightly loaded: try to vacate it so it can sleep.
-        if current_load < params.low_threshold && candidates.len() > params.backup {
-            return pick_weighted(&candidates, rng);
+        if current_load < params.low_threshold && candidates().count() > params.backup {
+            return pick_weighted(candidates, rng);
         }
         return Bh2Decision::Stay;
     }
@@ -83,8 +84,8 @@ pub fn decide(
     // the user stays hitched (its traffic keeps the remote awake anyway);
     // `literal_return_home` enables the verbatim reading for ablation.
     if current_load < params.low_threshold {
-        if candidates.len() > params.backup {
-            return pick_weighted(&candidates, rng);
+        if candidates().count() > params.backup {
+            return pick_weighted(candidates, rng);
         }
         if params.literal_return_home {
             return Bh2Decision::ReturnHome;
@@ -93,10 +94,13 @@ pub fn decide(
     Bh2Decision::Stay
 }
 
-fn pick_weighted(candidates: &[&VisibleGateway], rng: &mut SimRng) -> Bh2Decision {
-    let weights: Vec<f64> = candidates.iter().map(|g| g.load).collect();
-    match rng.pick_weighted(&weights) {
-        Some(i) => Bh2Decision::MoveTo(candidates[i].gateway),
+/// Draws one candidate with probability proportional to its load.
+fn pick_weighted<'a, I>(candidates: impl Fn() -> I, rng: &mut SimRng) -> Bh2Decision
+where
+    I: Iterator<Item = &'a VisibleGateway> + Clone,
+{
+    match rng.pick_weighted(candidates().map(|g| g.load)) {
+        Some(i) => Bh2Decision::MoveTo(candidates().nth(i).expect("drawn index").gateway),
         None => Bh2Decision::Stay,
     }
 }

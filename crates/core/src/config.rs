@@ -339,6 +339,14 @@ impl ScenarioConfig {
         }
         if let Some(ladder) = &self.power_states {
             ladder.validate().map_err(|e| SimError::InvalidConfig(format!("power_states: {e}")))?;
+            // Levels are non-increasing, so level 0 is the hungriest doze.
+            if ladder.watts(0) > self.power.gateway_on_w {
+                return Err(SimError::InvalidConfig(format!(
+                    "power_states: level 0 draws {} W, more than the online gateway's {} W",
+                    ladder.watts(0),
+                    self.power.gateway_on_w
+                )));
+            }
         }
         let a = &self.adaptive;
         if !(a.alpha > 0.0 && a.alpha <= 1.0) {
@@ -481,6 +489,17 @@ mod tests {
         ]));
         let err = cfg.validate().unwrap_err().to_string();
         assert!(err.contains("power_states"), "{err}");
+
+        // A doze level may not draw more than the online gateway.
+        let mut cfg = ScenarioConfig::default();
+        let on_w = cfg.power.gateway_on_w;
+        cfg.power_states = Some(PowerLadder::new(vec![PowerState {
+            watts: on_w + 1.0,
+            wake: SimDuration::from_secs(10),
+            dwell: SimDuration::ZERO,
+        }]));
+        let err = cfg.validate().unwrap_err().to_string();
+        assert!(err.contains("online gateway"), "{err}");
 
         // Adaptive bounds: alpha in (0, 1], gain positive, 0 < min <= max.
         let mut cfg = ScenarioConfig::default();

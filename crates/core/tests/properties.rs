@@ -20,6 +20,65 @@ fn arb_gateways() -> impl Strategy<Value = Vec<VisibleGateway>> {
     })
 }
 
+/// `SimRng::pick_weighted` as it was before it took an iterator: the
+/// slice form, with the same sum and the same draw.
+fn old_pick_weighted(rng: &mut SimRng, weights: &[f64]) -> Option<usize> {
+    let clean = |w: f64| if w.is_finite() && w > 0.0 { w } else { 0.0 };
+    let total: f64 = weights.iter().copied().map(clean).sum();
+    if total <= 0.0 {
+        return None;
+    }
+    let mut x = rng.f64() * total;
+    for (i, &w) in weights.iter().enumerate() {
+        x -= clean(w);
+        if x < 0.0 {
+            return Some(i);
+        }
+    }
+    weights.iter().rposition(|&w| clean(w) > 0.0)
+}
+
+/// `bh2::decide` as it was before it stopped collecting: in-band
+/// candidates and their weights gathered into `Vec`s, then a slice draw.
+/// The byte-identity reference for the allocation-free rule.
+fn old_decide(
+    params: &Bh2Params,
+    at_home: bool,
+    current_load: f64,
+    others: &[VisibleGateway],
+    rng: &mut SimRng,
+) -> Bh2Decision {
+    let candidates: Vec<&VisibleGateway> = others
+        .iter()
+        .filter(|g| g.load > params.low_threshold && g.load < params.high_threshold)
+        .collect();
+    let pick = |rng: &mut SimRng| {
+        let weights: Vec<f64> = candidates.iter().map(|g| g.load).collect();
+        match old_pick_weighted(rng, &weights) {
+            Some(i) => Bh2Decision::MoveTo(candidates[i].gateway),
+            None => Bh2Decision::Stay,
+        }
+    };
+    if at_home {
+        if current_load < params.low_threshold && candidates.len() > params.backup {
+            return pick(rng);
+        }
+        return Bh2Decision::Stay;
+    }
+    if current_load > params.high_threshold {
+        return Bh2Decision::ReturnHome;
+    }
+    if current_load < params.low_threshold {
+        if candidates.len() > params.backup {
+            return pick(rng);
+        }
+        if params.literal_return_home {
+            return Bh2Decision::ReturnHome;
+        }
+    }
+    Bh2Decision::Stay
+}
+
 /// One run's per-flow completions: unfinished flows (`None`), exact zeros
 /// and positive durations.
 fn arb_run() -> impl Strategy<Value = Vec<Option<f64>>> {
@@ -162,6 +221,33 @@ proptest! {
         }
     }
 
+    /// The allocation-free rule decides exactly like the old collecting
+    /// one and leaves the RNG in the same state. Loads are drawn from a
+    /// grid that hits both thresholds, so boundary ties are exercised.
+    #[test]
+    fn bh2_decide_matches_collecting_reference(
+        seed in any::<u64>(),
+        at_home in any::<bool>(),
+        literal in any::<bool>(),
+        cur_tick in 0u32..21,
+        ticks in prop::collection::vec(0u32..21, 0..10),
+        backup in 0usize..3,
+    ) {
+        let params = Bh2Params { backup, literal_return_home: literal, ..Bh2Params::default() };
+        let load = |tick: u32| f64::from(tick) * 0.05;
+        let others: Vec<VisibleGateway> = ticks
+            .iter()
+            .enumerate()
+            .map(|(gateway, &t)| VisibleGateway { gateway: 10 + gateway, load: load(t) })
+            .collect();
+        let mut rng = SimRng::new(seed);
+        let mut reference = SimRng::new(seed);
+        let got = decide(&params, at_home, load(cur_tick), &others, &mut rng);
+        let want = old_decide(&params, at_home, load(cur_tick), &others, &mut reference);
+        prop_assert_eq!(got, want);
+        prop_assert_eq!(rng, reference);
+    }
+
     /// The literal-rule variant additionally returns home when a sleepy
     /// remote has too few candidates — and in no other new case.
     #[test]
@@ -231,13 +317,14 @@ proptest! {
         let mut t = SimTime::ZERO;
         let mut offered: f64 = 0.0;
         let mut moved: f64 = 0.0;
+        let mut done = Vec::new();
         for (i, &(bytes, gap_ds)) in adds.iter().enumerate() {
             e.add(t, 0, 0, i, t, bytes, 12.0e6);
             offered += bytes as f64;
             e.recompute(0, t, capacity);
             t += SimDuration::from_millis(gap_ds * 100);
             moved += e.advance(0, t);
-            e.take_completed(0);
+            e.take_completed(0, &mut done);
         }
         // Drain the engine completely.
         let mut guard = 0;
@@ -248,7 +335,7 @@ proptest! {
             // Capacity respected: at most capacity × 1 s of bytes per step.
             prop_assert!(delta <= capacity / 8.0 + 1.0);
             moved += delta;
-            e.take_completed(0);
+            e.take_completed(0, &mut done);
             guard += 1;
         }
         prop_assert_eq!(e.n_active(), 0, "engine failed to drain");
@@ -265,6 +352,7 @@ proptest! {
         let n_gw = 6;
         let mut e = FlowEngine::new(n_gw);
         let mut t = SimTime::ZERO;
+        let mut done = Vec::new();
         for (i, &(op, gw, bytes, gap_ds)) in ops.iter().enumerate() {
             match op {
                 0 => {
@@ -276,7 +364,7 @@ proptest! {
                     e.advance(gw, t);
                 }
                 _ => {
-                    e.take_completed(gw);
+                    e.take_completed(gw, &mut done);
                     e.recompute(gw, t, 6.0e6);
                 }
             }

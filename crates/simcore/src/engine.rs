@@ -130,7 +130,13 @@ impl<E> Scheduler<E> {
 
     /// Pops the next event and advances the clock to its timestamp.
     pub fn next_event(&mut self) -> Option<(SimTime, E)> {
-        let (t, e) = self.queue.pop()?;
+        self.next_event_until(SimTime::from_millis(u64::MAX))
+    }
+
+    /// [`next_event`](Scheduler::next_event), for an event due at or before
+    /// `end` only.
+    fn next_event_until(&mut self, end: SimTime) -> Option<(SimTime, E)> {
+        let (t, e) = self.queue.pop_until(end)?;
         debug_assert!(t >= self.now);
         self.now = t;
         self.delivered += 1;
@@ -142,7 +148,8 @@ impl<E> Scheduler<E> {
         self.queue.peek_time()
     }
 
-    /// Runs the event loop until the queue drains or the clock passes `end`.
+    /// Runs the event loop until the queue drains or the clock passes `end`,
+    /// popping once per delivered event ([`EventQueue::pop_until`]).
     ///
     /// Events timestamped exactly at `end` are still delivered; the first
     /// event strictly after `end` is left in the queue and the clock is
@@ -153,14 +160,8 @@ impl<E> Scheduler<E> {
         end: SimTime,
         mut handler: impl FnMut(&mut Self, &mut W, SimTime, E),
     ) {
-        loop {
-            match self.queue.peek_time() {
-                Some(t) if t <= end => {
-                    let (t, e) = self.next_event().expect("peeked event exists");
-                    handler(self, world, t, e);
-                }
-                _ => break,
-            }
+        while let Some((t, e)) = self.next_event_until(end) {
+            handler(self, world, t, e);
         }
         if self.now < end {
             self.now = end;

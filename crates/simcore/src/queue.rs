@@ -40,6 +40,11 @@
 //! lower by `(time, key)`, which is the order a heap-only queue would
 //! give. [`EventQueue::push_monotone`] panics on an out-of-order push.
 //! Lane events carry no token and cannot be cancelled.
+//!
+//! A bounded event loop pops through [`EventQueue::pop_until`]: one
+//! heap-head/lane-head comparison per delivered event decides both which
+//! head goes next and whether it is still inside the horizon, where a
+//! `peek_time` followed by `pop` would compare the heads twice.
 
 use crate::time::SimTime;
 use std::cmp::Ordering;
@@ -247,31 +252,46 @@ impl<E> EventQueue<E> {
 
     /// Removes and returns the earliest non-cancelled event.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
+        self.pop_until(SimTime::from_millis(u64::MAX))
+    }
+
+    /// Removes and returns the earliest non-cancelled event if it is due at
+    /// or before `end`; a later event stays queued. Equivalent to
+    /// `peek_time` followed by `pop`, with one head comparison instead of
+    /// two.
+    pub fn pop_until(&mut self, end: SimTime) -> Option<(SimTime, E)> {
         let heap = self.heap_head();
         match self.lane.front() {
             Some(&(time, key, _)) if heap.is_none_or(|h| (time, key) < h) => {
+                if time > end {
+                    return None;
+                }
                 let (time, _, event) = self.lane.pop_front().expect("lane head exists");
                 self.live -= 1;
                 Some((time, event))
             }
-            _ if heap.is_some() => {
-                let entry = self.heap.pop().expect("heap head exists");
-                let cell = &mut self.slots[entry.slot as usize];
-                let event = cell.event.take().expect("live slot holds its event");
-                cell.generation = cell.generation.wrapping_add(1);
-                self.free.push(entry.slot);
-                self.live -= 1;
-                Some((entry.time, event))
-            }
-            _ => {
-                // A drained queue must have reaped every cancellation — the
-                // guarantee that long horizons accumulate no dead state.
-                debug_assert_eq!(
-                    self.cancelled_unpurged, 0,
-                    "drained queue left cancelled entries unpurged"
-                );
-                None
-            }
+            _ => match heap {
+                Some((time, _)) if time <= end => {
+                    let entry = self.heap.pop().expect("heap head exists");
+                    let cell = &mut self.slots[entry.slot as usize];
+                    let event = cell.event.take().expect("live slot holds its event");
+                    cell.generation = cell.generation.wrapping_add(1);
+                    self.free.push(entry.slot);
+                    self.live -= 1;
+                    Some((entry.time, event))
+                }
+                Some(_) => None,
+                None => {
+                    // A drained queue must have reaped every cancellation —
+                    // the guarantee that long horizons accumulate no dead
+                    // state.
+                    debug_assert_eq!(
+                        self.cancelled_unpurged, 0,
+                        "drained queue left cancelled entries unpurged"
+                    );
+                    None
+                }
+            },
         }
     }
 

@@ -165,24 +165,37 @@ impl SimRng {
         }
     }
 
-    /// Samples an index with probability proportional to `weights[i]`.
-    /// Non-finite or negative weights are treated as zero. Returns `None` if
-    /// all weights are zero or the slice is empty.
-    pub fn pick_weighted(&mut self, weights: &[f64]) -> Option<usize> {
+    /// Samples an index with probability proportional to the `i`-th
+    /// weight. Non-finite or negative weights are treated as zero. Returns
+    /// `None` if all weights are zero or there are none. The weights are
+    /// walked twice (sum, then draw), so callers pass a cheap, cloneable
+    /// iterator — such as a filter over a slice — instead of collecting
+    /// one.
+    pub fn pick_weighted<I>(&mut self, weights: I) -> Option<usize>
+    where
+        I: IntoIterator<Item = f64>,
+        I::IntoIter: Clone,
+    {
         let clean = |w: f64| if w.is_finite() && w > 0.0 { w } else { 0.0 };
-        let total: f64 = weights.iter().copied().map(clean).sum();
+        let weights = weights.into_iter();
+        let total: f64 = weights.clone().map(clean).sum();
         if total <= 0.0 {
             return None;
         }
         let mut x = self.f64() * total;
-        for (i, &w) in weights.iter().enumerate() {
-            x -= clean(w);
+        let mut last_positive = None;
+        for (i, w) in weights.enumerate() {
+            let w = clean(w);
+            x -= w;
             if x < 0.0 {
                 return Some(i);
             }
+            if w > 0.0 {
+                last_positive = Some(i);
+            }
         }
         // Floating point slack: return the last positive-weight index.
-        weights.iter().rposition(|&w| clean(w) > 0.0)
+        last_positive
     }
 
     /// Exponential variate with the given mean (`mean = 1/λ`).
@@ -379,15 +392,15 @@ mod tests {
         let weights = [1.0, 0.0, 3.0];
         let mut counts = [0u32; 3];
         for _ in 0..40_000 {
-            counts[r.pick_weighted(&weights).unwrap()] += 1;
+            counts[r.pick_weighted(weights).unwrap()] += 1;
         }
         assert_eq!(counts[1], 0);
         let ratio = counts[2] as f64 / counts[0] as f64;
         assert!((ratio - 3.0).abs() < 0.3, "ratio {ratio}");
-        assert_eq!(r.pick_weighted(&[0.0, 0.0]), None);
-        assert_eq!(r.pick_weighted(&[]), None);
+        assert_eq!(r.pick_weighted([0.0, 0.0]), None);
+        assert_eq!(r.pick_weighted([]), None);
         // Negative and NaN weights are ignored rather than corrupting the draw.
-        assert_eq!(r.pick_weighted(&[-1.0, f64::NAN, 2.0]), Some(2));
+        assert_eq!(r.pick_weighted([-1.0, f64::NAN, 2.0]), Some(2));
     }
 
     #[test]

@@ -15,6 +15,36 @@ fn exact_quantile(xs: &[f64], q: f64) -> f64 {
 
 const PROBE_QS: [f64; 7] = [0.0, 0.1, 0.25, 0.5, 0.75, 0.95, 1.0];
 
+/// The handler both `run_until` loops below share: it records each
+/// delivery and answers every fourth original event with a follow-up 0–2 ms
+/// later, so events land exactly at the loop's `end` mid-run.
+fn record_and_follow(
+    s: &mut Scheduler<usize>,
+    out: &mut Vec<(SimTime, usize)>,
+    t: SimTime,
+    id: usize,
+) {
+    out.push((t, id));
+    if id < 1_000 && id.is_multiple_of(4) {
+        s.schedule_at(t + SimDuration::from_millis(id as u64 % 3), id + 1_000);
+    }
+}
+
+/// `Scheduler::run_until`'s loop as it was before `EventQueue::pop_until`:
+/// peek the next time, then pop. The byte-identity reference for the
+/// one-lookup loop (the clock is left at the last delivery, not `end`).
+fn peek_then_pop_until(s: &mut Scheduler<usize>, end: SimTime, out: &mut Vec<(SimTime, usize)>) {
+    loop {
+        match s.peek_time() {
+            Some(t) if t <= end => {
+                let (t, id) = s.next_event().expect("peeked event exists");
+                record_and_follow(s, out, t, id);
+            }
+            _ => break,
+        }
+    }
+}
+
 proptest! {
     /// Events always pop in non-decreasing time order, and simultaneous
     /// events preserve insertion order.
@@ -70,11 +100,13 @@ proptest! {
     /// pushes at nondecreasing times, cancellations of heap tokens and
     /// deliveries yields the same `(time, event)` sequence and the same
     /// counts as a reference scheduler that puts every monotone push on
-    /// the heap with `schedule_at`. Millisecond steps of 0..3 make ties
-    /// between all three lanes common.
+    /// the heap with `schedule_at`. Bounded runs go through `run_until` on
+    /// one side and the old peek-then-pop loop on the reference, with
+    /// handlers that schedule follow-ups. Millisecond steps of 0..3 make
+    /// ties between all three lanes, and events exactly at `end`, common.
     #[test]
     fn monotone_lane_matches_heap_only_reference(
-        ops in prop::collection::vec((0u8..5, 0u64..3, any::<u64>()), 1..300),
+        ops in prop::collection::vec((0u8..6, 0u64..3, any::<u64>()), 1..300),
     ) {
         let mut lane: Scheduler<usize> = Scheduler::new();
         let mut reference: Scheduler<usize> = Scheduler::new();
@@ -95,6 +127,13 @@ proptest! {
                     let (a, b) = tokens[(pick % tokens.len() as u64) as usize];
                     lane.cancel(a);
                     reference.cancel(b);
+                }
+                5 => {
+                    let (mut got, mut want) = (Vec::new(), Vec::new());
+                    lane.run_until(&mut got, at, record_and_follow);
+                    peek_then_pop_until(&mut reference, at, &mut want);
+                    prop_assert_eq!(got, want);
+                    prop_assert_eq!(lane.now(), at, "the clock ends at `end`");
                 }
                 _ => prop_assert_eq!(lane.next_event(), reference.next_event()),
             }
@@ -202,7 +241,7 @@ proptest! {
     ) {
         let mut rng = SimRng::new(seed);
         for _ in 0..50 {
-            if let Some(i) = rng.pick_weighted(&weights) {
+            if let Some(i) = rng.pick_weighted(weights.iter().copied()) {
                 prop_assert!(weights[i] > 0.0, "picked zero-weight index {i}");
             } else {
                 prop_assert!(weights.iter().all(|&w| w <= 0.0));
