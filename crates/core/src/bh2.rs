@@ -64,7 +64,7 @@ pub fn decide(
     if at_home {
         // Home is lightly loaded: try to vacate it so it can sleep.
         if current_load < params.low_threshold && candidates().count() > params.backup {
-            return pick_weighted(candidates, rng);
+            return pick_weighted(candidates(), rng);
         }
         return Bh2Decision::Stay;
     }
@@ -85,7 +85,7 @@ pub fn decide(
     // `literal_return_home` enables the verbatim reading for ablation.
     if current_load < params.low_threshold {
         if candidates().count() > params.backup {
-            return pick_weighted(candidates, rng);
+            return pick_weighted(candidates(), rng);
         }
         if params.literal_return_home {
             return Bh2Decision::ReturnHome;
@@ -95,12 +95,12 @@ pub fn decide(
 }
 
 /// Draws one candidate with probability proportional to its load.
-fn pick_weighted<'a, I>(candidates: impl Fn() -> I, rng: &mut SimRng) -> Bh2Decision
-where
-    I: Iterator<Item = &'a VisibleGateway> + Clone,
-{
-    match rng.pick_weighted(candidates().map(|g| g.load)) {
-        Some(i) => Bh2Decision::MoveTo(candidates().nth(i).expect("drawn index").gateway),
+fn pick_weighted<'a>(
+    mut candidates: impl Iterator<Item = &'a VisibleGateway> + Clone,
+    rng: &mut SimRng,
+) -> Bh2Decision {
+    match rng.pick_weighted(candidates.clone().map(|g| g.load)) {
+        Some(i) => Bh2Decision::MoveTo(candidates.nth(i).expect("drawn index").gateway),
         None => Bh2Decision::Stay,
     }
 }

@@ -192,6 +192,10 @@ pub struct RunResult {
     pub counters: RunCounters,
 }
 
+/// The mutable state of one run, handed to every event handler. Once its
+/// buffers reach their peak sizes the handlers allocate nothing (see the
+/// scratch fields), and `Scheduler::run_until` hands them one event per
+/// queue lookup.
 struct World<'a> {
     cfg: &'a ScenarioConfig,
     spec: SchemeSpec,
@@ -1126,14 +1130,13 @@ fn optimal_tick(s: &mut Scheduler<Ev>, w: &mut World<'_>, now: SimTime) {
         );
     }
     let n_gw = w.n_gateways();
-    let mut want = std::mem::take(&mut w.want);
-    want.clear();
-    want.resize(n_gw, false);
+    w.want.clear();
+    w.want.resize(n_gw, false);
     for &g in &w.optimal_plan[tick] {
-        want[g] = true;
+        w.want[g] = true;
     }
     for gw in 0..n_gw {
-        match (want[gw], w.gateways[gw].state()) {
+        match (w.want[gw], w.gateways[gw].state()) {
             (true, GwState::Sleeping) => {
                 w.cancel_doze(s, gw);
                 let done = w.gateways[gw].begin_wake(now).expect("sleeping");
@@ -1152,7 +1155,6 @@ fn optimal_tick(s: &mut Scheduler<Ev>, w: &mut World<'_>, now: SimTime) {
             _ => {}
         }
     }
-    w.want = want;
     w.dslam.repack_full_switch(now);
 }
 
