@@ -11,7 +11,9 @@
 //! capacity (completed flows leave through an in-place, order-preserving
 //! retain into a caller-owned buffer), the slab recycles freed slots, and
 //! the water-fill sorts through one reused order buffer. Memory grows only
-//! while the concurrent flow count reaches a new peak.
+//! while the concurrent flow count reaches a new peak. (The standard stable
+//! sort keeps its scratch on the stack only up to a few hundred elements;
+//! a gateway carrying more flows than that allocates it per recompute.)
 
 use insomnia_simcore::SimTime;
 
