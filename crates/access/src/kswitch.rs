@@ -17,7 +17,7 @@
 //! positions with a sleeping line — sleeping lines carry nothing.
 //!
 //! Every fabric keeps its per-card active-line counts incrementally
-//! ([`CardCounts`]), so a wake or sleep costs O(1) bookkeeping and
+//! (`CardCounts`), so a wake or sleep costs O(1) bookkeeping and
 //! [`SwitchFabric::awake_cards`] is a field read. The counts stay exact
 //! because an *active* line never moves: the only remap of active lines is
 //! [`FullFabric::repack_all`], which recounts.

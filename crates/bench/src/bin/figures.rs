@@ -8,6 +8,8 @@
 //! With `--from-jsonl` nothing is simulated: the energy / completion /
 //! online-time / shard tables are rebuilt from a finished `insomnia run`
 //! batch record — the only affordable path for giga/tera-metro outputs.
+//! An unknown flag or figure name, or `--csv` / `--from-jsonl` without a
+//! value, exits 1 with the usage line before anything is simulated.
 
 use insomnia_bench::figures as fig;
 use insomnia_bench::Harness;
@@ -15,83 +17,99 @@ use insomnia_core::FigureData;
 use std::collections::BTreeSet;
 use std::process::ExitCode;
 
+const USAGE: &str = "usage: figures [--quick] [--csv DIR] [FIGURE ... | all]\n       \
+                     figures --from-jsonl FILE [--csv DIR]";
+
+/// Every figure/table name the binary prints (`all` selects them all).
+const FIGURES: &str = "fig2 fig3 fig4 fig5 fig6 fig7 fig8 fig9a fig9b fig10 fig12 fig14 fig15 \
+                       cards completion summary ablation doze";
+
+#[derive(Default)]
+struct Args {
+    quick: bool,
+    csv_dir: Option<String>,
+    from_jsonl: Option<String>,
+    wanted: BTreeSet<&'static str>,
+}
+
+/// Parses the command line. An unknown flag or figure name, or a value
+/// flag without its value, is an error, so a typo never starts a
+/// full-length simulation.
+fn parse_args(args: &[String]) -> Result<Args, String> {
+    let mut out = Args::default();
+    let mut it = args.iter();
+    while let Some(arg) = it.next() {
+        let mut value = || {
+            it.next()
+                .filter(|v| !v.starts_with("--"))
+                .cloned()
+                .ok_or(format!("{arg} needs a value"))
+        };
+        match arg.as_str() {
+            "--quick" => out.quick = true,
+            "--csv" => out.csv_dir = Some(value()?),
+            "--from-jsonl" => out.from_jsonl = Some(value()?),
+            "all" => out.wanted.extend(FIGURES.split_whitespace()),
+            flag if flag.starts_with('-') => return Err(format!("unknown flag: {flag}")),
+            name => {
+                let known = FIGURES.split_whitespace().find(|&f| f == name);
+                out.wanted.insert(known.ok_or(format!("unknown figure: {name}"))?);
+            }
+        }
+    }
+    if out.from_jsonl.is_some() && !out.wanted.is_empty() {
+        return Err("--from-jsonl rebuilds its own tables and takes no figure names".to_string());
+    }
+    if out.wanted.is_empty() {
+        out.wanted.extend(FIGURES.split_whitespace());
+    }
+    Ok(out)
+}
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let csv_dir = args.iter().position(|a| a == "--csv").and_then(|i| args.get(i + 1)).cloned();
-    let from_jsonl =
-        args.iter().position(|a| a == "--from-jsonl").and_then(|i| args.get(i + 1)).cloned();
-    if args.iter().any(|a| a == "--from-jsonl") && from_jsonl.is_none() {
-        eprintln!("figures: --from-jsonl needs a batch JSONL file path");
-        return ExitCode::FAILURE;
-    }
-    if let Some(path) = from_jsonl {
-        let outputs = match tables_from_jsonl(&path) {
-            Ok(outputs) => outputs,
-            Err(e) => {
-                eprintln!("figures: {e}");
-                return ExitCode::FAILURE;
-            }
+    let run = parse_args(&args).map_err(|e| format!("{e}\n{USAGE}")).and_then(|args| {
+        let outputs = match &args.from_jsonl {
+            Some(path) => tables_from_jsonl(path)?,
+            None => simulate(args.quick, &args.wanted),
         };
-        emit(&outputs, csv_dir.as_deref());
-        return ExitCode::SUCCESS;
+        emit(&outputs, args.csv_dir.as_deref());
+        Ok(())
+    });
+    match run {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(e) => {
+            eprintln!("figures: {e}");
+            ExitCode::FAILURE
+        }
     }
-    let mut wanted: BTreeSet<String> = args
-        .iter()
-        .filter(|a| !a.starts_with("--"))
-        .filter(|a| Some(a.as_str()) != csv_dir.as_deref())
-        .cloned()
-        .collect();
-    if wanted.is_empty() || wanted.contains("all") {
-        wanted = [
-            "fig2",
-            "fig3",
-            "fig4",
-            "fig5",
-            "fig6",
-            "fig7",
-            "fig8",
-            "fig9a",
-            "fig9b",
-            "fig10",
-            "fig12",
-            "fig14",
-            "fig15",
-            "cards",
-            "completion",
-            "summary",
-            "ablation",
-            "doze",
-        ]
-        .into_iter()
-        .map(String::from)
-        .collect();
-    }
+}
 
+/// Builds the wanted figures, running the main scenario once if any needs it.
+fn simulate(quick: bool, wanted: &BTreeSet<&str>) -> Vec<FigureData> {
     let h = if quick { Harness::quick() } else { Harness::paper() };
     let seed = h.scenario.seed;
     let needs_main = ["fig6", "fig7", "fig8", "fig9a", "fig9b", "cards", "completion", "summary"]
         .iter()
-        .any(|f| wanted.contains(*f));
-    let runs = if needs_main {
+        .any(|f| wanted.contains(f));
+    let runs = needs_main.then(|| {
         eprintln!("running main scenario ({} repetitions × 8 schemes)...", h.scenario.repetitions);
-        Some(fig::run_main(&h))
-    } else {
-        None
-    };
+        fig::run_main(&h)
+    });
+    let main = || runs.as_ref().expect("main");
 
     let mut outputs: Vec<FigureData> = Vec::new();
-    for name in &wanted {
-        match name.as_str() {
+    for &name in wanted {
+        match name {
             "fig2" => outputs.push(fig::fig2(seed)),
             "fig3" => outputs.push(fig::fig3(&h)),
             "fig4" => outputs.push(fig::fig4(&h)),
             "fig5" => outputs.push(fig::fig5()),
-            "fig6" => outputs.push(fig::fig6(&h, runs.as_ref().expect("main"))),
-            "fig7" => outputs.push(fig::fig7(&h, runs.as_ref().expect("main"))),
-            "fig8" => outputs.push(fig::fig8(&h, runs.as_ref().expect("main"))),
-            "fig9a" => outputs.push(fig::fig9a(runs.as_ref().expect("main"))),
-            "fig9b" => outputs.push(fig::fig9b(runs.as_ref().expect("main"))),
+            "fig6" => outputs.push(fig::fig6(&h, main())),
+            "fig7" => outputs.push(fig::fig7(&h, main())),
+            "fig8" => outputs.push(fig::fig8(&h, main())),
+            "fig9a" => outputs.push(fig::fig9a(main())),
+            "fig9b" => outputs.push(fig::fig9b(main())),
             "fig10" => outputs.push(fig::fig10(&h)),
             "fig12" => {
                 outputs.push(fig::fig12(&h));
@@ -102,17 +120,15 @@ fn main() -> ExitCode {
                 outputs.push(fig::fig14(seed));
             }
             "fig15" => outputs.push(fig::fig15(seed)),
-            "cards" => outputs.push(fig::cards_table(runs.as_ref().expect("main"))),
-            "completion" => outputs.push(fig::completion_table(runs.as_ref().expect("main"))),
+            "cards" => outputs.push(fig::cards_table(main())),
+            "completion" => outputs.push(fig::completion_table(main())),
             "ablation" => outputs.push(fig::ablation(&h)),
             "doze" => outputs.push(fig::doze_table(&h)),
-            "summary" => outputs.push(fig::summary(runs.as_ref().expect("main"))),
-            other => eprintln!("unknown figure: {other}"),
+            "summary" => outputs.push(fig::summary(main())),
+            other => unreachable!("{other} is not in FIGURES"),
         }
     }
-
-    emit(&outputs, csv_dir.as_deref());
-    ExitCode::SUCCESS
+    outputs
 }
 
 /// Reads a batch JSONL file and rebuilds its figure tables.

@@ -1,12 +1,11 @@
 //! # insomnia-bench
 //!
-//! The benchmark/figure harness of the reproduction: [`figures`] builds the
+//! The figure/table harness of the reproduction: [`figures`] builds the
 //! data behind every figure and table in the paper's evaluation; the
 //! `figures` binary prints them (either by simulating, or — via
 //! `--from-jsonl` and [`from_jsonl`] — by replaying a finished batch
-//! record, so giga/tera-metro runs are plotted without re-simulating); the
-//! Criterion benches under `benches/` regenerate each experiment as a
-//! measured benchmark.
+//! record, so giga/tera-metro runs are plotted without re-simulating).
+//! Performance is measured by perfbench and `insomnia profile`, not here.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

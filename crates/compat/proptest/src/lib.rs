@@ -97,19 +97,6 @@ pub mod strategy {
         {
             Map { inner: self, f }
         }
-
-        /// Filters generated values (regenerates until `f` accepts, with a
-        /// retry cap).
-        fn prop_filter<F: Fn(&Self::Value) -> bool>(
-            self,
-            _whence: &'static str,
-            f: F,
-        ) -> Filter<Self, F>
-        where
-            Self: Sized,
-        {
-            Filter { inner: self, f }
-        }
     }
 
     /// Output of [`Strategy::prop_map`].
@@ -126,42 +113,9 @@ pub mod strategy {
             (self.f)(self.inner.sample(rng))
         }
     }
-
-    /// Output of [`Strategy::prop_filter`].
-    #[derive(Debug, Clone)]
-    pub struct Filter<S, F> {
-        pub(crate) inner: S,
-        pub(crate) f: F,
-    }
-
-    impl<S: Strategy, F: Fn(&S::Value) -> bool> Strategy for Filter<S, F> {
-        type Value = S::Value;
-
-        fn sample(&self, rng: &mut TestRng) -> S::Value {
-            for _ in 0..1_000 {
-                let v = self.inner.sample(rng);
-                if (self.f)(&v) {
-                    return v;
-                }
-            }
-            panic!("prop_filter rejected 1000 candidates in a row");
-        }
-    }
-
-    /// A strategy that always yields clones of one value.
-    #[derive(Debug, Clone)]
-    pub struct Just<T>(pub T);
-
-    impl<T: Clone> Strategy for Just<T> {
-        type Value = T;
-
-        fn sample(&self, _rng: &mut TestRng) -> T {
-            self.0.clone()
-        }
-    }
 }
 
-pub use strategy::{Just, Strategy};
+pub use strategy::Strategy;
 
 macro_rules! impl_int_range {
     ($($t:ty),*) => {$(
@@ -228,36 +182,6 @@ impl Arbitrary for bool {
 impl Arbitrary for u64 {
     fn arbitrary(rng: &mut TestRng) -> u64 {
         rng.next_u64()
-    }
-}
-
-impl Arbitrary for u32 {
-    fn arbitrary(rng: &mut TestRng) -> u32 {
-        (rng.next_u64() >> 32) as u32
-    }
-}
-
-impl Arbitrary for u16 {
-    fn arbitrary(rng: &mut TestRng) -> u16 {
-        (rng.next_u64() >> 48) as u16
-    }
-}
-
-impl Arbitrary for u8 {
-    fn arbitrary(rng: &mut TestRng) -> u8 {
-        (rng.next_u64() >> 56) as u8
-    }
-}
-
-impl Arbitrary for i64 {
-    fn arbitrary(rng: &mut TestRng) -> i64 {
-        rng.next_u64() as i64
-    }
-}
-
-impl Arbitrary for usize {
-    fn arbitrary(rng: &mut TestRng) -> usize {
-        rng.next_u64() as usize
     }
 }
 
@@ -338,7 +262,7 @@ pub mod prop {
 pub mod prelude {
     pub use crate::collection;
     pub use crate::prop;
-    pub use crate::strategy::{Just, Strategy};
+    pub use crate::strategy::Strategy;
     pub use crate::test_runner::ProptestConfig;
     pub use crate::{any, prop_assert, prop_assert_eq, prop_assert_ne, proptest, Arbitrary};
 }

@@ -9,7 +9,6 @@
 #![forbid(unsafe_code)]
 
 use serde::{Deserialize, Serialize, Value};
-use std::io::{Read, Write};
 
 pub use serde::Error;
 
@@ -18,12 +17,6 @@ pub fn to_string<T: Serialize + ?Sized>(value: &T) -> Result<String, Error> {
     let mut out = String::new();
     write_value(&mut out, &value.to_value())?;
     Ok(out)
-}
-
-/// Serializes a value into a writer.
-pub fn to_writer<W: Write, T: Serialize + ?Sized>(mut w: W, value: &T) -> Result<(), Error> {
-    let s = to_string(value)?;
-    w.write_all(s.as_bytes()).map_err(|e| Error::new(&format!("io: {e}")))
 }
 
 /// Deserializes a value from a JSON string.
@@ -36,13 +29,6 @@ pub fn from_str<T: Deserialize>(s: &str) -> Result<T, Error> {
         return Err(Error::new(&format!("trailing bytes at offset {}", p.pos)));
     }
     T::from_value(&v)
-}
-
-/// Deserializes a value from a reader.
-pub fn from_reader<R: Read, T: Deserialize>(mut r: R) -> Result<T, Error> {
-    let mut s = String::new();
-    r.read_to_string(&mut s).map_err(|e| Error::new(&format!("io: {e}")))?;
-    from_str(&s)
 }
 
 fn write_value(out: &mut String, v: &Value) -> Result<(), Error> {

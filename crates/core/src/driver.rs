@@ -1514,7 +1514,7 @@ type ShardProto = Arc<ShardCells>;
 /// under the batch runner's shard-major schedule, by every scheme ×
 /// repetition touching one (scenario, seed) world.
 ///
-/// Each shard slot hands out one shared [`ShardProto`] and counts down its
+/// Each shard slot hands out one shared `ShardProto` and counts down its
 /// configured consumers; the slot drops its own reference at the last
 /// [`claim`](Self::claim) (or [`skip`](Self::skip)), so a prototype's
 /// O(clients) state lives exactly from first claim to last consumer's
@@ -1868,7 +1868,7 @@ pub fn run_scheme_task(
 /// [`par_fold_grouped`]) — shard order within each repetition,
 /// repetitions in order — so the aggregate never depends on thread count
 /// and no task's [`RunResult`] outlives its fold: merge state is one live
-/// [`RepAccum`] plus `O(shards)` scalar summaries plus the fold's reorder
+/// `RepAccum` plus `O(shards)` scalar summaries plus the fold's reorder
 /// window, which is what caps a 10⁸-client world's merge memory at
 /// O(shards × buckets). Multi-repetition runs share each shard's stream
 /// prototype through a [`WorldProtoCache`].

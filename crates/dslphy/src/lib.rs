@@ -7,7 +7,7 @@
 //! Pipeline: [`cable`] (copper insertion loss) → [`binder`] (25-pair
 //! geometry, pairwise coupling) → [`fext`] (far-end crosstalk PSD) →
 //! [`band`]/[`bitload`] (DMT tone plans, gap-approximation bit-loading) →
-//! [`line`]/[`bundle`] (service profiles, sync, the Fig. 14 experiment).
+//! [`line`](mod@line)/[`bundle`] (service profiles, sync, the Fig. 14 experiment).
 //! [`attenuation`] covers the appendix's production-DSLAM measurement
 //! (Fig. 15).
 //!

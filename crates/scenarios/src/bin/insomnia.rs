@@ -116,8 +116,8 @@ USAGE:
         --counters, print only the thread-count-invariant counter totals
         as one JSON line (the CI drift-gate payload). With two sidecars,
         print a before/after delta instead — wall-clock, events/s and
-        flows/s, and per-phase busy time — the one-command A/B for
-        performance work.
+        flows/s, per-phase busy time, and event-loop time and M events/s
+        per scheme — the one-command A/B for performance work.
 
 SCHEME KEYS:
     no-sleep  soi  soi+k  soi+full  bh2  bh2-nb  bh2+full  optimal

@@ -65,7 +65,7 @@ pub use engine::Scheduler;
 pub use error::{SimError, SimResult};
 pub use par::{default_threads, par_fold_grouped, retry_unwind, FoldStep, Retried};
 pub use queue::{EventQueue, EventToken};
-pub use rng::{SimRng, SplitMix64};
+pub use rng::SimRng;
 pub use series::{average_runs, downsample_mean, BinSeries};
 pub use stats::{Cdf, Histogram, OnlineTimeHist, QuantileSketch, TimeWeighted, Welford};
 pub use time::{SimDuration, SimTime};

@@ -19,18 +19,18 @@ use std::convert::Infallible;
 /// SplitMix64, used to expand seeds. Reference: Steele, Lea, Flood,
 /// "Fast splittable pseudorandom number generators", OOPSLA 2014.
 #[derive(Debug, Clone)]
-pub struct SplitMix64 {
+struct SplitMix64 {
     state: u64,
 }
 
 impl SplitMix64 {
     /// Creates a SplitMix64 stream from a 64-bit seed.
-    pub fn new(seed: u64) -> Self {
+    fn new(seed: u64) -> Self {
         SplitMix64 { state: seed }
     }
 
     /// Next 64-bit output.
-    pub fn next_u64(&mut self) -> u64 {
+    fn next_u64(&mut self) -> u64 {
         self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
         let mut z = self.state;
         z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);

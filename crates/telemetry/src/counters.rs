@@ -60,7 +60,7 @@ pub struct RunCounters {
     /// twice counts 2). Retries replay the identical RNG stream, so this
     /// is pure observability — never part of result bytes.
     pub tasks_retried: u64,
-    /// Faults a [`FaultPlan`]-style chaos harness injected (worker panics,
+    /// Faults a `FaultPlan`-style chaos harness injected (worker panics,
     /// checkpoint IO errors, torn tails).
     pub faults_injected: u64,
     /// `(repetition × shard)` tasks replayed from a checkpoint instead of

@@ -20,9 +20,9 @@
 //!   nature) and the deterministic counters; the result JSONL is never
 //!   touched.
 //! * [`ProfileReport`] — parses a sidecar and renders the phase-breakdown
-//!   table behind `insomnia profile` / `figures --telemetry`: wall-clock
-//!   share, events/s and flows/s per phase, per-task spread, and the
-//!   counter taxonomy.
+//!   table behind `insomnia profile`: wall-clock share, events/s and
+//!   flows/s per phase, per-task spread, event-loop load per scheme, and
+//!   the counter taxonomy; [`render_delta`] compares two sidecars.
 //!
 //! Span taxonomy (one [`PhaseRecord`] each, parent `run`): `config` →
 //! `world-build` (eager builds and the stream setup pass) → `event-loop` →

@@ -70,6 +70,14 @@ pub struct SchemeLoop {
     pub task_ms_max: f64,
 }
 
+impl SchemeLoop {
+    /// Events delivered per event-loop second, in millions (`None` when
+    /// no loop time was recorded).
+    fn mevents_per_s(&self) -> Option<f64> {
+        (self.loop_ms > 0.0).then(|| self.events as f64 / self.loop_ms / 1e3)
+    }
+}
+
 impl ProfileReport {
     /// Parses a sidecar's JSONL text. Unknown record types are an error
     /// (the schema is versioned); blank lines are skipped.
@@ -289,11 +297,7 @@ impl ProfileReport {
                 "scheme", "tasks", "loop [ms]", "events", "Mev/s", "task ms min/max"
             ));
             for row in &self.schemes {
-                let rate = if row.loop_ms > 0.0 {
-                    format!("{:.2}", row.events as f64 / row.loop_ms / 1e3)
-                } else {
-                    "-".to_string()
-                };
+                let rate = row.mevents_per_s().map_or("-".to_string(), |r| format!("{r:.2}"));
                 out.push_str(&format!(
                     "{:<14} {:>6} {:>12.1} {:>12} {:>8}  {:.1}/{:.1}\n",
                     row.scheme,
@@ -352,12 +356,13 @@ impl ProfileReport {
 }
 
 /// Renders a before/after comparison of two sidecars (`insomnia profile A
-/// B`): wall-clock, total events/flows, overall events/s and flows/s, and
-/// the busy time of every phase present in both runs, each with its
-/// relative change. Rates use each run's own wall-clock, so the table
-/// answers "how much faster is B" in one read; a differing event or flow
-/// total is flagged, since then the runs did different work and the rate
-/// delta is not a pure speed comparison.
+/// B`): wall-clock, total events/flows, overall events/s and flows/s, the
+/// busy time of every phase present in both runs, and the event-loop time
+/// and M events/s of every scheme present in both, each with its relative
+/// change. Rates use each run's own wall-clock, so the table answers "how
+/// much faster is B" in one read; a differing event or flow total (whole
+/// run or per scheme) is flagged, since then the runs did different work
+/// and the rate delta is not a pure speed comparison.
 pub fn render_delta(a: &ProfileReport, b: &ProfileReport) -> Result<String, String> {
     let sa = a.summary.as_ref().ok_or("first sidecar has no summary record")?;
     let sb = b.summary.as_ref().ok_or("second sidecar has no summary record")?;
@@ -411,6 +416,34 @@ pub fn render_delta(a: &ProfileReport, b: &ProfileReport) -> Result<String, Stri
                  rate deltas are not a pure speed comparison\n",
             );
         }
+    }
+    // One row per scheme both runs simulated.
+    let (mut rows, mut differ) = (String::new(), Vec::new());
+    for sa in &a.schemes {
+        let Some(sb) = b.schemes.iter().find(|s| s.scheme == sa.scheme) else { continue };
+        let (name, ma, mb) = (&sa.scheme, sa.loop_ms, sb.loop_ms);
+        let [ra, rb] = [sa, sb].map(|s| s.mevents_per_s().unwrap_or(0.0));
+        let (dm, dr) = (delta(ma, mb), delta(ra, rb));
+        rows.push_str(&format!(
+            "{name:<14} {ma:>10.1} {mb:>10.1} {dm:>9} {ra:>8.2} {rb:>8.2} {dr:>9}\n"
+        ));
+        if sa.events != sb.events {
+            differ.push(name.as_str());
+        }
+    }
+    if !rows.is_empty() {
+        out.push_str("\n== per scheme (event loop, A -> B)\n");
+        out.push_str(
+            "scheme             A [ms]     B [ms]     delta  A Mev/s  B Mev/s     delta\n",
+        );
+        out.push_str(&rows);
+    }
+    if !differ.is_empty() {
+        out.push_str(&format!(
+            "warning: scheme(s) {} delivered different event totals in A and B; their rate \
+             deltas are not a pure speed comparison\n",
+            differ.join(", ")
+        ));
     }
     Ok(out)
 }
@@ -600,6 +633,35 @@ mod tests {
         let mut c = a.clone();
         c.summary = None;
         assert!(render_delta(&a, &c).is_err());
+    }
+
+    #[test]
+    fn delta_reports_one_row_per_shared_scheme() {
+        let a = ProfileReport::from_jsonl(&sidecar()).unwrap();
+        // B: soi's loop takes half as long for the same 210 events, and B
+        // also ran bh2, which A did not.
+        let mut b = a.clone();
+        b.schemes[0].loop_ms = 10.0;
+        b.schemes.push(SchemeLoop { scheme: "bh2".into(), ..b.schemes[0].clone() });
+        let rendered = render_delta(&a, &b).unwrap();
+        assert!(rendered.contains("== per scheme (event loop, A -> B)"), "{rendered}");
+        let rows: Vec<&str> = rendered.lines().filter(|l| l.starts_with("soi ")).collect();
+        assert_eq!(rows.len(), 1, "{rendered}");
+        assert_eq!(
+            rows[0].split_whitespace().collect::<Vec<_>>(),
+            ["soi", "20.0", "10.0", "-50.0%", "0.01", "0.02", "+100.0%"]
+        );
+        assert!(!rendered.contains("bh2"), "a scheme only B ran gets no row: {rendered}");
+        assert!(!rendered.contains("warning"), "same work, no warning: {rendered}");
+
+        // A per-scheme event drift is flagged even when the run totals agree.
+        b.schemes[0].events += 1;
+        let rendered = render_delta(&a, &b).unwrap();
+        assert!(rendered.contains("warning: scheme(s) soi delivered different"), "{rendered}");
+
+        // No scheme in common: no per-scheme section.
+        b.schemes.remove(0);
+        assert!(!render_delta(&a, &b).unwrap().contains("== per scheme"));
     }
 
     #[test]

@@ -137,9 +137,9 @@ pub fn generate(cfg: &CrawdadConfig, rng: &mut SimRng) -> Trace {
 
 /// The pre-streaming trace generator: materializes every client's bursts
 /// and sorts them by arrival. Kept as the reference implementation the
-/// [`crate::stream::FlowStream`] equivalence property tests and the
-/// eager-vs-streaming benches compare against; production paths call
-/// [`generate`] (identical output, arrival-ordered from the start).
+/// [`crate::stream::FlowStream`] equivalence property tests compare
+/// against; production paths call [`generate`] (identical output,
+/// arrival-ordered from the start).
 pub fn generate_eager(cfg: &CrawdadConfig, rng: &mut SimRng) -> Trace {
     assert!(cfg.n_clients > 0 && cfg.n_aps > 0);
     assert!(cfg.gap_model.is_normalized(), "gap mixture must sum to 1");

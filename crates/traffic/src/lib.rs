@@ -27,7 +27,7 @@ pub mod diurnal;
 pub mod flow;
 pub mod gaps;
 pub mod ids;
-pub mod merge;
+mod merge;
 pub mod session;
 pub mod stats;
 pub mod stream;

@@ -6,9 +6,7 @@
 //! `shift` is the lane-index width. Because every lane index fits in
 //! `shift` bits, the packed integer orders exactly like the pair
 //! `(key, lane)` — one register compare per sift rung, and entries half the
-//! size of a `(SimTime, usize)` pair. `cargo bench -p insomnia-bench --bench
-//! streaming` measures it against the unpacked `BinaryHeap` merge
-//! (`merge/binary_heap` vs `merge/packed_heap`).
+//! size of a `(SimTime, usize)` pair.
 //!
 //! Ordering contract: lane `i` ranks by `(key, i)`, so equal keys resolve
 //! to the lowest lane index — exactly the tie-break a *stable* sort by key

@@ -15,7 +15,7 @@
 //!   client's flows. Advancing the master through the burst draws is what
 //!   keeps client `c + 1`'s personality bit-identical to the eager path.
 //!   The pass consumes the identical *raw* draws but skips the
-//!   transcendental burst-size math ([`crate::crawdad::draw_burst_skip`]):
+//!   transcendental burst-size math (`crawdad::draw_burst_skip`):
 //!   sizes never steer control flow, so only the branch selectors and gap
 //!   draws need their full arithmetic.
 //! * **Replay** (`next_flow`): each client cursor regenerates its bursts
@@ -23,8 +23,8 @@
 //!   [`FlowStream::DEFAULT_BATCH`], tunable via
 //!   [`FlowStream::with_batch`]) so the RNG state and session table stay
 //!   cache-hot across consecutive draws — and a **k-way merge** over the
-//!   per-client head flows ([`crate::merge::PackedHeap`]) yields them in
-//!   global arrival order.
+//!   per-client head flows (a packed binary heap, `merge::PackedHeap`)
+//!   yields them in global arrival order.
 //!
 //! Equivalence to the eager generator is exact, not approximate: per
 //! client, bursts replay the identical draw sequence from the identical
@@ -236,14 +236,15 @@ pub struct StreamStats {
 /// master stream exactly where the eager generator would leave it) but
 /// retains only O(clients) state; iteration replays each client's bursts
 /// on demand — a batch at a time — and merges them by `(start, client)`
-/// through a [`PackedHeap`]. The yielded sequence is flow-for-flow identical
+/// through a packed binary heap. The yielded sequence is flow-for-flow identical
 /// to [`crate::crawdad::generate`]'s `flows` vector, and
 /// [`FlowStream::total_flows`] is known before the first flow is pulled —
 /// which is how driver-side accounting (`CompletionStats::new`) sizes
 /// itself without a materialized trace.
 ///
 /// `Clone` snapshots the whole replay position (cursors, buffers,
-/// merge heap), so benches and tests can re-drain one prebuilt stream.
+/// merge heap), so the world-prototype cache and tests can re-drain one
+/// prebuilt stream.
 #[derive(Clone)]
 pub struct FlowStream {
     horizon: SimTime,

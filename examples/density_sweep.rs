@@ -12,7 +12,7 @@ use insomnia::core::{density_sweep, ScenarioConfig};
 
 fn main() {
     let mut cfg = ScenarioConfig::default();
-    cfg.repetitions = 2; // keep the example fast; the bench uses 10
+    cfg.repetitions = 2; // keep the example fast; the figures binary uses 10
 
     println!("BH2 (1 backup) + k-switch, mean online gateways 11-19h:");
     println!("{:>16} {:>18}", "mean available", "online gateways");

@@ -1,7 +1,7 @@
 //! Smoke tests for the figure harness: every analytic/light figure builds
-//! with sane shapes. (The heavy scheme figures are exercised by the bench
-//! harness and the examples; their shape assertions live in the crates'
-//! own tests.)
+//! with sane shapes. (The heavy scheme figures run the `run_scheme` path
+//! that `tests/determinism.rs` and `tests/streaming.rs` exercise; their
+//! shape assertions live in the crates' own tests.)
 
 use insomnia_bench::figures;
 use insomnia_bench::Harness;
