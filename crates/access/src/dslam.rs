@@ -10,7 +10,7 @@
 //! is binary, active iff the gateway is powered, whatever doze depth the
 //! gateway rests at.
 
-use crate::kswitch::{Fabric, SwitchFabric};
+use crate::kswitch::Fabric;
 use crate::power::PowerModel;
 use insomnia_simcore::{SimTime, TimeWeighted};
 

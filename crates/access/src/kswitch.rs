@@ -1,6 +1,8 @@
 //! Switch fabrics between the HDF and the DSLAM ports (§4).
 //!
-//! Three wiring options, matching the paper's schemes:
+//! Three wiring options, matching the paper's schemes, each with the same
+//! inherent methods (`location`, `on_wake`, `on_sleep` and the count
+//! readers); [`Fabric`] picks one at run time and dispatches by `match`:
 //!
 //! * [`FixedFabric`] — today's plant: each line permanently terminates on
 //!   one port (randomly assigned, per the appendix's attenuation analysis).
@@ -18,8 +20,8 @@
 //!
 //! Every fabric keeps its per-card active-line counts incrementally
 //! (`CardCounts`), so a wake or sleep costs O(1) bookkeeping and
-//! [`SwitchFabric::awake_cards`] is a field read. The counts stay exact
-//! because an *active* line never moves: the only remap of active lines is
+//! `awake_cards` is a field read. The counts stay exact because an
+//! *active* line never moves: the only remap of active lines is
 //! [`FullFabric::repack_all`], which recounts.
 
 use insomnia_simcore::SimRng;
@@ -32,28 +34,6 @@ pub struct PortLoc {
     pub card: usize,
     /// Port index within the card.
     pub port: usize,
-}
-
-/// Common interface of the three fabrics.
-pub trait SwitchFabric {
-    /// Number of line cards behind this fabric.
-    fn n_cards(&self) -> usize;
-
-    /// Current port of a line.
-    fn location(&self, line: usize) -> PortLoc;
-
-    /// Notifies that `line` is about to power on; the fabric may remap it
-    /// (only swapping with inactive lines) and returns its new location.
-    fn on_wake(&mut self, line: usize) -> PortLoc;
-
-    /// Notifies that `line` powered off.
-    fn on_sleep(&mut self, line: usize);
-
-    /// Number of active lines per card.
-    fn active_per_card(&self) -> &[usize];
-
-    /// Number of cards with at least one active line.
-    fn awake_cards(&self) -> usize;
 }
 
 /// Per-card active-line counts plus the number of cards with any active
@@ -125,35 +105,40 @@ impl FixedFabric {
         let active = vec![false; locs.len()];
         FixedFabric { locs, active, counts: CardCounts::new(n_cards) }
     }
-}
 
-impl SwitchFabric for FixedFabric {
-    fn n_cards(&self) -> usize {
-        self.counts.per_card.len()
-    }
-
-    fn location(&self, line: usize) -> PortLoc {
+    /// Current port of a line.
+    pub fn location(&self, line: usize) -> PortLoc {
         self.locs[line]
     }
 
-    fn on_wake(&mut self, line: usize) -> PortLoc {
+    /// Notifies that `line` is about to power on; the fabric may remap it
+    /// (only swapping with inactive lines) and returns its new location.
+    pub fn on_wake(&mut self, line: usize) -> PortLoc {
         if !std::mem::replace(&mut self.active[line], true) {
             self.counts.inc(self.locs[line].card);
         }
         self.locs[line]
     }
 
-    fn on_sleep(&mut self, line: usize) {
+    /// Notifies that `line` powered off.
+    pub fn on_sleep(&mut self, line: usize) {
         if std::mem::replace(&mut self.active[line], false) {
             self.counts.dec(self.locs[line].card);
         }
     }
 
-    fn active_per_card(&self) -> &[usize] {
+    /// Number of line cards behind this fabric.
+    pub fn n_cards(&self) -> usize {
+        self.counts.per_card.len()
+    }
+
+    /// Number of active lines per card.
+    pub fn active_per_card(&self) -> &[usize] {
         &self.counts.per_card
     }
 
-    fn awake_cards(&self) -> usize {
+    /// Number of cards with at least one active line.
+    pub fn awake_cards(&self) -> usize {
         self.counts.awake
     }
 }
@@ -236,20 +221,17 @@ impl KSwitchFabric {
     pub fn k(&self) -> usize {
         self.k
     }
-}
 
-impl SwitchFabric for KSwitchFabric {
-    fn n_cards(&self) -> usize {
-        self.counts.per_card.len()
-    }
-
-    fn location(&self, line: usize) -> PortLoc {
+    /// Current port of a line.
+    pub fn location(&self, line: usize) -> PortLoc {
         let (sw, slot) = self.line_pos[line];
         let s = &self.switches[sw];
         PortLoc { card: s.group_base + slot, port: s.port }
     }
 
-    fn on_wake(&mut self, line: usize) -> PortLoc {
+    /// Notifies that `line` is about to power on; the fabric may remap it
+    /// (only swapping with inactive lines) and returns its new location.
+    pub fn on_wake(&mut self, line: usize) -> PortLoc {
         if self.active[line] {
             return self.location(line);
         }
@@ -283,17 +265,25 @@ impl SwitchFabric for KSwitchFabric {
         loc
     }
 
-    fn on_sleep(&mut self, line: usize) {
+    /// Notifies that `line` powered off.
+    pub fn on_sleep(&mut self, line: usize) {
         if std::mem::replace(&mut self.active[line], false) {
             self.counts.dec(self.location(line).card);
         }
     }
 
-    fn active_per_card(&self) -> &[usize] {
+    /// Number of line cards behind this fabric.
+    pub fn n_cards(&self) -> usize {
+        self.counts.per_card.len()
+    }
+
+    /// Number of active lines per card.
+    pub fn active_per_card(&self) -> &[usize] {
         &self.counts.per_card
     }
 
-    fn awake_cards(&self) -> usize {
+    /// Number of cards with at least one active line.
+    pub fn awake_cards(&self) -> usize {
         self.counts.awake
     }
 }
@@ -349,18 +339,15 @@ impl FullFabric {
         let (locs, active) = (&self.locs, &self.active);
         self.counts.recount((0..locs.len()).filter(|&l| active[l]).map(|l| locs[l].card));
     }
-}
 
-impl SwitchFabric for FullFabric {
-    fn n_cards(&self) -> usize {
-        self.counts.per_card.len()
-    }
-
-    fn location(&self, line: usize) -> PortLoc {
+    /// Current port of a line.
+    pub fn location(&self, line: usize) -> PortLoc {
         self.locs[line]
     }
 
-    fn on_wake(&mut self, line: usize) -> PortLoc {
+    /// Notifies that `line` is about to power on; the fabric may remap it
+    /// (only swapping with inactive lines) and returns its new location.
+    pub fn on_wake(&mut self, line: usize) -> PortLoc {
         if self.active[line] {
             return self.locs[line];
         }
@@ -396,17 +383,25 @@ impl SwitchFabric for FullFabric {
         self.locs[line]
     }
 
-    fn on_sleep(&mut self, line: usize) {
+    /// Notifies that `line` powered off.
+    pub fn on_sleep(&mut self, line: usize) {
         if std::mem::replace(&mut self.active[line], false) {
             self.counts.dec(self.locs[line].card);
         }
     }
 
-    fn active_per_card(&self) -> &[usize] {
+    /// Number of line cards behind this fabric.
+    pub fn n_cards(&self) -> usize {
+        self.counts.per_card.len()
+    }
+
+    /// Number of active lines per card.
+    pub fn active_per_card(&self) -> &[usize] {
         &self.counts.per_card
     }
 
-    fn awake_cards(&self) -> usize {
+    /// Number of cards with at least one active line.
+    pub fn awake_cards(&self) -> usize {
         self.counts.awake
     }
 }
@@ -422,16 +417,14 @@ pub enum Fabric {
     Full(FullFabric),
 }
 
-impl SwitchFabric for Fabric {
-    fn n_cards(&self) -> usize {
-        match self {
-            Fabric::Fixed(f) => f.n_cards(),
-            Fabric::KSwitch(f) => f.n_cards(),
-            Fabric::Full(f) => f.n_cards(),
-        }
+impl Fabric {
+    /// Number of line cards behind this fabric.
+    pub fn n_cards(&self) -> usize {
+        self.counts().per_card.len()
     }
 
-    fn location(&self, line: usize) -> PortLoc {
+    /// Current port of a line.
+    pub fn location(&self, line: usize) -> PortLoc {
         match self {
             Fabric::Fixed(f) => f.location(line),
             Fabric::KSwitch(f) => f.location(line),
@@ -439,7 +432,9 @@ impl SwitchFabric for Fabric {
         }
     }
 
-    fn on_wake(&mut self, line: usize) -> PortLoc {
+    /// Notifies that `line` is about to power on; returns its (possibly
+    /// remapped) location.
+    pub fn on_wake(&mut self, line: usize) -> PortLoc {
         match self {
             Fabric::Fixed(f) => f.on_wake(line),
             Fabric::KSwitch(f) => f.on_wake(line),
@@ -447,7 +442,8 @@ impl SwitchFabric for Fabric {
         }
     }
 
-    fn on_sleep(&mut self, line: usize) {
+    /// Notifies that `line` powered off.
+    pub fn on_sleep(&mut self, line: usize) {
         match self {
             Fabric::Fixed(f) => f.on_sleep(line),
             Fabric::KSwitch(f) => f.on_sleep(line),
@@ -455,19 +451,21 @@ impl SwitchFabric for Fabric {
         }
     }
 
-    fn active_per_card(&self) -> &[usize] {
-        match self {
-            Fabric::Fixed(f) => f.active_per_card(),
-            Fabric::KSwitch(f) => f.active_per_card(),
-            Fabric::Full(f) => f.active_per_card(),
-        }
+    /// Number of active lines per card.
+    pub fn active_per_card(&self) -> &[usize] {
+        &self.counts().per_card
     }
 
-    fn awake_cards(&self) -> usize {
+    /// Number of cards with at least one active line.
+    pub fn awake_cards(&self) -> usize {
+        self.counts().awake
+    }
+
+    fn counts(&self) -> &CardCounts {
         match self {
-            Fabric::Fixed(f) => f.awake_cards(),
-            Fabric::KSwitch(f) => f.awake_cards(),
-            Fabric::Full(f) => f.awake_cards(),
+            Fabric::Fixed(f) => &f.counts,
+            Fabric::KSwitch(f) => &f.counts,
+            Fabric::Full(f) => &f.counts,
         }
     }
 }

@@ -9,7 +9,8 @@
 //! * [`gwstate`] — the gateway Sleep-on-Idle state machine with 60 s wake
 //!   and multi-level doze descent,
 //! * [`kswitch`] — the HDF switch fabrics: fixed wiring, the paper's
-//!   k-switches, and the idealized full switch,
+//!   k-switches, and the idealized full switch, chosen at run time
+//!   through the [`Fabric`] enum,
 //! * [`dslam`] — shelf + line cards + modems with energy metering,
 //! * [`sleepprob`] — Eq. (2) analytics (corrected; see the module docs for
 //!   the paper's erratum) and Monte-Carlo validation (Fig. 5),
@@ -28,9 +29,7 @@ pub mod sleepprob;
 pub use dslam::{Dslam, DslamConfig};
 pub use energy::{joules_to_kwh, watts_to_twh_per_year, EnergyBreakdown};
 pub use gwstate::{Gateway, GwState};
-pub use kswitch::{
-    random_mapping, Fabric, FixedFabric, FullFabric, KSwitchFabric, PortLoc, SwitchFabric,
-};
+pub use kswitch::{random_mapping, Fabric, FixedFabric, FullFabric, KSwitchFabric, PortLoc};
 pub use power::{PowerLadder, PowerModel, PowerState};
 pub use sleepprob::{
     binomial_coeff, expected_sleeping_cards, full_switch_sleeping_cards, p_at_least, p_card_sleeps,

@@ -2,7 +2,7 @@
 
 use insomnia_access::{
     p_at_least, p_card_sleeps, random_mapping, Fabric, FixedFabric, FullFabric, Gateway, GwState,
-    KSwitchFabric, PowerModel, SwitchFabric,
+    KSwitchFabric, PowerModel,
 };
 use insomnia_simcore::{SimDuration, SimRng, SimTime};
 use proptest::prelude::*;
@@ -10,7 +10,7 @@ use std::collections::HashSet;
 
 /// Asserts that the fabric's incremental per-card and awake-card counts
 /// equal a recount from `location()` over the caller's own active set.
-fn assert_counts(fabric: &dyn SwitchFabric, active: &[bool]) {
+fn assert_counts(fabric: &Fabric, active: &[bool]) {
     let mut per_card = vec![0usize; fabric.n_cards()];
     for (line, _) in active.iter().enumerate().filter(|(_, &a)| a) {
         per_card[fabric.location(line).card] += 1;

@@ -9,12 +9,15 @@
 //! online-time / shard tables are rebuilt from a finished `insomnia run`
 //! batch record — the only affordable path for giga/tera-metro outputs.
 //! An unknown flag or figure name, or `--csv` / `--from-jsonl` without a
-//! value, exits 1 with the usage line before anything is simulated.
+//! value, exits 1 with the usage line before anything is simulated. A
+//! closed stdout ends the printing quietly; a failed CSV or other write
+//! exits 1 with a one-line message.
 
 use insomnia_bench::figures as fig;
 use insomnia_bench::Harness;
 use insomnia_core::FigureData;
 use std::collections::BTreeSet;
+use std::io::{ErrorKind, Write};
 use std::process::ExitCode;
 
 const USAGE: &str = "usage: figures [--quick] [--csv DIR] [FIGURE ... | all]\n       \
@@ -73,8 +76,7 @@ fn main() -> ExitCode {
             Some(path) => tables_from_jsonl(path)?,
             None => simulate(args.quick, &args.wanted),
         };
-        emit(&outputs, args.csv_dir.as_deref());
-        Ok(())
+        emit(&outputs, args.csv_dir.as_deref())
     });
     match run {
         Ok(()) => ExitCode::SUCCESS,
@@ -142,14 +144,25 @@ fn tables_from_jsonl(path: &str) -> Result<Vec<FigureData>, String> {
     Ok(report.tables())
 }
 
-fn emit(outputs: &[FigureData], csv_dir: Option<&str>) {
+/// Prints every table to stdout and, with `--csv DIR`, writes each to
+/// `DIR/<name>.csv`. A reader that closed stdout early (`figures all |
+/// head`) stops the printing, not the CSV files; any other write error is
+/// an error.
+fn emit(outputs: &[FigureData], csv_dir: Option<&str>) -> Result<(), String> {
+    let mut stdout = Some(std::io::stdout().lock());
     for data in outputs {
-        println!("{data}");
+        if let Some(out) = &mut stdout {
+            match writeln!(out, "{data}").and_then(|()| out.flush()) {
+                Err(e) if e.kind() == ErrorKind::BrokenPipe => stdout = None,
+                wrote => wrote.map_err(|e| format!("write stdout: {e}"))?,
+            }
+        }
         if let Some(dir) = csv_dir {
-            std::fs::create_dir_all(dir).expect("create csv dir");
+            std::fs::create_dir_all(dir).map_err(|e| format!("create csv dir {dir}: {e}"))?;
             let path = format!("{dir}/{}.csv", data.name);
-            std::fs::write(&path, data.to_csv()).expect("write csv");
+            std::fs::write(&path, data.to_csv()).map_err(|e| format!("write {path}: {e}"))?;
             eprintln!("wrote {path}");
         }
     }
+    Ok(())
 }

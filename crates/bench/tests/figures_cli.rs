@@ -1,7 +1,8 @@
 //! The `figures` binary's command line: bad input exits 1 with the usage
-//! line and simulates nothing; a valid analytic figure still prints.
+//! line and simulates nothing; a valid analytic figure still prints; write
+//! failures exit cleanly instead of panicking.
 
-use std::process::{Command, Output};
+use std::process::{Command, Output, Stdio};
 
 fn figures(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_figures")).args(args).output().expect("spawn figures")
@@ -25,4 +26,31 @@ fn bad_input_exits_1_without_simulating_and_good_input_runs() {
     }
     let out = figures(&["--quick", "fig5"]);
     assert!(out.status.success() && String::from_utf8_lossy(&out.stdout).contains("fig5"));
+}
+
+#[test]
+fn closed_stdout_exits_0_and_a_bad_csv_dir_exits_1_without_panicking() {
+    // The reader end is dropped before the spawn: every write hits EPIPE.
+    let (reader, writer) = std::io::pipe().expect("pipe");
+    drop(reader);
+    let out = Command::new(env!("CARGO_BIN_EXE_figures"))
+        .args(["--quick", "fig5"])
+        .stdout(Stdio::from(writer))
+        .output()
+        .expect("spawn figures");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "closed stdout: {stderr}");
+    assert!(!stderr.contains("panicked"), "closed stdout: {stderr}");
+
+    // A CSV directory under a regular file cannot be created.
+    let file = std::env::temp_dir().join(format!("figures-cli-{}", std::process::id()));
+    std::fs::write(&file, "not a directory").unwrap();
+    let dir = file.join("csv");
+    let out = figures(&["--csv", dir.to_str().unwrap(), "fig5"]);
+    std::fs::remove_file(&file).unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "bad --csv: {stderr}");
+    assert!(stderr.starts_with("figures: create csv dir"), "bad --csv: {stderr}");
+    assert_eq!(stderr.lines().count(), 1, "one-line message: {stderr}");
+    assert!(!stderr.contains("panicked"), "bad --csv: {stderr}");
 }

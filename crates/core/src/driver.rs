@@ -24,8 +24,7 @@ use insomnia_access::{
     PowerLadder,
 };
 use insomnia_simcore::{
-    average_runs, par_fold_grouped, EventToken, OnlineTimeHist, Scheduler, SimDuration, SimRng,
-    SimTime,
+    par_fold_grouped, EventToken, OnlineTimeHist, Scheduler, SimDuration, SimRng, SimTime,
 };
 use insomnia_telemetry::RunCounters;
 use insomnia_traffic::{FlowRecord, FlowStream, Trace};
@@ -1419,15 +1418,13 @@ fn build_world_shard_timed(
 /// energies summed, completion sketches and online-time histograms
 /// `absorb()`ed/`record()`ed in shard order — the exact arithmetic order
 /// of the historical collect-then-merge, so results are bit-identical),
-/// then the finalized repetition is pushed into the per-rep products and
-/// the accumulator is dropped. At most one `RepAccum` is alive at a time;
-/// nothing O(total gateways) or O(rep × shard) survives a task's fold.
+/// then the finalized repetition's series are added into the folder's
+/// running sums, its other products pushed, and the accumulator dropped.
+/// At most one `RepAccum` is alive at a time; nothing O(total gateways)
+/// or O(rep × shard) survives a task's fold.
 #[derive(Serialize, Deserialize)]
 struct RepAccum {
-    powered: Vec<f64>,
-    cards: Vec<f64>,
-    user_w: Vec<f64>,
-    isp_w: Vec<f64>,
+    series: SeriesSums,
     energy: EnergyBreakdown,
     completion: CompletionStats,
     online: OnlineTimeHist,
@@ -1436,16 +1433,13 @@ struct RepAccum {
 
 impl RepAccum {
     /// Starts a repetition from shard 0's run (vectors moved, not copied).
-    fn start(run: RunResult, online_cutoff: usize) -> RepAccum {
+    fn start(mut run: RunResult, online_cutoff: usize) -> RepAccum {
         let mut online = OnlineTimeHist::new(online_cutoff);
         for &s in &run.gateway_online_s {
             online.record(s);
         }
         RepAccum {
-            powered: run.powered_gateways,
-            cards: run.awake_cards,
-            user_w: run.user_power_w,
-            isp_w: run.isp_power_w,
+            series: SeriesSums::take(&mut run),
             energy: run.energy,
             completion: run.completion,
             online,
@@ -1454,25 +1448,52 @@ impl RepAccum {
     }
 
     /// Absorbs the next shard's run, in shard order.
-    fn absorb(&mut self, run: RunResult) {
-        for (acc, v) in self.powered.iter_mut().zip(&run.powered_gateways) {
-            *acc += v;
-        }
-        for (acc, v) in self.cards.iter_mut().zip(&run.awake_cards) {
-            *acc += v;
-        }
-        for (acc, v) in self.user_w.iter_mut().zip(&run.user_power_w) {
-            *acc += v;
-        }
-        for (acc, v) in self.isp_w.iter_mut().zip(&run.isp_power_w) {
-            *acc += v;
-        }
+    fn absorb(&mut self, mut run: RunResult) {
+        self.series.add(&SeriesSums::take(&mut run));
         self.energy = self.energy.plus(&run.energy);
         self.completion.absorb(run.completion);
         for &s in &run.gateway_online_s {
             self.online.record(s);
         }
         self.wake_total += run.wake_counts.iter().sum::<u64>();
+    }
+}
+
+/// A run's four per-sample series (powered gateways, awake cards, user
+/// and ISP watts), summed sample-wise across shards and then across
+/// repetitions.
+#[derive(Serialize, Deserialize)]
+struct SeriesSums {
+    powered: Vec<f64>,
+    cards: Vec<f64>,
+    user_w: Vec<f64>,
+    isp_w: Vec<f64>,
+}
+
+impl SeriesSums {
+    /// Moves the four series out of `run`.
+    fn take(run: &mut RunResult) -> SeriesSums {
+        SeriesSums {
+            powered: std::mem::take(&mut run.powered_gateways),
+            cards: std::mem::take(&mut run.awake_cards),
+            user_w: std::mem::take(&mut run.user_power_w),
+            isp_w: std::mem::take(&mut run.isp_power_w),
+        }
+    }
+
+    fn each_mut(&mut self) -> [&mut Vec<f64>; 4] {
+        [&mut self.powered, &mut self.cards, &mut self.user_w, &mut self.isp_w]
+    }
+
+    /// Adds `other` sample by sample.
+    fn add(&mut self, other: &SeriesSums) {
+        let others = [&other.powered, &other.cards, &other.user_w, &other.isp_w];
+        for (acc, v) in self.each_mut().into_iter().zip(others) {
+            debug_assert_eq!(acc.len(), v.len(), "misaligned series");
+            for (a, x) in acc.iter_mut().zip(v) {
+                *a += x;
+            }
+        }
     }
 }
 
@@ -1625,10 +1646,9 @@ pub struct SchemeFolder {
     shard_dims: Vec<(usize, usize)>,
     shard_acc: Vec<ShardAccum>,
     rep_acc: Option<RepAccum>,
-    powered: Vec<Vec<f64>>,
-    cards: Vec<Vec<f64>>,
-    user_w: Vec<Vec<f64>>,
-    isp_w: Vec<Vec<f64>>,
+    /// The finished repetitions' series, summed in repetition order;
+    /// `finish` divides by the repetition count.
+    series: Option<SeriesSums>,
     energy: EnergyBreakdown,
     completions: Vec<CompletionStats>,
     online_time: Vec<OnlineTimeHist>,
@@ -1653,10 +1673,7 @@ impl SchemeFolder {
             shard_dims: (0..n_shards).map(|sh| world.shard_dims(sh)).collect(),
             shard_acc: vec![ShardAccum::default(); n_shards],
             rep_acc: None,
-            powered: Vec::new(),
-            cards: Vec::new(),
-            user_w: Vec::new(),
-            isp_w: Vec::new(),
+            series: None,
             energy: EnergyBreakdown::default(),
             completions: Vec::new(),
             online_time: Vec::new(),
@@ -1707,10 +1724,10 @@ impl SchemeFolder {
         }
         if sh == self.n_shards - 1 {
             let acc = self.rep_acc.take().expect("repetition in progress");
-            self.powered.push(acc.powered);
-            self.cards.push(acc.cards);
-            self.user_w.push(acc.user_w);
-            self.isp_w.push(acc.isp_w);
+            match &mut self.series {
+                Some(sums) => sums.add(&acc.series),
+                None => self.series = Some(acc.series),
+            }
             self.energy = self.energy.plus(&acc.energy);
             self.completions.push(acc.completion);
             self.online_time.push(acc.online);
@@ -1740,13 +1757,21 @@ impl SchemeFolder {
             })
             .collect();
 
+        // Dividing the running sums gives `average_runs`'s values exactly:
+        // the series are non-negative, so its `0.0 +` first term is exact.
+        let mut series = self.series.expect("at least one finished repetition");
+        for v in series.each_mut() {
+            for x in v.iter_mut() {
+                *x /= k;
+            }
+        }
         SchemeResult {
             spec: self.spec,
             sample_period_s: self.sample_period_s,
-            powered_gateways: average_runs(&self.powered),
-            awake_cards: average_runs(&self.cards),
-            user_power_w: average_runs(&self.user_w),
-            isp_power_w: average_runs(&self.isp_w),
+            powered_gateways: series.powered,
+            awake_cards: series.cards,
+            user_power_w: series.user_w,
+            isp_power_w: series.isp_w,
             energy: EnergyBreakdown {
                 user_j: self.energy.user_j / k,
                 modems_j: self.energy.modems_j / k,
@@ -1868,9 +1893,9 @@ pub fn run_scheme_task(
 /// [`par_fold_grouped`]) — shard order within each repetition,
 /// repetitions in order — so the aggregate never depends on thread count
 /// and no task's [`RunResult`] outlives its fold: merge state is one live
-/// `RepAccum` plus `O(shards)` scalar summaries plus the fold's reorder
-/// window, which is what caps a 10⁸-client world's merge memory at
-/// O(shards × buckets). Multi-repetition runs share each shard's stream
+/// `RepAccum`, one running sum per sample series, `O(shards)` scalar
+/// summaries and the fold's reorder window, which is what caps a
+/// 10⁸-client world's merge memory at O(shards × buckets). Multi-repetition runs share each shard's stream
 /// prototype through a [`WorldProtoCache`].
 pub fn run_scheme(
     cfg: &ScenarioConfig,

@@ -10,6 +10,7 @@
 use crate::completion::CompletionStats;
 use crate::driver::SchemeResult;
 use insomnia_simcore::{Cdf, OnlineTimeHist};
+use serde::{Deserialize, Serialize};
 
 /// Percent energy savings at each sample versus a constant no-sleep draw.
 pub fn savings_percent_series(total_power_w: &[f64], baseline_w: f64) -> Vec<f64> {
@@ -84,7 +85,7 @@ pub fn completion_variation_cdf(scheme: &SchemeResult, baseline: &SchemeResult) 
 
 /// The fixed quantile grid the JSONL and figure backends report for
 /// completion times, read from a (merged) [`CompletionStats`].
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct CompletionQuantiles {
     /// True when the quantiles are exact (pooled samples under the
     /// cutoff); false when they come from the log-bucket sketch
@@ -178,7 +179,7 @@ pub fn online_time_variation_cdf(scheme: &SchemeResult, soi: &SchemeResult) -> C
 /// per-gateway online time, read from a (merged) [`OnlineTimeHist`] — the
 /// distributional summary that replaces per-gateway vectors at 10⁸-client
 /// scale.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct OnlineTimeQuantiles {
     /// True when the quantiles are exact (raw per-gateway samples under
     /// the cutoff); false when they come from the log-bucket histogram

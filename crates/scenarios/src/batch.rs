@@ -25,19 +25,19 @@
 //! `tests/scenarios.rs`).
 //!
 //! Telemetry — wall-clock spans, deterministic work counters, the
-//! shard-level heartbeat — flows through [`Telemetry`] sinks and never
-//! into the result JSONL: the default bundle renders the classic stderr
+//! shard-level heartbeat — flows through one [`Telemetry`] and never
+//! into the result JSONL: by default it renders the classic stderr
 //! lines, `--telemetry FILE` adds a JSONL sidecar (manifest → per-task →
-//! per-job → phase table → summary; see `insomnia profile`), `--quiet`
-//! is an empty bundle.
+//! per-job → phase table → summary; see `insomnia profile`), and
+//! `--quiet` drops the stderr lines.
 
 use crate::checkpoint::{CheckpointWriter, WriteFaults};
 use crate::faults::{FaultPlan, ResolvedFaults};
 use crate::schemes::scheme_key;
 use insomnia_core::{
-    completion_quantiles, online_time_quantiles, run_scheme_task, summarize, RunResult,
-    ScenarioConfig, SchemeFolder, SchemeResult, SchemeSpec, ShardedWorld, TaskSetup,
-    WorldProtoCache,
+    completion_quantiles, online_time_quantiles, run_scheme_task, summarize, CompletionQuantiles,
+    OnlineTimeQuantiles, RunResult, ScenarioConfig, SchemeFolder, SchemeResult, SchemeSpec,
+    ShardedWorld, TaskSetup, WorldProtoCache,
 };
 use insomnia_simcore::{par_fold_grouped, retry_unwind, SimError, SimResult, SimRng};
 use insomnia_telemetry::{
@@ -66,57 +66,6 @@ pub struct BatchRun {
     /// `min(budget, tasks)` workers; per-task inner parallelism is pinned
     /// to one thread, so the budget is the number of live workers.
     pub threads: usize,
-}
-
-/// Completion-time quantile grid inside a sharded [`JobRecord`] — read
-/// from the merged streaming sketch (exact while the pooled flow count
-/// fits under the scenario's `completion_cutoff`, ≤ 0.55 % relative error
-/// past it).
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct QuantileRecord {
-    /// True when the quantiles are exact (pooled raw samples).
-    pub exact: bool,
-    /// Flows that completed by the horizon.
-    pub completed: u64,
-    /// 25th-percentile completion time, seconds.
-    pub p25: f64,
-    /// Median completion time, seconds.
-    pub p50: f64,
-    /// 75th percentile, seconds.
-    pub p75: f64,
-    /// 90th percentile, seconds.
-    pub p90: f64,
-    /// 95th percentile, seconds.
-    pub p95: f64,
-    /// 99th percentile, seconds.
-    pub p99: f64,
-}
-
-/// Per-gateway online-time quantile grid inside a sharded [`JobRecord`] —
-/// read from the merged streaming [`insomnia_simcore::OnlineTimeHist`].
-/// Emitted only by scenarios that opt into streamed online-time accounting
-/// (`online_cutoff = 0`, e.g. the tera-metro preset), so every
-/// pre-existing sharded schema stays byte-identical.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct OnlineRecord {
-    /// True when the quantiles are exact (raw per-gateway samples).
-    pub exact: bool,
-    /// Gateways pooled into the grid.
-    pub gateways: u64,
-    /// Mean online time per gateway, seconds (exact in both tiers).
-    pub mean_s: f64,
-    /// 25th-percentile online time, seconds.
-    pub p25: f64,
-    /// Median online time, seconds.
-    pub p50: f64,
-    /// 75th percentile, seconds.
-    pub p75: f64,
-    /// 90th percentile, seconds.
-    pub p90: f64,
-    /// 95th percentile, seconds.
-    pub p95: f64,
-    /// 99th percentile, seconds.
-    pub p99: f64,
 }
 
 /// Per-shard summary inside a sharded [`JobRecord`].
@@ -188,11 +137,11 @@ pub struct JobRecord {
     /// Completion-time quantile grid from the merged sketch (only present
     /// when sharded — the unsharded schema is frozen; `null` inside a
     /// sharded record when no flow completed, e.g. under Optimal).
-    pub completion_quantiles: Option<QuantileRecord>,
+    pub completion_quantiles: Option<CompletionQuantiles>,
     /// Per-gateway online-time quantile grid from the merged histogram
     /// (only present for sharded runs of scenarios with `online_cutoff =
     /// 0` — every other sharded schema stays byte-identical).
-    pub online_time_quantiles: Option<OnlineRecord>,
+    pub online_time_quantiles: Option<OnlineTimeQuantiles>,
 }
 
 impl Serialize for JobRecord {
@@ -405,7 +354,7 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 }
 
 /// The run-wide state every task of the pool consults: crash-safety
-/// controls, the per-world prototype caches and the telemetry sinks.
+/// controls, the per-world prototype caches and the telemetry.
 struct TaskPool<'a> {
     /// One refcounted prototype cache per (scenario, seed) world.
     caches: Vec<Option<WorldProtoCache>>,
@@ -500,7 +449,7 @@ impl TaskPool<'_> {
     /// The task heartbeat, sent from the worker the moment the task
     /// finishes (one slow early shard never silences it): the task's phase
     /// spans plus one sidecar [`TaskRecord`] carrying the job's merge
-    /// progress as a snapshot. The human sink renders it for sharded jobs
+    /// progress as a snapshot. The human lines render it for sharded jobs
     /// only; the result JSONL is untouched either way.
     fn report(
         &self,
@@ -577,15 +526,15 @@ pub fn job_seed(scenario_seed: u64, seed_index: usize) -> u64 {
 /// Runs the batch, streaming one JSON line per job (in job order) into
 /// `out`, and returns all records plus the aggregated summary. Telemetry
 /// goes to the default stderr renderer (the classic heartbeat/job lines);
-/// use [`run_batch_telemetry`] to pick sinks.
+/// use [`run_batch_telemetry`] to pick the destinations.
 pub fn run_batch<W: Write>(batch: &BatchRun, out: &mut W) -> SimResult<BatchSummary> {
     run_batch_telemetry(batch, out, &Telemetry::stderr())
 }
 
-/// [`run_batch`] with an explicit telemetry bundle: every run record —
+/// [`run_batch`] with an explicit [`Telemetry`]: every run record —
 /// manifest, per-task heartbeats, per-job lines, the phase-span table and
-/// the final summary — is emitted through `tel`'s sinks. The result JSONL
-/// written to `out` is byte-identical whatever the bundle (telemetry can
+/// the final summary — is emitted through `tel`. The result JSONL written
+/// to `out` is byte-identical whatever its destinations (telemetry can
 /// observe the run but never affect it).
 pub fn run_batch_telemetry<W: Write>(
     batch: &BatchRun,
@@ -970,33 +919,13 @@ fn make_record(
         } else {
             None
         },
-        completion_quantiles: grid.map(|q| QuantileRecord {
-            exact: q.exact,
-            completed: q.completed,
-            p25: q.p25,
-            p50: q.p50,
-            p75: q.p75,
-            p90: q.p90,
-            p95: q.p95,
-            p99: q.p99,
-        }),
+        completion_quantiles: grid,
         // Scenarios that stream online time (`online_cutoff = 0`) report
         // the merged histogram's grid; everyone else keeps the frozen
         // sharded schema (field absent, not null).
         online_time_quantiles: (n_shards > 1 && cfg.online_cutoff == 0)
             .then(|| online_time_quantiles(&result.pooled_online()))
-            .flatten()
-            .map(|q| OnlineRecord {
-                exact: q.exact,
-                gateways: q.gateways,
-                mean_s: q.mean_s,
-                p25: q.p25,
-                p50: q.p50,
-                p75: q.p75,
-                p90: q.p90,
-                p95: q.p95,
-                p99: q.p99,
-            }),
+            .flatten(),
     }
 }
 
@@ -1189,8 +1118,8 @@ mod tests {
         dir.join(name)
     }
 
-    /// A `Write` handle over a shared buffer, so the boxed sidecar sink's
-    /// output can be read back after the run.
+    /// A `Write` handle over a shared buffer, so the sidecar's output can
+    /// be read back after the run.
     #[derive(Clone, Default)]
     struct SharedBuf(Arc<Mutex<Vec<u8>>>);
 

@@ -201,13 +201,23 @@ fn dispatch(args: &[String]) -> SimResult<()> {
         Some("sweep") => cmd_sweep(&args[1..]),
         Some("compare") => cmd_compare(&args[1..]),
         Some("profile") => cmd_profile(&args[1..]),
-        Some("--help") | Some("-h") | None => {
-            print!("{USAGE}");
-            Ok(())
-        }
+        Some("--help") | Some("-h") | None => print_out(USAGE),
         Some(other) => {
             Err(SimError::InvalidInput(format!("unknown subcommand `{other}` (try --help)")))
         }
+    }
+}
+
+/// Writes `text` to stdout: the one way the subcommands print. A reader
+/// that closed the pipe early (`insomnia list | head -1`) already has what
+/// it wanted, so `BrokenPipe` is not an error; any other write error is.
+fn print_out(text: &str) -> SimResult<()> {
+    let mut out = std::io::stdout().lock();
+    match out.write_all(text.as_bytes()).and_then(|()| out.flush()) {
+        Err(e) if e.kind() != std::io::ErrorKind::BrokenPipe => {
+            Err(SimError::InvalidInput(format!("write stdout: {e}")))
+        }
+        _ => Ok(()),
     }
 }
 
@@ -268,17 +278,17 @@ impl Flags {
 
 fn cmd_list() -> SimResult<()> {
     let reg = Registry::builtin();
-    println!("{:<22} {:>8} {:>6} summary", "scenario", "clients", "APs");
+    let mut text = format!("{:<22} {:>8} {:>6} summary\n", "scenario", "clients", "APs");
     for p in reg.presets() {
-        match reg.resolve(p.name) {
-            Ok(cfg) => println!(
-                "{:<22} {:>8} {:>6} {}",
+        text += &match reg.resolve(p.name) {
+            Ok(cfg) => format!(
+                "{:<22} {:>8} {:>6} {}\n",
                 p.name, cfg.trace.n_clients, cfg.trace.n_aps, p.summary
             ),
-            Err(e) => println!("{:<22} {:>8} {:>6} INVALID: {e}", p.name, "-", "-"),
-        }
+            Err(e) => format!("{:<22} {:>8} {:>6} INVALID: {e}\n", p.name, "-", "-"),
+        };
     }
-    Ok(())
+    print_out(&text)
 }
 
 fn load_specs(flags: &Flags, reg: &Registry) -> SimResult<Vec<(String, ScenarioSpec)>> {
@@ -318,8 +328,7 @@ fn cmd_show(args: &[String]) -> SimResult<()> {
     let cfg = flat.to_config()?;
     let summary = spec.summary.clone();
     let explicit = ScenarioSpec::explicit(&name, summary.as_deref(), &cfg);
-    print!("{}", explicit.to_toml());
-    Ok(())
+    print_out(&explicit.to_toml())
 }
 
 fn cmd_run(args: &[String], sweep: Option<(&str, &[&str])>) -> SimResult<()> {
@@ -521,9 +530,9 @@ fn cmd_profile(args: &[String]) -> SimResult<()> {
                 let line = serde_json::to_string(&totals).map_err(|e| {
                     SimError::InvalidInput(format!("serialize counter totals: {e}"))
                 })?;
-                println!("{line}");
+                print_out(&format!("{line}\n"))
             } else {
-                print!("{}", report.render());
+                print_out(&report.render())
             }
         }
         [a_path, b_path] => {
@@ -534,17 +543,14 @@ fn cmd_profile(args: &[String]) -> SimResult<()> {
             }
             let delta = insomnia_telemetry::render_delta(&load(a_path)?, &load(b_path)?)
                 .map_err(SimError::InvalidInput)?;
-            print!("{delta}");
+            print_out(&delta)
         }
-        _ => {
-            return Err(SimError::InvalidInput(
-                "profile needs one telemetry sidecar (report) or two (before/after delta): \
-                 insomnia profile run.telemetry.jsonl [other.telemetry.jsonl]"
-                    .into(),
-            ));
-        }
+        _ => Err(SimError::InvalidInput(
+            "profile needs one telemetry sidecar (report) or two (before/after delta): \
+             insomnia profile run.telemetry.jsonl [other.telemetry.jsonl]"
+                .into(),
+        )),
     }
-    Ok(())
 }
 
 fn cmd_compare(args: &[String]) -> SimResult<()> {
@@ -565,7 +571,7 @@ fn cmd_compare(args: &[String]) -> SimResult<()> {
             .map_err(|e| SimError::InvalidInput(format!("read {path}: {e}")))
     };
     let report = compare_jsonl(a_path, &read(a_path)?, b_path, &read(b_path)?, tol)?;
-    print!("{}", report.render());
+    print_out(&report.render())?;
     if report.matches() {
         Ok(())
     } else {

@@ -46,7 +46,7 @@ pub mod spec;
 
 pub use batch::{
     run_batch, run_batch_controlled, run_batch_telemetry, BatchRun, BatchSummary, JobRecord,
-    OnlineRecord, QuantileRecord, RunControl, ShardRecord, SummaryRow,
+    RunControl, ShardRecord, SummaryRow,
 };
 pub use checkpoint::{
     crc32, load_checkpoint, manifest_for, CheckpointWriteStats, CheckpointWriter, LoadedCheckpoint,

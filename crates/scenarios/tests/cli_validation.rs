@@ -1,7 +1,8 @@
 //! Bad user input to `insomnia run` must end in a prompt error, never a
 //! hang or a panic. Each case runs the CLI under a wall-clock deadline and
 //! kills it on overrun, so a regression fails the test instead of stalling
-//! the suite.
+//! the suite. A closed stdout must not panic the printing subcommands
+//! either.
 
 use std::process::{Command, Stdio};
 use std::time::{Duration, Instant};
@@ -103,4 +104,46 @@ fn the_removed_shards_flag_is_an_unknown_flag() {
     let (code, stderr) = run_bh2_with("shards=0");
     assert_eq!(code, Some(1), "`--set shards=0` must exit 1 (stderr: {stderr})");
     assert!(stderr.contains("invalid configuration"), "{stderr}");
+}
+
+#[test]
+fn printing_subcommands_exit_cleanly_on_a_closed_stdout() {
+    let dir = std::env::temp_dir().join(format!("cli-closed-stdout-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let out = dir.join("a.jsonl");
+    let sidecar = dir.join("a.telemetry.jsonl");
+    let (code, stderr) =
+        run_bh2_args(&["--out", out.to_str().unwrap(), "--telemetry", sidecar.to_str().unwrap()]);
+    assert_eq!(code, Some(0), "{stderr}");
+    // A copy with one metric changed, so `compare` fails with exit 1.
+    let text = std::fs::read_to_string(&out).unwrap();
+    let other = dir.join("b.jsonl");
+    std::fs::write(&other, text.replacen("\"energy_kwh\":", "\"energy_kwh\":1", 1)).unwrap();
+    let (out, other, sidecar) =
+        (out.to_str().unwrap(), other.to_str().unwrap(), sidecar.to_str().unwrap());
+    // Each case with the exit status it has on an open stdout.
+    for (args, want) in [
+        (&["list"][..], 0),
+        (&["show", "paper-default"], 0),
+        (&["--help"], 0),
+        (&["profile", sidecar], 0),
+        (&["profile", "--counters", sidecar], 0),
+        (&["profile", sidecar, sidecar], 0),
+        (&["compare", out, out], 0),
+        (&["compare", out, other], 1),
+    ] {
+        // The reader end is dropped before the spawn: every write hits EPIPE.
+        let (reader, writer) = std::io::pipe().expect("pipe");
+        drop(reader);
+        let done = Command::new(env!("CARGO_BIN_EXE_insomnia"))
+            .args(args)
+            .stdout(Stdio::from(writer))
+            .stderr(Stdio::piped())
+            .output()
+            .expect("spawn insomnia");
+        let stderr = String::from_utf8_lossy(&done.stderr);
+        assert_eq!(done.status.code(), Some(want), "{args:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{args:?} panicked: {stderr}");
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
 }

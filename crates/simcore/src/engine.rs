@@ -1,4 +1,4 @@
-//! The simulation driver: a clock plus an event queue.
+//! The simulation driver: a clock plus the pending events.
 //!
 //! The engine is deliberately minimal (in the spirit of smoltcp's
 //! "simplicity and robustness" design goals): the application owns its world
@@ -6,17 +6,56 @@
 //! `&mut Scheduler<E>` so they can schedule follow-up events, which sidesteps
 //! the usual borrow-checker fights of callback-based DES designs without any
 //! `Rc<RefCell>` or trait-object machinery.
+//!
+//! Pending events sit in a binary heap of `(time, lane, seq)`-ranked entries
+//! (see the [`queue`](crate::queue) module for the order and the entry
+//! layout) with their payloads in a slab. Cancellation is O(1) and eager
+//! about payloads: [`Scheduler::cancel`] drops the payload immediately and
+//! bumps the slot's generation, so the heap entry is recognized as stale and
+//! *purged* when it surfaces (pop or peek). Nothing dead accumulates for the
+//! lifetime of the run; a drain-time debug assertion proves every cancelled
+//! entry is reaped.
+//!
+//! Beside the heap sits a *monotone lane*: a FIFO of `(time, key, event)`
+//! for events whose schedule times never decrease, such as a fixed-period
+//! tick that always reschedules itself at `now + period`. Its keys come
+//! from the same sequence counter and carry the normal-lane bit, so a lane
+//! entry ranks exactly where the same event would rank in the heap.
+//! Because both times and keys only grow along the FIFO, it stays sorted
+//! with O(1) push and pop; a pop delivers whichever of the two heads ranks
+//! lower by `(time, key)`, which is the order a heap-only queue would give.
+//! Lane events carry no token and cannot be cancelled.
+//!
+//! [`Scheduler::run_until`] pops once per delivered event: one
+//! heap-head/lane-head comparison decides both which head goes next and
+//! whether it is still inside the horizon, where a `peek_time` followed by a
+//! pop would compare the heads twice.
+//!
+//! The work tallies are read off this state rather than kept beside it: the
+//! sequence counter is the number of events ever scheduled, and the events
+//! delivered are those scheduled minus the pending and the cancelled ones.
 
-use crate::queue::{EventQueue, EventToken};
-use crate::time::{SimDuration, SimTime};
+use crate::queue::{Entry, EventToken, Slot, LANE_FRONT, LANE_NORMAL};
+use crate::time::SimTime;
+use std::collections::{BinaryHeap, VecDeque};
 
-/// Clock plus pending-event queue for one simulation run.
+/// Clock plus pending events for one simulation run, delivered in
+/// `(time, lane, insertion order)` order (see the module docs).
 pub struct Scheduler<E> {
-    queue: EventQueue<E>,
     now: SimTime,
-    delivered: u64,
-    scheduled: u64,
-    cancelled: u64,
+    heap: BinaryHeap<Entry>,
+    /// The monotone lane, ascending in `(time, key)` front to back.
+    lane: VecDeque<(SimTime, u64, E)>,
+    slots: Vec<Slot<E>>,
+    free: Vec<u32>,
+    /// The next sequence number: the count of events ever scheduled.
+    next_seq: u64,
+    /// Scheduled − delivered − cancelled: the deliverable entries.
+    live: usize,
+    /// Cancelled entries whose stale heap entry has not surfaced yet.
+    cancelled_unpurged: usize,
+    /// Stale entries reaped so far.
+    cancelled_purged: u64,
 }
 
 impl<E> Default for Scheduler<E> {
@@ -29,11 +68,15 @@ impl<E> Scheduler<E> {
     /// Creates a scheduler with the clock at time zero.
     pub fn new() -> Self {
         Scheduler {
-            queue: EventQueue::new(),
             now: SimTime::ZERO,
-            delivered: 0,
-            scheduled: 0,
-            cancelled: 0,
+            heap: BinaryHeap::new(),
+            lane: VecDeque::new(),
+            slots: Vec::new(),
+            free: Vec::new(),
+            next_seq: 0,
+            live: 0,
+            cancelled_unpurged: 0,
+            cancelled_purged: 0,
         }
     }
 
@@ -44,7 +87,7 @@ impl<E> Scheduler<E> {
 
     /// Total number of events delivered so far.
     pub fn delivered(&self) -> u64 {
-        self.delivered
+        self.next_seq - self.live as u64 - self.cancelled()
     }
 
     /// Total number of events ever scheduled, on the heap and the monotone
@@ -53,63 +96,51 @@ impl<E> Scheduler<E> {
     /// deterministic telemetry; moving an event kind to the lane leaves it
     /// unchanged.
     pub fn scheduled(&self) -> u64 {
-        self.scheduled
+        self.next_seq
     }
 
-    /// Total number of [`cancel`](Scheduler::cancel) calls. Cancellation is
-    /// lazy in the queue, but callers only cancel tokens they still hold,
-    /// so this equals the number of events removed before delivery.
+    /// Total number of events removed by [`cancel`](Scheduler::cancel)
+    /// before delivery. Cancelling a delivered or already-cancelled token
+    /// removes nothing and is not counted.
     pub fn cancelled(&self) -> u64 {
-        self.cancelled
+        self.cancelled_purged + self.cancelled_unpurged as u64
     }
 
     /// Number of pending events, on the heap and the monotone lane
     /// together.
     pub fn pending(&self) -> usize {
-        self.queue.len()
+        self.live
     }
 
-    /// Schedules `event` at the absolute time `at`.
+    /// Schedules `event` at the absolute time `at`. Returns a token usable
+    /// with [`cancel`](Scheduler::cancel).
     ///
     /// # Panics
     /// Panics if `at` is in the past — delivering events out of causal order
     /// would silently corrupt every downstream statistic, so this is a
     /// programming error worth failing loudly on.
     pub fn schedule_at(&mut self, at: SimTime, event: E) -> EventToken {
-        assert!(at >= self.now, "scheduled event at {at} before current time {}", self.now);
-        self.scheduled += 1;
-        self.queue.push(at, event)
+        self.push(at, LANE_NORMAL, event)
     }
 
-    /// Schedules `event` after a relative delay from now.
-    pub fn schedule_after(&mut self, delay: SimDuration, event: E) -> EventToken {
-        self.scheduled += 1;
-        self.queue.push(self.now + delay, event)
-    }
-
-    /// Schedules `event` at `at` in the queue's *front lane*: among events
-    /// at the same instant it is delivered before every
-    /// [`schedule_at`]/[`schedule_after`] event, regardless of insertion
-    /// order (front-lane events stay FIFO among themselves). Streaming
-    /// drivers use this to feed trace arrivals one at a time while
-    /// reproducing the delivery order of a run that pre-scheduled every
-    /// arrival up front (arrivals then held the lowest sequence numbers, so
-    /// they always beat simultaneous timers).
+    /// Schedules `event` at `at` in the *front lane*: among events at the
+    /// same instant it is delivered before every [`schedule_at`] event,
+    /// regardless of insertion order (front-lane events stay FIFO among
+    /// themselves). Streaming drivers use this to feed trace arrivals one
+    /// at a time while reproducing the delivery order of a run that
+    /// pre-scheduled every arrival up front (arrivals then held the lowest
+    /// sequence numbers, so they always beat simultaneous timers).
     ///
     /// [`schedule_at`]: Scheduler::schedule_at
-    /// [`schedule_after`]: Scheduler::schedule_after
     pub fn schedule_front(&mut self, at: SimTime, event: E) -> EventToken {
-        assert!(at >= self.now, "scheduled event at {at} before current time {}", self.now);
-        self.scheduled += 1;
-        self.queue.push_front(at, event)
+        self.push(at, LANE_FRONT, event)
     }
 
-    /// Schedules `event` at `at` in the queue's *monotone lane*, an O(1)
-    /// FIFO beside the heap for events whose schedule times never decrease
-    /// (e.g. a fixed-period tick rescheduled at `now + period`). The event
-    /// is delivered exactly where a [`schedule_at`] at the same moment
-    /// would deliver it. It returns no token: lane events cannot be
-    /// cancelled.
+    /// Schedules `event` at `at` in the *monotone lane*, an O(1) FIFO beside
+    /// the heap for events whose schedule times never decrease (e.g. a
+    /// fixed-period tick rescheduled at `now + period`). The event is
+    /// delivered exactly where a [`schedule_at`] at the same moment would
+    /// deliver it. It returns no token: lane events cannot be cancelled.
     ///
     /// # Panics
     /// Panics if `at` is before the current time or before the lane's last
@@ -117,15 +148,80 @@ impl<E> Scheduler<E> {
     ///
     /// [`schedule_at`]: Scheduler::schedule_at
     pub fn schedule_monotone(&mut self, at: SimTime, event: E) {
-        assert!(at >= self.now, "scheduled event at {at} before current time {}", self.now);
-        self.scheduled += 1;
-        self.queue.push_monotone(at, event);
+        self.assert_not_past(at);
+        if let Some(&(tail, _, _)) = self.lane.back() {
+            assert!(at >= tail, "monotone lane push at {at} before its tail at {tail}");
+        }
+        let key = self.next_key(LANE_NORMAL);
+        self.lane.push_back((at, key, event));
+        self.live += 1;
     }
 
-    /// Cancels a pending event (no-op if already delivered/cancelled).
+    fn assert_not_past(&self, at: SimTime) {
+        assert!(at >= self.now, "scheduled event at {at} before current time {}", self.now);
+    }
+
+    /// Draws the next sequence number and packs it with `lane` into a key.
+    #[inline]
+    fn next_key(&mut self, lane: u8) -> u64 {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        debug_assert!(seq < 1 << 63, "sequence space exhausted");
+        ((lane as u64) << 63) | seq
+    }
+
+    fn push(&mut self, time: SimTime, lane: u8, event: E) -> EventToken {
+        self.assert_not_past(time);
+        let key = self.next_key(lane);
+        let slot = match self.free.pop() {
+            Some(s) => {
+                let cell = &mut self.slots[s as usize];
+                debug_assert!(cell.event.is_none(), "free slot must be empty");
+                cell.event = Some(event);
+                s
+            }
+            None => {
+                self.slots.push(Slot { generation: 0, event: Some(event) });
+                (self.slots.len() - 1) as u32
+            }
+        };
+        let generation = self.slots[slot as usize].generation;
+        self.heap.push(Entry { time, key, slot, generation });
+        self.live += 1;
+        EventToken { slot, generation }
+    }
+
+    /// Cancels a pending event. Cancelling an already-delivered or
+    /// already-cancelled event is a no-op (the token's generation no longer
+    /// matches). The payload is dropped immediately; the stale heap entry
+    /// is purged when it next surfaces in a pop or [`peek_time`], so no
+    /// dead state outlives the drain.
+    ///
+    /// [`peek_time`]: Scheduler::peek_time
     pub fn cancel(&mut self, token: EventToken) {
-        self.cancelled += 1;
-        self.queue.cancel(token);
+        if let Some(cell) = self.slots.get_mut(token.slot as usize) {
+            if cell.generation == token.generation && cell.event.is_some() {
+                cell.event = None;
+                cell.generation = cell.generation.wrapping_add(1);
+                self.live -= 1;
+                self.cancelled_unpurged += 1;
+            }
+        }
+    }
+
+    /// Rank of the earliest live heap entry, purging stale heads on the way.
+    #[inline]
+    fn heap_head(&mut self) -> Option<(SimTime, u64)> {
+        while let Some(entry) = self.heap.peek().copied() {
+            if self.slots[entry.slot as usize].generation == entry.generation {
+                return Some(entry.rank());
+            }
+            self.heap.pop();
+            self.free.push(entry.slot);
+            self.cancelled_unpurged -= 1;
+            self.cancelled_purged += 1;
+        }
+        None
     }
 
     /// Pops the next event and advances the clock to its timestamp.
@@ -134,22 +230,53 @@ impl<E> Scheduler<E> {
     }
 
     /// [`next_event`](Scheduler::next_event), for an event due at or before
-    /// `end` only.
+    /// `end` only; a later event stays queued.
     fn next_event_until(&mut self, end: SimTime) -> Option<(SimTime, E)> {
-        let (t, e) = self.queue.pop_until(end)?;
+        let heap = self.heap_head();
+        let (t, e) = match self.lane.front() {
+            Some(&(time, key, _)) if heap.is_none_or(|h| (time, key) < h) => {
+                if time > end {
+                    return None;
+                }
+                let (time, _, event) = self.lane.pop_front().expect("lane head exists");
+                (time, event)
+            }
+            _ => match heap {
+                Some((time, _)) if time <= end => {
+                    let entry = self.heap.pop().expect("heap head exists");
+                    let cell = &mut self.slots[entry.slot as usize];
+                    let event = cell.event.take().expect("live slot holds its event");
+                    cell.generation = cell.generation.wrapping_add(1);
+                    self.free.push(entry.slot);
+                    (entry.time, event)
+                }
+                Some(_) => return None,
+                None => {
+                    // A drained queue must have reaped every cancellation —
+                    // the guarantee that long horizons accumulate no dead
+                    // state.
+                    debug_assert_eq!(
+                        self.cancelled_unpurged, 0,
+                        "drained queue left cancelled entries unpurged"
+                    );
+                    return None;
+                }
+            },
+        };
         debug_assert!(t >= self.now);
+        self.live -= 1;
         self.now = t;
-        self.delivered += 1;
         Some((t, e))
     }
 
     /// Time of the next pending event, if any.
     pub fn peek_time(&mut self) -> Option<SimTime> {
-        self.queue.peek_time()
+        let lane = self.lane.front().map(|&(time, key, _)| (time, key));
+        self.heap_head().into_iter().chain(lane).min().map(|(time, _)| time)
     }
 
     /// Runs the event loop until the queue drains or the clock passes `end`,
-    /// popping once per delivered event ([`EventQueue::pop_until`]).
+    /// popping once per delivered event.
     ///
     /// Events timestamped exactly at `end` are still delivered; the first
     /// event strictly after `end` is left in the queue and the clock is
@@ -170,6 +297,19 @@ impl<E> Scheduler<E> {
 }
 
 #[cfg(test)]
+impl<E> Scheduler<E> {
+    /// Stale (cancelled-then-surfaced) heap entries reaped so far.
+    pub(crate) fn cancelled_purged(&self) -> u64 {
+        self.cancelled_purged
+    }
+
+    /// Slab cells ever allocated, live and free.
+    pub(crate) fn slab_len(&self) -> usize {
+        self.slots.len()
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
 
@@ -183,7 +323,7 @@ mod tests {
     fn clock_advances_with_events() {
         let mut s: Scheduler<Ev> = Scheduler::new();
         s.schedule_at(SimTime::from_secs(3), Ev::Tick(1));
-        s.schedule_after(SimDuration::from_secs(1), Ev::Tick(0));
+        s.schedule_at(SimTime::from_secs(1), Ev::Tick(0));
         let (t0, e0) = s.next_event().unwrap();
         assert_eq!((t0, e0), (SimTime::from_secs(1), Ev::Tick(0)));
         assert_eq!(s.now(), SimTime::from_secs(1));
@@ -229,7 +369,7 @@ mod tests {
         s.run_until(&mut seen, SimTime::from_secs(5), |s, seen, t, n| {
             seen.push((t.as_secs(), n));
             // Periodic self-rescheduling, the common pattern for samplers.
-            s.schedule_after(SimDuration::from_secs(2), n + 1);
+            s.schedule_at(t + crate::SimDuration::from_secs(2), n + 1);
         });
         // Events at 1, 3, 5 delivered; the one at 7 stays pending.
         assert_eq!(seen, vec![(1, 0), (3, 1), (5, 2)]);
@@ -261,7 +401,7 @@ mod tests {
     fn scheduled_and_cancelled_counters_track_every_lane() {
         let mut s: Scheduler<u32> = Scheduler::new();
         s.schedule_at(SimTime::from_secs(1), 1);
-        s.schedule_after(SimDuration::from_secs(2), 2);
+        s.schedule_at(SimTime::from_secs(2), 2);
         let tok = s.schedule_front(SimTime::from_secs(3), 3);
         s.schedule_monotone(SimTime::from_secs(4), 4);
         assert_eq!(s.scheduled(), 4);

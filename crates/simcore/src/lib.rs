@@ -6,8 +6,9 @@
 //! The crate provides five things, deliberately nothing more:
 //!
 //! * a millisecond-granular simulation clock ([`SimTime`], [`SimDuration`]),
-//! * a pending-event queue with stable FIFO tie-breaking and lazy
-//!   cancellation ([`EventQueue`]) plus the driver loop ([`Scheduler`]),
+//! * the event scheduler ([`Scheduler`]): pending events with stable FIFO
+//!   tie-breaking, O(1) lazy cancellation and an O(1) lane for
+//!   nondecreasing timers, plus the driver loop,
 //! * reproducible randomness with named sub-streams ([`SimRng`]),
 //! * the statistics primitives every experiment reports through
 //!   ([`Welford`], [`TimeWeighted`], [`Histogram`], [`Cdf`], [`BinSeries`]),
@@ -31,7 +32,7 @@
 //! borrow checking trivial with zero interior mutability.
 //!
 //! ```
-//! use insomnia_simcore::{Scheduler, SimDuration, SimTime};
+//! use insomnia_simcore::{Scheduler, SimTime};
 //!
 //! #[derive(Debug)]
 //! enum Ev { PacketArrival, IdleTimeout }
@@ -39,7 +40,7 @@
 //! let mut sched: Scheduler<Ev> = Scheduler::new();
 //! let mut gateway_awake = true;
 //! sched.schedule_at(SimTime::from_secs(5), Ev::PacketArrival);
-//! sched.schedule_after(SimDuration::from_secs(60), Ev::IdleTimeout);
+//! sched.schedule_at(SimTime::from_secs(60), Ev::IdleTimeout);
 //! sched.run_until(&mut gateway_awake, SimTime::from_hours(24), |_s, awake, _t, ev| {
 //!     match ev {
 //!         Ev::PacketArrival => {}
@@ -64,7 +65,7 @@ pub mod time;
 pub use engine::Scheduler;
 pub use error::{SimError, SimResult};
 pub use par::{default_threads, par_fold_grouped, retry_unwind, FoldStep, Retried};
-pub use queue::{EventQueue, EventToken};
+pub use queue::EventToken;
 pub use rng::SimRng;
 pub use series::{average_runs, downsample_mean, BinSeries};
 pub use stats::{Cdf, Histogram, OnlineTimeHist, QuantileSketch, TimeWeighted, Welford};

@@ -12,10 +12,6 @@
 //! cannot perturb the sequence seen by another — a classic simulation
 //! pitfall.
 
-use rand::SeedableRng;
-use rand_core::TryRng;
-use std::convert::Infallible;
-
 /// SplitMix64, used to expand seeds. Reference: Steele, Lea, Flood,
 /// "Fast splittable pseudorandom number generators", OOPSLA 2014.
 #[derive(Debug, Clone)]
@@ -59,7 +55,7 @@ impl SimRng {
             *w = sm.next_u64();
         }
         // All-zero state is the one invalid state; SplitMix64 cannot emit four
-        // consecutive zeros, but keep the guard for from_seed paths.
+        // consecutive zeros, but the guard costs nothing.
         if s == [0, 0, 0, 0] {
             s[0] = 0x9E37_79B9_7F4A_7C15;
         }
@@ -257,67 +253,16 @@ impl SimRng {
     }
 }
 
-// Implementing `TryRng` with an infallible error makes `SimRng` a full
-// `rand::Rng` via rand_core's blanket impl, so it interoperates with the
-// wider rand ecosystem (including proptest) for free.
-impl TryRng for SimRng {
-    type Error = Infallible;
-
-    fn try_next_u32(&mut self) -> Result<u32, Infallible> {
-        Ok((self.next() >> 32) as u32)
-    }
-
-    fn try_next_u64(&mut self) -> Result<u64, Infallible> {
-        Ok(self.next())
-    }
-
-    fn try_fill_bytes(&mut self, dst: &mut [u8]) -> Result<(), Infallible> {
-        let mut chunks = dst.chunks_exact_mut(8);
-        for chunk in &mut chunks {
-            chunk.copy_from_slice(&self.next().to_le_bytes());
-        }
-        let rem = chunks.into_remainder();
-        if !rem.is_empty() {
-            let bytes = self.next().to_le_bytes();
-            rem.copy_from_slice(&bytes[..rem.len()]);
-        }
-        Ok(())
-    }
-}
-
-impl SeedableRng for SimRng {
-    type Seed = [u8; 32];
-
-    fn from_seed(seed: Self::Seed) -> Self {
-        let mut s = [0u64; 4];
-        for (i, w) in s.iter_mut().enumerate() {
-            let mut b = [0u8; 8];
-            b.copy_from_slice(&seed[i * 8..(i + 1) * 8]);
-            *w = u64::from_le_bytes(b);
-        }
-        if s == [0, 0, 0, 0] {
-            s[0] = 0x9E37_79B9_7F4A_7C15;
-        }
-        let id = s[0] ^ s[1].rotate_left(13) ^ s[2].rotate_left(29) ^ s[3].rotate_left(47);
-        SimRng { s, id }
-    }
-
-    fn seed_from_u64(state: u64) -> Self {
-        SimRng::new(state)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::Rng as _;
 
     #[test]
     fn deterministic_for_same_seed() {
         let mut a = SimRng::new(42);
         let mut b = SimRng::new(42);
         for _ in 0..1000 {
-            assert_eq!(a.next_u64(), b.next_u64());
+            assert_eq!(a.next(), b.next());
         }
     }
 
@@ -325,7 +270,7 @@ mod tests {
     fn different_seeds_diverge() {
         let mut a = SimRng::new(1);
         let mut b = SimRng::new(2);
-        let same = (0..64).filter(|_| a.next_u64() == b.next_u64()).count();
+        let same = (0..64).filter(|_| a.next() == b.next()).count();
         assert_eq!(same, 0);
     }
 
@@ -334,7 +279,7 @@ mod tests {
         let parent = SimRng::new(7);
         let mut drawn = parent.clone();
         for _ in 0..100 {
-            drawn.next_u64();
+            drawn.next();
         }
         // Fork depends on identity, not position.
         assert_eq!(parent.fork("traffic"), drawn.fork("traffic"));
@@ -423,23 +368,5 @@ mod tests {
         sorted.sort_unstable();
         assert_eq!(sorted, (0..50).collect::<Vec<_>>());
         assert_ne!(xs, (0..50).collect::<Vec<_>>(), "50 elements staying put is ~impossible");
-    }
-
-    #[test]
-    fn fill_bytes_covers_partial_chunks() {
-        let mut r = SimRng::new(29);
-        let mut buf = [0u8; 13];
-        r.fill_bytes(&mut buf);
-        assert!(buf.iter().any(|&b| b != 0));
-    }
-
-    #[test]
-    fn seedable_from_seed_roundtrip() {
-        let seed = [7u8; 32];
-        let mut a = SimRng::from_seed(seed);
-        let mut b = SimRng::from_seed(seed);
-        assert_eq!(a.next_u64(), b.next_u64());
-        let zero = SimRng::from_seed([0u8; 32]);
-        assert_ne!(zero.s, [0, 0, 0, 0], "all-zero state must be corrected");
     }
 }

@@ -1,8 +1,8 @@
 //! Property-based tests of the simulation engine's invariants.
 
 use insomnia_simcore::{
-    par_fold_grouped, Cdf, EventQueue, OnlineTimeHist, QuantileSketch, Scheduler, SimDuration,
-    SimRng, SimTime, TimeWeighted, Welford,
+    par_fold_grouped, Cdf, OnlineTimeHist, QuantileSketch, Scheduler, SimDuration, SimRng, SimTime,
+    TimeWeighted, Welford,
 };
 use proptest::prelude::*;
 
@@ -30,8 +30,8 @@ fn record_and_follow(
     }
 }
 
-/// `Scheduler::run_until`'s loop as it was before `EventQueue::pop_until`:
-/// peek the next time, then pop. The byte-identity reference for the
+/// `Scheduler::run_until`'s loop as it was before it popped with one head
+/// comparison per event: peek the next time, then pop. The byte-identity reference for the
 /// one-lookup loop (the clock is left at the last delivery, not `end`).
 fn peek_then_pop_until(s: &mut Scheduler<usize>, end: SimTime, out: &mut Vec<(SimTime, usize)>) {
     loop {
@@ -50,12 +50,12 @@ proptest! {
     /// events preserve insertion order.
     #[test]
     fn queue_pops_sorted_and_stable(times in prop::collection::vec(0u64..1_000, 1..200)) {
-        let mut q = EventQueue::new();
+        let mut q = Scheduler::new();
         for (i, &t) in times.iter().enumerate() {
-            q.push(SimTime::from_millis(t), i);
+            q.schedule_at(SimTime::from_millis(t), i);
         }
         let mut last: Option<(SimTime, usize)> = None;
-        while let Some((t, i)) = q.pop() {
+        while let Some((t, i)) = q.next_event() {
             if let Some((lt, li)) = last {
                 prop_assert!(t >= lt, "time went backwards");
                 if t == lt {
@@ -72,11 +72,11 @@ proptest! {
         times in prop::collection::vec(0u64..100, 1..100),
         cancel_mask in prop::collection::vec(any::<bool>(), 100),
     ) {
-        let mut q = EventQueue::new();
+        let mut q = Scheduler::new();
         let tokens: Vec<_> = times
             .iter()
             .enumerate()
-            .map(|(i, &t)| (i, q.push(SimTime::from_millis(t), i)))
+            .map(|(i, &t)| (i, q.schedule_at(SimTime::from_millis(t), i)))
             .collect();
         let mut expect: Vec<usize> = Vec::new();
         for (i, tok) in &tokens {
@@ -87,7 +87,7 @@ proptest! {
             }
         }
         let mut got: Vec<usize> = Vec::new();
-        while let Some((_, i)) = q.pop() {
+        while let Some((_, i)) = q.next_event() {
             got.push(i);
         }
         got.sort_unstable();
@@ -151,6 +151,68 @@ proptest! {
         prop_assert_eq!(lane.scheduled(), reference.scheduled());
         prop_assert_eq!(lane.cancelled(), reference.cancelled());
         prop_assert_eq!(lane.delivered(), reference.delivered());
+    }
+
+    /// The scheduler's tallies match shadow counts kept beside it, after
+    /// every step of a random mix of heap, front-lane and monotone-lane
+    /// schedules, cancels (of pending, delivered and already-cancelled
+    /// tokens alike) and bounded `run_until` drains.
+    #[test]
+    fn scheduler_tallies_match_shadow_counts(
+        ops in prop::collection::vec((0u8..5, 0u64..3, any::<u64>()), 1..300),
+    ) {
+        let mut s: Scheduler<usize> = Scheduler::new();
+        // Every token ever issued, and whether its event is still pending.
+        let mut tokens = Vec::new();
+        let mut pending_token: Vec<bool> = Vec::new();
+        let (mut scheduled, mut delivered, mut cancelled, mut pending) = (0u64, 0u64, 0u64, 0usize);
+        let mut lane_tail = SimTime::ZERO;
+        let step = SimDuration::from_millis;
+        for &(kind, dt, pick) in &ops {
+            let at = s.now() + step(dt);
+            match kind {
+                0 | 1 => {
+                    let id = tokens.len();
+                    tokens.push(if kind == 0 {
+                        s.schedule_at(at, id)
+                    } else {
+                        s.schedule_front(at, id)
+                    });
+                    pending_token.push(true);
+                    scheduled += 1;
+                    pending += 1;
+                }
+                2 => {
+                    lane_tail = lane_tail.max(s.now()) + step(dt);
+                    s.schedule_monotone(lane_tail, usize::MAX);
+                    scheduled += 1;
+                    pending += 1;
+                }
+                3 if !tokens.is_empty() => {
+                    let i = (pick % tokens.len() as u64) as usize;
+                    s.cancel(tokens[i]);
+                    if std::mem::replace(&mut pending_token[i], false) {
+                        cancelled += 1;
+                        pending -= 1;
+                    }
+                }
+                _ => {
+                    let mut got = Vec::new();
+                    s.run_until(&mut got, at, |_, got, _, id| got.push(id));
+                    for id in got {
+                        if id != usize::MAX {
+                            prop_assert!(std::mem::replace(&mut pending_token[id], false));
+                        }
+                        delivered += 1;
+                        pending -= 1;
+                    }
+                }
+            }
+            prop_assert_eq!(s.scheduled(), scheduled);
+            prop_assert_eq!(s.delivered(), delivered);
+            prop_assert_eq!(s.cancelled(), cancelled);
+            prop_assert_eq!(s.pending(), pending);
+        }
     }
 
     /// Welford matches the naive two-pass computation.

@@ -12,10 +12,11 @@
 //!   `(repetition × shard)` task and [`RunCounters::merge`] is
 //!   order-invariant (sums and maxes), so merged totals are byte-identical
 //!   at any thread count — the same property the quantile sketches pin.
-//! * [`TelemetrySink`] and [`TelemetryRecord`] — the reporting abstraction
-//!   replacing ad-hoc `eprintln!`: a [`HumanSink`] renders the classic
-//!   stderr heartbeat/job lines, a [`JsonlSink`] writes one JSON object
-//!   per record into a sidecar file (`insomnia run --telemetry out.jsonl`).
+//! * [`Telemetry`] and [`TelemetryRecord`] — the reporting path replacing
+//!   ad-hoc `eprintln!`: a [`Telemetry`] renders the classic stderr
+//!   heartbeat/job lines (unless `--quiet`) and, with a sidecar, writes
+//!   one JSON object per record into it (`insomnia run --telemetry
+//!   out.jsonl`).
 //!   Sidecar records carry both wall-clock spans (non-deterministic by
 //!   nature) and the deterministic counters; the result JSONL is never
 //!   touched.
@@ -43,5 +44,5 @@ pub use record::{
     JobTelemetryRecord, ManifestRecord, ManifestScenario, PhaseRecord, SummaryRecord, TaskRecord,
     TelemetryRecord, TELEMETRY_SCHEMA_VERSION,
 };
-pub use sink::{HumanSink, JsonlSink, Telemetry, TelemetrySink};
+pub use sink::Telemetry;
 pub use span::PhaseAccum;

@@ -1,150 +1,124 @@
-//! Telemetry sinks: where run records go.
+//! Where run records go.
 //!
 //! The batch runner emits [`TelemetryRecord`]s from worker threads and the
-//! collector; sinks decide the presentation. [`HumanSink`] reproduces the
-//! classic stderr heartbeat/job lines byte-for-byte (the default),
-//! [`JsonlSink`] appends one JSON object per record to a sidecar writer
-//! (`insomnia run --telemetry FILE`). A [`Telemetry`] bundles any number of
-//! sinks — `--quiet` is simply a bundle without the human sink.
+//! collector through one [`Telemetry`], which has two destinations: the
+//! classic human stderr heartbeat/job lines (the default; `--quiet` turns
+//! them off) and an optional JSONL sidecar writer that gets one JSON object
+//! per record (`insomnia run --telemetry FILE`).
 
 use crate::record::TelemetryRecord;
 use std::io::Write;
 use std::sync::Mutex;
 
-/// One destination for telemetry records. Implementations must be cheap
-/// and thread-safe: records arrive from worker threads mid-run.
-pub trait TelemetrySink: Send + Sync {
-    /// Consumes one record.
-    fn record(&self, rec: &TelemetryRecord);
-}
-
-/// Renders records as the classic human stderr lines: a heartbeat per
-/// sharded `(repetition × shard)` task and one line per finished job.
-/// Manifest, phase and summary records are silent (the CLI prints its own
-/// end-of-run summary).
-#[derive(Debug, Default)]
-pub struct HumanSink;
-
-impl TelemetrySink for HumanSink {
-    fn record(&self, rec: &TelemetryRecord) {
-        let line = match rec {
-            // The shard heartbeat: only sharded jobs are long enough to
-            // need one; unsharded tasks stay silent (historical behavior).
-            TelemetryRecord::Task(t) if t.n_shards > 1 => format!(
-                "# shard {}/{} seed {}: rep {} shard {}/{} done ({}/{} tasks, merged shards: \
-                 {}/{}, fold queue {}, {} events, peak heap {}, peak active {})\n",
-                t.scenario,
-                t.scheme,
-                t.seed_index,
-                t.rep,
-                t.shard,
-                t.n_shards,
-                t.finished,
-                t.total,
-                t.merged,
-                t.total,
-                t.fold_queue,
-                t.counters.delivered(),
-                t.counters.peak_heap,
-                t.counters.peak_active_flows,
-            ),
-            TelemetryRecord::Job(j) => format!(
-                "# job {}: {}/{} seed {} — {:.0} ms, {} events, {} shard(s)\n",
-                j.job,
-                j.scenario,
-                j.scheme,
-                j.seed_index,
-                j.wall_ms,
-                j.counters.delivered(),
-                j.shards,
-            ),
-            _ => return,
-        };
-        // One write_all + explicit flush under the stderr lock, so lines
-        // from concurrent workers never interleave at high thread counts.
-        let mut err = std::io::stderr().lock();
-        let _ = err.write_all(line.as_bytes());
-        let _ = err.flush();
-    }
-}
-
-/// Writes one JSON object per record to a sidecar writer, flushing each
-/// line (tail-able mid-run; crash-robust). Write errors are reported to
-/// stderr once and further records are dropped — telemetry must never
-/// fail the simulation that produced it.
-pub struct JsonlSink {
-    out: Mutex<SinkState>,
-}
-
-struct SinkState {
-    writer: Box<dyn Write + Send>,
-    failed: bool,
-}
-
-impl JsonlSink {
-    /// A sink over any writer (a `BufWriter<File>` for the CLI, a shared
-    /// buffer in tests).
-    pub fn new(writer: Box<dyn Write + Send>) -> JsonlSink {
-        JsonlSink { out: Mutex::new(SinkState { writer, failed: false }) }
-    }
-}
-
-impl TelemetrySink for JsonlSink {
-    fn record(&self, rec: &TelemetryRecord) {
-        let mut st = self.out.lock().expect("telemetry sink lock");
-        if st.failed {
-            return;
-        }
-        let wrote = serde_json::to_string(rec)
-            .map_err(std::io::Error::other)
-            .and_then(|line| writeln!(st.writer, "{line}").and_then(|()| st.writer.flush()));
-        if let Err(e) = wrote {
-            st.failed = true;
-            eprintln!("# telemetry: sidecar write failed ({e}); sidecar truncated");
-        }
-    }
-}
-
-/// A bundle of sinks plus the config-phase span measured by the CLI before
-/// the batch starts. The batch runner emits every record through
-/// [`Telemetry::emit`]; an empty bundle (built by [`Telemetry::quiet`]) is
-/// `--quiet`.
+/// The telemetry destinations of one run, plus the config-phase span
+/// measured by the CLI before the batch starts. The batch runner emits
+/// every record through [`Telemetry::emit`]; [`Telemetry::quiet`] without
+/// a sidecar emits nothing (`--quiet`).
 #[derive(Default)]
 pub struct Telemetry {
-    sinks: Vec<Box<dyn TelemetrySink>>,
+    /// Renders the human stderr lines.
+    human: bool,
+    /// The JSONL sidecar, if any.
+    jsonl: Option<Mutex<Sidecar>>,
     /// Wall-clock the caller spent resolving specs/flags before the batch
     /// started, milliseconds — folded into the `config` phase record.
     pub config_ms: f64,
 }
 
+/// The sidecar writer and whether a write to it has failed.
+struct Sidecar {
+    writer: Box<dyn Write + Send>,
+    failed: bool,
+}
+
 impl Telemetry {
-    /// The default bundle: the human stderr renderer only (classic
-    /// behavior of `insomnia run`).
+    /// The human stderr lines only (classic behavior of `insomnia run`).
     pub fn stderr() -> Telemetry {
-        Telemetry { sinks: vec![Box::new(HumanSink)], config_ms: 0.0 }
+        Telemetry { human: true, ..Telemetry::default() }
     }
 
-    /// An empty bundle: no heartbeat, no job lines (`--quiet`).
+    /// No human lines and no sidecar (`--quiet`).
     pub fn quiet() -> Telemetry {
-        Telemetry { sinks: Vec::new(), config_ms: 0.0 }
+        Telemetry::default()
     }
 
-    /// Adds any sink to the bundle.
-    pub fn with_sink(mut self, sink: Box<dyn TelemetrySink>) -> Telemetry {
-        self.sinks.push(sink);
+    /// Adds a JSONL sidecar over `writer` (a `BufWriter<File>` for the CLI,
+    /// a shared buffer in tests).
+    pub fn with_jsonl(mut self, writer: Box<dyn Write + Send>) -> Telemetry {
+        self.jsonl = Some(Mutex::new(Sidecar { writer, failed: false }));
         self
     }
 
-    /// Adds a JSONL sidecar over `writer`.
-    pub fn with_jsonl(self, writer: Box<dyn Write + Send>) -> Telemetry {
-        self.with_sink(Box::new(JsonlSink::new(writer)))
-    }
-
-    /// Fans one record out to every sink.
+    /// Sends one record to the human lines, then to the sidecar.
     pub fn emit(&self, rec: &TelemetryRecord) {
-        for sink in &self.sinks {
-            sink.record(rec);
+        if self.human {
+            human_line(rec);
         }
+        if let Some(sidecar) = &self.jsonl {
+            write_jsonl(&mut sidecar.lock().expect("telemetry sidecar lock"), rec);
+        }
+    }
+}
+
+/// Renders `rec` as a classic human stderr line: a heartbeat per sharded
+/// `(repetition × shard)` task and one line per finished job. Manifest,
+/// phase and summary records are silent (the CLI prints its own end-of-run
+/// summary).
+fn human_line(rec: &TelemetryRecord) {
+    let line = match rec {
+        // The shard heartbeat: only sharded jobs are long enough to need
+        // one; unsharded tasks stay silent (historical behavior).
+        TelemetryRecord::Task(t) if t.n_shards > 1 => format!(
+            "# shard {}/{} seed {}: rep {} shard {}/{} done ({}/{} tasks, merged shards: \
+             {}/{}, fold queue {}, {} events, peak heap {}, peak active {})\n",
+            t.scenario,
+            t.scheme,
+            t.seed_index,
+            t.rep,
+            t.shard,
+            t.n_shards,
+            t.finished,
+            t.total,
+            t.merged,
+            t.total,
+            t.fold_queue,
+            t.counters.delivered(),
+            t.counters.peak_heap,
+            t.counters.peak_active_flows,
+        ),
+        TelemetryRecord::Job(j) => format!(
+            "# job {}: {}/{} seed {} — {:.0} ms, {} events, {} shard(s)\n",
+            j.job,
+            j.scenario,
+            j.scheme,
+            j.seed_index,
+            j.wall_ms,
+            j.counters.delivered(),
+            j.shards,
+        ),
+        _ => return,
+    };
+    // One write_all + explicit flush under the stderr lock, so lines from
+    // concurrent workers never interleave at high thread counts.
+    let mut err = std::io::stderr().lock();
+    let _ = err.write_all(line.as_bytes());
+    let _ = err.flush();
+}
+
+/// Writes `rec` as one JSON line and flushes it (tail-able mid-run;
+/// crash-robust). A write error is reported to stderr once and further
+/// records are dropped — telemetry must never fail the simulation that
+/// produced it.
+fn write_jsonl(sidecar: &mut Sidecar, rec: &TelemetryRecord) {
+    if sidecar.failed {
+        return;
+    }
+    let wrote = serde_json::to_string(rec)
+        .map_err(std::io::Error::other)
+        .and_then(|line| writeln!(sidecar.writer, "{line}").and_then(|()| sidecar.writer.flush()));
+    if let Err(e) = wrote {
+        sidecar.failed = true;
+        eprintln!("# telemetry: sidecar write failed ({e}); sidecar truncated");
     }
 }
 
@@ -155,8 +129,8 @@ mod tests {
     use crate::record::JobTelemetryRecord;
     use std::sync::Arc;
 
-    /// A Write handle over a shared buffer, so tests can read back what a
-    /// boxed sink wrote.
+    /// A Write handle over a shared buffer, so tests can read back what the
+    /// sidecar wrote.
     #[derive(Clone, Default)]
     pub struct SharedBuf(pub Arc<Mutex<Vec<u8>>>);
 
@@ -196,7 +170,7 @@ mod tests {
 
     #[test]
     fn quiet_bundle_emits_nothing() {
-        // No sinks: emit must be a no-op (and must not panic).
+        // No destination: emit must be a no-op (and must not panic).
         Telemetry::quiet().emit(&TelemetryRecord::Phase(crate::PhaseAccum::new("x").record()));
     }
 }

@@ -242,7 +242,7 @@ fn run_counters_are_byte_identical_across_thread_counts() {
     assert_eq!(r1.counters.arrivals, r1.counters.flows_total);
 }
 
-/// A `Write` handle over a shared buffer so a boxed sidecar sink's output
+/// A `Write` handle over a shared buffer so a sidecar's output
 /// can be read back after the run (mirrors `tests/telemetry.rs`).
 #[derive(Clone, Default)]
 struct SharedBuf(Arc<Mutex<Vec<u8>>>);

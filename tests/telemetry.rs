@@ -12,7 +12,7 @@ use insomnia::telemetry::{
 use std::io::Write;
 use std::sync::{Arc, Mutex};
 
-/// A `Write` handle over a shared buffer so the boxed sidecar sink's
+/// A `Write` handle over a shared buffer so the sidecar's
 /// output can be read back after the run.
 #[derive(Clone, Default)]
 struct SharedBuf(Arc<Mutex<Vec<u8>>>);
@@ -60,7 +60,7 @@ fn sidecar_schema_smoke() {
     let mut plain = Vec::new();
     run_batch(&batch, &mut plain).unwrap();
 
-    // Telemetry run: quiet bundle plus a JSONL sidecar sink.
+    // Telemetry run: quiet, plus a JSONL sidecar.
     let sidecar = SharedBuf::default();
     let tel = Telemetry::quiet().with_jsonl(Box::new(sidecar.clone()));
     let mut with_tel = Vec::new();
