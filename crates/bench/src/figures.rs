@@ -7,11 +7,14 @@
 
 use insomnia_access::{p_card_sleeps, PowerModel};
 use insomnia_core::{
-    build_world, completion_variation_cdf, density_sweep, hourly_means, isp_share_percent_series,
+    build_world, completion_variation_cdf, hourly_means, isp_share_percent_series,
     online_time_variation_cdf, run_scheme, run_testbed, savings_percent_series, summarize,
     FigureData, ScenarioConfig, SchemeResult, SchemeSpec, ShardedWorld, TestbedConfig, WorldModel,
 };
 use insomnia_dslphy::{sample_attenuations, AttenuationConfig, BundleConfig, CrosstalkExperiment};
+use insomnia_scenarios::{
+    run_batch_telemetry, BatchRun, JobRecord, Registry, ScenarioSpec, Telemetry,
+};
 use insomnia_simcore::{Cdf, SimRng, SimTime};
 use insomnia_traffic::adsl::{self, AdslConfig, Direction};
 use insomnia_traffic::stats::{ap_utilization_percent_series, gap_histogram_paper_bins};
@@ -307,17 +310,48 @@ pub fn fig9b(runs: &MainRuns) -> FigureData {
     t
 }
 
-/// Fig. 10: online gateways vs mean available gateways per user.
+/// Runs a BH2 + k-switch sweep of the harness scenario as an `insomnia
+/// sweep` batch: `sets` apply to the scenario, each `(key, values)` axis
+/// clones it once per value through [`Registry::expand`], and the batch
+/// runs on every core with the JSONL discarded and telemetry off. Returns
+/// the job records in job order: axis by axis, value by value, seed by
+/// seed.
+fn run_sweep(h: &Harness, sets: &[&str], axes: &[(&str, &[&str])], seeds: usize) -> Vec<JobRecord> {
+    let reg = Registry::builtin();
+    let base = ("harness".to_string(), ScenarioSpec::explicit("harness", None, &h.scenario));
+    let mut scenarios = Vec::new();
+    for &axis in axes {
+        let swept = reg.expand(vec![base.clone()], sets, Some(axis), false);
+        scenarios.extend(swept.expect("figure sweeps resolve"));
+    }
+    let batch =
+        BatchRun { scenarios, schemes: vec![SchemeSpec::bh2_k_switch()], seeds, threads: 0 };
+    run_batch_telemetry(&batch, &mut std::io::sink(), &Telemetry::quiet())
+        .expect("figure sweep runs")
+        .records
+}
+
+/// Fig. 10: online gateways vs mean available gateways per user. The
+/// harness scenario on binomial topologies, one job per (density, seed)
+/// with one repetition and one seed per harness repetition, so every run
+/// draws a fresh trace and connectivity matrix — the batch of
+/// `insomnia sweep --scenario paper-default --set topology=binomial
+/// --set repetitions=1 --param mean_networks_in_range --values 1,...,10
+/// --schemes bh2 --seeds 10`. Each row is the mean over its seeds of the
+/// jobs' peak-window (11–19 h) powered gateways.
 pub fn fig10(h: &Harness) -> FigureData {
-    let densities: Vec<f64> = (1..=10).map(|d| d as f64).collect();
-    let pts = density_sweep(&h.scenario, &densities);
+    let densities = ["1", "2", "3", "4", "5", "6", "7", "8", "9", "10"];
+    let seeds = h.scenario.repetitions;
+    let sets = ["topology=binomial", "repetitions=1"];
+    let records = run_sweep(h, &sets, &[("mean_networks_in_range", &densities)], seeds);
     let mut t = FigureData::new(
         "fig10",
         "mean online gateways (11-19h) vs gateway density",
         vec!["mean_available".into(), "online_gateways".into()],
     );
-    for p in pts {
-        t.push_row(vec![p.mean_available, p.online_gateways]);
+    for (density, runs) in densities.iter().zip(records.chunks(seeds)) {
+        let online = runs.iter().map(|r| r.peak_gateways).sum::<f64>() / runs.len() as f64;
+        t.push_row(vec![density.parse().expect("numeric density"), online]);
     }
     t
 }
@@ -520,45 +554,34 @@ pub fn doze_table(h: &Harness) -> FigureData {
 }
 
 /// Sensitivity ablation (§5.1): BH2 savings across the parameter axes the
-/// paper tuned (thresholds, idle timeout, wake time, epoch).
+/// paper tuned (thresholds, idle timeout, wake time, epoch), one job per
+/// value with one repetition and one seed.
 pub fn ablation(h: &Harness) -> FigureData {
-    let mut cfg = h.scenario.clone();
-    cfg.repetitions = 1; // one run per point; the sweep is the signal
+    let axes: [(&str, &str, &[&str]); 5] = [
+        ("low_thresh", "bh2.low_threshold", &["0.05", "0.10", "0.20"]),
+        ("high_thresh", "bh2.high_threshold", &["0.30", "0.50", "0.80"]),
+        ("idle_timeout_s", "idle_timeout_s", &["30", "60", "120"]),
+        ("wake_time_s", "wake_time_s", &["30", "60", "180"]),
+        ("epoch_s", "bh2.epoch_s", &["60", "150", "600"]),
+    ];
+    let swept: Vec<(&str, &[&str])> = axes.iter().map(|&(_, key, values)| (key, values)).collect();
+    let records = run_sweep(h, &["repetitions=1"], &swept, 1);
     let mut t = FigureData::new(
         "ablation",
         "BH2+k sensitivity: day-average savings [%] per parameter value",
-        vec!["value".into(), "mean_savings_pct".into(), "peak_gw".into(), "wakes".into()],
+        vec!["value".into(), "mean_savings_pct".into(), "peak_gw".into(), "wakes_per_gw".into()],
     );
+    let points = axes.iter().flat_map(|&(label, _, values)| values.iter().map(move |v| (label, v)));
     let mut labels = Vec::new();
-    let push = |name: &str,
-                pts: Vec<insomnia_core::SensitivityPoint>,
-                t: &mut FigureData,
-                labels: &mut Vec<String>| {
-        for p in pts {
-            labels.push(name.to_string());
-            t.push_row(vec![p.value, p.mean_savings_pct, p.peak_gateways, p.total_wakes]);
-        }
-    };
-    push(
-        "low_thresh",
-        insomnia_core::sweep_low_threshold(&cfg, &[0.05, 0.10, 0.20]),
-        &mut t,
-        &mut labels,
-    );
-    push(
-        "high_thresh",
-        insomnia_core::sweep_high_threshold(&cfg, &[0.30, 0.50, 0.80]),
-        &mut t,
-        &mut labels,
-    );
-    push(
-        "idle_timeout_s",
-        insomnia_core::sweep_idle_timeout(&cfg, &[30, 60, 120]),
-        &mut t,
-        &mut labels,
-    );
-    push("wake_time_s", insomnia_core::sweep_wake_time(&cfg, &[30, 60, 180]), &mut t, &mut labels);
-    push("epoch_s", insomnia_core::sweep_epoch(&cfg, &[60, 150, 600]), &mut t, &mut labels);
+    for ((label, value), r) in points.zip(&records) {
+        labels.push(label.to_string());
+        t.push_row(vec![
+            value.parse().expect("numeric axis value"),
+            r.mean_savings_pct,
+            r.peak_gateways,
+            r.mean_wake_count,
+        ]);
+    }
     t.with_row_labels(labels)
 }
 

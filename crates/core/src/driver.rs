@@ -1919,7 +1919,7 @@ pub fn run_scheme(
             }
             run
         },
-        |_, step, run| folder.absorb(step.index, run),
+        |_, index, run| folder.absorb(index, run),
     );
     folder.finish()
 }

@@ -2,7 +2,7 @@
 //!
 //! The paper's contribution: the BH2 aggregation algorithm, the scheme zoo
 //! of §5.1, the optimal ILP solver (Eq. 1), the flow-level trace-driven
-//! simulation driver, and the metric pipelines behind Figs. 6–10 and 12.
+//! simulation driver, and the metric pipelines behind Figs. 6–9 and 12.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -10,7 +10,6 @@
 pub mod bh2;
 pub mod completion;
 pub mod config;
-pub mod density;
 pub mod driver;
 pub mod extrapolate;
 pub mod flows;
@@ -18,7 +17,6 @@ pub mod metrics;
 pub mod optimal;
 pub mod report;
 pub mod schemes;
-pub mod sensitivity;
 pub mod testbed;
 
 pub use bh2::{decide, Bh2Decision, VisibleGateway};
@@ -26,7 +24,6 @@ pub use completion::CompletionStats;
 pub use config::{
     AdaptiveSoiParams, Bh2Params, ScenarioConfig, TopologyKind, DEFAULT_COMPLETION_CUTOFF,
 };
-pub use density::{density_sweep, DensityPoint};
 pub use driver::{
     build_world, build_world_shard, build_world_shard_streaming, run_scheme, run_scheme_task,
     run_single_source_threads, ArrivalSource, DriverStats, ProtoClaim, RunResult, SchemeFolder,
@@ -44,8 +41,4 @@ pub use metrics::{
 pub use optimal::{solve, SolverInput, SolverOutput};
 pub use report::FigureData;
 pub use schemes::{Aggregation, FabricKind, SchemeSpec, SleepPolicy};
-pub use sensitivity::{
-    sweep_epoch, sweep_high_threshold, sweep_idle_timeout, sweep_low_threshold, sweep_wake_time,
-    SensitivityPoint,
-};
 pub use testbed::{run_testbed, TestbedConfig, TestbedResult};

@@ -333,9 +333,11 @@ struct JobState<'a> {
     started: OnceLock<Instant>,
 }
 
-/// Panic payload a worker raises to end the batch: the cooperative cancel
-/// (SIGINT) seen before a task starts, or a task whose retry budget ran
-/// out, carrying the run's [`SimError::TaskFailed`] text.
+/// Unwind payload a worker raises to end the batch: the cooperative cancel
+/// (SIGINT, or a failed JSONL write) seen before a task starts, or a task
+/// whose retry budget ran out, carrying the run's [`SimError::TaskFailed`]
+/// text. Raised with `resume_unwind`, so the panic hook prints nothing:
+/// the run reports it as an error.
 enum TaskAbort {
     Cancelled,
     Failed(String),
@@ -363,6 +365,9 @@ struct TaskPool<'a> {
     writer: Option<CheckpointWriter>,
     faults: Option<ResolvedFaults>,
     cancel: Option<Arc<AtomicBool>>,
+    /// Set by the collector on the first failed JSONL write; stops the
+    /// pool like a cancel.
+    write_failed: AtomicBool,
     max_attempts: usize,
     tel: &'a Telemetry,
     phases: Mutex<TaskPhases>,
@@ -381,8 +386,10 @@ impl TaskPool<'_> {
     /// anything happened.
     fn run(&self, js: &JobState<'_>, i: usize) -> RunResult {
         js.started.get_or_init(Instant::now);
-        if self.cancel.as_ref().is_some_and(|c| c.load(Ordering::Relaxed)) {
-            std::panic::panic_any(TaskAbort::Cancelled);
+        if self.write_failed.load(Ordering::Relaxed)
+            || self.cancel.as_ref().is_some_and(|c| c.load(Ordering::Relaxed))
+        {
+            std::panic::resume_unwind(Box::new(TaskAbort::Cancelled));
         }
         let (rep, sh) = (i / js.n_shards, i % js.n_shards);
         let cache = self.caches[js.world_idx].as_ref();
@@ -423,7 +430,7 @@ impl TaskPool<'_> {
         });
         let (retries, (mut result, setup)) = match outcome {
             Ok(retried) => (retried.retries, retried.value),
-            Err(payload) => std::panic::panic_any(TaskAbort::Failed(format!(
+            Err(payload) => std::panic::resume_unwind(Box::new(TaskAbort::Failed(format!(
                 "job {} ({} / {} seed {}): repetition {rep} shard {sh} failed after {attempt} \
                  attempt(s): {}",
                 js.j,
@@ -431,7 +438,7 @@ impl TaskPool<'_> {
                 js.scheme,
                 js.seed_index,
                 panic_message(payload.as_ref()),
-            ))),
+            )))),
         };
         result.counters.tasks_retried += retries;
         result.counters.faults_injected += injected;
@@ -560,7 +567,8 @@ pub fn run_batch_telemetry<W: Write>(
 /// a valid prefix), telemetry phases and summary still flush, the
 /// checkpoint stays valid for `--resume`, and the run returns
 /// [`SimError::TaskFailed`]. A set cancel flag ends the run the same way
-/// with [`SimError::Interrupted`].
+/// with [`SimError::Interrupted`], and a failed JSONL write with
+/// [`SimError::Io`].
 pub fn run_batch_controlled<W: Write>(
     batch: &BatchRun,
     out: &mut W,
@@ -625,6 +633,7 @@ pub fn run_batch_controlled<W: Write>(
         writer: ctl.checkpoint,
         faults,
         cancel: ctl.cancel,
+        write_failed: AtomicBool::new(false),
         max_attempts: ctl.max_attempts.max(1),
         tel,
         // Task-level phase spans accumulate from worker threads as tasks
@@ -702,9 +711,9 @@ pub fn run_batch_controlled<W: Write>(
         jobs.iter().map(|js| Some(SchemeFolder::new(js.cfg, js.spec, js.world))).collect();
     let mut pending: BTreeMap<usize, (JobRecord, JobTelemetryRecord)> = BTreeMap::new();
     let mut next = 0usize;
-    // JSONL write errors can't abort mid-fold (the fold closure
-    // has no return channel); remember the first and surface it
-    // once the pool drains.
+    // A failed JSONL write can't abort mid-fold (the fold closure has no
+    // return channel): remember the first, stop the pool from claiming
+    // more tasks, and surface it after the teardown below.
     let mut io_err: Option<SimError> = None;
 
     // One flat pool over the whole matrix: tasks are the unit of
@@ -722,12 +731,12 @@ pub fn run_batch_controlled<W: Write>(
                 let (j, i) = plan_ref[pos];
                 pool_ref.run(&jobs[j], i)
             },
-            |j, step, run| {
+            |j, i, run| {
                 let js = &jobs[j];
-                js.merged.store(step.index + 1, Ordering::Relaxed);
+                js.merged.store(i + 1, Ordering::Relaxed);
                 let folder = folders[j].as_mut().expect("one fold per task");
-                folder.absorb(step.index, run);
-                if step.index + 1 != folder.n_tasks() {
+                folder.absorb(i, run);
+                if i + 1 != folder.n_tasks() {
                     return;
                 }
                 // Last task of the job: finalize it, then release
@@ -761,15 +770,17 @@ pub fn run_batch_controlled<W: Write>(
                         let written = serde_json::to_string(&rec)
                             .map_err(|e| SimError::InvalidInput(format!("serialize record: {e}")))
                             .and_then(|line| {
-                                writeln!(out, "{line}").map_err(|e| {
-                                    SimError::InvalidInput(format!("write JSONL: {e}"))
-                                })
+                                writeln!(out, "{line}")
+                                    .map_err(|e| SimError::Io(format!("write JSONL: {e}")))
                             });
                         match written {
                             Ok(()) => {
                                 write_phase.add(write_start.elapsed().as_secs_f64() * 1_000.0)
                             }
-                            Err(e) => io_err = Some(e),
+                            Err(e) => {
+                                pool_ref.write_failed.store(true, Ordering::Relaxed);
+                                io_err = Some(e);
+                            }
                         }
                     }
                     counters.merge(&telemetry.counters);
@@ -787,9 +798,6 @@ pub fn run_batch_controlled<W: Write>(
             Ok(TaskAbort::Failed(msg)) => first_failure = Some(msg),
             Err(payload) => std::panic::resume_unwind(payload),
         }
-    }
-    if let Some(e) = io_err {
-        return Err(e);
     }
 
     // Close the checkpoint before reporting: whatever happened above, the
@@ -825,6 +833,9 @@ pub fn run_batch_controlled<W: Write>(
         counters,
     }));
 
+    if let Some(e) = io_err {
+        return Err(e);
+    }
     if let Some(msg) = first_failure {
         return Err(SimError::TaskFailed(msg));
     }
@@ -1330,6 +1341,39 @@ mod tests {
         assert!(out.is_empty());
         assert_eq!(summary.tasks, 0);
         assert_eq!(summary.counters, RunCounters::default());
+    }
+
+    /// A JSONL destination whose every write fails, like a closed pipe.
+    struct ClosedPipe;
+
+    impl Write for ClosedPipe {
+        fn write(&mut self, _: &[u8]) -> std::io::Result<usize> {
+            Err(std::io::ErrorKind::BrokenPipe.into())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_failed_jsonl_write_stops_the_run_and_still_tears_down() {
+        let mut batch = tiny_batch(1);
+        batch.schemes.truncate(1);
+        batch.seeds = 3;
+        let sidecar = SharedBuf::default();
+        let tel = Telemetry::quiet().with_jsonl(Box::new(sidecar.clone()));
+        let res = run_batch_controlled(&batch, &mut ClosedPipe, &tel, RunControl::default());
+        let err = res.unwrap_err().to_string();
+        assert!(!err.starts_with("invalid input") && err.contains("write JSONL"), "{err}");
+        let text = String::from_utf8(sidecar.0.lock().unwrap().clone()).unwrap();
+        let records: Vec<TelemetryRecord> =
+            text.lines().map(|l| serde_json::from_str(l).unwrap()).collect();
+        // The first job's write failed, so the pool claimed no more tasks.
+        let tasks = records.iter().filter(|r| matches!(r, TelemetryRecord::Task(_))).count();
+        assert!(tasks < task_bases(&batch)[batch.n_jobs()], "{tasks} tasks ran");
+        assert!(records.iter().any(|r| matches!(r, TelemetryRecord::Phase(_))));
+        assert!(matches!(records.last(), Some(TelemetryRecord::Summary(_))), "{text}");
     }
 
     #[test]

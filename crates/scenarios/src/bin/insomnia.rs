@@ -343,48 +343,11 @@ fn cmd_run(args: &[String], sweep: Option<(&str, &[&str])>) -> SimResult<()> {
         ));
     }
     let reg = Registry::builtin();
-    let mut specs = load_specs(&flags, &reg)?;
-
-    // Apply --set overrides to every selected scenario.
-    for assignment in flags.get_all("set") {
-        let (key, value) = assignment.split_once('=').ok_or_else(|| {
-            SimError::InvalidInput(format!("--set expects key=value, got `{assignment}`"))
-        })?;
-        for (_, spec) in &mut specs {
-            *spec = spec.with_assignment(key.trim(), value.trim())?;
-        }
-    }
-
-    // A sweep clones each scenario per swept value.
-    let specs: Vec<(String, ScenarioSpec)> = match sweep {
-        None => specs,
-        Some((param, values)) => {
-            let mut out = Vec::new();
-            for (name, spec) in &specs {
-                for v in values {
-                    let swept = spec.with_assignment(param, v)?;
-                    out.push((format!("{name}/{param}={v}"), swept));
-                }
-            }
-            out
-        }
-    };
-
+    let specs = load_specs(&flags, &reg)?;
+    let scenarios = reg.expand(specs, &flags.get_all("set"), sweep, flags.has("quick"))?;
     let schemes = parse_scheme_list(flags.get("schemes").ok_or_else(|| {
         SimError::InvalidInput("pick schemes with --schemes KEY[,KEY...]".into())
     })?)?;
-
-    let mut scenarios = Vec::new();
-    for (name, spec) in &specs {
-        let flat = reg.flatten(spec, 0)?;
-        let mut cfg = flat
-            .to_config()
-            .map_err(|e| SimError::InvalidConfig(format!("scenario `{name}`: {e}")))?;
-        if flags.has("quick") {
-            cfg.repetitions = cfg.repetitions.min(2);
-        }
-        scenarios.push((name.clone(), cfg));
-    }
 
     let batch = BatchRun {
         scenarios,

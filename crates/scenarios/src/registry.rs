@@ -268,6 +268,52 @@ online_cutoff = 0
         Ok(merged)
     }
 
+    /// Expands named specs into a batch's named, resolved scenarios — the
+    /// one path by which `insomnia run`, `insomnia sweep` and the figure
+    /// harness turn specs into jobs. Every `key=value` of `sets` applies
+    /// to every spec, in order; a `sweep = (key, values)` then clones each
+    /// spec once per value, named `{name}/{key}={value}`; each result is
+    /// flattened against the catalogue and resolved, and `quick` clamps
+    /// its repetitions to 2.
+    pub fn expand(
+        &self,
+        mut specs: Vec<(String, ScenarioSpec)>,
+        sets: &[&str],
+        sweep: Option<(&str, &[&str])>,
+        quick: bool,
+    ) -> SimResult<Vec<(String, ScenarioConfig)>> {
+        for assignment in sets {
+            let (key, value) = assignment.split_once('=').ok_or_else(|| {
+                SimError::InvalidInput(format!("--set expects key=value, got `{assignment}`"))
+            })?;
+            for (_, spec) in &mut specs {
+                *spec = spec.with_assignment(key.trim(), value.trim())?;
+            }
+        }
+        if let Some((param, values)) = sweep {
+            let mut swept = Vec::with_capacity(specs.len() * values.len());
+            for (name, spec) in &specs {
+                for v in values {
+                    swept.push((format!("{name}/{param}={v}"), spec.with_assignment(param, v)?));
+                }
+            }
+            specs = swept;
+        }
+        specs
+            .into_iter()
+            .map(|(name, spec)| {
+                let mut cfg = self
+                    .flatten(&spec, 0)?
+                    .to_config()
+                    .map_err(|e| SimError::InvalidConfig(format!("scenario `{name}`: {e}")))?;
+                if quick {
+                    cfg.repetitions = cfg.repetitions.min(2);
+                }
+                Ok((name, cfg))
+            })
+            .collect()
+    }
+
     fn unknown(&self, name: &str) -> SimError {
         SimError::InvalidInput(format!(
             "unknown scenario `{name}` (known: {})",

@@ -216,66 +216,33 @@ pub struct ScenarioSpec {
     pub bh2: Option<Bh2Spec>,
 }
 
-/// Every legal top-level key/section of a scenario spec, in declaration
-/// order — the whitelist [`ScenarioSpec::from_toml`] checks documents
-/// against. Derived deserialization ignores unknown keys, which turns a
-/// typo'd section (`[power_state]` for `[power_states]`) into a silently
-/// default run; rejecting up front with a did-you-mean hint is cheaper
-/// than debugging a wrong experiment.
-const SPEC_KEYS: &[&str] = &[
-    "name",
-    "base",
-    "summary",
-    "n_clients",
-    "n_aps",
-    "horizon_hours",
-    "always_on_frac",
-    "worker_frac",
-    "rate_scale",
-    "diurnal",
-    "surge",
-    "topology",
-    "mean_networks_in_range",
-    "home_mbps",
-    "neighbor_mbps",
-    "backhaul_mbps",
-    "n_cards",
-    "ports_per_card",
-    "k_switch",
-    "idle_timeout_s",
-    "wake_time_s",
-    "power_states",
-    "adaptive_soi",
-    "q_max_utilization",
-    "optimal_period_s",
-    "sample_period_s",
-    "shards",
-    "repetitions",
-    "seed",
-    "completion_cutoff",
-    "online_cutoff",
-    "bh2",
-];
-
-/// Every legal key inside each nested section, checked like [`SPEC_KEYS`]:
-/// `bh2.epoch = 30` (for `bh2.epoch_s`) would otherwise run the default
-/// epoch without a word.
-const SECTION_KEYS: &[(&str, &[&str])] = &[
-    ("surge", &["start_h", "end_h", "intensity"]),
-    ("power_states", &["watts", "wake_s", "dwell_s"]),
-    ("adaptive_soi", &["gain", "alpha", "min_timeout_s", "max_timeout_s"]),
-    (
-        "bh2",
-        &[
-            "low_threshold",
-            "high_threshold",
-            "epoch_s",
-            "load_window_s",
-            "backup",
-            "literal_return_home",
-        ],
-    ),
-];
+/// Every legal top-level key of a scenario spec, each with the legal keys
+/// inside it (empty for scalars) — the whitelist [`ScenarioSpec::from_toml`]
+/// and [`ScenarioSpec::with_override`] check documents against. Derived
+/// deserialization ignores unknown keys, which turns a typo'd section
+/// (`[power_state]` for `[power_states]`) or key (`bh2.epoch` for
+/// `bh2.epoch_s`) into a silently default run; rejecting up front with a
+/// did-you-mean hint is cheaper than debugging a wrong experiment. The
+/// keys are read off the serialized structs (every field, unset ones as
+/// null), so a new field needs no second edit; only a new section needs
+/// its default set below.
+fn spec_keys() -> Vec<(String, Vec<String>)> {
+    let full = ScenarioSpec {
+        surge: Some(SurgeSpec::default()),
+        power_states: Some(PowerStatesSpec::default()),
+        adaptive_soi: Some(AdaptiveSoiSpec::default()),
+        bh2: Some(Bh2Spec::default()),
+        ..ScenarioSpec::default()
+    };
+    let keys =
+        |v: &Value| v.as_map().map_or(Vec::new(), |m| m.iter().map(|(k, _)| k.clone()).collect());
+    let tree = full.to_value();
+    tree.as_map()
+        .expect("a spec serializes as a map")
+        .iter()
+        .map(|(k, v)| (k.clone(), keys(v)))
+        .collect()
+}
 
 /// Levenshtein edit distance (small strings only — key names).
 fn levenshtein(a: &str, b: &str) -> usize {
@@ -296,10 +263,10 @@ fn levenshtein(a: &str, b: &str) -> usize {
 
 /// Formats an unknown-key error, appending a `did you mean` hint when a
 /// known key sits within a small edit distance of the typo.
-pub(crate) fn unknown_key_message(prefix: &str, key: &str, known: &[&str]) -> String {
+pub(crate) fn unknown_key_message(prefix: &str, key: &str, known: &[impl AsRef<str>]) -> String {
     let best = known
         .iter()
-        .map(|k| (levenshtein(key, k), *k))
+        .map(|k| (levenshtein(key, k.as_ref()), k.as_ref()))
         .min()
         .filter(|&(d, _)| d <= 1 + key.len() / 4);
     match best {
@@ -311,7 +278,7 @@ pub(crate) fn unknown_key_message(prefix: &str, key: &str, known: &[&str]) -> St
 /// Rejects unknown top-level keys/sections of a parsed spec document, and
 /// unknown keys inside its sections.
 fn check_spec_keys(doc: &Value, context: &str) -> SimResult<()> {
-    let unknown = |key: &str, shown: &str, known: &[&str]| {
+    let unknown = |key: &str, shown: &str, known: &[String]| {
         SimError::InvalidInput(unknown_key_message(
             &format!("{context}: unknown key `{shown}`"),
             key,
@@ -321,13 +288,14 @@ fn check_spec_keys(doc: &Value, context: &str) -> SimResult<()> {
     let Some(m) = doc.as_map() else {
         return Ok(());
     };
+    let known = spec_keys();
     for (key, value) in m {
-        if !SPEC_KEYS.contains(&key.as_str()) {
-            return Err(unknown(key, key, SPEC_KEYS));
-        }
-        let section = SECTION_KEYS.iter().find(|(name, _)| name == key);
-        if let (Some(&(_, fields)), Some(inner)) = (section, value.as_map()) {
-            if let Some((field, _)) = inner.iter().find(|(f, _)| !fields.contains(&f.as_str())) {
+        let Some((_, fields)) = known.iter().find(|(k, _)| k == key) else {
+            let names: Vec<String> = known.iter().map(|(k, _)| k.clone()).collect();
+            return Err(unknown(key, key, &names));
+        };
+        if let (false, Some(inner)) = (fields.is_empty(), value.as_map()) {
+            if let Some((field, _)) = inner.iter().find(|(f, _)| !fields.contains(f)) {
                 return Err(unknown(field, &format!("{key}.{field}"), fields));
             }
         }

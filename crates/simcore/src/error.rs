@@ -24,6 +24,9 @@ pub enum SimError {
     /// The run was interrupted (e.g. SIGINT) after flushing in-flight
     /// state; a checkpointed run can continue with `--resume`.
     Interrupted(String),
+    /// Writing a run's output failed (a closed pipe, a full disk); the
+    /// message names the write.
+    Io(String),
 }
 
 impl fmt::Display for SimError {
@@ -34,6 +37,7 @@ impl fmt::Display for SimError {
             SimError::BudgetExhausted(msg) => write!(f, "budget exhausted: {msg}"),
             SimError::TaskFailed(msg) => write!(f, "task failed: {msg}"),
             SimError::Interrupted(msg) => write!(f, "interrupted: {msg}"),
+            SimError::Io(msg) => write!(f, "I/O error: {msg}"),
         }
     }
 }

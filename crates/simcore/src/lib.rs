@@ -64,7 +64,7 @@ pub mod time;
 
 pub use engine::Scheduler;
 pub use error::{SimError, SimResult};
-pub use par::{default_threads, par_fold_grouped, retry_unwind, FoldStep, Retried};
+pub use par::{default_threads, par_fold_grouped, retry_unwind, Retried};
 pub use queue::EventToken;
 pub use rng::SimRng;
 pub use series::{average_runs, downsample_mean, BinSeries};

@@ -11,20 +11,6 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
 
-/// One in-order delivery of [`par_fold_grouped`]: task `index`'s result is
-/// being folded, with `queued` later results parked out of order behind it.
-///
-/// `queued` is the folder-queue depth — how far completion order ran ahead
-/// of fold order. It depends on scheduling (always 0 single-threaded), so
-/// it belongs in progress heartbeats, never in deterministic output.
-#[derive(Debug, Clone, Copy)]
-pub struct FoldStep {
-    /// Index of the task being folded (strictly increasing, `0..n`).
-    pub index: usize,
-    /// Results already completed but waiting for earlier indices to fold.
-    pub queued: usize,
-}
-
 /// Claim-side backpressure of [`par_fold_grouped`]: a counting gate that
 /// caps how many task indices may be outstanding (claimed but not yet
 /// folded) at once. Without it, one slow early task would let the other
@@ -91,9 +77,9 @@ impl Drop for GateCloseGuard<'_> {
 /// one expensive shared input, back to back) independently of how results
 /// are folded. Workers emit results and each group's are folded
 /// **strictly in that group's listed index order** — early arrivals park in
-/// a reorder buffer whose depth is reported through [`FoldStep::queued`] —
-/// so every per-group accumulator is bit-identical at any worker count;
-/// only the cross-group interleaving of fold calls is scheduling-dependent. One group listing `0..n` is the plain in-order
+/// a reorder buffer — so every per-group accumulator is bit-identical at
+/// any worker count; only the cross-group interleaving of fold calls is
+/// scheduling-dependent. One group listing `0..n` is the plain in-order
 /// fold of `n` tasks.
 ///
 /// A claim-side gate caps outstanding (claimed-but-not-yet-folded)
@@ -108,9 +94,8 @@ impl Drop for GateCloseGuard<'_> {
 /// parked behind an unfoldable hole.
 ///
 /// `f(pos)` must depend only on `tasks[pos]` (and captured shared state).
-/// The fold callback receives the task's group, a [`FoldStep`] whose
-/// `index` is the within-group index and whose `queued` counts results
-/// parked across *all* groups, and the task's result. With
+/// The fold callback receives the task's group, its within-group index
+/// and its result. With
 /// `max_threads <= 1` (or one task) tasks run inline and fold in execution
 /// order — valid because, per group, execution order *is* index order.
 /// Worker panics propagate to the caller after the pool drains.
@@ -118,7 +103,7 @@ pub fn par_fold_grouped<T: Send, F: Fn(usize) -> T + Sync>(
     tasks: &[(usize, usize)],
     max_threads: usize,
     f: F,
-    mut fold: impl FnMut(usize, FoldStep, T),
+    mut fold: impl FnMut(usize, usize, T),
 ) {
     let n = tasks.len();
     #[cfg(debug_assertions)]
@@ -137,7 +122,7 @@ pub fn par_fold_grouped<T: Send, F: Fn(usize) -> T + Sync>(
     let threads = max_threads.min(n).max(1);
     if threads == 1 {
         for (pos, &(g, i)) in tasks.iter().enumerate() {
-            fold(g, FoldStep { index: i, queued: 0 }, f(pos));
+            fold(g, i, f(pos));
         }
         return;
     }
@@ -191,10 +176,9 @@ pub fn par_fold_grouped<T: Send, F: Fn(usize) -> T + Sync>(
         }
         drop(tx);
         // Per-group reorder buffers plus each group's expected index
-        // sequence (its listed order). `parked` counts results waiting
-        // across all groups; the gate keeps it O(workers). The guard closes
-        // the gate on every exit path (normal or a panicking `fold`),
-        // releasing any parked workers.
+        // sequence (its listed order); the gate keeps the buffered results
+        // O(workers). The guard closes the gate on every exit path (normal
+        // or a panicking `fold`), releasing any parked workers.
         let _close = GateCloseGuard(&gate);
         let mut pending: Vec<BTreeMap<usize, T>> = Vec::new();
         pending.resize_with(n_groups, BTreeMap::new);
@@ -203,22 +187,19 @@ pub fn par_fold_grouped<T: Send, F: Fn(usize) -> T + Sync>(
         for &(g, i) in tasks {
             expect[g].push_back(i);
         }
-        let mut parked = 0usize;
         for (pos, v) in rx {
             let (g, _) = tasks[pos];
             pending[g].insert(tasks[pos].1, v);
-            parked += 1;
             while let Some(&want) = expect[g].front() {
                 let Some(v) = pending[g].remove(&want) else { break };
                 expect[g].pop_front();
-                parked -= 1;
-                fold(g, FoldStep { index: want, queued: parked }, v);
+                fold(g, want, v);
                 gate.release();
             }
         }
         debug_assert!(
             panicked.lock().expect("panic slot lock").is_some()
-                || (parked == 0 && expect.iter().all(|q| q.is_empty())),
+                || (pending.iter().all(BTreeMap::is_empty) && expect.iter().all(|q| q.is_empty())),
             "all results folded"
         );
     });
@@ -296,8 +277,8 @@ mod tests {
                 &plan,
                 threads,
                 |i| (i as u64) * 3 + 1,
-                |_, step, v| {
-                    order.push(step.index);
+                |_, index, v| {
+                    order.push(index);
                     // A non-commutative fold: order changes the bits.
                     acc = acc.wrapping_mul(31).wrapping_add(v);
                 },
@@ -320,20 +301,25 @@ mod tests {
             &single_group(1),
             4,
             |i| i,
-            |_, step, v| {
-                assert_eq!((step.index, step.queued, v), (0, 0, 0));
+            |_, index, v| {
+                assert_eq!((index, v), (0, 0));
                 seen += 1;
             },
         );
         assert_eq!(seen, 1);
-        // Queue depth is scheduling-dependent but always bounded by the
-        // results still outstanding past the one being folded.
+        // Eight workers over 64 tasks run ahead of the folder, which still
+        // sees every index in order.
+        let mut next = 0;
         par_fold_grouped(
             &single_group(64),
             8,
             |i| i,
-            |_, step, _| assert!(step.queued < 64 - step.index),
+            |_, index, v| {
+                assert_eq!((index, v), (next, next));
+                next += 1;
+            },
         );
+        assert_eq!(next, 64);
     }
 
     /// The interleaved plan the batch runner uses: groups' indices climb
@@ -359,8 +345,8 @@ mod tests {
                 &plan,
                 threads,
                 |pos| (pos as u64) * 7 + 3,
-                |g, step, v| {
-                    orders[g].push(step.index);
+                |g, index, v| {
+                    orders[g].push(index);
                     // Non-commutative per-group fold: order changes bits.
                     accs[g] = accs[g].wrapping_mul(31).wrapping_add(v);
                 },
@@ -381,20 +367,32 @@ mod tests {
     #[test]
     fn grouped_fold_handles_tiny_inputs_and_bounds_the_park_queue() {
         let mut seen = 0;
-        par_fold_grouped(&[], 4, |_| unreachable!(), |_, _: FoldStep, _: u8| seen += 1);
+        par_fold_grouped(&[], 4, |_| unreachable!(), |_, _, _: u8| seen += 1);
         assert_eq!(seen, 0);
         par_fold_grouped(
             &[(5, 0)],
             4,
             |pos| pos + 10,
-            |g, step, v| {
-                assert_eq!((g, step.index, step.queued, v), (5, 0, 0, 10));
+            |g, index, v| {
+                assert_eq!((g, index, v), (5, 0, 10));
                 seen += 1;
             },
         );
         assert_eq!(seen, 1);
+        // More tasks than the gate's 2 × workers claims: early results
+        // park, and every group still folds in listed order.
         let plan = round_robin_plan(4, 16);
-        par_fold_grouped(&plan, 8, |pos| pos, |_, step, _| assert!(step.queued < plan.len()));
+        let mut next = [0; 4];
+        par_fold_grouped(
+            &plan,
+            8,
+            |pos| pos,
+            |g, index, _| {
+                assert_eq!(index, next[g]);
+                next[g] += 1;
+            },
+        );
+        assert_eq!(next, [16; 4]);
     }
 
     #[test]

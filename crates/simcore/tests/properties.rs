@@ -457,8 +457,8 @@ proptest! {
                 &plan,
                 threads,
                 |pos| values[pos],
-                |g, step, v| {
-                    order[g].push(step.index);
+                |g, index, v| {
+                    order[g].push(index);
                     hash[g] = hash[g].wrapping_mul(0x0100_0000_01b3).wrapping_add(v);
                     hist[g].record((v % 86_400) as f64);
                 },
