@@ -113,14 +113,8 @@ fn simulate(quick: bool, wanted: &BTreeSet<&str>) -> Vec<FigureData> {
             "fig9a" => outputs.push(fig::fig9a(main())),
             "fig9b" => outputs.push(fig::fig9b(main())),
             "fig10" => outputs.push(fig::fig10(&h)),
-            "fig12" => {
-                outputs.push(fig::fig12(&h));
-                outputs.push(fig::fig12_summary(&h));
-            }
-            "fig14" => {
-                outputs.push(fig::fig14_baselines(seed));
-                outputs.push(fig::fig14(seed));
-            }
+            "fig12" => outputs.extend(fig::fig12(&h)),
+            "fig14" => outputs.extend(fig::fig14(seed)),
             "fig15" => outputs.push(fig::fig15(seed)),
             "cards" => outputs.push(fig::cards_table(main())),
             "completion" => outputs.push(fig::completion_table(main())),

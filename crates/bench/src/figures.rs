@@ -1,23 +1,25 @@
 //! Builders for every figure and table in the paper's evaluation.
 //!
 //! Each function produces a [`FigureData`] (named columns + numeric rows)
-//! that the `figures` binary prints as an aligned table or CSV. The mapping
-//! figure → module is catalogued in DESIGN.md; measured-vs-paper values are
-//! recorded in EXPERIMENTS.md.
+//! that the `figures` binary prints as an aligned table or CSV. Every
+//! simulated figure is an `insomnia run` or `insomnia sweep` batch of the
+//! harness scenario (README, `## Figures`).
 
 use insomnia_access::{p_card_sleeps, PowerModel};
 use insomnia_core::{
     build_world, completion_variation_cdf, hourly_means, isp_share_percent_series,
-    online_time_variation_cdf, run_scheme, run_testbed, savings_percent_series, summarize,
-    FigureData, ScenarioConfig, SchemeResult, SchemeSpec, ShardedWorld, TestbedConfig, WorldModel,
+    online_time_variation_cdf, run_testbed, savings_percent_series, summarize, FigureData,
+    ScenarioConfig, SchemeResult, SchemeSpec, TestbedConfig, WorldModel,
 };
 use insomnia_dslphy::{sample_attenuations, AttenuationConfig, BundleConfig, CrosstalkExperiment};
 use insomnia_scenarios::{
-    run_batch_telemetry, BatchRun, JobRecord, Registry, ScenarioSpec, Telemetry,
+    job_seed, parse_scheme_list, run_batch_results, run_batch_telemetry, scheme_key, BatchRun,
+    JobRecord, Registry, ScenarioSpec, Telemetry,
 };
 use insomnia_simcore::{Cdf, SimRng, SimTime};
 use insomnia_traffic::adsl::{self, AdslConfig, Direction};
 use insomnia_traffic::stats::{ap_utilization_percent_series, gap_histogram_paper_bins};
+use insomnia_traffic::Trace;
 
 /// Scenario + run-size knobs for the harness.
 ///
@@ -74,33 +76,71 @@ pub struct MainRuns {
 }
 
 /// Runs every scheme of the main scenario once (the expensive step; reuse
-/// the result for all dependent figures).
-///
-/// The world is built through the sharded path, so a registry preset with
-/// a `shards` axis (e.g. `dense-metro`) drives the exact same figure
-/// pipeline as the paper's single-DSLAM scenario — per-shard results are
-/// merged before any series math happens.
+/// the result for all dependent figures): one `insomnia run` batch of the
+/// eight schemes, so each result is the one behind that scheme's JSONL
+/// record. A registry preset with a `shards` axis (e.g. `dense-metro`)
+/// drives the same pipeline — per-shard results are merged before any
+/// series math happens.
 pub fn run_main(h: &Harness) -> MainRuns {
-    let cfg = &h.scenario;
-    let world = ShardedWorld::lazy(cfg, cfg.seed);
-    let threads = insomnia_simcore::default_threads();
-    let run = |spec| run_scheme(cfg, spec, &world, cfg.seed, threads);
+    let [no_sleep, soi, soi_k, soi_full, bh2_k, bh2_nb_k, bh2_full, optimal] =
+        run_schemes(h, "no-sleep,soi,soi+k,soi+full,bh2,bh2-nb,bh2+full,optimal");
+    let (base_user_w, base_isp_w) = baseline_w(&h.scenario);
     MainRuns {
-        no_sleep: run(SchemeSpec::no_sleep()),
-        soi: run(SchemeSpec::soi()),
-        soi_k: run(SchemeSpec::soi_k_switch()),
-        soi_full: run(SchemeSpec::soi_full_switch()),
-        bh2_k: run(SchemeSpec::bh2_k_switch()),
-        bh2_nb_k: run(SchemeSpec::bh2_no_backup_k_switch()),
-        bh2_full: run(SchemeSpec::bh2_full_switch()),
-        optimal: run(SchemeSpec::optimal()),
-        base_user_w: cfg.power.no_sleep_user_w(world.n_gateways()),
-        base_isp_w: cfg.power.no_sleep_isp_w_sharded(
-            world.n_gateways(),
-            cfg.dslam.n_cards,
-            world.n_shards(),
-        ),
+        no_sleep,
+        soi,
+        soi_k,
+        soi_full,
+        bh2_k,
+        bh2_nb_k,
+        bh2_full,
+        optimal,
+        base_user_w,
+        base_isp_w,
     }
+}
+
+/// The harness scenario as a batch of `schemes` × `seeds` on every core:
+/// `sets` apply to it, and each `(key, values)` axis clones it once per
+/// value through [`Registry::expand`] (no axes: the scenario once).
+fn harness_batch(
+    h: &Harness,
+    sets: &[&str],
+    axes: &[(&str, &[&str])],
+    schemes: Vec<SchemeSpec>,
+    seeds: usize,
+) -> BatchRun {
+    let reg = Registry::builtin();
+    let base = ("harness".to_string(), ScenarioSpec::explicit("harness", None, &h.scenario));
+    let expand = |axis| reg.expand(vec![base.clone()], sets, axis, false).expect("figures resolve");
+    let scenarios = if axes.is_empty() {
+        expand(None)
+    } else {
+        axes.iter().flat_map(|&a| expand(Some(a))).collect()
+    };
+    BatchRun { scenarios, schemes, seeds, threads: 0 }
+}
+
+/// Runs the harness scenario as `insomnia run --schemes SCHEMES --seeds 1`
+/// and returns the folded results in scheme order.
+fn run_schemes<const N: usize>(h: &Harness, schemes: &str) -> [SchemeResult; N] {
+    let schemes = parse_scheme_list(schemes).expect("known schemes");
+    let batch = harness_batch(h, &[], &[], schemes, 1);
+    let results = run_batch_results(&batch).expect("figure batch runs");
+    results.try_into().expect("one result per scheme")
+}
+
+/// The no-sleep `(user, ISP)` draw of the scenario's world, watts.
+fn baseline_w(cfg: &ScenarioConfig) -> (f64, f64) {
+    let power = &cfg.power;
+    let isp = power.no_sleep_isp_w_sharded(cfg.trace.n_aps, cfg.dslam.n_cards, cfg.shards);
+    (power.no_sleep_user_w(cfg.trace.n_aps), isp)
+}
+
+/// The trace of the world the scheme figures run: seed 0 of the batch
+/// (`job_seed(cfg.seed, 0)`), whole, so Figs. 3–9 describe one trace.
+fn harness_trace(h: &Harness) -> Trace {
+    let seed = job_seed(h.scenario.seed, 0);
+    build_world(&ScenarioConfig { seed, ..h.scenario.clone() }).0
 }
 
 /// Fig. 2: daily average and median utilization of the ADSL population.
@@ -130,7 +170,7 @@ pub fn fig2(seed: u64) -> FigureData {
 
 /// Fig. 3: average downlink utilization of the 40 APs at 6 Mbps backhaul.
 pub fn fig3(h: &Harness) -> FigureData {
-    let (trace, _) = build_world(&h.scenario);
+    let trace = harness_trace(h);
     let series = ap_utilization_percent_series(&trace, h.scenario.backhaul_bps, 3_600_000);
     let mut t = FigureData::new(
         "fig3",
@@ -145,7 +185,7 @@ pub fn fig3(h: &Harness) -> FigureData {
 
 /// Fig. 4: fraction of peak-hour idle time per inter-packet-gap bin.
 pub fn fig4(h: &Harness) -> FigureData {
-    let (trace, _) = build_world(&h.scenario);
+    let trace = harness_trace(h);
     let hist = gap_histogram_paper_bins(&trace, SimTime::from_hours(16), SimTime::from_hours(17));
     let mut labels = hist.labels();
     let mut fractions = hist.fractions();
@@ -311,21 +351,10 @@ pub fn fig9b(runs: &MainRuns) -> FigureData {
 }
 
 /// Runs a BH2 + k-switch sweep of the harness scenario as an `insomnia
-/// sweep` batch: `sets` apply to the scenario, each `(key, values)` axis
-/// clones it once per value through [`Registry::expand`], and the batch
-/// runs on every core with the JSONL discarded and telemetry off. Returns
-/// the job records in job order: axis by axis, value by value, seed by
-/// seed.
+/// sweep` batch ([`harness_batch`]) with the JSONL discarded and telemetry
+/// off. Returns the job records in job order.
 fn run_sweep(h: &Harness, sets: &[&str], axes: &[(&str, &[&str])], seeds: usize) -> Vec<JobRecord> {
-    let reg = Registry::builtin();
-    let base = ("harness".to_string(), ScenarioSpec::explicit("harness", None, &h.scenario));
-    let mut scenarios = Vec::new();
-    for &axis in axes {
-        let swept = reg.expand(vec![base.clone()], sets, Some(axis), false);
-        scenarios.extend(swept.expect("figure sweeps resolve"));
-    }
-    let batch =
-        BatchRun { scenarios, schemes: vec![SchemeSpec::bh2_k_switch()], seeds, threads: 0 };
+    let batch = harness_batch(h, sets, axes, vec![SchemeSpec::bh2_k_switch()], seeds);
     run_batch_telemetry(&batch, &mut std::io::sink(), &Telemetry::quiet())
         .expect("figure sweep runs")
         .records
@@ -356,8 +385,10 @@ pub fn fig10(h: &Harness) -> FigureData {
     t
 }
 
-/// Fig. 12: testbed online APs over the 30-minute window.
-pub fn fig12(h: &Harness) -> FigureData {
+/// Fig. 12 and its summary line, from one testbed run: online APs per
+/// minute over the 30-minute window, and the mean sleeping APs (paper:
+/// BH2 sleeps 5.46/9, SoI 3.72/9).
+pub fn fig12(h: &Harness) -> [FigureData; 2] {
     let r = run_testbed(&h.scenario, &TestbedConfig::default());
     let mut t = FigureData::new(
         "fig12",
@@ -367,24 +398,32 @@ pub fn fig12(h: &Harness) -> FigureData {
     for (m, (s, b)) in r.soi_online_per_min.iter().zip(&r.bh2_online_per_min).enumerate() {
         t.push_row(vec![(m + 1) as f64, *s, *b]);
     }
-    t
-}
-
-/// Summary line of the testbed run (paper: BH2 sleeps 5.46/9, SoI 3.72/9).
-pub fn fig12_summary(h: &Harness) -> FigureData {
-    let r = run_testbed(&h.scenario, &TestbedConfig::default());
-    let mut t = FigureData::new(
+    let mut summary = FigureData::new(
         "fig12-summary",
         "testbed mean sleeping APs of 9 (paper: BH2 5.46, SoI 3.72)",
         vec!["soi_sleeping".into(), "bh2_sleeping".into()],
     );
-    t.push_row(vec![r.soi_mean_sleeping, r.bh2_mean_sleeping]);
-    t
+    summary.push_row(vec![r.soi_mean_sleeping, r.bh2_mean_sleeping]);
+    [t, summary]
 }
 
-/// Fig. 14: crosstalk speedup vs number of inactive lines, four configs.
-pub fn fig14(seed: u64) -> FigureData {
+/// Fig. 14 from one run of the four crosstalk experiments: the all-active
+/// baselines (paper: 41.3, 43.7, 27.8, 29.7 Mbps), then the speedup vs
+/// number of inactive lines per config.
+pub fn fig14(seed: u64) -> [FigureData; 2] {
     let mut rng = SimRng::new(seed).fork("fig14");
+    let cfg = BundleConfig::default();
+    let experiments = CrosstalkExperiment::paper_set();
+    let results: Vec<_> = experiments.iter().map(|e| e.run(&cfg, &mut rng)).collect();
+    let mut baselines = FigureData::new(
+        "fig14-baselines",
+        "all-active mean sync rates [Mbps] (paper: 41.3/43.7/27.8/29.7)",
+        vec!["baseline_mbps".into()],
+    );
+    for (baseline, _) in &results {
+        baselines.push_row(vec![baseline / 1e6]);
+    }
+    let baselines = baselines.with_row_labels(experiments.iter().map(|e| e.label()).collect());
     let mut t = FigureData::new(
         "fig14",
         "mean per-line speedup vs inactive lines [%] (std in ±columns)",
@@ -400,9 +439,6 @@ pub fn fig14(seed: u64) -> FigureData {
             "p30_600_std".into(),
         ],
     );
-    let cfg = BundleConfig::default();
-    let results: Vec<_> =
-        CrosstalkExperiment::paper_set().into_iter().map(|e| e.run(&cfg, &mut rng)).collect();
     let steps = results[0].1.len();
     for si in 0..steps {
         let mut row = vec![results[0].1[si].inactive as f64];
@@ -412,25 +448,7 @@ pub fn fig14(seed: u64) -> FigureData {
         }
         t.push_row(row);
     }
-    t
-}
-
-/// The Fig. 14 baselines (paper: 41.3, 43.7, 27.8, 29.7 Mbps).
-pub fn fig14_baselines(seed: u64) -> FigureData {
-    let mut rng = SimRng::new(seed).fork("fig14");
-    let cfg = BundleConfig::default();
-    let mut t = FigureData::new(
-        "fig14-baselines",
-        "all-active mean sync rates [Mbps] (paper: 41.3/43.7/27.8/29.7)",
-        vec!["baseline_mbps".into()],
-    );
-    let mut labels = Vec::new();
-    for e in CrosstalkExperiment::paper_set() {
-        let (baseline, _) = e.run(&cfg, &mut rng);
-        labels.push(e.label());
-        t.push_row(vec![baseline / 1e6]);
-    }
-    t.with_row_labels(labels)
+    [baselines, t]
 }
 
 /// Fig. 15: per-card attenuation distribution summary of the synthetic
@@ -515,13 +533,8 @@ pub fn cards_table(runs: &MainRuns) -> FigureData {
 /// same no-sleep baseline. `doze_descents` counts delivered doze-ladder
 /// descents (0 for the policies that sleep straight to the deepest level).
 pub fn doze_table(h: &Harness) -> FigureData {
-    let cfg = &h.scenario;
-    let world = ShardedWorld::lazy(cfg, cfg.seed);
-    let threads = insomnia_simcore::default_threads();
-    let run = |spec| run_scheme(cfg, spec, &world, cfg.seed, threads);
-    let base_user_w = cfg.power.no_sleep_user_w(world.n_gateways());
-    let base_isp_w =
-        cfg.power.no_sleep_isp_w_sharded(world.n_gateways(), cfg.dslam.n_cards, world.n_shards());
+    let runs: [SchemeResult; 3] = run_schemes(h, "soi,multi-doze,adaptive-soi");
+    let (base_user_w, base_isp_w) = baseline_w(&h.scenario);
     let mut t = FigureData::new(
         "doze",
         "sleep-policy comparison: fixed SoI vs multi-doze ladder vs adaptive-SOI",
@@ -534,14 +547,9 @@ pub fn doze_table(h: &Harness) -> FigureData {
         ],
     );
     let mut labels = Vec::new();
-    for (name, spec) in [
-        ("soi", SchemeSpec::soi()),
-        ("multi-doze", SchemeSpec::multi_doze()),
-        ("adaptive-soi", SchemeSpec::adaptive_soi()),
-    ] {
-        let r = run(spec);
+    for r in runs {
         let s = summarize(&r, base_user_w, base_isp_w);
-        labels.push(name.to_string());
+        labels.push(scheme_key(r.spec));
         t.push_row(vec![
             s.mean_savings_pct,
             s.peak_savings_pct,

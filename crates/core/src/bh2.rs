@@ -79,7 +79,8 @@ pub fn decide(
     // gateway. What happens with too few candidates is the one ambiguous
     // sentence in §3.1: read literally, the user returns home — but that
     // stampedes everyone home whenever loads dip, de-aggregating under
-    // exactly the light loads the paper evaluates (see DESIGN.md). The
+    // exactly the light loads the paper evaluates (the README's `## Figures`
+    // has the `bh2.literal_return_home` sweep that shows it). The
     // default resolves the ambiguity the only way that reproduces Fig. 7:
     // the user stays hitched (its traffic keeps the remote awake anyway);
     // `literal_return_home` enables the verbatim reading for ablation.

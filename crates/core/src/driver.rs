@@ -3,9 +3,13 @@
 //! One [`run_single_source_threads`] call simulates one 24-hour day of one
 //! scheme over one arrival feed + topology, producing per-second metric
 //! series, per-flow completion times, per-gateway online times and the
-//! energy breakdown. [`run_scheme`] repeats it `cfg.repetitions` times over
+//! energy breakdown. A scheme run repeats it `cfg.repetitions` times over
 //! every shard of a [`ShardedWorld`] with independent algorithmic randomness
-//! and averages the series, exactly as the paper averages its 10 runs.
+//! and averages the series, exactly as the paper averages its 10 runs: each
+//! `(repetition × shard)` day is one [`run_scheme_task`], and a
+//! [`SchemeFolder`] absorbs them in task order into the [`SchemeResult`].
+//! The batch runner (`insomnia-scenarios`) is the one scheduler of those
+//! tasks, for the CLI and the figure harness alike.
 //!
 //! Event zoo: flow arrivals from the trace; flow departures from the
 //! processor-sharing engine; gateway wake completions; SoI idle checks;
@@ -1157,7 +1161,8 @@ fn optimal_tick(s: &mut Scheduler<Ev>, w: &mut World<'_>, now: SimTime) {
     w.dslam.repack_full_switch(now);
 }
 
-/// Averaged results of all repetitions of one scheme.
+/// Averaged results of all repetitions of one scheme, built by
+/// [`SchemeFolder::finish`].
 #[derive(Debug, Clone)]
 pub struct SchemeResult {
     /// The scheme.
@@ -1245,33 +1250,6 @@ impl SchemeResult {
             out.merge(h);
         }
         out
-    }
-
-    /// Wraps one [`run_single_source_threads`] outcome as a single-repetition
-    /// [`SchemeResult`] — the adapter examples and tests use to feed the
-    /// metric pipelines without the full runner. The online-time histogram
-    /// inherits the completion sketch's cutoff (both default to the same
-    /// scenario knob family), so small runs stay exact.
-    pub fn from_single(spec: SchemeSpec, run: RunResult) -> SchemeResult {
-        let n_gw = run.gateway_online_s.len().max(1);
-        let online = OnlineTimeHist::from_samples(&run.gateway_online_s, run.completion.cutoff());
-        let mut counters = run.counters;
-        counters.fold_absorptions = 1;
-        SchemeResult {
-            spec,
-            sample_period_s: run.sample_period_s,
-            powered_gateways: run.powered_gateways,
-            awake_cards: run.awake_cards,
-            user_power_w: run.user_power_w,
-            isp_power_w: run.isp_power_w,
-            energy: run.energy,
-            completion: vec![run.completion],
-            online_time: vec![online],
-            mean_wake_count: run.wake_counts.iter().sum::<u64>() as f64 / n_gw as f64,
-            counters,
-            fold_ms: 0.0,
-            shard_summaries: Vec::new(),
-        }
     }
 }
 
@@ -1545,9 +1523,9 @@ type ShardProto = Arc<ShardCells>;
 /// passes.
 ///
 /// Keying invariant: all consumers of one cache share one
-/// [`ScenarioConfig`] — one cache per [`run_scheme`] call, or one per
-/// (scenario, seed) world in a batch. A shard's cells are keyed by the
-/// shard index alone, and Optimal's plan depends on the config too.
+/// [`ScenarioConfig`] — one cache per (scenario, seed) world in a batch.
+/// A shard's cells are keyed by the shard index alone, and Optimal's plan
+/// depends on the config too.
 pub struct WorldProtoCache {
     slots: Vec<Mutex<ProtoSlot>>,
 }
@@ -1631,11 +1609,11 @@ impl ProtoClaim {
 /// (repetition-major, shard-minor) and finalizes into a [`SchemeResult`].
 ///
 /// The batch runner keeps one folder per job and feeds them all from a
-/// single interleaved worker pool; [`run_scheme`] drives the same folder
-/// through a one-group `par_fold_grouped`. Absorb order defines the bytes — the
+/// single interleaved worker pool. Absorb order defines the bytes — the
 /// arithmetic is exactly the historical collect-then-merge, so aggregates
 /// are bit-identical at any thread count and under any task interleaving
-/// that preserves per-job order.
+/// that preserves per-job order. [`finish`](Self::finish) is the one
+/// constructor of a [`SchemeResult`].
 pub struct SchemeFolder {
     spec: SchemeSpec,
     reps: usize,
@@ -1807,7 +1785,7 @@ pub struct TaskSetup {
 /// worlds, which keeps `shards = 1` byte-identical to the pre-shard
 /// driver). The stream depends on nothing else — never the attempt — so a
 /// retried attempt is byte-identical, and results absorbed into a
-/// [`SchemeFolder`] strictly in `i` order reproduce [`run_scheme`] exactly.
+/// [`SchemeFolder`] strictly in `i` order are the same whatever ran them.
 ///
 /// The shard is built here, in the worker, streaming, and dropped on
 /// return. With a `claim` on the world's [`WorldProtoCache`] (every
@@ -1884,46 +1862,6 @@ pub fn run_scheme_task(
     (single(stream_proto.clone(), topo, plan), setup)
 }
 
-/// Runs all repetitions of one scheme over every shard of a
-/// [`ShardedWorld`], on at most `max_threads` worker threads.
-///
-/// The `(repetition × shard)` tasks ([`run_scheme_task`]) are fully
-/// independent. Results are absorbed **online, in task order** by a
-/// deterministic [`SchemeFolder`] on the calling thread (a one-group
-/// [`par_fold_grouped`]) — shard order within each repetition,
-/// repetitions in order — so the aggregate never depends on thread count
-/// and no task's [`RunResult`] outlives its fold: merge state is one live
-/// `RepAccum`, one running sum per sample series, `O(shards)` scalar
-/// summaries and the fold's reorder window, which is what caps a
-/// 10⁸-client world's merge memory at O(shards × buckets). Multi-repetition runs share each shard's stream
-/// prototype through a [`WorldProtoCache`].
-pub fn run_scheme(
-    cfg: &ScenarioConfig,
-    spec: SchemeSpec,
-    world: &ShardedWorld,
-    seed: u64,
-    max_threads: usize,
-) -> SchemeResult {
-    let n_shards = world.n_shards();
-    let cache = WorldProtoCache::new(world, cfg.repetitions);
-    let mut folder = SchemeFolder::new(cfg, spec, world);
-    let tasks: Vec<(usize, usize)> = (0..folder.n_tasks()).map(|i| (0, i)).collect();
-    par_fold_grouped(
-        &tasks,
-        max_threads,
-        |i| {
-            let mut claim = cache.as_ref().map(|c| c.claim(i % n_shards));
-            let (mut run, _) = run_scheme_task(cfg, spec, world, seed, i, claim.as_mut());
-            if let Some(claim) = &claim {
-                claim.attribute(&mut run.counters);
-            }
-            run
-        },
-        |_, index, run| folder.absorb(index, run),
-    );
-    folder.finish()
-}
-
 /// Compile-time guarantee that everything a batch job needs can cross
 /// thread boundaries (worker threads borrow these).
 const _: () = {
@@ -1959,9 +1897,22 @@ mod tests {
         run_single_source_threads(cfg, spec, ArrivalSource::Slice(&trace.flows), topo, rng, 1)
     }
 
-    /// A whole scheme run over the lazy world `(cfg, seed)`.
-    fn run_lazy(cfg: &ScenarioConfig, spec: SchemeSpec, seed: u64, threads: usize) -> SchemeResult {
-        run_scheme(cfg, spec, &ShardedWorld::lazy(cfg, seed), seed, threads)
+    /// A whole `spec` run over the lazy world `(cfg, seed)`, as the batch
+    /// runner runs one job: tasks claimed on one prototype cache, folded in
+    /// task order.
+    fn run_lazy(cfg: &ScenarioConfig, spec: SchemeSpec, seed: u64) -> SchemeResult {
+        let world = &ShardedWorld::lazy(cfg, seed);
+        let cache = WorldProtoCache::new(world, cfg.repetitions);
+        let mut folder = SchemeFolder::new(cfg, spec, world);
+        for i in 0..folder.n_tasks() {
+            let mut claim = cache.as_ref().map(|c| c.claim(i % world.n_shards()));
+            let (mut run, _) = run_scheme_task(cfg, spec, world, seed, i, claim.as_mut());
+            if let Some(claim) = &claim {
+                claim.attribute(&mut run.counters);
+            }
+            folder.absorb(i, run);
+        }
+        folder.finish()
     }
 
     #[test]
@@ -2117,7 +2068,7 @@ mod tests {
     fn scheme_runner_averages_reps() {
         let mut cfg = quick_cfg();
         cfg.repetitions = 2;
-        let res = run_lazy(&cfg, SchemeSpec::soi(), cfg.seed, 0);
+        let res = run_lazy(&cfg, SchemeSpec::soi(), cfg.seed);
         assert_eq!(res.completion.len(), 2);
         assert_eq!(res.online_time.len(), 2);
         assert!(!res.powered_gateways.is_empty());
@@ -2150,12 +2101,14 @@ mod tests {
         for c in 0..topo.n_clients() {
             assert_eq!(stopo.reachable(c), topo.reachable(c));
         }
-        // And the whole-run entry point over the lazy one-shard world
-        // reproduces a single run over the materialized trace exactly
-        // (one repetition, whose stream is the unforked-by-shard `"rep"` 0).
+        // And its one task, folded, reproduces a single run over the
+        // materialized trace exactly (one repetition, whose stream is the
+        // unforked-by-shard `"rep"` 0).
         let spec = SchemeSpec::bh2_k_switch();
         let a = run_slice(&cfg, spec, &trace, &topo, SimRng::new(7).fork_idx("rep", 0));
-        let b = run_scheme(&cfg, spec, &world, 7, 4);
+        let mut folder = SchemeFolder::new(&cfg, spec, &world);
+        folder.absorb(0, run_scheme_task(&cfg, spec, &world, 7, 0, None).0);
+        let b = folder.finish();
         assert_eq!(a.energy.total_j(), b.energy.total_j());
         assert_eq!(a.powered_gateways, b.powered_gateways);
         assert_eq!(a.completion.per_flow(), b.completion[0].per_flow());
@@ -2165,31 +2118,9 @@ mod tests {
     }
 
     #[test]
-    fn sharded_runs_are_thread_count_invariant() {
-        let cfg = sharded_cfg(4);
-        let world = ShardedWorld::lazy(&cfg, 5);
-        assert_eq!(world.n_shards(), 4);
-        assert_eq!(world.n_clients(), 136);
-        assert_eq!(world.n_gateways(), 20);
-        let serial = run_lazy(&cfg, SchemeSpec::soi(), 5, 1);
-        let parallel = run_lazy(&cfg, SchemeSpec::soi(), 5, 8);
-        assert_eq!(serial.energy.total_j(), parallel.energy.total_j());
-        assert_eq!(serial.powered_gateways, parallel.powered_gateways);
-        for (ca, cb) in serial.completion.iter().zip(&parallel.completion) {
-            assert_eq!(ca.per_flow(), cb.per_flow());
-            assert_eq!(ca.quantiles(&[0.5, 0.95]), cb.quantiles(&[0.5, 0.95]));
-        }
-        for (oa, ob) in serial.online_time.iter().zip(&parallel.online_time) {
-            assert_eq!(oa.per_gateway(), ob.per_gateway(), "fold order fixes gateway order");
-            assert_eq!(oa.quantiles(&[0.5, 0.95]), ob.quantiles(&[0.5, 0.95]));
-        }
-        assert_eq!(serial.counters.delivered(), parallel.counters.delivered());
-    }
-
-    #[test]
     fn merged_shards_sum_series_and_concatenate_vectors() {
         let cfg = sharded_cfg(4);
-        let r = run_lazy(&cfg, SchemeSpec::no_sleep(), 11, 0);
+        let r = run_lazy(&cfg, SchemeSpec::no_sleep(), 11);
         let n_flows: usize = (0..4).map(|s| build_world_shard(&cfg, 11, s).0.flows.len()).sum();
         // No-sleep powers every gateway of every shard, all day.
         for p in &r.powered_gateways {
@@ -2214,9 +2145,9 @@ mod tests {
     #[test]
     fn streaming_cutoff_drops_per_flow_but_keeps_quantiles_close() {
         let mut cfg = sharded_cfg(1);
-        let exact = run_lazy(&cfg, SchemeSpec::soi(), 9, 2);
+        let exact = run_lazy(&cfg, SchemeSpec::soi(), 9);
         cfg.completion_cutoff = 0;
-        let streamed = run_lazy(&cfg, SchemeSpec::soi(), 9, 2);
+        let streamed = run_lazy(&cfg, SchemeSpec::soi(), 9);
         let e = exact.pooled_completion();
         let s = streamed.pooled_completion();
         assert!(e.per_flow().is_some() && e.is_exact());
@@ -2320,7 +2251,7 @@ mod tests {
         let mut cfg = sharded_cfg(2);
         cfg.repetitions = 2;
         let world = ShardedWorld::lazy(&cfg, 11);
-        let plain = run_scheme(&cfg, SchemeSpec::soi(), &world, 11, 2);
+        let plain = run_lazy(&cfg, SchemeSpec::soi(), 11);
         // Each task claims once, outside its attempts. Task 1's first
         // attempt is thrown away, as a faulted one is; the retry re-derives
         // the identical RNG stream, so every deterministic byte matches.
@@ -2392,9 +2323,9 @@ mod tests {
         cfg.repetitions = 2;
         let world = ShardedWorld::lazy(&cfg, 17);
         let spec = SchemeSpec::optimal();
-        // `run_scheme` shares each shard's plan between its two
+        // A whole run shares each shard's plan between its two
         // repetitions; cacheless tasks each solve their own.
-        let shared = run_scheme(&cfg, spec, &world, 17, 2);
+        let shared = run_lazy(&cfg, spec, 17);
         let mut folder = SchemeFolder::new(&cfg, spec, &world);
         for i in 0..folder.n_tasks() {
             folder.absorb(i, run_scheme_task(&cfg, spec, &world, 17, i, None).0);
@@ -2417,7 +2348,7 @@ mod tests {
         cfg.repetitions = 2;
         let world = ShardedWorld::lazy(&cfg, 19);
         let spec = SchemeSpec::optimal();
-        let plain = run_scheme(&cfg, spec, &world, 19, 2);
+        let plain = run_lazy(&cfg, spec, 19);
         let retried = fold_tasks(&cfg, spec, &world, |i, cache| {
             let mut claim = cache.claim(i % world.n_shards());
             if i < world.n_shards() {

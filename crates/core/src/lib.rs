@@ -25,7 +25,7 @@ pub use config::{
     AdaptiveSoiParams, Bh2Params, ScenarioConfig, TopologyKind, DEFAULT_COMPLETION_CUTOFF,
 };
 pub use driver::{
-    build_world, build_world_shard, build_world_shard_streaming, run_scheme, run_scheme_task,
+    build_world, build_world_shard, build_world_shard_streaming, run_scheme_task,
     run_single_source_threads, ArrivalSource, DriverStats, ProtoClaim, RunResult, SchemeFolder,
     SchemeResult, ShardSummary, ShardedWorld, TaskSetup, WorldProtoCache,
     CHECKPOINT_SCHEMA_VERSION,

@@ -5,7 +5,7 @@
 //! The coefficients below approximate a 0.4–0.5 mm PE-insulated pair — the
 //! plant the paper's testbed cable bundle represents — giving ≈35 dB/km at
 //! 1 MHz and ≈140 dB/km at 17.6 MHz (coefficients calibrated jointly with
-//! the FEXT constant against Fig. 14, see DESIGN.md).
+//! the FEXT constant against Fig. 14).
 
 use serde::{Deserialize, Serialize};
 
@@ -69,7 +69,7 @@ mod tests {
     fn plausible_magnitudes() {
         let c = CableModel::default();
         // Calibrated 0.4 mm-class plant: ~35 dB/km at 1 MHz, ~140 dB/km
-        // at 17.6 MHz (see DESIGN.md on Fig. 14 calibration).
+        // at 17.6 MHz (jointly with the FEXT constant, against Fig. 14).
         let km1 = c.attenuation_db(1e6, 1_000.0);
         assert!((25.0..45.0).contains(&km1), "1 MHz loss {km1} dB/km");
         let km17 = c.attenuation_db(17.6e6, 1_000.0);

@@ -17,7 +17,7 @@
 //!   [`crate::binder`]),
 //! * `K` — coupling constant, calibrated so the 24-line/600 m bundle
 //!   reproduces the sync rates and per-line-speedup slope of the paper's
-//!   Fig. 14 (the physical testbed we substitute; see DESIGN.md).
+//!   Fig. 14 (the physical testbed we substitute).
 
 use serde::{Deserialize, Serialize};
 

@@ -12,8 +12,13 @@
 //! touching one (seed, shard) back to back off a refcounted world-prototype
 //! cache, so the per-shard stream setup pass runs once for the whole batch
 //! instead of once per scheme. Each job's results fold strictly in task
-//! order and JSONL lines release strictly in job order, so every job is
-//! byte-identical to a whole-run [`insomnia_core::run_scheme`] of it.
+//! order through one [`SchemeFolder`], so the thread count and the
+//! interleaving never move a byte.
+//!
+//! This is the only code that schedules and folds scheme runs: one private
+//! task loop hands each finished job's [`SchemeResult`] to
+//! [`run_batch_controlled`] (the CLI: a JSONL record at once, released in
+//! job order) or [`run_batch_results`] (the figure harness: kept).
 //!
 //! Determinism: job `k` of scenario `s` derives its RNG master from the
 //! scenario's configured seed via the same fork discipline the driver
@@ -266,7 +271,7 @@ impl BatchRun {
         if self.threads > 0 {
             self.threads
         } else {
-            std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
+            insomnia_simcore::default_threads()
         }
     }
 }
@@ -334,10 +339,10 @@ struct JobState<'a> {
 }
 
 /// Unwind payload a worker raises to end the batch: the cooperative cancel
-/// (SIGINT, or a failed JSONL write) seen before a task starts, or a task
-/// whose retry budget ran out, carrying the run's [`SimError::TaskFailed`]
-/// text. Raised with `resume_unwind`, so the panic hook prints nothing:
-/// the run reports it as an error.
+/// (SIGINT, or a failed job hand-over such as a JSONL write) seen before a
+/// task starts, or a task whose retry budget ran out, carrying the run's
+/// [`SimError::TaskFailed`] text. Raised with `resume_unwind`, so the panic
+/// hook prints nothing: the run reports it as an error.
 enum TaskAbort {
     Cancelled,
     Failed(String),
@@ -365,9 +370,9 @@ struct TaskPool<'a> {
     writer: Option<CheckpointWriter>,
     faults: Option<ResolvedFaults>,
     cancel: Option<Arc<AtomicBool>>,
-    /// Set by the collector on the first failed JSONL write; stops the
-    /// pool like a cancel.
-    write_failed: AtomicBool,
+    /// Set by the collector when the caller's job hand-over fails; stops
+    /// the pool like a cancel.
+    stopped: AtomicBool,
     max_attempts: usize,
     tel: &'a Telemetry,
     phases: Mutex<TaskPhases>,
@@ -386,7 +391,7 @@ impl TaskPool<'_> {
     /// anything happened.
     fn run(&self, js: &JobState<'_>, i: usize) -> RunResult {
         js.started.get_or_init(Instant::now);
-        if self.write_failed.load(Ordering::Relaxed)
+        if self.stopped.load(Ordering::Relaxed)
             || self.cancel.as_ref().is_some_and(|c| c.load(Ordering::Relaxed))
         {
             std::panic::resume_unwind(Box::new(TaskAbort::Cancelled));
@@ -575,6 +580,76 @@ pub fn run_batch_controlled<W: Write>(
     tel: &Telemetry,
     ctl: RunControl,
 ) -> SimResult<BatchSummary> {
+    // Each finished job becomes its record and sidecar line at once (its
+    // `SchemeResult` drops here); the reorder buffer then releases them
+    // strictly in job order. A failed or cancelled job stalls the release
+    // point permanently — the JSONL stays a valid in-order prefix.
+    let mut records: Vec<JobRecord> = Vec::with_capacity(batch.n_jobs());
+    let mut pending: BTreeMap<usize, (JobRecord, JobTelemetryRecord)> = BTreeMap::new();
+    run_jobs(batch, tel, ctl, |js, result, released| {
+        let telemetry = JobTelemetryRecord {
+            job: js.j,
+            scenario: js.name.to_string(),
+            scheme: js.scheme.clone(),
+            seed_index: js.seed_index,
+            wall_ms: js.started.get().map(|t| t.elapsed().as_secs_f64() * 1_000.0).unwrap_or(0.0),
+            fold_ms: result.fold_ms,
+            shards: js.n_shards,
+            counters: result.counters,
+        };
+        pending.insert(js.j, (make_record(js, &result), telemetry));
+        while let Some((rec, telemetry)) = pending.remove(&records.len()) {
+            let write_start = Instant::now();
+            let line = serde_json::to_string(&rec)
+                .map_err(|e| SimError::InvalidInput(format!("serialize record: {e}")))?;
+            writeln!(out, "{line}").map_err(|e| SimError::Io(format!("write JSONL: {e}")))?;
+            released.write.add(write_start.elapsed().as_secs_f64() * 1_000.0);
+            released.fold.add(telemetry.fold_ms);
+            released.counters.merge(&telemetry.counters);
+            tel.emit(&TelemetryRecord::Job(telemetry));
+            records.push(rec);
+        }
+        Ok(())
+    })?;
+    let rows = aggregate(batch, &records);
+    Ok(BatchSummary { records, rows })
+}
+
+/// Runs the batch with quiet telemetry and returns every job's folded
+/// [`SchemeResult`] in job order — each the one [`run_batch`] turns into
+/// that job's JSONL record. The figure harness's entry point.
+pub fn run_batch_results(batch: &BatchRun) -> SimResult<Vec<SchemeResult>> {
+    let mut results: Vec<Option<SchemeResult>> = Vec::new();
+    results.resize_with(batch.n_jobs(), || None);
+    run_jobs(batch, &Telemetry::quiet(), RunControl::default(), |js, result, _| {
+        results[js.j] = Some(result);
+        Ok(())
+    })?;
+    Ok(results.into_iter().map(|r| r.expect("every job folded")).collect())
+}
+
+/// The spans and work counters of the jobs a caller has released, frozen
+/// into the sidecar's phase table and summary at teardown. One `fold` span
+/// per released job, so its count is the durable prefix an interrupted
+/// run reports.
+struct Released {
+    fold: PhaseAccum,
+    write: PhaseAccum,
+    counters: RunCounters,
+}
+
+/// The one scheduler and fold of every batch: runs the `(repetition ×
+/// shard)` tasks shard-major on one flat pool under `ctl` and hands each
+/// job's [`SchemeResult`] to `on_job` the moment its last task folds
+/// (completion order). An `Err` from `on_job` stops the pool like a cancel
+/// and is returned after the teardown (checkpoint close, phase table, run
+/// summary), which runs on every path.
+fn run_jobs(
+    batch: &BatchRun,
+    tel: &Telemetry,
+    ctl: RunControl,
+    mut on_job: impl FnMut(&JobState<'_>, SchemeResult, &mut Released) -> SimResult<()>,
+) -> SimResult<()> {
     batch.validate()?;
     let wall_start = Instant::now();
     let n_jobs = batch.n_jobs();
@@ -633,7 +708,7 @@ pub fn run_batch_controlled<W: Write>(
         writer: ctl.checkpoint,
         faults,
         cancel: ctl.cancel,
-        write_failed: AtomicBool::new(false),
+        stopped: AtomicBool::new(false),
         max_attempts: ctl.max_attempts.max(1),
         tel,
         // Task-level phase spans accumulate from worker threads as tasks
@@ -644,16 +719,13 @@ pub fn run_batch_controlled<W: Write>(
             event_loop: PhaseAccum::new("event-loop"),
         }),
     };
-    let mut fold_phase = PhaseAccum::new("shard-fold");
-    let mut write_phase = PhaseAccum::new("jsonl-write");
-    let mut counters = RunCounters::default();
-    let mut tasks_total = 0u64;
+    let mut released = Released {
+        fold: PhaseAccum::new("shard-fold"),
+        write: PhaseAccum::new("jsonl-write"),
+        counters: RunCounters::default(),
+    };
 
-    // Phase 2: the task matrix. The collector releases JSONL lines
-    // strictly in job order and a failed or cancelled job stalls the
-    // release point permanently — the JSONL stays a valid in-order prefix.
-    let mut records: Vec<Option<JobRecord>> = Vec::new();
-    records.resize_with(n_jobs, || None);
+    // Phase 2: the task matrix.
     let mut first_failure: Option<String> = None;
     let mut cancelled = false;
 
@@ -709,12 +781,10 @@ pub fn run_batch_controlled<W: Write>(
 
     let mut folders: Vec<Option<SchemeFolder>> =
         jobs.iter().map(|js| Some(SchemeFolder::new(js.cfg, js.spec, js.world))).collect();
-    let mut pending: BTreeMap<usize, (JobRecord, JobTelemetryRecord)> = BTreeMap::new();
-    let mut next = 0usize;
-    // A failed JSONL write can't abort mid-fold (the fold closure has no
-    // return channel): remember the first, stop the pool from claiming
-    // more tasks, and surface it after the teardown below.
-    let mut io_err: Option<SimError> = None;
+    // The fold closure has no return channel, so the first `on_job` error
+    // is parked here: the pool stops claiming tasks, no later job is
+    // handed over, and the error surfaces after the teardown below.
+    let mut job_err: Option<SimError> = None;
 
     // One flat pool over the whole matrix: tasks are the unit of
     // scheduling (the driver pins per-task inner parallelism, so
@@ -736,58 +806,13 @@ pub fn run_batch_controlled<W: Write>(
                 js.merged.store(i + 1, Ordering::Relaxed);
                 let folder = folders[j].as_mut().expect("one fold per task");
                 folder.absorb(i, run);
-                if i + 1 != folder.n_tasks() {
+                if i + 1 != folder.n_tasks() || job_err.is_some() {
                     return;
                 }
-                // Last task of the job: finalize it, then release
-                // every finished job in job order.
                 let result = folders[j].take().expect("folder finalized once").finish();
-                let wall_ms =
-                    js.started.get().map(|t| t.elapsed().as_secs_f64() * 1_000.0).unwrap_or(0.0);
-                let telemetry = JobTelemetryRecord {
-                    job: j,
-                    scenario: js.name.to_string(),
-                    scheme: js.scheme.clone(),
-                    seed_index: js.seed_index,
-                    wall_ms,
-                    fold_ms: result.fold_ms,
-                    shards: js.n_shards,
-                    counters: result.counters,
-                };
-                let rec = make_record(
-                    js.name,
-                    js.cfg,
-                    js.spec,
-                    js.seed_index,
-                    js.seed,
-                    js.world,
-                    &result,
-                );
-                pending.insert(j, (rec, telemetry));
-                while let Some((rec, telemetry)) = pending.remove(&next) {
-                    if io_err.is_none() {
-                        let write_start = Instant::now();
-                        let written = serde_json::to_string(&rec)
-                            .map_err(|e| SimError::InvalidInput(format!("serialize record: {e}")))
-                            .and_then(|line| {
-                                writeln!(out, "{line}")
-                                    .map_err(|e| SimError::Io(format!("write JSONL: {e}")))
-                            });
-                        match written {
-                            Ok(()) => {
-                                write_phase.add(write_start.elapsed().as_secs_f64() * 1_000.0)
-                            }
-                            Err(e) => {
-                                pool_ref.write_failed.store(true, Ordering::Relaxed);
-                                io_err = Some(e);
-                            }
-                        }
-                    }
-                    counters.merge(&telemetry.counters);
-                    fold_phase.add(telemetry.fold_ms);
-                    tel.emit(&TelemetryRecord::Job(telemetry));
-                    records[next] = Some(rec);
-                    next += 1;
+                if let Err(e) = on_job(js, result, &mut released) {
+                    pool_ref.stopped.store(true, Ordering::Relaxed);
+                    job_err = Some(e);
                 }
             },
         )
@@ -808,7 +833,7 @@ pub fn run_batch_controlled<W: Write>(
     // Freeze the phase table and the run summary — also on the failure
     // and interrupt paths, so a crashed run still leaves a usable sidecar.
     let TaskPhases { world_build, event_loop } = phases.into_inner().expect("phase lock");
-    tasks_total += event_loop.tasks();
+    let Released { fold: fold_phase, write: write_phase, mut counters } = released;
     let mut config_phase = PhaseAccum::new("config");
     config_phase.add(tel.config_ms);
     for phase in [&config_phase, &world_build, &event_loop, &fold_phase] {
@@ -826,30 +851,26 @@ pub fn run_batch_controlled<W: Write>(
         // so `insomnia profile` shares sum against the right total.
         wall_ms: tel.config_ms + wall_start.elapsed().as_secs_f64() * 1_000.0,
         jobs: n_jobs,
-        tasks: tasks_total,
+        tasks: event_loop.tasks(),
         events: counters.delivered(),
         flows: counters.flows_total,
         peak_rss_mib: crate::rss::peak_rss_mib(),
         counters,
     }));
 
-    if let Some(e) = io_err {
+    if let Some(e) = job_err {
         return Err(e);
     }
     if let Some(msg) = first_failure {
         return Err(SimError::TaskFailed(msg));
     }
     if cancelled || cancel.is_some_and(|c| c.load(Ordering::Relaxed)) {
-        let durable = records.iter().filter(|r| r.is_some()).count();
         return Err(SimError::Interrupted(format!(
-            "batch stopped after {durable} of {n_jobs} jobs were written"
+            "batch stopped after {} of {n_jobs} jobs were written",
+            fold_phase.tasks()
         )));
     }
-
-    let records: Vec<JobRecord> =
-        records.into_iter().map(|r| r.expect("all jobs completed")).collect();
-    let rows = aggregate(batch, &records);
-    Ok(BatchSummary { records, rows })
+    Ok(())
 }
 
 /// Phase-1 world construction: one lazy handle per (scenario, seed) pair.
@@ -864,15 +885,9 @@ fn build_worlds(batch: &BatchRun) -> Vec<ShardedWorld> {
         .collect()
 }
 
-fn make_record(
-    scenario: &str,
-    cfg: &ScenarioConfig,
-    spec: SchemeSpec,
-    seed_index: usize,
-    seed: u64,
-    world: &ShardedWorld,
-    result: &SchemeResult,
-) -> JobRecord {
+/// The JSONL record of a finished job.
+fn make_record(js: &JobState<'_>, result: &SchemeResult) -> JobRecord {
+    let (cfg, world) = (js.cfg, js.world);
     let n_shards = world.n_shards();
     let base_user = cfg.power.no_sleep_user_w(world.n_gateways());
     let base_isp =
@@ -893,10 +908,10 @@ fn make_record(
     let n_flows = result.shard_summaries.iter().map(|sh| sh.n_flows).sum();
 
     JobRecord {
-        scenario: scenario.to_string(),
-        scheme: scheme_key(spec),
-        seed_index,
-        seed,
+        scenario: js.name.to_string(),
+        scheme: js.scheme.clone(),
+        seed_index: js.seed_index,
+        seed: js.seed,
         n_gateways: world.n_gateways(),
         n_clients: world.n_clients(),
         n_flows,

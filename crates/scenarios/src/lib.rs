@@ -45,8 +45,8 @@ pub mod schemes;
 pub mod spec;
 
 pub use batch::{
-    run_batch, run_batch_controlled, run_batch_telemetry, BatchRun, BatchSummary, JobRecord,
-    RunControl, ShardRecord, SummaryRow,
+    job_seed, run_batch, run_batch_controlled, run_batch_results, run_batch_telemetry, BatchRun,
+    BatchSummary, JobRecord, RunControl, ShardRecord, SummaryRow,
 };
 pub use checkpoint::{
     crc32, load_checkpoint, manifest_for, CheckpointWriteStats, CheckpointWriter, LoadedCheckpoint,

@@ -13,8 +13,8 @@
 //!   (Fig. 4) — the "continuous light traffic" that defeats SoI,
 //! * clients uniformly distributed over the APs (§5.1).
 //!
-//! Calibration is enforced by the tests at the bottom of this file; the
-//! EXPERIMENTS.md ledger records the generated-vs-paper aggregates.
+//! Calibration is enforced by the tests at the bottom of this file;
+//! `figures fig3 fig4` prints the generated aggregates.
 
 use crate::diurnal::{DiurnalKind, DiurnalProfile};
 use crate::flow::{FlowKind, FlowRecord};

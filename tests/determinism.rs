@@ -1,16 +1,17 @@
 //! Reproducibility: identical seeds give bit-identical experiments across
-//! the whole stack — the property every simulation result in
-//! EXPERIMENTS.md relies on.
+//! the whole stack — the property every simulation result (the JSONL
+//! goldens, the figure tables) relies on.
 
 use insomnia::access::{joules_to_kwh, PowerLadder, PowerState};
 use insomnia::core::{
-    build_world, build_world_shard, run_scheme, run_single_source_threads, ArrivalSource,
-    CompletionStats, RunCounters, RunResult, ScenarioConfig, SchemeResult, SchemeSpec,
-    ShardedWorld,
+    build_world, build_world_shard, run_scheme_task, run_single_source_threads, ArrivalSource,
+    CompletionStats, RunCounters, RunResult, ScenarioConfig, SchemeFolder, SchemeResult,
+    SchemeSpec, ShardedWorld, WorldProtoCache,
 };
 use insomnia::dslphy::{BundleConfig, CrosstalkExperiment};
 use insomnia::scenarios::{
-    parse_scheme_list, run_batch, run_batch_controlled, BatchRun, Registry, RunControl,
+    job_seed, parse_scheme_list, run_batch, run_batch_controlled, run_batch_results, BatchRun,
+    Registry, RunControl,
 };
 use insomnia::simcore::{OnlineTimeHist, SimDuration, SimRng, SimTime};
 use insomnia::telemetry::{CounterTotals, ProfileReport, Telemetry};
@@ -31,10 +32,33 @@ fn run_slice(
     run_single_source_threads(cfg, spec, ArrivalSource::Slice(&trace.flows), topo, rng, 1)
 }
 
-/// A whole scheme run over the lazy world `(cfg, cfg.seed)`, no hooks.
+/// A whole scheme run as a one-job batch on `threads` workers.
 fn run_lazy(cfg: &ScenarioConfig, spec: SchemeSpec, threads: usize) -> SchemeResult {
-    let world = ShardedWorld::lazy(cfg, cfg.seed);
-    run_scheme(cfg, spec, &world, cfg.seed, threads)
+    let batch = BatchRun {
+        scenarios: vec![("lazy".into(), cfg.clone())],
+        schemes: vec![spec],
+        seeds: 1,
+        threads,
+    };
+    run_batch_results(&batch).unwrap().remove(0)
+}
+
+/// The reference a batch job must reproduce: every task of a `spec` run
+/// over the lazy world `(cfg, seed)` run by hand on one prototype cache,
+/// folded in task order.
+fn run_whole(cfg: &ScenarioConfig, spec: SchemeSpec, seed: u64) -> SchemeResult {
+    let world = &ShardedWorld::lazy(cfg, seed);
+    let cache = WorldProtoCache::new(world, cfg.repetitions);
+    let mut folder = SchemeFolder::new(cfg, spec, world);
+    for i in 0..folder.n_tasks() {
+        let mut claim = cache.as_ref().map(|c| c.claim(i % world.n_shards()));
+        let (mut run, _) = run_scheme_task(cfg, spec, world, seed, i, claim.as_mut());
+        if let Some(claim) = &claim {
+            claim.attribute(&mut run.counters);
+        }
+        folder.absorb(i, run);
+    }
+    folder.finish()
 }
 
 #[test]
@@ -263,8 +287,8 @@ fn shard_major_batch_jobs_match_whole_scheme_runs() {
     // A three-scheme batch over a sharded lazy world: the shard-major pool
     // serves each shard's setup pass from the prototype cache across
     // schemes and interleaves every job's tasks. Each job must still equal
-    // the whole-run `run_scheme` of its (scenario, scheme, seed) on the
-    // same lazy world, the thread count may not move a byte of the result
+    // its (scenario, scheme, seed) run task by task and folded in order on
+    // the same lazy world, the thread count may not move a byte of the result
     // JSONL, and the sidecar counter totals must be thread-count invariant.
     let cfg = dense_metro_reduced(2);
     let schemes = parse_scheme_list("no-sleep,soi,bh2").unwrap();
@@ -285,7 +309,7 @@ fn shard_major_batch_jobs_match_whole_scheme_runs() {
         (out, summary, report)
     };
     let (out1, summary1, report1) = run(1);
-    let (out8, _, report8) = run(8);
+    let (out8, summary8, report8) = run(8);
     assert_eq!(out1, out8, "shard-major JSONL must be thread-count invariant");
 
     let json = |t: &CounterTotals| serde_json::to_string(t).unwrap();
@@ -309,21 +333,50 @@ fn shard_major_batch_jobs_match_whole_scheme_runs() {
         c
     };
     let seed = summary1.records[0].seed;
-    let world = ShardedWorld::lazy(&cfg, seed);
-    for threads in [1, 8] {
-        for (j, &spec) in schemes.iter().enumerate() {
-            let whole = run_scheme(&cfg, spec, &world, seed, threads);
-            let rec = &summary1.records[j];
+    let wholes: Vec<SchemeResult> =
+        schemes.iter().map(|&spec| run_whole(&cfg, spec, seed)).collect();
+    for (threads, summary, report) in [(1, &summary1, &report1), (8, &summary8, &report8)] {
+        for (j, (&spec, whole)) in schemes.iter().zip(&wholes).enumerate() {
+            let rec = &summary.records[j];
             assert_eq!(rec.seed, seed);
             assert_eq!(rec.energy_kwh, joules_to_kwh(whole.energy.total_j()), "{spec}");
             assert_eq!(rec.mean_wake_count, whole.mean_wake_count, "{spec}");
             let n_flows: usize = whole.shard_summaries.iter().map(|s| s.n_flows).sum();
             assert_eq!(rec.n_flows, n_flows, "{spec}");
-            let job = &report1.jobs[j];
+            let job = &report.jobs[j];
             assert_eq!(job.job, j);
             assert_eq!(neutral(&job.counters), neutral(&whole.counters), "{spec} @ {threads}");
         }
     }
+}
+
+#[test]
+fn sharded_runs_are_thread_count_invariant() {
+    // Four small neighborhoods through the batch runner at 1 vs 8 threads:
+    // the whole folded result — series, per-flow and per-gateway vectors,
+    // shard summaries, counters — is the same, not just its JSONL line.
+    let mut cfg = ScenarioConfig::default();
+    cfg.trace.n_clients = 136;
+    cfg.trace.n_aps = 20;
+    cfg.trace.horizon = SimTime::from_hours(2);
+    cfg.repetitions = 1;
+    cfg.shards = 4;
+    cfg.validate().unwrap();
+    let world = ShardedWorld::lazy(&cfg, job_seed(cfg.seed, 0));
+    assert_eq!(world.n_shards(), 4);
+    assert_eq!(world.n_clients(), 136);
+    assert_eq!(world.n_gateways(), 20);
+    let serial = run_lazy(&cfg, SchemeSpec::soi(), 1);
+    let parallel = run_lazy(&cfg, SchemeSpec::soi(), 8);
+    // The small world keeps every per-flow and per-gateway sample, so the
+    // fold's flow and gateway order is part of what must match.
+    assert!(serial.completion.iter().all(|c| c.per_flow().is_some()));
+    assert!(serial.online_time.iter().all(|o| o.per_gateway().is_some()));
+    assert!(serial.counters.delivered() > 0);
+    // Every field but the fold's wall-clock, bit for bit (f64 `Debug`
+    // output round-trips).
+    let whole = |r: SchemeResult| format!("{:?}", SchemeResult { fold_ms: 0.0, ..r });
+    assert_eq!(whole(serial), whole(parallel));
 }
 
 #[test]
@@ -339,11 +392,13 @@ fn merged_shard_quantiles_are_merge_order_invariant() {
     assert!(rep_online.per_gateway().is_none(), "cutoff 0 must not retain per-gateway samples");
     assert_eq!(rep_online.gateways(), 800, "4 shards x 200 gateways");
 
-    // Re-run each shard in isolation and merge forwards and backwards.
-    let rng = |s: u64| SimRng::new(cfg.seed).fork_idx("rep", 0).fork_idx("shard", s);
+    // Re-run each shard of the batch's world in isolation and merge
+    // forwards and backwards.
+    let seed = job_seed(cfg.seed, 0);
+    let rng = |s: u64| SimRng::new(seed).fork_idx("rep", 0).fork_idx("shard", s);
     let shard_runs: Vec<_> = (0..cfg.shards)
         .map(|s| {
-            let (trace, topo) = build_world_shard(&cfg, cfg.seed, s);
+            let (trace, topo) = build_world_shard(&cfg, seed, s);
             run_slice(&cfg, SchemeSpec::soi(), &trace, &topo, rng(s as u64))
         })
         .collect();

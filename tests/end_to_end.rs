@@ -3,7 +3,7 @@
 
 use insomnia::core::{
     build_world, run_single_source_threads, summarize, ArrivalSource, RunResult, ScenarioConfig,
-    SchemeResult, SchemeSpec,
+    SchemeFolder, SchemeResult, SchemeSpec, ShardedWorld,
 };
 use insomnia::simcore::{SimRng, SimTime};
 use insomnia::traffic::Trace;
@@ -27,8 +27,17 @@ fn run_slice(
     run_single_source_threads(cfg, spec, ArrivalSource::Slice(&trace.flows), topo, rng, 1)
 }
 
-fn wrap(run: RunResult, spec: SchemeSpec) -> SchemeResult {
-    SchemeResult::from_single(spec, run)
+/// One day over `build_world(cfg)`, folded into a one-repetition result.
+fn wrap(
+    cfg: &ScenarioConfig,
+    spec: SchemeSpec,
+    trace: &Trace,
+    topo: &Topology,
+    rng: SimRng,
+) -> SchemeResult {
+    let mut folder = SchemeFolder::new(cfg, spec, &ShardedWorld::lazy(cfg, cfg.seed));
+    folder.absorb(0, run_slice(cfg, spec, trace, topo, rng));
+    folder.finish()
 }
 
 #[test]
@@ -76,12 +85,8 @@ fn wake_stalls_stretch_completion_times() {
     let mut cfg = mini_cfg();
     cfg.trace.horizon = SimTime::from_hours(16);
     let (trace, topo) = build_world(&cfg);
-    let base = wrap(
-        run_slice(&cfg, SchemeSpec::no_sleep(), &trace, &topo, SimRng::new(5)),
-        SchemeSpec::no_sleep(),
-    );
-    let soi =
-        wrap(run_slice(&cfg, SchemeSpec::soi(), &trace, &topo, SimRng::new(5)), SchemeSpec::soi());
+    let base = wrap(&cfg, SchemeSpec::no_sleep(), &trace, &topo, SimRng::new(5));
+    let soi = wrap(&cfg, SchemeSpec::soi(), &trace, &topo, SimRng::new(5));
     let cdf = insomnia::core::completion_variation_cdf(&soi, &base);
     assert!(!cdf.is_empty());
     // Most flows are unaffected...
@@ -99,12 +104,8 @@ fn fairness_backup_reduces_extremes() {
     let mut cfg = mini_cfg();
     cfg.trace.horizon = SimTime::from_hours(16);
     let (trace, topo) = build_world(&cfg);
-    let soi =
-        wrap(run_slice(&cfg, SchemeSpec::soi(), &trace, &topo, SimRng::new(7)), SchemeSpec::soi());
-    let bh2 = wrap(
-        run_slice(&cfg, SchemeSpec::bh2_k_switch(), &trace, &topo, SimRng::new(7)),
-        SchemeSpec::bh2_k_switch(),
-    );
+    let soi = wrap(&cfg, SchemeSpec::soi(), &trace, &topo, SimRng::new(7));
+    let bh2 = wrap(&cfg, SchemeSpec::bh2_k_switch(), &trace, &topo, SimRng::new(7));
     let cdf = insomnia::core::online_time_variation_cdf(&bh2, &soi);
     assert_eq!(cdf.len(), topo.n_gateways());
     // BH2 cuts online time deeply for a solid share of gateways (in the
@@ -122,10 +123,7 @@ fn summaries_are_internally_consistent() {
     let (trace, topo) = build_world(&cfg);
     let base_user = cfg.power.no_sleep_user_w(topo.n_gateways());
     let base_isp = cfg.power.no_sleep_isp_w(topo.n_gateways(), cfg.dslam.n_cards);
-    let r = wrap(
-        run_slice(&cfg, SchemeSpec::bh2_k_switch(), &trace, &topo, SimRng::new(9)),
-        SchemeSpec::bh2_k_switch(),
-    );
+    let r = wrap(&cfg, SchemeSpec::bh2_k_switch(), &trace, &topo, SimRng::new(9));
     let s = summarize(&r, base_user, base_isp);
     assert!(s.mean_savings_pct > 0.0 && s.mean_savings_pct < 100.0);
     assert!(s.mean_gateways > 0.0 && s.mean_gateways <= topo.n_gateways() as f64);

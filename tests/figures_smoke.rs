@@ -1,8 +1,10 @@
 //! Smoke tests for the figure harness: every analytic/light figure builds
-//! with sane shapes. (The heavy scheme figures run the `run_scheme` path
-//! that `tests/determinism.rs` and `tests/streaming.rs` exercise; their
-//! shape assertions live in the crates' own tests.)
+//! with sane shapes, and the scheme figures are `insomnia run` jobs — the
+//! `doze` table of `figures --quick` is pinned to the CLI goldens here;
+//! `crates/bench/tests/sweep_figures.rs` checks the `summary`, Fig. 10 and
+//! ablation tables record by record.
 
+use insomnia::scenarios::JobRecord;
 use insomnia_bench::figures;
 use insomnia_bench::Harness;
 
@@ -85,8 +87,30 @@ fn fig3_fig4_build_from_the_scenario_trace() {
 }
 
 #[test]
+fn doze_table_rows_are_the_golden_records() {
+    // The scheme figures run the batch's seed-0 world with `--quick`'s two
+    // repetitions, so each `doze` row is a committed CLI golden record.
+    let golden = |file: &str| -> Vec<JobRecord> {
+        let path = format!("{}/tests/golden/{file}.jsonl", env!("CARGO_MANIFEST_DIR"));
+        let text = std::fs::read_to_string(&path).expect("committed golden");
+        text.lines().map(|l| serde_json::from_str(l).unwrap()).collect()
+    };
+    let mut want = golden("paper-default");
+    want.retain(|r| r.scheme == "soi");
+    want.extend(golden("paper-default-doze"));
+    let t = figures::doze_table(&Harness::quick());
+    let labels: Vec<String> = want.iter().map(|r| r.scheme.clone()).collect();
+    assert_eq!(t.row_labels.as_ref(), Some(&labels));
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    for (row, r) in t.rows.iter().zip(&want) {
+        let fields = [r.mean_savings_pct, r.peak_savings_pct, r.mean_gateways, r.mean_wake_count];
+        assert_eq!(bits(&row[..4]), bits(&fields), "{}: {row:?}", r.scheme);
+    }
+}
+
+#[test]
 fn fig14_baselines_match_calibration() {
-    let t = figures::fig14_baselines(2011);
+    let [t, _] = figures::fig14(2011);
     assert_eq!(t.rows.len(), 4);
     let mixed62 = t.rows[0][0];
     let fixed62 = t.rows[1][0];

@@ -11,10 +11,10 @@
 
 use insomnia::access::EnergyBreakdown;
 use insomnia::core::{
-    build_world_shard, build_world_shard_streaming, run_scheme, run_single_source_threads,
-    ArrivalSource, RunResult, ScenarioConfig, SchemeSpec, ShardedWorld,
+    build_world_shard, build_world_shard_streaming, run_single_source_threads, ArrivalSource,
+    RunResult, ScenarioConfig, SchemeSpec, ShardedWorld,
 };
-use insomnia::scenarios::Registry;
+use insomnia::scenarios::{job_seed, run_batch_results, BatchRun, Registry};
 use insomnia::simcore::{average_runs, SimRng, SimTime};
 use insomnia::traffic::{FlowStream, Trace};
 use insomnia::wireless::Topology;
@@ -117,11 +117,12 @@ fn streamed_driver_is_bit_identical_to_slice_driver() {
 
 #[test]
 fn lazy_worlds_reproduce_eager_sharded_runs() {
-    // 4 dense-metro-class neighborhoods, run once as a whole scheme run over
-    // the lazy world (each shard streamed inside its worker, the prototype
-    // cache replaying repetition 1) and once by hand: every (repetition ×
-    // shard) day over the materialized shard with the same RNG fork, folded
-    // with the runner's arithmetic — byte-identical results either way.
+    // 4 dense-metro-class neighborhoods, run once as a batch over the lazy
+    // world (each shard streamed inside its worker, the prototype cache
+    // replaying it for every later consumer) and once by hand: every
+    // (repetition × shard) day over the materialized shard with the same
+    // RNG fork, folded with the runner's arithmetic — byte-identical
+    // results either way.
     let mut cfg = ScenarioConfig::default();
     cfg.trace.n_clients = 544;
     cfg.trace.n_aps = 80;
@@ -129,15 +130,21 @@ fn lazy_worlds_reproduce_eager_sharded_runs() {
     cfg.repetitions = 2;
     cfg.shards = 4;
     cfg.validate().unwrap();
-    let seed = 31;
+    let seed = job_seed(cfg.seed, 0);
     let world = ShardedWorld::lazy(&cfg, seed);
     assert_eq!(world.n_shards(), 4);
     let shards: Vec<(Trace, Topology)> = (0..4).map(|s| build_world_shard(&cfg, seed, s)).collect();
     assert_eq!(world.n_clients(), shards.iter().map(|(_, t)| t.n_clients()).sum::<usize>());
     assert_eq!(world.n_gateways(), shards.iter().map(|(_, t)| t.n_gateways()).sum::<usize>());
     let k = cfg.repetitions as f64;
-    for spec in [SchemeSpec::soi(), SchemeSpec::bh2_k_switch()] {
-        let lazy = run_scheme(&cfg, spec, &world, seed, 4);
+    let schemes = vec![SchemeSpec::soi(), SchemeSpec::bh2_k_switch()];
+    let batch = BatchRun {
+        scenarios: vec![("lazy".into(), cfg.clone())],
+        schemes: schemes.clone(),
+        seeds: 1,
+        threads: 4,
+    };
+    for (spec, lazy) in schemes.into_iter().zip(run_batch_results(&batch).unwrap()) {
         // runs[rep][shard], each on the runner's fork of the master seed.
         let runs: Vec<Vec<RunResult>> = (0..cfg.repetitions)
             .map(|r| {
