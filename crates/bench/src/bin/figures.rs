@@ -14,7 +14,7 @@
 //! exits 1 with a one-line message.
 
 use insomnia_bench::figures as fig;
-use insomnia_bench::Harness;
+use insomnia_bench::{Harness, MainRuns};
 use insomnia_core::FigureData;
 use std::collections::BTreeSet;
 use std::io::{ErrorKind, Write};
@@ -87,17 +87,28 @@ fn main() -> ExitCode {
     }
 }
 
-/// Builds the wanted figures, running the main scenario once if any needs it.
+/// Builds the wanted figures. The scheme figures share one batch over the
+/// union of the schemes they need, so no scheme runs twice.
 fn simulate(quick: bool, wanted: &BTreeSet<&str>) -> Vec<FigureData> {
     let h = if quick { Harness::quick() } else { Harness::paper() };
     let seed = h.scenario.seed;
     let needs_main = ["fig6", "fig7", "fig8", "fig9a", "fig9b", "cards", "completion", "summary"]
         .iter()
         .any(|f| wanted.contains(f));
-    let runs = needs_main.then(|| {
-        eprintln!("running main scenario ({} repetitions × 8 schemes)...", h.scenario.repetitions);
-        fig::run_main(&h)
+    let mut schemes = Vec::new();
+    if needs_main {
+        schemes.extend(fig::MAIN_SCHEMES);
+    }
+    if wanted.contains("doze") {
+        schemes.extend(fig::DOZE_SCHEMES);
+    }
+    let mut runs = (!schemes.is_empty()).then(|| {
+        eprintln!("running the scheme batch ({} repetitions)...", h.scenario.repetitions);
+        fig::run_schemes(&h, &schemes)
     });
+    let mut doze =
+        wanted.contains("doze").then(|| fig::doze_table(&h, runs.as_ref().expect("runs")));
+    let runs = needs_main.then(|| MainRuns::from_runs(&h, runs.take().expect("runs")));
     let main = || runs.as_ref().expect("main");
 
     let mut outputs: Vec<FigureData> = Vec::new();
@@ -119,7 +130,7 @@ fn simulate(quick: bool, wanted: &BTreeSet<&str>) -> Vec<FigureData> {
             "cards" => outputs.push(fig::cards_table(main())),
             "completion" => outputs.push(fig::completion_table(main())),
             "ablation" => outputs.push(fig::ablation(&h)),
-            "doze" => outputs.push(fig::doze_table(&h)),
+            "doze" => outputs.extend(doze.take()),
             "summary" => outputs.push(fig::summary(main())),
             other => unreachable!("{other} is not in FIGURES"),
         }

@@ -20,6 +20,7 @@ use insomnia_simcore::{Cdf, SimRng, SimTime};
 use insomnia_traffic::adsl::{self, AdslConfig, Direction};
 use insomnia_traffic::stats::{ap_utilization_percent_series, gap_histogram_paper_bins};
 use insomnia_traffic::Trace;
+use std::collections::BTreeMap;
 
 /// Scenario + run-size knobs for the harness.
 ///
@@ -75,27 +76,34 @@ pub struct MainRuns {
     pub base_isp_w: f64,
 }
 
-/// Runs every scheme of the main scenario once (the expensive step; reuse
-/// the result for all dependent figures): one `insomnia run` batch of the
-/// eight schemes, so each result is the one behind that scheme's JSONL
-/// record. A registry preset with a `shards` axis (e.g. `dense-metro`)
-/// drives the same pipeline — per-shard results are merged before any
-/// series math happens.
-pub fn run_main(h: &Harness) -> MainRuns {
-    let [no_sleep, soi, soi_k, soi_full, bh2_k, bh2_nb_k, bh2_full, optimal] =
-        run_schemes(h, "no-sleep,soi,soi+k,soi+full,bh2,bh2-nb,bh2+full,optimal");
-    let (base_user_w, base_isp_w) = baseline_w(&h.scenario);
-    MainRuns {
-        no_sleep,
-        soi,
-        soi_k,
-        soi_full,
-        bh2_k,
-        bh2_nb_k,
-        bh2_full,
-        optimal,
-        base_user_w,
-        base_isp_w,
+/// The schemes behind [`MainRuns`], in batch order.
+pub const MAIN_SCHEMES: [&str; 8] =
+    ["no-sleep", "soi", "soi+k", "soi+full", "bh2", "bh2-nb", "bh2+full", "optimal"];
+
+/// The schemes of the [`doze_table`] rows, in row order.
+pub const DOZE_SCHEMES: [&str; 3] = ["soi", "multi-doze", "adaptive-soi"];
+
+impl MainRuns {
+    /// Takes the [`MAIN_SCHEMES`] results out of a [`run_schemes`] batch.
+    /// A registry preset with a `shards` axis (e.g. `dense-metro`) drives
+    /// the same pipeline: per-shard results are merged before any series
+    /// math happens.
+    pub fn from_runs(h: &Harness, mut runs: SchemeRuns) -> MainRuns {
+        let [no_sleep, soi, soi_k, soi_full, bh2_k, bh2_nb_k, bh2_full, optimal] =
+            MAIN_SCHEMES.map(|key| runs.remove(key).expect("main scheme ran"));
+        let (base_user_w, base_isp_w) = baseline_w(&h.scenario);
+        MainRuns {
+            no_sleep,
+            soi,
+            soi_k,
+            soi_full,
+            bh2_k,
+            bh2_nb_k,
+            bh2_full,
+            optimal,
+            base_user_w,
+            base_isp_w,
+        }
     }
 }
 
@@ -120,13 +128,24 @@ fn harness_batch(
     BatchRun { scenarios, schemes, seeds, threads: 0 }
 }
 
-/// Runs the harness scenario as `insomnia run --schemes SCHEMES --seeds 1`
-/// and returns the folded results in scheme order.
-fn run_schemes<const N: usize>(h: &Harness, schemes: &str) -> [SchemeResult; N] {
-    let schemes = parse_scheme_list(schemes).expect("known schemes");
+/// Scheme results of one harness batch, keyed by machine scheme key.
+pub type SchemeRuns = BTreeMap<String, SchemeResult>;
+
+/// Runs the harness scenario as one `insomnia run --schemes SCHEMES
+/// --seeds 1` batch, a scheme listed twice running once. Each job depends
+/// only on the world seed, its scheme and its job seed, so the figures a
+/// shared batch serves match the ones a batch of their own would.
+pub fn run_schemes(h: &Harness, schemes: &[&str]) -> SchemeRuns {
+    let unique: Vec<&str> = schemes
+        .iter()
+        .enumerate()
+        .filter(|&(i, k)| !schemes[..i].contains(k))
+        .map(|(_, &k)| k)
+        .collect();
+    let schemes = parse_scheme_list(&unique.join(",")).expect("known schemes");
     let batch = harness_batch(h, &[], &[], schemes, 1);
     let results = run_batch_results(&batch).expect("figure batch runs");
-    results.try_into().expect("one result per scheme")
+    results.into_iter().map(|r| (scheme_key(r.spec), r)).collect()
 }
 
 /// The no-sleep `(user, ISP)` draw of the scenario's world, watts.
@@ -532,8 +551,8 @@ pub fn cards_table(runs: &MainRuns) -> FigureData {
 /// multi-doze ladder and the adaptive per-gateway timeout, same scenario,
 /// same no-sleep baseline. `doze_descents` counts delivered doze-ladder
 /// descents (0 for the policies that sleep straight to the deepest level).
-pub fn doze_table(h: &Harness) -> FigureData {
-    let runs: [SchemeResult; 3] = run_schemes(h, "soi,multi-doze,adaptive-soi");
+/// The rows are the [`DOZE_SCHEMES`] results of a [`run_schemes`] batch.
+pub fn doze_table(h: &Harness, runs: &SchemeRuns) -> FigureData {
     let (base_user_w, base_isp_w) = baseline_w(&h.scenario);
     let mut t = FigureData::new(
         "doze",
@@ -547,9 +566,10 @@ pub fn doze_table(h: &Harness) -> FigureData {
         ],
     );
     let mut labels = Vec::new();
-    for r in runs {
-        let s = summarize(&r, base_user_w, base_isp_w);
-        labels.push(scheme_key(r.spec));
+    for key in DOZE_SCHEMES {
+        let r = &runs[key];
+        let s = summarize(r, base_user_w, base_isp_w);
+        labels.push(key.to_string());
         t.push_row(vec![
             s.mean_savings_pct,
             s.peak_savings_pct,

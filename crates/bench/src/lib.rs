@@ -13,5 +13,5 @@
 pub mod figures;
 pub mod from_jsonl;
 
-pub use figures::{run_main, Harness, MainRuns};
+pub use figures::{Harness, MainRuns};
 pub use from_jsonl::{parse_jsonl, JsonlReport};

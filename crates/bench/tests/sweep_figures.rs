@@ -3,7 +3,7 @@
 //! bit, the matching record of the CLI-equivalent batch run through the
 //! batch runner on its own (one thread, where the figures use every core).
 
-use insomnia_bench::{figures, run_main, Harness};
+use insomnia_bench::{figures, Harness, MainRuns};
 use insomnia_scenarios::{
     parse_scheme_list, run_batch_telemetry, BatchRun, JobRecord, Registry, ScenarioSpec, Telemetry,
 };
@@ -45,7 +45,11 @@ fn bits(v: &[f64]) -> Vec<u64> {
 #[test]
 fn summary_rows_are_the_run_records() {
     let records = cli_batch(&[], None, "soi,soi+k,bh2-nb,bh2,bh2+full,optimal", 1);
-    let t = figures::summary(&run_main(&small_harness()));
+    let h = small_harness();
+    let t = figures::summary(&MainRuns::from_runs(
+        &h,
+        figures::run_schemes(&h, &figures::MAIN_SCHEMES),
+    ));
     assert_eq!(t.rows.len(), records.len());
     for (row, r) in t.rows.iter().zip(&records) {
         let savings = [r.mean_savings_pct, r.peak_savings_pct, r.mean_gateways, r.peak_gateways];

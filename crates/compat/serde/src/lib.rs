@@ -125,9 +125,19 @@ pub trait Deserialize: Sized {
 
 /// Derive-macro helper: required-unless-optional field lookup.
 pub fn __field<T: Deserialize>(map: &[(String, Value)], name: &str) -> Result<T, Error> {
+    __field_or(map, name, T::from_missing())
+}
+
+/// Derive-macro helper: the named field, or `missing` when the key is
+/// absent (`None`: the field is required).
+pub fn __field_or<T: Deserialize>(
+    map: &[(String, Value)],
+    name: &str,
+    missing: Option<T>,
+) -> Result<T, Error> {
     match map.iter().find(|(k, _)| k == name) {
         Some((_, v)) => T::from_value(v).map_err(|e| Error(format!("field `{name}`: {e}"))),
-        None => T::from_missing().ok_or_else(|| Error(format!("missing field `{name}`"))),
+        None => missing.ok_or_else(|| Error(format!("missing field `{name}`"))),
     }
 }
 

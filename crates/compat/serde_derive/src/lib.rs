@@ -6,34 +6,41 @@
 //! stream by hand (no `syn`/`quote`):
 //!
 //! * structs with named fields,
-//! * tuple structs (newtypes serialize transparently, like real serde),
+//! * one-field tuple structs (newtypes serialize transparently, like real
+//!   serde),
 //! * enums with unit, tuple and struct variants (externally tagged).
 //!
-//! Generics are not supported and produce a compile error naming the type.
+//! Fields serialize in declaration order. Of serde's attributes, exactly
+//! these are supported, with real serde's meaning:
+//!
+//! * container `#[serde(default)]` on a struct with named fields: a
+//!   missing key takes its field's value from `Self::default()`;
+//! * field `#[serde(default)]`: a missing key reads as the field type's
+//!   `Default::default()`;
+//! * field `#[serde(skip_serializing_if = "path")]`: the key is omitted
+//!   when `path(&self.field)` returns true.
+//!
+//! Any other `#[serde(...)]` content, a serde attribute on an enum or a
+//! tuple struct, and generics are compile errors naming the type: silently
+//! ignoring an attribute would change a wire form without notice.
 
 use proc_macro::{Delimiter, TokenStream, TokenTree};
 
-#[proc_macro_derive(Serialize)]
+#[proc_macro_derive(Serialize, attributes(serde))]
 pub fn derive_serialize(input: TokenStream) -> TokenStream {
-    expand(input, Mode::Ser)
+    expand(input, gen_serialize)
 }
 
-#[proc_macro_derive(Deserialize)]
+#[proc_macro_derive(Deserialize, attributes(serde))]
 pub fn derive_deserialize(input: TokenStream) -> TokenStream {
-    expand(input, Mode::De)
-}
-
-#[derive(Clone, Copy, PartialEq)]
-enum Mode {
-    Ser,
-    De,
+    expand(input, gen_deserialize)
 }
 
 enum Shape {
-    Named(Vec<String>),
-    /// Tuple struct with this many fields.
-    Tuple(usize),
-    Unit,
+    /// Named fields; `true` under a container `#[serde(default)]`.
+    Named(Vec<Field>, bool),
+    /// One-field tuple struct.
+    Newtype,
     Enum(Vec<Variant>),
 }
 
@@ -48,23 +55,28 @@ enum VariantShape {
     Named(Vec<String>),
 }
 
-fn expand(input: TokenStream, mode: Mode) -> TokenStream {
+/// A named field, its `#[serde(default)]` and its `skip_serializing_if` path.
+struct Field {
+    name: String,
+    default: bool,
+    skip_if: Option<String>,
+}
+
+fn expand(input: TokenStream, gen: fn(&str, &Shape) -> String) -> TokenStream {
     let (name, shape) = parse_item(input);
-    let code = match mode {
-        Mode::Ser => gen_serialize(&name, &shape),
-        Mode::De => gen_deserialize(&name, &shape),
-    };
-    code.parse().expect("serde_derive generated invalid Rust")
+    gen(&name, &shape).parse().expect("serde_derive generated invalid Rust")
 }
 
 /// Parses the derive input down to the type name and field/variant shape.
 fn parse_item(input: TokenStream) -> (String, Shape) {
     let tokens: Vec<TokenTree> = input.into_iter().collect();
     let mut i = 0;
-    // Skip attributes (`#[...]`) and visibility (`pub`, `pub(...)`).
+    let mut attrs = Vec::new();
+    // Collect attributes (`#[...]`), skip visibility (`pub`, `pub(...)`).
     loop {
         match &tokens[i] {
             TokenTree::Punct(p) if p.as_char() == '#' => {
+                attrs.push(tokens[i + 1].clone());
                 i += 2; // '#' + bracket group
             }
             TokenTree::Ident(id) if id.to_string() == "pub" => {
@@ -93,38 +105,91 @@ fn parse_item(input: TokenStream) -> (String, Shape) {
             panic!("serde_derive: generic type `{name}` is not supported by the offline shim");
         }
     }
-    let shape = match kind.as_str() {
-        "struct" => match tokens.get(i) {
-            Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Brace => {
-                Shape::Named(parse_named_fields(g.stream()))
-            }
-            Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Parenthesis => {
-                Shape::Tuple(count_tuple_fields(g.stream()))
-            }
-            Some(TokenTree::Punct(p)) if p.as_char() == ';' => Shape::Unit,
-            other => panic!("serde_derive: unsupported struct body for {name}: {other:?}"),
-        },
-        "enum" => match tokens.get(i) {
-            Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Brace => {
-                Shape::Enum(parse_variants(g.stream()))
-            }
-            other => panic!("serde_derive: unsupported enum body for {name}: {other:?}"),
-        },
-        other => panic!("serde_derive: cannot derive for `{other}`"),
+    let (container_default, _) = serde_attrs(&attrs, &name, &["default"]);
+    let shape = match (kind.as_str(), tokens.get(i)) {
+        ("struct", Some(TokenTree::Group(g))) if g.delimiter() == Delimiter::Brace => {
+            Shape::Named(parse_named_fields(g.stream(), &name), container_default)
+        }
+        _ if container_default => {
+            panic!("serde_derive: container `#[serde(default)]` needs named fields (`{name}`)")
+        }
+        ("struct", Some(TokenTree::Group(g)))
+            if g.delimiter() == Delimiter::Parenthesis && count_tuple_fields(g.stream()) == 1 =>
+        {
+            reject_serde_attrs(g.stream(), &name);
+            Shape::Newtype
+        }
+        ("enum", Some(TokenTree::Group(g))) if g.delimiter() == Delimiter::Brace => {
+            reject_serde_attrs(g.stream(), &name);
+            Shape::Enum(parse_variants(g.stream(), &name))
+        }
+        ("struct" | "enum", other) => {
+            panic!("serde_derive: unsupported {kind} body for {name}: {other:?}")
+        }
+        (other, _) => panic!("serde_derive: cannot derive for `{other}`"),
     };
     (name, shape)
 }
 
-/// Parses `ident: Type, ...` out of a brace-group stream, skipping
-/// attributes and visibility. Type tokens are consumed with angle-bracket
-/// depth tracking so generic types containing commas parse correctly.
-fn parse_named_fields(stream: TokenStream) -> Vec<String> {
+/// Rejects any `#[serde(...)]` inside a tuple-struct or enum body.
+fn reject_serde_attrs(stream: TokenStream, ty: &str) {
+    for t in stream {
+        serde_attrs(std::slice::from_ref(&t), ty, &[]);
+        if let TokenTree::Group(g) = t {
+            reject_serde_attrs(g.stream(), ty);
+        }
+    }
+}
+
+/// The `default` flag and `skip_serializing_if` path set by the
+/// `#[serde(...)]` attributes among `attrs` (other attributes, such as doc
+/// comments, are skipped). An item not in `allowed` is an error naming `at`.
+fn serde_attrs(attrs: &[TokenTree], at: &str, allowed: &[&str]) -> (bool, Option<String>) {
+    let (mut default, mut skip_if) = (false, None);
+    for attr in attrs {
+        let TokenTree::Group(g) = attr else { continue };
+        let inner: Vec<TokenTree> = g.stream().into_iter().collect();
+        let [TokenTree::Ident(id), TokenTree::Group(args)] = &inner[..] else { continue };
+        if id.to_string() != "serde" {
+            continue;
+        }
+        let tokens: Vec<TokenTree> = args.stream().into_iter().collect();
+        for item in tokens.split(|t| matches!(t, TokenTree::Punct(p) if p.as_char() == ',')) {
+            let key =
+                item.first().map(ToString::to_string).filter(|k| allowed.contains(&k.as_str()));
+            match (key.as_deref(), item) {
+                (_, []) => {}
+                (Some("default"), [_]) => default = true,
+                (Some("skip_serializing_if"), [_, TokenTree::Punct(eq), TokenTree::Literal(p)])
+                    if eq.as_char() == '=' =>
+                {
+                    skip_if = Some(p.to_string().trim_matches('"').to_string())
+                }
+                _ => {
+                    let text: TokenStream = item.iter().cloned().collect();
+                    panic!("serde_derive: unsupported attribute `#[serde({text})]` on `{at}`")
+                }
+            }
+        }
+    }
+    (default, skip_if)
+}
+
+/// Parses `ident: Type, ...` out of a brace-group stream with each
+/// field's serde attributes, skipping visibility. Type tokens are consumed
+/// with angle-bracket depth tracking so generic types containing commas
+/// parse correctly.
+fn parse_named_fields(stream: TokenStream, ty: &str) -> Vec<Field> {
     let tokens: Vec<TokenTree> = stream.into_iter().collect();
     let mut fields = Vec::new();
+    let mut attrs = Vec::new();
     let mut i = 0;
     while i < tokens.len() {
         match &tokens[i] {
-            TokenTree::Punct(p) if p.as_char() == '#' => i += 2,
+            TokenTree::Punct(p) if p.as_char() == '#' => {
+                attrs.push(tokens[i + 1].clone());
+                i += 2;
+            }
             TokenTree::Ident(id) if id.to_string() == "pub" => {
                 i += 1;
                 if let Some(TokenTree::Group(g)) = tokens.get(i) {
@@ -134,7 +199,11 @@ fn parse_named_fields(stream: TokenStream) -> Vec<String> {
                 }
             }
             TokenTree::Ident(id) => {
-                fields.push(id.to_string());
+                let name = id.to_string();
+                let allowed = ["default", "skip_serializing_if"];
+                let (default, skip_if) =
+                    serde_attrs(&std::mem::take(&mut attrs), &format!("{ty}.{name}"), &allowed);
+                fields.push(Field { name, default, skip_if });
                 i += 1;
                 // Expect ':' then the type; consume until a comma at angle
                 // depth zero.
@@ -190,7 +259,7 @@ fn count_tuple_fields(stream: TokenStream) -> usize {
     count
 }
 
-fn parse_variants(stream: TokenStream) -> Vec<Variant> {
+fn parse_variants(stream: TokenStream, ty: &str) -> Vec<Variant> {
     let tokens: Vec<TokenTree> = stream.into_iter().collect();
     let mut variants = Vec::new();
     let mut i = 0;
@@ -204,7 +273,8 @@ fn parse_variants(stream: TokenStream) -> Vec<Variant> {
                 let shape = match tokens.get(i) {
                     Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Brace => {
                         i += 1;
-                        VariantShape::Named(parse_named_fields(g.stream()))
+                        let fields = parse_named_fields(g.stream(), ty);
+                        VariantShape::Named(fields.into_iter().map(|f| f.name).collect())
                     }
                     Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Parenthesis => {
                         i += 1;
@@ -235,27 +305,22 @@ fn parse_variants(stream: TokenStream) -> Vec<Variant> {
 
 fn gen_serialize(name: &str, shape: &Shape) -> String {
     let body = match shape {
-        Shape::Named(fields) => {
+        Shape::Named(fields, _) => {
             let mut s = String::from("let mut __m = ::std::vec::Vec::new();\n");
-            for f in fields {
-                s.push_str(&format!(
+            for Field { name: f, skip_if, .. } in fields {
+                let push = format!(
                     "__m.push((::std::string::String::from(\"{f}\"), \
                      ::serde::Serialize::to_value(&self.{f})));\n"
-                ));
+                );
+                match skip_if {
+                    Some(path) => s.push_str(&format!("if !{path}(&self.{f}) {{ {push} }}\n")),
+                    None => s.push_str(&push),
+                }
             }
             s.push_str("::serde::Value::Map(__m)");
             s
         }
-        Shape::Tuple(1) => "::serde::Serialize::to_value(&self.0)".to_string(),
-        Shape::Tuple(n) => {
-            let mut s = String::from("let mut __v = ::std::vec::Vec::new();\n");
-            for k in 0..*n {
-                s.push_str(&format!("__v.push(::serde::Serialize::to_value(&self.{k}));\n"));
-            }
-            s.push_str("::serde::Value::Seq(__v)");
-            s
-        }
-        Shape::Unit => "::serde::Value::Null".to_string(),
+        Shape::Newtype => "::serde::Serialize::to_value(&self.0)".to_string(),
         Shape::Enum(variants) => {
             let mut s = String::from("match self {\n");
             for v in variants {
@@ -313,34 +378,31 @@ fn gen_serialize(name: &str, shape: &Shape) -> String {
 
 fn gen_deserialize(name: &str, shape: &Shape) -> String {
     let body = match shape {
-        Shape::Named(fields) => {
+        Shape::Named(fields, container_default) => {
             let mut s = format!(
                 "let __m = __v.as_map().ok_or_else(|| \
                  ::serde::Error::expected(\"map for struct {name}\", __v))?;\n"
             );
+            if *container_default {
+                s.push_str(&format!("let __d: {name} = ::std::default::Default::default();\n"));
+            }
             s.push_str(&format!("::std::result::Result::Ok({name} {{\n"));
-            for f in fields {
-                s.push_str(&format!("{f}: ::serde::__field(__m, \"{f}\")?,\n"));
+            for Field { name: f, default, .. } in fields {
+                let missing = if *default {
+                    "::std::option::Option::Some(::std::default::Default::default())".to_string()
+                } else if *container_default {
+                    format!("::std::option::Option::Some(__d.{f})")
+                } else {
+                    "::serde::Deserialize::from_missing()".to_string()
+                };
+                s.push_str(&format!("{f}: ::serde::__field_or(__m, \"{f}\", {missing})?,\n"));
             }
             s.push_str("})");
             s
         }
-        Shape::Tuple(1) => {
+        Shape::Newtype => {
             format!("::std::result::Result::Ok({name}(::serde::Deserialize::from_value(__v)?))")
         }
-        Shape::Tuple(n) => {
-            let mut s = format!(
-                "let __s = __v.as_seq().ok_or_else(|| \
-                 ::serde::Error::expected(\"sequence for tuple struct {name}\", __v))?;\n\
-                 if __s.len() != {n} {{ return ::std::result::Result::Err(\
-                 ::serde::Error::new(\"wrong tuple arity for {name}\")); }}\n"
-            );
-            let items: Vec<String> =
-                (0..*n).map(|k| format!("::serde::Deserialize::from_value(&__s[{k}])?")).collect();
-            s.push_str(&format!("::std::result::Result::Ok({name}({}))", items.join(", ")));
-            s
-        }
-        Shape::Unit => format!("::std::result::Result::Ok({name})"),
         Shape::Enum(variants) => {
             // Externally tagged: "Variant" or {"Variant": payload}.
             let mut s = String::from(

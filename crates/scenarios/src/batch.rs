@@ -149,6 +149,7 @@ pub struct JobRecord {
     pub online_time_quantiles: Option<OnlineTimeQuantiles>,
 }
 
+// Hand-written: shard fields are omitted or null by `shards` (the frozen unsharded schema).
 impl Serialize for JobRecord {
     fn to_value(&self) -> Value {
         // Field order mirrors the struct declaration; the shard fields are

@@ -132,6 +132,7 @@ pub struct Manifest {
     pub scenarios: Vec<String>,
 }
 
+// Hand-written: a constant `"type":"manifest"` tag, which the derive lacks, checked on load.
 impl Serialize for Manifest {
     fn to_value(&self) -> Value {
         Value::Map(vec![

@@ -49,6 +49,7 @@ pub struct FaultPlan {
 const FAULT_KEYS: &[&str] =
     &["panic_tasks", "panic_attempts", "random_panics", "seed", "io_error_tasks", "torn_tail_task"];
 
+// Hand-written: unknown user keys are rejected with a did-you-mean hint.
 impl Deserialize for FaultPlan {
     fn from_value(v: &Value) -> Result<Self, Error> {
         let m = v.as_map().ok_or_else(|| Error::expected("map", v))?;
@@ -61,23 +62,13 @@ impl Deserialize for FaultPlan {
                 )));
             }
         }
-        let opt = |name: &str| -> Option<&Value> { v.get(name) };
-        fn field<T: Deserialize>(v: Option<&Value>, fallback: T) -> Result<T, Error> {
-            match v {
-                Some(v) => T::from_value(v),
-                None => Ok(fallback),
-            }
-        }
         Ok(FaultPlan {
-            panic_tasks: field(opt("panic_tasks"), Vec::new())?,
-            panic_attempts: field(opt("panic_attempts"), 1)?,
-            random_panics: field(opt("random_panics"), 0)?,
-            seed: field(opt("seed"), 0)?,
-            io_error_tasks: field(opt("io_error_tasks"), Vec::new())?,
-            torn_tail_task: match opt("torn_tail_task") {
-                Some(v) => Some(usize::from_value(v)?),
-                None => None,
-            },
+            panic_tasks: serde::__field_or(m, "panic_tasks", Some(Vec::new()))?,
+            panic_attempts: serde::__field_or(m, "panic_attempts", Some(1))?,
+            random_panics: serde::__field_or(m, "random_panics", Some(0))?,
+            seed: serde::__field_or(m, "seed", Some(0))?,
+            io_error_tasks: serde::__field_or(m, "io_error_tasks", Some(Vec::new()))?,
+            torn_tail_task: serde::__field(m, "torn_tail_task")?,
         })
     }
 }

@@ -8,7 +8,7 @@
 //! [`Cdf`]s, completion-time quantiles at 10⁶-client scale come from a
 //! [`QuantileSketch`], and so on.
 
-use serde::{Deserialize, Error, Serialize, Value};
+use serde::{Deserialize, Serialize};
 
 /// Streaming mean/variance via Welford's algorithm (numerically stable).
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
@@ -336,7 +336,12 @@ fn quantile_rank(count: u64, q: f64) -> u64 {
 /// cross-repetition pooling deterministic at any thread count.
 ///
 /// Non-finite and negative samples are dropped, like [`Cdf::from_samples`].
-#[derive(Debug, Clone)]
+///
+/// The wire form is the exact private state (cutoff, count, exact samples
+/// or null once spilled, bucket counters), so a deserialized sketch keeps
+/// absorbing and merging bit-for-bit where the serialized one stopped:
+/// checkpointed `(rep × shard)` folds rely on it.
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct QuantileSketch {
     cutoff: usize,
     count: u64,
@@ -518,34 +523,6 @@ impl QuantileSketch {
     }
 }
 
-// The wire form is the exact private state — cutoff, count, exact samples
-// (null once spilled), bucket counters — so a deserialized sketch continues
-// absorbing/merging bit-for-bit where the serialized one stopped. This is
-// what checkpointed (rep × shard) folds and the upcoming distributed shard
-// fan-out ship across the process boundary.
-impl Serialize for QuantileSketch {
-    fn to_value(&self) -> Value {
-        Value::Map(vec![
-            ("cutoff".to_string(), self.cutoff.to_value()),
-            ("count".to_string(), self.count.to_value()),
-            ("exact".to_string(), self.exact.to_value()),
-            ("buckets".to_string(), self.buckets.to_value()),
-        ])
-    }
-}
-
-impl Deserialize for QuantileSketch {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        let m = v.as_map().ok_or_else(|| Error::expected("map", v))?;
-        Ok(QuantileSketch {
-            cutoff: serde::__field(m, "cutoff")?,
-            count: serde::__field(m, "count")?,
-            exact: serde::__field(m, "exact")?,
-            buckets: serde::__field(m, "buckets")?,
-        })
-    }
-}
-
 /// A mergeable histogram of per-gateway online (powered) seconds — the
 /// streaming replacement for concatenating one `f64` per gateway across
 /// every shard of a metro-scale world.
@@ -561,8 +538,10 @@ impl Deserialize for QuantileSketch {
 /// error.
 ///
 /// Online times are finite and non-negative by construction (a meter over
-/// a simulated day); [`OnlineTimeHist::record`] debug-asserts that.
-#[derive(Debug, Clone)]
+/// a simulated day); [`OnlineTimeHist::record`] debug-asserts that. The
+/// wire form is the inner sketch plus the exact running sum: everything a
+/// resumed fold needs to keep merging bit-for-bit.
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct OnlineTimeHist {
     sketch: QuantileSketch,
     sum_s: f64,
@@ -641,27 +620,6 @@ impl OnlineTimeHist {
     /// `None` once the histogram spilled into buckets.
     pub fn per_gateway(&self) -> Option<&[f64]> {
         self.sketch.samples()
-    }
-}
-
-// Wire form: the inner sketch plus the exact running sum — everything a
-// resumed or remote fold needs to keep merging bit-for-bit.
-impl Serialize for OnlineTimeHist {
-    fn to_value(&self) -> Value {
-        Value::Map(vec![
-            ("sketch".to_string(), self.sketch.to_value()),
-            ("sum_s".to_string(), self.sum_s.to_value()),
-        ])
-    }
-}
-
-impl Deserialize for OnlineTimeHist {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        let m = v.as_map().ok_or_else(|| Error::expected("map", v))?;
-        Ok(OnlineTimeHist {
-            sketch: serde::__field(m, "sketch")?,
-            sum_s: serde::__field(m, "sum_s")?,
-        })
     }
 }
 
@@ -977,6 +935,10 @@ mod tests {
         for x in [3.5, 0.0, 1e-4, 7.25, 2.0] {
             exact.push(x);
         }
+        assert_eq!(
+            serde_json::to_string(&exact).unwrap(),
+            r#"{"cutoff":8,"count":5,"exact":[3.5,0.0,0.0001,7.25,2.0],"buckets":[]}"#
+        );
         let back = QuantileSketch::from_value(&exact.to_value()).expect("roundtrip");
         assert_eq!(back.cutoff(), exact.cutoff());
         assert_eq!(back.count(), exact.count());
@@ -989,6 +951,14 @@ mod tests {
             spilled.push(((i * 31) % 37) as f64 + 0.125);
         }
         assert!(!spilled.is_exact());
+        let mut small = QuantileSketch::new(1);
+        for x in [0.0, 5e-4, 1e-3, 1.01e-3] {
+            small.push(x);
+        }
+        assert_eq!(
+            serde_json::to_string(&small).unwrap(),
+            r#"{"cutoff":1,"count":4,"exact":null,"buckets":[2,2]}"#
+        );
         let mut back = QuantileSketch::from_value(&spilled.to_value()).expect("roundtrip");
         assert_eq!(back.count(), spilled.count());
         for q in [0.0, 0.5, 0.9, 1.0] {
@@ -1003,6 +973,10 @@ mod tests {
 
         // Histogram wraps the sketch plus an exact sum.
         let hist = OnlineTimeHist::from_samples(&[10.0, 0.5, 86_400.0], 16);
+        assert_eq!(
+            serde_json::to_string(&hist).unwrap(),
+            r#"{"sketch":{"cutoff":16,"count":3,"exact":[10.0,0.5,86400.0],"buckets":[]},"sum_s":86410.5}"#
+        );
         let back = OnlineTimeHist::from_value(&hist.to_value()).expect("roundtrip");
         assert_eq!(back.per_gateway(), hist.per_gateway());
         assert_eq!(back.sum_s(), hist.sum_s());

@@ -7,10 +7,13 @@
 //! commutative, peaks take the max). `tests/determinism.rs` pins the
 //! invariance at 1 vs 8 threads.
 
-use serde::{Deserialize, Error, Serialize, Value};
+use serde::{Deserialize, Serialize};
 
 /// Deterministic counters of one run (or an order-invariant merge of many).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+/// Keys serialize in field order, so reordering the fields changes the wire form.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+// Every key is optional on input, so sidecars predating a counter still load.
+#[serde(default)]
 pub struct RunCounters {
     /// Trace-arrival events delivered.
     pub arrivals: u64,
@@ -27,12 +30,16 @@ pub struct RunCounters {
     /// Metric-sampler events delivered.
     pub samples: u64,
     /// Multi-doze descent ticks delivered (one per doze-level descent).
+    // Omitted when zero so pre-doze counter goldens keep their key set.
+    #[serde(skip_serializing_if = "is_zero")]
     pub doze_ticks: u64,
     /// Departure events cancelled by gateway resyncs (superseded timers).
     pub cancelled_departures: u64,
     /// Idle-check events cancelled by re-arms.
     pub cancelled_idle_checks: u64,
     /// Doze-descent ticks cancelled by wakes.
+    // Omitted when zero, like `doze_ticks`.
+    #[serde(skip_serializing_if = "is_zero")]
     pub cancelled_doze_ticks: u64,
     /// Events scheduled, on the heap and the monotone lane together
     /// (delivered + cancelled + still pending at the horizon).
@@ -59,113 +66,31 @@ pub struct RunCounters {
     /// Worker-task attempts that panicked and were retried (a task retried
     /// twice counts 2). Retries replay the identical RNG stream, so this
     /// is pure observability — never part of result bytes.
+    // Omitted when zero so fault-free runs (giga/tera goldens) keep their key set.
+    #[serde(skip_serializing_if = "is_zero")]
     pub tasks_retried: u64,
     /// Faults a `FaultPlan`-style chaos harness injected (worker panics,
     /// checkpoint IO errors, torn tails).
+    #[serde(skip_serializing_if = "is_zero")]
     pub faults_injected: u64,
     /// `(repetition × shard)` tasks replayed from a checkpoint instead of
     /// simulated on a `--resume` run.
+    #[serde(skip_serializing_if = "is_zero")]
     pub tasks_resumed: u64,
     /// Shard prototypes built by the world-prototype cache (one real
     /// `FlowStream` setup pass each; 0 when the cache is inactive).
+    // Omitted when zero, so cache-off runs keep their key set.
+    #[serde(skip_serializing_if = "is_zero")]
     pub proto_cache_builds: u64,
     /// Tasks served a cached shard prototype instead of rebuilding it
     /// (`setup_ms = 0` attribution; 0 when the cache is inactive).
+    #[serde(skip_serializing_if = "is_zero")]
     pub proto_cache_hits: u64,
 }
 
-// Serialization is hand-written so the two doze fields are *omitted when
-// zero*: every counter golden predating the doze ladder — and every run of
-// a scheme that never dozes — stays byte-identical, while doze-scheme runs
-// record their transitions. The legacy seventeen keys always serialize, in
-// the historical order; absent doze keys deserialize to 0.
-impl Serialize for RunCounters {
-    fn to_value(&self) -> Value {
-        let mut m: Vec<(String, Value)> = Vec::with_capacity(19);
-        let mut put = |k: &str, v: u64| m.push((k.to_string(), Value::Int(v as i128)));
-        put("arrivals", self.arrivals);
-        put("departures", self.departures);
-        put("wake_dones", self.wake_dones);
-        put("idle_checks", self.idle_checks);
-        put("bh2_ticks", self.bh2_ticks);
-        put("optimal_solves", self.optimal_solves);
-        put("samples", self.samples);
-        if self.doze_ticks > 0 {
-            put("doze_ticks", self.doze_ticks);
-        }
-        put("cancelled_departures", self.cancelled_departures);
-        put("cancelled_idle_checks", self.cancelled_idle_checks);
-        if self.cancelled_doze_ticks > 0 {
-            put("cancelled_doze_ticks", self.cancelled_doze_ticks);
-        }
-        put("heap_pushes", self.heap_pushes);
-        put("peak_heap", self.peak_heap);
-        put("flows_total", self.flows_total);
-        put("flows_completed", self.flows_completed);
-        put("peak_active_flows", self.peak_active_flows);
-        put("stream_refills", self.stream_refills);
-        put("merge_pops", self.merge_pops);
-        put("fold_absorptions", self.fold_absorptions);
-        // Recovery counters follow the doze precedent: omitted when zero,
-        // so every fault-free run — including the committed giga/tera
-        // counter goldens — keeps the legacy key set byte-identical.
-        if self.tasks_retried > 0 {
-            put("tasks_retried", self.tasks_retried);
-        }
-        if self.faults_injected > 0 {
-            put("faults_injected", self.faults_injected);
-        }
-        if self.tasks_resumed > 0 {
-            put("tasks_resumed", self.tasks_resumed);
-        }
-        // World-prototype cache counters, same omit-when-zero contract:
-        // cache-off runs (every pre-existing golden) keep their key set.
-        if self.proto_cache_builds > 0 {
-            put("proto_cache_builds", self.proto_cache_builds);
-        }
-        if self.proto_cache_hits > 0 {
-            put("proto_cache_hits", self.proto_cache_hits);
-        }
-        Value::Map(m)
-    }
-}
-
-impl Deserialize for RunCounters {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        let m = v.as_map().ok_or_else(|| Error::expected("map", v))?;
-        let get = |name: &str| -> Result<u64, Error> {
-            match m.iter().find(|(k, _)| k == name) {
-                Some((_, v)) => u64::from_value(v),
-                None => Ok(0),
-            }
-        };
-        Ok(RunCounters {
-            arrivals: get("arrivals")?,
-            departures: get("departures")?,
-            wake_dones: get("wake_dones")?,
-            idle_checks: get("idle_checks")?,
-            bh2_ticks: get("bh2_ticks")?,
-            optimal_solves: get("optimal_solves")?,
-            samples: get("samples")?,
-            doze_ticks: get("doze_ticks")?,
-            cancelled_departures: get("cancelled_departures")?,
-            cancelled_idle_checks: get("cancelled_idle_checks")?,
-            cancelled_doze_ticks: get("cancelled_doze_ticks")?,
-            heap_pushes: get("heap_pushes")?,
-            peak_heap: get("peak_heap")?,
-            flows_total: get("flows_total")?,
-            flows_completed: get("flows_completed")?,
-            peak_active_flows: get("peak_active_flows")?,
-            stream_refills: get("stream_refills")?,
-            merge_pops: get("merge_pops")?,
-            fold_absorptions: get("fold_absorptions")?,
-            tasks_retried: get("tasks_retried")?,
-            faults_injected: get("faults_injected")?,
-            tasks_resumed: get("tasks_resumed")?,
-            proto_cache_builds: get("proto_cache_builds")?,
-            proto_cache_hits: get("proto_cache_hits")?,
-        })
-    }
+/// `#[serde(skip_serializing_if)]` predicate of the omit-when-zero counters.
+fn is_zero(n: &u64) -> bool {
+    *n == 0
 }
 
 impl RunCounters {
@@ -284,6 +209,12 @@ mod tests {
         assert!(json.contains("\"fold_absorptions\":1"));
         let back: RunCounters = serde_json::from_str(&json).unwrap();
         assert_eq!(back, sample(3));
+    }
+
+    #[test]
+    fn an_empty_map_reads_as_default_counters() {
+        let empty: RunCounters = serde_json::from_str("{}").unwrap();
+        assert_eq!(empty, RunCounters::default());
     }
 
     #[test]

@@ -45,7 +45,7 @@ pub struct ManifestRecord {
 }
 
 /// One finished `(repetition × shard)` task.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct TaskRecord {
     /// Job index in the batch matrix.
     pub job: usize,
@@ -66,6 +66,8 @@ pub struct TaskRecord {
     pub setup_ms: f64,
     /// The topology part of `setup_ms`, milliseconds (0, and omitted from
     /// the JSON, for prototype-cache hits).
+    // Omitted when zero (cache hits); optional on input for sidecars predating it.
+    #[serde(default, skip_serializing_if = "not_positive")]
     pub topology_ms: f64,
     /// Event-loop span of the task, milliseconds.
     pub loop_ms: f64,
@@ -84,54 +86,10 @@ pub struct TaskRecord {
     pub counters: RunCounters,
 }
 
-// Hand-written so `topology_ms` is omitted when zero (cache hits) and
-// optional on input (sidecars written before it existed).
-impl Serialize for TaskRecord {
-    fn to_value(&self) -> Value {
-        let mut m: Vec<(String, Value)> = Vec::with_capacity(15);
-        let mut put = |k: &str, v: Value| m.push((k.to_string(), v));
-        put("job", self.job.to_value());
-        put("scenario", self.scenario.to_value());
-        put("scheme", self.scheme.to_value());
-        put("seed_index", self.seed_index.to_value());
-        put("rep", self.rep.to_value());
-        put("shard", self.shard.to_value());
-        put("n_shards", self.n_shards.to_value());
-        put("setup_ms", self.setup_ms.to_value());
-        if self.topology_ms > 0.0 {
-            put("topology_ms", self.topology_ms.to_value());
-        }
-        put("loop_ms", self.loop_ms.to_value());
-        put("finished", self.finished.to_value());
-        put("total", self.total.to_value());
-        put("merged", self.merged.to_value());
-        put("fold_queue", self.fold_queue.to_value());
-        put("counters", self.counters.to_value());
-        Value::Map(m)
-    }
-}
-
-impl Deserialize for TaskRecord {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        let m = v.as_map().ok_or_else(|| Error::expected("map", v))?;
-        Ok(TaskRecord {
-            job: serde::__field(m, "job")?,
-            scenario: serde::__field(m, "scenario")?,
-            scheme: serde::__field(m, "scheme")?,
-            seed_index: serde::__field(m, "seed_index")?,
-            rep: serde::__field(m, "rep")?,
-            shard: serde::__field(m, "shard")?,
-            n_shards: serde::__field(m, "n_shards")?,
-            setup_ms: serde::__field(m, "setup_ms")?,
-            topology_ms: serde::__field::<Option<f64>>(m, "topology_ms")?.unwrap_or(0.0),
-            loop_ms: serde::__field(m, "loop_ms")?,
-            finished: serde::__field(m, "finished")?,
-            total: serde::__field(m, "total")?,
-            merged: serde::__field(m, "merged")?,
-            fold_queue: serde::__field(m, "fold_queue")?,
-            counters: serde::__field(m, "counters")?,
-        })
-    }
+/// `#[serde(skip_serializing_if)]` predicate of `topology_ms`: anything
+/// but a positive span (prototype-cache hits record 0).
+fn not_positive(ms: &f64) -> bool {
+    !(*ms > 0.0)
 }
 
 /// One finished (scenario × scheme × seed) job.
@@ -224,6 +182,7 @@ impl TelemetryRecord {
     }
 }
 
+// Hand-written: internally tagged by a leading `"type"` key, which the derive lacks.
 impl Serialize for TelemetryRecord {
     fn to_value(&self) -> Value {
         // Internally tagged by hand: the derived (externally tagged) enum

@@ -98,7 +98,8 @@ fn doze_table_rows_are_the_golden_records() {
     let mut want = golden("paper-default");
     want.retain(|r| r.scheme == "soi");
     want.extend(golden("paper-default-doze"));
-    let t = figures::doze_table(&Harness::quick());
+    let h = Harness::quick();
+    let t = figures::doze_table(&h, &figures::run_schemes(&h, &figures::DOZE_SCHEMES));
     let labels: Vec<String> = want.iter().map(|r| r.scheme.clone()).collect();
     assert_eq!(t.row_labels.as_ref(), Some(&labels));
     let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
