@@ -8,10 +8,11 @@
 //! With `--from-jsonl` nothing is simulated: the energy / completion /
 //! online-time / shard tables are rebuilt from a finished `insomnia run`
 //! batch record — the only affordable path for giga/tera-metro outputs.
-//! An unknown flag or figure name, or `--csv` / `--from-jsonl` without a
-//! value, exits 1 with the usage line before anything is simulated. A
-//! closed stdout ends the printing quietly; a failed CSV or other write
-//! exits 1 with a one-line message.
+//! `-h` / `--help` anywhere prints the usage line and exits 0. An unknown
+//! flag or figure name, or `--csv` / `--from-jsonl` without a value, exits
+//! 1 with the usage line before anything is simulated. A closed stdout
+//! ends the printing quietly; a failed CSV or other write exits 1 with a
+//! one-line message.
 
 use insomnia_bench::figures as fig;
 use insomnia_bench::{Harness, MainRuns};
@@ -71,13 +72,20 @@ fn parse_args(args: &[String]) -> Result<Args, String> {
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let run = parse_args(&args).map_err(|e| format!("{e}\n{USAGE}")).and_then(|args| {
-        let outputs = match &args.from_jsonl {
-            Some(path) => tables_from_jsonl(path)?,
-            None => simulate(args.quick, &args.wanted),
-        };
-        emit(&outputs, args.csv_dir.as_deref())
-    });
+    let run = if args.iter().any(|a| a == "-h" || a == "--help") {
+        match writeln!(std::io::stdout(), "{USAGE}") {
+            Err(e) if e.kind() != ErrorKind::BrokenPipe => Err(format!("write stdout: {e}")),
+            _ => Ok(()),
+        }
+    } else {
+        parse_args(&args).map_err(|e| format!("{e}\n{USAGE}")).and_then(|args| {
+            let outputs = match &args.from_jsonl {
+                Some(path) => tables_from_jsonl(path)?,
+                None => simulate(args.quick, &args.wanted),
+            };
+            emit(&outputs, args.csv_dir.as_deref())
+        })
+    };
     match run {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {

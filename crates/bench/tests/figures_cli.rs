@@ -1,6 +1,6 @@
-//! The `figures` binary's command line: bad input exits 1 with the usage
-//! line and simulates nothing; a valid analytic figure still prints; write
-//! failures exit cleanly instead of panicking.
+//! The `figures` binary's command line: `--help` prints the usage line
+//! and bad input exits 1 with it, both simulating nothing; a valid analytic
+//! figure still prints; write failures exit cleanly instead of panicking.
 
 use std::process::{Command, Output, Stdio};
 
@@ -26,6 +26,18 @@ fn bad_input_exits_1_without_simulating_and_good_input_runs() {
     }
     let out = figures(&["--quick", "fig5"]);
     assert!(out.status.success() && String::from_utf8_lossy(&out.stdout).contains("fig5"));
+}
+
+#[test]
+fn help_anywhere_prints_the_usage_and_exits_0_without_simulating() {
+    for args in [&["--help"][..], &["-h"], &["--quick", "--help"], &["fig99", "-h"]] {
+        let out = figures(args);
+        let (stdout, stderr) =
+            (String::from_utf8_lossy(&out.stdout), String::from_utf8_lossy(&out.stderr));
+        assert_eq!(out.status.code(), Some(0), "{args:?}: {stderr}");
+        assert!(stdout.starts_with("usage: figures"), "{args:?}: {stdout}");
+        assert!(stderr.is_empty(), "{args:?} wrote to stderr: {stderr}");
+    }
 }
 
 #[test]

@@ -126,11 +126,11 @@ struct PendingFlow {
     bytes: u64,
 }
 
-/// Version of the serialized task-result / accumulator wire form shipped
-/// across the process boundary: checkpoint sidecars embed it in their
-/// manifest and refuse to resume from a mismatching schema, and the
-/// upcoming distributed shard fan-out will version its worker records the
-/// same way. Bump whenever [`RunResult`] (or anything it embeds —
+/// Version of the serialized task-result wire form shipped across the
+/// process boundary: checkpoint sidecars embed it in their manifest and
+/// refuse to resume from a mismatching schema, and the upcoming
+/// distributed shard fan-out will version its worker records the same
+/// way. Bump whenever [`RunResult`] (or anything it embeds —
 /// [`CompletionStats`], sketches, counters) changes shape.
 pub const CHECKPOINT_SCHEMA_VERSION: u32 = 2;
 
@@ -210,8 +210,6 @@ struct World<'a> {
     /// reads it, so it is empty — neither allocated nor fed — under every
     /// other aggregation.
     gw_load: Vec<LoadWindow>,
-    /// Per-client offered-bytes window (Optimal's demand estimate).
-    client_load: Vec<LoadWindow>,
     /// Arrival feed (slice cursor or flow stream), in arrival order.
     arrivals: ArrivalSource<'a>,
     /// Pulled-but-not-yet-fired arrivals as `(trace index, flow)`, oldest
@@ -220,8 +218,8 @@ struct World<'a> {
     /// event loop would otherwise evict between single pulls, so batching
     /// keeps the regeneration as cache-hot as a standalone drain. Only the
     /// buffer's *head* is ever scheduled, so the event queue still holds at
-    /// most one `Arrival`, and the Optimal demand sweep reads the same
-    /// window the event loop would.
+    /// most one `Arrival`. Optimal never reads it: its demand sweep ran in
+    /// [`precompute_optimal_plan`].
     arrival_buf: Vec<(usize, FlowRecord)>,
     /// Index of the oldest unconsumed arrival in `arrival_buf`.
     arrival_head: usize,
@@ -402,6 +400,27 @@ impl World<'_> {
         }
     }
 
+    /// Starts waking sleeping gateway `gw`: cancels its doze descent,
+    /// powers its DSL line on and schedules the `WakeDone`. With
+    /// [`sleep_gateway`](Self::sleep_gateway) the one place a line changes
+    /// power mid-run, which keeps the DSLAM's active lines equal to the
+    /// powered gateways (asserted at every sample).
+    fn wake_gateway(&mut self, s: &mut Scheduler<Ev>, t: SimTime, gw: usize) {
+        self.cancel_doze(s, gw);
+        let done = self.gateways[gw].begin_wake(t).expect("sleeping gateway wakes");
+        self.dslam.line_powering_on(t, gw);
+        s.schedule_at(done, Ev::WakeDone { gw: gw as u32 });
+    }
+
+    /// Puts `gw` to sleep if [`Gateway::try_sleep`] allows it, then powers
+    /// its DSL line off and arms the doze descent.
+    fn sleep_gateway(&mut self, s: &mut Scheduler<Ev>, t: SimTime, gw: usize) {
+        if self.gateways[gw].try_sleep(t) {
+            self.dslam.line_powering_off(t, gw);
+            self.arm_doze(s, gw);
+        }
+    }
+
     /// Feeds one flow arrival on `gw` into the adaptive-SOI gap estimator
     /// and retunes the gateway's idle timeout: `gain ×` the smoothed
     /// inter-arrival gap, clamped to the configured bounds. Bursty gateways
@@ -433,11 +452,8 @@ impl World<'_> {
                 self.resync_gateway(s, t, gw);
             }
             GwState::Sleeping => {
-                self.cancel_doze(s, gw);
-                let done = self.gateways[gw].begin_wake(t).expect("sleeping gateway wakes");
+                self.wake_gateway(s, t, gw);
                 self.stats.wakes_stranded_arrival += 1;
-                self.dslam.line_powering_on(t, gw);
-                s.schedule_at(done, Ev::WakeDone { gw: gw as u32 });
                 self.pending[gw].push(f);
             }
             GwState::Waking => {
@@ -522,7 +538,7 @@ pub fn run_single_source_threads(
 fn run_single(
     cfg: &ScenarioConfig,
     spec: SchemeSpec,
-    arrivals: ArrivalSource<'_>,
+    mut arrivals: ArrivalSource<'_>,
     topo: &Topology,
     mut rng: SimRng,
     plan: Option<OptimalPlan>,
@@ -601,26 +617,17 @@ fn run_single(
     }
 
     // Optimal's re-solve inputs are a pure function of the arrival prefix:
-    // the scheme never simulates flows, so its demand windows are fed only
-    // by the tick sweep over the arrival cursor. That makes every solve
-    // computable before the event loop runs — replay the sweep over a
-    // cheap second cursor (a slice re-borrow, or a clone of the stream's
-    // O(clients) state) and fan the pure solves out across threads. The
-    // event loop then consumes the plan strictly by tick index, so the
-    // wake/sleep application order — and every downstream byte — is
-    // independent of `solve_threads`. A plan handed in was solved the same
-    // way over the same inputs (the debug cross-check in `optimal_tick`
-    // re-solves every tick against the live sweep).
+    // the scheme never simulates flows, so every solve is computable before
+    // the event loop runs. The pre-pass sweeps the run's own arrival source
+    // (the loop never reads it) and fans the pure solves out across
+    // threads. The event loop then consumes the plan strictly by tick
+    // index, so the wake/sleep application order — and every downstream
+    // byte — is independent of `solve_threads`. A plan handed in was
+    // solved the same way over the same `(cfg, topo, arrivals)`.
     let optimal_plan = match (is_optimal, plan) {
         (false, _) => OptimalPlan::default(),
         (true, Some(plan)) => plan,
-        (true, None) => {
-            let replay = match &arrivals {
-                ArrivalSource::Slice(flows) => ArrivalSource::Slice(flows),
-                ArrivalSource::Stream(stream) => ArrivalSource::Stream(stream.clone()),
-            };
-            Arc::new(precompute_optimal_plan(cfg, topo, replay, solve_threads))
-        }
+        (true, None) => Arc::new(precompute_optimal_plan(cfg, topo, &mut arrivals, solve_threads)),
     };
 
     let n_samples = (horizon.as_millis() / cfg.sample_period.as_millis()) as usize;
@@ -638,9 +645,6 @@ fn run_single(
             }
             _ => Vec::new(),
         },
-        client_load: (0..topo.n_clients())
-            .map(|_| LoadWindow::new(cfg.optimal_period.as_millis()))
-            .collect(),
         arrivals,
         arrival_buf: Vec::with_capacity(ARRIVAL_BATCH),
         arrival_head: 0,
@@ -673,9 +677,8 @@ fn run_single(
     };
 
     let mut sched: Scheduler<Ev> = Scheduler::new();
-    // Prime the arrival cursor: the Optimal demand sweep drains it
-    // tick-by-tick, every other scheme fires it as front-lane `Arrival`
-    // events one at a time.
+    // Prime the arrival cursor: every scheme but Optimal fires it as
+    // front-lane `Arrival` events one at a time.
     if !is_optimal {
         world.schedule_next_arrival(&mut sched);
         if let Aggregation::Bh2 { .. } = spec.aggregation {
@@ -860,10 +863,7 @@ fn handle(s: &mut Scheduler<Ev>, w: &mut World<'_>, now: SimTime, ev: Ev) {
             }
             let deadline = w.gateways[gw].idle_deadline();
             if now >= deadline {
-                if w.gateways[gw].try_sleep(now) {
-                    w.dslam.line_powering_off(now, gw);
-                    w.arm_doze(s, gw);
-                }
+                w.sleep_gateway(s, now, gw);
             } else {
                 w.arm_idle_check(s, gw, deadline);
             }
@@ -916,9 +916,9 @@ fn handle(s: &mut Scheduler<Ev>, w: &mut World<'_>, now: SimTime, ev: Ev) {
             }
             let idx = w.sample_index(now);
             if idx < w.powered_series.len() {
-                // Every wake start powers the gateway's line on and every
-                // sleep powers it off, so the DSLAM's active lines (one
-                // modem each) are the powered gateways.
+                // `wake_gateway` powers a gateway's line on and
+                // `sleep_gateway` powers it off, so the DSLAM's active lines
+                // (one modem each) are the powered gateways.
                 let powered = w.dslam.active_lines();
                 debug_assert_eq!(
                     powered,
@@ -1005,11 +1005,8 @@ fn bh2_epoch(s: &mut Scheduler<Ev>, w: &mut World<'_>, now: SimTime, client: usi
                 GwState::Sleeping => {
                     // Wake home; keep routing through the remote until it is
                     // operative (§5.1).
-                    w.cancel_doze(s, home);
-                    let done = w.gateways[home].begin_wake(now).expect("sleeping");
+                    w.wake_gateway(s, now, home);
                     w.stats.wakes_return_home += 1;
-                    w.dslam.line_powering_on(now, home);
-                    s.schedule_at(done, Ev::WakeDone { gw: home as u32 });
                     w.await_return(client, home);
                 }
                 GwState::Waking => {
@@ -1021,8 +1018,7 @@ fn bh2_epoch(s: &mut Scheduler<Ev>, w: &mut World<'_>, now: SimTime, client: usi
 }
 
 /// Builds one re-solve's [`SolverInput`] from the demand windows at `now`
-/// (§5.1: demands from the last minute of the trace). Shared by the
-/// pre-pass and the event loop's debug cross-check.
+/// (§5.1: demands from the last minute of the trace).
 fn optimal_solver_input(
     cfg: &ScenarioConfig,
     topo: &Topology,
@@ -1053,12 +1049,12 @@ fn optimal_solver_input(
 ///
 /// Optimal never simulates flows, so the demand windows feeding each
 /// re-solve depend only on the arrival prefix up to the tick time — never
-/// on gateway state, RNG draws or solver outputs. This replays the exact
-/// cursor sweep [`optimal_tick`] performs, snapshots one [`SolverInput`]
-/// per tick, and fans the (pure) solves out over at most `threads` workers
-/// as one in-order [`par_fold_grouped`] group — plan entry `k` is tick `k`'s
-/// online set regardless of which worker produced it, so the plan is
-/// byte-identical at any thread count.
+/// on gateway state, RNG draws or solver outputs. This is the scheme's one
+/// demand sweep: it drains `arrivals` up to the first flow past the last
+/// tick, snapshots one [`SolverInput`] per tick, and fans the (pure) solves
+/// out over at most `threads` workers as one in-order [`par_fold_grouped`]
+/// group — plan entry `k` is tick `k`'s online set regardless of which
+/// worker produced it, so the plan is byte-identical at any thread count.
 ///
 /// Tick times mirror the scheduling rule exactly: the first tick fires at
 /// `t = 0`, and each delivered tick schedules a successor only while
@@ -1066,7 +1062,7 @@ fn optimal_solver_input(
 fn precompute_optimal_plan(
     cfg: &ScenarioConfig,
     topo: &Topology,
-    mut arrivals: ArrivalSource<'_>,
+    arrivals: &mut ArrivalSource<'_>,
     threads: usize,
 ) -> Vec<Vec<usize>> {
     let horizon = cfg.horizon();
@@ -1104,34 +1100,12 @@ fn precompute_optimal_plan(
     plan
 }
 
-/// One Optimal re-solve tick (§5.1): sweep demand, apply the pre-solved
-/// plan, instant migration, full-switch repack.
+/// One Optimal re-solve tick (§5.1): apply the pre-solved plan (see
+/// [`precompute_optimal_plan`]), instant migration, full-switch repack.
 fn optimal_tick(s: &mut Scheduler<Ev>, w: &mut World<'_>, now: SimTime) {
-    // Sweep the arrival cursor into the per-client demand windows. Optimal
-    // never schedules `Arrival` events, so this tick is the cursor's only
-    // consumer and reads the same stream window the event loop would. The
-    // sweep stays in the loop even though the solves moved to the pre-pass:
-    // it keeps the cursor (and the stream's work counters) advancing
-    // exactly as before, and it feeds the debug cross-check below.
-    while let Some((_, f)) = w.peek_arrival() {
-        if f.start > now {
-            break;
-        }
-        w.take_arrival();
-        w.client_load[f.client.index()].add(f.start.as_millis(), f.bytes);
-    }
     // Consume the pre-solved plan strictly by tick index.
     let tick = w.optimal_tick_idx;
     w.optimal_tick_idx += 1;
-    #[cfg(debug_assertions)]
-    {
-        let input = optimal_solver_input(w.cfg, w.topo, &mut w.client_load, now);
-        debug_assert_eq!(
-            solve(&input).online,
-            w.optimal_plan[tick],
-            "pre-pass solve diverged from the live demand sweep at tick {tick}"
-        );
-    }
     let n_gw = w.n_gateways();
     w.want.clear();
     w.want.resize(n_gw, false);
@@ -1141,20 +1115,10 @@ fn optimal_tick(s: &mut Scheduler<Ev>, w: &mut World<'_>, now: SimTime) {
     for gw in 0..n_gw {
         match (w.want[gw], w.gateways[gw].state()) {
             (true, GwState::Sleeping) => {
-                w.cancel_doze(s, gw);
-                let done = w.gateways[gw].begin_wake(now).expect("sleeping");
+                w.wake_gateway(s, now, gw);
                 w.stats.wakes_optimal += 1;
-                w.dslam.line_powering_on(now, gw);
-                s.schedule_at(done, Ev::WakeDone { gw: gw as u32 });
             }
-            (false, GwState::Online) => {
-                // try_sleep mutates gateway state; keep the call in the arm
-                // body rather than a match guard so dispatch stays pure.
-                if w.gateways[gw].try_sleep(now) {
-                    w.dslam.line_powering_off(now, gw);
-                    w.arm_doze(s, gw);
-                }
-            }
+            (false, GwState::Online) => w.sleep_gateway(s, now, gw),
             _ => {}
         }
     }
@@ -1400,7 +1364,6 @@ fn build_world_shard_timed(
 /// running sums, its other products pushed, and the accumulator dropped.
 /// At most one `RepAccum` is alive at a time; nothing O(total gateways)
 /// or O(rep × shard) survives a task's fold.
-#[derive(Serialize, Deserialize)]
 struct RepAccum {
     series: SeriesSums,
     energy: EnergyBreakdown,
@@ -1440,7 +1403,6 @@ impl RepAccum {
 /// A run's four per-sample series (powered gateways, awake cards, user
 /// and ISP watts), summed sample-wise across shards and then across
 /// repetitions.
-#[derive(Serialize, Deserialize)]
 struct SeriesSums {
     powered: Vec<f64>,
     cards: Vec<f64>,
@@ -1478,7 +1440,7 @@ impl SeriesSums {
 /// Per-shard scalar aggregates of the fold — the `O(shards)` state behind
 /// [`ShardSummary`]; repetitions accumulate in repetition order (the fold
 /// is repetition-major), matching the historical summation order.
-#[derive(Clone, Copy, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, Default)]
 struct ShardAccum {
     n_flows: usize,
     energy_j: f64,
@@ -1818,14 +1780,14 @@ pub fn run_scheme_task(
     // pre-solve fan-out is pinned to one thread here: parallelism lives at
     // exactly one level, never nested (the result is byte-identical either
     // way).
-    let single = move |stream: FlowStream, topo: &Topology, plan: Option<OptimalPlan>| {
-        run_single(cfg, spec, ArrivalSource::Stream(Box::new(stream)), topo, rng, plan, 1)
+    let single = move |arrivals: ArrivalSource<'_>, topo: &Topology, plan: Option<OptimalPlan>| {
+        run_single(cfg, spec, arrivals, topo, rng, plan, 1)
     };
     let setup_start = std::time::Instant::now();
     let Some(claim) = claim else {
         let (stream, topo, topology_ms) = build_world_shard_timed(&world.cfg, world.seed, sh);
         let setup = TaskSetup { setup_ms: setup_start.elapsed().as_secs_f64() * 1e3, topology_ms };
-        return (single(stream, &topo, None), setup);
+        return (single(ArrivalSource::Stream(Box::new(stream)), &topo, None), setup);
     };
     let mut built_topology_ms = None;
     let (stream_proto, topo) = claim.proto.world.get_or_init(|| {
@@ -1851,15 +1813,16 @@ pub fn run_scheme_task(
         None => TaskSetup::default(),
     };
     // Optimal's plan is shared the same way, solved after `setup` is taken
-    // so its time counts toward the task's event loop. A panicking solve
-    // leaves this cell empty too, and the retry re-solves.
+    // so its time counts toward the task's event loop. The solving task's
+    // pre-pass drains its own stream clone, which its event loop never
+    // reads. A panicking solve leaves this cell empty too, and the retry
+    // re-solves.
+    let mut arrivals = ArrivalSource::Stream(Box::new(stream_proto.clone()));
     let plan = (spec.aggregation == Aggregation::Optimal).then(|| {
-        Arc::clone(claim.proto.optimal_plan.get_or_init(|| {
-            let replay = ArrivalSource::Stream(Box::new(stream_proto.clone()));
-            Arc::new(precompute_optimal_plan(cfg, topo, replay, 1))
-        }))
+        let solve = || Arc::new(precompute_optimal_plan(cfg, topo, &mut arrivals, 1));
+        Arc::clone(claim.proto.optimal_plan.get_or_init(solve))
     });
-    (single(stream_proto.clone(), topo, plan), setup)
+    (single(arrivals, topo, plan), setup)
 }
 
 /// Compile-time guarantee that everything a batch job needs can cross
@@ -2187,20 +2150,6 @@ mod tests {
         assert_eq!(back.counters, r.counters);
     }
 
-    #[test]
-    fn rep_and_shard_accums_have_wire_forms() {
-        let cfg = quick_cfg();
-        let (trace, topo) = build_world(&cfg);
-        let run = run_slice(&cfg, SchemeSpec::soi(), &trace, &topo, SimRng::new(6));
-        let acc = RepAccum::start(run, cfg.online_cutoff);
-        let back = RepAccum::from_value(&acc.to_value()).expect("RepAccum wire form");
-        assert_eq!(back.to_value(), acc.to_value());
-        let sa =
-            ShardAccum { n_flows: 7, energy_j: 1.25, mean_gateways: 3.5, mean_wake_count: 0.5 };
-        let back = ShardAccum::from_value(&sa.to_value()).expect("ShardAccum wire form");
-        assert_eq!(back.to_value(), sa.to_value());
-    }
-
     /// Bit-level equality of every deterministic field of two scheme runs
     /// (recovery counters excluded — they record *how* a run got here).
     fn assert_results_identical(a: &SchemeResult, b: &SchemeResult) {
@@ -2333,9 +2282,10 @@ mod tests {
         let mut cacheless = folder.finish();
         assert!(shared.counters.optimal_solves > 0, "the runs re-solve");
         // The stream work counters record how the arrivals were produced:
-        // a cached prototype replays its recording, a cacheless task
-        // regenerates every flow. That split predates plan sharing, so
-        // take those two from the shared run; every other byte must match.
+        // a cached prototype replays its recording, while a cacheless
+        // task's plan pre-pass regenerates each flow up to its last
+        // re-solve tick. That split predates plan sharing, so take those
+        // two from the shared run; every other byte must match.
         assert_ne!(shared.counters.stream_refills, cacheless.counters.stream_refills);
         cacheless.counters.stream_refills = shared.counters.stream_refills;
         cacheless.counters.merge_pops = shared.counters.merge_pops;

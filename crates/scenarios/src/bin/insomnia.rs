@@ -194,6 +194,10 @@ fn main() -> ExitCode {
 }
 
 fn dispatch(args: &[String]) -> SimResult<()> {
+    // `-h`/`--help` anywhere, or `insomnia help`, prints the usage.
+    if args.iter().any(|a| a == "-h" || a == "--help") {
+        return print_out(USAGE);
+    }
     match args.first().map(String::as_str) {
         Some("list") => cmd_list(),
         Some("show") => cmd_show(&args[1..]),
@@ -201,7 +205,7 @@ fn dispatch(args: &[String]) -> SimResult<()> {
         Some("sweep") => cmd_sweep(&args[1..]),
         Some("compare") => cmd_compare(&args[1..]),
         Some("profile") => cmd_profile(&args[1..]),
-        Some("--help") | Some("-h") | None => print_out(USAGE),
+        Some("help") | None => print_out(USAGE),
         Some(other) => {
             Err(SimError::InvalidInput(format!("unknown subcommand `{other}` (try --help)")))
         }

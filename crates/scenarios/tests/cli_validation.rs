@@ -2,7 +2,8 @@
 //! hang or a panic. Each case runs the CLI under a wall-clock deadline and
 //! kills it on overrun, so a regression fails the test instead of stalling
 //! the suite. A closed stdout must not panic the printing subcommands
-//! either.
+//! either, and `-h`/`--help` anywhere (or `insomnia help`) prints the
+//! usage and exits 0.
 
 use std::process::{Command, Stdio};
 use std::time::{Duration, Instant};
@@ -146,4 +147,30 @@ fn printing_subcommands_exit_cleanly_on_a_closed_stdout() {
         assert!(!stderr.contains("panicked"), "{args:?} panicked: {stderr}");
     }
     std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn help_anywhere_prints_the_usage_and_exits_0() {
+    for args in [
+        &["--help"][..],
+        &["-h"],
+        &["help"],
+        &["run", "--help"],
+        &["run", "--scenario", "paper-default", "-h"],
+        &["sweep", "-h"],
+        &["show", "--help"],
+        &["compare", "--help"],
+        &["profile", "--help"],
+    ] {
+        let done = Command::new(env!("CARGO_BIN_EXE_insomnia"))
+            .args(args)
+            .stdin(Stdio::null())
+            .output()
+            .expect("spawn insomnia");
+        let (stdout, stderr) =
+            (String::from_utf8_lossy(&done.stdout), String::from_utf8_lossy(&done.stderr));
+        assert_eq!(done.status.code(), Some(0), "{args:?}: {stderr}");
+        assert!(stdout.contains("USAGE:") && stdout.contains("insomnia run"), "{args:?}: {stdout}");
+        assert!(stderr.is_empty(), "{args:?} wrote to stderr: {stderr}");
+    }
 }

@@ -96,7 +96,8 @@ fn assert_runs_identical(name: &str, a: &RunResult, b: &RunResult) {
 #[test]
 fn streamed_driver_is_bit_identical_to_slice_driver() {
     // Every scheme class: plain SoI timers, BH2's randomized epochs (RNG
-    // interleaving with arrivals), and Optimal's cursor-sweep path.
+    // interleaving with arrivals), and Optimal's plan pre-pass, which
+    // drains the arrival source before the event loop.
     let mut cfg = ScenarioConfig::smoke();
     cfg.trace.horizon = SimTime::from_hours(6);
     cfg.repetitions = 1;
@@ -244,9 +245,9 @@ fn scheduler_heap_stays_bounded_by_active_flows_plus_timers() {
 
 #[test]
 fn optimal_consumes_the_same_cursor_window() {
-    // Optimal never schedules arrivals; its demand sweep drains the same
-    // cursor. A streamed Optimal run must match the slice-driven one even
-    // though no Arrival event ever fires.
+    // Optimal never schedules arrivals; its plan pre-pass is the one
+    // demand sweep over the arrival source. A streamed Optimal run must
+    // match the slice-driven one even though no Arrival event ever fires.
     let mut cfg = ScenarioConfig::smoke();
     cfg.trace.horizon = SimTime::from_hours(4);
     let seed = 5;
@@ -256,4 +257,29 @@ fn optimal_consumes_the_same_cursor_window() {
     let b = run_stream(&cfg, SchemeSpec::optimal(), stream, &stopo, SimRng::new(1));
     assert_runs_identical("optimal", &a, &b);
     assert_eq!(a.completion.completed(), 0, "optimal does not simulate flows");
+}
+
+#[test]
+fn uncached_optimal_counts_only_the_pre_pass_pulls() {
+    // A stream with no replay cache regenerates every flow it yields, so
+    // its work counters record the pulls. Optimal's plan pre-pass is its
+    // one demand sweep: it pulls each flow up to the last re-solve tick
+    // plus the first flow past it, and the event loop pulls none.
+    let mut cfg = ScenarioConfig::smoke();
+    cfg.trace.horizon = SimTime::from_hours(9);
+    let seed = 5;
+    let (trace, _) = build_world_shard(&cfg, seed, 0);
+    let (stream, topo) = build_world_shard_streaming(&cfg, seed, 0);
+    let r = run_stream(&cfg, SchemeSpec::optimal(), stream, &topo, SimRng::new(1));
+    let c = r.counters;
+    assert_eq!(c.arrivals, 0, "optimal fires no arrival");
+    assert_eq!(c.flows_total, trace.flows.len() as u64);
+    // Ticks fire at 0 and every period after it while before the horizon.
+    let mut last_tick = SimTime::ZERO;
+    while last_tick + cfg.optimal_period < cfg.horizon() {
+        last_tick += cfg.optimal_period;
+    }
+    let swept = trace.flows.iter().filter(|f| f.start <= last_tick).count() as u64;
+    assert!(swept + 1 < c.flows_total, "want flows past the last tick");
+    assert_eq!(c.merge_pops, (swept + 1).min(c.flows_total));
 }
