@@ -39,6 +39,13 @@ done
   /tmp/paper-default-zoo.telemetry.jsonl \
   > tests/golden/paper-default-zoo.counters.json
 
+# Optimal where its search runs out of nodes: the binomial topology's
+# morning ramp, one repetition.
+./target/release/insomnia run --scenario paper-default \
+  --schemes optimal --seeds 1 --quick --set topology=binomial \
+  --set repetitions=1 --set horizon_hours=16.0 \
+  --out tests/golden/paper-default-binomial-optimal.jsonl
+
 # The scale smokes CI replays (reduced horizons; deterministic at any
 # thread count, so no --threads pin is needed).
 if [[ "${1:-}" == "--scale" ]]; then

@@ -16,6 +16,10 @@
 //! full-switch fabrics, BH2 without a backup, and Optimal. Its sibling
 //! `paper-default-zoo.counters.json` pins the `insomnia profile --counters`
 //! work counts of all ten schemes on the same command; CI checks it.
+//! `tests/golden/paper-default-binomial-optimal.jsonl` pins Optimal where
+//! its search runs out of nodes (`--set topology=binomial --set
+//! repetitions=1 --set horizon_hours=16.0`): 89 of its 960 solves return
+//! the unproven greedy cover.
 //!
 //! Refreshing after an *intentional* semantics change (see README):
 //!
@@ -36,8 +40,20 @@ use std::collections::BTreeMap;
 /// --schemes <schemes> --seeds 1 --quick` and compares the JSONL bytes
 /// against the committed golden `tests/golden/<golden>.jsonl`.
 fn assert_schemes_match_golden(preset: &str, schemes: &str, golden: &str) {
-    let mut cfg =
-        Registry::builtin().resolve(preset).unwrap_or_else(|e| panic!("resolve {preset}: {e}"));
+    assert_overrides_match_golden(preset, schemes, &[], golden);
+}
+
+/// [`assert_schemes_match_golden`] with `--set key=value` overrides,
+/// applied as `insomnia run` applies them: in order, before the preset's
+/// inheritance chain and the `--quick` clamp.
+fn assert_overrides_match_golden(preset: &str, schemes: &str, sets: &[&str], golden: &str) {
+    let reg = Registry::builtin();
+    let mut spec = reg.get_or_err(preset).unwrap_or_else(|e| panic!("{preset}: {e}")).spec.clone();
+    for set in sets {
+        let (key, value) = set.split_once('=').expect("key=value");
+        spec = spec.with_assignment(key, value).unwrap_or_else(|e| panic!("--set {set}: {e}"));
+    }
+    let mut cfg = reg.resolve_spec(&spec).unwrap_or_else(|e| panic!("resolve {preset}: {e}"));
     cfg.repetitions = cfg.repetitions.min(2); // the CLI's --quick
     let batch = BatchRun {
         scenarios: vec![(preset.to_string(), cfg)],
@@ -111,6 +127,20 @@ fn golden_paper_default_zoo_schemes() {
         "paper-default",
         "soi+k,soi+full,bh2-nb,bh2+full,optimal",
         "paper-default-zoo",
+    );
+}
+
+/// Optimal where its branch-and-bound runs out of nodes: on the binomial
+/// topology the morning ramp's solves exhaust the 200 000-node budget and
+/// fall back to the greedy cover (every Optimal solve of the zoo golden is
+/// proven), so this pins the budget-exhaustion regime's plan.
+#[test]
+fn golden_paper_default_binomial_optimal() {
+    assert_overrides_match_golden(
+        "paper-default",
+        "optimal",
+        &["topology=binomial", "repetitions=1", "horizon_hours=16.0"],
+        "paper-default-binomial-optimal",
     );
 }
 
