@@ -10,18 +10,22 @@
 //! ```
 //!
 //! The decision problem is NP-complete (SET-COVER reduction, §3.1), so the
-//! solver is a branch-and-bound over covers with user-driven branching
-//! (always branch on the uncovered user with the fewest remaining options),
-//! a greedy incumbent, capacity/coverage lower bounds, and a first-fit-
-//! decreasing capacity check on complete covers. A node budget bounds the
-//! worst case; on exhaustion the incumbent is returned and flagged as not
-//! proven optimal. "Proven" means optimal among the covers that pass the
-//! first-fit-decreasing check (`capacity_feasible`), a heuristic, not
-//! Eq. (1)'s capacity constraint. Over one `--quick` repetition of
-//! `paper-default` (1440 solves, two solver threads) the preset default
-//! averages 6.8 ms of wall-clock per solve, all proven; 226 of 1440 solves
-//! stay unproven at `topology=binomial` and 642 at
-//! `mean_networks_in_range=3.0`.
+//! solver is a branch-and-bound over covers with user-driven branching, a
+//! greedy incumbent, capacity/coverage lower bounds, and a first-fit-
+//! decreasing capacity check on complete covers. It branches on the
+//! uncovered user with the fewest spare options; that count is fixed per
+//! user, so the branch order is one user order sorted once per solve, and
+//! adding a gateway updates only the coverage counts of the users it
+//! reaches (see `Search`). A node budget bounds the worst case; on
+//! exhaustion the incumbent is returned and flagged as not proven optimal.
+//! "Proven" means optimal among the covers that pass the first-fit-
+//! decreasing check (`capacity_feasible`), a heuristic, not Eq. (1)'s
+//! capacity constraint.
+//! Through the release CLI, one `--quick` repetition of `paper-default`
+//! (1440 solves on one solver thread, 2-core host) takes 0.36 s of
+//! wall-clock at the preset default, 0.25 ms per solve, all proven; 226 of
+//! 1440 solves stay unproven at `topology=binomial` (3.3 s) and 642 at
+//! `mean_networks_in_range=3.0` (3.7 s).
 
 use insomnia_simcore::SimError;
 
@@ -111,7 +115,9 @@ pub fn solve(input: &SolverInput) -> SolverOutput {
 
     // Greedy incumbent. If even capacity repair could not make it feasible
     // the instance is overloaded (more demand than q·c can hold anywhere):
-    // every gateway goes online, flagged as a best-effort answer.
+    // every gateway goes online, flagged as a best-effort answer. This
+    // return also catches every user with an empty reach row (it has no
+    // gateway for its slot), so the search below only sees non-empty rows.
     let mut incumbent = greedy_cover(input);
     if !capacity_feasible(input, &incumbent) {
         return SolverOutput {
@@ -120,8 +126,6 @@ pub fn solve(input: &SolverInput) -> SolverOutput {
             nodes: 0,
         };
     }
-    let mut proven = false;
-    let mut nodes = 0u64;
 
     // Lower bound: capacity (every user places its demand on `slots`
     // gateways) and the trivial cover bound.
@@ -131,29 +135,28 @@ pub fn solve(input: &SolverInput) -> SolverOutput {
     let min_slots = (0..n_users).map(|i| input.slots(i)).max().unwrap_or(1);
     let lb = cap_lb.max(min_slots).max(1);
 
-    // Iterative deepening on the number of online gateways.
+    // Iterative deepening on the number of online gateways. Each k
+    // exhausted without a cover is a valid lower bound, so the incumbent
+    // stays proven unless the node budget runs out first.
+    let mut proven = true;
+    let mut nodes = 0u64;
     let upper = incumbent.len();
-    let mut budget = input.node_budget;
-    for k in lb..upper {
-        let mut search = Search { input, k, chosen: Vec::new(), nodes: 0, budget, found: None };
-        search.dfs();
-        nodes += search.nodes;
-        budget = budget.saturating_sub(search.nodes);
-        if let Some(best) = search.found {
-            incumbent = best;
-            proven = true;
-            break;
+    if lb < upper {
+        let mut search = Search::new(input);
+        let mut budget = input.node_budget;
+        for k in lb..upper {
+            search.run(k, budget);
+            nodes += search.nodes;
+            budget = budget.saturating_sub(search.nodes);
+            if let Some(best) = search.found.take() {
+                incumbent = best;
+                break;
+            }
+            if budget == 0 {
+                proven = false; // ran out of nodes: keep the greedy incumbent
+                break;
+            }
         }
-        if budget == 0 {
-            // Ran out of nodes: keep the greedy incumbent, unproven.
-            proven = false;
-            break;
-        }
-        // k exhausted without a solution: k is a valid lower bound, continue.
-        proven = true; // provisionally; final k == upper-1 failing proves greedy optimal
-    }
-    if upper <= lb {
-        proven = true; // greedy already matches the lower bound
     }
 
     incumbent.sort_unstable();
@@ -167,11 +170,12 @@ fn greedy_cover(input: &SolverInput) -> Vec<usize> {
     let mut unmet: Vec<usize> = (0..n_users).map(|i| input.slots(i)).collect();
     let mut chosen: Vec<usize> = Vec::new();
     let mut chosen_mask = vec![false; input.n_gateways];
+    let mut gain = vec![0usize; input.n_gateways];
 
     while unmet.iter().any(|&u| u > 0) {
         // Count how many users with unmet slots each unchosen gateway
         // reaches (a gateway can serve at most one slot per user).
-        let mut gain = vec![0usize; input.n_gateways];
+        gain.fill(0);
         for i in 0..n_users {
             if unmet[i] == 0 {
                 continue;
@@ -218,86 +222,178 @@ fn greedy_cover(input: &SolverInput) -> Vec<usize> {
 }
 
 /// First-fit-decreasing feasibility: users in decreasing demand, each takes
-/// its `slots` least-loaded reachable online gateways.
+/// its `slots` least-loaded reachable online gateways. A user with fewer
+/// online options than slots fails it, so it checks coverage too.
 fn capacity_feasible(input: &SolverInput, online: &[usize]) -> bool {
     let mut online_mask = vec![false; input.n_gateways];
     for &g in online {
         online_mask[g] = true;
     }
-    let n_users = input.demands.len();
-    // Coverage first.
-    for i in 0..n_users {
-        let avail = input.reach[i].iter().filter(|&&(g, _)| online_mask[g]).count();
-        if avail < input.slots(i) {
-            return false;
-        }
-    }
-    let mut load = vec![0.0f64; input.n_gateways];
-    let mut order: Vec<usize> = (0..n_users).collect();
-    order.sort_by(|&a, &b| input.demands[b].partial_cmp(&input.demands[a]).expect("finite"));
-    for i in order {
-        let d = input.demands[i];
-        let mut options: Vec<usize> =
-            input.reach[i].iter().filter(|&&(g, _)| online_mask[g]).map(|&(g, _)| g).collect();
-        options.sort_by(|&a, &b| load[a].partial_cmp(&load[b]).expect("finite load"));
-        let slots = input.slots(i);
-        let mut placed = 0;
-        for &g in &options {
-            if placed == slots {
-                break;
-            }
-            if load[g] + d <= input.capacity[g] + 1e-9 {
-                load[g] += d;
-                placed += 1;
-            }
-        }
-        if placed < slots {
-            return false;
-        }
-    }
-    true
+    Ffd::new(input).fits(input, &online_mask)
 }
 
+/// The first-fit-decreasing placement behind [`capacity_feasible`], with
+/// its buffers kept for reuse: the search runs it at every complete cover.
+struct Ffd {
+    /// Users by decreasing demand (stable: ties keep index order).
+    by_demand: Vec<usize>,
+    /// Placed load per gateway, bit/s.
+    load: Vec<f64>,
+    /// One user's online options, least-loaded first.
+    options: Vec<usize>,
+}
+
+impl Ffd {
+    fn new(input: &SolverInput) -> Self {
+        let mut by_demand: Vec<usize> = (0..input.demands.len()).collect();
+        by_demand
+            .sort_by(|&a, &b| input.demands[b].partial_cmp(&input.demands[a]).expect("finite"));
+        Ffd { by_demand, load: vec![0.0; input.n_gateways], options: Vec::new() }
+    }
+
+    /// Whether every user fits its `slots` on the gateways in `online`.
+    fn fits(&mut self, input: &SolverInput, online: &[bool]) -> bool {
+        self.load.fill(0.0);
+        for &i in &self.by_demand {
+            let d = input.demands[i];
+            self.options.clear();
+            self.options
+                .extend(input.reach[i].iter().filter(|&&(g, _)| online[g]).map(|&(g, _)| g));
+            let load = &mut self.load;
+            self.options.sort_by(|&a, &b| load[a].partial_cmp(&load[b]).expect("finite load"));
+            let slots = input.slots(i);
+            let mut placed = 0;
+            for &g in &self.options {
+                if placed == slots {
+                    break;
+                }
+                if load[g] + d <= input.capacity[g] + 1e-9 {
+                    load[g] += d;
+                    placed += 1;
+                }
+            }
+            if placed < slots {
+                return false;
+            }
+        }
+        true
+    }
+}
+
+/// Depth-first search for a cover of at most `k` gateways, built once per
+/// [`solve`] and reused across the iterative-deepening `k` loop. It keeps
+/// its state incremental and allocates nothing per node.
+///
+/// Branch rule: branch on the uncovered user with the fewest spare options,
+/// the first such user in index order on ties. For an uncovered user `i`
+/// with `have_i` of its reach entries chosen, `options = |reach_i| − have_i`
+/// and `missing = slots(i) − have_i`, so the key `options − missing` is
+/// `|reach_i| − slots(i)`: constant for the whole solve. The branch user is
+/// therefore the first uncovered user in one order sorted by
+/// `(|reach_i| − slots(i), i)`, computed once. `options < missing` would
+/// need `|reach_i| < slots(i)`, impossible for a non-empty row, and an empty
+/// row never reaches the search (`solve`'s overloaded-instance return comes
+/// first), so no node is ever cut as infeasible.
 struct Search<'a> {
     input: &'a SolverInput,
-    k: usize,
+    /// Users in branch order, ascending `(|reach_i| − slots(i), i)`.
+    order: Vec<usize>,
+    /// `slots(i)` per user.
+    slots: Vec<usize>,
+    /// Users reaching gateway `g`: `users[user_start[g]..user_start[g + 1]]`,
+    /// one entry per reach entry, so a gateway repeated in a row counts
+    /// once per repetition.
+    user_start: Vec<usize>,
+    users: Vec<usize>,
+    /// Chosen gateways, as a mask and in choice order.
+    mask: Vec<bool>,
     chosen: Vec<usize>,
+    /// Chosen reach entries per user.
+    have: Vec<usize>,
+    ffd: Ffd,
+    k: usize,
     nodes: u64,
     budget: u64,
     found: Option<Vec<usize>>,
 }
 
-impl Search<'_> {
-    fn dfs(&mut self) {
+impl<'a> Search<'a> {
+    fn new(input: &'a SolverInput) -> Self {
+        let n_users = input.demands.len();
+        let n_gw = input.n_gateways;
+        let slots: Vec<usize> = (0..n_users).map(|i| input.slots(i)).collect();
+        let mut order: Vec<usize> = (0..n_users).collect();
+        order.sort_unstable_by_key(|&i| (input.reach[i].len() - slots[i], i));
+        let mut user_start = vec![0usize; n_gw + 1];
+        for row in &input.reach {
+            for &(g, _) in row {
+                user_start[g + 1] += 1;
+            }
+        }
+        for g in 0..n_gw {
+            user_start[g + 1] += user_start[g];
+        }
+        let mut next = user_start.clone();
+        let mut users = vec![0usize; user_start[n_gw]];
+        for (i, row) in input.reach.iter().enumerate() {
+            for &(g, _) in row {
+                users[next[g]] = i;
+                next[g] += 1;
+            }
+        }
+        Search {
+            input,
+            order,
+            slots,
+            user_start,
+            users,
+            mask: vec![false; n_gw],
+            chosen: Vec::with_capacity(n_gw),
+            have: vec![0; n_users],
+            ffd: Ffd::new(input),
+            k: 0,
+            nodes: 0,
+            budget: 0,
+            found: None,
+        }
+    }
+
+    /// Searches for a cover of at most `k` gateways within `budget` nodes.
+    /// Every choice is undone on the way back, so the next call starts
+    /// from the empty cover again.
+    fn run(&mut self, k: usize, budget: u64) {
+        self.k = k;
+        self.nodes = 0;
+        self.budget = budget;
+        self.found = None;
+        self.dfs(0);
+    }
+
+    fn set(&mut self, g: usize, on: bool) {
+        self.mask[g] = on;
+        for &i in &self.users[self.user_start[g]..self.user_start[g + 1]] {
+            if on {
+                self.have[i] += 1;
+            } else {
+                self.have[i] -= 1;
+            }
+        }
+    }
+
+    /// One node. Users before `from` in branch order were covered at the
+    /// parent and stay covered here, so the scan resumes at `from`.
+    fn dfs(&mut self, from: usize) {
         if self.found.is_some() || self.nodes >= self.budget {
             return;
         }
         self.nodes += 1;
-        // Find the uncovered user with the fewest remaining options.
-        let mut chosen_mask = vec![false; self.input.n_gateways];
-        for &g in &self.chosen {
-            chosen_mask[g] = true;
-        }
-        let mut branch_user: Option<(usize, usize)> = None; // (user, missing)
-        for i in 0..self.input.demands.len() {
-            let have = self.input.reach[i].iter().filter(|&&(g, _)| chosen_mask[g]).count();
-            let need = self.input.slots(i);
-            if have < need {
-                let options = self.input.reach[i].iter().filter(|&&(g, _)| !chosen_mask[g]).count();
-                let missing = need - have;
-                if options < missing {
-                    return; // infeasible branch
-                }
-                let key = options - missing;
-                match branch_user {
-                    Some((_, best)) if best <= key => {}
-                    _ => branch_user = Some((i, key)),
-                }
-            }
-        }
-        let Some((user, _)) = branch_user else {
+        let uncovered = (from..self.order.len()).find(|&p| {
+            let i = self.order[p];
+            self.have[i] < self.slots[i]
+        });
+        let Some(pos) = uncovered else {
             // Full cover: capacity check decides.
-            if capacity_feasible(self.input, &self.chosen) {
+            if self.ffd.fits(self.input, &self.mask) {
                 self.found = Some(self.chosen.clone());
             }
             return;
@@ -305,17 +401,19 @@ impl Search<'_> {
         if self.chosen.len() >= self.k {
             return; // no budget to open another gateway
         }
-        // Branch on each of the user's unchosen options (deterministic
-        // order: by gateway index).
-        let options: Vec<usize> = self.input.reach[user]
-            .iter()
-            .filter(|&&(g, _)| !chosen_mask[g])
-            .map(|&(g, _)| g)
-            .collect();
-        for g in options {
+        // Branch on each of the user's unchosen options, in reach order.
+        // After each undo the mask is back to this node's, so a gateway
+        // repeated in the row is branched on once per repetition.
+        let input = self.input;
+        for &(g, _) in &input.reach[self.order[pos]] {
+            if self.mask[g] {
+                continue;
+            }
+            self.set(g, true);
             self.chosen.push(g);
-            self.dfs();
+            self.dfs(pos);
             self.chosen.pop();
+            self.set(g, false);
             if self.found.is_some() || self.nodes >= self.budget {
                 return;
             }
@@ -326,6 +424,242 @@ impl Search<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The search this module replaced, kept verbatim as the equivalence
+    /// oracle: a fresh mask and a rescan of every reach row per node, and a
+    /// freshly allocated first-fit-decreasing check per complete cover.
+    mod reference {
+        use super::super::{SolverInput, SolverOutput};
+
+        /// Solves the instance. An empty user set yields an empty online set.
+        pub fn solve(input: &SolverInput) -> SolverOutput {
+            let n_users = input.demands.len();
+            if n_users == 0 {
+                return SolverOutput { online: Vec::new(), proven_optimal: true, nodes: 0 };
+            }
+
+            // Greedy incumbent. If even capacity repair could not make it feasible
+            // the instance is overloaded (more demand than q·c can hold anywhere):
+            // every gateway goes online, flagged as a best-effort answer.
+            let mut incumbent = greedy_cover(input);
+            if !capacity_feasible(input, &incumbent) {
+                return SolverOutput {
+                    online: (0..input.n_gateways).collect(),
+                    proven_optimal: false,
+                    nodes: 0,
+                };
+            }
+            let mut proven = false;
+            let mut nodes = 0u64;
+
+            // Lower bound: capacity (every user places its demand on `slots`
+            // gateways) and the trivial cover bound.
+            let total_load: f64 =
+                (0..n_users).map(|i| input.demands[i] * input.slots(i) as f64).sum();
+            let max_cap = input.capacity.iter().cloned().fold(0.0f64, f64::max);
+            let cap_lb = if max_cap > 0.0 { (total_load / max_cap).ceil() as usize } else { 1 };
+            let min_slots = (0..n_users).map(|i| input.slots(i)).max().unwrap_or(1);
+            let lb = cap_lb.max(min_slots).max(1);
+
+            // Iterative deepening on the number of online gateways.
+            let upper = incumbent.len();
+            let mut budget = input.node_budget;
+            for k in lb..upper {
+                let mut search =
+                    Search { input, k, chosen: Vec::new(), nodes: 0, budget, found: None };
+                search.dfs();
+                nodes += search.nodes;
+                budget = budget.saturating_sub(search.nodes);
+                if let Some(best) = search.found {
+                    incumbent = best;
+                    proven = true;
+                    break;
+                }
+                if budget == 0 {
+                    // Ran out of nodes: keep the greedy incumbent, unproven.
+                    proven = false;
+                    break;
+                }
+                // k exhausted without a solution: k is a valid lower bound, continue.
+                proven = true; // provisionally; final k == upper-1 failing proves greedy optimal
+            }
+            if upper <= lb {
+                proven = true; // greedy already matches the lower bound
+            }
+
+            incumbent.sort_unstable();
+            SolverOutput { online: incumbent, proven_optimal: proven, nodes }
+        }
+
+        /// Greedy multicover: repeatedly add the gateway covering the most unmet
+        /// user-slots, then verify/repair capacity with first-fit-decreasing.
+        fn greedy_cover(input: &SolverInput) -> Vec<usize> {
+            let n_users = input.demands.len();
+            let mut unmet: Vec<usize> = (0..n_users).map(|i| input.slots(i)).collect();
+            let mut chosen: Vec<usize> = Vec::new();
+            let mut chosen_mask = vec![false; input.n_gateways];
+
+            while unmet.iter().any(|&u| u > 0) {
+                // Count how many users with unmet slots each unchosen gateway
+                // reaches (a gateway can serve at most one slot per user).
+                let mut gain = vec![0usize; input.n_gateways];
+                for i in 0..n_users {
+                    if unmet[i] == 0 {
+                        continue;
+                    }
+                    // Slots must go to distinct gateways; a chosen gateway already
+                    // serves this user iff it is in reach — approximated by gain
+                    // counting only unchosen gateways.
+                    for &(g, _) in &input.reach[i] {
+                        if !chosen_mask[g] {
+                            gain[g] += 1;
+                        }
+                    }
+                }
+                let best = (0..input.n_gateways)
+                    .filter(|&g| !chosen_mask[g])
+                    .max_by_key(|&g| gain[g])
+                    .expect("some gateway must remain");
+                if gain[best] == 0 {
+                    // Remaining unmet slots are unsatisfiable (more slots than
+                    // reachable gateways); cap them.
+                    break;
+                }
+                chosen_mask[best] = true;
+                chosen.push(best);
+                for i in 0..n_users {
+                    if unmet[i] > 0 && input.reach[i].iter().any(|&(g, _)| g == best) {
+                        unmet[i] -= 1;
+                    }
+                }
+            }
+            // Capacity repair: add gateways while the FFD check fails.
+            let mut order: Vec<usize> =
+                (0..input.n_gateways).filter(|&g| !chosen_mask[g]).collect();
+            order.sort_by(|&a, &b| {
+                input.capacity[b].partial_cmp(&input.capacity[a]).expect("finite capacity")
+            });
+            let mut extra = order.into_iter();
+            while !capacity_feasible(input, &chosen) {
+                match extra.next() {
+                    Some(g) => chosen.push(g),
+                    None => break,
+                }
+            }
+            chosen
+        }
+
+        /// First-fit-decreasing feasibility: users in decreasing demand, each takes
+        /// its `slots` least-loaded reachable online gateways.
+        pub fn capacity_feasible(input: &SolverInput, online: &[usize]) -> bool {
+            let mut online_mask = vec![false; input.n_gateways];
+            for &g in online {
+                online_mask[g] = true;
+            }
+            let n_users = input.demands.len();
+            // Coverage first.
+            for i in 0..n_users {
+                let avail = input.reach[i].iter().filter(|&&(g, _)| online_mask[g]).count();
+                if avail < input.slots(i) {
+                    return false;
+                }
+            }
+            let mut load = vec![0.0f64; input.n_gateways];
+            let mut order: Vec<usize> = (0..n_users).collect();
+            order
+                .sort_by(|&a, &b| input.demands[b].partial_cmp(&input.demands[a]).expect("finite"));
+            for i in order {
+                let d = input.demands[i];
+                let mut options: Vec<usize> = input.reach[i]
+                    .iter()
+                    .filter(|&&(g, _)| online_mask[g])
+                    .map(|&(g, _)| g)
+                    .collect();
+                options.sort_by(|&a, &b| load[a].partial_cmp(&load[b]).expect("finite load"));
+                let slots = input.slots(i);
+                let mut placed = 0;
+                for &g in &options {
+                    if placed == slots {
+                        break;
+                    }
+                    if load[g] + d <= input.capacity[g] + 1e-9 {
+                        load[g] += d;
+                        placed += 1;
+                    }
+                }
+                if placed < slots {
+                    return false;
+                }
+            }
+            true
+        }
+
+        struct Search<'a> {
+            input: &'a SolverInput,
+            k: usize,
+            chosen: Vec<usize>,
+            nodes: u64,
+            budget: u64,
+            found: Option<Vec<usize>>,
+        }
+
+        impl Search<'_> {
+            fn dfs(&mut self) {
+                if self.found.is_some() || self.nodes >= self.budget {
+                    return;
+                }
+                self.nodes += 1;
+                // Find the uncovered user with the fewest remaining options.
+                let mut chosen_mask = vec![false; self.input.n_gateways];
+                for &g in &self.chosen {
+                    chosen_mask[g] = true;
+                }
+                let mut branch_user: Option<(usize, usize)> = None; // (user, missing)
+                for i in 0..self.input.demands.len() {
+                    let have = self.input.reach[i].iter().filter(|&&(g, _)| chosen_mask[g]).count();
+                    let need = self.input.slots(i);
+                    if have < need {
+                        let options =
+                            self.input.reach[i].iter().filter(|&&(g, _)| !chosen_mask[g]).count();
+                        let missing = need - have;
+                        if options < missing {
+                            return; // infeasible branch
+                        }
+                        let key = options - missing;
+                        match branch_user {
+                            Some((_, best)) if best <= key => {}
+                            _ => branch_user = Some((i, key)),
+                        }
+                    }
+                }
+                let Some((user, _)) = branch_user else {
+                    // Full cover: capacity check decides.
+                    if capacity_feasible(self.input, &self.chosen) {
+                        self.found = Some(self.chosen.clone());
+                    }
+                    return;
+                };
+                if self.chosen.len() >= self.k {
+                    return; // no budget to open another gateway
+                }
+                // Branch on each of the user's unchosen options (deterministic
+                // order: by gateway index).
+                let options: Vec<usize> = self.input.reach[user]
+                    .iter()
+                    .filter(|&&(g, _)| !chosen_mask[g])
+                    .map(|&(g, _)| g)
+                    .collect();
+                for g in options {
+                    self.chosen.push(g);
+                    self.dfs();
+                    self.chosen.pop();
+                    if self.found.is_some() || self.nodes >= self.budget {
+                        return;
+                    }
+                }
+            }
+        }
+    }
 
     /// Exhaustive minimum for tiny instances (ground truth).
     fn brute_force(input: &SolverInput) -> usize {
@@ -491,5 +825,73 @@ mod tests {
         assert!(SolverInput::new(vec![1.0], vec![], 2, vec![1.0; 2], 0).is_err());
         assert!(SolverInput::new(vec![1.0], vec![vec![]], 2, vec![1.0; 2], 0).is_err());
         assert!(SolverInput::new(vec![1.0], vec![vec![(0, 1.0)]], 2, vec![1.0], 0).is_err());
+    }
+
+    /// A random instance: each user reaches a home gateway plus each other
+    /// gateway with probability `p`, capacities differ per gateway. With
+    /// `repeat`, rows bypass [`SolverInput::new`]: they stay unsorted and
+    /// about half of those with more than `backup` distinct gateways
+    /// repeat one. (A row with fewer distinct gateways than slots makes
+    /// greedy run out of gateways on small instances, in both searches.)
+    fn random_instance(
+        seed: u64,
+        n_gw: usize,
+        n_users: usize,
+        backup: usize,
+        repeat: bool,
+    ) -> SolverInput {
+        use insomnia_simcore::SimRng;
+        let mut rng = SimRng::new(seed);
+        let p = rng.range_f64(0.1, 0.6);
+        let capacity: Vec<f64> = (0..n_gw).map(|_| rng.range_f64(2.0e6, 6.0e6)).collect();
+        let mut reach = Vec::new();
+        let mut demands = Vec::new();
+        for _ in 0..n_users {
+            let home = rng.below_usize(n_gw);
+            let mut gs = vec![home];
+            for g in 0..n_gw {
+                if g != home && rng.chance(p) {
+                    gs.push(g);
+                }
+            }
+            if repeat && gs.len() > backup && rng.chance(0.5) {
+                let g = gs[rng.below_usize(gs.len())];
+                let at = rng.below_usize(gs.len() + 1);
+                gs.insert(at, g);
+            }
+            reach.push(gs.into_iter().map(|g| (g, 12.0e6)).collect());
+            demands.push(rng.range_f64(0.05e6, 0.6e6));
+        }
+        if repeat {
+            SolverInput { demands, reach, n_gateways: n_gw, capacity, backup, node_budget: 0 }
+        } else {
+            SolverInput::new(demands, reach, n_gw, capacity, backup).unwrap()
+        }
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The incremental search visits the reference's nodes: the same
+        /// cover, node count and proof flag, also when the budget runs out
+        /// mid-search and when a row repeats a gateway.
+        #[test]
+        fn search_matches_the_reference(
+            seed in any::<u64>(),
+            n_gw in 3usize..15,
+            n_users in 1usize..41,
+            backup in 0usize..3,
+            budget in 0usize..4,
+            repeat in any::<bool>(),
+        ) {
+            let mut input = random_instance(seed, n_gw, n_users, backup, repeat);
+            input.node_budget = [1, 7, 50, 200_000][budget];
+            let (got, want) = (solve(&input), reference::solve(&input));
+            prop_assert_eq!(&got.online, &want.online, "seed {}", seed);
+            prop_assert_eq!(got.nodes, want.nodes, "seed {}", seed);
+            prop_assert_eq!(got.proven_optimal, want.proven_optimal, "seed {}", seed);
+        }
     }
 }
