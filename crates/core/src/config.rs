@@ -310,10 +310,11 @@ impl ScenarioConfig {
                 self.k_switch, self.dslam.n_cards
             )));
         }
-        if max_shard_aps > self.dslam.n_cards * self.dslam.ports_per_card {
+        // Saturating: a port count past `usize::MAX` holds any shard.
+        let ports = self.dslam.n_cards.saturating_mul(self.dslam.ports_per_card);
+        if max_shard_aps > ports {
             return Err(SimError::InvalidConfig(format!(
-                "a shard of {max_shard_aps} gateways exceeds the {} DSLAM ports ({} cards x {})",
-                self.dslam.n_cards * self.dslam.ports_per_card,
+                "a shard of {max_shard_aps} gateways exceeds the {ports} DSLAM ports ({} cards x {})",
                 self.dslam.n_cards,
                 self.dslam.ports_per_card
             )));

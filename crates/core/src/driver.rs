@@ -11,6 +11,12 @@
 //! The batch runner (`insomnia-scenarios`) is the one scheduler of those
 //! tasks, for the CLI and the figure harness alike.
 //!
+//! A [`ShardedWorld`] is the one handle on a world: its config, master
+//! seed, shard plan (computed once) and, when shared, one prototype slot
+//! per shard. A task reads its config and seed from the world and claims
+//! its shard's prototype there, so every consumer of a prototype runs the
+//! same config by construction.
+//!
 //! Event zoo: flow arrivals from the trace; flow departures from the
 //! processor-sharing engine; gateway wake completions; SoI idle checks;
 //! multi-doze descent ticks; BH2 per-terminal decision epochs; the Optimal
@@ -32,7 +38,9 @@ use insomnia_simcore::{
 };
 use insomnia_telemetry::RunCounters;
 use insomnia_traffic::{FlowRecord, FlowStream, Trace};
-use insomnia_wireless::{binomial_topology, overlap_topology, shard_spans, LoadWindow, Topology};
+use insomnia_wireless::{
+    binomial_topology, overlap_topology, shard_spans, LoadWindow, ShardSpan, Topology,
+};
 use serde::{Deserialize, Serialize};
 use std::sync::{Arc, Mutex, OnceLock};
 
@@ -258,7 +266,7 @@ struct World<'a> {
     /// online, indexed by tick number (empty for every other scheme). The
     /// solves run *before* the event loop on a thread fan-out — see
     /// [`precompute_optimal_plan`] — or once per shard for every Optimal
-    /// consumer of a [`WorldProtoCache`].
+    /// consumer of a shared [`ShardedWorld`].
     optimal_plan: OptimalPlan,
     /// Index of the next [`Ev::OptimalTick`] into `optimal_plan`.
     optimal_tick_idx: usize,
@@ -1245,33 +1253,70 @@ fn build_topology(
     .expect("valid scenario topology")
 }
 
-/// One scenario's worlds: `cfg.shards` independent DSLAM neighborhoods,
+/// One scenario's world: `cfg.shards` independent DSLAM neighborhoods,
 /// each a `(Trace, Topology)` pair with local client/gateway indices.
 ///
-/// Only `(config, seed)` is stored: each `(repetition × shard)` task builds
-/// its shard *inside the worker* — streaming the trace, never materializing
-/// flows — and drops it on completion, so peak RSS is O(worker threads ×
-/// shard), not O(world). Shard builds are index-addressed pure functions of
-/// `(config, seed, shard)` ([`build_world_shard_streaming`]).
-#[derive(Debug, Clone)]
+/// Per shard only its span (planned once, here) and, on a
+/// [`shared`](Self::shared) world, its prototype slot are stored: each
+/// `(repetition × shard)` task builds its shard *inside the worker* —
+/// streaming the trace, never materializing flows — and drops it on
+/// completion, so peak RSS is O(worker threads × shard), not O(world).
+/// Shard builds are index-addressed pure functions of `(config, seed,
+/// shard)` ([`build_world_shard_streaming`]).
+///
+/// A shared world's slot hands out one refcounted prototype per shard and
+/// counts down its consumers (the repetitions of one run, or every scheme
+/// × repetition of a batch world), dropping its own reference at the last
+/// [`claim`](Self::claim) or [`skip`](Self::skip). Under the batch
+/// runner's shard-major schedule a shard's consumers run consecutively, so
+/// at most O(worker threads) prototypes are ever live.
 pub struct ShardedWorld {
-    cfg: Box<ScenarioConfig>,
+    cfg: ScenarioConfig,
     seed: u64,
+    /// Each shard's slice of the population, from [`shard_spans`].
+    spans: Vec<ShardSpan>,
+    /// One prototype slot per shard on a shared world; empty otherwise.
+    slots: Vec<Mutex<ProtoSlot>>,
 }
 
 impl ShardedWorld {
-    /// A deferred world: shard `s` is built on demand (and dropped after
+    /// An unshared world: shard `s` is built on demand (and dropped after
     /// use) by whichever worker runs it, via the streaming generator. The
     /// config must validate; population counts are answered from it
     /// without building anything.
     pub fn lazy(cfg: &ScenarioConfig, seed: u64) -> Self {
+        Self::shared(cfg, seed, 1)
+    }
+
+    /// A world whose shards are each consumed exactly
+    /// `consumers_per_shard` times, sharing one prototype per shard; below
+    /// two consumers it is [`lazy`](Self::lazy).
+    pub fn shared(cfg: &ScenarioConfig, seed: u64, consumers_per_shard: usize) -> Self {
         cfg.validate().expect("validated config");
-        ShardedWorld { cfg: Box::new(cfg.clone()), seed }
+        let spans = shard_spans(cfg.trace.n_clients, cfg.trace.n_aps, cfg.shards)
+            .expect("validated shard split");
+        let slots = if consumers_per_shard < 2 {
+            Vec::new()
+        } else {
+            let slot = || Mutex::new(ProtoSlot { proto: None, remaining: consumers_per_shard });
+            (0..spans.len()).map(|_| slot()).collect()
+        };
+        ShardedWorld { cfg: cfg.clone(), seed, spans, slots }
+    }
+
+    /// The scenario config every task of this world runs.
+    pub fn cfg(&self) -> &ScenarioConfig {
+        &self.cfg
+    }
+
+    /// The world's master seed.
+    pub fn seed(&self) -> u64 {
+        self.seed
     }
 
     /// Number of shards.
     pub fn n_shards(&self) -> usize {
-        self.cfg.shards.max(1)
+        self.spans.len()
     }
 
     /// Total clients across shards.
@@ -1284,16 +1329,52 @@ impl ShardedWorld {
         self.cfg.trace.n_aps
     }
 
-    /// `(clients, gateways)` of shard `s`, without building anything.
-    fn shard_dims(&self, s: usize) -> (usize, usize) {
-        let cfg = &self.cfg;
-        if cfg.shards <= 1 {
-            (cfg.trace.n_clients, cfg.trace.n_aps)
-        } else {
-            let span = shard_spans(cfg.trace.n_clients, cfg.trace.n_aps, cfg.shards)
-                .expect("validated shard split")[s];
-            (span.n_clients, span.n_gateways)
+    /// Claims shard `shard`'s prototype for one task. Take it exactly once
+    /// per task — outside any retry loop — so the refcount stays exact:
+    /// the slot's own reference drops with the last claim, leaving the
+    /// in-flight claims as the only owners. An unshared world's claim holds
+    /// nothing, and its task builds its own shard.
+    pub fn claim(&self, shard: usize) -> ProtoClaim {
+        let proto = self.slots.get(shard).map(|slot| {
+            let mut slot = slot.lock().expect("proto slot lock");
+            let proto = slot.proto.get_or_insert_with(Default::default).clone();
+            slot.release();
+            proto
+        });
+        ProtoClaim { proto, built: false }
+    }
+
+    /// Releases one consumer's claim without touching the prototype — the
+    /// checkpoint-replay path, where a resumed task never simulates. Keeps
+    /// the refcount exact so a partially resumed run still frees each
+    /// shard's prototype at its true last consumer.
+    pub fn skip(&self, shard: usize) {
+        if let Some(slot) = self.slots.get(shard) {
+            slot.lock().expect("proto slot lock").release();
         }
+    }
+
+    /// Builds shard `shard` (see [`build_world_shard_streaming`]) plus the
+    /// wall-clock of its topology build, milliseconds.
+    fn build_shard(&self, shard: usize) -> (FlowStream, Topology, f64) {
+        let master = SimRng::new(self.seed);
+        let span = self.spans[shard];
+        let mut shard_trace = self.cfg.trace.clone();
+        shard_trace.n_clients = span.n_clients;
+        shard_trace.n_aps = span.n_gateways;
+        let (mut trace_rng, mut topo_rng) = if self.spans.len() == 1 {
+            (master.fork("trace"), master.fork("topology"))
+        } else {
+            (
+                master.fork_idx("shard-trace", shard as u64),
+                master.fork_idx("shard-topology", shard as u64),
+            )
+        };
+        let stream = FlowStream::new(&shard_trace, &mut trace_rng);
+        let topo_start = std::time::Instant::now();
+        let home: Vec<usize> = stream.home().iter().map(|ap| ap.index()).collect();
+        let topo = build_topology(&self.cfg, &home, shard_trace.n_aps, &mut topo_rng);
+        (stream, topo, topo_start.elapsed().as_secs_f64() * 1e3)
     }
 }
 
@@ -1315,44 +1396,15 @@ pub fn build_world_shard(cfg: &ScenarioConfig, seed: u64, shard: usize) -> (Trac
 /// `fork_idx("shard-topology", s)` over its span-sized population, so
 /// shards are decorrelated and each is independent of how many others
 /// exist or who builds them. Batch runners flatten (world × shard) tasks
-/// onto one pool through this entry point; `tests/streaming.rs` pins the
+/// onto one pool through the same recipe; `tests/streaming.rs` pins the
 /// collected trace to the eager generator's.
 pub fn build_world_shard_streaming(
     cfg: &ScenarioConfig,
     seed: u64,
     shard: usize,
 ) -> (FlowStream, Topology) {
-    let (stream, topo, _) = build_world_shard_timed(cfg, seed, shard);
+    let (stream, topo, _) = ShardedWorld::lazy(cfg, seed).build_shard(shard);
     (stream, topo)
-}
-
-/// [`build_world_shard_streaming`] plus the wall-clock of its topology
-/// build, milliseconds.
-fn build_world_shard_timed(
-    cfg: &ScenarioConfig,
-    seed: u64,
-    shard: usize,
-) -> (FlowStream, Topology, f64) {
-    let master = SimRng::new(seed);
-    let mut shard_trace = cfg.trace.clone();
-    let (mut trace_rng, mut topo_rng) = if cfg.shards <= 1 {
-        assert_eq!(shard, 0, "unsharded world has exactly one shard");
-        (master.fork("trace"), master.fork("topology"))
-    } else {
-        let span = shard_spans(cfg.trace.n_clients, cfg.trace.n_aps, cfg.shards)
-            .expect("validated shard split")[shard];
-        shard_trace.n_clients = span.n_clients;
-        shard_trace.n_aps = span.n_gateways;
-        (
-            master.fork_idx("shard-trace", shard as u64),
-            master.fork_idx("shard-topology", shard as u64),
-        )
-    };
-    let stream = FlowStream::new(&shard_trace, &mut trace_rng);
-    let topo_start = std::time::Instant::now();
-    let home: Vec<usize> = stream.home().iter().map(|ap| ap.index()).collect();
-    let topo = build_topology(cfg, &home, shard_trace.n_aps, &mut topo_rng);
-    (stream, topo, topo_start.elapsed().as_secs_f64() * 1e3)
 }
 
 /// The one live repetition accumulator of the shard fold: shard runs of
@@ -1461,75 +1513,18 @@ struct ShardCells {
     world: OnceLock<(FlowStream, Topology)>,
     /// Optimal's plan over `world`, solved by the shard's first Optimal
     /// consumer. The plan is a pure function of the config, the topology
-    /// and the arrival stream — never of the RNG — so it is keyed by the
-    /// shard alone under the cache's one-config invariant (see
-    /// [`WorldProtoCache`]).
+    /// and the arrival stream — never of the RNG — so the world's one
+    /// config keys it by the shard alone.
     optimal_plan: OnceLock<OptimalPlan>,
 }
 
 /// A shard's cells, refcounted across its consumers.
 type ShardProto = Arc<ShardCells>;
 
-/// A refcounted per-shard prototype cache for worlds whose shards are
-/// consumed more than once — by several repetitions of one scheme run, or,
-/// under the batch runner's shard-major schedule, by every scheme ×
-/// repetition touching one (scenario, seed) world.
-///
-/// Each shard slot hands out one shared `ShardProto` and counts down its
-/// configured consumers; the slot drops its own reference at the last
-/// [`claim`](Self::claim) (or [`skip`](Self::skip)), so a prototype's
-/// O(clients) state lives exactly from first claim to last consumer's
-/// drop. With shard-major scheduling a shard's consumers run consecutively,
-/// so at most O(worker threads) prototypes are ever live — the same
-/// peak-RSS model as the build-and-drop path, minus the redundant setup
-/// passes.
-///
-/// Keying invariant: all consumers of one cache share one
-/// [`ScenarioConfig`] — one cache per (scenario, seed) world in a batch.
-/// A shard's cells are keyed by the shard index alone, and Optimal's plan
-/// depends on the config too.
-pub struct WorldProtoCache {
-    slots: Vec<Mutex<ProtoSlot>>,
-}
-
+/// One shard's prototype slot on a shared [`ShardedWorld`].
 struct ProtoSlot {
     proto: Option<ShardProto>,
     remaining: usize,
-}
-
-impl WorldProtoCache {
-    /// A cache for `world`'s shards, each consumed exactly
-    /// `consumers_per_shard` times. `None` unless sharing can help (at
-    /// least two consumers per shard).
-    pub fn new(world: &ShardedWorld, consumers_per_shard: usize) -> Option<WorldProtoCache> {
-        if consumers_per_shard < 2 {
-            return None;
-        }
-        Some(WorldProtoCache {
-            slots: (0..world.n_shards())
-                .map(|_| Mutex::new(ProtoSlot { proto: None, remaining: consumers_per_shard }))
-                .collect(),
-        })
-    }
-
-    /// Claims shard `shard`'s prototype for one task. Take it exactly once
-    /// per task — outside any retry loop — so the refcount stays exact:
-    /// the slot's own reference drops with the last claim, leaving the
-    /// in-flight claims as the only owners.
-    pub fn claim(&self, shard: usize) -> ProtoClaim {
-        let mut slot = self.slots[shard].lock().expect("proto slot lock");
-        let proto = slot.proto.get_or_insert_with(Default::default).clone();
-        slot.release();
-        ProtoClaim { proto, built: false }
-    }
-
-    /// Releases one consumer's claim without touching the prototype — the
-    /// checkpoint-replay path, where a resumed task never simulates. Keeps
-    /// the refcount exact so a partially resumed run still frees each
-    /// shard's prototype at its true last consumer.
-    pub fn skip(&self, shard: usize) {
-        self.slots[shard].lock().expect("proto slot lock").release();
-    }
 }
 
 impl ProtoSlot {
@@ -1542,22 +1537,26 @@ impl ProtoSlot {
     }
 }
 
-/// One task's claim on its shard's [`WorldProtoCache`] slot. It records
-/// whether any attempt holding it built the prototype — sticky across
-/// retries, since a builder attempt that panics after the build never
-/// returns — and writes the task's one build-or-hit attribution.
+/// One task's claim on its shard's prototype ([`ShardedWorld::claim`]). It
+/// records whether any attempt holding it built the prototype — sticky
+/// across retries, since a builder attempt that panics after the build
+/// never returns — and writes the task's one build-or-hit attribution. On
+/// an unshared world it holds nothing.
 pub struct ProtoClaim {
-    proto: ShardProto,
+    proto: Option<ShardProto>,
     built: bool,
 }
 
 impl ProtoClaim {
     /// Adds the task's prototype use to `counters`: a build if any of its
-    /// attempts built the prototype, else a hit. Per-task attribution is
-    /// scheduling-dependent (whoever reaches the cell first builds), but
-    /// the totals are exact: one build per shard, every other consumer a
-    /// hit.
+    /// attempts built the prototype, else a hit; nothing on an unshared
+    /// world. Per-task attribution is scheduling-dependent (whoever
+    /// reaches the cell first builds), but the totals are exact: one build
+    /// per shard, every other consumer a hit.
     pub fn attribute(&self, counters: &mut RunCounters) {
+        if self.proto.is_none() {
+            return;
+        }
         if self.built {
             counters.proto_cache_builds += 1;
         } else {
@@ -1581,9 +1580,9 @@ pub struct SchemeFolder {
     reps: usize,
     online_cutoff: usize,
     sample_period_s: f64,
-    n_shards: usize,
     n_gateways: usize,
-    shard_dims: Vec<(usize, usize)>,
+    /// The world's shard plan, copied so absorbs stay O(1).
+    spans: Vec<ShardSpan>,
     shard_acc: Vec<ShardAccum>,
     rep_acc: Option<RepAccum>,
     /// The finished repetitions' series, summed in repetition order;
@@ -1600,18 +1599,14 @@ pub struct SchemeFolder {
 impl SchemeFolder {
     /// A folder for one scheme run over `world`.
     pub fn new(cfg: &ScenarioConfig, spec: SchemeSpec, world: &ShardedWorld) -> SchemeFolder {
-        let n_shards = world.n_shards();
         SchemeFolder {
             spec,
             reps: cfg.repetitions,
             online_cutoff: cfg.online_cutoff,
             sample_period_s: cfg.sample_period.as_secs_f64(),
-            n_shards,
             n_gateways: world.n_gateways(),
-            // Shard dimensions up front: the world answers them from the
-            // span plan, and resolving each once keeps absorbs O(1).
-            shard_dims: (0..n_shards).map(|sh| world.shard_dims(sh)).collect(),
-            shard_acc: vec![ShardAccum::default(); n_shards],
+            spans: world.spans.clone(),
+            shard_acc: vec![ShardAccum::default(); world.n_shards()],
             rep_acc: None,
             series: None,
             energy: EnergyBreakdown::default(),
@@ -1625,14 +1620,15 @@ impl SchemeFolder {
 
     /// Total `(repetition × shard)` tasks this folder expects.
     pub fn n_tasks(&self) -> usize {
-        self.reps * self.n_shards
+        self.reps * self.spans.len()
     }
 
     /// Absorbs task `index`'s result. Must be called exactly once per task,
     /// strictly in increasing `index` order.
     pub fn absorb(&mut self, index: usize, run: RunResult) {
         let fold_start = std::time::Instant::now();
-        let (rep, sh) = (index / self.n_shards, index % self.n_shards);
+        let n_shards = self.spans.len();
+        let (rep, sh) = (index / n_shards, index % n_shards);
 
         // Counters merge order-invariantly (sums and maxes), so the total
         // is byte-identical at any thread count even though the fold
@@ -1642,7 +1638,7 @@ impl SchemeFolder {
 
         // Per-shard scalar summaries, accumulated in repetition order.
         let sa = &mut self.shard_acc[sh];
-        let shard_gateways = self.shard_dims[sh].1;
+        let shard_gateways = self.spans[sh].n_gateways;
         if rep == 0 {
             // Every repetition drives the same shard trace; read the flow
             // count from the run so the world never has to materialize (or
@@ -1662,7 +1658,7 @@ impl SchemeFolder {
         } else {
             self.rep_acc = Some(RepAccum::start(run, self.online_cutoff));
         }
-        if sh == self.n_shards - 1 {
+        if sh == n_shards - 1 {
             let acc = self.rep_acc.take().expect("repetition in progress");
             match &mut self.series {
                 Some(sums) => sums.add(&acc.series),
@@ -1679,21 +1675,14 @@ impl SchemeFolder {
     /// Finalizes the averaged [`SchemeResult`] after the last absorb.
     pub fn finish(self) -> SchemeResult {
         let k = self.reps as f64;
-        let shard_dims = self.shard_dims;
-        let shard_summaries: Vec<ShardSummary> = self
-            .shard_acc
-            .into_iter()
-            .enumerate()
-            .map(|(sh, sa)| {
-                let (shard_clients, shard_gateways) = shard_dims[sh];
-                ShardSummary {
-                    n_clients: shard_clients,
-                    n_gateways: shard_gateways,
-                    n_flows: sa.n_flows,
-                    energy_j: sa.energy_j / k,
-                    mean_gateways: sa.mean_gateways / k,
-                    mean_wake_count: sa.mean_wake_count / k,
-                }
+        let shard_summaries: Vec<ShardSummary> = (self.shard_acc.into_iter().zip(self.spans))
+            .map(|(sa, span)| ShardSummary {
+                n_clients: span.n_clients,
+                n_gateways: span.n_gateways,
+                n_flows: sa.n_flows,
+                energy_j: sa.energy_j / k,
+                mean_gateways: sa.mean_gateways / k,
+                mean_wake_count: sa.mean_wake_count / k,
             })
             .collect();
 
@@ -1739,8 +1728,9 @@ pub struct TaskSetup {
 }
 
 /// Runs one attempt of `(repetition × shard)` task `i` of the scheme run
-/// `(cfg, spec, world, seed)`, where `i = rep * n_shards + shard`. Returns
-/// the task's result and its world-build wall-clock ([`TaskSetup`]).
+/// `(spec, world)`, where `i = rep * n_shards + shard`, under the world's
+/// config and seed. Returns the task's result and its world-build
+/// wall-clock ([`TaskSetup`]).
 ///
 /// Repetition `r` of shard `s` draws from `SimRng::new(seed).fork_idx("rep",
 /// r).fork_idx("shard", s)` (the `"shard"` fork skipped for one-shard
@@ -1750,31 +1740,30 @@ pub struct TaskSetup {
 /// [`SchemeFolder`] strictly in `i` order are the same whatever ran them.
 ///
 /// The shard is built here, in the worker, streaming, and dropped on
-/// return. With a `claim` on the world's [`WorldProtoCache`] (every
-/// consumer of a shard drives the identical trace: the world-build RNG
-/// forks depend only on `(seed, shard)`), the first consumer to reach the
-/// cell builds the stream once — replay cache enabled, its recording
-/// published up front by draining a throwaway clone — and every other
-/// consumer clones the prototype and replays the recording instead of
-/// re-running the setup pass. The up-front drain keeps each consumer's own
-/// stream work counters deterministic: no consumer ever races the
-/// recording's publication. The shard's first Optimal consumer likewise
-/// solves Optimal's plan once for every later one (later repetitions and
-/// retried attempts). Cacheless tasks (the giga/tera smokes' single-consumer
-/// worlds) keep the build-and-drop path and solve their own plan.
+/// return. On a shared world (every consumer of a shard drives the
+/// identical trace: the world-build RNG forks depend only on `(seed,
+/// shard)`), the first consumer to reach the `claim`'s cell builds the
+/// stream once — replay cache enabled, its recording published up front
+/// by draining a throwaway clone — and every other consumer clones the
+/// prototype and replays the recording instead of re-running the setup
+/// pass. The up-front drain keeps each consumer's own stream work counters
+/// deterministic: no consumer ever races the recording's publication. The
+/// shard's first Optimal consumer likewise solves Optimal's plan once for
+/// every later one (later repetitions and retried attempts). An unshared
+/// world's tasks (the giga/tera smokes' single-consumer worlds) keep the
+/// build-and-drop path and solve their own plan.
 pub fn run_scheme_task(
-    cfg: &ScenarioConfig,
     spec: SchemeSpec,
     world: &ShardedWorld,
-    seed: u64,
     i: usize,
-    claim: Option<&mut ProtoClaim>,
+    claim: &mut ProtoClaim,
 ) -> (RunResult, TaskSetup) {
+    let cfg = world.cfg();
     let n_shards = world.n_shards();
     let (rep, sh) = (i / n_shards, i % n_shards);
     // Forks are id-based and non-mutating, so re-deriving the master per
     // task reproduces a whole-run pool's streams exactly.
-    let rep_rng = SimRng::new(seed).fork_idx("rep", rep as u64);
+    let rep_rng = SimRng::new(world.seed).fork_idx("rep", rep as u64);
     let rng = if n_shards == 1 { rep_rng } else { rep_rng.fork_idx("shard", sh as u64) };
     // Tasks already saturate the worker pool, so the per-run Optimal
     // pre-solve fan-out is pinned to one thread here: parallelism lives at
@@ -1784,14 +1773,14 @@ pub fn run_scheme_task(
         run_single(cfg, spec, arrivals, topo, rng, plan, 1)
     };
     let setup_start = std::time::Instant::now();
-    let Some(claim) = claim else {
-        let (stream, topo, topology_ms) = build_world_shard_timed(&world.cfg, world.seed, sh);
+    let Some(proto) = &claim.proto else {
+        let (stream, topo, topology_ms) = world.build_shard(sh);
         let setup = TaskSetup { setup_ms: setup_start.elapsed().as_secs_f64() * 1e3, topology_ms };
         return (single(ArrivalSource::Stream(Box::new(stream)), &topo, None), setup);
     };
     let mut built_topology_ms = None;
-    let (stream_proto, topo) = claim.proto.world.get_or_init(|| {
-        let (mut s, t, topology_ms) = build_world_shard_timed(&world.cfg, world.seed, sh);
+    let (stream_proto, topo) = proto.world.get_or_init(|| {
+        let (mut s, t, topology_ms) = world.build_shard(sh);
         built_topology_ms = Some(topology_ms);
         if s.enable_replay_cache() {
             // Publish the recording before any consumer runs: drain a
@@ -1820,7 +1809,7 @@ pub fn run_scheme_task(
     let mut arrivals = ArrivalSource::Stream(Box::new(stream_proto.clone()));
     let plan = (spec.aggregation == Aggregation::Optimal).then(|| {
         let solve = || Arc::new(precompute_optimal_plan(cfg, topo, &mut arrivals, 1));
-        Arc::clone(claim.proto.optimal_plan.get_or_init(solve))
+        Arc::clone(proto.optimal_plan.get_or_init(solve))
     });
     (single(arrivals, topo, plan), setup)
 }
@@ -1860,20 +1849,34 @@ mod tests {
         run_single_source_threads(cfg, spec, ArrivalSource::Slice(&trace.flows), topo, rng, 1)
     }
 
-    /// A whole `spec` run over the lazy world `(cfg, seed)`, as the batch
-    /// runner runs one job: tasks claimed on one prototype cache, folded in
-    /// task order.
-    fn run_lazy(cfg: &ScenarioConfig, spec: SchemeSpec, seed: u64) -> SchemeResult {
-        let world = &ShardedWorld::lazy(cfg, seed);
-        let cache = WorldProtoCache::new(world, cfg.repetitions);
-        let mut folder = SchemeFolder::new(cfg, spec, world);
+    /// A whole `spec` run over the world `(cfg, seed)`, as the batch runner
+    /// runs one job: each task claims its shard of a world shared by the
+    /// run's repetitions, and results fold in task order.
+    fn run_shared(cfg: &ScenarioConfig, spec: SchemeSpec, seed: u64) -> SchemeResult {
+        let world = &ShardedWorld::shared(cfg, seed, cfg.repetitions);
+        fold_tasks(spec, world, |i| claimed_task(spec, world, i))
+    }
+
+    /// Task `i` of `spec` over `world`, claimed and attributed the way the
+    /// batch runner runs one.
+    fn claimed_task(spec: SchemeSpec, world: &ShardedWorld, i: usize) -> RunResult {
+        let mut claim = world.claim(i % world.n_shards());
+        let (mut run, _) = run_scheme_task(spec, world, i, &mut claim);
+        claim.attribute(&mut run.counters);
+        run
+    }
+
+    /// Folds a `spec` run over `world` task by task, the way a crash-safe
+    /// runner drives core: `task(i)` yields task `i`'s result, which is
+    /// absorbed in task order.
+    fn fold_tasks(
+        spec: SchemeSpec,
+        world: &ShardedWorld,
+        mut task: impl FnMut(usize) -> RunResult,
+    ) -> SchemeResult {
+        let mut folder = SchemeFolder::new(world.cfg(), spec, world);
         for i in 0..folder.n_tasks() {
-            let mut claim = cache.as_ref().map(|c| c.claim(i % world.n_shards()));
-            let (mut run, _) = run_scheme_task(cfg, spec, world, seed, i, claim.as_mut());
-            if let Some(claim) = &claim {
-                claim.attribute(&mut run.counters);
-            }
-            folder.absorb(i, run);
+            folder.absorb(i, task(i));
         }
         folder.finish()
     }
@@ -2031,7 +2034,7 @@ mod tests {
     fn scheme_runner_averages_reps() {
         let mut cfg = quick_cfg();
         cfg.repetitions = 2;
-        let res = run_lazy(&cfg, SchemeSpec::soi(), cfg.seed);
+        let res = run_shared(&cfg, SchemeSpec::soi(), cfg.seed);
         assert_eq!(res.completion.len(), 2);
         assert_eq!(res.online_time.len(), 2);
         assert!(!res.powered_gateways.is_empty());
@@ -2056,6 +2059,7 @@ mod tests {
         let cfg = sharded_cfg(1);
         let (trace, topo) = build_world(&ScenarioConfig { seed: 99, ..cfg.clone() });
         let world = ShardedWorld::lazy(&cfg, 99);
+        assert_eq!((world.spans[0].n_clients, world.spans[0].n_gateways), (136, 20));
         assert_eq!(world.n_shards(), 1);
         let (st, stopo) = build_world_shard(&cfg, 99, 0);
         assert_eq!(st.flows.len(), trace.flows.len());
@@ -2068,10 +2072,8 @@ mod tests {
         // materialized trace exactly (one repetition, whose stream is the
         // unforked-by-shard `"rep"` 0).
         let spec = SchemeSpec::bh2_k_switch();
-        let a = run_slice(&cfg, spec, &trace, &topo, SimRng::new(7).fork_idx("rep", 0));
-        let mut folder = SchemeFolder::new(&cfg, spec, &world);
-        folder.absorb(0, run_scheme_task(&cfg, spec, &world, 7, 0, None).0);
-        let b = folder.finish();
+        let a = run_slice(&cfg, spec, &trace, &topo, SimRng::new(99).fork_idx("rep", 0));
+        let b = fold_tasks(spec, &world, |i| claimed_task(spec, &world, i));
         assert_eq!(a.energy.total_j(), b.energy.total_j());
         assert_eq!(a.powered_gateways, b.powered_gateways);
         assert_eq!(a.completion.per_flow(), b.completion[0].per_flow());
@@ -2083,7 +2085,7 @@ mod tests {
     #[test]
     fn merged_shards_sum_series_and_concatenate_vectors() {
         let cfg = sharded_cfg(4);
-        let r = run_lazy(&cfg, SchemeSpec::no_sleep(), 11);
+        let r = run_shared(&cfg, SchemeSpec::no_sleep(), 11);
         let n_flows: usize = (0..4).map(|s| build_world_shard(&cfg, 11, s).0.flows.len()).sum();
         // No-sleep powers every gateway of every shard, all day.
         for p in &r.powered_gateways {
@@ -2108,9 +2110,9 @@ mod tests {
     #[test]
     fn streaming_cutoff_drops_per_flow_but_keeps_quantiles_close() {
         let mut cfg = sharded_cfg(1);
-        let exact = run_lazy(&cfg, SchemeSpec::soi(), 9);
+        let exact = run_shared(&cfg, SchemeSpec::soi(), 9);
         cfg.completion_cutoff = 0;
-        let streamed = run_lazy(&cfg, SchemeSpec::soi(), 9);
+        let streamed = run_shared(&cfg, SchemeSpec::soi(), 9);
         let e = exact.pooled_completion();
         let s = streamed.pooled_completion();
         assert!(e.per_flow().is_some() && e.is_exact());
@@ -2124,6 +2126,43 @@ mod tests {
                 "q {q}: streamed {sv} vs exact {ev}"
             );
         }
+    }
+
+    #[test]
+    fn world_shard_plan_matches_shard_spans() {
+        // 7 shards over 957 clients and 143 gateways: both splits leave a
+        // remainder (5 and 3), so leading shards are one larger.
+        let mut cfg = sharded_cfg(1);
+        cfg.trace.n_clients = 957;
+        cfg.trace.n_aps = 143;
+        cfg.shards = 7;
+        let world = ShardedWorld::lazy(&cfg, 5);
+        let spans = shard_spans(957, 143, 7).unwrap();
+        assert_ne!(spans[0].n_clients, spans[6].n_clients);
+        assert_ne!(spans[0].n_gateways, spans[6].n_gateways);
+        for s in [0, 3, 6] {
+            let span = spans[s];
+            assert_eq!(world.spans[s], span, "shard {s}");
+            let (stream, topo, _) = world.build_shard(s);
+            assert_eq!(stream.home().len(), span.n_clients, "shard {s} built from its span");
+            assert_eq!(topo.n_gateways(), span.n_gateways, "shard {s} built from its span");
+        }
+    }
+
+    #[test]
+    fn scheme_folder_reads_a_large_world_plan() {
+        let mut cfg = sharded_cfg(1);
+        cfg.trace.n_clients = 4096 * 3 + 1001;
+        cfg.trace.n_aps = 4096 * 3 + 77;
+        cfg.shards = 4096;
+        let world = ShardedWorld::lazy(&cfg, 5);
+        let folder = SchemeFolder::new(&cfg, SchemeSpec::soi(), &world);
+        let spans = shard_spans(cfg.trace.n_clients, cfg.trace.n_aps, 4096).unwrap();
+        assert_eq!(folder.spans, spans);
+        assert_eq!(folder.n_tasks(), 4096);
+        assert_eq!(folder.n_gateways, world.n_gateways());
+        assert_eq!(spans.iter().map(|s| s.n_clients).sum::<usize>(), world.n_clients());
+        assert_eq!(spans.iter().map(|s| s.n_gateways).sum::<usize>(), world.n_gateways());
     }
 
     #[test]
@@ -2178,36 +2217,18 @@ mod tests {
         assert_eq!(strip(&a.counters), strip(&b.counters));
     }
 
-    /// Folds a `spec` run over `world` task by task, the way a crash-safe
-    /// runner drives core: `task(i, cache)` yields task `i`'s result, which
-    /// is absorbed in task order.
-    fn fold_tasks(
-        cfg: &ScenarioConfig,
-        spec: SchemeSpec,
-        world: &ShardedWorld,
-        mut task: impl FnMut(usize, &WorldProtoCache) -> RunResult,
-    ) -> SchemeResult {
-        let cache = WorldProtoCache::new(world, cfg.repetitions).expect("two consumers per shard");
-        let mut folder = SchemeFolder::new(cfg, spec, world);
-        for i in 0..folder.n_tasks() {
-            folder.absorb(i, task(i, &cache));
-        }
-        folder.finish()
-    }
-
     #[test]
     fn transient_fault_with_retry_changes_no_bytes() {
         let mut cfg = sharded_cfg(2);
         cfg.repetitions = 2;
-        let world = ShardedWorld::lazy(&cfg, 11);
-        let plain = run_lazy(&cfg, SchemeSpec::soi(), 11);
+        let world = ShardedWorld::shared(&cfg, 11, cfg.repetitions);
+        let plain = run_shared(&cfg, SchemeSpec::soi(), 11);
         // Each task claims once, outside its attempts. Task 1's first
         // attempt is thrown away, as a faulted one is; the retry re-derives
         // the identical RNG stream, so every deterministic byte matches.
-        let retried = fold_tasks(&cfg, SchemeSpec::soi(), &world, |i, cache| {
-            let mut claim = cache.claim(i % world.n_shards());
-            let mut attempt =
-                || run_scheme_task(&cfg, SchemeSpec::soi(), &world, 11, i, Some(&mut claim)).0;
+        let retried = fold_tasks(SchemeSpec::soi(), &world, |i| {
+            let mut claim = world.claim(i % world.n_shards());
+            let mut attempt = || run_scheme_task(SchemeSpec::soi(), &world, i, &mut claim).0;
             if i == 1 {
                 drop(attempt());
             }
@@ -2228,18 +2249,12 @@ mod tests {
     fn cached_replay_folds_byte_identically_and_counts_resumes() {
         let mut cfg = sharded_cfg(2);
         cfg.repetitions = 2;
-        let world = ShardedWorld::lazy(&cfg, 13);
         let n_tasks = cfg.repetitions * 2;
-        let claimed = |i: usize, cache: &WorldProtoCache| {
-            let mut claim = cache.claim(i % world.n_shards());
-            let (mut run, _) =
-                run_scheme_task(&cfg, SchemeSpec::soi(), &world, 13, i, Some(&mut claim));
-            claim.attribute(&mut run.counters);
-            run
-        };
+        let spec = SchemeSpec::soi();
+        let world = ShardedWorld::shared(&cfg, 13, cfg.repetitions);
         let mut store = Vec::new();
-        let first = fold_tasks(&cfg, SchemeSpec::soi(), &world, |i, cache| {
-            let run = claimed(i, cache);
+        let first = fold_tasks(spec, &world, |i| {
+            let run = claimed_task(spec, &world, i);
             store.push(run.clone());
             run
         });
@@ -2247,12 +2262,14 @@ mod tests {
 
         // Replay half the tasks from the store (as a resume does, after a
         // round-trip through the wire form, releasing the task's claim
-        // with `skip`), simulate the rest.
-        let resumed = fold_tasks(&cfg, SchemeSpec::soi(), &world, |i, cache| {
+        // with `skip`), simulate the rest. A fresh world: the first pass
+        // counted off every consumer of its slots.
+        let world = ShardedWorld::shared(&cfg, 13, cfg.repetitions);
+        let resumed = fold_tasks(spec, &world, |i| {
             if !i.is_multiple_of(2) {
-                return claimed(i, cache);
+                return claimed_task(spec, &world, i);
             }
-            cache.skip(i % world.n_shards());
+            world.skip(i % world.n_shards());
             let mut r = RunResult::from_value(&store[i].to_value()).expect("wire roundtrip");
             r.counters.proto_cache_builds = 0;
             r.counters.proto_cache_hits = 0;
@@ -2274,12 +2291,8 @@ mod tests {
         let spec = SchemeSpec::optimal();
         // A whole run shares each shard's plan between its two
         // repetitions; cacheless tasks each solve their own.
-        let shared = run_lazy(&cfg, spec, 17);
-        let mut folder = SchemeFolder::new(&cfg, spec, &world);
-        for i in 0..folder.n_tasks() {
-            folder.absorb(i, run_scheme_task(&cfg, spec, &world, 17, i, None).0);
-        }
-        let mut cacheless = folder.finish();
+        let shared = run_shared(&cfg, spec, 17);
+        let mut cacheless = fold_tasks(spec, &world, |i| claimed_task(spec, &world, i));
         assert!(shared.counters.optimal_solves > 0, "the runs re-solve");
         // The stream work counters record how the arrivals were produced:
         // a cached prototype replays its recording, while a cacheless
@@ -2296,25 +2309,25 @@ mod tests {
     fn retry_after_a_panicked_plan_solve_changes_no_bytes() {
         let mut cfg = sharded_cfg(2);
         cfg.repetitions = 2;
-        let world = ShardedWorld::lazy(&cfg, 19);
+        let world = ShardedWorld::shared(&cfg, 19, cfg.repetitions);
         let spec = SchemeSpec::optimal();
-        let plain = run_lazy(&cfg, spec, 19);
-        let retried = fold_tasks(&cfg, spec, &world, |i, cache| {
-            let mut claim = cache.claim(i % world.n_shards());
+        let plain = run_shared(&cfg, spec, 19);
+        fn plan(claim: &ProtoClaim) -> &OnceLock<OptimalPlan> {
+            &claim.proto.as_ref().expect("shared world").optimal_plan
+        }
+        let retried = fold_tasks(spec, &world, |i| {
+            let mut claim = world.claim(i % world.n_shards());
             if i < world.n_shards() {
                 // Each shard's first consumer dies inside the plan solve;
                 // the cell stays empty, so the retry solves it again.
                 let died = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    claim.proto.optimal_plan.get_or_init(|| panic!("injected plan-solve fault"));
+                    plan(&claim).get_or_init(|| panic!("injected plan-solve fault"));
                 }));
                 assert!(died.is_err());
-                assert!(
-                    claim.proto.optimal_plan.get().is_none(),
-                    "a panicked solve stores nothing"
-                );
+                assert!(plan(&claim).get().is_none(), "a panicked solve stores nothing");
             }
-            let (mut run, _) = run_scheme_task(&cfg, spec, &world, 19, i, Some(&mut claim));
-            assert!(claim.proto.optimal_plan.get().is_some(), "the plan is shared after a solve");
+            let (mut run, _) = run_scheme_task(spec, &world, i, &mut claim);
+            assert!(plan(&claim).get().is_some(), "the plan is shared after a solve");
             claim.attribute(&mut run.counters);
             run
         });

@@ -27,8 +27,7 @@ pub use config::{
 pub use driver::{
     build_world, build_world_shard, build_world_shard_streaming, run_scheme_task,
     run_single_source_threads, ArrivalSource, DriverStats, ProtoClaim, RunResult, SchemeFolder,
-    SchemeResult, ShardSummary, ShardedWorld, TaskSetup, WorldProtoCache,
-    CHECKPOINT_SCHEMA_VERSION,
+    SchemeResult, ShardSummary, ShardedWorld, TaskSetup, CHECKPOINT_SCHEMA_VERSION,
 };
 pub use extrapolate::WorldModel;
 pub use insomnia_telemetry::RunCounters;

@@ -189,15 +189,13 @@ fn greedy_cover(input: &SolverInput) -> Vec<usize> {
                 }
             }
         }
-        let best = (0..input.n_gateways)
-            .filter(|&g| !chosen_mask[g])
-            .max_by_key(|&g| gain[g])
-            .expect("some gateway must remain");
-        if gain[best] == 0 {
+        let best = (0..input.n_gateways).filter(|&g| !chosen_mask[g]).max_by_key(|&g| gain[g]);
+        let Some(best) = best.filter(|&g| gain[g] > 0) else {
             // Remaining unmet slots are unsatisfiable (more slots than
-            // reachable gateways); cap them.
+            // reachable gateways, or every gateway already chosen); cap
+            // them.
             break;
-        }
+        };
         chosen_mask[best] = true;
         chosen.push(best);
         for i in 0..n_users {
@@ -818,6 +816,25 @@ mod tests {
         input.node_budget = 1;
         let out = solve(&input);
         assert!(capacity_feasible(&input, &out.online), "fallback must be feasible");
+    }
+
+    #[test]
+    fn greedy_stops_when_repeated_gateways_exhaust_the_pool() {
+        // Hand-built rows that repeat their one gateway: each user counts
+        // two slots, but a pick meets only one, so every gateway is chosen
+        // with slots still unmet. Greedy must stop there, not panic.
+        let reach = (0..3).map(|g| vec![(g, 12.0e6), (g, 12.0e6)]).collect();
+        let input = SolverInput {
+            demands: vec![0.1e6; 3],
+            reach,
+            n_gateways: 3,
+            capacity: vec![3.0e6; 3],
+            backup: 1,
+            node_budget: 200_000,
+        };
+        let mut cover = greedy_cover(&input);
+        cover.sort_unstable();
+        assert_eq!(cover, vec![0, 1, 2]);
     }
 
     #[test]

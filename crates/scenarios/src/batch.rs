@@ -1,19 +1,20 @@
 //! The parallel batch runner.
 //!
 //! A [`BatchRun`] expands into a (scenario × scheme × seed) job matrix.
-//! Worlds are *lazy* [`ShardedWorld`]s — one `(config, seed)` handle per
-//! (scenario, seed) pair, shared by reference across that pair's scheme
-//! jobs. Each `(repetition × shard)` task builds its shard inside the
-//! worker through the streaming trace generator (no flow vector is ever
-//! materialized) and drops it on completion, so the batch's peak RSS is
+//! Worlds are [`ShardedWorld`]s — one handle per (scenario, seed) pair,
+//! shared by reference across that pair's scheme jobs and the one source
+//! of a task's config, seed, shard plan and shard prototype. Each
+//! `(repetition × shard)` task builds its shard inside the worker through
+//! the streaming trace generator (no flow vector is ever materialized) and
+//! drops it on completion, so the batch's peak RSS is
 //! O(worker threads × shard), not O(world) — the property the memory-gated
 //! giga-metro CI smoke enforces. The `(repetition × shard)` tasks of every
 //! job execute **shard-major**: one flat pool runs all scheme tasks
-//! touching one (seed, shard) back to back off a refcounted world-prototype
-//! cache, so the per-shard stream setup pass runs once for the whole batch
-//! instead of once per scheme. Each job's results fold strictly in task
-//! order through one [`SchemeFolder`], so the thread count and the
-//! interleaving never move a byte.
+//! touching one (seed, shard) back to back off the world's refcounted
+//! shard prototype, so the per-shard stream setup pass runs once for the
+//! whole batch instead of once per scheme. Each job's results fold
+//! strictly in task order through one [`SchemeFolder`], so the thread
+//! count and the interleaving never move a byte.
 //!
 //! This is the only code that schedules and folds scheme runs: one private
 //! task loop hands each finished job's [`SchemeResult`] to
@@ -42,7 +43,7 @@ use crate::schemes::scheme_key;
 use insomnia_core::{
     completion_quantiles, online_time_quantiles, run_scheme_task, summarize, CompletionQuantiles,
     OnlineTimeQuantiles, RunResult, ScenarioConfig, SchemeFolder, SchemeResult, SchemeSpec,
-    ShardedWorld, TaskSetup, WorldProtoCache,
+    ShardedWorld, TaskSetup,
 };
 use insomnia_simcore::{par_fold_grouped, retry_unwind, SimError, SimResult, SimRng};
 use insomnia_telemetry::{
@@ -308,22 +309,19 @@ impl Default for RunControl {
     }
 }
 
-/// Per-job bookkeeping of the task pool: the job's coordinates and
-/// config plus the pieces shared between worker threads (heartbeat
-/// atomics, lazily stamped start time). The deterministic fold state lives
-/// on the collector as one [`SchemeFolder`] per job.
+/// Per-job bookkeeping of the task pool: the job's coordinates and world
+/// plus the pieces shared between worker threads (heartbeat atomics,
+/// lazily stamped start time). The deterministic fold state lives on the
+/// collector as one [`SchemeFolder`] per job.
 struct JobState<'a> {
     j: usize,
     name: &'a str,
-    cfg: &'a ScenarioConfig,
     spec: SchemeSpec,
     scheme: String,
     seed_index: usize,
-    /// Index into `worlds` (and the per-world prototype caches).
-    world_idx: usize,
+    /// The job's (scenario, seed) world: its config, seed and shared
+    /// shard prototypes.
     world: &'a ShardedWorld,
-    seed: u64,
-    n_shards: usize,
     /// `(repetition × shard)` tasks of the job.
     n_tasks: usize,
     /// First global task ordinal of the job (fault plans and checkpoint
@@ -362,10 +360,8 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 }
 
 /// The run-wide state every task of the pool consults: crash-safety
-/// controls, the per-world prototype caches and the telemetry.
+/// controls and the telemetry.
 struct TaskPool<'a> {
-    /// One refcounted prototype cache per (scenario, seed) world.
-    caches: Vec<Option<WorldProtoCache>>,
     /// Task results replayed from a loaded checkpoint, keyed `(job, task)`.
     resume: Option<Mutex<BTreeMap<(usize, usize), RunResult>>>,
     writer: Option<CheckpointWriter>,
@@ -397,8 +393,8 @@ impl TaskPool<'_> {
         {
             std::panic::resume_unwind(Box::new(TaskAbort::Cancelled));
         }
-        let (rep, sh) = (i / js.n_shards, i % js.n_shards);
-        let cache = self.caches[js.world_idx].as_ref();
+        let n_shards = js.world.n_shards();
+        let (rep, sh) = (i / n_shards, i % n_shards);
         let replayed = self
             .resume
             .as_ref()
@@ -412,16 +408,14 @@ impl TaskPool<'_> {
             c.tasks_resumed = 1;
             // A replayed task never touches the prototype; release its
             // claim so the shard still frees at its true last consumer.
-            if let Some(cache) = cache {
-                cache.skip(sh);
-            }
+            js.world.skip(sh);
             self.report(js, i, &result, TaskSetup::default(), 0.0);
             return result;
         }
         let task_start = Instant::now();
         // One claim per task, *outside* the retry loop: a retried attempt
         // must not count the shard's consumer off twice.
-        let mut claim = cache.map(|c| c.claim(sh));
+        let mut claim = js.world.claim(sh);
         let ordinal = js.base + i;
         let mut attempt = 0u64;
         let mut injected = 0u64;
@@ -432,7 +426,7 @@ impl TaskPool<'_> {
                 injected += 1;
                 panic!("injected worker fault (task {i}, attempt {this_attempt})");
             }
-            run_scheme_task(js.cfg, js.spec, js.world, js.seed, i, claim.as_mut())
+            run_scheme_task(js.spec, js.world, i, &mut claim)
         });
         let (retries, (mut result, setup)) = match outcome {
             Ok(retried) => (retried.retries, retried.value),
@@ -448,9 +442,7 @@ impl TaskPool<'_> {
         };
         result.counters.tasks_retried += retries;
         result.counters.faults_injected += injected;
-        if let Some(claim) = &claim {
-            claim.attribute(&mut result.counters);
-        }
+        claim.attribute(&mut result.counters);
         let loop_ms = (task_start.elapsed().as_secs_f64() * 1e3 - setup.setup_ms).max(0.0);
         if let Some(writer) = &self.writer {
             writer.write_task(ordinal, js.j, i, rep, sh, &result);
@@ -481,14 +473,15 @@ impl TaskPool<'_> {
         }
         let finished = js.finished.fetch_add(1, Ordering::Relaxed) + 1;
         let merged = js.merged.load(Ordering::Relaxed);
+        let n_shards = js.world.n_shards();
         self.tel.emit(&TelemetryRecord::Task(TaskRecord {
             job: js.j,
             scenario: js.name.to_string(),
             scheme: js.scheme.clone(),
             seed_index: js.seed_index,
-            rep: i / js.n_shards,
-            shard: i % js.n_shards,
-            n_shards: js.n_shards,
+            rep: i / n_shards,
+            shard: i % n_shards,
+            n_shards,
             setup_ms: setup.setup_ms,
             topology_ms: setup.topology_ms,
             loop_ms,
@@ -595,7 +588,7 @@ pub fn run_batch_controlled<W: Write>(
             seed_index: js.seed_index,
             wall_ms: js.started.get().map(|t| t.elapsed().as_secs_f64() * 1_000.0).unwrap_or(0.0),
             fold_ms: result.fold_ms,
-            shards: js.n_shards,
+            shards: js.world.n_shards(),
             counters: result.counters,
         };
         pending.insert(js.j, (make_record(js, &result), telemetry));
@@ -673,11 +666,11 @@ fn run_jobs(
         jobs: n_jobs,
     }));
 
-    // Phase 1: one *lazy* sharded world per (scenario, seed), shared by
-    // that pair's scheme jobs — exactly like the paper shares one trace
-    // across schemes, except nothing is built yet: each (repetition ×
-    // shard) task streams its shard into existence inside the worker and
-    // drops it on completion, keeping peak RSS at O(threads × shard).
+    // Phase 1: one sharded world per (scenario, seed), shared by that
+    // pair's scheme jobs — exactly like the paper shares one trace across
+    // schemes, except nothing is built yet: each shard's first consumer
+    // streams it into existence inside the worker and its last one drops
+    // it, keeping peak RSS at O(threads × shard).
     let worlds = build_worlds(batch);
 
     // Crash-safety state. The fault plan resolves against the batch's
@@ -693,18 +686,6 @@ fn run_jobs(
         });
     }
     let pool_state = TaskPool {
-        // One refcounted prototype cache per (scenario, seed) world: each
-        // shard has exactly `schemes × repetitions` consumers, so the
-        // stream setup pass runs once per shard for the whole batch and
-        // the prototype drops the moment its last consumer claims it.
-        caches: worlds
-            .iter()
-            .enumerate()
-            .map(|(w, world)| {
-                let reps = batch.scenarios[w / batch.seeds].1.repetitions;
-                WorldProtoCache::new(world, batch.schemes.len() * reps)
-            })
-            .collect(),
         resume: ctl.resume.map(Mutex::new),
         writer: ctl.checkpoint,
         faults,
@@ -736,21 +717,17 @@ fn run_jobs(
     let jobs: Vec<JobState<'_>> = (0..n_jobs)
         .map(|j| {
             let (si, ci, ki) = job_coords(batch, j);
-            let (name, cfg) = &batch.scenarios[si];
+            let name = &batch.scenarios[si].0;
             let spec = batch.schemes[ci];
-            let n_shards = cfg.shards.max(1);
+            let world = &worlds[si * batch.seeds + ki];
             JobState {
                 j,
                 name,
-                cfg,
                 spec,
                 scheme: scheme_key(spec),
                 seed_index: ki,
-                world_idx: si * batch.seeds + ki,
-                world: &worlds[si * batch.seeds + ki],
-                seed: job_seed(cfg.seed, ki),
-                n_shards,
-                n_tasks: cfg.repetitions * n_shards,
+                world,
+                n_tasks: world.cfg().repetitions * world.n_shards(),
                 base: bases[j],
                 finished: AtomicUsize::new(0),
                 merged: AtomicUsize::new(0),
@@ -781,7 +758,7 @@ fn run_jobs(
     debug_assert_eq!(plan.len(), bases[n_jobs]);
 
     let mut folders: Vec<Option<SchemeFolder>> =
-        jobs.iter().map(|js| Some(SchemeFolder::new(js.cfg, js.spec, js.world))).collect();
+        jobs.iter().map(|js| Some(SchemeFolder::new(js.world.cfg(), js.spec, js.world))).collect();
     // The fold closure has no return channel, so the first `on_job` error
     // is parked here: the pool stops claiming tasks, no later job is
     // handed over, and the error surfaces after the teardown below.
@@ -874,21 +851,25 @@ fn run_jobs(
     Ok(())
 }
 
-/// Phase-1 world construction: one lazy handle per (scenario, seed) pair.
+/// Phase-1 world construction: one shared handle per (scenario, seed)
+/// pair. Each shard has exactly `schemes × repetitions` consumers, so the
+/// stream setup pass runs once per shard for the whole batch and the
+/// prototype drops the moment its last consumer claims it.
 fn build_worlds(batch: &BatchRun) -> Vec<ShardedWorld> {
     let n_worlds = batch.scenarios.len() * batch.seeds;
     (0..n_worlds)
         .map(|w| {
             let (si, ki) = (w / batch.seeds, w % batch.seeds);
             let (_, cfg) = &batch.scenarios[si];
-            ShardedWorld::lazy(cfg, job_seed(cfg.seed, ki))
+            let consumers = batch.schemes.len() * cfg.repetitions;
+            ShardedWorld::shared(cfg, job_seed(cfg.seed, ki), consumers)
         })
         .collect()
 }
 
 /// The JSONL record of a finished job.
 fn make_record(js: &JobState<'_>, result: &SchemeResult) -> JobRecord {
-    let (cfg, world) = (js.cfg, js.world);
+    let (cfg, world) = (js.world.cfg(), js.world);
     let n_shards = world.n_shards();
     let base_user = cfg.power.no_sleep_user_w(world.n_gateways());
     let base_isp =
@@ -912,7 +893,7 @@ fn make_record(js: &JobState<'_>, result: &SchemeResult) -> JobRecord {
         scenario: js.name.to_string(),
         scheme: js.scheme.clone(),
         seed_index: js.seed_index,
-        seed: js.seed,
+        seed: world.seed(),
         n_gateways: world.n_gateways(),
         n_clients: world.n_clients(),
         n_flows,

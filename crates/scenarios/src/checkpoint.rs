@@ -539,7 +539,7 @@ mod tests {
     fn sample_result() -> RunResult {
         let cfg = ScenarioConfig::smoke();
         let world = ShardedWorld::lazy(&cfg, 7);
-        run_scheme_task(&cfg, SchemeSpec::soi(), &world, 7, 0, None).0
+        run_scheme_task(SchemeSpec::soi(), &world, 0, &mut world.claim(0)).0
     }
 
     #[test]

@@ -874,4 +874,65 @@ max_timeout_s = 120.0
         assert_eq!(cfg2.bh2.epoch, cfg.bh2.epoch);
         assert_eq!(cfg2.seed, cfg.seed);
     }
+
+    use proptest::prelude::*;
+
+    /// Every dotted key a `--set` can name, read off the spec whitelist.
+    fn settable_keys() -> Vec<String> {
+        spec_keys()
+            .into_iter()
+            .flat_map(|(key, fields)| {
+                if fields.is_empty() {
+                    vec![key]
+                } else {
+                    fields.into_iter().map(|f| format!("{key}.{f}")).collect()
+                }
+            })
+            .collect()
+    }
+
+    /// A hostile `--set` value: zero, negative, huge, NaN, a bool or a
+    /// string (`n` varies the magnitude and the text).
+    fn hostile_value(kind: u64, n: u64) -> String {
+        match kind {
+            0 => "0".into(),
+            1 => format!("-{}", n % 1000 + 1),
+            2 => format!("-{}.5", n % 100),
+            3 => i64::MAX.to_string(),
+            4 => u64::MAX.to_string(),
+            5 => "1e300".into(),
+            6 => "nan".into(),
+            7 => ["true", "false"][(n % 2) as usize].into(),
+            8 => ["paper-default", "", "x y", "1h"][(n % 4) as usize].into(),
+            _ => (n % 100_000).to_string(),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// User input must produce an error, never a panic: random `--set`
+        /// assignments on a preset go through the whole CLI resolution
+        /// (`with_assignment`, `flatten`, `to_config`, `validate`).
+        #[test]
+        fn random_set_assignments_never_panic(
+            preset in 0usize..64,
+            picks in collection::vec((0usize..4096, 0u64..10, any::<u64>()), 1..4),
+        ) {
+            let registry = crate::Registry::builtin();
+            let names = registry.names();
+            let keys = settable_keys();
+            let mut spec = registry.get(names[preset % names.len()]).unwrap().spec.clone();
+            for &(key, kind, n) in &picks {
+                let (key, value) = (&keys[key % keys.len()], hostile_value(kind, n));
+                match spec.with_assignment(key, &value) {
+                    Ok(next) => spec = next,
+                    Err(_) => continue,
+                }
+                if let Ok(cfg) = registry.flatten(&spec, 0).and_then(|s| s.to_config()) {
+                    prop_assert!(cfg.validate().is_ok(), "to_config returned an invalid config");
+                }
+            }
+        }
+    }
 }

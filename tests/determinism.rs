@@ -6,7 +6,7 @@ use insomnia::access::{joules_to_kwh, PowerLadder, PowerState};
 use insomnia::core::{
     build_world, build_world_shard, run_scheme_task, run_single_source_threads, ArrivalSource,
     CompletionStats, RunCounters, RunResult, ScenarioConfig, SchemeFolder, SchemeResult,
-    SchemeSpec, ShardedWorld, WorldProtoCache,
+    SchemeSpec, ShardedWorld,
 };
 use insomnia::dslphy::{BundleConfig, CrosstalkExperiment};
 use insomnia::scenarios::{
@@ -44,18 +44,15 @@ fn run_lazy(cfg: &ScenarioConfig, spec: SchemeSpec, threads: usize) -> SchemeRes
 }
 
 /// The reference a batch job must reproduce: every task of a `spec` run
-/// over the lazy world `(cfg, seed)` run by hand on one prototype cache,
-/// folded in task order.
+/// over the world `(cfg, seed)`, shared by the run's repetitions, run by
+/// hand and folded in task order.
 fn run_whole(cfg: &ScenarioConfig, spec: SchemeSpec, seed: u64) -> SchemeResult {
-    let world = &ShardedWorld::lazy(cfg, seed);
-    let cache = WorldProtoCache::new(world, cfg.repetitions);
+    let world = &ShardedWorld::shared(cfg, seed, cfg.repetitions);
     let mut folder = SchemeFolder::new(cfg, spec, world);
     for i in 0..folder.n_tasks() {
-        let mut claim = cache.as_ref().map(|c| c.claim(i % world.n_shards()));
-        let (mut run, _) = run_scheme_task(cfg, spec, world, seed, i, claim.as_mut());
-        if let Some(claim) = &claim {
-            claim.attribute(&mut run.counters);
-        }
+        let mut claim = world.claim(i % world.n_shards());
+        let (mut run, _) = run_scheme_task(spec, world, i, &mut claim);
+        claim.attribute(&mut run.counters);
         folder.absorb(i, run);
     }
     folder.finish()
