@@ -255,19 +255,26 @@ impl ScenarioConfig {
                 self.topology, self.trace.n_aps, self.shards
             )));
         }
-        // Reject shard sizes whose client × gateway pair enumeration
-        // overflows the topology work budget: the overlap builder and the
-        // per-epoch candidate scans would otherwise stall for hours (or the
-        // product would overflow outright) instead of failing fast.
+        // Reject shard sizes whose pair enumeration overflows the topology
+        // work budget: the client × gateway reachability pairs, which the
+        // builders and the per-epoch candidate scans walk, and for the
+        // overlap topology the gateway × gateway pairs of the degree
+        // graph's adjacency matrix. Past it a run would stall for hours or
+        // allocate gigabytes (or the product would overflow outright)
+        // instead of failing fast.
         let max_shard_clients = insomnia_wireless::max_per_shard(self.trace.n_clients, self.shards);
         let max_shard_aps = insomnia_wireless::max_per_shard(self.trace.n_aps, self.shards);
-        match insomnia_wireless::topology_pair_count(max_shard_clients, max_shard_aps) {
+        let paired = match self.topology {
+            TopologyKind::Overlap => max_shard_clients.max(max_shard_aps),
+            TopologyKind::Binomial => max_shard_clients,
+        };
+        match insomnia_wireless::topology_pair_count(paired, max_shard_aps) {
             Some(pairs) if pairs <= insomnia_wireless::MAX_TOPOLOGY_PAIRS => {}
             oversized => {
                 let shown = oversized.map_or("overflowing u64".to_string(), |p| p.to_string());
                 return Err(SimError::InvalidConfig(format!(
                     "a shard of {max_shard_clients} clients x {max_shard_aps} gateways enumerates \
-                     {shown} reachability pairs (budget {}); raise `shards` to split the \
+                     {shown} client or gateway pairs (budget {}); raise `shards` to split the \
                      population into smaller neighborhoods",
                     insomnia_wireless::MAX_TOPOLOGY_PAIRS
                 )));
@@ -466,6 +473,32 @@ mod tests {
         cfg.shards = 64;
         cfg.dslam.n_cards = 20;
         cfg.dslam.ports_per_card = 10;
+        cfg.validate().unwrap();
+    }
+
+    #[test]
+    fn oversized_overlap_graph_is_rejected() {
+        // 64 clients over 20 000 gateways on one shard: few reachability
+        // pairs, but the overlap graph's adjacency matrix would need 20 000²
+        // bits, past the budget.
+        let mut cfg = ScenarioConfig::default();
+        cfg.trace.n_clients = 64;
+        cfg.trace.n_aps = 20_000;
+        cfg.dslam.n_cards = 2_000;
+        cfg.dslam.ports_per_card = 10;
+        let err = cfg.validate().unwrap_err().to_string();
+        assert!(err.contains("shards"), "must point at the shards axis: {err}");
+        assert!(err.contains("400000000 client or gateway pairs"), "{err}");
+
+        // Binomial reachability builds no overlap graph.
+        cfg.topology = TopologyKind::Binomial;
+        cfg.mean_networks_in_range = 1.5;
+        cfg.validate().unwrap();
+
+        // Two overlap shards of 10 000 gateways fit.
+        cfg.topology = TopologyKind::Overlap;
+        cfg.mean_networks_in_range = ScenarioConfig::default().mean_networks_in_range;
+        cfg.shards = 2;
         cfg.validate().unwrap();
     }
 

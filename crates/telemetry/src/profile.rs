@@ -263,16 +263,20 @@ impl ProfileReport {
                 "{:<12} {:>10.2} {:>7} {:>12} {:>12} {:>7}  {}\n",
                 p.phase, busy_s, share, ev_rate, fl_rate, p.tasks, spread
             ));
-            // The topology build's part of world-build, from the task
-            // records (older sidecars carry none and render as before).
+            // World-build split into the topology build (from the task
+            // records) and the trace setup pass (the rest); older sidecars
+            // carry no topology time and render as before.
             if p.phase == "world-build" && self.topology_ms > 0.0 && p.busy_ms > 0.0 {
-                out.push_str(&format!(
-                    "{:<12} {:>10.2} {:>7}  {:.1}% of world-build\n",
-                    "  topology",
-                    self.topology_ms / 1_000.0,
-                    share_of_wall(self.topology_ms),
-                    100.0 * self.topology_ms / p.busy_ms,
-                ));
+                let trace_ms = (p.busy_ms - self.topology_ms).max(0.0);
+                for (part, ms) in [("  topology", self.topology_ms), ("  trace-setup", trace_ms)] {
+                    out.push_str(&format!(
+                        "{:<13} {:>9.2} {:>7}  {:.1}% of world-build\n",
+                        part,
+                        ms / 1_000.0,
+                        share_of_wall(ms),
+                        100.0 * ms / p.busy_ms,
+                    ));
+                }
             }
         }
         if let Some(frac) = self.attributed_fraction() {
@@ -582,6 +586,13 @@ mod tests {
         let row = lines[at + 1];
         assert!(row.starts_with("  topology"), "{rendered}");
         assert!(row.contains("4.0%") && row.ends_with("40.0% of world-build"), "{rendered}");
+        // The trace setup pass is the rest of world-build: 3 of 5 ms.
+        let row = lines[at + 2];
+        assert!(row.starts_with("  trace-setup"), "{rendered}");
+        assert!(row.contains("6.0%") && row.ends_with("60.0% of world-build"), "{rendered}");
+        // Sub-rows keep the busy column aligned with the phase rows.
+        let busy_end = |l: &str| l.find(" 0.00").map(|i| i + 5);
+        assert_eq!(busy_end(lines[at + 1]), busy_end(lines[at + 2]), "{rendered}");
     }
 
     #[test]

@@ -157,10 +157,10 @@ pub fn generate_eager(cfg: &CrawdadConfig, rng: &mut SimRng) -> Trace {
     for c in 0..cfg.n_clients {
         let client = ClientId::from_index(c);
         let personality = Personality::draw(cfg, rng);
-        let client_sessions = draw_sessions(cfg, rng);
-        for s in &client_sessions {
-            sessions.push(Session { client, start: s.0, end: s.1 });
-            generate_bursts(cfg, &profile, personality, client, s.0, s.1, rng, &mut flows);
+        let first = sessions.len();
+        draw_sessions(cfg, &profile, client, rng, &mut sessions);
+        for s in &sessions[first..] {
+            generate_bursts(cfg, &profile, personality, client, s.start, s.end, rng, &mut flows);
         }
     }
 
@@ -170,29 +170,41 @@ pub fn generate_eager(cfg: &CrawdadConfig, rng: &mut SimRng) -> Trace {
     trace
 }
 
-/// Draws the presence sessions of one client as `(start, end)` pairs, all
-/// clamped inside `[0, horizon)`.
-pub(crate) fn draw_sessions(cfg: &CrawdadConfig, rng: &mut SimRng) -> Vec<(SimTime, SimTime)> {
+/// Draws the presence sessions of one client and appends them to `out`:
+/// clamped inside `[0, horizon)`, sorted by start, overlaps merged.
+/// `profile` is `cfg.profile.profile()`, built once by the caller.
+pub(crate) fn draw_sessions(
+    cfg: &CrawdadConfig,
+    profile: &DiurnalProfile,
+    client: ClientId,
+    rng: &mut SimRng,
+    out: &mut Vec<Session>,
+) {
     let day = cfg.horizon;
+    // At most three sessions, kept on the stack: each clamped to the
+    // horizon (shortened test days), and dropped when that empties it.
+    let mut drawn = [(SimTime::ZERO, SimTime::ZERO); 3];
+    let mut kept = 0;
+    let mut keep = |a: SimTime, b: SimTime| {
+        let b = b.min(day);
+        if a < b {
+            drawn[kept] = (a, b);
+            kept += 1;
+        }
+    };
     let u = rng.f64();
-    let mut out: Vec<(SimTime, SimTime)> = Vec::new();
     if u < cfg.always_on_frac {
         // Machine left on to maintain network presence: present all day.
-        out.push((SimTime::ZERO, day));
+        keep(SimTime::ZERO, day);
     } else if u < cfg.always_on_frac + cfg.worker_frac {
         // A working day: arrive in the morning, leave in the evening.
         let arrive_h = rng.normal(9.5, 1.4).clamp(5.5, 13.0);
         let leave_h = rng.normal(17.8, 1.9).clamp(arrive_h + 1.5, 23.8);
-        out.push((
-            SimTime::from_secs_f64(arrive_h * 3_600.0),
-            SimTime::from_secs_f64(leave_h * 3_600.0),
-        ));
+        keep(SimTime::from_secs_f64(arrive_h * 3_600.0), SimTime::from_secs_f64(leave_h * 3_600.0));
     } else {
         // Visitor: one to three short sessions, placed preferentially in
         // busy hours via rejection sampling against the diurnal profile.
-        let profile = cfg.profile.profile();
-        let n = 1 + rng.below(3);
-        for _ in 0..n {
+        for _ in 0..1 + rng.below(3) {
             let mut start_h;
             loop {
                 start_h = rng.range_f64(0.0, 23.0);
@@ -201,35 +213,23 @@ pub(crate) fn draw_sessions(cfg: &CrawdadConfig, rng: &mut SimRng) -> Vec<(SimTi
                 }
             }
             let dur_h = rng.lognormal(0.0, 0.6).clamp(0.25, 4.0);
-            out.push((
+            keep(
                 SimTime::from_secs_f64(start_h * 3_600.0),
                 SimTime::from_secs_f64((start_h + dur_h).min(23.999) * 3_600.0),
-            ));
+            );
         }
     }
-    // Clamp to the horizon (shortened test days) and drop empty intervals.
-    out = out
-        .into_iter()
-        .filter_map(|(a, b)| {
-            let b = b.min(day);
-            if a < b {
-                Some((a, b))
-            } else {
-                None
-            }
-        })
-        .collect();
+    let drawn = &mut drawn[..kept];
+    drawn.sort_by_key(|s| s.0);
     // Merge overlapping sessions of the same client so flows always fall in
     // exactly one session.
-    out.sort_by_key(|s| s.0);
-    let mut merged: Vec<(SimTime, SimTime)> = Vec::new();
-    for s in out {
-        match merged.last_mut() {
-            Some(last) if s.0 <= last.1 => last.1 = last.1.max(s.1),
-            _ => merged.push(s),
+    let first = out.len();
+    for &(start, end) in drawn.iter() {
+        match out[first..].last_mut() {
+            Some(last) if start <= last.end => last.end = last.end.max(end),
+            _ => out.push(Session { client, start, end }),
         }
     }
-    merged
 }
 
 /// Emits the burst (flow) sequence of one client session.
@@ -321,6 +321,7 @@ mod tests {
     use super::*;
     use crate::session::present_at;
     use crate::stats::{ap_utilization_percent_series, gap_histogram_paper_bins};
+    use proptest::prelude::*;
 
     fn small_cfg() -> CrawdadConfig {
         // A quarter-size building keeps the calibration tests fast while
@@ -340,6 +341,99 @@ mod tests {
                 draw_burst(p, &mut full);
                 draw_burst_skip(p, &mut skip);
                 assert_eq!(full, skip, "diverged at burst {i} (seed {seed})");
+            }
+        }
+    }
+
+    /// The allocating session draw [`draw_sessions`] replaced, kept as its
+    /// reference: a fresh profile per visitor and three `Vec`s per client.
+    fn draw_sessions_reference(cfg: &CrawdadConfig, rng: &mut SimRng) -> Vec<(SimTime, SimTime)> {
+        let day = cfg.horizon;
+        let u = rng.f64();
+        let mut out: Vec<(SimTime, SimTime)> = Vec::new();
+        if u < cfg.always_on_frac {
+            out.push((SimTime::ZERO, day));
+        } else if u < cfg.always_on_frac + cfg.worker_frac {
+            let arrive_h = rng.normal(9.5, 1.4).clamp(5.5, 13.0);
+            let leave_h = rng.normal(17.8, 1.9).clamp(arrive_h + 1.5, 23.8);
+            out.push((
+                SimTime::from_secs_f64(arrive_h * 3_600.0),
+                SimTime::from_secs_f64(leave_h * 3_600.0),
+            ));
+        } else {
+            let profile = cfg.profile.profile();
+            let n = 1 + rng.below(3);
+            for _ in 0..n {
+                let mut start_h;
+                loop {
+                    start_h = rng.range_f64(0.0, 23.0);
+                    if rng.f64() < profile.weight_at(SimTime::from_secs_f64(start_h * 3_600.0)) {
+                        break;
+                    }
+                }
+                let dur_h = rng.lognormal(0.0, 0.6).clamp(0.25, 4.0);
+                out.push((
+                    SimTime::from_secs_f64(start_h * 3_600.0),
+                    SimTime::from_secs_f64((start_h + dur_h).min(23.999) * 3_600.0),
+                ));
+            }
+        }
+        out = out
+            .into_iter()
+            .filter_map(|(a, b)| {
+                let b = b.min(day);
+                if a < b {
+                    Some((a, b))
+                } else {
+                    None
+                }
+            })
+            .collect();
+        out.sort_by_key(|s| s.0);
+        let mut merged: Vec<(SimTime, SimTime)> = Vec::new();
+        for s in out {
+            match merged.last_mut() {
+                Some(last) if s.0 <= last.1 => last.1 = last.1.max(s.1),
+                _ => merged.push(s),
+            }
+        }
+        merged
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Sessions and RNG position match the reference bit for bit, over
+        /// the always-on / worker / visitor split, horizons that clip the
+        /// day, and every diurnal shape.
+        #[test]
+        fn draw_sessions_matches_the_allocating_reference(
+            seed in any::<u64>(),
+            always_on in 0.0f64..0.5,
+            worker in 0.0f64..0.5,
+            horizon_min in 30u64..1_800,
+            kind in 0usize..3,
+        ) {
+            let profile = [DiurnalKind::OfficeBuilding, DiurnalKind::Residential, DiurnalKind::Weekend][kind];
+            let cfg = CrawdadConfig {
+                always_on_frac: always_on,
+                worker_frac: worker,
+                horizon: SimTime::from_mins(horizon_min),
+                profile,
+                ..CrawdadConfig::default()
+            };
+            let built = profile.profile();
+            let (mut want_rng, mut got_rng) = (SimRng::new(seed), SimRng::new(seed));
+            let mut out = Vec::new();
+            for c in 0..32 {
+                let client = ClientId::from_index(c);
+                let want = draw_sessions_reference(&cfg, &mut want_rng);
+                let first = out.len();
+                draw_sessions(&cfg, &built, client, &mut got_rng, &mut out);
+                let got: Vec<(SimTime, SimTime)> = out[first..].iter().map(|s| (s.start, s.end)).collect();
+                prop_assert_eq!(&got, &want, "client {}", c);
+                prop_assert!(out[first..].iter().all(|s| s.client == client));
+                prop_assert_eq!(&got_rng, &want_rng, "RNG position diverged at client {}", c);
             }
         }
     }

@@ -10,14 +10,17 @@
 //! * **Setup pass** (`FlowStream::new`): replays exactly the draws the
 //!   eager generator makes on the master RNG — the home shuffle, then per
 //!   client its personality, presence sessions and every burst draw — but
-//!   instead of storing flows it *snapshots the RNG* at the start of each
-//!   client's burst segment (xoshiro256** state, 40 bytes) and counts the
-//!   client's flows. Advancing the master through the burst draws is what
-//!   keeps client `c + 1`'s personality bit-identical to the eager path.
-//!   The pass consumes the identical *raw* draws but skips the
-//!   transcendental burst-size math (`crawdad::draw_burst_skip`):
-//!   sizes never steer control flow, so only the branch selectors and gap
-//!   draws need their full arithmetic.
+//!   stores only each client's first batch of flows. Those are drawn in
+//!   full straight into the client's cursor buffer (the cursor's initial
+//!   refill, so no later pass regenerates them); the pass then *snapshots
+//!   the RNG* (xoshiro256** state, 40 bytes) as the cursor's resume point
+//!   and runs through the rest of the client's burst draws, counting
+//!   flows. Advancing the master through every burst draw is what keeps
+//!   client `c + 1`'s personality bit-identical to the eager path. Past
+//!   the first batch the pass consumes the identical *raw* draws but
+//!   skips the transcendental burst-size math
+//!   (`crawdad::draw_burst_skip`): sizes never steer control flow, so
+//!   only the branch selectors and gap draws need their full arithmetic.
 //! * **Replay** (`next_flow`): each client cursor regenerates its bursts
 //!   lazily from its snapshot — a *batch* at a time (default
 //!   [`FlowStream::DEFAULT_BATCH`], tunable via
@@ -233,9 +236,11 @@ pub struct StreamStats {
 /// A resumable, arrival-ordered flow generator over one CRAWDAD-like day.
 ///
 /// Construction costs one full pass of RNG draws (it must position the
-/// master stream exactly where the eager generator would leave it) but
-/// retains only O(clients) state; iteration replays each client's bursts
-/// on demand — a batch at a time — and merges them by `(start, client)`
+/// master stream exactly where the eager generator would leave it): the
+/// first `batch` flows of every client in full, the rest with the size
+/// math skipped. It retains only O(clients × batch) state; iteration
+/// replays each client's remaining bursts on demand — a batch at a
+/// time — and merges them by `(start, client)`
 /// through a packed binary heap. The yielded sequence is flow-for-flow identical
 /// to [`crate::crawdad::generate`]'s `flows` vector, and
 /// [`FlowStream::total_flows`] is known before the first flow is pulled —
@@ -283,7 +288,8 @@ impl FlowStream {
 
     /// Runs the setup pass: advances `rng` through every draw the eager
     /// generator makes (leaving it in the identical final state) while
-    /// snapshotting per-client burst cursors instead of storing flows.
+    /// priming per-client burst cursors with their first batch instead of
+    /// storing every flow.
     pub fn new(cfg: &CrawdadConfig, rng: &mut SimRng) -> FlowStream {
         Self::with_batch(cfg, rng, Self::DEFAULT_BATCH)
     }
@@ -309,43 +315,40 @@ impl FlowStream {
 
         let mut sessions: Vec<Session> = Vec::new();
         let mut cursors: Vec<ClientCursor> = Vec::with_capacity(cfg.n_clients);
+        let mut heads = Vec::with_capacity(cfg.n_clients);
+        let mut stats = StreamStats::default();
         let mut total_flows = 0usize;
 
         for c in 0..cfg.n_clients {
-            let client = ClientId::from_index(c);
             let personality = Personality::draw(cfg, rng);
             let sess_pos = sessions.len();
-            for s in &draw_sessions(cfg, rng) {
-                sessions.push(Session { client, start: s.0, end: s.1 });
-            }
-            let sess_end = sessions.len();
-            // Snapshot the RNG at the head of this client's burst segment,
-            // then burn the segment's draws on the master (size math
-            // skipped — the raw draw sequence is what positions the next
-            // client's personality on the right stream offset).
-            let snapshot = rng.clone();
-            let mut scratch = CursorState::new(sess_pos, sess_end);
+            draw_sessions(cfg, &shared.profile, ClientId::from_index(c), rng, &mut sessions);
+            // The cursor starts from the master at the head of this
+            // client's burst segment and primes its first batch; the
+            // master resumes after that batch and burns the rest of the
+            // segment's draws (size math skipped — the raw draw sequence
+            // is what positions the next client's personality on the
+            // right stream offset).
+            let mut cur = ClientCursor {
+                rng: rng.clone(),
+                personality,
+                state: CursorState::new(sess_pos, sessions.len()),
+                buf: Vec::new(),
+                pos: 0,
+            };
+            let n = cur.refill(&shared, &sessions, batch);
+            rng.clone_from(&cur.rng);
+            total_flows += n as usize;
+            let mut scratch = cur.state;
             while shared.step_skip(&sessions, personality, &mut scratch, rng) {
                 total_flows += 1;
             }
-            cursors.push(ClientCursor {
-                rng: snapshot,
-                personality,
-                state: CursorState::new(sess_pos, sess_end),
-                buf: Vec::new(),
-                pos: 0,
-            });
-        }
-
-        // Prime each cursor's first batch and seed the merge.
-        let mut stats = StreamStats::default();
-        let mut heads = vec![EXHAUSTED; cfg.n_clients];
-        for (c, cur) in cursors.iter_mut().enumerate() {
-            let n = cur.refill(&shared, &sessions, batch);
             stats.refills += n;
             stats.heap_pushes += n;
-            heads[c] = cur.head_start();
+            heads.push(cur.head_start());
+            cursors.push(cur);
         }
+
         let merge = PackedHeap::new(&heads);
         FlowStream {
             horizon: cfg.horizon,
@@ -586,19 +589,27 @@ mod tests {
 
     #[test]
     fn stats_count_every_refill_pop_and_push() {
-        let mut rng = SimRng::new(11);
-        let mut stream = FlowStream::new(&cfg(), &mut rng);
-        let total = stream.total_flows() as u64;
-        let primed = stream.stats().heap_pushes;
-        let cap = (cfg().n_clients * FlowStream::DEFAULT_BATCH) as u64;
-        assert!(primed > 0 && primed <= cap.min(total));
-        assert_eq!(stream.stats().refills, primed, "priming counts refill == push");
-        while stream.next_flow().is_some() {}
-        let s = stream.stats();
-        // One pop and one regeneration per flow; every buffered flow popped.
-        assert_eq!(s.merge_pops, total);
-        assert_eq!(s.refills, total);
-        assert_eq!(s.heap_pushes, total);
+        let eager = generate_eager(&cfg(), &mut SimRng::new(11));
+        let mut per_client = vec![0u64; cfg().n_clients];
+        for f in &eager.flows {
+            per_client[f.client.index()] += 1;
+        }
+        let total = eager.flows.len() as u64;
+        for batch in [1usize, 8, 1 << 20] {
+            let mut stream = FlowStream::with_batch(&cfg(), &mut SimRng::new(11), batch);
+            assert_eq!(stream.total_flows() as u64, total);
+            // Setup primes exactly each client's first batch.
+            let primed: u64 = per_client.iter().map(|&n| n.min(batch as u64)).sum();
+            assert_eq!(stream.stats().heap_pushes, primed, "batch {batch}");
+            assert_eq!(stream.stats().refills, primed, "batch {batch}");
+            assert_eq!(stream.stats().merge_pops, 0);
+            while stream.next_flow().is_some() {}
+            let s = stream.stats();
+            // One pop and one regeneration per flow; every buffered flow popped.
+            assert_eq!(s.merge_pops, total);
+            assert_eq!(s.refills, total);
+            assert_eq!(s.heap_pushes, total);
+        }
     }
 
     #[test]

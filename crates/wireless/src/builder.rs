@@ -40,15 +40,25 @@ pub fn overlap_topology(
     let degrees = household_degree_sequence(n_gateways, gw_mean, rng);
     let graph = prescribed_degree_graph(&degrees, rng)?;
 
-    // An out-of-range home reaches no neighbours; `from_rows` rejects it.
-    let neighbors = |h: usize| if h < n_gateways { graph.neighbors(h) } else { &[] };
-    let mut rows =
-        Rows::with_capacity(home.len(), home.iter().map(|&h| 1 + neighbors(h).len()).sum());
+    // One sorted row per gateway (its home link merged into its sorted
+    // neighbours); every client copies its home gateway's row. An
+    // out-of-range home gets an empty row, which `from_rows` rejects.
+    let mut gw_links: Vec<Link> = Vec::with_capacity(n_gateways + 2 * graph.m());
+    let mut gw_off = Vec::with_capacity(n_gateways + 1);
+    gw_off.push(0);
+    for h in 0..n_gateways {
+        let nbs = graph.neighbors(h);
+        let split = nbs.partition_point(|&nb| (nb as usize) < h);
+        let link = |nb: &u32| Link { gateway: *nb as usize, rate_bps: channel.neighbor_bps };
+        gw_links.extend(nbs[..split].iter().map(link));
+        gw_links.push(Link { gateway: h, rate_bps: channel.home_bps });
+        gw_links.extend(nbs[split..].iter().map(link));
+        gw_off.push(gw_links.len());
+    }
+    let row = |h: usize| if h < n_gateways { &gw_links[gw_off[h]..gw_off[h + 1]] } else { &[] };
+    let mut rows = Rows::with_capacity(home.len(), home.iter().map(|&h| row(h).len()).sum());
     for &h in home {
-        rows.links.push(Link { gateway: h, rate_bps: channel.home_bps });
-        for &nb in neighbors(h) {
-            rows.links.push(Link { gateway: nb as usize, rate_bps: channel.neighbor_bps });
-        }
+        rows.links.extend_from_slice(row(h));
         rows.end_row();
     }
     Topology::from_rows(n_gateways, home.to_vec(), rows)
@@ -81,9 +91,12 @@ pub fn binomial_topology(
     let expected = (mean_in_range * home.len() as f64) as usize;
     let mut rows = Rows::with_capacity(home.len(), expected);
     for &h in home {
-        rows.links.push(Link { gateway: h, rate_bps: channel.home_bps });
+        // Gateways in index order, so the row comes out sorted; the home
+        // link takes no draw.
         for g in 0..n_gateways {
-            if g != h && rng.chance(p) {
+            if g == h {
+                rows.links.push(Link { gateway: h, rate_bps: channel.home_bps });
+            } else if rng.chance(p) {
                 rows.links.push(Link { gateway: g, rate_bps: channel.neighbor_bps });
             }
         }

@@ -12,8 +12,12 @@
 //! Every step of the pipeline preserves degrees, so a [`Graph`] is one CSR
 //! adjacency whose row offsets are fixed by the degree sequence: node `u`'s
 //! neighbours are `adj[off[u]..off[u + 1]]`, as `u32`. Havel–Hakimi fills
-//! the rows by appending; an accepted double edge swap overwrites four
-//! slots in place; `has_edge` is a linear scan of a row (mean degree ≈ 6).
+//! the rows by appending. The swap loop works on the edge list alone and
+//! tests candidate edges against an n × n adjacency bit matrix (one bit per
+//! `(min, max)` pair: 31 KiB at n = 500), so a rejected swap costs two bit
+//! reads and an accepted one flips four bits; the rows are refilled from
+//! the edge list when the loop ends. The matrix is why
+//! [`prescribed_degree_graph`] caps `n²` at [`MAX_TOPOLOGY_PAIRS`] (16 MiB).
 //! Rows are sorted after Havel–Hakimi and again after the swap loop, so a
 //! graph handed out always has sorted rows.
 //!
@@ -26,7 +30,7 @@
 //! * Havel–Hakimi's pick order — remaining degree descending, then node
 //!   descending — read from degree buckets instead of a re-sorted list;
 //! * the swap loop's edge list, which starts as the sorted `(u < v)` list
-//!   and is updated slot by slot exactly as before;
+//!   and is updated entry by entry exactly as before;
 //! * the connectivity repair's candidate order — components by smallest
 //!   node, edges `(u < v)` by sorted `u` then sorted row — which holds
 //!   because the repair re-sorts every row it touches.
@@ -34,6 +38,7 @@
 //! The test module keeps the previous set-based generator as an oracle and
 //! checks edge-list and RNG-state equality against it.
 
+use crate::shard::{topology_pair_count, MAX_TOPOLOGY_PAIRS};
 use insomnia_simcore::{SimError, SimResult, SimRng};
 
 /// An undirected simple graph on `n` nodes with fixed degrees, stored as
@@ -186,8 +191,13 @@ pub fn prescribed_degree_graph(degrees: &[usize], rng: &mut SimRng) -> SimResult
     if sum / 2 < n.saturating_sub(1) {
         return Err(SimError::InvalidInput("too few edges to connect the graph".into()));
     }
-    if u32::try_from(n).is_err() {
-        return Err(SimError::InvalidInput("more nodes than u32 indices".into()));
+    // The swap loop's adjacency matrix holds n² bits; the bound also keeps
+    // every node index within `u32`.
+    if topology_pair_count(n, n).is_none_or(|pairs| pairs > MAX_TOPOLOGY_PAIRS) {
+        return Err(SimError::InvalidInput(format!(
+            "{n} nodes need a {n} x {n} adjacency matrix, over the budget of \
+             {MAX_TOPOLOGY_PAIRS} pairs"
+        )));
     }
 
     let mut g = havel_hakimi(degrees)?;
@@ -290,37 +300,23 @@ fn merge_ascending(into: &mut Vec<u32>, run: &[u32]) {
 /// Randomizes a graph in place with double edge swaps that keep it simple
 /// and preserve all degrees.
 ///
-/// Beside the edge list (whose order drives the RNG draws), `slots[i]`
-/// holds the two `adj` slots of edge `i`: the one in its first endpoint's
-/// row (holding the second endpoint) and vice versa. An accepted swap then
-/// rewrites four slots without searching a row.
+/// The swaps rewrite the sorted `(u < v)` edge list, whose order drives the
+/// RNG draws, and test candidate edges against an [`EdgeBits`] matrix of
+/// the same graph. When the loop ends the CSR rows are refilled from the
+/// edge list and sorted.
 fn randomize_edges(g: &mut Graph, rng: &mut SimRng, attempts: usize) {
+    let n = g.n();
     let mut edges: Vec<(u32, u32)> = Vec::with_capacity(g.m());
-    let mut slots: Vec<[usize; 2]> = Vec::with_capacity(g.m());
-    // Sorted rows list a node's smaller neighbours first, in the order the
-    // sorted edge list reaches them, so one cursor per row finds the
-    // second slot of every edge.
-    let mut cursor: Vec<usize> = g.off[..g.n()].to_vec();
-    for u in 0..g.n() {
-        for k in g.off[u]..g.off[u + 1] {
-            let v = g.adj[k];
-            if (u as u32) < v {
-                edges.push((u as u32, v));
-                slots.push([k, cursor[v as usize]]);
-                cursor[v as usize] += 1;
-            }
-        }
+    for u in 0..n {
+        edges.extend(g.neighbors(u).iter().filter(|&&v| (u as u32) < v).map(|&v| (u as u32, v)));
     }
     if edges.len() < 2 {
         return;
     }
-    let oriented = |x: u32, y: u32, sx: usize, sy: usize| {
-        if x < y {
-            ((x, y), [sx, sy])
-        } else {
-            ((y, x), [sy, sx])
-        }
-    };
+    let mut bits = EdgeBits::new(n);
+    for &(u, v) in &edges {
+        bits.flip(u, v);
+    }
     for _ in 0..attempts {
         let i = rng.below_usize(edges.len());
         let j = rng.below_usize(edges.len());
@@ -331,26 +327,56 @@ fn randomize_edges(g: &mut Graph, rng: &mut SimRng, attempts: usize) {
         let (c, d) = edges[j];
         // Swap to (a,c),(b,d) or (a,d),(b,c), chosen at random.
         let ((p, q), (r, s)) = if rng.chance(0.5) { ((a, c), (b, d)) } else { ((a, d), (b, c)) };
-        if p == q
-            || r == s
-            || g.has_edge(p as usize, q as usize)
-            || g.has_edge(r as usize, s as usize)
-        {
+        if p == q || r == s || bits.get(p, q) || bits.get(r, s) {
             continue;
         }
         // An accepted swap has four distinct endpoints (a shared one makes
-        // a self-loop or an existing edge): {q, s} = {c, d}, and each of
-        // a, b, q, s swaps exactly one partner.
-        let [sa, sb] = slots[i];
-        let [sq, ss] = if q == c { slots[j] } else { [slots[j][1], slots[j][0]] };
-        g.adj[sa] = q;
-        g.adj[sq] = a;
-        g.adj[sb] = s;
-        g.adj[ss] = b;
-        (edges[i], slots[i]) = oriented(a, q, sa, sq);
-        (edges[j], slots[j]) = oriented(b, s, sb, ss);
+        // a self-loop or an existing edge), so the four pairs are distinct.
+        bits.flip(a, b);
+        bits.flip(c, d);
+        bits.flip(p, q);
+        bits.flip(r, s);
+        edges[i] = (p.min(q), p.max(q));
+        edges[j] = (r.min(s), r.max(s));
+    }
+    let mut fill: Vec<usize> = g.off[..n].to_vec();
+    for &(u, v) in &edges {
+        g.adj[fill[u as usize]] = v;
+        fill[u as usize] += 1;
+        g.adj[fill[v as usize]] = u;
+        fill[v as usize] += 1;
     }
     g.sort_rows();
+}
+
+/// The swap loop's adjacency test: bit `min · n + max` is set iff
+/// `{min, max}` is an edge.
+struct EdgeBits {
+    n: usize,
+    words: Vec<u64>,
+}
+
+impl EdgeBits {
+    /// An empty matrix over `n` nodes (`n²` bits).
+    fn new(n: usize) -> Self {
+        EdgeBits { n, words: vec![0; (n * n).div_ceil(64)] }
+    }
+
+    fn index(&self, x: u32, y: u32) -> usize {
+        x.min(y) as usize * self.n + x.max(y) as usize
+    }
+
+    /// True if `{x, y}` is an edge.
+    fn get(&self, x: u32, y: u32) -> bool {
+        let i = self.index(x, y);
+        self.words[i / 64] >> (i % 64) & 1 == 1
+    }
+
+    /// Adds `{x, y}` if absent, removes it if present.
+    fn flip(&mut self, x: u32, y: u32) {
+        let i = self.index(x, y);
+        self.words[i / 64] ^= 1 << (i % 64);
+    }
 }
 
 /// Makes the graph connected with degree-preserving swaps: take an edge
@@ -908,6 +934,27 @@ mod tests {
         ) {
             prop_assert_eq!(is_graphical(&degrees), oracle::is_graphical(&degrees), "{:?}", degrees);
         }
+    }
+
+    #[test]
+    fn household_graphs_match_the_oracle_at_shard_scale() {
+        // Shard-sized gateway graphs at the presets' overlap degree: the
+        // swap loop runs ~10⁴ attempts, far more than the proptests reach.
+        for n in [200usize, 500, 625] {
+            for seed in 0..4u64 {
+                let degrees = household_degree_sequence(n, 6.0, &mut SimRng::new(seed));
+                assert_matches_oracle(&degrees, seed ^ 0x5eed);
+            }
+        }
+    }
+
+    #[test]
+    fn rejects_graphs_past_the_matrix_budget() {
+        // 11 585² fits the budget; 11 586² does not, and nothing is built.
+        const { assert!(11_585u64 * 11_585 <= MAX_TOPOLOGY_PAIRS) };
+        let err = prescribed_degree_graph(&vec![2; 11_586], &mut SimRng::new(1)).unwrap_err();
+        assert!(matches!(err, SimError::InvalidInput(_)), "{err}");
+        assert!(err.to_string().contains("11586 x 11586"), "{err}");
     }
 
     #[test]

@@ -40,21 +40,23 @@ impl Topology {
             return Err(SimError::InvalidInput("home/links length mismatch".into()));
         }
         let mut rows = Rows::with_capacity(home.len(), links.iter().map(Vec::len).sum());
-        for ls in links {
+        for mut ls in links {
+            ls.sort_by_key(|l| l.gateway);
             rows.links.extend(ls);
             rows.end_row();
         }
         Topology::from_rows(n_gateways, home, rows)
     }
 
-    /// Validates and sorts every row of `rows` (client `c`'s row is its
-    /// link list), then takes them over without copying.
+    /// Validates every row of `rows` (client `c`'s row is its link list,
+    /// which the builders emit sorted by gateway), then takes them over
+    /// without copying.
     pub(crate) fn from_rows(n_gateways: usize, home: Vec<usize>, rows: Rows) -> SimResult<Self> {
-        let Rows { mut links, off } = rows;
+        let Rows { links, off } = rows;
         assert_eq!(off.len(), home.len() + 1, "one row per client");
         for (c, &h) in home.iter().enumerate() {
-            let ls = &mut links[off[c]..off[c + 1]];
-            ls.sort_by_key(|l| l.gateway);
+            let ls = &links[off[c]..off[c + 1]];
+            debug_assert!(ls.is_sorted_by_key(|l| l.gateway), "client {c}'s row is unsorted");
             if ls.windows(2).any(|w| w[0].gateway == w[1].gateway) {
                 return Err(SimError::InvalidInput(format!("client {c} has duplicate links")));
             }
