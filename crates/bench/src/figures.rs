@@ -7,14 +7,14 @@
 
 use insomnia_access::{p_card_sleeps, PowerModel};
 use insomnia_core::{
-    build_world, completion_variation_cdf, hourly_means, isp_share_percent_series,
-    online_time_variation_cdf, run_testbed, savings_percent_series, summarize, FigureData,
-    ScenarioConfig, SchemeResult, SchemeSpec, TestbedConfig, WorldModel,
+    completion_variation_cdf, hourly_means, isp_share_percent_series, online_time_variation_cdf,
+    run_testbed, savings_percent_series, summarize, FigureData, ScenarioConfig, SchemeResult,
+    SchemeSpec, ShardedWorld, TestbedConfig, WorldModel,
 };
 use insomnia_dslphy::{sample_attenuations, AttenuationConfig, BundleConfig, CrosstalkExperiment};
 use insomnia_scenarios::{
-    job_seed, parse_scheme_list, run_batch_results, run_batch_telemetry, scheme_key, BatchRun,
-    JobRecord, Registry, ScenarioSpec, Telemetry,
+    job_seed, parse_scheme_list, run_batch_controlled, run_batch_results, scheme_key, BatchRun,
+    JobRecord, Registry, RunControl, ScenarioSpec, Telemetry,
 };
 use insomnia_simcore::{Cdf, SimRng, SimTime};
 use insomnia_traffic::adsl::{self, AdslConfig, Direction};
@@ -159,7 +159,8 @@ fn baseline_w(cfg: &ScenarioConfig) -> (f64, f64) {
 /// (`job_seed(cfg.seed, 0)`), whole, so Figs. 3–9 describe one trace.
 fn harness_trace(h: &Harness) -> Trace {
     let seed = job_seed(h.scenario.seed, 0);
-    build_world(&ScenarioConfig { seed, ..h.scenario.clone() }).0
+    let whole = ScenarioConfig { shards: 1, ..h.scenario.clone() };
+    ShardedWorld::lazy(&whole, seed).build_shard(0).0.collect_trace()
 }
 
 /// Fig. 2: daily average and median utilization of the ADSL population.
@@ -374,7 +375,7 @@ pub fn fig9b(runs: &MainRuns) -> FigureData {
 /// off. Returns the job records in job order.
 fn run_sweep(h: &Harness, sets: &[&str], axes: &[(&str, &[&str])], seeds: usize) -> Vec<JobRecord> {
     let batch = harness_batch(h, sets, axes, vec![SchemeSpec::bh2_k_switch()], seeds);
-    run_batch_telemetry(&batch, &mut std::io::sink(), &Telemetry::quiet())
+    run_batch_controlled(&batch, &mut std::io::sink(), &Telemetry::quiet(), RunControl::default())
         .expect("figure sweep runs")
         .records
 }

@@ -5,7 +5,8 @@
 
 use insomnia_bench::{figures, Harness, MainRuns};
 use insomnia_scenarios::{
-    parse_scheme_list, run_batch_telemetry, BatchRun, JobRecord, Registry, ScenarioSpec, Telemetry,
+    parse_scheme_list, run_batch_controlled, BatchRun, JobRecord, Registry, RunControl,
+    ScenarioSpec, Telemetry,
 };
 
 /// A smoke-sized `paper-default`: 68 clients, 10 gateways, a 12 h day
@@ -30,7 +31,9 @@ fn cli_batch(
     let scenarios = Registry::builtin().expand(paper_default(), &sets, sweep, false).unwrap();
     let batch =
         BatchRun { scenarios, schemes: parse_scheme_list(schemes).unwrap(), seeds, threads: 1 };
-    run_batch_telemetry(&batch, &mut std::io::sink(), &Telemetry::quiet()).unwrap().records
+    run_batch_controlled(&batch, &mut std::io::sink(), &Telemetry::quiet(), RunControl::default())
+        .unwrap()
+        .records
 }
 
 fn small_harness() -> Harness {

@@ -86,7 +86,7 @@ pub struct ScenarioConfig {
     pub trace: CrawdadConfig,
     /// Mean number of networks in range per client (paper: 5.6).
     pub mean_networks_in_range: f64,
-    /// Topology generator used by `build_world`.
+    /// Topology generator of the world build ([`crate::ShardedWorld::build_shard`]).
     pub topology: TopologyKind,
     /// Wireless rates (12 Mbps home / 6 Mbps neighbor).
     pub channel: ChannelModel,

@@ -15,7 +15,9 @@
 //! seed, shard plan (computed once) and, when shared, one prototype slot
 //! per shard. A task reads its config and seed from the world and claims
 //! its shard's prototype there, so every consumer of a prototype runs the
-//! same config by construction.
+//! same config by construction. [`ShardedWorld::build_shard`] is the one
+//! world-build recipe: tasks stream the shard it builds, and the figure
+//! harness, the testbed and the tests collect that stream into a [`Trace`].
 //!
 //! Event zoo: flow arrivals from the trace; flow departures from the
 //! processor-sharing engine; gateway wake completions; SoI idle checks;
@@ -744,28 +746,31 @@ fn run_single(
     debug_assert_eq!(counters.delivered(), sched.delivered(), "every delivered event counted");
     debug_assert_eq!(counters.cancelled(), sched.cancelled(), "every cancel site counted");
     let gateway_online_s: Vec<f64> = world.gateways.iter().map(|g| g.online_seconds()).collect();
-    // Conservation laws: every arrival completed or is still active at the
+    // Conservation laws, checked in release builds too (O(gateways) per
+    // run; a violation panics the task, which the batch runner reports as
+    // a failed task): every arrival completed or is still active at the
     // horizon; flow-simulating schemes fire every trace flow as an arrival
     // and Optimal fires none; no gateway is online past the horizon (the
     // online meter sums one f64 term per state interval, hence a 10⁻⁹
     // relative rounding slack).
-    debug_assert_eq!(
+    assert_eq!(
         counters.arrivals,
         counters.flows_completed + world.active_flows as u64,
         "arrivals = completed + active at the horizon"
     );
-    debug_assert_eq!(
+    assert_eq!(
         counters.arrivals,
         if is_optimal { 0 } else { counters.flows_total },
         "arrivals vs trace flows"
     );
-    debug_assert!(
+    assert!(
         gateway_online_s.iter().all(|&s| s <= horizon.as_secs_f64() * (1.0 + 1e-9)),
         "a gateway was online longer than the horizon"
     );
     // Every wake started either completed or is still in flight.
-    debug_assert_eq!(
-        world.gateways.iter().map(|g| g.wake_count()).sum::<u64>(),
+    let wake_counts: Vec<u64> = world.gateways.iter().map(|g| g.wake_count()).collect();
+    assert_eq!(
+        wake_counts.iter().sum::<u64>(),
         counters.wake_dones
             + world.gateways.iter().filter(|g| g.state() == GwState::Waking).count() as u64,
         "wakes = wake-dones + gateways still waking at the horizon"
@@ -779,7 +784,7 @@ fn run_single(
         energy,
         completion: world.completion,
         gateway_online_s,
-        wake_counts: world.gateways.iter().map(|g| g.wake_count()).collect(),
+        wake_counts,
         stats: world.stats,
         events: sched.delivered(),
         counters,
@@ -1225,17 +1230,8 @@ impl SchemeResult {
     }
 }
 
-/// Builds the scenario's whole trace and topology from the master seed,
-/// as one unsharded world whatever `cfg.shards` says. Shared across
-/// schemes and repetitions (the paper uses one real trace and one
-/// topology; randomness lives in the algorithms).
-pub fn build_world(cfg: &ScenarioConfig) -> (Trace, Topology) {
-    let whole = ScenarioConfig { shards: 1, ..cfg.clone() };
-    build_world_shard(&whole, cfg.seed, 0)
-}
-
 /// Builds the client↔gateway reachability graph for one (shard's) home
-/// assignment — the one topology construction every world builder shares.
+/// assignment — the topology half of [`ShardedWorld::build_shard`].
 fn build_topology(
     cfg: &ScenarioConfig,
     home: &[usize],
@@ -1262,7 +1258,7 @@ fn build_topology(
 /// streaming the trace, never materializing flows — and drops it on
 /// completion, so peak RSS is O(worker threads × shard), not O(world).
 /// Shard builds are index-addressed pure functions of `(config, seed,
-/// shard)` ([`build_world_shard_streaming`]).
+/// shard)` ([`build_shard`](Self::build_shard)).
 ///
 /// A shared world's slot hands out one refcounted prototype per shard and
 /// counts down its consumers (the repetitions of one run, or every scheme
@@ -1354,9 +1350,21 @@ impl ShardedWorld {
         }
     }
 
-    /// Builds shard `shard` (see [`build_world_shard_streaming`]) plus the
-    /// wall-clock of its topology build, milliseconds.
-    fn build_shard(&self, shard: usize) -> (FlowStream, Topology, f64) {
+    /// Builds shard `shard` from the master seed: its trace as an
+    /// unconsumed [`FlowStream`] (O(clients) state; collect it for a
+    /// materialized [`Trace`]), its topology, and the wall-clock of the
+    /// topology build, milliseconds — the one world-build recipe (the
+    /// paper uses one trace and one topology per world; randomness lives
+    /// in the algorithms).
+    ///
+    /// A one-shard world draws its trace from `master.fork("trace")` and
+    /// its topology from `master.fork("topology")`; with more shards,
+    /// shard `s` draws from `master.fork_idx("shard-trace", s)` /
+    /// `fork_idx("shard-topology", s)` over its span-sized population, so
+    /// shards are decorrelated and each is independent of how many others
+    /// exist or who builds them. `tests/streaming.rs` pins the collected
+    /// trace to the eager generator's on those forks.
+    pub fn build_shard(&self, shard: usize) -> (FlowStream, Topology, f64) {
         let master = SimRng::new(self.seed);
         let span = self.spans[shard];
         let mut shard_trace = self.cfg.trace.clone();
@@ -1376,35 +1384,6 @@ impl ShardedWorld {
         let topo = build_topology(&self.cfg, &home, shard_trace.n_aps, &mut topo_rng);
         (stream, topo, topo_start.elapsed().as_secs_f64() * 1e3)
     }
-}
-
-/// Builds shard `shard` of the scenario's world from the master seed —
-/// [`build_world_shard_streaming`] with the stream collected into a
-/// materialized [`Trace`] (the eager generator's exact flows).
-pub fn build_world_shard(cfg: &ScenarioConfig, seed: u64, shard: usize) -> (Trace, Topology) {
-    let (stream, topo) = build_world_shard_streaming(cfg, seed, shard);
-    (stream.collect_trace(), topo)
-}
-
-/// Builds shard `shard` of the scenario's world from the master seed, its
-/// trace as an unconsumed [`FlowStream`] (O(clients) state) — the one
-/// world-build recipe every builder shares.
-///
-/// A `shards = 1` world draws its trace from `master.fork("trace")` and
-/// its topology from `master.fork("topology")`; with more shards, shard
-/// `s` draws from `master.fork_idx("shard-trace", s)` /
-/// `fork_idx("shard-topology", s)` over its span-sized population, so
-/// shards are decorrelated and each is independent of how many others
-/// exist or who builds them. Batch runners flatten (world × shard) tasks
-/// onto one pool through the same recipe; `tests/streaming.rs` pins the
-/// collected trace to the eager generator's.
-pub fn build_world_shard_streaming(
-    cfg: &ScenarioConfig,
-    seed: u64,
-    shard: usize,
-) -> (FlowStream, Topology) {
-    let (stream, topo, _) = ShardedWorld::lazy(cfg, seed).build_shard(shard);
-    (stream, topo)
 }
 
 /// The one live repetition accumulator of the shard fold: shard runs of
@@ -1884,7 +1863,8 @@ mod tests {
     #[test]
     fn every_scheme_conserves_flows_and_bounds_online_time() {
         let cfg = ScenarioConfig::smoke();
-        let (trace, topo) = build_world(&cfg);
+        let (stream, topo, _) = ShardedWorld::lazy(&cfg, cfg.seed).build_shard(0);
+        let trace = stream.collect_trace();
         let horizon_s = cfg.horizon().as_secs_f64();
         for spec in [
             SchemeSpec::no_sleep(),
@@ -1918,7 +1898,8 @@ mod tests {
     #[test]
     fn no_sleep_draws_constant_full_power() {
         let cfg = quick_cfg();
-        let (trace, topo) = build_world(&cfg);
+        let (stream, topo, _) = ShardedWorld::lazy(&cfg, cfg.seed).build_shard(0);
+        let trace = stream.collect_trace();
         let r = run_slice(&cfg, SchemeSpec::no_sleep(), &trace, &topo, SimRng::new(1));
         let base_user = cfg.power.no_sleep_user_w(10);
         let base_isp = cfg.power.no_sleep_isp_w(10, 4);
@@ -1934,7 +1915,8 @@ mod tests {
     #[test]
     fn soi_saves_energy_and_completes_flows() {
         let cfg = quick_cfg();
-        let (trace, topo) = build_world(&cfg);
+        let (stream, topo, _) = ShardedWorld::lazy(&cfg, cfg.seed).build_shard(0);
+        let trace = stream.collect_trace();
         let base = run_slice(&cfg, SchemeSpec::no_sleep(), &trace, &topo, SimRng::new(1));
         let soi = run_slice(&cfg, SchemeSpec::soi(), &trace, &topo, SimRng::new(1));
         assert!(
@@ -1959,7 +1941,8 @@ mod tests {
     fn bh2_powers_fewer_gateways_than_soi() {
         let mut cfg = quick_cfg();
         cfg.trace.horizon = SimTime::from_hours(6);
-        let (trace, topo) = build_world(&cfg);
+        let (stream, topo, _) = ShardedWorld::lazy(&cfg, cfg.seed).build_shard(0);
+        let trace = stream.collect_trace();
         let soi = run_slice(&cfg, SchemeSpec::soi(), &trace, &topo, SimRng::new(2));
         let bh2 = run_slice(&cfg, SchemeSpec::bh2_k_switch(), &trace, &topo, SimRng::new(2));
         let mean = |xs: &[f64]| xs.iter().sum::<f64>() / xs.len() as f64;
@@ -1976,7 +1959,8 @@ mod tests {
     fn optimal_uses_fewest_gateways() {
         let mut cfg = quick_cfg();
         cfg.trace.horizon = SimTime::from_hours(6);
-        let (trace, topo) = build_world(&cfg);
+        let (stream, topo, _) = ShardedWorld::lazy(&cfg, cfg.seed).build_shard(0);
+        let trace = stream.collect_trace();
         let soi = run_slice(&cfg, SchemeSpec::soi(), &trace, &topo, SimRng::new(3));
         let bh2 = run_slice(&cfg, SchemeSpec::bh2_k_switch(), &trace, &topo, SimRng::new(3));
         let opt = run_slice(&cfg, SchemeSpec::optimal(), &trace, &topo, SimRng::new(3));
@@ -1989,7 +1973,8 @@ mod tests {
     #[test]
     fn determinism_same_seed_same_result() {
         let cfg = quick_cfg();
-        let (trace, topo) = build_world(&cfg);
+        let (stream, topo, _) = ShardedWorld::lazy(&cfg, cfg.seed).build_shard(0);
+        let trace = stream.collect_trace();
         let a = run_slice(&cfg, SchemeSpec::bh2_k_switch(), &trace, &topo, SimRng::new(7));
         let b = run_slice(&cfg, SchemeSpec::bh2_k_switch(), &trace, &topo, SimRng::new(7));
         assert_eq!(a.energy.total_j(), b.energy.total_j());
@@ -2007,7 +1992,8 @@ mod tests {
         // scheme here (SoI, 70 wakes over 10 800 samples) is off by 0.036%,
         // far inside the 2% bound.
         let cfg = quick_cfg();
-        let (trace, topo) = build_world(&cfg);
+        let (stream, topo, _) = ShardedWorld::lazy(&cfg, cfg.seed).build_shard(0);
+        let trace = stream.collect_trace();
         for spec in [
             SchemeSpec::no_sleep(),
             SchemeSpec::soi(),
@@ -2057,18 +2043,12 @@ mod tests {
     #[test]
     fn one_shard_world_is_byte_identical_to_unsharded_build() {
         let cfg = sharded_cfg(1);
-        let (trace, topo) = build_world(&ScenarioConfig { seed: 99, ..cfg.clone() });
         let world = ShardedWorld::lazy(&cfg, 99);
         assert_eq!((world.spans[0].n_clients, world.spans[0].n_gateways), (136, 20));
         assert_eq!(world.n_shards(), 1);
-        let (st, stopo) = build_world_shard(&cfg, 99, 0);
-        assert_eq!(st.flows.len(), trace.flows.len());
-        assert_eq!(st.home, trace.home);
-        assert_eq!(st.total_bytes(), trace.total_bytes());
-        for c in 0..topo.n_clients() {
-            assert_eq!(stopo.reachable(c), topo.reachable(c));
-        }
-        // And its one task, folded, reproduces a single run over the
+        let (stream, topo, _) = world.build_shard(0);
+        let trace = stream.collect_trace();
+        // Its one task, folded, reproduces a single run over the
         // materialized trace exactly (one repetition, whose stream is the
         // unforked-by-shard `"rep"` 0).
         let spec = SchemeSpec::bh2_k_switch();
@@ -2086,7 +2066,8 @@ mod tests {
     fn merged_shards_sum_series_and_concatenate_vectors() {
         let cfg = sharded_cfg(4);
         let r = run_shared(&cfg, SchemeSpec::no_sleep(), 11);
-        let n_flows: usize = (0..4).map(|s| build_world_shard(&cfg, 11, s).0.flows.len()).sum();
+        let world = ShardedWorld::lazy(&cfg, 11);
+        let n_flows: usize = (0..4).map(|s| world.build_shard(s).0.total_flows()).sum();
         // No-sleep powers every gateway of every shard, all day.
         for p in &r.powered_gateways {
             assert!((p - 20.0).abs() < 1e-9, "all 20 gateways across 4 shards powered, got {p}");
@@ -2168,8 +2149,8 @@ mod tests {
     #[test]
     fn shards_decorrelate_but_preserve_population() {
         let cfg = sharded_cfg(2);
-        let (a, _) = build_world_shard(&cfg, 3, 0);
-        let (b, _) = build_world_shard(&cfg, 3, 1);
+        let world = ShardedWorld::lazy(&cfg, 3);
+        let [a, b] = [0, 1].map(|s| world.build_shard(s).0.collect_trace());
         assert_ne!(a.total_bytes(), b.total_bytes(), "shards draw independent streams");
         assert_eq!(a.n_clients() + b.n_clients(), 136);
     }
@@ -2177,7 +2158,8 @@ mod tests {
     #[test]
     fn run_result_wire_form_roundtrips_exactly() {
         let cfg = quick_cfg();
-        let (trace, topo) = build_world(&cfg);
+        let (stream, topo, _) = ShardedWorld::lazy(&cfg, cfg.seed).build_shard(0);
+        let trace = stream.collect_trace();
         let r = run_slice(&cfg, SchemeSpec::soi(), &trace, &topo, SimRng::new(5));
         let wire = r.to_value();
         let back = RunResult::from_value(&wire).expect("wire form deserializes");

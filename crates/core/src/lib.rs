@@ -25,9 +25,8 @@ pub use config::{
     AdaptiveSoiParams, Bh2Params, ScenarioConfig, TopologyKind, DEFAULT_COMPLETION_CUTOFF,
 };
 pub use driver::{
-    build_world, build_world_shard, build_world_shard_streaming, run_scheme_task,
-    run_single_source_threads, ArrivalSource, DriverStats, ProtoClaim, RunResult, SchemeFolder,
-    SchemeResult, ShardSummary, ShardedWorld, TaskSetup, CHECKPOINT_SCHEMA_VERSION,
+    run_scheme_task, run_single_source_threads, ArrivalSource, DriverStats, ProtoClaim, RunResult,
+    SchemeFolder, SchemeResult, ShardSummary, ShardedWorld, TaskSetup, CHECKPOINT_SCHEMA_VERSION,
 };
 pub use extrapolate::WorldModel;
 pub use insomnia_telemetry::RunCounters;

@@ -10,7 +10,7 @@
 //! gateways, and the driver's SoI/BH2 machinery as-is.
 
 use crate::config::ScenarioConfig;
-use crate::driver::{run_single_source_threads, ArrivalSource};
+use crate::driver::{run_single_source_threads, ArrivalSource, ShardedWorld};
 use crate::schemes::SchemeSpec;
 use insomnia_simcore::{SimRng, SimTime};
 use insomnia_traffic::{ApId, ClientId, Session, Trace};
@@ -58,6 +58,14 @@ pub struct TestbedResult {
     pub soi_mean_sleeping: f64,
     /// Window mean of sleeping APs under BH2 (paper: 5.46 of 9).
     pub bh2_mean_sleeping: f64,
+}
+
+/// The scenario's whole one-shard trace from its seed — the pool every
+/// replay slices its APs from — built by the one world recipe (whose
+/// topology the testbed replaces with its ring).
+fn source_trace(scenario: &ScenarioConfig) -> Trace {
+    let whole = ScenarioConfig { shards: 1, ..scenario.clone() };
+    ShardedWorld::lazy(&whole, scenario.seed).build_shard(0).0.collect_trace()
 }
 
 /// Extracts a 30-minute testbed trace: assign one random source AP to each
@@ -120,8 +128,7 @@ fn ring_topology(trace: &Trace, cfg: &TestbedConfig) -> Topology {
 /// Runs the testbed comparison (Fig. 12).
 pub fn run_testbed(scenario: &ScenarioConfig, cfg: &TestbedConfig) -> TestbedResult {
     let master = SimRng::new(scenario.seed);
-    let mut trace_rng = master.fork("trace");
-    let source = insomnia_traffic::crawdad::generate(&scenario.trace, &mut trace_rng);
+    let source = source_trace(scenario);
 
     let window_s = (cfg.window_end - cfg.window_start).as_secs_f64();
     let n_minutes = (window_s / 60.0).round() as usize;
@@ -201,9 +208,7 @@ mod tests {
     fn sliced_trace_is_valid_and_windowed() {
         let (scenario, cfg) = quick();
         let mut rng = SimRng::new(1);
-        let mut trace_rng = SimRng::new(scenario.seed).fork("trace");
-        let source = insomnia_traffic::crawdad::generate(&scenario.trace, &mut trace_rng);
-        let t = slice_trace(&source, &cfg, &mut rng);
+        let t = slice_trace(&source_trace(&scenario), &cfg, &mut rng);
         t.validate().unwrap();
         assert_eq!(t.n_aps, 9);
         assert!(t.horizon == SimTime::from_mins(30));
@@ -214,9 +219,7 @@ mod tests {
     fn ring_gives_exactly_three_gateways() {
         let (scenario, cfg) = quick();
         let mut rng = SimRng::new(2);
-        let mut trace_rng = SimRng::new(scenario.seed).fork("trace");
-        let source = insomnia_traffic::crawdad::generate(&scenario.trace, &mut trace_rng);
-        let t = slice_trace(&source, &cfg, &mut rng);
+        let t = slice_trace(&source_trace(&scenario), &cfg, &mut rng);
         let topo = ring_topology(&t, &cfg);
         for c in 0..topo.n_clients() {
             assert_eq!(topo.reachable(c).len(), 3, "max 3 gateways per §5.3");

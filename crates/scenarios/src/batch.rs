@@ -532,26 +532,19 @@ pub fn job_seed(scenario_seed: u64, seed_index: usize) -> u64 {
 /// Runs the batch, streaming one JSON line per job (in job order) into
 /// `out`, and returns all records plus the aggregated summary. Telemetry
 /// goes to the default stderr renderer (the classic heartbeat/job lines);
-/// use [`run_batch_telemetry`] to pick the destinations.
+/// use [`run_batch_controlled`] to pick the destinations.
 pub fn run_batch<W: Write>(batch: &BatchRun, out: &mut W) -> SimResult<BatchSummary> {
-    run_batch_telemetry(batch, out, &Telemetry::stderr())
+    run_batch_controlled(batch, out, &Telemetry::stderr(), RunControl::default())
 }
 
-/// [`run_batch`] with an explicit [`Telemetry`]: every run record —
+/// [`run_batch`] with an explicit [`Telemetry`] under a [`RunControl`]:
+/// the crash-safe entry point behind `insomnia run
+/// --checkpoint/--resume/--faults`, and (with `RunControl::default()`) the
+/// plain run with chosen telemetry destinations. Every run record —
 /// manifest, per-task heartbeats, per-job lines, the phase-span table and
 /// the final summary — is emitted through `tel`. The result JSONL written
 /// to `out` is byte-identical whatever its destinations (telemetry can
 /// observe the run but never affect it).
-pub fn run_batch_telemetry<W: Write>(
-    batch: &BatchRun,
-    out: &mut W,
-    tel: &Telemetry,
-) -> SimResult<BatchSummary> {
-    run_batch_controlled(batch, out, tel, RunControl::default())
-}
-
-/// [`run_batch_telemetry`] under a [`RunControl`]: the crash-safe entry
-/// point behind `insomnia run --checkpoint/--resume/--faults`.
 ///
 /// Determinism contract: none of the controls may change a result byte.
 /// Replayed checkpoint tasks fold the persisted wire form at the same
@@ -828,6 +821,7 @@ fn run_jobs(
         // Attribute the caller's config span to the run's wall-clock too,
         // so `insomnia profile` shares sum against the right total.
         wall_ms: tel.config_ms + wall_start.elapsed().as_secs_f64() * 1_000.0,
+        workers: pool,
         jobs: n_jobs,
         tasks: event_loop.tasks(),
         events: counters.delivered(),

@@ -4,7 +4,7 @@
 //! once per swept value, and the batch runs BH2 + k-switch over the result.
 
 use insomnia_scenarios::{
-    parse_scheme_list, run_batch_telemetry, BatchRun, JobRecord, Registry, Telemetry,
+    parse_scheme_list, run_batch_controlled, BatchRun, JobRecord, Registry, RunControl, Telemetry,
 };
 
 /// `insomnia sweep --scenario paper-default --set n_clients=68 --set
@@ -20,7 +20,9 @@ fn sweep(hours: &str, sets: &[&str], key: &str, values: &[&str]) -> Vec<JobRecor
         reg.expand(vec![("smoke".into(), base)], &all_sets, Some((key, values)), false).unwrap();
     let batch =
         BatchRun { scenarios, schemes: parse_scheme_list("bh2").unwrap(), seeds: 1, threads: 0 };
-    run_batch_telemetry(&batch, &mut std::io::sink(), &Telemetry::quiet()).unwrap().records
+    run_batch_controlled(&batch, &mut std::io::sink(), &Telemetry::quiet(), RunControl::default())
+        .unwrap()
+        .records
 }
 
 #[test]

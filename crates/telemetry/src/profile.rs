@@ -165,20 +165,21 @@ impl ProfileReport {
         })
     }
 
-    /// Fraction of the run's wall-clock attributed to named phase spans
-    /// (`None` without a summary). Can exceed 1 when phases overlap across
-    /// worker threads — busy time is summed per task, wall-clock is not.
+    /// Fraction of the run's worker capacity (workers × wall-clock, one
+    /// worker when the sidecar predates the count) attributed to named
+    /// phase spans (`None` without a summary). Busy time sums over every
+    /// worker, so a serial gap outside every phase lowers it at any thread
+    /// count, and a run busy in named phases throughout reads 1.
     pub fn attributed_fraction(&self) -> Option<f64> {
-        let wall = self.summary.as_ref()?.wall_ms;
-        if wall <= 0.0 {
-            return None;
-        }
-        Some(self.phases.iter().map(|p| p.busy_ms).sum::<f64>() / wall)
+        let s = self.summary.as_ref()?;
+        let capacity = s.workers.max(1) as f64 * s.wall_ms;
+        (capacity > 0.0).then(|| self.phases.iter().map(|p| p.busy_ms).sum::<f64>() / capacity)
     }
 
-    /// Renders the profile: manifest header, phase-breakdown table
-    /// (busy share of wall-clock, events/s and flows/s, per-task spread),
-    /// per-task event spread, and the deterministic counter taxonomy.
+    /// Renders the profile: manifest header, phase-breakdown table (busy
+    /// share of workers × wall-clock, events/s and flows/s, per-task
+    /// spread, and the idle rest), per-task event spread, and the
+    /// deterministic counter taxonomy.
     pub fn render(&self) -> String {
         let mut out = String::new();
         out.push_str("== run\n");
@@ -226,19 +227,21 @@ impl ProfileReport {
             "{:<12} {:>10} {:>7} {:>12} {:>12} {:>7}  {}\n",
             "phase", "busy [s]", "share", "events/s", "flows/s", "tasks", "task ms min/mean/max"
         ));
-        let wall = self.summary.as_ref().map(|s| s.wall_ms).unwrap_or(0.0);
-        let (events, flows) =
-            self.summary.as_ref().map(|s| (s.events as f64, s.flows as f64)).unwrap_or((0.0, 0.0));
-        let share_of_wall = |ms: f64| {
-            if wall > 0.0 {
-                format!("{:.1}%", 100.0 * ms / wall)
+        let (wall, workers, events, flows) =
+            self.summary.as_ref().map_or((0.0, 1, 0.0, 0.0), |s| {
+                (s.wall_ms, s.workers.max(1), s.events as f64, s.flows as f64)
+            });
+        let capacity = workers as f64 * wall;
+        let share_of_capacity = |ms: f64| {
+            if capacity > 0.0 {
+                format!("{:.1}%", 100.0 * ms / capacity)
             } else {
                 "-".to_string()
             }
         };
         for p in &self.phases {
             let busy_s = p.busy_ms / 1_000.0;
-            let share = share_of_wall(p.busy_ms);
+            let share = share_of_capacity(p.busy_ms);
             // Rates only where the phase does that work: the event loop
             // delivers events over arrived flows; world-build generates
             // the flows (stream setup replays every burst draw).
@@ -273,15 +276,23 @@ impl ProfileReport {
                         "{:<13} {:>9.2} {:>7}  {:.1}% of world-build\n",
                         part,
                         ms / 1_000.0,
-                        share_of_wall(ms),
+                        share_of_capacity(ms),
                         100.0 * ms / p.busy_ms,
                     ));
                 }
             }
         }
         if let Some(frac) = self.attributed_fraction() {
+            // The capacity no phase claimed: serial gaps and workers
+            // waiting on the fold or on one another.
+            let (idle, dash) = (capacity * (1.0 - frac).max(0.0), "-");
+            let share = share_of_capacity(idle);
             out.push_str(&format!(
-                "attributed: {:.1}% of {:.1} s wall-clock in named phases\n",
+                "idle         {:>10.2} {share:>7} {dash:>12} {dash:>12} {dash:>7}  -\n",
+                idle / 1_000.0
+            ));
+            out.push_str(&format!(
+                "attributed: {:.1}% of {workers} worker(s) x {:.1} s wall-clock in named phases\n",
                 100.0 * frac,
                 wall / 1_000.0,
             ));
@@ -521,6 +532,7 @@ mod tests {
             }),
             TelemetryRecord::Summary(SummaryRecord {
                 wall_ms: 50.0,
+                workers: 1,
                 jobs: 1,
                 tasks: 2,
                 events: counters.delivered(),
@@ -547,7 +559,9 @@ mod tests {
         let rendered = report.render();
         assert!(rendered.contains("event-loop"), "{rendered}");
         assert!(rendered.contains("peak RSS 24 MiB"), "{rendered}");
-        assert!(rendered.contains("attributed: 80.0%"), "{rendered}");
+        assert!(rendered.contains("attributed: 80.0% of 1 worker(s) x 0.1 s"), "{rendered}");
+        let idle = rendered.lines().find(|l| l.starts_with("idle ")).expect("idle row");
+        assert_eq!(idle.split_whitespace().take(3).collect::<Vec<_>>(), ["idle", "0.01", "20.0%"]);
         assert!(rendered.contains("fold_absorptions       2"), "{rendered}");
         // One simulated soi task: 210 events over a 20 ms loop.
         assert_eq!(report.schemes.len(), 1);
@@ -560,6 +574,73 @@ mod tests {
         // No prototype-cache activity in this sidecar: the world-reuse note
         // must stay absent so legacy renders are unchanged.
         assert!(!rendered.contains("world-reuse"), "{rendered}");
+    }
+
+    /// The figure CI's gate reads: the second field of the `attributed:`
+    /// line, a percentage.
+    fn gated_percent(rendered: &str) -> f64 {
+        let line = rendered.lines().find(|l| l.starts_with("attributed:")).expect("gate line");
+        line.split_whitespace().nth(1).unwrap().trim_end_matches('%').parse().unwrap()
+    }
+
+    /// The test sidecar's report, rerun on `workers` workers over `wall_ms`
+    /// of wall-clock with the given phase busy times.
+    fn pool_report(workers: usize, wall_ms: f64, phases: &[(&str, f64)]) -> ProfileReport {
+        let mut report = ProfileReport::from_jsonl(&sidecar()).unwrap();
+        let summary = report.summary.as_mut().unwrap();
+        (summary.workers, summary.wall_ms) = (workers, wall_ms);
+        report.phases = phases
+            .iter()
+            .map(|&(phase, busy_ms)| PhaseRecord {
+                phase: phase.into(),
+                parent: "run".into(),
+                busy_ms,
+                tasks: 1,
+                task_ms_min: busy_ms,
+                task_ms_mean: busy_ms,
+                task_ms_max: busy_ms,
+            })
+            .collect();
+        report
+    }
+
+    #[test]
+    fn two_worker_attribution_stays_within_capacity() {
+        // Two workers busy in named phases for all but 2 ms of a 50 ms run:
+        // 98 ms of busy time against 100 ms of capacity (a share of the
+        // wall-clock alone would read 196%).
+        let phases = [
+            ("config", 1.0),
+            ("world-build", 10.0),
+            ("event-loop", 85.0),
+            ("shard-fold", 1.5),
+            ("jsonl-write", 0.5),
+        ];
+        let report = pool_report(2, 50.0, &phases);
+        let frac = report.attributed_fraction().unwrap();
+        assert!(frac <= 1.0 && (frac - 0.98).abs() < 1e-12, "{frac}");
+        let rendered = report.render();
+        assert_eq!(gated_percent(&rendered), 98.0, "{rendered}");
+        assert!(rendered.contains("98.0% of 2 worker(s) x 0.1 s wall-clock"), "{rendered}");
+        let row = rendered.lines().find(|l| l.starts_with("event-loop")).unwrap();
+        assert_eq!(row.split_whitespace().nth(2), Some("85.0%"), "{rendered}");
+        let idle = rendered.lines().find(|l| l.starts_with("idle ")).expect("idle row");
+        assert_eq!(idle.split_whitespace().take(3).collect::<Vec<_>>(), ["idle", "0.00", "2.0%"]);
+        // A sidecar without a worker count reads as one worker.
+        assert_eq!(pool_report(0, 50.0, &phases).attributed_fraction(), Some(98.0 / 50.0));
+    }
+
+    #[test]
+    fn serial_gap_outside_every_phase_fails_the_gate() {
+        // Both workers busy for 30 ms each, then a 20 ms serial stretch no
+        // phase covers: 60 of 100 ms of capacity (a share of the wall-clock
+        // alone would read 120% and pass the 95% gate).
+        let report = pool_report(2, 50.0, &[("world-build", 10.0), ("event-loop", 50.0)]);
+        let rendered = report.render();
+        assert_eq!(gated_percent(&rendered), 60.0, "{rendered}");
+        assert!(gated_percent(&rendered) < 95.0, "the gate must fail: {rendered}");
+        let idle = rendered.lines().find(|l| l.starts_with("idle ")).expect("idle row");
+        assert_eq!(idle.split_whitespace().nth(2), Some("40.0%"), "{rendered}");
     }
 
     #[test]

@@ -140,6 +140,11 @@ pub struct PhaseRecord {
 pub struct SummaryRecord {
     /// Wall-clock of the whole batch, milliseconds.
     pub wall_ms: f64,
+    /// Worker threads the task pool ran: the thread budget capped at the
+    /// task count, at least 1. Missing (0) in sidecars that predate it,
+    /// which the profile reads as one worker.
+    #[serde(default)]
+    pub workers: usize,
     /// Jobs completed.
     pub jobs: usize,
     /// `(repetition × shard)` tasks completed.
@@ -291,6 +296,7 @@ mod tests {
     fn summary_round_trips_optional_rss() {
         let rec = TelemetryRecord::Summary(SummaryRecord {
             wall_ms: 10.0,
+            workers: 2,
             jobs: 1,
             tasks: 2,
             events: 300,
@@ -304,5 +310,13 @@ mod tests {
         let TelemetryRecord::Summary(s) = back else { panic!("wrong variant") };
         assert_eq!(s.events, 300);
         assert_eq!(s.peak_rss_mib, None);
+        assert_eq!(s.workers, 2);
+        // A sidecar from before the worker count reads as 0 workers.
+        let legacy = json.replace("\"workers\":2,", "");
+        assert_ne!(legacy, json);
+        let TelemetryRecord::Summary(s) = serde_json::from_str(&legacy).unwrap() else {
+            panic!("wrong variant")
+        };
+        assert_eq!(s.workers, 0);
     }
 }

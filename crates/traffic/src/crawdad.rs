@@ -124,22 +124,13 @@ impl Personality {
     }
 }
 
-/// Generates a synthetic CRAWDAD-like day.
-///
-/// Deterministic in `(config, rng seed)`: the same inputs always produce the
-/// identical trace. Since the streaming pipeline landed this is a thin
-/// `collect()` of [`crate::stream::FlowStream`]; the historical eager
-/// implementation survives as [`generate_eager`], and the two are
-/// property-tested flow-for-flow identical (`tests/properties.rs`).
-pub fn generate(cfg: &CrawdadConfig, rng: &mut SimRng) -> Trace {
-    crate::stream::FlowStream::new(cfg, rng).collect_trace()
-}
-
 /// The pre-streaming trace generator: materializes every client's bursts
-/// and sorts them by arrival. Kept as the reference implementation the
-/// [`crate::stream::FlowStream`] equivalence property tests compare
-/// against; production paths call [`generate`] (identical output,
-/// arrival-ordered from the start).
+/// and sorts them by arrival. Deterministic in `(config, rng seed)`. Kept
+/// as the reference implementation the [`crate::stream::FlowStream`]
+/// equivalence tests compare against (`tests/properties.rs`); production
+/// paths stream the day with `FlowStream` (identical flows, homes,
+/// sessions and final RNG state, arrival-ordered from the start) and
+/// `collect_trace()` it where a materialized [`Trace`] is needed.
 pub fn generate_eager(cfg: &CrawdadConfig, rng: &mut SimRng) -> Trace {
     assert!(cfg.n_clients > 0 && cfg.n_aps > 0);
     assert!(cfg.gap_model.is_normalized(), "gap mixture must sum to 1");
@@ -321,6 +312,7 @@ mod tests {
     use super::*;
     use crate::session::present_at;
     use crate::stats::{ap_utilization_percent_series, gap_histogram_paper_bins};
+    use crate::stream::FlowStream;
     use proptest::prelude::*;
 
     fn small_cfg() -> CrawdadConfig {
@@ -441,7 +433,7 @@ mod tests {
     #[test]
     fn generated_trace_validates() {
         let mut rng = SimRng::new(1);
-        let t = generate(&small_cfg(), &mut rng);
+        let t = FlowStream::new(&small_cfg(), &mut rng).collect_trace();
         t.validate().unwrap();
         assert_eq!(t.n_clients(), 68);
         assert_eq!(t.n_aps, 10);
@@ -470,8 +462,8 @@ mod tests {
             let w = SurgeWindow { start_h: 22.0, end_h: 2.0, intensity: 8.0 };
             t.flows.iter().filter(|f| w.contains(f.start)).count()
         };
-        let base = in_window(&generate(&calm, &mut SimRng::new(9)));
-        let crowd = in_window(&generate(&surging, &mut SimRng::new(9)));
+        let base = in_window(&FlowStream::new(&calm, &mut SimRng::new(9)).collect_trace());
+        let crowd = in_window(&FlowStream::new(&surging, &mut SimRng::new(9)).collect_trace());
         assert!(
             crowd as f64 > 3.0 * base as f64,
             "surge must pack the window: {crowd} vs {base} flows"
@@ -480,19 +472,19 @@ mod tests {
 
     #[test]
     fn determinism_same_seed_same_trace() {
-        let a = generate(&small_cfg(), &mut SimRng::new(5));
-        let b = generate(&small_cfg(), &mut SimRng::new(5));
+        let a = FlowStream::new(&small_cfg(), &mut SimRng::new(5)).collect_trace();
+        let b = FlowStream::new(&small_cfg(), &mut SimRng::new(5)).collect_trace();
         assert_eq!(a.flows.len(), b.flows.len());
         assert_eq!(a.home, b.home);
         assert_eq!(a.total_bytes(), b.total_bytes());
-        let c = generate(&small_cfg(), &mut SimRng::new(6));
+        let c = FlowStream::new(&small_cfg(), &mut SimRng::new(6)).collect_trace();
         assert_ne!(a.total_bytes(), c.total_bytes());
     }
 
     #[test]
     fn homes_are_uniformly_spread() {
         let mut rng = SimRng::new(2);
-        let t = generate(&small_cfg(), &mut rng);
+        let t = FlowStream::new(&small_cfg(), &mut rng).collect_trace();
         let mut counts = vec![0usize; t.n_aps];
         for ap in &t.home {
             counts[ap.index()] += 1;
@@ -505,7 +497,7 @@ mod tests {
     #[test]
     fn presence_follows_office_hours() {
         let mut rng = SimRng::new(3);
-        let t = generate(&small_cfg(), &mut rng);
+        let t = FlowStream::new(&small_cfg(), &mut rng).collect_trace();
         let at = |h: u64| present_at(&t.sessions, SimTime::from_hours(h)) as f64 / 68.0;
         assert!(at(4) < 0.25, "night presence {}", at(4));
         assert!(at(15) > 0.45, "peak presence {}", at(15));
@@ -516,7 +508,7 @@ mod tests {
     fn utilization_calibrated_to_fig3() {
         // Full-size building for the headline calibration numbers.
         let mut rng = SimRng::new(4);
-        let t = generate(&CrawdadConfig::default(), &mut rng);
+        let t = FlowStream::new(&CrawdadConfig::default(), &mut rng).collect_trace();
         let series = ap_utilization_percent_series(&t, 6.0e6, 3_600_000);
         let means = series.bin_means_or_zero();
         let peak = means[14..18].iter().cloned().fold(0.0f64, f64::max);
@@ -530,7 +522,7 @@ mod tests {
     #[test]
     fn gap_histogram_calibrated_to_fig4() {
         let mut rng = SimRng::new(8);
-        let t = generate(&CrawdadConfig::default(), &mut rng);
+        let t = FlowStream::new(&CrawdadConfig::default(), &mut rng).collect_trace();
         let h = gap_histogram_paper_bins(&t, SimTime::from_hours(16), SimTime::from_hours(17));
         let over_60 = h.overflow_fraction();
         // Fig. 4: "more than 80% of the [idle] time the inter-packet gaps

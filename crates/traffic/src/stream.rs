@@ -242,7 +242,7 @@ pub struct StreamStats {
 /// replays each client's remaining bursts on demand — a batch at a
 /// time — and merges them by `(start, client)`
 /// through a packed binary heap. The yielded sequence is flow-for-flow identical
-/// to [`crate::crawdad::generate`]'s `flows` vector, and
+/// to [`crate::crawdad::generate_eager`]'s `flows` vector, and
 /// [`FlowStream::total_flows`] is known before the first flow is pulled —
 /// which is how driver-side accounting (`CompletionStats::new`) sizes
 /// itself without a materialized trace.
@@ -565,16 +565,6 @@ mod tests {
             assert_eq!(stream.remaining(), total - n);
         }
         assert_eq!(n, total);
-    }
-
-    #[test]
-    fn generate_is_the_stream_collected() {
-        let mut a = SimRng::new(9);
-        let mut b = SimRng::new(9);
-        let via_generate = crate::crawdad::generate(&cfg(), &mut a);
-        let via_stream = FlowStream::new(&cfg(), &mut b).collect_trace();
-        assert_eq!(via_generate.flows, via_stream.flows);
-        assert_eq!(via_generate.home, via_stream.home);
     }
 
     #[test]

@@ -114,7 +114,7 @@ proptest! {
             ..CrawdadConfig::default()
         };
         let mut rng = SimRng::new(seed);
-        let trace = crawdad::generate(&cfg, &mut rng);
+        let trace = FlowStream::new(&cfg, &mut rng).collect_trace();
         prop_assert!(trace.validate().is_ok());
         prop_assert_eq!(trace.n_clients(), n_clients);
         // Uniform spread: per-AP counts within 1 of each other.
@@ -138,7 +138,7 @@ proptest! {
             ..CrawdadConfig::default()
         };
         let mut rng = SimRng::new(seed);
-        let trace = crawdad::generate(&cfg, &mut rng);
+        let trace = FlowStream::new(&cfg, &mut rng).collect_trace();
         let u1 = ap_utilization_percent_series(&trace, 6.0e6, 3_600_000).bin_means_or_zero();
         let u2 = ap_utilization_percent_series(&trace, 12.0e6, 3_600_000).bin_means_or_zero();
         for (a, b) in u1.iter().zip(&u2) {
@@ -162,7 +162,7 @@ proptest! {
             ..CrawdadConfig::default()
         };
         let mut rng = SimRng::new(seed);
-        let trace = crawdad::generate(&cfg, &mut rng);
+        let trace = FlowStream::new(&cfg, &mut rng).collect_trace();
         let from = SimTime::ZERO;
         let to = SimTime::from_hours(1);
         let hist = gap_histogram_paper_bins(&trace, from, to);
@@ -185,7 +185,7 @@ proptest! {
             ..CrawdadConfig::default()
         };
         let mut rng = SimRng::new(seed);
-        let trace = crawdad::generate(&cfg, &mut rng);
+        let trace = FlowStream::new(&cfg, &mut rng).collect_trace();
         for f in &trace.flows {
             let inside = trace
                 .sessions

@@ -4,9 +4,8 @@
 
 use insomnia::access::{joules_to_kwh, PowerLadder, PowerState};
 use insomnia::core::{
-    build_world, build_world_shard, run_scheme_task, run_single_source_threads, ArrivalSource,
-    CompletionStats, RunCounters, RunResult, ScenarioConfig, SchemeFolder, SchemeResult,
-    SchemeSpec, ShardedWorld,
+    run_scheme_task, run_single_source_threads, ArrivalSource, CompletionStats, RunCounters,
+    RunResult, ScenarioConfig, SchemeFolder, SchemeResult, SchemeSpec, ShardedWorld,
 };
 use insomnia::dslphy::{BundleConfig, CrosstalkExperiment};
 use insomnia::scenarios::{
@@ -15,7 +14,7 @@ use insomnia::scenarios::{
 };
 use insomnia::simcore::{OnlineTimeHist, SimDuration, SimRng, SimTime};
 use insomnia::telemetry::{CounterTotals, ProfileReport, Telemetry};
-use insomnia::traffic::crawdad::{self, CrawdadConfig};
+use insomnia::traffic::CrawdadConfig;
 use insomnia::traffic::{FlowStream, Trace};
 use insomnia::wireless::Topology;
 use std::io::Write;
@@ -61,8 +60,8 @@ fn run_whole(cfg: &ScenarioConfig, spec: SchemeSpec, seed: u64) -> SchemeResult 
 #[test]
 fn trace_generation_is_bit_stable() {
     let cfg = CrawdadConfig { n_clients: 40, n_aps: 8, ..CrawdadConfig::default() };
-    let a = crawdad::generate(&cfg, &mut SimRng::new(123));
-    let b = crawdad::generate(&cfg, &mut SimRng::new(123));
+    let a = FlowStream::new(&cfg, &mut SimRng::new(123)).collect_trace();
+    let b = FlowStream::new(&cfg, &mut SimRng::new(123)).collect_trace();
     assert_eq!(a.flows.len(), b.flows.len());
     for (x, y) in a.flows.iter().zip(&b.flows) {
         assert_eq!(x.start, y.start);
@@ -76,7 +75,8 @@ fn trace_generation_is_bit_stable() {
 fn full_simulation_is_bit_stable() {
     let mut cfg = ScenarioConfig::smoke();
     cfg.trace.horizon = SimTime::from_hours(4);
-    let (trace, topo) = build_world(&cfg);
+    let (stream, topo, _) = ShardedWorld::lazy(&cfg, cfg.seed).build_shard(0);
+    let trace = stream.collect_trace();
     for spec in [SchemeSpec::soi(), SchemeSpec::bh2_k_switch(), SchemeSpec::optimal()] {
         let a = run_slice(&cfg, spec, &trace, &topo, SimRng::new(99));
         let b = run_slice(&cfg, spec, &trace, &topo, SimRng::new(99));
@@ -96,7 +96,8 @@ fn optimal_presolve_is_byte_identical_across_solve_thread_counts() {
     // width — on both arrival feeds (slice and stream).
     let mut cfg = ScenarioConfig::smoke();
     cfg.trace.horizon = SimTime::from_hours(6);
-    let (trace, topo) = build_world(&cfg);
+    let (stream, topo, _) = ShardedWorld::lazy(&cfg, cfg.seed).build_shard(0);
+    let trace = stream.clone().collect_trace();
     let slice = |threads: usize| {
         run_single_source_threads(
             &cfg,
@@ -122,12 +123,10 @@ fn optimal_presolve_is_byte_identical_across_solve_thread_counts() {
     // state, so the live stream's drained work counters must stay exactly
     // what the serial driver reported.
     let streamed = |threads: usize| {
-        let mut rng = SimRng::new(cfg.seed).fork("trace");
-        let stream = FlowStream::new(&cfg.trace, &mut rng);
         run_single_source_threads(
             &cfg,
             SchemeSpec::optimal(),
-            ArrivalSource::Stream(Box::new(stream)),
+            ArrivalSource::Stream(Box::new(stream.clone())),
             &topo,
             SimRng::new(11),
             threads,
@@ -146,7 +145,8 @@ fn different_seeds_differ() {
     // randomized choice to make, so all seeds behave identically.
     let mut cfg = ScenarioConfig::smoke();
     cfg.trace.horizon = SimTime::from_hours(14);
-    let (trace, topo) = build_world(&cfg);
+    let (stream, topo, _) = ShardedWorld::lazy(&cfg, cfg.seed).build_shard(0);
+    let trace = stream.collect_trace();
     let a = run_slice(&cfg, SchemeSpec::bh2_k_switch(), &trace, &topo, SimRng::new(1));
     let b = run_slice(&cfg, SchemeSpec::bh2_k_switch(), &trace, &topo, SimRng::new(2));
     // BH2's randomized choices must actually differ across seeds.
@@ -216,6 +216,44 @@ fn sharded_streaming_jsonl_is_byte_identical_across_thread_counts() {
             line.contains("\"online_time_quantiles\":{\"exact\":false"),
             "online_cutoff = 0 must stream the per-gateway histogram grid: {line}"
         );
+    }
+}
+
+#[test]
+fn shard_summaries_depend_only_on_seed_index_and_span() {
+    // The shard contract the batch runner and checkpoint resume rely on: a
+    // shard's summary is a function of the world seed, the shard index and
+    // the shard's span alone. Doubling the population over twice the
+    // shards keeps every span at 1 600 clients / 200 gateways, so the
+    // first N shard summaries of the 2N-shard run must be the N-shard
+    // run's, byte for byte in the JSONL.
+    let summaries = |shards: usize| {
+        let batch = BatchRun {
+            scenarios: vec![("contract".into(), dense_metro_reduced(shards))],
+            schemes: parse_scheme_list("soi,bh2").unwrap(),
+            seeds: 1,
+            threads: 2,
+        };
+        let mut out = Vec::new();
+        run_batch(&batch, &mut out).unwrap();
+        let key = "\"shard_summaries\":[{";
+        let text = String::from_utf8(out).unwrap();
+        let per_job: Vec<Vec<String>> = text
+            .lines()
+            .map(|line| {
+                let start = line.find(key).expect("sharded record") + key.len();
+                let end = start + line[start..].find("}]").expect("closed array");
+                line[start..end].split("},{").map(str::to_string).collect()
+            })
+            .collect();
+        per_job
+    };
+    let (narrow, wide) = (summaries(2), summaries(4));
+    assert_eq!((narrow.len(), wide.len()), (2, 2), "one record per scheme");
+    for (job, (n, w)) in narrow.iter().zip(&wide).enumerate() {
+        assert_eq!((n.len(), w.len()), (2, 4), "job {job}: one entry per shard");
+        assert_eq!(n[..], w[..2], "job {job}: leading shards must not see the shard count");
+        assert_ne!(w[0], w[2], "job {job}: shards draw independent streams");
     }
 }
 
@@ -393,10 +431,11 @@ fn merged_shard_quantiles_are_merge_order_invariant() {
     // forwards and backwards.
     let seed = job_seed(cfg.seed, 0);
     let rng = |s: u64| SimRng::new(seed).fork_idx("rep", 0).fork_idx("shard", s);
+    let world = ShardedWorld::lazy(&cfg, seed);
     let shard_runs: Vec<_> = (0..cfg.shards)
         .map(|s| {
-            let (trace, topo) = build_world_shard(&cfg, seed, s);
-            run_slice(&cfg, SchemeSpec::soi(), &trace, &topo, rng(s as u64))
+            let (stream, topo, _) = world.build_shard(s);
+            run_slice(&cfg, SchemeSpec::soi(), &stream.collect_trace(), &topo, rng(s as u64))
         })
         .collect();
     let shard_online: Vec<OnlineTimeHist> = shard_runs

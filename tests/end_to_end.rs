@@ -2,8 +2,8 @@
 //! paper's qualitative orderings asserted end to end.
 
 use insomnia::core::{
-    build_world, run_single_source_threads, summarize, ArrivalSource, RunResult, ScenarioConfig,
-    SchemeFolder, SchemeResult, SchemeSpec, ShardedWorld,
+    run_single_source_threads, summarize, ArrivalSource, RunResult, ScenarioConfig, SchemeFolder,
+    SchemeResult, SchemeSpec, ShardedWorld,
 };
 use insomnia::simcore::{SimRng, SimTime};
 use insomnia::traffic::Trace;
@@ -27,7 +27,8 @@ fn run_slice(
     run_single_source_threads(cfg, spec, ArrivalSource::Slice(&trace.flows), topo, rng, 1)
 }
 
-/// One day over `build_world(cfg)`, folded into a one-repetition result.
+/// One day over the world `(cfg, cfg.seed)`, folded into a one-repetition
+/// result.
 fn wrap(
     cfg: &ScenarioConfig,
     spec: SchemeSpec,
@@ -43,7 +44,8 @@ fn wrap(
 #[test]
 fn scheme_energy_ordering_matches_the_paper() {
     let cfg = mini_cfg();
-    let (trace, topo) = build_world(&cfg);
+    let (stream, topo, _) = ShardedWorld::lazy(&cfg, cfg.seed).build_shard(0);
+    let trace = stream.collect_trace();
     let energy = |spec| run_slice(&cfg, spec, &trace, &topo, SimRng::new(11)).energy.total_j();
     let no_sleep = energy(SchemeSpec::no_sleep());
     let soi = energy(SchemeSpec::soi());
@@ -65,7 +67,8 @@ fn isp_switching_helps_only_with_aggregation_at_peak() {
     // §5.2.3: k-switches barely help SoI during peak (p ≈ 1) but clearly
     // help BH2. Compare awake cards during the busy window.
     let cfg = mini_cfg();
-    let (trace, topo) = build_world(&cfg);
+    let (stream, topo, _) = ShardedWorld::lazy(&cfg, cfg.seed).build_shard(0);
+    let trace = stream.collect_trace();
     let cards = |spec| {
         let r = run_slice(&cfg, spec, &trace, &topo, SimRng::new(3));
         r.awake_cards.iter().sum::<f64>() / r.awake_cards.len() as f64
@@ -84,7 +87,8 @@ fn wake_stalls_stretch_completion_times() {
     // overnight, nearly every isolated keepalive hits a sleeping gateway.
     let mut cfg = mini_cfg();
     cfg.trace.horizon = SimTime::from_hours(16);
-    let (trace, topo) = build_world(&cfg);
+    let (stream, topo, _) = ShardedWorld::lazy(&cfg, cfg.seed).build_shard(0);
+    let trace = stream.collect_trace();
     let base = wrap(&cfg, SchemeSpec::no_sleep(), &trace, &topo, SimRng::new(5));
     let soi = wrap(&cfg, SchemeSpec::soi(), &trace, &topo, SimRng::new(5));
     let cdf = insomnia::core::completion_variation_cdf(&soi, &base);
@@ -103,7 +107,8 @@ fn fairness_backup_reduces_extremes() {
     // so no gateway can differ by -100%.
     let mut cfg = mini_cfg();
     cfg.trace.horizon = SimTime::from_hours(16);
-    let (trace, topo) = build_world(&cfg);
+    let (stream, topo, _) = ShardedWorld::lazy(&cfg, cfg.seed).build_shard(0);
+    let trace = stream.collect_trace();
     let soi = wrap(&cfg, SchemeSpec::soi(), &trace, &topo, SimRng::new(7));
     let bh2 = wrap(&cfg, SchemeSpec::bh2_k_switch(), &trace, &topo, SimRng::new(7));
     let cdf = insomnia::core::online_time_variation_cdf(&bh2, &soi);
@@ -120,7 +125,8 @@ fn fairness_backup_reduces_extremes() {
 #[test]
 fn summaries_are_internally_consistent() {
     let cfg = mini_cfg();
-    let (trace, topo) = build_world(&cfg);
+    let (stream, topo, _) = ShardedWorld::lazy(&cfg, cfg.seed).build_shard(0);
+    let trace = stream.collect_trace();
     let base_user = cfg.power.no_sleep_user_w(topo.n_gateways());
     let base_isp = cfg.power.no_sleep_isp_w(topo.n_gateways(), cfg.dslam.n_cards);
     let r = wrap(&cfg, SchemeSpec::bh2_k_switch(), &trace, &topo, SimRng::new(9));

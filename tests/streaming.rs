@@ -11,13 +11,13 @@
 
 use insomnia::access::EnergyBreakdown;
 use insomnia::core::{
-    build_world_shard, build_world_shard_streaming, run_single_source_threads, ArrivalSource,
-    RunResult, ScenarioConfig, SchemeSpec, ShardedWorld,
+    run_single_source_threads, ArrivalSource, RunResult, ScenarioConfig, SchemeSpec, ShardedWorld,
 };
 use insomnia::scenarios::{job_seed, run_batch_results, BatchRun, Registry};
 use insomnia::simcore::{average_runs, SimRng, SimTime};
+use insomnia::traffic::crawdad::{generate_eager, CrawdadConfig};
 use insomnia::traffic::{FlowStream, Trace};
-use insomnia::wireless::Topology;
+use insomnia::wireless::{shard_spans, Topology};
 
 /// One day over a materialized trace.
 fn run_slice(
@@ -58,18 +58,30 @@ fn reduced_presets() -> Vec<(String, ScenarioConfig)> {
 
 #[test]
 fn streaming_world_build_matches_eager_for_every_preset() {
+    // The world recipe against the eager reference generator, run on the
+    // recipe's documented trace forks over shard 0's span:
+    // `fork("trace")` for a one-shard world, `fork_idx("shard-trace", 0)`
+    // for a sharded one.
     for (name, cfg) in reduced_presets() {
         let seed = cfg.seed;
-        let (trace, topo) = build_world_shard(&cfg, seed, 0);
-        let (stream, stopo) = build_world_shard_streaming(&cfg, seed, 0);
-        assert_eq!(stream.total_flows(), trace.flows.len(), "{name}: flow count");
-        assert_eq!(stream.home(), &trace.home[..], "{name}: home assignment");
-        assert_eq!(stream.sessions(), &trace.sessions[..], "{name}: sessions");
-        for c in 0..topo.n_clients() {
-            assert_eq!(stopo.reachable(c), topo.reachable(c), "{name}: topology of client {c}");
-        }
-        let streamed = stream.collect_trace();
-        assert_eq!(streamed.flows, trace.flows, "{name}: flows");
+        let spans = shard_spans(cfg.trace.n_clients, cfg.trace.n_aps, cfg.shards).unwrap();
+        let span = spans[0];
+        let master = SimRng::new(seed);
+        let mut rng =
+            if spans.len() == 1 { master.fork("trace") } else { master.fork_idx("shard-trace", 0) };
+        let shard_trace = CrawdadConfig {
+            n_clients: span.n_clients,
+            n_aps: span.n_gateways,
+            ..cfg.trace.clone()
+        };
+        let eager = generate_eager(&shard_trace, &mut rng);
+        let (stream, topo, _) = ShardedWorld::lazy(&cfg, seed).build_shard(0);
+        assert_eq!(stream.total_flows(), eager.flows.len(), "{name}: flow count");
+        assert_eq!(stream.home(), &eager.home[..], "{name}: home assignment");
+        assert_eq!(stream.sessions(), &eager.sessions[..], "{name}: sessions");
+        assert_eq!(topo.n_clients(), span.n_clients, "{name}: topology clients");
+        assert_eq!(topo.n_gateways(), span.n_gateways, "{name}: topology gateways");
+        assert_eq!(stream.collect_trace().flows, eager.flows, "{name}: flows");
     }
 }
 
@@ -101,17 +113,16 @@ fn streamed_driver_is_bit_identical_to_slice_driver() {
     let mut cfg = ScenarioConfig::smoke();
     cfg.trace.horizon = SimTime::from_hours(6);
     cfg.repetitions = 1;
-    let seed = 2011;
+    let (stream, topo, _) = ShardedWorld::lazy(&cfg, 2011).build_shard(0);
+    let trace = stream.clone().collect_trace();
     for spec in [
         SchemeSpec::no_sleep(),
         SchemeSpec::soi(),
         SchemeSpec::bh2_k_switch(),
         SchemeSpec::optimal(),
     ] {
-        let (trace, topo) = build_world_shard(&cfg, seed, 0);
         let eager = run_slice(&cfg, spec, &trace, &topo, SimRng::new(7));
-        let (stream, stopo) = build_world_shard_streaming(&cfg, seed, 0);
-        let streamed = run_stream(&cfg, spec, stream, &stopo, SimRng::new(7));
+        let streamed = run_stream(&cfg, spec, stream.clone(), &topo, SimRng::new(7));
         assert_runs_identical(&format!("{spec}"), &eager, &streamed);
     }
 }
@@ -134,7 +145,12 @@ fn lazy_worlds_reproduce_eager_sharded_runs() {
     let seed = job_seed(cfg.seed, 0);
     let world = ShardedWorld::lazy(&cfg, seed);
     assert_eq!(world.n_shards(), 4);
-    let shards: Vec<(Trace, Topology)> = (0..4).map(|s| build_world_shard(&cfg, seed, s)).collect();
+    let shards: Vec<(Trace, Topology)> = (0..4)
+        .map(|s| {
+            let (stream, topo, _) = world.build_shard(s);
+            (stream.collect_trace(), topo)
+        })
+        .collect();
     assert_eq!(world.n_clients(), shards.iter().map(|(_, t)| t.n_clients()).sum::<usize>());
     assert_eq!(world.n_gateways(), shards.iter().map(|(_, t)| t.n_gateways()).sum::<usize>());
     let k = cfg.repetitions as f64;
@@ -222,7 +238,8 @@ fn scheduler_heap_stays_bounded_by_active_flows_plus_timers() {
     let mut cfg = ScenarioConfig::smoke();
     cfg.trace.horizon = SimTime::from_hours(16); // cover the busy hours
     cfg.repetitions = 1;
-    let (trace, topo) = insomnia::core::build_world(&cfg);
+    let (stream, topo, _) = ShardedWorld::lazy(&cfg, cfg.seed).build_shard(0);
+    let trace = stream.collect_trace();
     let n_gw = topo.n_gateways();
     let n_clients = topo.n_clients();
     for spec in [SchemeSpec::soi(), SchemeSpec::bh2_k_switch()] {
@@ -250,11 +267,15 @@ fn optimal_consumes_the_same_cursor_window() {
     // match the slice-driven one even though no Arrival event ever fires.
     let mut cfg = ScenarioConfig::smoke();
     cfg.trace.horizon = SimTime::from_hours(4);
-    let seed = 5;
-    let (trace, topo) = build_world_shard(&cfg, seed, 0);
-    let a = run_slice(&cfg, SchemeSpec::optimal(), &trace, &topo, SimRng::new(1));
-    let (stream, stopo) = build_world_shard_streaming(&cfg, seed, 0);
-    let b = run_stream(&cfg, SchemeSpec::optimal(), stream, &stopo, SimRng::new(1));
+    let (stream, topo, _) = ShardedWorld::lazy(&cfg, 5).build_shard(0);
+    let a = run_slice(
+        &cfg,
+        SchemeSpec::optimal(),
+        &stream.clone().collect_trace(),
+        &topo,
+        SimRng::new(1),
+    );
+    let b = run_stream(&cfg, SchemeSpec::optimal(), stream, &topo, SimRng::new(1));
     assert_runs_identical("optimal", &a, &b);
     assert_eq!(a.completion.completed(), 0, "optimal does not simulate flows");
 }
@@ -267,9 +288,8 @@ fn uncached_optimal_counts_only_the_pre_pass_pulls() {
     // plus the first flow past it, and the event loop pulls none.
     let mut cfg = ScenarioConfig::smoke();
     cfg.trace.horizon = SimTime::from_hours(9);
-    let seed = 5;
-    let (trace, _) = build_world_shard(&cfg, seed, 0);
-    let (stream, topo) = build_world_shard_streaming(&cfg, seed, 0);
+    let (stream, topo, _) = ShardedWorld::lazy(&cfg, 5).build_shard(0);
+    let trace = stream.clone().collect_trace();
     let r = run_stream(&cfg, SchemeSpec::optimal(), stream, &topo, SimRng::new(1));
     let c = r.counters;
     assert_eq!(c.arrivals, 0, "optimal fires no arrival");

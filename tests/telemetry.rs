@@ -4,7 +4,9 @@
 //! `insomnia profile` must be able to render it.
 
 use insomnia::core::ScenarioConfig;
-use insomnia::scenarios::{parse_scheme_list, run_batch, run_batch_telemetry, BatchRun, Registry};
+use insomnia::scenarios::{
+    parse_scheme_list, run_batch, run_batch_controlled, BatchRun, Registry, RunControl,
+};
 use insomnia::simcore::SimTime;
 use insomnia::telemetry::{
     ProfileReport, RunCounters, Telemetry, TelemetryRecord, TELEMETRY_SCHEMA_VERSION,
@@ -64,7 +66,7 @@ fn sidecar_schema_smoke() {
     let sidecar = SharedBuf::default();
     let tel = Telemetry::quiet().with_jsonl(Box::new(sidecar.clone()));
     let mut with_tel = Vec::new();
-    run_batch_telemetry(&batch, &mut with_tel, &tel).unwrap();
+    run_batch_controlled(&batch, &mut with_tel, &tel, RunControl::default()).unwrap();
     assert_eq!(plain, with_tel, "the sidecar must never perturb the result JSONL");
 
     let text = String::from_utf8(sidecar.0.lock().unwrap().clone()).unwrap();
@@ -130,6 +132,7 @@ fn sidecar_schema_smoke() {
     assert_eq!(summary.tasks, tasks);
     assert_eq!(summary.jobs, 1);
     assert!(summary.wall_ms > 0.0, "summary must carry the run's wall-clock");
+    assert_eq!(summary.workers, batch.threads.min(tasks as usize), "the pool's worker count");
 
     // The profile backend parses the same text and attributes the bulk of
     // the run to named phase spans.
@@ -148,6 +151,7 @@ fn sidecar_schema_smoke() {
     assert!(rendered.lines().any(|l| l.starts_with("soi ")), "{rendered}");
     let frac = report.attributed_fraction().expect("summary present");
     assert!(frac > 0.5, "named phases must cover the run, got {frac}");
+    assert!(frac <= 1.05, "shares are of workers x wall-clock, got {frac}");
     let totals = report.counter_totals().unwrap();
     assert_eq!(totals.events, summary.events);
     assert_eq!(totals.counters, summary.counters);
@@ -168,7 +172,7 @@ fn task_records_report_every_task_once() {
     let sidecar = SharedBuf::default();
     let tel = Telemetry::quiet().with_jsonl(Box::new(sidecar.clone()));
     let mut observed = Vec::new();
-    run_batch_telemetry(&batch, &mut observed, &tel).unwrap();
+    run_batch_controlled(&batch, &mut observed, &tel, RunControl::default()).unwrap();
     assert_eq!(plain, observed, "observing tasks must change nothing");
 
     let text = String::from_utf8(sidecar.0.lock().unwrap().clone()).unwrap();
