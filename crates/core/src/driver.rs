@@ -49,11 +49,14 @@ use std::sync::{Arc, Mutex, OnceLock};
 /// Simulation events.
 ///
 /// Trace arrivals are *not* pre-scheduled: exactly one `Arrival` event (the
-/// next flow of the arrival cursor) lives in the queue at any time, in the
+/// next flow of the arrival cursor) is pending at any time, in the
 /// scheduler's front lane so it still beats simultaneous timers the way the
 /// historical pre-scheduled arrivals (lowest sequence numbers) did. The
-/// event heap is therefore O(active flows + timers + 1) instead of O(total
-/// trace flows).
+/// pending events are therefore O(active flows + timers + 1) instead of
+/// O(total trace flows). Arrivals, BH2 ticks ([`BH2_LANE`]) and samples
+/// ([`SAMPLE_LANE`]) are each scheduled in time order, so they ride the
+/// scheduler's O(1) FIFO lanes; only departures, wake-dones, idle checks,
+/// doze ticks and Optimal ticks enter its heap.
 /// Index payloads are `u32`, not `usize`: the event queue's slab stores one
 /// payload per live slot, so halving the widest variant (departure: 24 → 16
 /// bytes with padding) trims every queue slot — and the enum's spare
@@ -78,6 +81,11 @@ enum Ev {
     /// Metric sampling.
     Sample,
 }
+
+/// The scheduler's monotone lane of [`Ev::Bh2Tick`]s.
+const BH2_LANE: usize = 0;
+/// The scheduler's monotone lane of [`Ev::Sample`]s.
+const SAMPLE_LANE: usize = 1;
 
 // The compaction above is load-bearing for queue-slab memory at 10^8-flow
 // scale; fail the build if a payload regression widens the enum again.
@@ -274,6 +282,11 @@ struct World<'a> {
     optimal_tick_idx: usize,
     /// Arrived-but-not-completed flows (engine + wake-parked).
     active_flows: usize,
+    /// Σ|ΔW| over every change of the user + ISP draw, watts: the
+    /// transition term of [`series_energy_bound`], summed where the draw
+    /// changes (gateway wakes, sleeps and doze descents, and full-switch
+    /// repacks).
+    transitions_w: f64,
     /// Per-kind delivered/cancelled tallies and the pending-event and
     /// active-flow peaks (the rest of [`RunCounters`] is filled from the
     /// scheduler and arrival source at finalize).
@@ -410,6 +423,19 @@ impl World<'_> {
         }
     }
 
+    /// The DSLAM's line-card and modem draw, watts (the shelf's is
+    /// constant).
+    fn isp_draw_w(&self) -> f64 {
+        self.dslam.awake_cards() as f64 * self.cfg.power.line_card_w
+            + self.dslam.active_lines() as f64 * self.cfg.power.isp_modem_w
+    }
+
+    /// Gateway `gw`'s draw plus the DSLAM's variable draw, watts: the part
+    /// of the user + ISP draw a transition of `gw` can change.
+    fn draw_w(&self, gw: usize) -> f64 {
+        self.gateways[gw].current_draw_w() + self.isp_draw_w()
+    }
+
     /// Starts waking sleeping gateway `gw`: cancels its doze descent,
     /// powers its DSL line on and schedules the `WakeDone`. With
     /// [`sleep_gateway`](Self::sleep_gateway) the one place a line changes
@@ -417,16 +443,30 @@ impl World<'_> {
     /// powered gateways (asserted at every sample).
     fn wake_gateway(&mut self, s: &mut Scheduler<Ev>, t: SimTime, gw: usize) {
         self.cancel_doze(s, gw);
+        let before = self.draw_w(gw);
         let done = self.gateways[gw].begin_wake(t).expect("sleeping gateway wakes");
         self.dslam.line_powering_on(t, gw);
+        self.transitions_w += (self.draw_w(gw) - before).abs();
         s.schedule_at(done, Ev::WakeDone { gw: gw as u32 });
     }
 
     /// Puts `gw` to sleep if [`Gateway::try_sleep`] allows it, then powers
     /// its DSL line off and arms the doze descent.
     fn sleep_gateway(&mut self, s: &mut Scheduler<Ev>, t: SimTime, gw: usize) {
+        let before = self.draw_w(gw);
         if self.gateways[gw].try_sleep(t) {
             self.dslam.line_powering_off(t, gw);
+            self.transitions_w += (self.draw_w(gw) - before).abs();
+            self.arm_doze(s, gw);
+        }
+    }
+
+    /// Moves sleeping `gw` one doze level deeper and arms the next descent
+    /// (a no-op at the deepest level).
+    fn descend_gateway(&mut self, s: &mut Scheduler<Ev>, t: SimTime, gw: usize) {
+        let before = self.gateways[gw].current_draw_w();
+        if self.gateways[gw].descend(t).is_some() {
+            self.transitions_w += (self.gateways[gw].current_draw_w() - before).abs();
             self.arm_doze(s, gw);
         }
     }
@@ -672,6 +712,7 @@ fn run_single(
         sleep_draw_w,
         departure_token: vec![None; n_gw],
         active_flows: 0,
+        transitions_w: 0.0,
         counters: RunCounters::default(),
         completed: Vec::new(),
         visible: Vec::new(),
@@ -692,7 +733,7 @@ fn run_single(
     if !is_optimal {
         world.schedule_next_arrival(&mut sched);
         if let Aggregation::Bh2 { .. } = spec.aggregation {
-            // BH2 ticks ride the scheduler's monotone lane, which must be
+            // BH2 ticks ride a monotone lane of the scheduler, which must be
             // fed in time order. Draw the offsets in client order (the RNG
             // stream is unchanged) and push them sorted; the stable sort
             // keeps client order within a tie, so every tick keeps the
@@ -705,13 +746,13 @@ fn run_single(
                 .collect();
             first.sort_by_key(|&(at, _)| at);
             for (at, client) in first {
-                sched.schedule_monotone(at, Ev::Bh2Tick { client });
+                sched.schedule_monotone(BH2_LANE, at, Ev::Bh2Tick { client });
             }
         }
     } else {
         sched.schedule_at(t0, Ev::OptimalTick);
     }
-    sched.schedule_at(t0, Ev::Sample);
+    sched.schedule_monotone(SAMPLE_LANE, t0, Ev::Sample);
 
     sched.run_until(&mut world, horizon, |s, w, now, ev| handle(s, w, now, ev));
     debug_assert_eq!(
@@ -731,6 +772,21 @@ fn run_single(
         cards_j: world.dslam.cards_energy_j(),
         shelf_j: world.dslam.shelf_energy_j(),
     };
+    // The meters against the sampled series, in release builds too
+    // (O(samples) per run; see `series_energy_bound`).
+    let period_s = cfg.sample_period.as_secs_f64();
+    let series_j = period_s
+        * world.user_w_series.iter().zip(&world.isp_w_series).map(|(u, i)| u + i).sum::<f64>();
+    let max_w = n_gw as f64 * (cfg.power.gateway_on_w.max(ladder.watts(0)) + cfg.power.isp_modem_w)
+        + cfg.dslam.n_cards as f64 * cfg.power.line_card_w
+        + cfg.power.shelf_w;
+    let tail_s = horizon.as_secs_f64() - n_samples as f64 * period_s;
+    let bound = series_energy_bound(period_s, world.transitions_w, max_w, tail_s, energy.total_j());
+    assert!(
+        (series_j - energy.total_j()).abs() <= bound,
+        "metered energy {} J vs sampled series {series_j} J: off by more than the {bound} J bound",
+        energy.total_j()
+    );
     // Finalize the deterministic counters: per-kind tallies accumulated in
     // `handle`, the rest read from the scheduler, arrival source and
     // completion ledger.
@@ -789,6 +845,33 @@ fn run_single(
         events: sched.delivered(),
         counters,
     }
+}
+
+/// How far a run's metered energy may lie from its sampled series,
+/// joules: `P·Σ|ΔW_i| + W_max·(H − n·P) + 10⁻⁹·E`.
+///
+/// The meters integrate the user + ISP draw W(t) exactly over the horizon
+/// H: E = ∫₀ᴴ W(t) dt. The sampler records one value per period P at
+/// t = k·P for k < n = ⌊H/P⌋, and the series energy is S = P·Σₖ Wₖ. Every
+/// change of W is a step ΔW_i at one instant, made by a gateway wake,
+/// sleep or doze descent or a full-switch repack (`transitions_w` is
+/// Σ|ΔW_i| over them). Charge each step to the period whose sample
+/// precedes it (a step at k·P delivered after the sample belongs to period
+/// k). Within period k, W(t) − Wₖ is the sum of that period's steps up to
+/// t, so |∫ₖₚ⁽ᵏ⁺¹⁾ᴾ W dt − P·Wₖ| ≤ P·Σ_{i ∈ k}|ΔW_i|; summed over the
+/// periods that is at most P·Σ|ΔW_i|. The tail [n·P, H) has no sample;
+/// there 0 ≤ W ≤ W_max, the draw with every gateway, modem and line card
+/// on, so the tail adds at most W_max·(H − n·P). The last term absorbs
+/// floating-point rounding in the meters' and the series' sums, relative
+/// to the metered energy E (`metered_j`).
+fn series_energy_bound(
+    period_s: f64,
+    transitions_w: f64,
+    max_w: f64,
+    tail_s: f64,
+    metered_j: f64,
+) -> f64 {
+    period_s * transitions_w + max_w * tail_s + 1e-9 * metered_j
 }
 
 fn handle(s: &mut Scheduler<Ev>, w: &mut World<'_>, now: SimTime, ev: Ev) {
@@ -887,15 +970,13 @@ fn handle(s: &mut Scheduler<Ev>, w: &mut World<'_>, now: SimTime, ev: Ev) {
             w.doze_token[gw] = None;
             // Wakes cancel the pending tick, so a delivered one always
             // finds the gateway still sleeping at the level that armed it.
-            if w.gateways[gw].descend(now).is_some() {
-                w.arm_doze(s, gw);
-            }
+            w.descend_gateway(s, now, gw);
         }
         Ev::Bh2Tick { client } => {
             w.counters.bh2_ticks += 1;
             // `now` never decreases and the epoch is fixed, so the
-            // reschedules arrive in time order: the monotone lane holds them.
-            s.schedule_monotone(now + w.cfg.bh2.epoch, Ev::Bh2Tick { client });
+            // reschedules arrive in time order: a monotone lane holds them.
+            s.schedule_monotone(BH2_LANE, now + w.cfg.bh2.epoch, Ev::Bh2Tick { client });
             bh2_epoch(s, w, now, client as usize);
         }
         Ev::OptimalTick => {
@@ -962,9 +1043,11 @@ fn handle(s: &mut Scheduler<Ev>, w: &mut World<'_>, now: SimTime, ev: Ev) {
                     + cards as f64 * w.cfg.power.line_card_w
                     + powered as f64 * w.cfg.power.isp_modem_w;
             }
+            // One pending sample at a time, each a period after the last:
+            // the sample lane's times only grow.
             let next = now + w.cfg.sample_period;
             if next < w.cfg.horizon() {
-                s.schedule_at(next, Ev::Sample);
+                s.schedule_monotone(SAMPLE_LANE, next, Ev::Sample);
             }
         }
     }
@@ -1135,7 +1218,9 @@ fn optimal_tick(s: &mut Scheduler<Ev>, w: &mut World<'_>, now: SimTime) {
             _ => {}
         }
     }
+    let before = w.isp_draw_w();
     w.dslam.repack_full_switch(now);
+    w.transitions_w += (w.isp_draw_w() - before).abs();
 }
 
 /// Averaged results of all repetitions of one scheme, built by
@@ -1175,8 +1260,9 @@ pub struct SchemeResult {
     /// count; `counters.delivered()` is the scheduler events delivered).
     pub counters: RunCounters,
     /// Wall-clock the deterministic in-order folder spent absorbing task
-    /// results, milliseconds (scheduling-dependent; sidecar telemetry
-    /// only, never the result JSONL).
+    /// results and finishing, milliseconds; the batch runner adds the
+    /// time of building the job's record (scheduling-dependent; sidecar
+    /// telemetry only, never the result JSONL).
     pub fold_ms: f64,
     /// Per-shard aggregates, in shard order (one entry for unsharded runs).
     pub shard_summaries: Vec<ShardSummary>,
@@ -1653,6 +1739,7 @@ impl SchemeFolder {
 
     /// Finalizes the averaged [`SchemeResult`] after the last absorb.
     pub fn finish(self) -> SchemeResult {
+        let finish_start = std::time::Instant::now();
         let k = self.reps as f64;
         let shard_summaries: Vec<ShardSummary> = (self.shard_acc.into_iter().zip(self.spans))
             .map(|(sa, span)| ShardSummary {
@@ -1690,7 +1777,7 @@ impl SchemeFolder {
             online_time: self.online_time,
             mean_wake_count: self.wakes / k,
             counters: self.counters,
-            fold_ms: self.fold_ms,
+            fold_ms: self.fold_ms + finish_start.elapsed().as_secs_f64() * 1e3,
             shard_summaries,
         }
     }
@@ -2014,6 +2101,29 @@ mod tests {
             let rel = (series_j - metered).abs() / metered;
             assert!(rel < 0.02, "{spec}: series {series_j:.0} J vs metered {metered:.0} J");
         }
+    }
+
+    #[test]
+    fn series_energy_bound_covers_steps_and_the_tail() {
+        // W = 10 W on [0, 1.5 s) and 20 W on [1.5 s, 3.5 s), sampled every
+        // second at 0, 1 and 2 s: the series reads 10 + 10 + 20 = 40 J
+        // against 15 + 40 = 55 J metered. The 10 W step misprices half a
+        // period (5 J) and the unsampled 0.5 s tail at up to 20 W adds 10 J.
+        let (series, metered) = (40.0, 55.0);
+        let gap = f64::abs(series - metered);
+        assert!(gap <= series_energy_bound(1.0, 10.0, 20.0, 0.5, metered));
+        // Without the step's term, or without the tail's, it fails.
+        assert!(gap > series_energy_bound(1.0, 0.0, 20.0, 0.5, metered));
+        assert!(gap > series_energy_bound(1.0, 10.0, 20.0, 0.0, metered));
+        // The transition term is tight: over [0, 3 s), a 10 → 20 W step at
+        // 1 s delivered after that instant's sample misprices one whole
+        // period, a 10 + 10 + 20 = 40 J series against 10 + 40 = 50 J.
+        let (series, metered) = (40.0, 50.0);
+        let gap = f64::abs(series - metered);
+        assert!(gap <= series_energy_bound(1.0, 10.0, 20.0, 0.0, metered));
+        assert!(gap > series_energy_bound(1.0, 9.9, 20.0, 0.0, metered));
+        // With no transition and no tail only rounding is forgiven.
+        assert!(1e-6 > series_energy_bound(1.0, 0.0, 20.0, 0.0, 100.0));
     }
 
     #[test]

@@ -574,17 +574,22 @@ pub fn run_batch_controlled<W: Write>(
     let mut records: Vec<JobRecord> = Vec::with_capacity(batch.n_jobs());
     let mut pending: BTreeMap<usize, (JobRecord, JobTelemetryRecord)> = BTreeMap::new();
     run_jobs(batch, tel, ctl, |js, result, released| {
+        // The record build (pooled exact-mode quantiles) is part of the
+        // job's fold, so its time joins the `shard-fold` span.
+        let record_start = Instant::now();
+        let record = make_record(js, &result);
+        let record_ms = record_start.elapsed().as_secs_f64() * 1_000.0;
         let telemetry = JobTelemetryRecord {
             job: js.j,
             scenario: js.name.to_string(),
             scheme: js.scheme.clone(),
             seed_index: js.seed_index,
             wall_ms: js.started.get().map(|t| t.elapsed().as_secs_f64() * 1_000.0).unwrap_or(0.0),
-            fold_ms: result.fold_ms,
+            fold_ms: result.fold_ms + record_ms,
             shards: js.world.n_shards(),
             counters: result.counters,
         };
-        pending.insert(js.j, (make_record(js, &result), telemetry));
+        pending.insert(js.j, (record, telemetry));
         while let Some((rec, telemetry)) = pending.remove(&records.len()) {
             let write_start = Instant::now();
             let line = serde_json::to_string(&rec)

@@ -7,24 +7,33 @@
 //! the usual borrow-checker fights of callback-based DES designs without any
 //! `Rc<RefCell>` or trait-object machinery.
 //!
-//! Pending events sit in a binary heap of `(time, lane, seq)`-ranked entries
-//! (see the [`queue`](crate::queue) module for the order and the entry
-//! layout) with their payloads in a slab. Cancellation is O(1) and eager
-//! about payloads: [`Scheduler::cancel`] drops the payload immediately and
-//! bumps the slot's generation, so the heap entry is recognized as stale and
-//! *purged* when it surfaces (pop or peek). Nothing dead accumulates for the
-//! lifetime of the run; a drain-time debug assertion proves every cancelled
-//! entry is reaped.
+//! Pending events sit in one of two kinds of store, and every entry in
+//! either carries a `(time, lane, seq)` rank (see the [`queue`](crate::queue)
+//! module for the order and the entry layout):
 //!
-//! Beside the heap sits a *monotone lane*: a FIFO of `(time, key, event)`
-//! for events whose schedule times never decrease, such as a fixed-period
-//! tick that always reschedules itself at `now + period`. Its keys come
-//! from the same sequence counter and carry the normal-lane bit, so a lane
-//! entry ranks exactly where the same event would rank in the heap.
-//! Because both times and keys only grow along the FIFO, it stays sorted
-//! with O(1) push and pop; a pop delivers whichever of the two heads ranks
-//! lower by `(time, key)`, which is the order a heap-only queue would give.
-//! Lane events carry no token and cannot be cancelled.
+//! * a binary heap of ranked entries with their payloads in a slab, for
+//!   events scheduled in any time order with [`Scheduler::schedule_at`].
+//!   Cancellation is O(1) and eager about payloads: [`Scheduler::cancel`]
+//!   drops the payload immediately and bumps the slot's generation, so the
+//!   heap entry is recognized as stale and *purged* when it surfaces (pop
+//!   or peek). Nothing dead accumulates for the lifetime of the run; a
+//!   drain-time debug assertion proves every cancelled entry is reaped.
+//! * FIFO *lanes* of `(time, key, event)` for event streams whose schedule
+//!   times never decrease: the front lane ([`Scheduler::schedule_front`])
+//!   and [`MONOTONE_LANES`] monotone lanes
+//!   ([`Scheduler::schedule_monotone`]), such as a fixed-period tick that
+//!   always reschedules itself at `now + period`. Every push draws its key
+//!   from the same sequence counter as a heap push, so a lane entry ranks
+//!   exactly where the same event would rank in the heap. Because both
+//!   times and keys only grow along a FIFO, each lane stays sorted with
+//!   O(1) push and pop; a push before its lane's tail panics. Lane events
+//!   carry no token and cannot be cancelled.
+//!
+//! The scheduler caches each lane's head rank and the lowest of them, so a
+//! pop compares one heap head with one cached lane head, whatever the
+//! number of lanes, and delivers whichever ranks lower: the order a
+//! heap-only queue would give. Only a lane push onto an empty lane or a
+//! lane pop touches the cache.
 //!
 //! [`Scheduler::run_until`] pops once per delivered event: one
 //! heap-head/lane-head comparison decides both which head goes next and
@@ -35,19 +44,35 @@
 //! sequence counter is the number of events ever scheduled, and the events
 //! delivered are those scheduled minus the pending and the cancelled ones.
 
-use crate::queue::{Entry, EventToken, Slot, LANE_FRONT, LANE_NORMAL};
+use crate::queue::{pack, Entry, EventToken, Slot, LANE_FRONT, LANE_NORMAL};
 use crate::time::SimTime;
 use std::collections::{BinaryHeap, VecDeque};
+
+/// The number of monotone lanes beside the front lane; the `lane` argument
+/// of [`Scheduler::schedule_monotone`] is below it.
+pub const MONOTONE_LANES: usize = 2;
+
+/// FIFO lanes in all: the front lane at index 0, monotone lane `i` at
+/// `1 + i`.
+const FIFOS: usize = 1 + MONOTONE_LANES;
+
+/// Packed rank of an empty lane (or heap): above every real rank, since a
+/// key never reaches `u64::MAX`.
+const EMPTY: u128 = u128::MAX;
 
 /// Clock plus pending events for one simulation run, delivered in
 /// `(time, lane, insertion order)` order (see the module docs).
 pub struct Scheduler<E> {
     now: SimTime,
     heap: BinaryHeap<Entry>,
-    /// The monotone lane, ascending in `(time, key)` front to back.
-    lane: VecDeque<(SimTime, u64, E)>,
     slots: Vec<Slot<E>>,
     free: Vec<u32>,
+    /// The FIFO lanes, each ascending in `(time, key)` front to back.
+    fifos: [VecDeque<(SimTime, u64, E)>; FIFOS],
+    /// Packed rank of each FIFO's head, [`EMPTY`] for an empty FIFO.
+    heads: [u128; FIFOS],
+    /// The lowest of `heads` and the FIFO that holds it.
+    best: (u128, usize),
     /// The next sequence number: the count of events ever scheduled.
     next_seq: u64,
     /// Scheduled − delivered − cancelled: the deliverable entries.
@@ -70,9 +95,11 @@ impl<E> Scheduler<E> {
         Scheduler {
             now: SimTime::ZERO,
             heap: BinaryHeap::new(),
-            lane: VecDeque::new(),
             slots: Vec::new(),
             free: Vec::new(),
+            fifos: std::array::from_fn(|_| VecDeque::new()),
+            heads: [EMPTY; FIFOS],
+            best: (EMPTY, 0),
             next_seq: 0,
             live: 0,
             cancelled_unpurged: 0,
@@ -90,10 +117,10 @@ impl<E> Scheduler<E> {
         self.next_seq - self.live as u64 - self.cancelled()
     }
 
-    /// Total number of events ever scheduled, on the heap and the monotone
-    /// lane together (delivered, cancelled and still-pending alike). A pure
+    /// Total number of events ever scheduled, on the heap and the lanes
+    /// together (delivered, cancelled and still-pending alike). A pure
     /// function of the delivered sequence, so it is safe to report in
-    /// deterministic telemetry; moving an event kind to the lane leaves it
+    /// deterministic telemetry; moving an event kind to a lane leaves it
     /// unchanged.
     pub fn scheduled(&self) -> u64 {
         self.next_seq
@@ -106,8 +133,7 @@ impl<E> Scheduler<E> {
         self.cancelled_purged + self.cancelled_unpurged as u64
     }
 
-    /// Number of pending events, on the heap and the monotone lane
-    /// together.
+    /// Number of pending events, on the heap and the lanes together.
     pub fn pending(&self) -> usize {
         self.live
     }
@@ -120,41 +146,62 @@ impl<E> Scheduler<E> {
     /// would silently corrupt every downstream statistic, so this is a
     /// programming error worth failing loudly on.
     pub fn schedule_at(&mut self, at: SimTime, event: E) -> EventToken {
-        self.push(at, LANE_NORMAL, event)
+        self.assert_not_past(at);
+        let key = self.next_key(LANE_NORMAL);
+        let slot = match self.free.pop() {
+            Some(s) => {
+                let cell = &mut self.slots[s as usize];
+                debug_assert!(cell.event.is_none(), "free slot must be empty");
+                cell.event = Some(event);
+                s
+            }
+            None => {
+                self.slots.push(Slot { generation: 0, event: Some(event) });
+                (self.slots.len() - 1) as u32
+            }
+        };
+        let generation = self.slots[slot as usize].generation;
+        self.heap.push(Entry { time: at, key, slot, generation });
+        self.live += 1;
+        EventToken { slot, generation }
     }
 
     /// Schedules `event` at `at` in the *front lane*: among events at the
-    /// same instant it is delivered before every [`schedule_at`] event,
-    /// regardless of insertion order (front-lane events stay FIFO among
-    /// themselves). Streaming drivers use this to feed trace arrivals one
-    /// at a time while reproducing the delivery order of a run that
-    /// pre-scheduled every arrival up front (arrivals then held the lowest
-    /// sequence numbers, so they always beat simultaneous timers).
-    ///
-    /// [`schedule_at`]: Scheduler::schedule_at
-    pub fn schedule_front(&mut self, at: SimTime, event: E) -> EventToken {
-        self.push(at, LANE_FRONT, event)
-    }
-
-    /// Schedules `event` at `at` in the *monotone lane*, an O(1) FIFO beside
-    /// the heap for events whose schedule times never decrease (e.g. a
-    /// fixed-period tick rescheduled at `now + period`). The event is
-    /// delivered exactly where a [`schedule_at`] at the same moment would
-    /// deliver it. It returns no token: lane events cannot be cancelled.
+    /// same instant it is delivered before every [`schedule_at`] and
+    /// [`schedule_monotone`] event, regardless of insertion order
+    /// (front-lane events stay FIFO among themselves). Streaming drivers
+    /// use this to feed trace arrivals one at a time while reproducing the
+    /// delivery order of a run that pre-scheduled every arrival up front
+    /// (arrivals then held the lowest sequence numbers, so they always beat
+    /// simultaneous timers). The lane is an O(1) FIFO, so its times must
+    /// not decrease, and it returns no token: front-lane events cannot be
+    /// cancelled.
     ///
     /// # Panics
-    /// Panics if `at` is before the current time or before the lane's last
-    /// scheduled time.
+    /// Panics if `at` is before the current time or before the front
+    /// lane's last pending time.
     ///
     /// [`schedule_at`]: Scheduler::schedule_at
-    pub fn schedule_monotone(&mut self, at: SimTime, event: E) {
-        self.assert_not_past(at);
-        if let Some(&(tail, _, _)) = self.lane.back() {
-            assert!(at >= tail, "monotone lane push at {at} before its tail at {tail}");
-        }
-        let key = self.next_key(LANE_NORMAL);
-        self.lane.push_back((at, key, event));
-        self.live += 1;
+    /// [`schedule_monotone`]: Scheduler::schedule_monotone
+    pub fn schedule_front(&mut self, at: SimTime, event: E) {
+        self.push_fifo(0, LANE_FRONT, at, event);
+    }
+
+    /// Schedules `event` at `at` in monotone lane `lane`, an O(1) FIFO
+    /// beside the heap for one stream of events whose schedule times never
+    /// decrease (e.g. a fixed-period tick rescheduled at `now + period`).
+    /// The event is delivered exactly where a [`schedule_at`] at the same
+    /// moment would deliver it. It returns no token: lane events cannot be
+    /// cancelled.
+    ///
+    /// # Panics
+    /// Panics if `lane` is not below [`MONOTONE_LANES`], or if `at` is
+    /// before the current time or before the lane's last pending time.
+    ///
+    /// [`schedule_at`]: Scheduler::schedule_at
+    pub fn schedule_monotone(&mut self, lane: usize, at: SimTime, event: E) {
+        assert!(lane < MONOTONE_LANES, "monotone lane {lane} of {MONOTONE_LANES}");
+        self.push_fifo(1 + lane, LANE_NORMAL, at, event);
     }
 
     fn assert_not_past(&self, at: SimTime) {
@@ -170,28 +217,40 @@ impl<E> Scheduler<E> {
         ((lane as u64) << 63) | seq
     }
 
-    fn push(&mut self, time: SimTime, lane: u8, event: E) -> EventToken {
-        self.assert_not_past(time);
+    /// Appends `event` to FIFO `fifo` with a key in `lane`, keeping the
+    /// head caches current.
+    fn push_fifo(&mut self, fifo: usize, lane: u8, at: SimTime, event: E) {
+        self.assert_not_past(at);
+        if let Some(&(tail, _, _)) = self.fifos[fifo].back() {
+            assert!(at >= tail, "lane push at {at} before its tail at {tail}");
+        }
         let key = self.next_key(lane);
-        let slot = match self.free.pop() {
-            Some(s) => {
-                let cell = &mut self.slots[s as usize];
-                debug_assert!(cell.event.is_none(), "free slot must be empty");
-                cell.event = Some(event);
-                s
+        if self.fifos[fifo].is_empty() {
+            let rank = pack(at, key);
+            self.heads[fifo] = rank;
+            if rank < self.best.0 {
+                self.best = (rank, fifo);
             }
-            None => {
-                self.slots.push(Slot { generation: 0, event: Some(event) });
-                (self.slots.len() - 1) as u32
-            }
-        };
-        let generation = self.slots[slot as usize].generation;
-        self.heap.push(Entry { time, key, slot, generation });
+        }
+        self.fifos[fifo].push_back((at, key, event));
         self.live += 1;
-        EventToken { slot, generation }
     }
 
-    /// Cancels a pending event. Cancelling an already-delivered or
+    /// Pops the head of FIFO `fifo` and refreshes the head caches.
+    #[inline]
+    fn pop_fifo(&mut self, fifo: usize) -> (SimTime, E) {
+        let (time, _, event) = self.fifos[fifo].pop_front().expect("lane head exists");
+        self.heads[fifo] = self.fifos[fifo].front().map_or(EMPTY, |&(t, key, _)| pack(t, key));
+        self.best = (self.heads[0], 0);
+        for k in 1..FIFOS {
+            if self.heads[k] < self.best.0 {
+                self.best = (self.heads[k], k);
+            }
+        }
+        (time, event)
+    }
+
+    /// Cancels a pending heap event. Cancelling an already-delivered or
     /// already-cancelled event is a no-op (the token's generation no longer
     /// matches). The payload is dropped immediately; the stale heap entry
     /// is purged when it next surfaces in a pop or [`peek_time`], so no
@@ -209,19 +268,20 @@ impl<E> Scheduler<E> {
         }
     }
 
-    /// Rank of the earliest live heap entry, purging stale heads on the way.
+    /// Packed rank of the earliest live heap entry ([`EMPTY`] when there
+    /// is none), purging stale heads on the way.
     #[inline]
-    fn heap_head(&mut self) -> Option<(SimTime, u64)> {
+    fn heap_head(&mut self) -> u128 {
         while let Some(entry) = self.heap.peek().copied() {
             if self.slots[entry.slot as usize].generation == entry.generation {
-                return Some(entry.rank());
+                return pack(entry.time, entry.key);
             }
             self.heap.pop();
             self.free.push(entry.slot);
             self.cancelled_unpurged -= 1;
             self.cancelled_purged += 1;
         }
-        None
+        EMPTY
     }
 
     /// Pops the next event and advances the clock to its timestamp.
@@ -233,35 +293,30 @@ impl<E> Scheduler<E> {
     /// `end` only; a later event stays queued.
     fn next_event_until(&mut self, end: SimTime) -> Option<(SimTime, E)> {
         let heap = self.heap_head();
-        let (t, e) = match self.lane.front() {
-            Some(&(time, key, _)) if heap.is_none_or(|h| (time, key) < h) => {
-                if time > end {
-                    return None;
-                }
-                let (time, _, event) = self.lane.pop_front().expect("lane head exists");
-                (time, event)
+        let (lane, fifo) = self.best;
+        let (t, e) = if lane < heap {
+            if unpack_time(lane) > end {
+                return None;
             }
-            _ => match heap {
-                Some((time, _)) if time <= end => {
-                    let entry = self.heap.pop().expect("heap head exists");
-                    let cell = &mut self.slots[entry.slot as usize];
-                    let event = cell.event.take().expect("live slot holds its event");
-                    cell.generation = cell.generation.wrapping_add(1);
-                    self.free.push(entry.slot);
-                    (entry.time, event)
-                }
-                Some(_) => return None,
-                None => {
-                    // A drained queue must have reaped every cancellation —
-                    // the guarantee that long horizons accumulate no dead
-                    // state.
-                    debug_assert_eq!(
-                        self.cancelled_unpurged, 0,
-                        "drained queue left cancelled entries unpurged"
-                    );
-                    return None;
-                }
-            },
+            self.pop_fifo(fifo)
+        } else if heap != EMPTY {
+            if unpack_time(heap) > end {
+                return None;
+            }
+            let entry = self.heap.pop().expect("heap head exists");
+            let cell = &mut self.slots[entry.slot as usize];
+            let event = cell.event.take().expect("live slot holds its event");
+            cell.generation = cell.generation.wrapping_add(1);
+            self.free.push(entry.slot);
+            (entry.time, event)
+        } else {
+            // A drained queue must have reaped every cancellation — the
+            // guarantee that long horizons accumulate no dead state.
+            debug_assert_eq!(
+                self.cancelled_unpurged, 0,
+                "drained queue left cancelled entries unpurged"
+            );
+            return None;
         };
         debug_assert!(t >= self.now);
         self.live -= 1;
@@ -271,8 +326,8 @@ impl<E> Scheduler<E> {
 
     /// Time of the next pending event, if any.
     pub fn peek_time(&mut self) -> Option<SimTime> {
-        let lane = self.lane.front().map(|&(time, key, _)| (time, key));
-        self.heap_head().into_iter().chain(lane).min().map(|(time, _)| time)
+        let next = self.heap_head().min(self.best.0);
+        (next != EMPTY).then(|| unpack_time(next))
     }
 
     /// Runs the event loop until the queue drains or the clock passes `end`,
@@ -294,6 +349,12 @@ impl<E> Scheduler<E> {
             self.now = end;
         }
     }
+}
+
+/// The time half of a packed rank.
+#[inline]
+fn unpack_time(rank: u128) -> SimTime {
+    SimTime::from_millis((rank >> 64) as u64)
 }
 
 #[cfg(test)]
@@ -358,7 +419,7 @@ mod tests {
         let mut s: Scheduler<Ev> = Scheduler::new();
         s.schedule_at(SimTime::from_secs(5), Ev::Stop);
         s.next_event();
-        s.schedule_monotone(SimTime::from_secs(1), Ev::Stop);
+        s.schedule_monotone(0, SimTime::from_secs(1), Ev::Stop);
     }
 
     #[test]
@@ -401,17 +462,18 @@ mod tests {
     fn scheduled_and_cancelled_counters_track_every_lane() {
         let mut s: Scheduler<u32> = Scheduler::new();
         s.schedule_at(SimTime::from_secs(1), 1);
-        s.schedule_at(SimTime::from_secs(2), 2);
-        let tok = s.schedule_front(SimTime::from_secs(3), 3);
-        s.schedule_monotone(SimTime::from_secs(4), 4);
-        assert_eq!(s.scheduled(), 4);
-        assert_eq!(s.pending(), 4, "monotone-lane events count as pending");
+        let tok = s.schedule_at(SimTime::from_secs(2), 2);
+        s.schedule_front(SimTime::from_secs(3), 3);
+        s.schedule_monotone(0, SimTime::from_secs(4), 4);
+        s.schedule_monotone(1, SimTime::from_secs(4), 5);
+        assert_eq!(s.scheduled(), 5);
+        assert_eq!(s.pending(), 5, "lane events count as pending");
         assert_eq!(s.cancelled(), 0);
         s.cancel(tok);
         assert_eq!(s.cancelled(), 1);
         let mut world = ();
         s.run_until(&mut world, SimTime::from_hours(1), |_, _, _, _| {});
-        assert_eq!(s.delivered(), 3);
+        assert_eq!(s.delivered(), 4);
         // scheduled = delivered + cancelled + pending-at-horizon (0 here).
         assert_eq!(s.scheduled(), s.delivered() + s.cancelled());
     }

@@ -7,8 +7,8 @@
 //!
 //! * a millisecond-granular simulation clock ([`SimTime`], [`SimDuration`]),
 //! * the event scheduler ([`Scheduler`]): pending events with stable FIFO
-//!   tie-breaking, O(1) lazy cancellation and an O(1) lane for
-//!   nondecreasing timers, plus the driver loop,
+//!   tie-breaking, O(1) lazy cancellation and O(1) FIFO lanes for
+//!   in-order streams (arrivals, periodic ticks), plus the driver loop,
 //! * reproducible randomness with named sub-streams ([`SimRng`]),
 //! * the statistics primitives every experiment reports through
 //!   ([`Welford`], [`TimeWeighted`], [`Histogram`], [`Cdf`], [`BinSeries`]),

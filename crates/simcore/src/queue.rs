@@ -8,20 +8,24 @@
 //!
 //! Entries additionally carry a two-value *lane*:
 //! [`Scheduler::schedule_front`] places an event in the front lane,
-//! delivered before every normal-lane event at the same instant regardless
-//! of insertion order (within each lane, FIFO still holds). Lane and
+//! delivered before every other event at the same instant regardless of
+//! insertion order (within each lane, FIFO still holds). Lane and
 //! sequence pack into one `u64` key (`lane << 63 | seq`), so the total
-//! order is a plain `(time, key)` comparison.
+//! order is a plain `(time, key)` comparison. Heap entries and monotone-lane
+//! entries ([`Scheduler::schedule_monotone`]) carry the normal-lane bit
+//! alike; only the front lane's FIFO holds front-lane keys.
 //!
 //! Heap entries are 24-byte `(time, key, slot)` `Entry` records; event
 //! payloads live in a slab of `Slot`s indexed by `slot`, so sift
 //! operations move small Copy records regardless of the event type's size.
 //! A slot's generation stamp makes cancellation O(1): [`Scheduler::cancel`]
 //! drops the payload and bumps the generation, and the stale heap entry is
-//! purged when it surfaces.
+//! purged when it surfaces. FIFO-lane entries hold their payload inline and
+//! need no slot, since they cannot be cancelled.
 //!
 //! [`Scheduler`]: crate::Scheduler
 //! [`Scheduler::schedule_front`]: crate::Scheduler::schedule_front
+//! [`Scheduler::schedule_monotone`]: crate::Scheduler::schedule_monotone
 //! [`Scheduler::cancel`]: crate::Scheduler::cancel
 
 use crate::time::SimTime;
@@ -58,6 +62,13 @@ impl Entry {
     }
 }
 
+/// `(time, key)` packed into one `u128`, so ranks compare in one
+/// branch-free step: ascending packed ranks are the delivery order.
+#[inline]
+pub(crate) fn pack(time: SimTime, key: u64) -> u128 {
+    ((time.as_millis() as u128) << 64) | key as u128
+}
+
 impl PartialEq for Entry {
     fn eq(&self, other: &Self) -> bool {
         self.rank() == other.rank()
@@ -86,6 +97,7 @@ pub(crate) struct Slot<E> {
 
 #[cfg(test)]
 mod tests {
+    use crate::engine::MONOTONE_LANES;
     use crate::{EventToken, Scheduler, SimTime};
 
     fn t(s: u64) -> SimTime {
@@ -135,20 +147,23 @@ mod tests {
     fn monotone_lane_ranks_by_schedule_order_against_the_heap() {
         let mut q = Scheduler::new();
         q.schedule_at(t(5), "heap-before");
-        q.schedule_monotone(t(5), "lane");
+        q.schedule_monotone(0, t(5), "lane");
         q.schedule_at(t(5), "heap-after");
         q.schedule_front(t(5), "front");
-        q.schedule_monotone(t(6), "lane-later");
+        q.schedule_monotone(1, t(5), "other-lane");
+        q.schedule_monotone(0, t(6), "lane-later");
         q.schedule_at(t(1), "heap-earliest");
-        assert_eq!(q.pending(), 6, "lane entries count as pending");
+        assert_eq!(q.pending(), 7, "lane entries count as pending");
         assert_eq!(q.peek_time(), Some(t(1)));
         assert_eq!(q.next_event(), Some((t(1), "heap-earliest")));
         // The front lane beats a simultaneous monotone-lane event.
         assert_eq!(q.next_event(), Some((t(5), "front")));
         assert_eq!(q.next_event(), Some((t(5), "heap-before")));
-        // A lane event beats a later-scheduled simultaneous heap event.
+        // A lane event beats a later-scheduled simultaneous heap event,
+        // and the two monotone lanes rank by schedule order too.
         assert_eq!(q.next_event(), Some((t(5), "lane")));
         assert_eq!(q.next_event(), Some((t(5), "heap-after")));
+        assert_eq!(q.next_event(), Some((t(5), "other-lane")));
         assert_eq!(q.peek_time(), Some(t(6)));
         assert_eq!(q.next_event(), Some((t(6), "lane-later")));
         assert_eq!(q.next_event(), None);
@@ -159,8 +174,47 @@ mod tests {
     #[should_panic(expected = "before its tail")]
     fn out_of_order_monotone_push_panics() {
         let mut q = Scheduler::new();
-        q.schedule_monotone(t(5), 0u8);
-        q.schedule_monotone(t(4), 1u8);
+        q.schedule_monotone(0, t(5), 0u8);
+        q.schedule_monotone(0, t(4), 1u8);
+    }
+
+    #[test]
+    #[should_panic(expected = "before its tail")]
+    fn out_of_order_push_on_the_second_monotone_lane_panics() {
+        let mut q = Scheduler::new();
+        q.schedule_monotone(0, t(1), 0u8);
+        q.schedule_monotone(1, t(5), 1u8);
+        q.schedule_monotone(1, t(4), 2u8);
+    }
+
+    #[test]
+    #[should_panic(expected = "before its tail")]
+    fn out_of_order_front_push_panics() {
+        let mut q = Scheduler::new();
+        q.schedule_front(t(5), 0u8);
+        q.schedule_front(t(4), 1u8);
+    }
+
+    #[test]
+    fn lanes_are_ordered_only_against_their_own_tail() {
+        let mut q = Scheduler::new();
+        q.schedule_monotone(0, t(9), "late-lane");
+        // Each lane checks only its own tail: earlier pushes on the other
+        // lanes are fine, and an empty lane takes any time from now on.
+        q.schedule_monotone(1, t(3), "early-lane");
+        q.schedule_front(t(2), "front");
+        assert_eq!(q.next_event(), Some((t(2), "front")));
+        q.schedule_front(t(2), "front-again");
+        assert_eq!(q.next_event(), Some((t(2), "front-again")));
+        assert_eq!(q.next_event(), Some((t(3), "early-lane")));
+        assert_eq!(q.next_event(), Some((t(9), "late-lane")));
+    }
+
+    #[test]
+    #[should_panic(expected = "monotone lane 2 of 2")]
+    fn monotone_lane_past_the_last_panics() {
+        let mut q = Scheduler::new();
+        q.schedule_monotone(MONOTONE_LANES, t(1), 0u8);
     }
 
     #[test]

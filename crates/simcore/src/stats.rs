@@ -463,8 +463,9 @@ impl QuantileSketch {
         }
     }
 
-    /// Quantiles at each `q ∈ [0, 1]` of `qs` (one sort for the whole
-    /// batch in exact mode). `None` entries when the sketch is empty.
+    /// Quantiles at each `q ∈ [0, 1]` of `qs` (one selection per distinct
+    /// rank in exact mode, see [`QuantileSketch::exact_quantiles`]).
+    /// `None` entries when the sketch is empty.
     ///
     /// The rank rule is `round((count − 1) · q)` over the ascending
     /// samples — exactly the pooled-sort rule the batch runner's JSONL has
@@ -496,13 +497,44 @@ impl QuantileSketch {
 
     /// Exact quantiles of raw finite samples under the same rank rule as
     /// [`QuantileSketch::quantiles`] — for callers that hold their samples
-    /// elsewhere (sorts `samples`; `None` entries when it is empty).
+    /// elsewhere (`None` entries when `samples` is empty).
+    ///
+    /// Instead of sorting, it selects: one `select_nth_unstable_by` per
+    /// distinct rank, visiting the ranks in ascending order, each over the
+    /// suffix past the previous rank (everything there is at least the
+    /// previous answer, so the next rank's value is the suffix's order
+    /// statistic). The value at each rank is the sorted vector's, so the
+    /// answers are those of a sort and index. Among samples that compare
+    /// equal a selection may return a different one than a stable sort
+    /// would, which changes nothing for non-negative samples such as
+    /// completion times; only `-0.0` against `0.0` could tell them apart.
     pub fn exact_quantiles(mut samples: Vec<f64>, qs: &[f64]) -> Vec<Option<f64>> {
         if samples.is_empty() {
             return vec![None; qs.len()];
         }
-        samples.sort_by(|a, b| a.partial_cmp(b).expect("finite samples"));
-        qs.iter().map(|&q| Some(samples[quantile_rank(samples.len() as u64, q) as usize])).collect()
+        let n = samples.len() as u64;
+        let mut ranks: Vec<(usize, usize)> =
+            qs.iter().enumerate().map(|(i, &q)| (quantile_rank(n, q) as usize, i)).collect();
+        ranks.sort_unstable();
+        let mut out = vec![None; qs.len()];
+        // `done` is the first index not yet fixed by a selection; `last`
+        // the previous distinct rank and its value.
+        let (mut done, mut last) = (0, None);
+        for (rank, i) in ranks {
+            let value = match last {
+                Some((r, v)) if r == rank => v,
+                _ => {
+                    let (_, v, _) = samples[done..].select_nth_unstable_by(rank - done, |a, b| {
+                        a.partial_cmp(b).expect("finite samples")
+                    });
+                    done = rank + 1;
+                    *v
+                }
+            };
+            last = Some((rank, value));
+            out[i] = Some(value);
+        }
+        out
     }
 
     /// Single-quantile convenience over [`QuantileSketch::quantiles`].

@@ -1,10 +1,11 @@
 //! Property-based tests of the simulation engine's invariants.
 
 use insomnia_simcore::{
-    par_fold_grouped, Cdf, OnlineTimeHist, QuantileSketch, Scheduler, SimDuration, SimRng, SimTime,
-    TimeWeighted, Welford,
+    par_fold_grouped, Cdf, EventToken, OnlineTimeHist, QuantileSketch, Scheduler, SimDuration,
+    SimRng, SimTime, TimeWeighted, Welford,
 };
 use proptest::prelude::*;
+use std::collections::BTreeMap;
 
 /// The historical pooled-sort quantile rule every exact answer must match.
 fn exact_quantile(xs: &[f64], q: f64) -> f64 {
@@ -15,9 +16,10 @@ fn exact_quantile(xs: &[f64], q: f64) -> f64 {
 
 const PROBE_QS: [f64; 7] = [0.0, 0.1, 0.25, 0.5, 0.75, 0.95, 1.0];
 
-/// The handler both `run_until` loops below share: it records each
-/// delivery and answers every fourth original event with a follow-up 0–2 ms
-/// later, so events land exactly at the loop's `end` mid-run.
+/// The handler of the scheduler's `run_until` loops below: it records each
+/// delivery and answers every fourth original event with a heap follow-up
+/// 0–2 ms later, so events land exactly at the loop's `end` mid-run.
+/// [`Model::run_until`] mirrors it.
 fn record_and_follow(
     s: &mut Scheduler<usize>,
     out: &mut Vec<(SimTime, usize)>,
@@ -25,22 +27,165 @@ fn record_and_follow(
     id: usize,
 ) {
     out.push((t, id));
-    if id < 1_000 && id.is_multiple_of(4) {
-        s.schedule_at(t + SimDuration::from_millis(id as u64 % 3), id + 1_000);
+    if let Some(dt) = follow_up(id) {
+        s.schedule_at(t + dt, id + 1_000);
     }
 }
 
-/// `Scheduler::run_until`'s loop as it was before it popped with one head
-/// comparison per event: peek the next time, then pop. The byte-identity reference for the
-/// one-lookup loop (the clock is left at the last delivery, not `end`).
-fn peek_then_pop_until(s: &mut Scheduler<usize>, end: SimTime, out: &mut Vec<(SimTime, usize)>) {
-    loop {
-        match s.peek_time() {
-            Some(t) if t <= end => {
-                let (t, id) = s.next_event().expect("peeked event exists");
-                record_and_follow(s, out, t, id);
+/// The follow-up delay [`record_and_follow`] answers `id` with, if any.
+fn follow_up(id: usize) -> Option<SimDuration> {
+    (id < 1_000 && id.is_multiple_of(4)).then(|| SimDuration::from_millis(id as u64 % 3))
+}
+
+/// Lane bits of the model's keys: the front lane ranks before the heap and
+/// the monotone lanes, which share one bit.
+const FRONT: u8 = 0;
+const NORMAL: u8 = 1;
+
+/// An independent model of the scheduler's contract: pending events in a
+/// `BTreeMap` keyed by `(time, lane bit, seq)`, one sequence counter for
+/// every schedule call whatever its store, and cancellation as removal.
+#[derive(Default)]
+struct Model {
+    now: SimTime,
+    seq: u64,
+    pending: BTreeMap<(SimTime, u8, u64), usize>,
+    delivered: u64,
+    cancelled: u64,
+}
+
+impl Model {
+    /// Schedules `id` and returns its key (the model's cancel token).
+    fn push(&mut self, at: SimTime, lane: u8, id: usize) -> (SimTime, u8, u64) {
+        let key = (at, lane, self.seq);
+        self.seq += 1;
+        self.pending.insert(key, id);
+        key
+    }
+
+    fn cancel(&mut self, key: (SimTime, u8, u64)) {
+        if self.pending.remove(&key).is_some() {
+            self.cancelled += 1;
+        }
+    }
+
+    /// Delivers the lowest-ranked event if it is due at or before `end`.
+    fn pop_until(&mut self, end: SimTime) -> Option<(SimTime, usize)> {
+        let (&key, _) = self.pending.first_key_value()?;
+        if key.0 > end {
+            return None;
+        }
+        let id = self.pending.remove(&key).expect("first key exists");
+        self.now = key.0;
+        self.delivered += 1;
+        Some((key.0, id))
+    }
+
+    /// `Scheduler::run_until` with [`record_and_follow`] as the handler.
+    fn run_until(&mut self, end: SimTime, out: &mut Vec<(SimTime, usize)>) {
+        while let Some((t, id)) = self.pop_until(end) {
+            out.push((t, id));
+            if let Some(dt) = follow_up(id) {
+                self.push(t + dt, NORMAL, id + 1_000);
             }
-            _ => break,
+        }
+        self.now = self.now.max(end);
+    }
+
+    fn peek_time(&self) -> Option<SimTime> {
+        self.pending.first_key_value().map(|(&(t, _, _), _)| t)
+    }
+}
+
+/// One step of a random schedule against the scheduler and the model: a
+/// heap push, a front-lane push, a push on monotone lane 0 or 1, a cancel
+/// of any heap token ever issued (pending, delivered or cancelled), a
+/// bounded `run_until`, or one pop. Lane pushes go to `tail + dt`, where
+/// `tail` is the lane's last push or the clock if later, so each lane's
+/// times never decrease (the generator constraint of the FIFO lanes).
+/// Millisecond steps of 0..3 make ties between every store, and events
+/// exactly at `end`, common.
+struct Harness {
+    s: Scheduler<usize>,
+    model: Model,
+    tokens: Vec<(EventToken, (SimTime, u8, u64))>,
+    tails: [SimTime; 3],
+    next_id: usize,
+}
+
+impl Harness {
+    fn new() -> Self {
+        Harness {
+            s: Scheduler::new(),
+            model: Model::default(),
+            tokens: Vec::new(),
+            tails: [SimTime::ZERO; 3],
+            next_id: 0,
+        }
+    }
+
+    fn step(&mut self, kind: u8, dt: u64, pick: u64) {
+        let dt = SimDuration::from_millis(dt);
+        let at = self.s.now() + dt;
+        let id = self.next_id;
+        match kind {
+            0 => {
+                let tok = self.s.schedule_at(at, id);
+                self.tokens.push((tok, self.model.push(at, NORMAL, id)));
+                self.next_id += 1;
+            }
+            1..=3 => {
+                let lane = (kind - 1) as usize;
+                let at = self.tails[lane].max(self.s.now()) + dt;
+                self.tails[lane] = at;
+                if lane == 0 {
+                    self.s.schedule_front(at, id);
+                    self.model.push(at, FRONT, id);
+                } else {
+                    self.s.schedule_monotone(lane - 1, at, id);
+                    self.model.push(at, NORMAL, id);
+                }
+                self.next_id += 1;
+            }
+            4 if !self.tokens.is_empty() => {
+                let (tok, key) = self.tokens[(pick % self.tokens.len() as u64) as usize];
+                self.s.cancel(tok);
+                self.model.cancel(key);
+            }
+            5 => {
+                let (mut got, mut want) = (Vec::new(), Vec::new());
+                self.s.run_until(&mut got, at, record_and_follow);
+                self.model.run_until(at, &mut want);
+                prop_assert_eq!(got, want);
+                prop_assert_eq!(self.s.now(), at, "the clock ends at `end`");
+            }
+            _ => {
+                let far = SimTime::from_millis(u64::MAX);
+                prop_assert_eq!(self.s.next_event(), self.model.pop_until(far));
+            }
+        }
+        self.check();
+    }
+
+    /// The scheduler's clock, next time and tallies against the model's.
+    fn check(&mut self) {
+        prop_assert_eq!(self.s.now(), self.model.now);
+        prop_assert_eq!(self.s.peek_time(), self.model.peek_time());
+        prop_assert_eq!(self.s.pending(), self.model.pending.len());
+        prop_assert_eq!(self.s.scheduled(), self.model.seq);
+        prop_assert_eq!(self.s.delivered(), self.model.delivered);
+        prop_assert_eq!(self.s.cancelled(), self.model.cancelled);
+    }
+
+    /// Pops everything left, one event at a time, against the model.
+    fn drain(&mut self) {
+        loop {
+            let next = self.s.next_event();
+            prop_assert_eq!(next, self.model.pop_until(SimTime::from_millis(u64::MAX)));
+            self.check();
+            if next.is_none() {
+                return;
+            }
         }
     }
 }
@@ -95,124 +240,41 @@ proptest! {
         prop_assert_eq!(got, expect);
     }
 
-    /// The monotone lane is invisible in the delivered order: a random
-    /// interleaving of heap pushes (normal and front lane), monotone-lane
-    /// pushes at nondecreasing times, cancellations of heap tokens and
-    /// deliveries yields the same `(time, event)` sequence and the same
-    /// counts as a reference scheduler that puts every monotone push on
-    /// the heap with `schedule_at`. Bounded runs go through `run_until` on
-    /// one side and the old peek-then-pop loop on the reference, with
-    /// handlers that schedule follow-ups. Millisecond steps of 0..3 make
-    /// ties between all three lanes, and events exactly at `end`, common.
+    /// The scheduler delivers exactly what an independent `BTreeMap`
+    /// model keyed by `(time, lane bit, seq)` delivers, over a random
+    /// interleaving of heap, front-lane and two monotone-lane pushes,
+    /// cancels, single pops and bounded `run_until` drains whose handler
+    /// schedules follow-ups, and its clock, next time and tallies agree
+    /// after every step and through the final drain.
     #[test]
     fn monotone_lane_matches_heap_only_reference(
-        ops in prop::collection::vec((0u8..6, 0u64..3, any::<u64>()), 1..300),
+        ops in prop::collection::vec((0u8..7, 0u64..3, any::<u64>()), 1..300),
     ) {
-        let mut lane: Scheduler<usize> = Scheduler::new();
-        let mut reference: Scheduler<usize> = Scheduler::new();
-        let mut tokens = Vec::new();
-        let mut lane_tail = SimTime::ZERO;
-        let step = SimDuration::from_millis;
-        for (id, &(kind, dt, pick)) in ops.iter().enumerate() {
-            let at = lane.now() + step(dt);
-            match kind {
-                0 => tokens.push((lane.schedule_at(at, id), reference.schedule_at(at, id))),
-                1 => tokens.push((lane.schedule_front(at, id), reference.schedule_front(at, id))),
-                2 => {
-                    lane_tail = lane_tail.max(lane.now()) + step(dt);
-                    lane.schedule_monotone(lane_tail, id);
-                    reference.schedule_at(lane_tail, id);
-                }
-                3 if !tokens.is_empty() => {
-                    let (a, b) = tokens[(pick % tokens.len() as u64) as usize];
-                    lane.cancel(a);
-                    reference.cancel(b);
-                }
-                5 => {
-                    let (mut got, mut want) = (Vec::new(), Vec::new());
-                    lane.run_until(&mut got, at, record_and_follow);
-                    peek_then_pop_until(&mut reference, at, &mut want);
-                    prop_assert_eq!(got, want);
-                    prop_assert_eq!(lane.now(), at, "the clock ends at `end`");
-                }
-                _ => prop_assert_eq!(lane.next_event(), reference.next_event()),
-            }
-            prop_assert_eq!(lane.pending(), reference.pending());
-            prop_assert_eq!(lane.peek_time(), reference.peek_time());
+        let mut h = Harness::new();
+        for &(kind, dt, pick) in &ops {
+            h.step(kind, dt, pick);
         }
-        loop {
-            let next = lane.next_event();
-            prop_assert_eq!(next, reference.next_event());
-            prop_assert_eq!(lane.pending(), reference.pending());
-            if next.is_none() {
-                break;
-            }
-        }
-        prop_assert_eq!(lane.scheduled(), reference.scheduled());
-        prop_assert_eq!(lane.cancelled(), reference.cancelled());
-        prop_assert_eq!(lane.delivered(), reference.delivered());
+        h.drain();
     }
 
-    /// The scheduler's tallies match shadow counts kept beside it, after
-    /// every step of a random mix of heap, front-lane and monotone-lane
-    /// schedules, cancels (of pending, delivered and already-cancelled
-    /// tokens alike) and bounded `run_until` drains.
+    /// The tallies (`scheduled`, `delivered`, `cancelled`, `pending`) match
+    /// the model's under heavy cancellation: half the steps cancel a random
+    /// heap token (pending, delivered or already cancelled), and the clock
+    /// only moves through bounded `run_until` drains.
     #[test]
     fn scheduler_tallies_match_shadow_counts(
-        ops in prop::collection::vec((0u8..5, 0u64..3, any::<u64>()), 1..300),
+        ops in prop::collection::vec((0u8..6, 0u64..3, any::<u64>()), 1..300),
+        cancels in prop::collection::vec(any::<u64>(), 300),
     ) {
-        let mut s: Scheduler<usize> = Scheduler::new();
-        // Every token ever issued, and whether its event is still pending.
-        let mut tokens = Vec::new();
-        let mut pending_token: Vec<bool> = Vec::new();
-        let (mut scheduled, mut delivered, mut cancelled, mut pending) = (0u64, 0u64, 0u64, 0usize);
-        let mut lane_tail = SimTime::ZERO;
-        let step = SimDuration::from_millis;
-        for &(kind, dt, pick) in &ops {
-            let at = s.now() + step(dt);
-            match kind {
-                0 | 1 => {
-                    let id = tokens.len();
-                    tokens.push(if kind == 0 {
-                        s.schedule_at(at, id)
-                    } else {
-                        s.schedule_front(at, id)
-                    });
-                    pending_token.push(true);
-                    scheduled += 1;
-                    pending += 1;
-                }
-                2 => {
-                    lane_tail = lane_tail.max(s.now()) + step(dt);
-                    s.schedule_monotone(lane_tail, usize::MAX);
-                    scheduled += 1;
-                    pending += 1;
-                }
-                3 if !tokens.is_empty() => {
-                    let i = (pick % tokens.len() as u64) as usize;
-                    s.cancel(tokens[i]);
-                    if std::mem::replace(&mut pending_token[i], false) {
-                        cancelled += 1;
-                        pending -= 1;
-                    }
-                }
-                _ => {
-                    let mut got = Vec::new();
-                    s.run_until(&mut got, at, |_, got, _, id| got.push(id));
-                    for id in got {
-                        if id != usize::MAX {
-                            prop_assert!(std::mem::replace(&mut pending_token[id], false));
-                        }
-                        delivered += 1;
-                        pending -= 1;
-                    }
-                }
-            }
-            prop_assert_eq!(s.scheduled(), scheduled);
-            prop_assert_eq!(s.delivered(), delivered);
-            prop_assert_eq!(s.cancelled(), cancelled);
-            prop_assert_eq!(s.pending(), pending);
+        let mut h = Harness::new();
+        for (i, &(kind, dt, pick)) in ops.iter().enumerate() {
+            h.step(kind, dt, pick);
+            h.step(4, 0, cancels[i]);
         }
+        // Every pending event is due within 1 s of the clock: one bounded
+        // drain that far empties both sides.
+        h.step(5, 1_000, 0);
+        prop_assert_eq!(h.s.pending(), 0);
     }
 
     /// Welford matches the naive two-pass computation.
@@ -362,6 +424,36 @@ proptest! {
                 "q={}: sketch {} vs exact {} (bound {})", q, est, truth, bound
             );
         }
+    }
+
+    /// `exact_quantiles` (one selection per distinct rank) answers exactly
+    /// what a sort and index answers: heavy ties (values from a handful of
+    /// levels or drawn freely), a single sample, `q` of exactly 0 and 1,
+    /// repeated and unsorted `qs`.
+    #[test]
+    fn exact_quantiles_match_sort_and_index(
+        draws in prop::collection::vec((0u8..2, 0u8..6, 0f64..1_000.0), 1..200),
+        qs in prop::collection::vec((0u8..4, 0f64..1.0), 1..12),
+    ) {
+        let xs: Vec<f64> = draws
+            .iter()
+            .map(|&(free, level, x)| if free == 0 { level as f64 * 0.25 } else { x })
+            .collect();
+        let qs: Vec<f64> = qs
+            .iter()
+            .map(|&(kind, q)| match kind {
+                0 => 0.0,
+                1 => 1.0,
+                _ => q,
+            })
+            .collect();
+        let got = QuantileSketch::exact_quantiles(xs.clone(), &qs);
+        let want: Vec<Option<f64>> = qs.iter().map(|&q| Some(exact_quantile(&xs, q))).collect();
+        prop_assert_eq!(got, want);
+        prop_assert_eq!(
+            QuantileSketch::exact_quantiles(vec![xs[0]], &qs),
+            vec![Some(xs[0]); qs.len()]
+        );
     }
 
     /// Within a shard, quantiles cannot depend on the order completions
