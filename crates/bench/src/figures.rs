@@ -516,7 +516,7 @@ pub fn completion_table(runs: &MainRuns) -> FigureData {
     ];
     let mut labels = Vec::new();
     for (name, r) in entries {
-        let Some(q) = insomnia_core::completion_quantiles(&r.pooled_completion()) else {
+        let Some(q) = insomnia_core::completion_quantiles(&r.completion) else {
             continue;
         };
         labels.push(name.to_string());

@@ -144,6 +144,42 @@ impl CompletionStats {
         out
     }
 
+    /// Quantiles of the completions pooled over `reps`, and whether they
+    /// are exact: `pooled(reps).quantiles(qs)` and `.is_exact()` without
+    /// building the pooled store. While the pooled flow count fits under
+    /// every repetition's cutoff (so every store is per-flow), each
+    /// repetition's completed samples go, in repetition order, straight
+    /// into one vector sized by Σ completed, and the quantiles select on
+    /// it; past the cutoff the sketch merge of [`pooled`](Self::pooled)
+    /// answers.
+    pub fn pooled_quantiles(reps: &[CompletionStats], qs: &[f64]) -> (Vec<Option<f64>>, bool) {
+        let total: u64 = reps.iter().map(|r| r.total_flows).sum();
+        let cutoff = reps.iter().map(|r| r.cutoff).min().unwrap_or(0);
+        let per_flow: Option<Vec<&[Option<f64>]>> = reps.iter().map(|r| r.per_flow()).collect();
+        match per_flow {
+            Some(per_flow) if total <= cutoff as u64 => {
+                let completed: u64 = reps.iter().map(|r| r.completed).sum();
+                let mut samples = Vec::with_capacity(completed as usize);
+                for rep in per_flow {
+                    samples.extend(rep.iter().flatten());
+                }
+                (QuantileSketch::exact_quantiles(samples, qs), true)
+            }
+            _ => {
+                let pooled = CompletionStats::pooled(reps);
+                (pooled.quantiles(qs), pooled.is_exact())
+            }
+        }
+    }
+
+    /// Completed fraction of the flows pooled over `reps`:
+    /// `pooled(reps).completed_frac()` without building the pooled store.
+    pub fn pooled_completed_frac(reps: &[CompletionStats]) -> Option<f64> {
+        let total: u64 = reps.iter().map(|r| r.total_flows).sum();
+        let completed: u64 = reps.iter().map(|r| r.completed).sum();
+        (total > 0).then(|| completed as f64 / total as f64)
+    }
+
     /// Trace flows driven (completed + unfinished).
     pub fn total_flows(&self) -> u64 {
         self.total_flows
@@ -262,6 +298,32 @@ mod tests {
         let empty = CompletionStats::pooled(&[]);
         assert_eq!(empty.total_flows(), 0);
         assert_eq!(empty.completed_frac(), None);
+    }
+
+    #[test]
+    fn pooled_quantiles_match_the_pooled_store() {
+        let qs = [0.0, 0.25, 0.5, 0.9, 1.0];
+        let rep = |r: usize, cutoff: usize| {
+            let samples =
+                (0..6).map(|i| (i % 4 != r).then_some(((r * 7 + i * 3) % 5) as f64 * 0.5));
+            CompletionStats::from_samples(samples.collect(), cutoff)
+        };
+        // Per-flow stores pooled under the cutoff, one of them past it
+        // (the sketch merge), no repetitions, and runs with no completion.
+        let cases = [
+            vec![rep(0, 100), rep(1, 100), rep(2, 100)],
+            vec![rep(0, 100), rep(1, 10), rep(2, 100)],
+            vec![rep(0, 4), rep(1, 100)],
+            vec![],
+            vec![CompletionStats::new(3, 100), CompletionStats::new(2, 100)],
+        ];
+        for reps in cases {
+            let pooled = CompletionStats::pooled(&reps);
+            let got = CompletionStats::pooled_quantiles(&reps, &qs);
+            assert_eq!(got, (pooled.quantiles(&qs), pooled.is_exact()), "{reps:?}");
+            let frac = CompletionStats::pooled_completed_frac(&reps);
+            assert_eq!(frac.map(f64::to_bits), pooled.completed_frac().map(f64::to_bits));
+        }
     }
 
     #[test]

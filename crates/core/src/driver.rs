@@ -24,6 +24,23 @@
 //! multi-doze descent ticks; BH2 per-terminal decision epochs; the Optimal
 //! scheme's per-minute re-solves; and the metric sampler. The simulation
 //! starts with every gateway asleep.
+//!
+//! A run is two steps. `simulate` runs the event loop without a DSLAM and
+//! appends every gateway wake, sleep, doze descent and Optimal full-switch
+//! repack to a line-event log; `account` builds the task's own fabric,
+//! replays the log into a [`Dslam`] and derives the sampled series, the
+//! energy breakdown and the series-vs-meter check from it. Nothing in the
+//! event loop reads the DSLAM back (a wake's port is never consulted), so
+//! the fabric is write-only, and the task RNG is read in exactly two
+//! places: the fabric's line-to-card wiring ([`random_mapping`],
+//! [`KSwitchFabric::new`]), drawn first, and BH2's tick offsets, decisions
+//! and hand-offs, which `simulate` receives the RNG for. A home-only or
+//! Optimal trajectory is therefore a function of the world's config, the
+//! shard and the scheme's aggregation and sleep policy alone: the
+//! repetitions of no-sleep, SoI, multi-doze, adaptive SoI and Optimal, and
+//! SoI's three fabric variants, all simulate one trajectory. A shared
+//! [`ShardedWorld`] simulates each such trajectory once per shard and
+//! every later consumer only runs `account` over it; BH2 is never cached.
 
 use crate::bh2::{decide, Bh2Decision, VisibleGateway};
 use crate::completion::CompletionStats;
@@ -32,18 +49,19 @@ use crate::flows::{ActiveFlow, FlowEngine};
 use crate::optimal::{solve, SolverInput};
 use crate::schemes::{Aggregation, FabricKind, SchemeSpec, SleepPolicy};
 use insomnia_access::{
-    Dslam, EnergyBreakdown, Fabric, FixedFabric, FullFabric, Gateway, GwState, KSwitchFabric,
-    PowerLadder,
+    random_mapping, Dslam, EnergyBreakdown, Fabric, FixedFabric, FullFabric, Gateway, GwState,
+    KSwitchFabric, PowerLadder,
 };
 use insomnia_simcore::{
     par_fold_grouped, EventToken, OnlineTimeHist, Scheduler, SimDuration, SimRng, SimTime,
 };
-use insomnia_telemetry::RunCounters;
+use insomnia_telemetry::{RunCounters, TrajectoryUse};
 use insomnia_traffic::{FlowRecord, FlowStream, Trace};
 use insomnia_wireless::{
     binomial_topology, overlap_topology, shard_spans, LoadWindow, ShardSpan, Topology,
 };
 use serde::{Deserialize, Serialize};
+use std::cell::OnceCell;
 use std::sync::{Arc, Mutex, OnceLock};
 
 /// Simulation events.
@@ -144,6 +162,79 @@ struct PendingFlow {
     bytes: u64,
 }
 
+/// The part of a [`SchemeSpec`] the event loop reads: how clients pick
+/// gateways and how gateways sleep. The fabric is left out (only
+/// [`account`] builds one), so with the world's config and the shard this
+/// is all a home-only or Optimal trajectory depends on — the key of a
+/// cached one.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Policy {
+    aggregation: Aggregation,
+    sleep: SleepPolicy,
+}
+
+impl Policy {
+    fn of(spec: SchemeSpec) -> Policy {
+        Policy { aggregation: spec.aggregation, sleep: spec.sleep }
+    }
+
+    /// BH2 is the one policy whose event loop reads the task RNG.
+    fn is_bh2(self) -> bool {
+        matches!(self.aggregation, Aggregation::Bh2 { .. })
+    }
+}
+
+/// What a [`LineEvent`] did.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum LineKind {
+    /// The gateway began waking: its DSL line powers on.
+    Wake,
+    /// The gateway slept: its line powers off.
+    Sleep,
+    /// A sleeping gateway descended one doze level (its line stays off).
+    Descend,
+    /// An Optimal tick repacked the active lines (a no-op on fabrics other
+    /// than the full switch; the entry's gateway and draws are unused).
+    Repack,
+}
+
+/// One entry of a trajectory's line-event log: every change of a
+/// gateway's draw or of the DSLAM's line state, in delivery order.
+#[derive(Debug, Clone, Copy)]
+struct LineEvent {
+    t: SimTime,
+    gw: u32,
+    kind: LineKind,
+    /// The gateway's draw just before and just after the event, watts.
+    before_w: f64,
+    after_w: f64,
+    /// Samples delivered before the event: sample `k` sees every event
+    /// with `samples_before <= k`.
+    samples_before: u64,
+}
+
+/// One simulated day with the DSLAM left out ([`simulate`]): everything of
+/// a [`RunResult`] the line-card wiring cannot change, plus the line-event
+/// log [`account`] replays into the task's own DSLAM. O(transitions +
+/// flows); no per-sample vector.
+#[derive(Debug, Clone)]
+struct Trajectory {
+    log: Vec<LineEvent>,
+    /// Energy the gateways drew over the day, joules.
+    user_j: f64,
+    completion: CompletionStats,
+    gateway_online_s: Vec<f64>,
+    wake_counts: Vec<u64>,
+    stats: DriverStats,
+    events: u64,
+    counters: RunCounters,
+    /// The powered gateways and the gateways' summed draw the event loop
+    /// saw at every sample (debug builds only): the recount `account`'s
+    /// series must reproduce from the log.
+    #[cfg(debug_assertions)]
+    sampled: Vec<(usize, f64)>,
+}
+
 /// Version of the serialized task-result wire form shipped across the
 /// process boundary: checkpoint sidecars embed it in their manifest and
 /// refuse to resume from a mismatching schema, and the upcoming
@@ -219,10 +310,9 @@ pub struct RunResult {
 /// queue lookup.
 struct World<'a> {
     cfg: &'a ScenarioConfig,
-    spec: SchemeSpec,
+    policy: Policy,
     topo: &'a Topology,
     gateways: Vec<Gateway>,
-    dslam: Dslam,
     engine: FlowEngine,
     /// Per-gateway carried-bytes window (BH2's load estimate). Only BH2
     /// reads it, so it is empty — neither allocated nor fed — under every
@@ -265,9 +355,6 @@ struct World<'a> {
     /// Smoothed inter-arrival gap per gateway, milliseconds (adaptive-SOI;
     /// 0 = no gap observed yet).
     gap_ewma_ms: Vec<f64>,
-    /// Draw of the deepest doze level, watts — the sampler's sleeping-draw
-    /// term (equals the legacy `gateway_sleep_w` for binary ladders).
-    sleep_draw_w: f64,
     /// Pending departure event per gateway; superseded ones are cancelled
     /// (they were delivered-and-discarded no-ops before), keeping at most
     /// one live departure entry per busy gateway in the heap.
@@ -282,11 +369,8 @@ struct World<'a> {
     optimal_tick_idx: usize,
     /// Arrived-but-not-completed flows (engine + wake-parked).
     active_flows: usize,
-    /// Σ|ΔW| over every change of the user + ISP draw, watts: the
-    /// transition term of [`series_energy_bound`], summed where the draw
-    /// changes (gateway wakes, sleeps and doze descents, and full-switch
-    /// repacks).
-    transitions_w: f64,
+    /// The line-event log, in delivery order.
+    log: Vec<LineEvent>,
     /// Per-kind delivered/cancelled tallies and the pending-event and
     /// active-flow peaks (the rest of [`RunCounters`] is filled from the
     /// scheduler and arrival source at finalize).
@@ -302,12 +386,13 @@ struct World<'a> {
     handoff: Vec<(usize, f64)>,
     want: Vec<bool>,
     completion: CompletionStats,
-    powered_series: Vec<f64>,
-    cards_series: Vec<f64>,
-    user_w_series: Vec<f64>,
-    isp_w_series: Vec<f64>,
     stats: DriverStats,
-    rng: SimRng,
+    /// Debug builds' per-sample recount ([`Trajectory::sampled`]).
+    #[cfg(debug_assertions)]
+    sampled: Vec<(usize, f64)>,
+    /// The task RNG, handed in for BH2 only: every other policy's
+    /// trajectory is the same whatever the repetition.
+    rng: Option<SimRng>,
 }
 
 impl World<'_> {
@@ -316,7 +401,7 @@ impl World<'_> {
     }
 
     fn is_optimal(&self) -> bool {
-        self.spec.aggregation == Aggregation::Optimal
+        self.policy.aggregation == Aggregation::Optimal
     }
 
     /// Deposits carried bytes on a gateway's meters and refreshes its SoI
@@ -352,7 +437,7 @@ impl World<'_> {
                 when,
                 Ev::Departure { gw: gw as u32, gen: self.engine.generation(gw) },
             ));
-        } else if self.spec.sleep_enabled() && !self.is_optimal() {
+        } else if self.policy.sleep.enabled() && !self.is_optimal() {
             let timeout = self.gateways[gw].idle_timeout();
             self.arm_idle_check(s, gw, t + timeout);
         }
@@ -405,7 +490,7 @@ impl World<'_> {
     /// just-descended) gateway. A no-op outside the multi-doze policy and
     /// at the ladder's deepest level.
     fn arm_doze(&mut self, s: &mut Scheduler<Ev>, gw: usize) {
-        if self.spec.sleep != SleepPolicy::MultiDoze || !self.gateways[gw].can_descend() {
+        if self.policy.sleep != SleepPolicy::MultiDoze || !self.gateways[gw].can_descend() {
             return;
         }
         debug_assert!(self.doze_token[gw].is_none(), "sleep entry cannot race a pending tick");
@@ -423,40 +508,38 @@ impl World<'_> {
         }
     }
 
-    /// The DSLAM's line-card and modem draw, watts (the shelf's is
-    /// constant).
-    fn isp_draw_w(&self) -> f64 {
-        self.dslam.awake_cards() as f64 * self.cfg.power.line_card_w
-            + self.dslam.active_lines() as f64 * self.cfg.power.isp_modem_w
+    /// Appends one entry to the line-event log; `before_w` is the
+    /// gateway's draw before the event, the log reads the one after.
+    fn log_line(&mut self, t: SimTime, gw: usize, kind: LineKind, before_w: f64) {
+        self.log.push(LineEvent {
+            t,
+            gw: gw as u32,
+            kind,
+            before_w,
+            after_w: self.gateways[gw].current_draw_w(),
+            samples_before: self.counters.samples,
+        });
     }
 
-    /// Gateway `gw`'s draw plus the DSLAM's variable draw, watts: the part
-    /// of the user + ISP draw a transition of `gw` can change.
-    fn draw_w(&self, gw: usize) -> f64 {
-        self.gateways[gw].current_draw_w() + self.isp_draw_w()
-    }
-
-    /// Starts waking sleeping gateway `gw`: cancels its doze descent,
-    /// powers its DSL line on and schedules the `WakeDone`. With
+    /// Starts waking sleeping gateway `gw`: cancels its doze descent, logs
+    /// its line powering on and schedules the `WakeDone`. With
     /// [`sleep_gateway`](Self::sleep_gateway) the one place a line changes
-    /// power mid-run, which keeps the DSLAM's active lines equal to the
-    /// powered gateways (asserted at every sample).
+    /// power mid-run, which keeps the replayed DSLAM's active lines equal
+    /// to the powered gateways.
     fn wake_gateway(&mut self, s: &mut Scheduler<Ev>, t: SimTime, gw: usize) {
         self.cancel_doze(s, gw);
-        let before = self.draw_w(gw);
+        let before = self.gateways[gw].current_draw_w();
         let done = self.gateways[gw].begin_wake(t).expect("sleeping gateway wakes");
-        self.dslam.line_powering_on(t, gw);
-        self.transitions_w += (self.draw_w(gw) - before).abs();
+        self.log_line(t, gw, LineKind::Wake, before);
         s.schedule_at(done, Ev::WakeDone { gw: gw as u32 });
     }
 
-    /// Puts `gw` to sleep if [`Gateway::try_sleep`] allows it, then powers
-    /// its DSL line off and arms the doze descent.
+    /// Puts `gw` to sleep if [`Gateway::try_sleep`] allows it, then logs
+    /// its line powering off and arms the doze descent.
     fn sleep_gateway(&mut self, s: &mut Scheduler<Ev>, t: SimTime, gw: usize) {
-        let before = self.draw_w(gw);
+        let before = self.gateways[gw].current_draw_w();
         if self.gateways[gw].try_sleep(t) {
-            self.dslam.line_powering_off(t, gw);
-            self.transitions_w += (self.draw_w(gw) - before).abs();
+            self.log_line(t, gw, LineKind::Sleep, before);
             self.arm_doze(s, gw);
         }
     }
@@ -466,7 +549,7 @@ impl World<'_> {
     fn descend_gateway(&mut self, s: &mut Scheduler<Ev>, t: SimTime, gw: usize) {
         let before = self.gateways[gw].current_draw_w();
         if self.gateways[gw].descend(t).is_some() {
-            self.transitions_w += (self.gateways[gw].current_draw_w() - before).abs();
+            self.log_line(t, gw, LineKind::Descend, before);
             self.arm_doze(s, gw);
         }
     }
@@ -515,7 +598,7 @@ impl World<'_> {
     /// Picks the gateway a new flow of `client` should use, per the scheme.
     fn route_new_flow(&mut self, now: SimTime, client: usize) -> usize {
         let home = self.topo.home_of(client);
-        match self.spec.aggregation {
+        match self.policy.aggregation {
             Aggregation::HomeOnly => home,
             Aggregation::Optimal => unreachable!("optimal does not simulate flows"),
             Aggregation::Bh2 { .. } => {
@@ -538,7 +621,7 @@ impl World<'_> {
                         }
                     }
                 }
-                let gw = match self.rng.pick_weighted(cands.iter().map(|&(_, w)| w)) {
+                let gw = match bh2_rng(&mut self.rng).pick_weighted(cands.iter().map(|&(_, w)| w)) {
                     Some(i) => cands[i].0,
                     None => home,
                 };
@@ -556,10 +639,6 @@ impl World<'_> {
             self.return_waiters[home].push(client as u32);
         }
     }
-
-    fn sample_index(&self, t: SimTime) -> usize {
-        (t.as_millis() / self.cfg.sample_period.as_millis()) as usize
-    }
 }
 
 /// Simulates one day of one scheme over one arrival feed and topology —
@@ -571,60 +650,90 @@ impl World<'_> {
 /// index-addressed and the event loop consumes its outputs strictly in
 /// tick order, so the result is byte-identical at any `solve_threads` —
 /// asserted by `tests/determinism.rs` at 1 vs 8.
+///
+/// This is the uncached path of every run: the fabric is wired from `rng`
+/// first, the rest of `rng` goes to `simulate` for BH2 only, and
+/// `account` replays the trajectory into the DSLAM.
 pub fn run_single_source_threads(
     cfg: &ScenarioConfig,
     spec: SchemeSpec,
     arrivals: ArrivalSource<'_>,
     topo: &Topology,
-    rng: SimRng,
+    mut rng: SimRng,
     solve_threads: usize,
 ) -> RunResult {
-    run_single(cfg, spec, arrivals, topo, rng, None, solve_threads)
+    let fabric = build_fabric(cfg, spec.fabric, topo.n_gateways(), &mut rng);
+    let policy = Policy::of(spec);
+    let rng = policy.is_bh2().then_some(rng);
+    let traj = simulate(cfg, policy, arrivals, topo, rng, None, solve_threads);
+    account(cfg, spec, fabric, Arc::new(traj))
 }
 
-/// [`run_single_source_threads`] with an optional Optimal plan solved
-/// beforehand over the same `(cfg, topo, arrivals)`; `None` solves it here.
-/// Every other scheme ignores `plan`.
-fn run_single(
+/// The power-state ladder of `policy`'s gateways: an explicit
+/// `power_states` config wins; otherwise multi-doze synthesizes the
+/// default three-level ladder and every other policy gets the binary
+/// on/off degenerate case — the exact arithmetic the pre-ladder goldens
+/// pin. Optimal migrates instantly: its ladder wakes in zero time (§5.1
+/// calls it "certainly infeasible in practice ... a useful upper bound").
+fn power_ladder(cfg: &ScenarioConfig, policy: Policy) -> PowerLadder {
+    let base = match (&cfg.power_states, policy.sleep) {
+        (Some(l), _) => l.clone(),
+        (None, SleepPolicy::MultiDoze) => PowerLadder::default_doze(&cfg.power, cfg.wake_time),
+        (None, _) => PowerLadder::binary(cfg.power.gateway_sleep_w, cfg.wake_time),
+    };
+    if policy.aggregation == Aggregation::Optimal {
+        base.with_zero_wake()
+    } else {
+        base
+    }
+}
+
+/// Wires the DSLAM's fabric for `n_gw` lines — the first draws of a task's
+/// RNG (a fixed fabric's random line-to-port mapping, a k-switch fabric's
+/// line-to-switch assignment; the full switch draws nothing).
+fn build_fabric(cfg: &ScenarioConfig, kind: FabricKind, n_gw: usize, rng: &mut SimRng) -> Fabric {
+    let (n_cards, ports) = (cfg.dslam.n_cards, cfg.dslam.ports_per_card);
+    match kind {
+        FabricKind::Fixed => {
+            Fabric::Fixed(FixedFabric::new(n_cards, random_mapping(n_gw, n_cards, ports, rng)))
+        }
+        FabricKind::KSwitch => {
+            Fabric::KSwitch(KSwitchFabric::new(n_gw, n_cards, ports, cfg.k_switch, rng))
+        }
+        FabricKind::Full => Fabric::Full(FullFabric::new(n_gw, n_cards, ports)),
+    }
+}
+
+/// Runs the event loop of one day of `policy` without a DSLAM, returning
+/// its [`Trajectory`]. `rng` is the task RNG after the fabric's draws:
+/// `Some` for BH2, the one policy that reads it, and `None` for every
+/// other — so a home-only or Optimal trajectory cannot depend on the
+/// repetition. `plan` is an Optimal plan solved beforehand over the same
+/// `(cfg, topo, arrivals)`; `None` solves it here, and every other policy
+/// ignores it.
+fn simulate(
     cfg: &ScenarioConfig,
-    spec: SchemeSpec,
+    policy: Policy,
     mut arrivals: ArrivalSource<'_>,
     topo: &Topology,
-    mut rng: SimRng,
+    rng: Option<SimRng>,
     plan: Option<OptimalPlan>,
     solve_threads: usize,
-) -> RunResult {
+) -> Trajectory {
     cfg.validate().expect("validated config");
+    assert_eq!(policy.is_bh2(), rng.is_some(), "the task RNG goes to BH2 and only to BH2");
     let n_gw = topo.n_gateways();
     let horizon = cfg.horizon();
     let t0 = SimTime::ZERO;
 
-    // Optimal migrates instantly: model with zero timers (§5.1 calls it
-    // "certainly infeasible in practice ... a useful upper bound").
-    let is_optimal = spec.aggregation == Aggregation::Optimal;
+    let is_optimal = policy.aggregation == Aggregation::Optimal;
     let idle_timeout = if is_optimal { SimDuration::ZERO } else { cfg.idle_timeout };
-    // Resolve the power-state ladder: an explicit `power_states` config
-    // wins; otherwise multi-doze synthesizes the default three-level
-    // ladder and every other policy gets the binary on/off degenerate
-    // case — the exact arithmetic the pre-ladder goldens pin.
-    let ladder = {
-        let base = match (&cfg.power_states, spec.sleep) {
-            (Some(l), _) => l.clone(),
-            (None, SleepPolicy::MultiDoze) => PowerLadder::default_doze(&cfg.power, cfg.wake_time),
-            (None, _) => PowerLadder::binary(cfg.power.gateway_sleep_w, cfg.wake_time),
-        };
-        if is_optimal {
-            base.with_zero_wake()
-        } else {
-            base
-        }
-    };
+    let ladder = power_ladder(cfg, policy);
     // Multi-doze enters the shallowest level and descends on dwell ticks;
     // every other policy drops straight to the deepest (for the binary
     // ladder the two coincide).
-    let sleep_entry = if spec.sleep == SleepPolicy::MultiDoze { 0 } else { ladder.deepest() };
-    let sleep_draw_w = ladder.watts(ladder.deepest());
-    let initial = if spec.sleep_enabled() { GwState::Sleeping } else { GwState::Online };
+    let sleep_entry = if policy.sleep == SleepPolicy::MultiDoze { 0 } else { ladder.deepest() };
+    let initial = if policy.sleep.enabled() { GwState::Sleeping } else { GwState::Online };
     let gateways: Vec<Gateway> = (0..n_gw)
         .map(|_| {
             Gateway::with_ladder(
@@ -637,34 +746,6 @@ fn run_single(
             )
         })
         .collect();
-
-    let fabric = match spec.fabric {
-        FabricKind::Fixed => Fabric::Fixed(FixedFabric::new(
-            cfg.dslam.n_cards,
-            insomnia_access::random_mapping(
-                n_gw,
-                cfg.dslam.n_cards,
-                cfg.dslam.ports_per_card,
-                &mut rng,
-            ),
-        )),
-        FabricKind::KSwitch => Fabric::KSwitch(KSwitchFabric::new(
-            n_gw,
-            cfg.dslam.n_cards,
-            cfg.dslam.ports_per_card,
-            cfg.k_switch,
-            &mut rng,
-        )),
-        FabricKind::Full => {
-            Fabric::Full(FullFabric::new(n_gw, cfg.dslam.n_cards, cfg.dslam.ports_per_card))
-        }
-    };
-    let mut dslam = Dslam::new(t0, cfg.dslam, cfg.power, fabric, n_gw);
-    if !spec.sleep_enabled() {
-        for gw in 0..n_gw {
-            dslam.line_powering_on(t0, gw);
-        }
-    }
 
     // Optimal's re-solve inputs are a pure function of the arrival prefix:
     // the scheme never simulates flows, so every solve is computable before
@@ -680,16 +761,14 @@ fn run_single(
         (true, None) => Arc::new(precompute_optimal_plan(cfg, topo, &mut arrivals, solve_threads)),
     };
 
-    let n_samples = (horizon.as_millis() / cfg.sample_period.as_millis()) as usize;
     let total_flows = arrivals.total_flows();
     let mut world = World {
         cfg,
-        spec,
+        policy,
         topo,
         gateways,
-        dslam,
         engine: FlowEngine::new(n_gw),
-        gw_load: match spec.aggregation {
+        gw_load: match policy.aggregation {
             Aggregation::Bh2 { .. } => {
                 (0..n_gw).map(|_| LoadWindow::new(cfg.bh2.load_window.as_millis())).collect()
             }
@@ -709,21 +788,18 @@ fn run_single(
         doze_token: vec![None; n_gw],
         arr_last: vec![None; n_gw],
         gap_ewma_ms: vec![0.0; n_gw],
-        sleep_draw_w,
         departure_token: vec![None; n_gw],
         active_flows: 0,
-        transitions_w: 0.0,
+        log: Vec::new(),
         counters: RunCounters::default(),
         completed: Vec::new(),
         visible: Vec::new(),
         handoff: Vec::new(),
         want: Vec::new(),
         completion: CompletionStats::new(total_flows, cfg.completion_cutoff),
-        powered_series: vec![0.0; n_samples],
-        cards_series: vec![0.0; n_samples],
-        user_w_series: vec![0.0; n_samples],
-        isp_w_series: vec![0.0; n_samples],
         stats: DriverStats::default(),
+        #[cfg(debug_assertions)]
+        sampled: Vec::new(),
         rng,
     };
 
@@ -732,7 +808,8 @@ fn run_single(
     // front-lane `Arrival` events one at a time.
     if !is_optimal {
         world.schedule_next_arrival(&mut sched);
-        if let Aggregation::Bh2 { .. } = spec.aggregation {
+        if policy.is_bh2() {
+            let rng = bh2_rng(&mut world.rng);
             // BH2 ticks ride a monotone lane of the scheduler, which must be
             // fed in time order. Draw the offsets in client order (the RNG
             // stream is unchanged) and push them sorted; the stable sort
@@ -740,7 +817,7 @@ fn run_single(
             // rank its old client-order heap push gave it.
             let mut first: Vec<(SimTime, u32)> = (0..topo.n_clients() as u32)
                 .map(|c| {
-                    let offset = world.rng.below(cfg.bh2.epoch.as_millis().max(1));
+                    let offset = rng.below(cfg.bh2.epoch.as_millis().max(1));
                     (t0 + SimDuration::from_millis(offset), c)
                 })
                 .collect();
@@ -761,32 +838,9 @@ fn run_single(
         "pre-solved tick count must match delivered OptimalTicks"
     );
 
-    // Finalize meters and assemble the breakdown.
     for g in &mut world.gateways {
         g.finish(horizon);
     }
-    world.dslam.finish(horizon);
-    let energy = EnergyBreakdown {
-        user_j: world.gateways.iter().map(|g| g.energy_j()).sum(),
-        modems_j: world.dslam.modems_energy_j(),
-        cards_j: world.dslam.cards_energy_j(),
-        shelf_j: world.dslam.shelf_energy_j(),
-    };
-    // The meters against the sampled series, in release builds too
-    // (O(samples) per run; see `series_energy_bound`).
-    let period_s = cfg.sample_period.as_secs_f64();
-    let series_j = period_s
-        * world.user_w_series.iter().zip(&world.isp_w_series).map(|(u, i)| u + i).sum::<f64>();
-    let max_w = n_gw as f64 * (cfg.power.gateway_on_w.max(ladder.watts(0)) + cfg.power.isp_modem_w)
-        + cfg.dslam.n_cards as f64 * cfg.power.line_card_w
-        + cfg.power.shelf_w;
-    let tail_s = horizon.as_secs_f64() - n_samples as f64 * period_s;
-    let bound = series_energy_bound(period_s, world.transitions_w, max_w, tail_s, energy.total_j());
-    assert!(
-        (series_j - energy.total_j()).abs() <= bound,
-        "metered energy {} J vs sampled series {series_j} J: off by more than the {bound} J bound",
-        energy.total_j()
-    );
     // Finalize the deterministic counters: per-kind tallies accumulated in
     // `handle`, the rest read from the scheduler, arrival source and
     // completion ledger.
@@ -831,18 +885,195 @@ fn run_single(
             + world.gateways.iter().filter(|g| g.state() == GwState::Waking).count() as u64,
         "wakes = wake-dones + gateways still waking at the horizon"
     );
-    RunResult {
-        sample_period_s: cfg.sample_period.as_secs_f64(),
-        powered_gateways: world.powered_series,
-        awake_cards: world.cards_series,
-        user_power_w: world.user_w_series,
-        isp_power_w: world.isp_w_series,
-        energy,
+    Trajectory {
+        log: world.log,
+        user_j: world.gateways.iter().map(|g| g.energy_j()).sum(),
         completion: world.completion,
         gateway_online_s,
         wake_counts,
         stats: world.stats,
         events: sched.delivered(),
+        counters,
+        #[cfg(debug_assertions)]
+        sampled: world.sampled,
+    }
+}
+
+/// The DSLAM a line-event log is replayed into, with the running sums the
+/// sampler and the energy check read.
+struct Ledger<'a> {
+    cfg: &'a ScenarioConfig,
+    dslam: Dslam,
+    /// Every gateway's draw, watts (multi-doze only; empty otherwise).
+    draws: Vec<f64>,
+    /// Σ|ΔW| over every change of the user + ISP draw, watts: the
+    /// transition term of [`series_energy_bound`], summed where the draw
+    /// changes (gateway wakes, sleeps and doze descents, and full-switch
+    /// repacks), in the order the event loop made them.
+    transitions_w: f64,
+}
+
+impl Ledger<'_> {
+    /// The DSLAM's line-card and modem draw, watts (the shelf's is
+    /// constant).
+    fn isp_draw_w(&self) -> f64 {
+        self.dslam.awake_cards() as f64 * self.cfg.power.line_card_w
+            + self.dslam.active_lines() as f64 * self.cfg.power.isp_modem_w
+    }
+
+    /// Applies one logged event to the DSLAM and the draw sums.
+    fn apply(&mut self, e: &LineEvent) {
+        let gw = e.gw as usize;
+        let step_w = match e.kind {
+            LineKind::Wake | LineKind::Sleep => {
+                let before = e.before_w + self.isp_draw_w();
+                if e.kind == LineKind::Wake {
+                    self.dslam.line_powering_on(e.t, gw);
+                } else {
+                    self.dslam.line_powering_off(e.t, gw);
+                }
+                e.after_w + self.isp_draw_w() - before
+            }
+            LineKind::Descend => e.after_w - e.before_w,
+            LineKind::Repack => {
+                let before = self.isp_draw_w();
+                self.dslam.repack_full_switch(e.t);
+                self.transitions_w += (self.isp_draw_w() - before).abs();
+                return;
+            }
+        };
+        self.transitions_w += step_w.abs();
+        if let Some(d) = self.draws.get_mut(gw) {
+            *d = e.after_w;
+        }
+    }
+}
+
+/// Replays a trajectory's line-event log into a DSLAM over `fabric` (the
+/// task's own wiring) and assembles the task's [`RunResult`]: the awake
+/// cards, powered gateways and user and ISP draw at every sample, the
+/// energy breakdown, and the meters-vs-series check. The trajectory's
+/// other products are moved out when this task is its only owner and
+/// copied from a shared (cached) one.
+fn account(
+    cfg: &ScenarioConfig,
+    spec: SchemeSpec,
+    fabric: Fabric,
+    traj: Arc<Trajectory>,
+) -> RunResult {
+    let policy = Policy::of(spec);
+    let n_gw = traj.wake_counts.len();
+    let horizon = cfg.horizon();
+    let t0 = SimTime::ZERO;
+    let power = &cfg.power;
+    let ladder = power_ladder(cfg, policy);
+    // The deepest doze level's draw: the sampler's sleeping-draw term
+    // (equals the legacy `gateway_sleep_w` for binary ladders) and every
+    // gateway's draw at t0 under a sleeping policy.
+    let sleep_draw_w = ladder.watts(ladder.deepest());
+    let multi_doze = policy.sleep == SleepPolicy::MultiDoze;
+    let mut ledger = Ledger {
+        cfg,
+        dslam: Dslam::new(t0, cfg.dslam, cfg.power, fabric, n_gw),
+        draws: if multi_doze { vec![sleep_draw_w; n_gw] } else { Vec::new() },
+        transitions_w: 0.0,
+    };
+    if !policy.sleep.enabled() {
+        for gw in 0..n_gw {
+            ledger.dslam.line_powering_on(t0, gw);
+        }
+    }
+
+    let n_samples = (horizon.as_millis() / cfg.sample_period.as_millis()) as usize;
+    let mut powered_series = Vec::with_capacity(n_samples);
+    let mut cards_series = Vec::with_capacity(n_samples);
+    let mut user_w_series = Vec::with_capacity(n_samples);
+    let mut isp_w_series = Vec::with_capacity(n_samples);
+    let mut log = traj.log.iter().peekable();
+    for k in 0..n_samples as u64 {
+        while let Some(e) = log.next_if(|e| e.samples_before <= k) {
+            ledger.apply(e);
+        }
+        // Wakes power a gateway's line on and sleeps power it off, so the
+        // DSLAM's active lines (one modem each) are the powered gateways.
+        let powered = ledger.dslam.active_lines();
+        let cards = ledger.dslam.awake_cards();
+        powered_series.push(powered as f64);
+        cards_series.push(cards as f64);
+        // Multi-doze sleepers draw level-dependent watts, so sum per
+        // gateway in gateway order; every other policy keeps the legacy
+        // closed form (same f64s, same summation order — the byte-identity
+        // the goldens pin).
+        user_w_series.push(if multi_doze {
+            debug_assert!(
+                ledger.draws.iter().all(|w| (sleep_draw_w..=power.gateway_on_w).contains(w)),
+                "a gateway draws outside [deepest doze level, on] watts"
+            );
+            ledger.draws.iter().sum()
+        } else {
+            powered as f64 * power.gateway_on_w + (n_gw - powered) as f64 * sleep_draw_w
+        });
+        isp_w_series.push(
+            power.shelf_w + cards as f64 * power.line_card_w + powered as f64 * power.isp_modem_w,
+        );
+    }
+    for e in log {
+        ledger.apply(e);
+    }
+    #[cfg(debug_assertions)]
+    assert!(traj.sampled.len() >= n_samples, "every sample recounted");
+    #[cfg(debug_assertions)]
+    for (k, &(powered, draw_w)) in traj.sampled.iter().take(n_samples).enumerate() {
+        assert_eq!(powered_series[k], powered as f64, "sample {k}: powered gateways vs the log");
+        assert!(
+            (user_w_series[k] - draw_w).abs() <= 1e-9 * draw_w.abs(),
+            "sample {k}: user draw {} W vs the event loop's {draw_w} W",
+            user_w_series[k]
+        );
+    }
+
+    ledger.dslam.finish(horizon);
+    let energy = EnergyBreakdown {
+        user_j: traj.user_j,
+        modems_j: ledger.dslam.modems_energy_j(),
+        cards_j: ledger.dslam.cards_energy_j(),
+        shelf_j: ledger.dslam.shelf_energy_j(),
+    };
+    // The meters against the sampled series, in release builds too
+    // (O(samples) per run; see `series_energy_bound`).
+    let period_s = cfg.sample_period.as_secs_f64();
+    let series_j =
+        period_s * user_w_series.iter().zip(&isp_w_series).map(|(u, i)| u + i).sum::<f64>();
+    let max_w = n_gw as f64 * (power.gateway_on_w.max(ladder.watts(0)) + power.isp_modem_w)
+        + cfg.dslam.n_cards as f64 * power.line_card_w
+        + power.shelf_w;
+    let tail_s = horizon.as_secs_f64() - n_samples as f64 * period_s;
+    let bound =
+        series_energy_bound(period_s, ledger.transitions_w, max_w, tail_s, energy.total_j());
+    assert!(
+        (series_j - energy.total_j()).abs() <= bound,
+        "metered energy {} J vs sampled series {series_j} J: off by more than the {bound} J bound",
+        energy.total_j()
+    );
+    let (stats, events, counters) = (traj.stats, traj.events, traj.counters);
+    let (completion, gateway_online_s, wake_counts) = match Arc::try_unwrap(traj) {
+        Ok(t) => (t.completion, t.gateway_online_s, t.wake_counts),
+        Err(shared) => {
+            (shared.completion.clone(), shared.gateway_online_s.clone(), shared.wake_counts.clone())
+        }
+    };
+    RunResult {
+        sample_period_s: period_s,
+        powered_gateways: powered_series,
+        awake_cards: cards_series,
+        user_power_w: user_w_series,
+        isp_power_w: isp_w_series,
+        energy,
+        completion,
+        gateway_online_s,
+        wake_counts,
+        stats,
+        events,
         counters,
     }
 }
@@ -885,7 +1116,7 @@ fn handle(s: &mut Scheduler<Ev>, w: &mut World<'_>, now: SimTime, ev: Ev) {
             let (idx, f) = w.take_arrival().expect("a scheduled arrival is pending");
             let client = f.client.index();
             let gw = w.route_new_flow(now, client);
-            if w.spec.sleep == SleepPolicy::Adaptive {
+            if w.policy.sleep == SleepPolicy::Adaptive {
                 w.observe_arrival_gap(now, gw);
             }
             w.active_flows += 1;
@@ -1008,41 +1239,15 @@ fn handle(s: &mut Scheduler<Ev>, w: &mut World<'_>, now: SimTime, ev: Ev) {
                 let moved = w.engine.advance(gw, now);
                 w.deposit(now, gw, moved);
             }
-            let idx = w.sample_index(now);
-            if idx < w.powered_series.len() {
-                // `wake_gateway` powers a gateway's line on and
-                // `sleep_gateway` powers it off, so the DSLAM's active lines
-                // (one modem each) are the powered gateways.
-                let powered = w.dslam.active_lines();
-                debug_assert_eq!(
-                    powered,
-                    w.gateways.iter().filter(|g| g.is_powered()).count(),
-                    "powered gateways diverged from active DSLAM lines"
-                );
-                let cards = w.dslam.awake_cards();
-                w.powered_series[idx] = powered as f64;
-                w.cards_series[idx] = cards as f64;
-                // Multi-doze sleepers draw level-dependent watts, so sum
-                // per-gateway; every other policy keeps the legacy
-                // closed form (same f64s, same summation order — the
-                // byte-identity the goldens pin).
-                w.user_w_series[idx] = if w.spec.sleep == SleepPolicy::MultiDoze {
-                    debug_assert!(
-                        w.gateways.iter().all(|g| {
-                            (w.sleep_draw_w..=w.cfg.power.gateway_on_w)
-                                .contains(&g.current_draw_w())
-                        }),
-                        "a gateway draws outside [deepest doze level, on] watts"
-                    );
-                    w.gateways.iter().map(|g| g.current_draw_w()).sum()
-                } else {
-                    powered as f64 * w.cfg.power.gateway_on_w
-                        + (w.n_gateways() - powered) as f64 * w.sleep_draw_w
-                };
-                w.isp_w_series[idx] = w.cfg.power.shelf_w
-                    + cards as f64 * w.cfg.power.line_card_w
-                    + powered as f64 * w.cfg.power.isp_modem_w;
-            }
+            // The sample's series are `account`'s: it reads the powered
+            // gateways, awake cards and draws off the line-event log, whose
+            // later entries count this sample in `samples_before`. Debug
+            // builds keep a recount for it to check against.
+            #[cfg(debug_assertions)]
+            w.sampled.push((
+                w.gateways.iter().filter(|g| g.is_powered()).count(),
+                w.gateways.iter().map(|g| g.current_draw_w()).sum(),
+            ));
             // One pending sample at a time, each a period after the last:
             // the sample lane's times only grow.
             let next = now + w.cfg.sample_period;
@@ -1053,9 +1258,14 @@ fn handle(s: &mut Scheduler<Ev>, w: &mut World<'_>, now: SimTime, ev: Ev) {
     }
 }
 
+/// The task RNG a BH2 run was handed ([`World::rng`]).
+fn bh2_rng(rng: &mut Option<SimRng>) -> &mut SimRng {
+    rng.as_mut().expect("BH2 draws from the task RNG")
+}
+
 /// One BH2 decision epoch for one terminal (§3.1).
 fn bh2_epoch(s: &mut Scheduler<Ev>, w: &mut World<'_>, now: SimTime, client: usize) {
-    let Aggregation::Bh2 { backup } = w.spec.aggregation else {
+    let Aggregation::Bh2 { backup } = w.policy.aggregation else {
         return;
     };
     let home = w.topo.home_of(client);
@@ -1076,7 +1286,7 @@ fn bh2_epoch(s: &mut Scheduler<Ev>, w: &mut World<'_>, now: SimTime, client: usi
     }
     let mut params = w.cfg.bh2;
     params.backup = backup;
-    let decision = decide(&params, cur == home, cur_load, &w.visible, &mut w.rng);
+    let decision = decide(&params, cur == home, cur_load, &w.visible, bh2_rng(&mut w.rng));
     w.visible.clear();
     match decision {
         Bh2Decision::Stay => {
@@ -1218,9 +1428,14 @@ fn optimal_tick(s: &mut Scheduler<Ev>, w: &mut World<'_>, now: SimTime) {
             _ => {}
         }
     }
-    let before = w.isp_draw_w();
-    w.dslam.repack_full_switch(now);
-    w.transitions_w += (w.isp_draw_w() - before).abs();
+    w.log.push(LineEvent {
+        t: now,
+        gw: 0,
+        kind: LineKind::Repack,
+        before_w: 0.0,
+        after_w: 0.0,
+        samples_before: w.counters.samples,
+    });
 }
 
 /// Averaged results of all repetitions of one scheme, built by
@@ -1291,14 +1506,6 @@ impl SchemeResult {
         self.user_power_w.iter().zip(&self.isp_power_w).map(|(u, i)| u + i).collect()
     }
 
-    /// Pools the completion accounting of every repetition — the input to
-    /// the JSONL tail quantiles. Exact (byte-identical to sorting the
-    /// pooled per-flow samples) while the pooled flow count stays under
-    /// the scenario's `completion_cutoff`.
-    pub fn pooled_completion(&self) -> CompletionStats {
-        CompletionStats::pooled(&self.completion)
-    }
-
     /// Pools the online-time histograms of every repetition, in repetition
     /// order — the input to the JSONL online-time quantile grid. Exact
     /// while the pooled gateway count stays under the scenario's
@@ -1358,7 +1565,11 @@ pub struct ShardedWorld {
     /// Each shard's slice of the population, from [`shard_spans`].
     spans: Vec<ShardSpan>,
     /// One prototype slot per shard on a shared world; empty otherwise.
-    slots: Vec<Mutex<ProtoSlot>>,
+    slots: Vec<Mutex<Slot<ShardCells>>>,
+    /// The policies whose trajectory each shard's prototype caches, with
+    /// their consumers per shard: every non-BH2 policy with two or more
+    /// (empty on an unshared world).
+    cached: Vec<(Policy, usize)>,
 }
 
 impl ShardedWorld {
@@ -1367,23 +1578,32 @@ impl ShardedWorld {
     /// config must validate; population counts are answered from it
     /// without building anything.
     pub fn lazy(cfg: &ScenarioConfig, seed: u64) -> Self {
-        Self::shared(cfg, seed, 1)
+        Self::shared(cfg, seed, &[])
     }
 
-    /// A world whose shards are each consumed exactly
-    /// `consumers_per_shard` times, sharing one prototype per shard; below
-    /// two consumers it is [`lazy`](Self::lazy).
-    pub fn shared(cfg: &ScenarioConfig, seed: u64, consumers_per_shard: usize) -> Self {
+    /// A world whose shards are each consumed once by every repetition of
+    /// every scheme in `schemes`, sharing one prototype per shard; below
+    /// two consumers it is [`lazy`](Self::lazy). Each shard's prototype
+    /// also caches the trajectory of every non-BH2 policy two or more of
+    /// those consumers share (a policy with one consumer stores nothing).
+    pub fn shared(cfg: &ScenarioConfig, seed: u64, schemes: &[SchemeSpec]) -> Self {
         cfg.validate().expect("validated config");
         let spans = shard_spans(cfg.trace.n_clients, cfg.trace.n_aps, cfg.shards)
             .expect("validated shard split");
-        let slots = if consumers_per_shard < 2 {
-            Vec::new()
-        } else {
-            let slot = || Mutex::new(ProtoSlot { proto: None, remaining: consumers_per_shard });
-            (0..spans.len()).map(|_| slot()).collect()
-        };
-        ShardedWorld { cfg: cfg.clone(), seed, spans, slots }
+        let consumers = schemes.len() * cfg.repetitions;
+        let (mut slots, mut cached) = (Vec::new(), Vec::new());
+        if consumers >= 2 {
+            slots = (0..spans.len()).map(|_| Mutex::new(Slot::new(consumers))).collect();
+            let policies: Vec<Policy> =
+                schemes.iter().map(|&s| Policy::of(s)).filter(|p| !p.is_bh2()).collect();
+            for &p in &policies {
+                let users = policies.iter().filter(|&&q| q == p).count() * cfg.repetitions;
+                if users >= 2 && !cached.iter().any(|&(q, _)| q == p) {
+                    cached.push((p, users));
+                }
+            }
+        }
+        ShardedWorld { cfg: cfg.clone(), seed, spans, slots, cached }
     }
 
     /// The scenario config every task of this world runs.
@@ -1418,12 +1638,9 @@ impl ShardedWorld {
     /// nothing, and its task builds its own shard.
     pub fn claim(&self, shard: usize) -> ProtoClaim {
         let proto = self.slots.get(shard).map(|slot| {
-            let mut slot = slot.lock().expect("proto slot lock");
-            let proto = slot.proto.get_or_insert_with(Default::default).clone();
-            slot.release();
-            proto
+            slot.lock().expect("proto slot lock").claim(|| ShardCells::new(&self.cached))
         });
-        ProtoClaim { proto, built: false }
+        ProtoClaim { proto, built: false, trajectory_cell: OnceCell::new(), trajectory: None }
     }
 
     /// Releases one consumer's claim without touching the prototype — the
@@ -1571,7 +1788,6 @@ type OptimalPlan = Arc<Vec<Vec<usize>>>;
 
 /// One shard's shared world prototype, built lazily by whichever consumer
 /// reaches each cell first and shared by every other.
-#[derive(Default)]
 struct ShardCells {
     /// The stream (replay cache enabled, recording pre-published) plus
     /// topology; consumers clone the stream.
@@ -1581,23 +1797,69 @@ struct ShardCells {
     /// and the arrival stream — never of the RNG — so the world's one
     /// config keys it by the shard alone.
     optimal_plan: OnceLock<OptimalPlan>,
+    /// One trajectory slot per non-BH2 policy with two or more consumers
+    /// on the shard: the first consumer simulates the cell's trajectory,
+    /// every later one replays it, and the slot drops its reference at
+    /// the policy's last consumer, so a trajectory lives only while its
+    /// consumers run. A trajectory is a function of the world's config,
+    /// the shard and the policy (see the module docs), so the world's one
+    /// config keys it by the policy alone. A panicking simulation leaves
+    /// its cell empty (`OnceLock` does not poison), and a retry simulates.
+    trajectories: Vec<(Policy, Mutex<Slot<TrajectoryCell>>)>,
+}
+
+/// A cached trajectory, simulated by whichever consumer reaches it first.
+type TrajectoryCell = OnceLock<Arc<Trajectory>>;
+
+impl ShardCells {
+    fn new(cached: &[(Policy, usize)]) -> ShardCells {
+        ShardCells {
+            world: OnceLock::new(),
+            optimal_plan: OnceLock::new(),
+            trajectories: cached.iter().map(|&(p, n)| (p, Mutex::new(Slot::new(n)))).collect(),
+        }
+    }
+
+    /// Claims one consumer's reference to `policy`'s trajectory cell, if
+    /// the shard caches one. A checkpoint-resumed task never claims (it
+    /// only [`skip`](ShardedWorld::skip)s the prototype), so after a
+    /// partial resume a trajectory can outlive its last running consumer,
+    /// until the shard's prototype drops.
+    fn claim_trajectory(&self, policy: Policy) -> Option<Arc<TrajectoryCell>> {
+        let (_, slot) = self.trajectories.iter().find(|(p, _)| *p == policy)?;
+        Some(slot.lock().expect("trajectory slot lock").claim(OnceLock::new))
+    }
 }
 
 /// A shard's cells, refcounted across its consumers.
 type ShardProto = Arc<ShardCells>;
 
-/// One shard's prototype slot on a shared [`ShardedWorld`].
-struct ProtoSlot {
-    proto: Option<ShardProto>,
+/// A value shared by a known number of consumers: made by the first claim
+/// and dropped from the slot at the last claim or release, leaving the
+/// consumers' references as its only owners. A shard's prototype slot on
+/// a shared [`ShardedWorld`], and a cached trajectory's slot in it.
+struct Slot<T> {
+    item: Option<Arc<T>>,
     remaining: usize,
 }
 
-impl ProtoSlot {
+impl<T> Slot<T> {
+    fn new(consumers: usize) -> Slot<T> {
+        Slot { item: None, remaining: consumers }
+    }
+
+    /// Hands one consumer the item, made on first use, and counts it off.
+    fn claim(&mut self, make: impl FnOnce() -> T) -> Arc<T> {
+        let item = Arc::clone(self.item.get_or_insert_with(|| Arc::new(make())));
+        self.release();
+        item
+    }
+
     /// Counts one consumer off; the last one drops the slot's reference.
     fn release(&mut self) {
         self.remaining = self.remaining.saturating_sub(1);
         if self.remaining == 0 {
-            self.proto = None;
+            self.item = None;
         }
     }
 }
@@ -1605,11 +1867,18 @@ impl ProtoSlot {
 /// One task's claim on its shard's prototype ([`ShardedWorld::claim`]). It
 /// records whether any attempt holding it built the prototype — sticky
 /// across retries, since a builder attempt that panics after the build
-/// never returns — and writes the task's one build-or-hit attribution. On
-/// an unshared world it holds nothing.
+/// never returns — and writes the task's one build-or-hit attribution. It
+/// records the task's use of a cached trajectory the same way. On an
+/// unshared world it holds nothing.
 pub struct ProtoClaim {
     proto: Option<ShardProto>,
     built: bool,
+    /// The task's reference to its policy's trajectory cell (`None` when
+    /// the shard caches none), claimed by the first attempt that reaches
+    /// it and kept by every retry, so the policy's consumers count off
+    /// exactly once each.
+    trajectory_cell: OnceCell<Option<Arc<TrajectoryCell>>>,
+    trajectory: Option<TrajectoryUse>,
 }
 
 impl ProtoClaim {
@@ -1627,6 +1896,16 @@ impl ProtoClaim {
         } else {
             counters.proto_cache_hits += 1;
         }
+    }
+
+    /// Whether the task simulated its shard's cached trajectory
+    /// ([`TrajectoryUse::Built`], sticky across retries like the prototype
+    /// build) or replayed it; `None` when its policy has no cached
+    /// trajectory (BH2, a policy with one consumer, an unshared world).
+    /// The totals are exact like the prototype's: one build per cached
+    /// policy and shard, every other consumer a replay.
+    pub fn trajectory(&self) -> Option<TrajectoryUse> {
+        self.trajectory
     }
 }
 
@@ -1804,6 +2083,8 @@ pub struct TaskSetup {
 /// driver). The stream depends on nothing else — never the attempt — so a
 /// retried attempt is byte-identical, and results absorbed into a
 /// [`SchemeFolder`] strictly in `i` order are the same whatever ran them.
+/// The task wires its fabric from that stream first, before anything
+/// else, whether it then simulates or replays.
 ///
 /// The shard is built here, in the worker, streaming, and dropped on
 /// return. On a shared world (every consumer of a shard drives the
@@ -1815,9 +2096,12 @@ pub struct TaskSetup {
 /// pass. The up-front drain keeps each consumer's own stream work counters
 /// deterministic: no consumer ever races the recording's publication. The
 /// shard's first Optimal consumer likewise solves Optimal's plan once for
-/// every later one (later repetitions and retried attempts). An unshared
+/// every later one (later repetitions and retried attempts), and the first
+/// consumer of a cached policy simulates its trajectory once: every later
+/// one clones no stream and runs only `account` over it. An unshared
 /// world's tasks (the giga/tera smokes' single-consumer worlds) keep the
-/// build-and-drop path and solve their own plan.
+/// build-and-drop path, solve their own plan and simulate their own
+/// trajectory.
 pub fn run_scheme_task(
     spec: SchemeSpec,
     world: &ShardedWorld,
@@ -1830,54 +2114,80 @@ pub fn run_scheme_task(
     // Forks are id-based and non-mutating, so re-deriving the master per
     // task reproduces a whole-run pool's streams exactly.
     let rep_rng = SimRng::new(world.seed).fork_idx("rep", rep as u64);
-    let rng = if n_shards == 1 { rep_rng } else { rep_rng.fork_idx("shard", sh as u64) };
+    let mut rng = if n_shards == 1 { rep_rng } else { rep_rng.fork_idx("shard", sh as u64) };
+    let fabric = build_fabric(cfg, spec.fabric, world.spans[sh].n_gateways, &mut rng);
+    let policy = Policy::of(spec);
+    let rng = policy.is_bh2().then_some(rng);
     // Tasks already saturate the worker pool, so the per-run Optimal
     // pre-solve fan-out is pinned to one thread here: parallelism lives at
     // exactly one level, never nested (the result is byte-identical either
     // way).
-    let single = move |arrivals: ArrivalSource<'_>, topo: &Topology, plan: Option<OptimalPlan>| {
-        run_single(cfg, spec, arrivals, topo, rng, plan, 1)
-    };
     let setup_start = std::time::Instant::now();
-    let Some(proto) = &claim.proto else {
+    let Some(proto) = claim.proto.clone() else {
         let (stream, topo, topology_ms) = world.build_shard(sh);
         let setup = TaskSetup { setup_ms: setup_start.elapsed().as_secs_f64() * 1e3, topology_ms };
-        return (single(ArrivalSource::Stream(Box::new(stream)), &topo, None), setup);
+        let traj =
+            simulate(cfg, policy, ArrivalSource::Stream(Box::new(stream)), &topo, rng, None, 1);
+        return (account(cfg, spec, fabric, Arc::new(traj)), setup);
     };
-    let mut built_topology_ms = None;
-    let (stream_proto, topo) = proto.world.get_or_init(|| {
-        let (mut s, t, topology_ms) = world.build_shard(sh);
-        built_topology_ms = Some(topology_ms);
-        if s.enable_replay_cache() {
-            // Publish the recording before any consumer runs: drain a
-            // throwaway clone so every consumer — this one included —
-            // replays.
-            let mut probe = s.clone();
-            while probe.next_flow().is_some() {}
+    let mut setup = TaskSetup::default();
+    let simulate_shard = || {
+        let mut built_topology_ms = None;
+        let (stream_proto, topo) = proto.world.get_or_init(|| {
+            let (mut s, t, topology_ms) = world.build_shard(sh);
+            built_topology_ms = Some(topology_ms);
+            if s.enable_replay_cache() {
+                // Publish the recording before any consumer runs: drain a
+                // throwaway clone so every consumer — this one included —
+                // replays.
+                let mut probe = s.clone();
+                while probe.next_flow().is_some() {}
+            }
+            (s, t)
+        });
+        // A panicking init leaves the cell empty (OnceLock does not
+        // poison), so a retried builder rebuilds safely; hits attribute
+        // zero setup — the one real build is the only setup span of the
+        // shard.
+        claim.built |= built_topology_ms.is_some();
+        if let Some(topology_ms) = built_topology_ms {
+            setup = TaskSetup { setup_ms: setup_start.elapsed().as_secs_f64() * 1e3, topology_ms };
         }
-        (s, t)
-    });
-    // A panicking init leaves the cell empty (OnceLock does not poison), so
-    // a retried builder rebuilds safely; hits attribute zero setup — the one
-    // real build is the only setup span of the shard.
-    claim.built |= built_topology_ms.is_some();
-    let setup = match built_topology_ms {
-        Some(topology_ms) => {
-            TaskSetup { setup_ms: setup_start.elapsed().as_secs_f64() * 1e3, topology_ms }
-        }
-        None => TaskSetup::default(),
+        // Optimal's plan is shared the same way, solved after `setup` is
+        // taken so its time counts toward the task's event loop. The
+        // solving task's pre-pass drains its own stream clone, which its
+        // event loop never reads. A panicking solve leaves this cell empty
+        // too, and the retry re-solves.
+        let mut arrivals = ArrivalSource::Stream(Box::new(stream_proto.clone()));
+        let plan = (policy.aggregation == Aggregation::Optimal).then(|| {
+            let solve = || Arc::new(precompute_optimal_plan(cfg, topo, &mut arrivals, 1));
+            Arc::clone(proto.optimal_plan.get_or_init(solve))
+        });
+        Arc::new(simulate(cfg, policy, arrivals, topo, rng, plan, 1))
     };
-    // Optimal's plan is shared the same way, solved after `setup` is taken
-    // so its time counts toward the task's event loop. The solving task's
-    // pre-pass drains its own stream clone, which its event loop never
-    // reads. A panicking solve leaves this cell empty too, and the retry
-    // re-solves.
-    let mut arrivals = ArrivalSource::Stream(Box::new(stream_proto.clone()));
-    let plan = (spec.aggregation == Aggregation::Optimal).then(|| {
-        let solve = || Arc::new(precompute_optimal_plan(cfg, topo, &mut arrivals, 1));
-        Arc::clone(proto.optimal_plan.get_or_init(solve))
-    });
-    (single(arrivals, topo, plan), setup)
+    let cell = claim.trajectory_cell.get_or_init(|| proto.claim_trajectory(policy)).clone();
+    let Some(cell) = cell else {
+        let traj = simulate_shard();
+        return (account(cfg, spec, fabric, traj), setup);
+    };
+    let mut simulated = false;
+    let traj = Arc::clone(cell.get_or_init(|| {
+        simulated = true;
+        simulate_shard()
+    }));
+    let built = simulated || claim.trajectory == Some(TrajectoryUse::Built);
+    claim.trajectory = Some(if built { TrajectoryUse::Built } else { TrajectoryUse::Replayed });
+    let mut run = account(cfg, spec, fabric, traj);
+    if !simulated && policy.aggregation == Aggregation::Optimal {
+        // The counters are the simulating task's, stream work included.
+        // Optimal's stream is drained by the plan solve alone, and a task
+        // that finds the plan solved leaves its stream clone untouched:
+        // its stream counters are the prototype's.
+        let (stream_proto, _) = proto.world.get().expect("the trajectory's world was built");
+        let s = stream_proto.stats();
+        (run.counters.stream_refills, run.counters.merge_pops) = (s.refills, s.merge_pops);
+    }
+    (run, setup)
 }
 
 /// Compile-time guarantee that everything a batch job needs can cross
@@ -1919,7 +2229,7 @@ mod tests {
     /// runs one job: each task claims its shard of a world shared by the
     /// run's repetitions, and results fold in task order.
     fn run_shared(cfg: &ScenarioConfig, spec: SchemeSpec, seed: u64) -> SchemeResult {
-        let world = &ShardedWorld::shared(cfg, seed, cfg.repetitions);
+        let world = &ShardedWorld::shared(cfg, seed, &[spec]);
         fold_tasks(spec, world, |i| claimed_task(spec, world, i))
     }
 
@@ -1946,6 +2256,20 @@ mod tests {
         }
         folder.finish()
     }
+
+    /// The ten schemes of the zoo.
+    const ALL_SCHEMES: [fn() -> SchemeSpec; 10] = [
+        SchemeSpec::no_sleep,
+        SchemeSpec::soi,
+        SchemeSpec::soi_k_switch,
+        SchemeSpec::soi_full_switch,
+        SchemeSpec::bh2_k_switch,
+        SchemeSpec::bh2_no_backup_k_switch,
+        SchemeSpec::bh2_full_switch,
+        SchemeSpec::optimal,
+        SchemeSpec::multi_doze,
+        SchemeSpec::adaptive_soi,
+    ];
 
     #[test]
     fn every_scheme_conserves_flows_and_bounds_online_time() {
@@ -2204,8 +2528,8 @@ mod tests {
         let exact = run_shared(&cfg, SchemeSpec::soi(), 9);
         cfg.completion_cutoff = 0;
         let streamed = run_shared(&cfg, SchemeSpec::soi(), 9);
-        let e = exact.pooled_completion();
-        let s = streamed.pooled_completion();
+        let e = CompletionStats::pooled(&exact.completion);
+        let s = CompletionStats::pooled(&streamed.completion);
         assert!(e.per_flow().is_some() && e.is_exact());
         assert!(s.per_flow().is_none() && !s.is_exact());
         assert_eq!(e.completed(), s.completed(), "counts are exact in both tiers");
@@ -2313,7 +2637,7 @@ mod tests {
     fn transient_fault_with_retry_changes_no_bytes() {
         let mut cfg = sharded_cfg(2);
         cfg.repetitions = 2;
-        let world = ShardedWorld::shared(&cfg, 11, cfg.repetitions);
+        let world = ShardedWorld::shared(&cfg, 11, &[SchemeSpec::soi()]);
         let plain = run_shared(&cfg, SchemeSpec::soi(), 11);
         // Each task claims once, outside its attempts. Task 1's first
         // attempt is thrown away, as a faulted one is; the retry re-derives
@@ -2343,7 +2667,7 @@ mod tests {
         cfg.repetitions = 2;
         let n_tasks = cfg.repetitions * 2;
         let spec = SchemeSpec::soi();
-        let world = ShardedWorld::shared(&cfg, 13, cfg.repetitions);
+        let world = ShardedWorld::shared(&cfg, 13, &[spec]);
         let mut store = Vec::new();
         let first = fold_tasks(spec, &world, |i| {
             let run = claimed_task(spec, &world, i);
@@ -2356,7 +2680,7 @@ mod tests {
         // round-trip through the wire form, releasing the task's claim
         // with `skip`), simulate the rest. A fresh world: the first pass
         // counted off every consumer of its slots.
-        let world = ShardedWorld::shared(&cfg, 13, cfg.repetitions);
+        let world = ShardedWorld::shared(&cfg, 13, &[spec]);
         let resumed = fold_tasks(spec, &world, |i| {
             if !i.is_multiple_of(2) {
                 return claimed_task(spec, &world, i);
@@ -2398,11 +2722,74 @@ mod tests {
     }
 
     #[test]
+    fn non_bh2_trajectory_ignores_the_task_rng() {
+        // Two repetitions of one unshared world: the same trace and
+        // topology under different task RNGs, each simulated on its own.
+        let mut cfg = quick_cfg();
+        cfg.repetitions = 2;
+        let world = ShardedWorld::lazy(&cfg, 23);
+        for spec in ALL_SCHEMES.map(|s| s()) {
+            let [a, b] = [0, 1].map(|i| claimed_task(spec, &world, i));
+            let same = a.powered_gateways == b.powered_gateways
+                && a.user_power_w == b.user_power_w
+                && a.completion.to_value() == b.completion.to_value()
+                && a.gateway_online_s == b.gateway_online_s
+                && a.wake_counts == b.wake_counts
+                && a.stats == b.stats
+                && a.events == b.events
+                && a.counters == b.counters;
+            // BH2 reads the RNG after the fabric's draws; nothing else does.
+            assert_eq!(same, !Policy::of(spec).is_bh2(), "{spec}");
+        }
+    }
+
+    #[test]
+    fn cached_trajectories_fold_like_uncached_tasks() {
+        let mut cfg = sharded_cfg(2);
+        cfg.repetitions = 3;
+        let specs = ALL_SCHEMES.map(|s| s());
+        let shared = ShardedWorld::shared(&cfg, 29, &specs);
+        // The same shared prototypes without the trajectory cache: every
+        // byte and counter must match, stream work included.
+        let mut uncached = ShardedWorld::shared(&cfg, 29, &specs);
+        uncached.cached.clear();
+        let lazy = ShardedWorld::lazy(&cfg, 29);
+        let (mut builds, mut replays) = (0, 0);
+        for spec in specs {
+            let cached = fold_tasks(spec, &shared, |i| {
+                let mut claim = shared.claim(i % shared.n_shards());
+                let (mut run, _) = run_scheme_task(spec, &shared, i, &mut claim);
+                match claim.trajectory() {
+                    Some(TrajectoryUse::Built) => builds += 1,
+                    Some(TrajectoryUse::Replayed) => replays += 1,
+                    None => assert!(Policy::of(spec).is_bh2(), "{spec} shares a trajectory"),
+                }
+                claim.attribute(&mut run.counters);
+                run
+            });
+            let plain = fold_tasks(spec, &uncached, |i| claimed_task(spec, &uncached, i));
+            assert_results_identical(&cached, &plain);
+            assert_eq!(cached.counters, plain.counters, "{spec}");
+            let mut own = fold_tasks(spec, &lazy, |i| claimed_task(spec, &lazy, i));
+            // A lazy task regenerates its own stream while a shared one
+            // replays the prototype's recording: the two stream work
+            // counters record that difference, not a trajectory's.
+            own.counters.stream_refills = cached.counters.stream_refills;
+            own.counters.merge_pops = cached.counters.merge_pops;
+            assert_results_identical(&cached, &own);
+        }
+        // Five shared policies (no-sleep, the SoI family, Optimal,
+        // multi-doze, adaptive SoI) per shard, simulated once each: 21
+        // non-BH2 consumers per shard, 16 of them replays.
+        assert_eq!((builds, replays), (5 * 2, 16 * 2));
+    }
+
+    #[test]
     fn retry_after_a_panicked_plan_solve_changes_no_bytes() {
         let mut cfg = sharded_cfg(2);
         cfg.repetitions = 2;
-        let world = ShardedWorld::shared(&cfg, 19, cfg.repetitions);
         let spec = SchemeSpec::optimal();
+        let world = ShardedWorld::shared(&cfg, 19, &[spec]);
         let plain = run_shared(&cfg, spec, 19);
         fn plan(claim: &ProtoClaim) -> &OnceLock<OptimalPlan> {
             &claim.proto.as_ref().expect("shared world").optimal_plan

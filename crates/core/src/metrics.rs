@@ -107,15 +107,16 @@ pub struct CompletionQuantiles {
     pub p99: f64,
 }
 
-/// Reads the reporting quantile grid out of pooled completion stats.
-/// `None` when no flow completed (e.g. the Optimal scheme).
-pub fn completion_quantiles(pooled: &CompletionStats) -> Option<CompletionQuantiles> {
-    let qs = pooled.quantiles(&[0.25, 0.5, 0.75, 0.9, 0.95, 0.99]);
+/// Reads the reporting quantile grid out of the completion stats of every
+/// repetition, pooled ([`CompletionStats::pooled_quantiles`]). `None` when
+/// no flow completed (e.g. the Optimal scheme).
+pub fn completion_quantiles(reps: &[CompletionStats]) -> Option<CompletionQuantiles> {
+    let (qs, exact) = CompletionStats::pooled_quantiles(reps, &[0.25, 0.5, 0.75, 0.9, 0.95, 0.99]);
     match (qs[0], qs[1], qs[2], qs[3], qs[4], qs[5]) {
         (Some(p25), Some(p50), Some(p75), Some(p90), Some(p95), Some(p99)) => {
             Some(CompletionQuantiles {
-                exact: pooled.is_exact(),
-                completed: pooled.completed(),
+                exact,
+                completed: reps.iter().map(|r| r.completed()).sum(),
                 p25,
                 p50,
                 p75,
@@ -351,14 +352,14 @@ mod tests {
     fn completion_quantiles_read_from_pooled_stats() {
         let scheme =
             fake_result(vec![vec![Some(1.0), Some(2.0), Some(3.0), None]], vec![vec![]], vec![1.0]);
-        let q = completion_quantiles(&scheme.pooled_completion()).unwrap();
+        let q = completion_quantiles(&scheme.completion).unwrap();
         assert!(q.exact);
         assert_eq!(q.completed, 3);
         assert_eq!(q.p50, 2.0);
         assert_eq!(q.p99, 3.0);
         // No completions (the Optimal scheme) → no quantiles.
         let none = fake_result(vec![vec![None, None]], vec![vec![]], vec![1.0]);
-        assert!(completion_quantiles(&none.pooled_completion()).is_none());
+        assert!(completion_quantiles(&none.completion).is_none());
     }
 
     #[test]

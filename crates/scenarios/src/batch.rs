@@ -42,13 +42,13 @@ use crate::faults::{FaultPlan, ResolvedFaults};
 use crate::schemes::scheme_key;
 use insomnia_core::{
     completion_quantiles, online_time_quantiles, run_scheme_task, summarize, CompletionQuantiles,
-    OnlineTimeQuantiles, RunResult, ScenarioConfig, SchemeFolder, SchemeResult, SchemeSpec,
-    ShardedWorld, TaskSetup,
+    CompletionStats, OnlineTimeQuantiles, RunResult, ScenarioConfig, SchemeFolder, SchemeResult,
+    SchemeSpec, ShardedWorld, TaskSetup,
 };
 use insomnia_simcore::{par_fold_grouped, retry_unwind, SimError, SimResult, SimRng};
 use insomnia_telemetry::{
     JobTelemetryRecord, ManifestRecord, ManifestScenario, PhaseAccum, RunCounters, SummaryRecord,
-    TaskRecord, Telemetry, TelemetryRecord, TELEMETRY_SCHEMA_VERSION,
+    TaskRecord, Telemetry, TelemetryRecord, TrajectoryUse, TELEMETRY_SCHEMA_VERSION,
 };
 use serde::{Deserialize, Serialize, Value};
 use std::collections::BTreeMap;
@@ -409,7 +409,7 @@ impl TaskPool<'_> {
             // A replayed task never touches the prototype; release its
             // claim so the shard still frees at its true last consumer.
             js.world.skip(sh);
-            self.report(js, i, &result, TaskSetup::default(), 0.0);
+            self.report(js, i, &result, TaskSetup::default(), 0.0, None);
             return result;
         }
         let task_start = Instant::now();
@@ -447,7 +447,7 @@ impl TaskPool<'_> {
         if let Some(writer) = &self.writer {
             writer.write_task(ordinal, js.j, i, rep, sh, &result);
         }
-        self.report(js, i, &result, setup, loop_ms);
+        self.report(js, i, &result, setup, loop_ms, claim.trajectory());
         result
     }
 
@@ -463,6 +463,7 @@ impl TaskPool<'_> {
         result: &RunResult,
         setup: TaskSetup,
         loop_ms: f64,
+        trajectory: Option<TrajectoryUse>,
     ) {
         {
             let mut ph = self.phases.lock().expect("phase lock");
@@ -491,6 +492,7 @@ impl TaskPool<'_> {
             // Finished-but-not-yet-merged results: completion running ahead
             // of the deterministic merge.
             fold_queue: finished.saturating_sub(merged + 1),
+            trajectory,
             counters: result.counters,
         }));
     }
@@ -853,15 +855,16 @@ fn run_jobs(
 /// Phase-1 world construction: one shared handle per (scenario, seed)
 /// pair. Each shard has exactly `schemes × repetitions` consumers, so the
 /// stream setup pass runs once per shard for the whole batch and the
-/// prototype drops the moment its last consumer claims it.
+/// prototype drops the moment its last consumer claims it. The prototype
+/// also simulates each home-only or Optimal trajectory the batch's
+/// schemes share once per shard (BH2 reads the task RNG and never does).
 fn build_worlds(batch: &BatchRun) -> Vec<ShardedWorld> {
     let n_worlds = batch.scenarios.len() * batch.seeds;
     (0..n_worlds)
         .map(|w| {
             let (si, ki) = (w / batch.seeds, w % batch.seeds);
             let (_, cfg) = &batch.scenarios[si];
-            let consumers = batch.schemes.len() * cfg.repetitions;
-            ShardedWorld::shared(cfg, job_seed(cfg.seed, ki), consumers)
+            ShardedWorld::shared(cfg, job_seed(cfg.seed, ki), &batch.schemes)
         })
         .collect()
 }
@@ -879,9 +882,8 @@ fn make_record(js: &JobState<'_>, result: &SchemeResult) -> JobRecord {
     // quantiles. Exact mode reproduces the historical sort-and-index
     // bytes; past the cutoff the merged sketch answers instead. One grid
     // query serves the frozen p50/p95 fields and the sharded quantile
-    // record (a single sort of the pooled samples in exact mode).
-    let pooled = result.pooled_completion();
-    let grid = completion_quantiles(&pooled);
+    // record (one selection over the pooled samples in exact mode).
+    let grid = completion_quantiles(&result.completion);
 
     // Flow counts come from the run's per-shard summaries: a lazy world
     // has no materialized traces to count, and the values are identical
@@ -906,7 +908,7 @@ fn make_record(js: &JobState<'_>, result: &SchemeResult) -> JobRecord {
         mean_wake_count: result.mean_wake_count,
         completion_p50_s: grid.as_ref().map(|g| g.p50),
         completion_p95_s: grid.as_ref().map(|g| g.p95),
-        completed_frac: pooled.completed_frac(),
+        completed_frac: CompletionStats::pooled_completed_frac(&result.completion),
         shards: Some(n_shards),
         shard_summaries: if n_shards > 1 {
             Some(

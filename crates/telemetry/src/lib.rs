@@ -42,7 +42,7 @@ pub use counters::RunCounters;
 pub use profile::{render_delta, CounterTotals, ProfileReport};
 pub use record::{
     JobTelemetryRecord, ManifestRecord, ManifestScenario, PhaseRecord, SummaryRecord, TaskRecord,
-    TelemetryRecord, TELEMETRY_SCHEMA_VERSION,
+    TelemetryRecord, TrajectoryUse, TELEMETRY_SCHEMA_VERSION,
 };
 pub use sink::Telemetry;
 pub use span::PhaseAccum;

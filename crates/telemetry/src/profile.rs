@@ -4,7 +4,7 @@
 
 use crate::counters::RunCounters;
 use crate::record::{
-    JobTelemetryRecord, ManifestRecord, PhaseRecord, SummaryRecord, TelemetryRecord,
+    JobTelemetryRecord, ManifestRecord, PhaseRecord, SummaryRecord, TelemetryRecord, TrajectoryUse,
 };
 use serde::{Deserialize, Serialize};
 
@@ -50,20 +50,32 @@ pub struct ProfileReport {
     pub topology_ms: f64,
     /// Event-loop load per scheme, in order of first appearance.
     pub schemes: Vec<SchemeLoop>,
+    /// Tasks that simulated a cached trajectory.
+    pub trajectory_builds: u64,
+    /// Tasks that replayed a cached trajectory.
+    pub trajectory_replays: u64,
 }
 
 /// One scheme's event-loop load, folded from the task records of the tasks
-/// it simulated (checkpoint-resumed tasks ran no loop and are left out).
+/// it ran (checkpoint-resumed tasks ran no loop and are left out).
 #[derive(Debug, Clone, PartialEq)]
 pub struct SchemeLoop {
     /// Machine scheme key.
     pub scheme: String,
-    /// Simulated tasks.
+    /// Tasks run, replayed ones included.
     pub tasks: u64,
+    /// The tasks that replayed a cached trajectory instead of running
+    /// the event loop.
+    pub replayed: u64,
     /// Event-loop wall-clock summed over the tasks, milliseconds.
     pub loop_ms: f64,
-    /// Events delivered, summed over the tasks.
+    /// The replayed tasks' part of `loop_ms`.
+    pub replay_ms: f64,
+    /// Events of the tasks' counters, summed (a replayed task carries the
+    /// events of the simulation it replayed).
     pub events: u64,
+    /// The replayed tasks' part of `events`.
+    pub replay_events: u64,
     /// Smallest per-task event-loop time, milliseconds.
     pub task_ms_min: f64,
     /// Largest per-task event-loop time, milliseconds.
@@ -71,10 +83,11 @@ pub struct SchemeLoop {
 }
 
 impl SchemeLoop {
-    /// Events delivered per event-loop second, in millions (`None` when
-    /// no loop time was recorded).
+    /// Events delivered per event-loop second over the simulated tasks, in
+    /// millions (`None` when no simulated task recorded loop time).
     fn mevents_per_s(&self) -> Option<f64> {
-        (self.loop_ms > 0.0).then(|| self.events as f64 / self.loop_ms / 1e3)
+        let ms = self.loop_ms - self.replay_ms;
+        (ms > 0.0).then(|| (self.events - self.replay_events) as f64 / ms / 1e3)
     }
 }
 
@@ -93,6 +106,8 @@ impl ProfileReport {
             task_events_sum: 0,
             topology_ms: 0.0,
             schemes: Vec::new(),
+            trajectory_builds: 0,
+            trajectory_replays: 0,
         };
         for (i, line) in text.lines().enumerate() {
             if line.trim().is_empty() {
@@ -109,8 +124,14 @@ impl ProfileReport {
                     report.task_events_max = report.task_events_max.max(ev);
                     report.task_events_sum += ev;
                     report.topology_ms += t.topology_ms;
+                    let replayed = t.trajectory == Some(TrajectoryUse::Replayed);
+                    match t.trajectory {
+                        Some(TrajectoryUse::Built) => report.trajectory_builds += 1,
+                        Some(TrajectoryUse::Replayed) => report.trajectory_replays += 1,
+                        None => {}
+                    }
                     if t.counters.tasks_resumed == 0 {
-                        report.note_scheme_task(&t.scheme, t.loop_ms, ev);
+                        report.note_scheme_task(&t.scheme, t.loop_ms, ev, replayed);
                     }
                 }
                 TelemetryRecord::Job(j) => report.jobs.push(j),
@@ -129,16 +150,19 @@ impl ProfileReport {
         Ok(report)
     }
 
-    /// Folds one simulated task into its scheme's [`SchemeLoop`] row.
-    fn note_scheme_task(&mut self, scheme: &str, loop_ms: f64, events: u64) {
+    /// Folds one task that ran into its scheme's [`SchemeLoop`] row.
+    fn note_scheme_task(&mut self, scheme: &str, loop_ms: f64, events: u64, replayed: bool) {
         let at = match self.schemes.iter().position(|s| s.scheme == scheme) {
             Some(at) => at,
             None => {
                 self.schemes.push(SchemeLoop {
                     scheme: scheme.to_string(),
                     tasks: 0,
+                    replayed: 0,
                     loop_ms: 0.0,
+                    replay_ms: 0.0,
                     events: 0,
+                    replay_events: 0,
                     task_ms_min: f64::INFINITY,
                     task_ms_max: 0.0,
                 });
@@ -149,6 +173,11 @@ impl ProfileReport {
         row.tasks += 1;
         row.loop_ms += loop_ms;
         row.events += events;
+        if replayed {
+            row.replayed += 1;
+            row.replay_ms += loop_ms;
+            row.replay_events += events;
+        }
         row.task_ms_min = row.task_ms_min.min(loop_ms);
         row.task_ms_max = row.task_ms_max.max(loop_ms);
     }
@@ -306,23 +335,40 @@ impl ProfileReport {
         }
 
         if !self.schemes.is_empty() {
+            // Sidecars without replayed tasks (every legacy one) keep the
+            // table without the `replayed` column.
+            let replays = self.schemes.iter().any(|r| r.replayed > 0);
+            let replayed = |v: &str| if replays { format!(" {v:>8}") } else { String::new() };
             out.push_str("\n== per scheme\n");
             out.push_str(&format!(
-                "{:<14} {:>6} {:>12} {:>12} {:>8}  {}\n",
-                "scheme", "tasks", "loop [ms]", "events", "Mev/s", "task ms min/max"
+                "{:<14} {:>6}{} {:>12} {:>12} {:>8}  {}\n",
+                "scheme",
+                "tasks",
+                replayed("replayed"),
+                "loop [ms]",
+                "events",
+                "Mev/s",
+                "task ms min/max"
             ));
             for row in &self.schemes {
                 let rate = row.mevents_per_s().map_or("-".to_string(), |r| format!("{r:.2}"));
                 out.push_str(&format!(
-                    "{:<14} {:>6} {:>12.1} {:>12} {:>8}  {:.1}/{:.1}\n",
+                    "{:<14} {:>6}{} {:>12.1} {:>12} {:>8}  {:.1}/{:.1}\n",
                     row.scheme,
                     row.tasks,
+                    replayed(&row.replayed.to_string()),
                     row.loop_ms,
                     row.events,
                     rate,
                     row.task_ms_min,
                     row.task_ms_max
                 ));
+            }
+            if replays {
+                out.push_str(
+                    "(replayed tasks accounted a cached trajectory; Mev/s counts simulated tasks \
+                     only)\n",
+                );
             }
         }
 
@@ -363,6 +409,15 @@ impl ProfileReport {
                      setup(s) — the shard-major cross-scheme cache skipped that many \
                      FlowStream setup passes\n",
                     c.proto_cache_builds, c.proto_cache_hits,
+                ));
+            }
+            // Likewise for the per-shard trajectory cache, read from the
+            // task records (a legacy sidecar has none and renders no line).
+            if self.trajectory_builds > 0 || self.trajectory_replays > 0 {
+                out.push_str(&format!(
+                    "trajectory-reuse: {} trajectory build(s) served {} replayed task(s) — \
+                     that many event loops were accounted from a cached trajectory\n",
+                    self.trajectory_builds, self.trajectory_replays,
                 ));
             }
         }
@@ -509,6 +564,7 @@ mod tests {
                 total: 2,
                 merged: 0,
                 fold_queue: 0,
+                trajectory: None,
                 counters,
             }),
             TelemetryRecord::Job(JobTelemetryRecord {
@@ -687,6 +743,54 @@ mod tests {
             rendered.contains("world-reuse: 2 prototype world build(s) served 4 cached task"),
             "{rendered}"
         );
+    }
+
+    #[test]
+    fn replayed_trajectories_get_their_own_column_and_reuse_line() {
+        // The legacy sidecar: no replays, so no column and no reuse line.
+        let legacy = ProfileReport::from_jsonl(&sidecar()).unwrap().render();
+        assert!(!legacy.contains("trajectory-reuse"), "{legacy}");
+        assert!(!legacy.contains("replayed"), "{legacy}");
+
+        // Append a second soi task that replayed the first one's
+        // trajectory (same 210 events, a 1 ms replay) and mark the first
+        // one the build.
+        let mut text = String::new();
+        for line in sidecar().lines() {
+            let rec: TelemetryRecord = serde_json::from_str(line).unwrap();
+            if let TelemetryRecord::Task(mut t) = rec {
+                t.trajectory = Some(TrajectoryUse::Built);
+                let built = TelemetryRecord::Task(t.clone());
+                text.push_str(&serde_json::to_string(&built.to_value()).unwrap());
+                text.push('\n');
+                (t.trajectory, t.rep, t.loop_ms) = (Some(TrajectoryUse::Replayed), 1, 1.0);
+                let replayed = TelemetryRecord::Task(t);
+                text.push_str(&serde_json::to_string(&replayed.to_value()).unwrap());
+            } else {
+                text.push_str(line);
+            }
+            text.push('\n');
+        }
+        assert!(text.contains("\"trajectory\":\"replayed\""), "{text}");
+        let report = ProfileReport::from_jsonl(&text).unwrap();
+        assert_eq!((report.trajectory_builds, report.trajectory_replays), (1, 1));
+        let rendered = report.render();
+        assert!(
+            rendered
+                .contains("\ntrajectory-reuse: 1 trajectory build(s) served 1 replayed task(s)"),
+            "{rendered}"
+        );
+        let header = rendered.lines().find(|l| l.starts_with("scheme ")).expect("header");
+        assert_eq!(header.split_whitespace().nth(2), Some("replayed"), "{rendered}");
+        // Two tasks, one replayed; 420 events over 21 ms, but the rate is
+        // the simulated task's alone: 210 events over 20 ms.
+        let row = rendered.lines().find(|l| l.starts_with("soi ")).expect("soi row");
+        assert_eq!(
+            row.split_whitespace().collect::<Vec<_>>(),
+            ["soi", "2", "1", "21.0", "420", "0.01", "1.0/20.0"]
+        );
+        let soi = &report.schemes[0];
+        assert_eq!(soi.mevents_per_s(), Some(210.0 / 20.0 / 1e3));
     }
 
     #[test]

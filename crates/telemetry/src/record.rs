@@ -82,8 +82,52 @@ pub struct TaskRecord {
     /// Finished-but-not-merged results at that moment
     /// (scheduling-dependent).
     pub fold_queue: usize,
+    /// The task's use of its shard's cached trajectory: `built` when it
+    /// simulated the trajectory, `replayed` when it only accounted a
+    /// trajectory another task simulated (its counters are that
+    /// simulation's, and its `loop_ms` the replay). Omitted for tasks
+    /// whose scheme shares no trajectory, and absent from sidecars
+    /// predating the cache. Which consumer builds is scheduling-dependent;
+    /// the totals are not.
+    #[serde(default, skip_serializing_if = "Option::is_none")]
+    pub trajectory: Option<TrajectoryUse>,
     /// Deterministic counters of the task's event loop.
     pub counters: RunCounters,
+}
+
+/// How a task came by a cached trajectory (see [`TaskRecord::trajectory`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum TrajectoryUse {
+    /// The task simulated the trajectory and filled the cache.
+    Built,
+    /// The task replayed a trajectory from the cache.
+    Replayed,
+}
+
+impl TrajectoryUse {
+    /// The wire name (`built` or `replayed`).
+    pub fn as_str(self) -> &'static str {
+        match self {
+            TrajectoryUse::Built => "built",
+            TrajectoryUse::Replayed => "replayed",
+        }
+    }
+}
+
+impl Serialize for TrajectoryUse {
+    fn to_value(&self) -> Value {
+        Value::Str(self.as_str().to_string())
+    }
+}
+
+impl Deserialize for TrajectoryUse {
+    fn from_value(v: &Value) -> Result<Self, Error> {
+        match v {
+            Value::Str(s) if s == "built" => Ok(TrajectoryUse::Built),
+            Value::Str(s) if s == "replayed" => Ok(TrajectoryUse::Replayed),
+            other => Err(Error::new(&format!("unknown trajectory use {other:?}"))),
+        }
+    }
 }
 
 /// `#[serde(skip_serializing_if)]` predicate of `topology_ms`: anything
@@ -268,6 +312,7 @@ mod tests {
                 total: 2,
                 merged: 0,
                 fold_queue: 0,
+                trajectory: None,
                 counters: RunCounters::default(),
             })
         };

@@ -46,7 +46,7 @@ fn run_lazy(cfg: &ScenarioConfig, spec: SchemeSpec, threads: usize) -> SchemeRes
 /// over the world `(cfg, seed)`, shared by the run's repetitions, run by
 /// hand and folded in task order.
 fn run_whole(cfg: &ScenarioConfig, spec: SchemeSpec, seed: u64) -> SchemeResult {
-    let world = &ShardedWorld::shared(cfg, seed, cfg.repetitions);
+    let world = &ShardedWorld::shared(cfg, seed, &[spec]);
     let mut folder = SchemeFolder::new(cfg, spec, world);
     for i in 0..folder.n_tasks() {
         let mut claim = world.claim(i % world.n_shards());
